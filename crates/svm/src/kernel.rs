@@ -390,8 +390,9 @@ impl RowCache {
 
     /// Returns row `i`, computing it with `compute` on a miss.
     ///
-    /// The returned slice lives as long as the cache is not mutated again,
-    /// so callers clone when they need two rows at once.
+    /// The returned slice borrows the cache until its next call. The SMO
+    /// solver copies each row it needs into a buffer it owns and reuses,
+    /// so holding two rows at once costs no allocation.
     pub fn row<F>(&mut self, i: usize, compute: F) -> &[f64]
     where
         F: FnOnce() -> Vec<f64>,

@@ -126,6 +126,7 @@ impl Default for NuSvrParams {
 pub struct NuSvrModel {
     inner: SvrModel,
     learned_epsilon: f64,
+    iterations: usize,
 }
 
 impl NuSvrModel {
@@ -216,6 +217,7 @@ impl NuSvrModel {
         Ok(NuSvrModel {
             inner,
             learned_epsilon: -solution.r,
+            iterations: solution.base.iterations,
         })
     }
 
@@ -250,6 +252,12 @@ impl NuSvrModel {
     #[must_use]
     pub fn num_support_vectors(&self) -> usize {
         self.inner.num_support_vectors()
+    }
+
+    /// Solver iterations used during training.
+    #[must_use]
+    pub fn iterations(&self) -> usize {
+        self.iterations
     }
 
     /// The underlying support-vector expansion (for persistence via

@@ -28,8 +28,10 @@ const TAU: f64 = 1e-12;
 pub(crate) trait QMatrix {
     /// Number of variables in the dual problem.
     fn len(&self) -> usize;
-    /// Full row `i` of `Q` (length [`QMatrix::len`]).
-    fn row(&mut self, i: usize) -> &[f64];
+    /// Writes row `i` of `Q` into `out` (length [`QMatrix::len`]). The
+    /// solver owns the buffers, so it can hold two rows at once without
+    /// allocating per fetch.
+    fn row_into(&mut self, i: usize, out: &mut [f64]);
     /// Diagonal entry `Q_ii`.
     fn diag(&self, i: usize) -> f64;
 }
@@ -82,10 +84,10 @@ impl QMatrix for PointQ<'_> {
         self.points.rows()
     }
 
-    fn row(&mut self, i: usize) -> &[f64] {
+    fn row_into(&mut self, i: usize, out: &mut [f64]) {
         let (kernel, points, y) = (self.kernel, self.points, self.y);
         let norms = self.row_norms.as_deref();
-        self.cache.row(i, || {
+        let row = self.cache.row(i, || {
             // One kernel row in a single pass over the flat matrix, then
             // the sign pattern on top: Q_ij = y_i y_j K_ij.
             let mut row = vec![0.0; points.rows()];
@@ -100,7 +102,8 @@ impl QMatrix for PointQ<'_> {
                 *q *= yi * *yj;
             }
             row
-        })
+        });
+        out.copy_from_slice(row);
     }
 
     fn diag(&self, i: usize) -> f64 {
@@ -118,7 +121,6 @@ pub(crate) struct RegressionQ<'a> {
     diag: Vec<f64>,
     /// Cache of *kernel* rows over the l points; Q rows are derived.
     cache: RowCache,
-    scratch: Vec<f64>,
     /// As in [`PointQ`]: `Some` routes RBF rows through the prenorm pass.
     row_norms: Option<Vec<f64>>,
 }
@@ -133,7 +135,6 @@ impl<'a> RegressionQ<'a> {
             l,
             diag,
             cache: RowCache::new(l, cache_rows),
-            scratch: vec![0.0; 2 * l],
             row_norms: None,
         }
     }
@@ -165,7 +166,7 @@ impl QMatrix for RegressionQ<'_> {
         2 * self.l
     }
 
-    fn row(&mut self, i: usize) -> &[f64] {
+    fn row_into(&mut self, i: usize, out: &mut [f64]) {
         let base = i % self.l;
         let si = self.sign(i);
         let (kernel, points) = (self.kernel, self.points);
@@ -180,13 +181,12 @@ impl QMatrix for RegressionQ<'_> {
             }
             row
         });
-        // Q_ij = s_i s_j K(base_i, base_j).
-        for j in 0..self.l {
-            let k = krow[j];
-            self.scratch[j] = si * k;
-            self.scratch[self.l + j] = -si * k;
+        // Q_ij = s_i s_j K(base_i, base_j), straight from the kernel row.
+        let (alpha_half, alpha_star_half) = out.split_at_mut(self.l);
+        for ((a, a_star), &k) in alpha_half.iter_mut().zip(alpha_star_half).zip(krow) {
+            *a = si * k;
+            *a_star = -si * k;
         }
-        &self.scratch
     }
 
     fn diag(&self, i: usize) -> f64 {
@@ -250,6 +250,12 @@ pub(crate) fn solve(
     debug_assert_eq!(c.len(), n);
     debug_assert_eq!(alpha.len(), n);
 
+    // Two reusable Q rows: `qi` is filled by the working-set selection and
+    // reused by the update, `qj` holds the partner row and doubles as
+    // scratch outside the update.
+    let mut qi = vec![0.0; n];
+    let mut qj = vec![0.0; n];
+
     // G_i = (Q a)_i + p_i; G̅_i tracks the bound-variable contribution
     // Σ_{α_j = C_j} C_j Q_ij needed to reconstruct G for shrunk variables.
     let mut grad: Vec<f64> = p.to_vec();
@@ -258,8 +264,8 @@ pub(crate) fn solve(
         if alpha[i] != 0.0 {
             let ai = alpha[i];
             let at_bound = ai >= c[i];
-            let row = q.row(i).to_vec();
-            for (t, qit) in row.iter().enumerate() {
+            q.row_into(i, &mut qi);
+            for (t, qit) in qi.iter().enumerate() {
                 grad[t] += ai * qit;
                 if at_bound {
                     g_bar[t] += c[i] * qit;
@@ -268,8 +274,10 @@ pub(crate) fn solve(
         }
     }
 
-    let mut active = vec![true; n];
-    let mut n_active = n;
+    // The working set as an ascending index list: the per-iteration
+    // loops visit exactly the active variables, in the same order a
+    // scan of 0..n would, so every tie resolves the same way.
+    let mut active: Vec<usize> = (0..n).collect();
     let mut unshrunk = false;
     let shrink_period = n.clamp(1, 1000);
     let mut counter = shrink_period;
@@ -290,27 +298,36 @@ pub(crate) fn solve(
                     c,
                     &alpha,
                     &mut active,
-                    &mut n_active,
                     &mut unshrunk,
                     options.tolerance,
+                    &mut qj,
                 );
             }
         }
 
-        let pair = select_working_set(q, &grad, y, c, &alpha, options.tolerance, &active);
+        let pair = select_working_set(q, &grad, y, c, &alpha, options.tolerance, &active, &mut qi);
         let (i, j) = match pair {
             Some(pair) => pair,
             None => {
-                if n_active == n {
+                if active.len() == n {
                     converged = true;
                     break;
                 }
                 // Optimal on the shrunk set: reconstruct and re-check on
                 // the full set.
-                reconstruct_gradient(q, &mut grad, &g_bar, p, c, &alpha, &active);
-                active.iter_mut().for_each(|a| *a = true);
-                n_active = n;
-                match select_working_set(q, &grad, y, c, &alpha, options.tolerance, &active) {
+                reconstruct_gradient(q, &mut grad, &g_bar, p, c, &alpha, &active, &mut qj);
+                active.clear();
+                active.extend(0..n);
+                match select_working_set(
+                    q,
+                    &grad,
+                    y,
+                    c,
+                    &alpha,
+                    options.tolerance,
+                    &active,
+                    &mut qi,
+                ) {
                     Some(pair) => {
                         counter = 1; // shrink again next iteration
                         pair
@@ -324,8 +341,8 @@ pub(crate) fn solve(
         };
         iterations += 1;
 
-        let qi = q.row(i).to_vec();
-        let qj = q.row(j).to_vec();
+        // Row i is already in `qi`, left there by the selection.
+        q.row_into(j, &mut qj);
         let ci = c[i];
         let cj = c[j];
         let old_ai = alpha[i];
@@ -397,10 +414,8 @@ pub(crate) fn solve(
             break;
         }
         // Maintain G over the active set only (the point of shrinking)…
-        for t in 0..n {
-            if active[t] {
-                grad[t] += qi[t] * dai + qj[t] * daj;
-            }
+        for &t in &active {
+            grad[t] += qi[t] * dai + qj[t] * daj;
         }
         // …and G̅ over everything when a variable crosses its upper bound.
         let was_ub_i = old_ai >= ci;
@@ -421,10 +436,10 @@ pub(crate) fn solve(
         }
     }
 
-    if n_active < n {
+    if active.len() < n {
         // Hit the iteration cap while shrunk: make the gradient whole so
         // rho and the objective are computed from consistent values.
-        reconstruct_gradient(q, &mut grad, &g_bar, p, c, &alpha, &active);
+        reconstruct_gradient(q, &mut grad, &g_bar, p, c, &alpha, &active, &mut qj);
     }
 
     let rho = compute_rho(&grad, y, c, &alpha);
@@ -490,7 +505,9 @@ fn be_shrunk(
     }
 }
 
-/// Periodic shrink pass (LIBSVM `do_shrinking`).
+/// Periodic shrink pass (LIBSVM `do_shrinking`). `active` is the
+/// ascending active-index list; it stays ascending. `scratch` is a row
+/// buffer for the gradient reconstruction.
 #[allow(clippy::too_many_arguments)]
 fn do_shrinking(
     q: &mut dyn QMatrix,
@@ -500,19 +517,16 @@ fn do_shrinking(
     y: &[f64],
     c: &[f64],
     alpha: &[f64],
-    active: &mut [bool],
-    n_active: &mut usize,
+    active: &mut Vec<usize>,
     unshrunk: &mut bool,
     tolerance: f64,
+    scratch: &mut [f64],
 ) {
     let n = grad.len();
     // m(α) and M(α) over the active set.
     let mut gmax1 = f64::NEG_INFINITY;
     let mut gmax2 = f64::NEG_INFINITY;
-    for t in 0..n {
-        if !active[t] {
-            continue;
-        }
+    for &t in active.iter() {
         if y[t] > 0.0 {
             if alpha[t] < c[t] && -grad[t] >= gmax1 {
                 gmax1 = -grad[t];
@@ -534,22 +548,19 @@ fn do_shrinking(
         // Close to optimal: bring everyone back once so the final
         // convergence check is exact.
         *unshrunk = true;
-        reconstruct_gradient(q, grad, g_bar, p, c, alpha, active);
-        active.iter_mut().for_each(|a| *a = true);
-        *n_active = n;
+        reconstruct_gradient(q, grad, g_bar, p, c, alpha, active, scratch);
+        active.clear();
+        active.extend(0..n);
     }
 
-    for t in 0..n {
-        if active[t] && be_shrunk(t, gmax1, gmax2, grad, y, c, alpha) {
-            active[t] = false;
-            *n_active -= 1;
-        }
-    }
+    active.retain(|&t| !be_shrunk(t, gmax1, gmax2, grad, y, c, alpha));
 }
 
-/// Recomputes G for inactive variables from G̅ and the free variables
-/// (LIBSVM `reconstruct_gradient`). Free variables are never shrunk, so
-/// their G entries are always current.
+/// Recomputes G for inactive variables — those missing from the
+/// ascending `active` list — from G̅ and the free variables (LIBSVM
+/// `reconstruct_gradient`). Free variables are never shrunk, so their G
+/// entries are always current. `row` is a buffer for one Q row.
+#[allow(clippy::too_many_arguments)]
 fn reconstruct_gradient(
     q: &mut dyn QMatrix,
     grad: &mut [f64],
@@ -557,17 +568,19 @@ fn reconstruct_gradient(
     p: &[f64],
     c: &[f64],
     alpha: &[f64],
-    active: &[bool],
+    active: &[usize],
+    row: &mut [f64],
 ) {
     let n = grad.len();
     let free: Vec<usize> = (0..n)
         .filter(|&j| alpha[j] > 0.0 && alpha[j] < c[j])
         .collect();
+    let mut next_active = active.iter().copied().peekable();
     for t in 0..n {
-        if active[t] {
+        if next_active.next_if_eq(&t).is_some() {
             continue;
         }
-        let row = q.row(t).to_vec();
+        q.row_into(t, row);
         let mut g = p[t] + g_bar[t];
         for &j in &free {
             g += alpha[j] * row[j];
@@ -599,12 +612,18 @@ pub(crate) fn solve_nu(
 ) -> NuSolution {
     let n = q.len();
     debug_assert_eq!(p.len(), n);
+    // Reusable Q rows: the selection leaves each label group's candidate
+    // `i` row in `qp` (positive) or `qn` (negative); `qj` holds the
+    // partner row.
+    let mut qp = vec![0.0; n];
+    let mut qn = vec![0.0; n];
+    let mut qj = vec![0.0; n];
     let mut grad: Vec<f64> = p.to_vec();
     for i in 0..n {
         if alpha[i] != 0.0 {
             let ai = alpha[i];
-            let row = q.row(i);
-            for (g, qij) in grad.iter_mut().zip(row) {
+            q.row_into(i, &mut qj);
+            for (g, qij) in grad.iter_mut().zip(&qj) {
                 *g += ai * qij;
             }
         }
@@ -613,13 +632,16 @@ pub(crate) fn solve_nu(
     let mut iterations = 0;
     let mut converged = false;
     while iterations < options.max_iterations {
-        let Some((i, j)) = select_working_set_nu(q, &grad, y, c, &alpha, options.tolerance) else {
+        let Some((i, j)) =
+            select_working_set_nu(q, &grad, y, c, &alpha, options.tolerance, &mut qp, &mut qn)
+        else {
             converged = true;
             break;
         };
         iterations += 1;
-        let qi = q.row(i).to_vec();
-        let qj = q.row(j).to_vec();
+        // Row i is the one the selection left for y_i's label group.
+        let qi = if y[i] > 0.0 { &qp } else { &qn };
+        q.row_into(j, &mut qj);
         let old_ai = alpha[i];
         let old_aj = alpha[j];
         // Pairs share a label group, so only the y_i == y_j update applies.
@@ -681,7 +703,10 @@ pub(crate) fn solve_nu(
 }
 
 /// Working-set selection for the ν-problem: the best second-order pair
-/// *within* each label group, as in LIBSVM's `Solver_NU`.
+/// *within* each label group, as in LIBSVM's `Solver_NU`. Leaves the
+/// positive group's candidate row in `qp` and the negative group's in
+/// `qn`.
+#[allow(clippy::too_many_arguments)]
 fn select_working_set_nu(
     q: &mut dyn QMatrix,
     grad: &[f64],
@@ -689,6 +714,8 @@ fn select_working_set_nu(
     c: &[f64],
     alpha: &[f64],
     tolerance: f64,
+    qp: &mut [f64],
+    qn: &mut [f64],
 ) -> Option<(usize, usize)> {
     let n = grad.len();
     let mut gmax_p = f64::NEG_INFINITY;
@@ -706,8 +733,12 @@ fn select_working_set_nu(
             i_n = Some(t);
         }
     }
-    let row_p: Option<(usize, Vec<f64>, f64)> = ip.map(|i| (i, q.row(i).to_vec(), q.diag(i)));
-    let row_n: Option<(usize, Vec<f64>, f64)> = i_n.map(|i| (i, q.row(i).to_vec(), q.diag(i)));
+    let mut fetch = |i: usize, row: &mut [f64]| {
+        q.row_into(i, row);
+        (i, q.diag(i))
+    };
+    let row_p = ip.map(|i| fetch(i, qp));
+    let row_n = i_n.map(|i| fetch(i, qn));
 
     let mut gmax_p2 = f64::NEG_INFINITY;
     let mut gmax_n2 = f64::NEG_INFINITY;
@@ -719,17 +750,17 @@ fn select_working_set_nu(
                 if grad[t] > gmax_p2 {
                     gmax_p2 = grad[t];
                 }
-                if let Some((i, qi, di)) = &row_p {
+                if let Some((i, di)) = row_p {
                     let grad_diff = gmax_p + grad[t];
                     if grad_diff > 0.0 {
-                        let mut quad = di + q.diag(t) - 2.0 * qi[t];
+                        let mut quad = di + q.diag(t) - 2.0 * qp[t];
                         if quad <= 0.0 {
                             quad = TAU;
                         }
                         let obj = -(grad_diff * grad_diff) / quad;
                         if obj <= obj_min {
                             obj_min = obj;
-                            best = Some((*i, t));
+                            best = Some((i, t));
                         }
                     }
                 }
@@ -738,17 +769,17 @@ fn select_working_set_nu(
             if -grad[t] > gmax_n2 {
                 gmax_n2 = -grad[t];
             }
-            if let Some((i, qi, di)) = &row_n {
+            if let Some((i, di)) = row_n {
                 let grad_diff = gmax_n - grad[t];
                 if grad_diff > 0.0 {
-                    let mut quad = di + q.diag(t) - 2.0 * qi[t];
+                    let mut quad = di + q.diag(t) - 2.0 * qn[t];
                     if quad <= 0.0 {
                         quad = TAU;
                     }
                     let obj = -(grad_diff * grad_diff) / quad;
                     if obj <= obj_min {
                         obj_min = obj;
-                        best = Some((*i, t));
+                        best = Some((i, t));
                     }
                 }
             }
@@ -799,10 +830,12 @@ fn compute_rho_nu(grad: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) -> (f64, f6
 }
 
 /// Second-order working-set selection (WSS2 from Fan, Chen & Lin 2005),
-/// restricted to `active` variables.
+/// restricted to the variables in the ascending `active` list. Leaves row
+/// `i` of `Q` in `qi` for the update to reuse.
 ///
 /// Returns `None` when the maximal KKT violation over the active set is
 /// below `tolerance`.
+#[allow(clippy::too_many_arguments)]
 fn select_working_set(
     q: &mut dyn QMatrix,
     grad: &[f64],
@@ -810,16 +843,13 @@ fn select_working_set(
     c: &[f64],
     alpha: &[f64],
     tolerance: f64,
-    active: &[bool],
+    active: &[usize],
+    qi: &mut [f64],
 ) -> Option<(usize, usize)> {
-    let n = grad.len();
     // i = argmax over I_up of -y_t G_t
     let mut gmax = f64::NEG_INFINITY;
     let mut i_best: Option<usize> = None;
-    for t in 0..n {
-        if !active[t] {
-            continue;
-        }
+    for &t in active {
         let in_up = if y[t] > 0.0 {
             alpha[t] < c[t]
         } else {
@@ -834,16 +864,13 @@ fn select_working_set(
         }
     }
     let i = i_best?;
-    let qi = q.row(i).to_vec();
+    q.row_into(i, qi);
     let di = q.diag(i);
 
     let mut gmax2 = f64::NEG_INFINITY;
     let mut obj_min = f64::INFINITY;
     let mut j_best: Option<usize> = None;
-    for t in 0..n {
-        if !active[t] {
-            continue;
-        }
+    for &t in active {
         let in_low = if y[t] > 0.0 {
             alpha[t] > 0.0
         } else {
@@ -924,6 +951,12 @@ fn compute_rho(grad: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn row_of(q: &mut dyn QMatrix, i: usize) -> Vec<f64> {
+        let mut row = vec![0.0; q.len()];
+        q.row_into(i, &mut row);
+        row
+    }
 
     /// Hand-solvable 2-point classification problem: points -1 and +1 on a
     /// line, labels -1 and +1, linear kernel. The dual optimum is
@@ -1051,8 +1084,8 @@ mod tests {
             let mut exact = PointQ::new(kernel, &points, &y, 32);
             let mut fast = PointQ::new(kernel, &points, &y, 32).with_prenorm_rows(true);
             for i in 0..points.rows() {
-                let a = exact.row(i).to_vec();
-                for (av, bv) in a.iter().zip(fast.row(i)) {
+                let a = row_of(&mut exact, i);
+                for (av, bv) in a.iter().zip(row_of(&mut fast, i)) {
                     match kernel {
                         Kernel::Rbf { .. } => assert!(
                             (av - bv).abs() <= 1e-12 * av.abs().max(1.0),
@@ -1065,8 +1098,8 @@ mod tests {
             let mut exact = RegressionQ::new(kernel, &points, 32);
             let mut fast = RegressionQ::new(kernel, &points, 32).with_prenorm_rows(true);
             for i in 0..2 * points.rows() {
-                let a = exact.row(i).to_vec();
-                for (av, bv) in a.iter().zip(fast.row(i)) {
+                let a = row_of(&mut exact, i);
+                for (av, bv) in a.iter().zip(row_of(&mut fast, i)) {
                     match kernel {
                         Kernel::Rbf { .. } => assert!(
                             (av - bv).abs() <= 1e-12 * av.abs().max(1.0),
@@ -1086,9 +1119,9 @@ mod tests {
         let points = DenseMatrix::from_nested(vec![vec![0.0], vec![1.0]]).unwrap();
         let mut q = RegressionQ::new(Kernel::Linear, &points, 8);
         assert_eq!(q.len(), 4);
-        let row1 = q.row(1).to_vec(); // alpha row for point 1, sign +1
+        let row1 = row_of(&mut q, 1); // alpha row for point 1, sign +1
         assert_eq!(row1, vec![0.0, 1.0, -0.0, -1.0]);
-        let row3 = q.row(3).to_vec(); // alpha* row for point 1, sign -1
+        let row3 = row_of(&mut q, 3); // alpha* row for point 1, sign -1
         assert_eq!(row3, vec![-0.0, -1.0, 0.0, 1.0]);
         assert_eq!(q.diag(3), 1.0);
     }

@@ -125,6 +125,7 @@ pub struct SvcModel {
     coefficients: Vec<f64>,
     bias: f64,
     dim: usize,
+    iterations: usize,
     converged: bool,
 }
 
@@ -199,6 +200,7 @@ impl SvcModel {
             coefficients,
             bias: -solution.rho,
             dim: train.dim(),
+            iterations: solution.iterations,
             converged: solution.converged,
         })
     }
@@ -275,6 +277,24 @@ impl SvcModel {
     #[must_use]
     pub fn num_support_vectors(&self) -> usize {
         self.support_vectors.rows()
+    }
+
+    /// `y_i α_i` per support vector, in training order.
+    #[must_use]
+    pub fn coefficients(&self) -> &[f64] {
+        &self.coefficients
+    }
+
+    /// The bias `b` (LIBSVM's `−rho`).
+    #[must_use]
+    pub fn bias(&self) -> f64 {
+        self.bias
+    }
+
+    /// Solver iterations used during training.
+    #[must_use]
+    pub fn iterations(&self) -> usize {
+        self.iterations
     }
 
     /// Whether the solver reached its KKT tolerance.
