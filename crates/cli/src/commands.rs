@@ -50,7 +50,9 @@ GLOBAL FLAGS (any command except obs-report):
 COMMANDS:
   collect   run randomized thermal experiments, write Eq. (2) records (libsvm format)
             --out FILE [--cases N=200] [--seed S=42] [--duration SECS=1200]
-            [--threads T=1 run experiments on T worker threads; results are
+            [--threads T=1 run experiments on T worker threads; each job
+            is a whole experiment, so unlike the fleet commands' per-tick
+            threads there is no 256-servers-per-worker floor; results are
             bit-identical for every T]
   train     train the stable-temperature SVR from records
             --records FILE --out MODEL [--grid] [--folds K=10] [--seed S]
@@ -73,8 +75,10 @@ COMMANDS:
             [--clock fixed|event]
             (--dropout/--stuck are target sample fractions lost to 45 s
             outage windows; --spike/--jitter/--lost are per-sample/event
-            probabilities; --threads shards the engine and monitor onto T
-            worker threads — results are bit-identical for every T;
+            probabilities; --threads shards the engine and monitor onto
+            up to T worker threads, used only once each worker gets at
+            least 256 servers (smaller fleets step inline) — results are
+            bit-identical for every T;
             --clock event lets thermally steady servers sleep between
             sparse wake-ups, physics bit-identical to fixed stepping)
   watchdog  simulate a silent fan failure and report when the residual
@@ -106,8 +110,10 @@ COMMANDS:
             --secs 0 binds the port and exits, for smoke tests)
             [--addr A=127.0.0.1:9464] [--secs T=30] [--hz H=50]
             [--model MODEL] [--vms N=5] [--fans F=4] [--ambient C=24]
-            [--seed S=7] [--threads T=1 shard the demo fleet onto T worker
-            threads; metrics are bit-identical for every T]
+            [--seed S=7] [--threads T=1 shard the demo fleet onto up to T
+            worker threads, used only once each worker gets at least 256
+            servers (smaller fleets step inline); metrics are
+            bit-identical for every T]
             [--clock fixed|event event-driven sparse stepping]
 ";
 

@@ -59,7 +59,8 @@ impl FleetGauges {
 /// Public accessors take **global** server ids and route to the owning
 /// shard, so a `ShardedMonitor` is a drop-in replacement for one
 /// [`FleetMonitor`] over the whole fleet — with `observe` running the
-/// per-shard work on up to `threads` worker threads.
+/// per-shard work on up to `threads` worker threads, as
+/// [`shard::workers`] allows for the fleet size.
 #[derive(Debug)]
 pub struct ShardedMonitor {
     shards: Vec<FleetMonitor>,
@@ -164,7 +165,9 @@ impl ShardedMonitor {
             .find(|m| idx >= m.first_server() && idx < m.first_server() + m.servers())
     }
 
-    /// Ingests new telemetry into every shard, in parallel.
+    /// Ingests new telemetry into every shard, in parallel once the
+    /// fleet gives each worker at least
+    /// [`shard::MIN_SERVERS_PER_WORKER`] servers (inline below that).
     ///
     /// Equivalent to calling [`FleetMonitor::observe`] on each shard in
     /// order; because shards only touch their own server range, running
@@ -183,9 +186,9 @@ impl ShardedMonitor {
             self.servers,
             sim.datacenter().len()
         );
-        let threads = self.threads;
+        let workers = shard::workers(self.threads, self.servers);
         let chunks = self.shards.len();
-        shard::for_each_chunk(&mut self.shards, chunks, threads, |_, chunk| {
+        shard::for_each_chunk(&mut self.shards, chunks, workers, |_, chunk| {
             for monitor in chunk {
                 monitor.observe(sim, ambient_c);
             }
@@ -311,8 +314,8 @@ mod tests {
     use crate::stable::{run_experiments, TrainingOptions};
     use vmtherm_sim::fault::{DropoutFault, FaultPlan, JitterFault, SpikeFault};
     use vmtherm_sim::{
-        AmbientModel, CaseGenerator, Datacenter, Event, ServerSpec, SimDuration, SimTime,
-        TaskProfile, VmSpec,
+        AmbientModel, CaseGenerator, ClockMode, Datacenter, Event, ServerSpec, SimDuration,
+        SimTime, TaskProfile, VmSpec,
     };
     use vmtherm_svm::kernel::Kernel;
     use vmtherm_svm::svr::SvrParams;
@@ -482,6 +485,123 @@ mod tests {
     #[test]
     fn single_shard_single_thread_matches_too() {
         run_and_compare(true, 1, 1);
+    }
+
+    /// Enough servers that two workers each get a full
+    /// `MIN_SERVERS_PER_WORKER`, so threads 2 and 4 really spawn.
+    const LARGE_FLEET: usize = 2 * shard::MIN_SERVERS_PER_WORKER;
+
+    /// Steps a faulted `LARGE_FLEET`-server run on `threads` workers
+    /// (`shards = threads`) with a sharded monitor watching every tick,
+    /// and returns every engine and monitor end-state bit.
+    fn large_fleet_fingerprint(
+        stable: &StablePredictor,
+        clock: ClockMode,
+        threads: usize,
+    ) -> Vec<u64> {
+        let dc = Datacenter::homogeneous(
+            &ServerSpec::standard("n"),
+            LARGE_FLEET,
+            16,
+            Celsius::new(24.0),
+            3,
+        );
+        let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 7).with_threads(threads);
+        sim.set_clock_mode(clock);
+        sim.set_fault_plan(
+            FaultPlan::new(21)
+                .with_dropout(
+                    DropoutFault::random(0.02, Seconds::new(2.0), Seconds::new(6.0)).unwrap(),
+                )
+                .with_spike(SpikeFault::random(0.05, Celsius::new(4.0), Celsius::new(9.0)).unwrap())
+                .with_jitter(JitterFault::random(0.1, Seconds::new(1.5)).unwrap()),
+        )
+        .unwrap();
+        for i in 0..LARGE_FLEET {
+            sim.boot_vm_now(
+                ServerId::new(i),
+                VmSpec::new(format!("v{i}"), 1 + (i % 4) as u32, 4.0, TaskProfile::Mixed),
+            )
+            .unwrap();
+        }
+        for i in (0..LARGE_FLEET).step_by(37) {
+            sim.schedule(
+                SimTime::from_secs(15),
+                Event::BootVm {
+                    server: ServerId::new(i),
+                    spec: VmSpec::new(format!("b{i}"), 4, 8.0, TaskProfile::CpuBound),
+                },
+            );
+        }
+        let mut monitor = ShardedMonitor::new(
+            stable,
+            DynamicConfig::new(),
+            LARGE_FLEET,
+            Seconds::new(10.0),
+            threads,
+            threads,
+        )
+        .unwrap();
+        for _ in 0..40 {
+            sim.step();
+            monitor.observe(&sim, Celsius::new(24.0));
+        }
+
+        let fleet_mse = monitor.fleet_mse();
+        assert!(fleet_mse.is_finite(), "no forecast matured");
+        let faults = sim.fault_stats();
+        let mut bits = vec![
+            sim.datacenter().room_heat_kw().to_bits(),
+            fleet_mse.to_bits(),
+            faults.dropped,
+            faults.spiked,
+            faults.jittered,
+        ];
+        for i in 0..LARGE_FLEET {
+            let sid = ServerId::new(i);
+            bits.push(
+                sim.datacenter()
+                    .server(sid)
+                    .unwrap()
+                    .die_temperature()
+                    .to_bits(),
+            );
+            for (t, v) in sim.trace(sid).unwrap().sensor_c.iter() {
+                bits.extend([t.to_bits(), v.to_bits()]);
+            }
+            for &(t, v) in sim.delivered(sid).unwrap() {
+                bits.extend([t.to_bits(), v.to_bits()]);
+            }
+            let s = monitor.stats(sid);
+            bits.extend([
+                s.scored as u64,
+                s.sum_sq_err.to_bits(),
+                monitor.rolling_mse(sid).to_bits(),
+                monitor.reanchor_count(sid),
+            ]);
+        }
+        bits
+    }
+
+    #[test]
+    fn large_fleet_on_spawned_workers_matches_one_thread_bitwise() {
+        assert_eq!(
+            shard::workers(2, LARGE_FLEET),
+            2,
+            "fleet too small to spawn"
+        );
+        let stable = stable_model();
+        for clock in [ClockMode::Fixed, ClockMode::Event] {
+            let reference = large_fleet_fingerprint(&stable, clock, 1);
+            for threads in [2, 4] {
+                // `assert!` rather than `assert_eq!`: a diff of two
+                // fingerprints this long would bury the message.
+                assert!(
+                    reference == large_fleet_fingerprint(&stable, clock, threads),
+                    "{clock:?} clock at threads={threads} diverged from one thread"
+                );
+            }
+        }
     }
 
     #[test]

@@ -358,7 +358,9 @@ impl Simulation {
         }
     }
 
-    /// Steps the per-server physics phase on `threads` worker threads.
+    /// Steps the per-server physics phase on up to `threads` worker
+    /// threads, one per [`crate::shard::MIN_SERVERS_PER_WORKER`] servers
+    /// stepped that tick (smaller fleets step their shards inline).
     ///
     /// Events, migrations, ambient and the room-heat reduction stay
     /// serial; only the embarrassingly parallel server loop is sharded
@@ -711,7 +713,8 @@ impl Simulation {
         } else {
             self.threads
         };
-        shard::for_each_chunk(&mut units, shards, self.threads, |offset, chunk| {
+        let workers = shard::workers(self.threads, count);
+        shard::for_each_chunk(&mut units, shards, workers, |offset, chunk| {
             for (i, unit) in chunk.iter_mut().enumerate() {
                 let idx = offset + i;
                 debug_assert_eq!(unit.server.id().raw(), idx, "unit order broke");
@@ -1014,7 +1017,8 @@ impl Simulation {
             .skip(1)
             .map(|(start, _)| units.partition_point(|u| u.idx < *start))
             .collect();
-        shard::for_each_split(&mut units, &splits, self.threads, |chunk| {
+        let workers = shard::workers(self.threads, units.len());
+        shard::for_each_split(&mut units, &splits, workers, |chunk| {
             for unit in chunk.iter_mut() {
                 let idx = unit.idx;
                 let local_ambient = ambient + offsets[idx];

@@ -16,6 +16,35 @@
 //! index)` (see `fault::ServerFaultState::new` and the VM workload
 //! seeds), never from shard topology, so the draws a server consumes do
 //! not depend on which shard stepped it.
+//!
+//! Per-tick parallel sections size their pool with [`workers`]: a fleet
+//! too small to repay a scoped pool's spawn and join steps its chunks
+//! inline. Only the thread count changes, never the chunking, so the
+//! result is the same either way.
+
+/// Servers each worker of a per-tick parallel section must have before
+/// a second thread is worth spawning.
+///
+/// One scoped 2-thread section costs about 55 µs to spawn and join on a
+/// 2-vCPU host, while one server costs about 0.55 µs per phase (engine
+/// step or monitor observe), so two threads only pay off above roughly
+/// 200 servers; 256 rounds that up.
+pub const MIN_SERVERS_PER_WORKER: usize = 256;
+
+/// Worker threads a per-tick parallel section over `servers` servers
+/// may use, given a budget of `threads`: at most one per
+/// [`MIN_SERVERS_PER_WORKER`] servers, and always at least one (inline).
+///
+/// ```
+/// use vmtherm_sim::shard::workers;
+/// assert_eq!(workers(2, 48), 1);
+/// assert_eq!(workers(2, 512), 2);
+/// assert_eq!(workers(8, 1024), 4);
+/// ```
+#[must_use]
+pub fn workers(threads: usize, servers: usize) -> usize {
+    threads.min(servers / MIN_SERVERS_PER_WORKER).max(1)
+}
 
 /// Splits `len` items into at most `shards` contiguous ranges of
 /// near-equal size (the first `len % shards` ranges are one longer).
@@ -197,6 +226,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn workers_stay_inline_below_the_floor() {
+        let floor = MIN_SERVERS_PER_WORKER;
+        assert_eq!(workers(4, 0), 1);
+        assert_eq!(workers(2, 2 * floor - 1), 1);
+        assert_eq!(workers(2, 2 * floor), 2);
+        assert_eq!(workers(4, 4 * floor - 1), 3);
+        assert_eq!(workers(4, 4 * floor), 4);
+        assert_eq!(workers(4, 100 * floor), 4);
+        assert_eq!(workers(1, 100 * floor), 1);
+        assert_eq!(workers(0, 100 * floor), 1);
     }
 
     #[test]
