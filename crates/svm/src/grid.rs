@@ -336,7 +336,8 @@ impl KernelSearch {
     ///
     /// # Errors
     ///
-    /// Propagates the underlying grid-search errors.
+    /// Propagates the underlying grid-search errors, and returns
+    /// [`SvmError::InvalidParameter`] for an empty kernel list.
     pub fn run(&self, data: &Dataset) -> Result<KernelSearchResult, SvmError> {
         let mut per_kernel = Vec::with_capacity(self.kernels.len());
         for &kernel in &self.kernels {
@@ -349,7 +350,7 @@ impl KernelSearch {
             .iter()
             .map(|(_, cell)| *cell)
             .min_by(|a, b| a.cv_mse.total_cmp(&b.cv_mse))
-            .expect("at least one kernel");
+            .ok_or_else(|| SvmError::invalid("kernels", "empty kernel list"))?;
         Ok(KernelSearchResult { per_kernel, best })
     }
 }
@@ -519,6 +520,20 @@ mod tests {
     #[should_panic(expected = "at least one kernel")]
     fn empty_kernel_list_panics() {
         let _ = KernelSearch::new(vec![], GridSearch::new());
+    }
+
+    /// `new` refuses an empty list, so build one directly: `run` must
+    /// answer with an error, not a panic.
+    #[test]
+    fn kernel_search_without_kernels_is_an_error() {
+        let search = KernelSearch {
+            kernels: vec![],
+            grid: GridSearch::new(),
+        };
+        assert!(matches!(
+            search.run(&wave_dataset()),
+            Err(SvmError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

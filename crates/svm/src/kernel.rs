@@ -391,8 +391,9 @@ impl RowCache {
     /// Returns row `i`, computing it with `compute` on a miss.
     ///
     /// The returned slice borrows the cache until its next call. The SMO
-    /// solver copies each row it needs into a buffer it owns and reuses,
-    /// so holding two rows at once costs no allocation.
+    /// solver copies one working row into a buffer it reuses and reads
+    /// the partner row in place, so holding two rows at once allocates
+    /// nothing.
     pub fn row<F>(&mut self, i: usize, compute: F) -> &[f64]
     where
         F: FnOnce() -> Vec<f64>,

@@ -11,7 +11,7 @@ use crate::data::Dataset;
 use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
-use crate::smo::{self, QMatrix, RegressionQ, SolveOptions};
+use crate::smo::{self, KernelRows, SolveOptions};
 use crate::svr::SvrModel;
 use serde::{Deserialize, Serialize};
 
@@ -183,7 +183,7 @@ impl NuSvrModel {
         signs.extend(std::iter::repeat_n(-1.0, l));
         let c = vec![params.c; 2 * l];
 
-        let mut q = RegressionQ::new(params.kernel, points, params.cache_rows);
+        let mut q = KernelRows::new(params.kernel, points, params.cache_rows);
         let solution = smo::solve_nu(
             &mut q,
             &p,
@@ -196,7 +196,6 @@ impl NuSvrModel {
                 shrinking: true,
             },
         );
-        debug_assert_eq!(q.len(), 2 * l);
 
         let mut support_vectors = DenseMatrix::with_cols(train.dim());
         let mut coefficients = Vec::new();

@@ -11,7 +11,7 @@ use crate::data::Dataset;
 use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
-use crate::smo::{self, PointQ, SolveOptions};
+use crate::smo::{self, KernelRows, SolveOptions};
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for one-class training.
@@ -153,7 +153,7 @@ impl OneClassModel {
             alpha[whole] = n - whole as f64;
         }
 
-        let mut q = PointQ::new(params.kernel, train.features(), &y, params.cache_rows);
+        let mut q = KernelRows::new(params.kernel, train.features(), params.cache_rows);
         let solution = smo::solve(
             &mut q,
             &p,

@@ -14,6 +14,8 @@
 //!
 //! Both ε-SVR ([`crate::svr`]) and C-SVC ([`crate::svc`]) reduce to this
 //! form; the regression case uses the standard expansion to `2l` variables.
+//! `Q` is never stored: the solver reads unsigned kernel rows from
+//! [`KernelRows`] and applies the signs itself.
 
 use crate::kernel::{Kernel, RowCache};
 use crate::matrix::DenseMatrix;
@@ -22,26 +24,19 @@ use crate::matrix::DenseMatrix;
 /// as in LIBSVM (`TAU`).
 const TAU: f64 = 1e-12;
 
-/// Provides rows of the `Q` matrix (`Q_ij = y_i y_j K_ij`) and its diagonal.
+/// Kernel rows over the `l` training points of one solve, behind an LRU
+/// [`RowCache`], plus the kernel diagonal `K[b][b]`.
 ///
-/// Implementations cache rows because SMO revisits them heavily.
-pub(crate) trait QMatrix {
-    /// Number of variables in the dual problem.
-    fn len(&self) -> usize;
-    /// Writes row `i` of `Q` into `out` (length [`QMatrix::len`]). The
-    /// solver owns the buffers, so it can hold two rows at once without
-    /// allocating per fetch.
-    fn row_into(&mut self, i: usize, out: &mut [f64]);
-    /// Diagonal entry `Q_ii`.
-    fn diag(&self, i: usize) -> f64;
-}
-
-/// `Q` matrix for problems whose variables map 1:1 onto training points
-/// (C-SVC), with an LRU row cache.
-pub(crate) struct PointQ<'a> {
+/// A dual problem has one variable per point (C-SVC, one-class) or two
+/// (ε-/ν-SVR: `α` at `t < l`, `α*` at `t = l + b`), so variable `t` sits
+/// on base point `b(t) = t` or `t − l`. The solver forms
+/// `Q_it = y_i·y_t·K[b_i][b_t]` from the sign vector `y` it is given,
+/// which is that problem's sign pattern: `y_t` per point, or +1 on the
+/// `α` half and −1 on the `α*` half. Multiplying by ±1 is exact, so every
+/// `Q` entry the solver uses has the bits a stored signed row would.
+pub(crate) struct KernelRows<'a> {
     kernel: Kernel,
     points: &'a DenseMatrix,
-    y: &'a [f64],
     diag: Vec<f64>,
     cache: RowCache,
     /// Precomputed `‖r‖²` per training row when the RBF row pass rides
@@ -49,18 +44,12 @@ pub(crate) struct PointQ<'a> {
     row_norms: Option<Vec<f64>>,
 }
 
-impl<'a> PointQ<'a> {
-    pub(crate) fn new(
-        kernel: Kernel,
-        points: &'a DenseMatrix,
-        y: &'a [f64],
-        cache_rows: usize,
-    ) -> Self {
+impl<'a> KernelRows<'a> {
+    pub(crate) fn new(kernel: Kernel, points: &'a DenseMatrix, cache_rows: usize) -> Self {
         let diag = points.iter().map(|p| kernel.eval(p, p)).collect();
-        PointQ {
+        KernelRows {
             kernel,
             points,
-            y,
             diag,
             cache: RowCache::new(points.rows(), cache_rows),
             row_norms: None,
@@ -68,130 +57,102 @@ impl<'a> PointQ<'a> {
     }
 
     /// Routes RBF kernel rows through [`Kernel::eval_row_batch_prenorm`].
-    /// Q entries then agree with the scalar pass only to the documented
-    /// ≤1e-12 relative tolerance — acceptable inside the solver, whose
-    /// KKT stopping tolerance is nine orders of magnitude looser. A
-    /// no-op for non-RBF kernels (their prenorm pass is bitwise anyway).
+    /// Kernel entries then agree with the scalar pass only to the
+    /// documented ≤1e-12 relative tolerance — acceptable inside the
+    /// solver, whose KKT stopping tolerance is nine orders of magnitude
+    /// looser. A no-op for non-RBF kernels (their prenorm pass is bitwise
+    /// anyway).
     pub(crate) fn with_prenorm_rows(mut self, enabled: bool) -> Self {
         self.row_norms = (enabled && matches!(self.kernel, Kernel::Rbf { .. }))
             .then(|| self.points.row_squared_norms());
         self
     }
-}
 
-impl QMatrix for PointQ<'_> {
+    /// Number of base points `l`.
     fn len(&self) -> usize {
-        self.points.rows()
+        self.diag.len()
     }
 
-    fn row_into(&mut self, i: usize, out: &mut [f64]) {
-        let (kernel, points, y) = (self.kernel, self.points, self.y);
+    /// Kernel row `K[b]` over all `l` points, computed on a cache miss.
+    fn row(&mut self, b: usize) -> &[f64] {
+        let (kernel, points) = (self.kernel, self.points);
         let norms = self.row_norms.as_deref();
-        let row = self.cache.row(i, || {
-            // One kernel row in a single pass over the flat matrix, then
-            // the sign pattern on top: Q_ij = y_i y_j K_ij.
+        self.cache.row(b, || {
             let mut row = vec![0.0; points.rows()];
             match norms {
                 Some(norms) => {
-                    kernel.eval_row_batch_prenorm(points.row(i), points, norms, &mut row)
+                    kernel.eval_row_batch_prenorm(points.row(b), points, norms, &mut row)
                 }
-                None => kernel.eval_row_batch(points.row(i), points, &mut row),
-            }
-            let yi = y[i];
-            for (q, yj) in row.iter_mut().zip(y) {
-                *q *= yi * *yj;
+                None => kernel.eval_row_batch(points.row(b), points, &mut row),
             }
             row
-        });
-        out.copy_from_slice(row);
+        })
     }
 
-    fn diag(&self, i: usize) -> f64 {
-        // y_i^2 = 1, so Q_ii = K_ii.
-        self.diag[i]
-    }
-}
-
-/// `Q` matrix for the ε-SVR expansion: variables `0..l` are `α` (sign +1)
-/// and `l..2l` are `α*` (sign −1), all over the same `l` points.
-pub(crate) struct RegressionQ<'a> {
-    kernel: Kernel,
-    points: &'a DenseMatrix,
-    l: usize,
-    diag: Vec<f64>,
-    /// Cache of *kernel* rows over the l points; Q rows are derived.
-    cache: RowCache,
-    /// As in [`PointQ`]: `Some` routes RBF rows through the prenorm pass.
-    row_norms: Option<Vec<f64>>,
-}
-
-impl<'a> RegressionQ<'a> {
-    pub(crate) fn new(kernel: Kernel, points: &'a DenseMatrix, cache_rows: usize) -> Self {
-        let l = points.rows();
-        let diag = points.iter().map(|p| kernel.eval(p, p)).collect();
-        RegressionQ {
-            kernel,
-            points,
-            l,
-            diag,
-            cache: RowCache::new(l, cache_rows),
-            row_norms: None,
-        }
-    }
-
-    /// See [`PointQ::with_prenorm_rows`]; same tolerance contract.
-    pub(crate) fn with_prenorm_rows(mut self, enabled: bool) -> Self {
-        self.row_norms = (enabled && matches!(self.kernel, Kernel::Rbf { .. }))
-            .then(|| self.points.row_squared_norms());
-        self
-    }
-
-    fn sign(&self, i: usize) -> f64 {
-        if i < self.l {
-            1.0
-        } else {
-            -1.0
-        }
-    }
-
-    /// Kernel row-cache `(hits, misses)` accumulated by this matrix, for
+    /// Kernel row-cache `(hits, misses)` accumulated by this source, for
     /// the observability layer.
     pub(crate) fn cache_stats(&self) -> (u64, u64) {
         (self.cache.hits(), self.cache.misses())
     }
 }
 
-impl QMatrix for RegressionQ<'_> {
-    fn len(&self) -> usize {
-        2 * self.l
+/// Base point of variable `t` in a problem over `l` points.
+fn base(t: usize, l: usize) -> usize {
+    if t < l {
+        t
+    } else {
+        t - l
     }
+}
 
-    fn row_into(&mut self, i: usize, out: &mut [f64]) {
-        let base = i % self.l;
-        let si = self.sign(i);
-        let (kernel, points) = (self.kernel, self.points);
-        let norms = self.row_norms.as_deref();
-        let krow = self.cache.row(base, || {
-            let mut row = vec![0.0; points.rows()];
-            match norms {
-                Some(norms) => {
-                    kernel.eval_row_batch_prenorm(points.row(base), points, norms, &mut row);
-                }
-                None => kernel.eval_row_batch(points.row(base), points, &mut row),
-            }
-            row
-        });
-        // Q_ij = s_i s_j K(base_i, base_j), straight from the kernel row.
-        let (alpha_half, alpha_star_half) = out.split_at_mut(self.l);
-        for ((a, a_star), &k) in alpha_half.iter_mut().zip(alpha_star_half).zip(krow) {
-            *a = si * k;
-            *a_star = -si * k;
+/// Row `i` of `Q`, `Q_it = y_i·y_t·K[b_i][b_t]` for every variable `t`,
+/// from the kernel row `k = K[b_i]`. For the cold paths only: the
+/// initial gradient and the G̅ updates.
+fn signed_row<'r>(k: &'r [f64], yi: f64, y: &'r [f64]) -> impl Iterator<Item = f64> + 'r {
+    y.iter()
+        .zip(k.iter().cycle())
+        .map(move |(&yt, &kt)| yi * yt * kt)
+}
+
+/// `G_t += Q_it·Δα_i + Q_jt·Δα_j` for every variable, from the kernel
+/// rows `ki = K[b_i]` and `kj = K[b_j]` with `yai = y_i·Δα_i` and
+/// `yaj = y_j·Δα_j`. Per base point `b` it forms `x = K_i[b]·yai` and
+/// `z = K_j[b]·yaj` once and adds `y_t·x + y_t·z`, which is bit for bit
+/// the signed-row update `Q_it·Δα_i + Q_jt·Δα_j`: the two differ only by
+/// factors of ±1.
+fn update_gradient(grad: &mut [f64], y: &[f64], ki: &[f64], kj: &[f64], yai: f64, yaj: f64) {
+    let (alpha_half, star_half) = grad.split_at_mut(ki.len());
+    if star_half.is_empty() {
+        for (((g, &yt), &kit), &kjt) in alpha_half.iter_mut().zip(y).zip(ki).zip(kj) {
+            let (x, z) = (kit * yai, kjt * yaj);
+            *g += yt * x + yt * z;
+        }
+    } else {
+        // y_t = +1 on the α half and −1 on the α* half. `(−x) + (−z)` is
+        // the signed-row sum; `−(x + z)` would differ on signed zeros.
+        for (((g, g_star), &kit), &kjt) in alpha_half.iter_mut().zip(star_half).zip(ki).zip(kj) {
+            let (x, z) = (kit * yai, kjt * yaj);
+            *g += x + z;
+            *g_star += (-x) + (-z);
         }
     }
+}
 
-    fn diag(&self, i: usize) -> f64 {
-        self.diag[i % self.l]
-    }
+/// Checks the problem shape [`KernelRows`] documents: `l` or `2l`
+/// variables, and for `2l` the +1/−1 halves of the sign vector.
+fn debug_check_problem(l: usize, p: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) {
+    let n = p.len();
+    debug_assert!(n == l || n == 2 * l, "{n} variables over {l} points");
+    debug_assert_eq!(y.len(), n);
+    debug_assert_eq!(c.len(), n);
+    debug_assert_eq!(alpha.len(), n);
+    debug_assert!(
+        n == l
+            || y.iter()
+                .enumerate()
+                .all(|(t, &s)| s == if t < l { 1.0 } else { -1.0 }),
+        "expanded problems sign the α half +1 and the α* half −1"
+    );
 }
 
 /// Parameters controlling a single SMO solve.
@@ -237,24 +198,21 @@ pub(crate) struct Solution {
 /// Solves the dual problem. `p` is the linear term, `y` the ±1 signs, `c`
 /// the per-variable upper bounds, `alpha` the (feasible) starting point.
 pub(crate) fn solve(
-    q: &mut dyn QMatrix,
+    q: &mut KernelRows<'_>,
     p: &[f64],
     y: &[f64],
     c: &[f64],
     mut alpha: Vec<f64>,
     options: SolveOptions,
 ) -> Solution {
-    let n = q.len();
-    debug_assert_eq!(p.len(), n);
-    debug_assert_eq!(y.len(), n);
-    debug_assert_eq!(c.len(), n);
-    debug_assert_eq!(alpha.len(), n);
+    let n = p.len();
+    let l = q.len();
+    debug_check_problem(l, p, y, c, &alpha);
 
-    // Two reusable Q rows: `qi` is filled by the working-set selection and
-    // reused by the update, `qj` holds the partner row and doubles as
-    // scratch outside the update.
-    let mut qi = vec![0.0; n];
-    let mut qj = vec![0.0; n];
+    // Kernel row K[b_i] of the working variable i, filled by the
+    // selection and reused by the update. The partner row K[b_j] is read
+    // straight from the cache.
+    let mut ki = vec![0.0; l];
 
     // G_i = (Q a)_i + p_i; G̅_i tracks the bound-variable contribution
     // Σ_{α_j = C_j} C_j Q_ij needed to reconstruct G for shrunk variables.
@@ -264,8 +222,7 @@ pub(crate) fn solve(
         if alpha[i] != 0.0 {
             let ai = alpha[i];
             let at_bound = ai >= c[i];
-            q.row_into(i, &mut qi);
-            for (t, qit) in qi.iter().enumerate() {
+            for (t, qit) in signed_row(q.row(base(i, l)), y[i], y).enumerate() {
                 grad[t] += ai * qit;
                 if at_bound {
                     g_bar[t] += c[i] * qit;
@@ -274,9 +231,17 @@ pub(crate) fn solve(
         }
     }
 
-    // The working set as an ascending index list: the per-iteration
-    // loops visit exactly the active variables, in the same order a
-    // scan of 0..n would, so every tie resolves the same way.
+    // I_up / I_low membership per variable, refreshed whenever α moves,
+    // so the selection scans test one flag instead of y, α and C.
+    let mut up = vec![false; n];
+    let mut low = vec![false; n];
+    for t in 0..n {
+        classify(t, y, c, &alpha, &mut up, &mut low);
+    }
+
+    // The working set as an ascending index list: the selection loops
+    // visit exactly the active variables, in the same order a scan of
+    // 0..n would, so every tie resolves the same way.
     let mut active: Vec<usize> = (0..n).collect();
     let mut unshrunk = false;
     let shrink_period = n.clamp(1, 1000);
@@ -300,12 +265,11 @@ pub(crate) fn solve(
                     &mut active,
                     &mut unshrunk,
                     options.tolerance,
-                    &mut qj,
                 );
             }
         }
 
-        let pair = select_working_set(q, &grad, y, c, &alpha, options.tolerance, &active, &mut qi);
+        let pair = select_working_set(q, &grad, y, &up, &low, options.tolerance, &active, &mut ki);
         let (i, j) = match pair {
             Some(pair) => pair,
             None => {
@@ -315,18 +279,18 @@ pub(crate) fn solve(
                 }
                 // Optimal on the shrunk set: reconstruct and re-check on
                 // the full set.
-                reconstruct_gradient(q, &mut grad, &g_bar, p, c, &alpha, &active, &mut qj);
+                reconstruct_gradient(q, &mut grad, &g_bar, p, y, c, &alpha, &active);
                 active.clear();
                 active.extend(0..n);
                 match select_working_set(
                     q,
                     &grad,
                     y,
-                    c,
-                    &alpha,
+                    &up,
+                    &low,
                     options.tolerance,
                     &active,
-                    &mut qi,
+                    &mut ki,
                 ) {
                     Some(pair) => {
                         counter = 1; // shrink again next iteration
@@ -341,8 +305,11 @@ pub(crate) fn solve(
         };
         iterations += 1;
 
-        // Row i is already in `qi`, left there by the selection.
-        q.row_into(j, &mut qj);
+        // Row K[b_i] is already in `ki`, left there by the selection.
+        let bj = base(j, l);
+        let dij = q.diag[base(i, l)] + q.diag[bj];
+        let kj = q.row(bj);
+        let qij = (y[i] * y[j]) * ki[bj];
         let ci = c[i];
         let cj = c[j];
         let old_ai = alpha[i];
@@ -350,7 +317,7 @@ pub(crate) fn solve(
 
         if (y[i] - y[j]).abs() > 0.5 {
             // y_i != y_j
-            let mut quad = q.diag(i) + q.diag(j) + 2.0 * qi[j];
+            let mut quad = dij + 2.0 * qij;
             if quad <= 0.0 {
                 quad = TAU;
             }
@@ -378,7 +345,7 @@ pub(crate) fn solve(
             }
         } else {
             // y_i == y_j
-            let mut quad = q.diag(i) + q.diag(j) - 2.0 * qi[j];
+            let mut quad = dij - 2.0 * qij;
             if quad <= 0.0 {
                 quad = TAU;
             }
@@ -413,25 +380,27 @@ pub(crate) fn solve(
             converged = true;
             break;
         }
-        // Maintain G over the active set only (the point of shrinking)…
-        for &t in &active {
-            grad[t] += qi[t] * dai + qj[t] * daj;
-        }
+        classify(i, y, c, &alpha, &mut up, &mut low);
+        classify(j, y, c, &alpha, &mut up, &mut low);
+        // Update G densely: the entries of shrunk variables go stale
+        // either way, and `reconstruct_gradient` rewrites every one of
+        // them before anything reads them…
+        update_gradient(&mut grad, y, &ki, kj, y[i] * dai, y[j] * daj);
         // …and G̅ over everything when a variable crosses its upper bound.
         let was_ub_i = old_ai >= ci;
         let is_ub_i = alpha[i] >= ci;
         if was_ub_i != is_ub_i {
             let sign = if is_ub_i { 1.0 } else { -1.0 };
-            for (t, qit) in qi.iter().enumerate() {
-                g_bar[t] += sign * ci * qit;
+            for (g, qit) in g_bar.iter_mut().zip(signed_row(&ki, y[i], y)) {
+                *g += sign * ci * qit;
             }
         }
         let was_ub_j = old_aj >= cj;
         let is_ub_j = alpha[j] >= cj;
         if was_ub_j != is_ub_j {
             let sign = if is_ub_j { 1.0 } else { -1.0 };
-            for (t, qjt) in qj.iter().enumerate() {
-                g_bar[t] += sign * cj * qjt;
+            for (g, qjt) in g_bar.iter_mut().zip(signed_row(kj, y[j], y)) {
+                *g += sign * cj * qjt;
             }
         }
     }
@@ -439,7 +408,7 @@ pub(crate) fn solve(
     if active.len() < n {
         // Hit the iteration cap while shrunk: make the gradient whole so
         // rho and the objective are computed from consistent values.
-        reconstruct_gradient(q, &mut grad, &g_bar, p, c, &alpha, &active, &mut qj);
+        reconstruct_gradient(q, &mut grad, &g_bar, p, y, c, &alpha, &active);
     }
 
     let rho = compute_rho(&grad, y, c, &alpha);
@@ -506,11 +475,10 @@ fn be_shrunk(
 }
 
 /// Periodic shrink pass (LIBSVM `do_shrinking`). `active` is the
-/// ascending active-index list; it stays ascending. `scratch` is a row
-/// buffer for the gradient reconstruction.
+/// ascending active-index list; it stays ascending.
 #[allow(clippy::too_many_arguments)]
 fn do_shrinking(
-    q: &mut dyn QMatrix,
+    q: &mut KernelRows<'_>,
     grad: &mut [f64],
     g_bar: &[f64],
     p: &[f64],
@@ -520,7 +488,6 @@ fn do_shrinking(
     active: &mut Vec<usize>,
     unshrunk: &mut bool,
     tolerance: f64,
-    scratch: &mut [f64],
 ) {
     let n = grad.len();
     // m(α) and M(α) over the active set.
@@ -548,7 +515,7 @@ fn do_shrinking(
         // Close to optimal: bring everyone back once so the final
         // convergence check is exact.
         *unshrunk = true;
-        reconstruct_gradient(q, grad, g_bar, p, c, alpha, active, scratch);
+        reconstruct_gradient(q, grad, g_bar, p, y, c, alpha, active);
         active.clear();
         active.extend(0..n);
     }
@@ -559,19 +526,20 @@ fn do_shrinking(
 /// Recomputes G for inactive variables — those missing from the
 /// ascending `active` list — from G̅ and the free variables (LIBSVM
 /// `reconstruct_gradient`). Free variables are never shrunk, so their G
-/// entries are always current. `row` is a buffer for one Q row.
+/// entries are always current.
 #[allow(clippy::too_many_arguments)]
 fn reconstruct_gradient(
-    q: &mut dyn QMatrix,
+    q: &mut KernelRows<'_>,
     grad: &mut [f64],
     g_bar: &[f64],
     p: &[f64],
+    y: &[f64],
     c: &[f64],
     alpha: &[f64],
     active: &[usize],
-    row: &mut [f64],
 ) {
     let n = grad.len();
+    let l = q.len();
     let free: Vec<usize> = (0..n)
         .filter(|&j| alpha[j] > 0.0 && alpha[j] < c[j])
         .collect();
@@ -580,10 +548,10 @@ fn reconstruct_gradient(
         if next_active.next_if_eq(&t).is_some() {
             continue;
         }
-        q.row_into(t, row);
+        let kt = q.row(base(t, l));
         let mut g = p[t] + g_bar[t];
         for &j in &free {
-            g += alpha[j] * row[j];
+            g += alpha[j] * (y[t] * y[j] * kt[base(j, l)]);
         }
         grad[t] = g;
     }
@@ -603,28 +571,26 @@ pub(crate) struct NuSolution {
 /// [`solve`], plus the implicit second constraint conserved by restricting
 /// working pairs to a single label group (LIBSVM's `Solver_NU`).
 pub(crate) fn solve_nu(
-    q: &mut dyn QMatrix,
+    q: &mut KernelRows<'_>,
     p: &[f64],
     y: &[f64],
     c: &[f64],
     mut alpha: Vec<f64>,
     options: SolveOptions,
 ) -> NuSolution {
-    let n = q.len();
-    debug_assert_eq!(p.len(), n);
-    // Reusable Q rows: the selection leaves each label group's candidate
-    // `i` row in `qp` (positive) or `qn` (negative); `qj` holds the
-    // partner row.
-    let mut qp = vec![0.0; n];
-    let mut qn = vec![0.0; n];
-    let mut qj = vec![0.0; n];
+    let n = p.len();
+    let l = q.len();
+    debug_check_problem(l, p, y, c, &alpha);
+    // Kernel rows of the selection's candidate `i` for the positive
+    // (`kp`) and negative (`kn`) label group.
+    let mut kp = vec![0.0; l];
+    let mut kn = vec![0.0; l];
     let mut grad: Vec<f64> = p.to_vec();
     for i in 0..n {
         if alpha[i] != 0.0 {
             let ai = alpha[i];
-            q.row_into(i, &mut qj);
-            for (g, qij) in grad.iter_mut().zip(&qj) {
-                *g += ai * qij;
+            for (g, qit) in grad.iter_mut().zip(signed_row(q.row(base(i, l)), y[i], y)) {
+                *g += ai * qit;
             }
         }
     }
@@ -633,19 +599,21 @@ pub(crate) fn solve_nu(
     let mut converged = false;
     while iterations < options.max_iterations {
         let Some((i, j)) =
-            select_working_set_nu(q, &grad, y, c, &alpha, options.tolerance, &mut qp, &mut qn)
+            select_working_set_nu(q, &grad, y, c, &alpha, options.tolerance, &mut kp, &mut kn)
         else {
             converged = true;
             break;
         };
         iterations += 1;
-        // Row i is the one the selection left for y_i's label group.
-        let qi = if y[i] > 0.0 { &qp } else { &qn };
-        q.row_into(j, &mut qj);
+        // Row K[b_i] is the one the selection left for y_i's label group.
+        let ki = if y[i] > 0.0 { &kp } else { &kn };
+        let bj = base(j, l);
+        let dij = q.diag[base(i, l)] + q.diag[bj];
+        let kj = q.row(bj);
         let old_ai = alpha[i];
         let old_aj = alpha[j];
         // Pairs share a label group, so only the y_i == y_j update applies.
-        let mut quad = q.diag(i) + q.diag(j) - 2.0 * qi[j];
+        let mut quad = dij - 2.0 * ((y[i] * y[j]) * ki[bj]);
         if quad <= 0.0 {
             quad = TAU;
         }
@@ -678,9 +646,7 @@ pub(crate) fn solve_nu(
             converged = true;
             break;
         }
-        for t in 0..n {
-            grad[t] += qi[t] * dai + qj[t] * daj;
-        }
+        update_gradient(&mut grad, y, ki, kj, y[i] * dai, y[j] * daj);
     }
 
     let (rho, r) = compute_rho_nu(&grad, y, c, &alpha);
@@ -704,20 +670,21 @@ pub(crate) fn solve_nu(
 
 /// Working-set selection for the ν-problem: the best second-order pair
 /// *within* each label group, as in LIBSVM's `Solver_NU`. Leaves the
-/// positive group's candidate row in `qp` and the negative group's in
-/// `qn`.
+/// positive group's candidate kernel row in `kp` and the negative
+/// group's in `kn`.
 #[allow(clippy::too_many_arguments)]
 fn select_working_set_nu(
-    q: &mut dyn QMatrix,
+    q: &mut KernelRows<'_>,
     grad: &[f64],
     y: &[f64],
     c: &[f64],
     alpha: &[f64],
     tolerance: f64,
-    qp: &mut [f64],
-    qn: &mut [f64],
+    kp: &mut [f64],
+    kn: &mut [f64],
 ) -> Option<(usize, usize)> {
     let n = grad.len();
+    let l = q.len();
     let mut gmax_p = f64::NEG_INFINITY;
     let mut ip: Option<usize> = None;
     let mut gmax_n = f64::NEG_INFINITY;
@@ -734,17 +701,20 @@ fn select_working_set_nu(
         }
     }
     let mut fetch = |i: usize, row: &mut [f64]| {
-        q.row_into(i, row);
-        (i, q.diag(i))
+        let b = base(i, l);
+        row.copy_from_slice(q.row(b));
+        (i, q.diag[b])
     };
-    let row_p = ip.map(|i| fetch(i, qp));
-    let row_n = i_n.map(|i| fetch(i, qn));
+    let row_p = ip.map(|i| fetch(i, kp));
+    let row_n = i_n.map(|i| fetch(i, kn));
 
+    // Within a label group y_i·y_t = 1, so Q_it = K[b_i][b_t].
     let mut gmax_p2 = f64::NEG_INFINITY;
     let mut gmax_n2 = f64::NEG_INFINITY;
     let mut obj_min = f64::INFINITY;
     let mut best: Option<(usize, usize)> = None;
     for t in 0..n {
+        let b = base(t, l);
         if y[t] > 0.0 {
             if alpha[t] > 0.0 {
                 if grad[t] > gmax_p2 {
@@ -753,7 +723,7 @@ fn select_working_set_nu(
                 if let Some((i, di)) = row_p {
                     let grad_diff = gmax_p + grad[t];
                     if grad_diff > 0.0 {
-                        let mut quad = di + q.diag(t) - 2.0 * qp[t];
+                        let mut quad = di + q.diag[b] - 2.0 * kp[b];
                         if quad <= 0.0 {
                             quad = TAU;
                         }
@@ -772,7 +742,7 @@ fn select_working_set_nu(
             if let Some((i, di)) = row_n {
                 let grad_diff = gmax_n - grad[t];
                 if grad_diff > 0.0 {
-                    let mut quad = di + q.diag(t) - 2.0 * qn[t];
+                    let mut quad = di + q.diag[b] - 2.0 * kn[b];
                     if quad <= 0.0 {
                         quad = TAU;
                     }
@@ -829,33 +799,41 @@ fn compute_rho_nu(grad: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) -> (f64, f6
     ((r1 - r2) / 2.0, (r1 + r2) / 2.0)
 }
 
+/// Records whether variable `t` is in I_up (α_t can move up along y_t)
+/// and in I_low (it can move down), as LIBSVM's `is_upper_bound`/
+/// `is_lower_bound` tests combine with the sign.
+fn classify(t: usize, y: &[f64], c: &[f64], alpha: &[f64], up: &mut [bool], low: &mut [bool]) {
+    let (below_c, above_zero) = (alpha[t] < c[t], alpha[t] > 0.0);
+    (up[t], low[t]) = if y[t] > 0.0 {
+        (below_c, above_zero)
+    } else {
+        (above_zero, below_c)
+    };
+}
+
 /// Second-order working-set selection (WSS2 from Fan, Chen & Lin 2005),
-/// restricted to the variables in the ascending `active` list. Leaves row
-/// `i` of `Q` in `qi` for the update to reuse.
+/// restricted to the variables in the ascending `active` list, with
+/// I_up/I_low membership from [`classify`]. Leaves the kernel row
+/// `K[b_i]` in `ki` for the update to reuse.
 ///
 /// Returns `None` when the maximal KKT violation over the active set is
 /// below `tolerance`.
 #[allow(clippy::too_many_arguments)]
 fn select_working_set(
-    q: &mut dyn QMatrix,
+    q: &mut KernelRows<'_>,
     grad: &[f64],
     y: &[f64],
-    c: &[f64],
-    alpha: &[f64],
+    up: &[bool],
+    low: &[bool],
     tolerance: f64,
     active: &[usize],
-    qi: &mut [f64],
+    ki: &mut [f64],
 ) -> Option<(usize, usize)> {
     // i = argmax over I_up of -y_t G_t
     let mut gmax = f64::NEG_INFINITY;
     let mut i_best: Option<usize> = None;
     for &t in active {
-        let in_up = if y[t] > 0.0 {
-            alpha[t] < c[t]
-        } else {
-            alpha[t] > 0.0
-        };
-        if in_up {
+        if up[t] {
             let v = -y[t] * grad[t];
             if v >= gmax {
                 gmax = v;
@@ -864,19 +842,17 @@ fn select_working_set(
         }
     }
     let i = i_best?;
-    q.row_into(i, qi);
-    let di = q.diag(i);
+    let l = q.len();
+    let bi = base(i, l);
+    ki.copy_from_slice(q.row(bi));
+    let diag = &q.diag;
+    let di = diag[bi];
 
     let mut gmax2 = f64::NEG_INFINITY;
     let mut obj_min = f64::INFINITY;
     let mut j_best: Option<usize> = None;
     for &t in active {
-        let in_low = if y[t] > 0.0 {
-            alpha[t] > 0.0
-        } else {
-            alpha[t] < c[t]
-        };
-        if !in_low {
+        if !low[t] {
             continue;
         }
         // Stopping criterion tracks max over I_low of y_t G_t, so that
@@ -887,8 +863,10 @@ fn select_working_set(
         }
         let grad_diff = gmax + ygt;
         if grad_diff > 0.0 {
-            // quad = K_ii + K_tt − 2 K_it = Q_ii + Q_tt − 2 y_i y_t Q_it.
-            let mut quad = di + q.diag(t) - 2.0 * y[i] * y[t] * qi[t];
+            // quad = K_ii + K_tt − 2 K_it. 2·K_i[b_t] is exactly the
+            // 2·y_i·y_t·Q_it of the signed form: the signs cancel.
+            let b = base(t, l);
+            let mut quad = di + diag[b] - 2.0 * ki[b];
             if quad <= 0.0 {
                 quad = TAU;
             }
@@ -952,10 +930,29 @@ fn compute_rho(grad: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    fn row_of(q: &mut dyn QMatrix, i: usize) -> Vec<f64> {
-        let mut row = vec![0.0; q.len()];
-        q.row_into(i, &mut row);
-        row
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Reference row `i` of `Q` as explicitly signed values: the exact
+    /// batch kernel row times `y_i·y_t`.
+    fn signed_q_row(kernel: Kernel, points: &DenseMatrix, y: &[f64], i: usize) -> Vec<f64> {
+        let l = points.rows();
+        let mut k = vec![0.0; l];
+        kernel.eval_row_batch(points.row(base(i, l)), points, &mut k);
+        (0..y.len())
+            .map(|t| k[base(t, l)] * (y[i] * y[t]))
+            .collect()
+    }
+
+    /// Sign vectors for both problem layouts over `l` points: one
+    /// mixed-label variable per point, and the ±1 ε-SVR expansion.
+    fn layouts(l: usize) -> [Vec<f64>; 2] {
+        let per_point = (0..l)
+            .map(|t| if t % 3 == 0 { -1.0 } else { 1.0 })
+            .collect();
+        let expanded = (0..2 * l).map(|t| if t < l { 1.0 } else { -1.0 }).collect();
+        [per_point, expanded]
     }
 
     /// Hand-solvable 2-point classification problem: points -1 and +1 on a
@@ -966,7 +963,7 @@ mod tests {
     fn two_point_svc_dual() {
         let points = DenseMatrix::from_nested(vec![vec![-1.0], vec![1.0]]).unwrap();
         let y = vec![-1.0, 1.0];
-        let mut q = PointQ::new(Kernel::Linear, &points, &y, 16);
+        let mut q = KernelRows::new(Kernel::Linear, &points, 16);
         let p = vec![-1.0, -1.0];
         let c = vec![10.0, 10.0];
         let sol = solve(&mut q, &p, &y, &c, vec![0.0, 0.0], SolveOptions::default());
@@ -988,7 +985,7 @@ mod tests {
         let y: Vec<f64> = (0..12)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let mut q = PointQ::new(Kernel::rbf(0.5), &points, &y, 16);
+        let mut q = KernelRows::new(Kernel::rbf(0.5), &points, 16);
         let p = vec![-1.0; 12];
         let c = vec![1.0; 12];
         let sol = solve(&mut q, &p, &y, &c, vec![0.0; 12], SolveOptions::default());
@@ -1012,7 +1009,7 @@ mod tests {
         let y: Vec<f64> = (0..40)
             .map(|i| if i % 3 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let mut q = PointQ::new(Kernel::rbf(5.0), &points, &y, 8);
+        let mut q = KernelRows::new(Kernel::rbf(5.0), &points, 8);
         let p = vec![-1.0; 40];
         let c = vec![100.0; 40];
         let sol = solve(
@@ -1045,7 +1042,7 @@ mod tests {
         let p = vec![-1.0; 20];
         let c = vec![1.0; 20];
 
-        let mut q1 = PointQ::new(Kernel::rbf(1.0), &points, &y, 32);
+        let mut q1 = KernelRows::new(Kernel::rbf(1.0), &points, 32);
         let partial = solve(
             &mut q1,
             &p,
@@ -1058,13 +1055,14 @@ mod tests {
                 shrinking: true,
             },
         );
-        let mut q2 = PointQ::new(Kernel::rbf(1.0), &points, &y, 32);
+        let mut q2 = KernelRows::new(Kernel::rbf(1.0), &points, 32);
         let full = solve(&mut q2, &p, &y, &c, vec![0.0; 20], SolveOptions::default());
         assert!(full.objective <= partial.objective + 1e-9);
     }
 
     /// The prenorm RBF row pass honours its ≤1e-12 tolerance contract on
-    /// both Q matrices, and is a bitwise no-op for non-RBF kernels.
+    /// the `Q` entries of both problem layouts, and is a bitwise no-op for
+    /// non-RBF kernels.
     #[test]
     fn prenorm_rows_honour_the_tolerance_contract() {
         let points = DenseMatrix::from_nested(
@@ -1077,52 +1075,95 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let y: Vec<f64> = (0..13)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
+        let l = points.rows();
         for kernel in [Kernel::rbf(0.6), Kernel::Linear] {
-            let mut exact = PointQ::new(kernel, &points, &y, 32);
-            let mut fast = PointQ::new(kernel, &points, &y, 32).with_prenorm_rows(true);
-            for i in 0..points.rows() {
-                let a = row_of(&mut exact, i);
-                for (av, bv) in a.iter().zip(row_of(&mut fast, i)) {
+            let mut fast = KernelRows::new(kernel, &points, 32).with_prenorm_rows(true);
+            for y in layouts(l) {
+                for i in 0..y.len() {
+                    let exact = signed_q_row(kernel, &points, &y, i);
+                    let got: Vec<f64> = signed_row(fast.row(base(i, l)), y[i], &y).collect();
                     match kernel {
-                        Kernel::Rbf { .. } => assert!(
-                            (av - bv).abs() <= 1e-12 * av.abs().max(1.0),
-                            "PointQ prenorm row drifted: {av} vs {bv}"
-                        ),
-                        _ => assert_eq!(av.to_bits(), bv.to_bits()),
-                    }
-                }
-            }
-            let mut exact = RegressionQ::new(kernel, &points, 32);
-            let mut fast = RegressionQ::new(kernel, &points, 32).with_prenorm_rows(true);
-            for i in 0..2 * points.rows() {
-                let a = row_of(&mut exact, i);
-                for (av, bv) in a.iter().zip(row_of(&mut fast, i)) {
-                    match kernel {
-                        Kernel::Rbf { .. } => assert!(
-                            (av - bv).abs() <= 1e-12 * av.abs().max(1.0),
-                            "RegressionQ prenorm row drifted: {av} vs {bv}"
-                        ),
-                        _ => assert_eq!(av.to_bits(), bv.to_bits()),
+                        Kernel::Rbf { .. } => {
+                            for (av, bv) in exact.iter().zip(&got) {
+                                assert!(
+                                    (av - bv).abs() <= 1e-12 * av.abs().max(1.0),
+                                    "prenorm Q entry drifted: {av} vs {bv}"
+                                );
+                            }
+                        }
+                        _ => assert_eq!(bits(&exact), bits(&got)),
                     }
                 }
             }
         }
     }
 
-    /// RegressionQ implements the sign-expanded matrix correctly:
-    /// Q[i][j] = s_i s_j K(i%l, j%l).
+    /// The solver's `Q` entries `y_i·y_t·K[b_i][b_t]` equal explicitly
+    /// signed rows bit for bit, signed zeros included, in both layouts.
     #[test]
     fn regression_q_signs() {
         let points = DenseMatrix::from_nested(vec![vec![0.0], vec![1.0]]).unwrap();
-        let mut q = RegressionQ::new(Kernel::Linear, &points, 8);
-        assert_eq!(q.len(), 4);
-        let row1 = row_of(&mut q, 1); // alpha row for point 1, sign +1
-        assert_eq!(row1, vec![0.0, 1.0, -0.0, -1.0]);
-        let row3 = row_of(&mut q, 3); // alpha* row for point 1, sign -1
-        assert_eq!(row3, vec![-0.0, -1.0, 0.0, 1.0]);
-        assert_eq!(q.diag(3), 1.0);
+        let mut q = KernelRows::new(Kernel::Linear, &points, 8);
+        let y = [1.0, 1.0, -1.0, -1.0];
+        // α row for point 1 (sign +1), then α* row for point 1 (sign −1).
+        let row1: Vec<f64> = signed_row(q.row(base(1, 2)), y[1], &y).collect();
+        assert_eq!(bits(&row1), bits(&[0.0, 1.0, -0.0, -1.0]));
+        let row3: Vec<f64> = signed_row(q.row(base(3, 2)), y[3], &y).collect();
+        assert_eq!(bits(&row3), bits(&[-0.0, -1.0, 0.0, 1.0]));
+        assert_eq!(q.diag[base(3, 2)], 1.0);
+
+        let points = DenseMatrix::from_nested(
+            (0..7)
+                .map(|i| vec![(i as f64 * 0.8).sin(), if i % 2 == 0 { 0.0 } else { -0.5 }])
+                .collect(),
+        )
+        .unwrap();
+        let l = points.rows();
+        let mut q = KernelRows::new(Kernel::Linear, &points, 2);
+        for y in layouts(l) {
+            for i in 0..y.len() {
+                let got: Vec<f64> = signed_row(q.row(base(i, l)), y[i], &y).collect();
+                let want = signed_q_row(Kernel::Linear, &points, &y, i);
+                assert_eq!(bits(&got), bits(&want), "row {i}");
+            }
+        }
+    }
+
+    /// The dense gradient update from kernel rows equals the signed-row
+    /// update `G_t += Q_it·Δα_i + Q_jt·Δα_j` bit for bit, including the
+    /// signed zeros that `−(x + z)` would get wrong.
+    #[test]
+    fn dense_gradient_update_matches_signed_rows() {
+        // A linear kernel over points with zero coordinates yields ±0
+        // kernel entries.
+        let points = DenseMatrix::from_nested(
+            (0..6)
+                .map(|i| vec![if i % 3 == 0 { 0.0 } else { (i as f64).cos() }, -0.0])
+                .collect(),
+        )
+        .unwrap();
+        let l = points.rows();
+        let kernel = Kernel::Linear;
+        let mut q = KernelRows::new(kernel, &points, 8);
+        for y in layouts(l) {
+            let n = y.len();
+            let start: Vec<f64> = (0..n)
+                .map(|t| if t % 2 == 0 { 0.0 } else { -0.0 })
+                .collect();
+            for (i, j) in [(0, 1), (1, n - 1), (n - 1, 3)] {
+                let qi = signed_q_row(kernel, &points, &y, i);
+                let qj = signed_q_row(kernel, &points, &y, j);
+                for (dai, daj) in [(0.25, -0.5), (0.0, -0.0), (-0.0, 0.0), (1e-300, 3.0)] {
+                    let want: Vec<f64> = (0..n)
+                        .map(|t| start[t] + (qi[t] * dai + qj[t] * daj))
+                        .collect();
+                    let ki = q.row(base(i, l)).to_vec();
+                    let kj = q.row(base(j, l));
+                    let mut got = start.clone();
+                    update_gradient(&mut got, &y, &ki, kj, y[i] * dai, y[j] * daj);
+                    assert_eq!(bits(&got), bits(&want), "i={i} j={j} Δ=({dai}, {daj})");
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@ use crate::data::Dataset;
 use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
-use crate::smo::{self, PointQ, SolveOptions};
+use crate::smo::{self, KernelRows, SolveOptions};
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for C-SVC training. Targets must be `+1.0` or `-1.0`.
@@ -171,7 +171,7 @@ impl SvcModel {
         let y = train.targets().to_vec();
         let p = vec![-1.0; l];
         let c = vec![params.c; l];
-        let mut q = PointQ::new(params.kernel, train.features(), &y, params.cache_rows)
+        let mut q = KernelRows::new(params.kernel, train.features(), params.cache_rows)
             .with_prenorm_rows(params.prenorm_rows);
         let solution = smo::solve(
             &mut q,

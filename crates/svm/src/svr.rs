@@ -6,7 +6,7 @@ use crate::data::Dataset;
 use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
-use crate::smo::{self, QMatrix, RegressionQ, SolveOptions};
+use crate::smo::{self, KernelRows, SolveOptions};
 use serde::{Deserialize, Serialize};
 use vmtherm_obs::{self as obs, names, ObsEvent};
 
@@ -258,7 +258,7 @@ impl SvrModel {
         signs.extend(std::iter::repeat_n(-1.0, l));
         let c = vec![params.c; 2 * l];
 
-        let mut q = RegressionQ::new(params.kernel, points, params.cache_rows)
+        let mut q = KernelRows::new(params.kernel, points, params.cache_rows)
             .with_prenorm_rows(params.prenorm_rows);
         let span = obs::span(names::SPAN_SMO_SOLVE);
         let timer = OBS_SOLVE_NS.start_timer();
@@ -288,7 +288,6 @@ impl SvrModel {
             cache_hits,
             cache_misses,
         });
-        debug_assert_eq!(q.len(), 2 * l);
 
         // β_i = α_i − α*_i; keep only support vectors (β != 0).
         let mut support_vectors = DenseMatrix::with_cols(train.dim());

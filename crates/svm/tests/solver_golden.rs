@@ -5,14 +5,19 @@
 //! captured from the solver before its inner loop was made copy-free and
 //! active-set-sized; any change to the order of floating-point operations
 //! inside `smo.rs` — a different tie-break, a re-associated sum — moves
-//! at least one of them. The three problem types cover the three solver
-//! paths: ε-SVR (`solve` over the sign-expanded `RegressionQ`), C-SVC
-//! (`solve` over `PointQ`) and ν-SVR (`solve_nu`).
+//! at least one of them. The problem types cover every solver path:
+//! ε-SVR (`solve` over two variables per point, with the prenorm and the
+//! exact RBF row pass, and with a one-row cache), C-SVC and one-class
+//! (`solve` over one variable per point, the latter from a non-zero
+//! feasible start) and ν-SVR (`solve_nu`). The one-class, high-C C-SVC,
+//! exact-row and one-row-cache cells were captured from the solver before
+//! it moved from signed `Q` rows to cached kernel rows.
 
 use vmtherm_svm::data::Dataset;
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::matrix::DenseMatrix;
 use vmtherm_svm::nusvr::{NuSvrModel, NuSvrParams};
+use vmtherm_svm::oneclass::{OneClassModel, OneClassParams};
 use vmtherm_svm::svc::{SvcModel, SvcParams};
 use vmtherm_svm::svr::{SvrModel, SvrParams};
 
@@ -114,6 +119,16 @@ const SVR_GOLDEN: [Golden; 9] = [
 
 const SVC_GOLDEN: Golden = (133, 0xbfa3912c1172ddc5, 0xbb7b18e3123bc291);
 
+/// C = 1024, γ = 2: six shrink passes, then a gradient rebuild.
+const SVC_HIGH_C_GOLDEN: Golden = (294, 0xbfa0e0630ab83120, 0xef37fc17fdf436fb);
+
+/// ε-SVR cell C = 64, γ = 2, ε = 0.01 on the exact (scalar) RBF row pass.
+const SVR_EXACT_ROWS_GOLDEN: Golden = (15_696, 0xbfb2cb3a6caab2fa, 0x136f9a89a2c438ec);
+
+/// One-class fingerprint: `(support vectors, digest of the decision
+/// values on the training rows)`.
+const ONE_CLASS_GOLDEN: (usize, u64) = (30, 0x6e3ce3788c24872a);
+
 const NU_SVR_GOLDEN: Golden = (6488, 0xbfb2951dd16fb7ac, 0xa7965abe4adb1a0d);
 
 #[test]
@@ -149,6 +164,70 @@ fn c_svc_is_bit_identical() {
         digest(model.coefficients()),
     );
     assert_eq!(got, SVC_GOLDEN, "C-SVC drifted");
+}
+
+#[test]
+fn epsilon_svr_exact_rows_are_bit_identical() {
+    let got = svr_golden(
+        &regression_set(),
+        SvrParams::new()
+            .with_c(64.0)
+            .with_epsilon(0.01)
+            .with_kernel(Kernel::rbf(2.0))
+            .with_prenorm_rows(false),
+    );
+    assert_eq!(got, SVR_EXACT_ROWS_GOLDEN, "exact-row ε-SVR drifted");
+}
+
+/// A one-row cache evicts on nearly every fetch; the answer must not
+/// depend on what stays resident.
+#[test]
+fn epsilon_svr_one_row_cache_matches_default_cache() {
+    let got = svr_golden(
+        &regression_set(),
+        SvrParams::new()
+            .with_c(64.0)
+            .with_epsilon(0.01)
+            .with_kernel(Kernel::rbf(0.5))
+            .with_cache_rows(1),
+    );
+    assert_eq!(got, SVR_GOLDEN[2], "one-row-cache ε-SVR drifted");
+}
+
+#[test]
+fn high_c_svc_is_bit_identical() {
+    let model = SvcModel::train(
+        &classification_set(),
+        SvcParams::new()
+            .with_c(1024.0)
+            .with_kernel(Kernel::rbf(2.0)),
+    )
+    .unwrap();
+    assert!(model.converged());
+    let got = (
+        model.iterations(),
+        model.bias().to_bits(),
+        digest(model.coefficients()),
+    );
+    assert_eq!(got, SVC_HIGH_C_GOLDEN, "high-C C-SVC drifted");
+}
+
+/// ν·l = 14.4, so the solve starts from 14 variables at 1, one at 0.4
+/// and a non-zero initial gradient.
+#[test]
+fn one_class_is_bit_identical() {
+    let ds = regression_set();
+    let model = OneClassModel::train(
+        &ds,
+        OneClassParams::new()
+            .with_nu(0.3)
+            .with_kernel(Kernel::rbf(0.5)),
+    )
+    .unwrap();
+    assert!(model.converged());
+    let values = model.predict_batch(ds.features()).unwrap();
+    let got = (model.num_support_vectors(), digest(&values));
+    assert_eq!(got, ONE_CLASS_GOLDEN, "one-class drifted");
 }
 
 #[test]
