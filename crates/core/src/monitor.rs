@@ -1253,7 +1253,7 @@ mod tests {
             let sid = ServerId::new(i);
             let stats = monitor.stats(sid);
             assert!(
-                stats.scored > 0 && (stats.scored as usize) < super::ROLLING_WINDOW,
+                stats.scored > 0 && stats.scored < super::ROLLING_WINDOW,
                 "server {i} scored {}",
                 stats.scored
             );

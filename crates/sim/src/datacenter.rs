@@ -25,6 +25,27 @@ impl RackId {
     }
 }
 
+/// Each server's ambient offset, readable while the servers themselves
+/// are borrowed mutably (see [`Datacenter::servers_and_offsets_mut`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AmbientOffsets<'a> {
+    racks: &'a [RackId],
+    rack_offsets: &'a [f64],
+}
+
+impl AmbientOffsets<'_> {
+    /// The ambient offset (°C above room inlet) of the server at stable
+    /// index `idx`; 0 for an unknown server.
+    #[must_use]
+    pub(crate) fn get(&self, idx: usize) -> f64 {
+        self.racks
+            .get(idx)
+            .and_then(|rack| self.rack_offsets.get(rack.raw()))
+            .copied()
+            .unwrap_or(0.0)
+    }
+}
+
 /// The server fleet.
 #[derive(Debug, Clone)]
 pub struct Datacenter {
@@ -149,13 +170,19 @@ impl Datacenter {
         self.servers.iter_mut()
     }
 
-    /// All servers as one mutable slice, in stable id order.
+    /// All servers as one mutable slice, in stable id order, plus every
+    /// server's ambient offset.
     ///
-    /// The sharded engine splits this slice into disjoint contiguous
-    /// chunks (see [`crate::shard`]), so each worker thread owns an
-    /// exclusive range of servers.
-    pub fn servers_mut(&mut self) -> &mut [Server] {
-        &mut self.servers
+    /// The engine splits the slice into disjoint contiguous shards (see
+    /// [`crate::shard`]), so each worker thread owns an exclusive range
+    /// of servers, and reads each server's offset in the same pass
+    /// instead of collecting the offsets first.
+    pub(crate) fn servers_and_offsets_mut(&mut self) -> (&mut [Server], AmbientOffsets<'_>) {
+        let offsets = AmbientOffsets {
+            racks: &self.racks,
+            rack_offsets: &self.rack_offsets,
+        };
+        (&mut self.servers, offsets)
     }
 
     /// The rack a server sits in.

@@ -633,23 +633,6 @@ impl FaultInjector {
         (&self.plan, &mut self.servers)
     }
 
-    /// Routes one sensor reading through the active channels. Returns the
-    /// (possibly re-timestamped, possibly corrupted) sample to deliver, or
-    /// `None` when it was dropped.
-    ///
-    /// Channel order: stuck → spike → dropout → jitter (see
-    /// [`ServerFaultState::deliver`], which holds the channel logic so
-    /// the sharded engine can drive disjoint server states directly).
-    pub fn deliver(
-        &mut self,
-        server: usize,
-        t: Seconds,
-        reading: Celsius,
-    ) -> Option<(Seconds, Celsius)> {
-        self.ensure_servers(server + 1);
-        self.servers[server].deliver(&self.plan, server, t, reading)
-    }
-
     /// Decides whether the next reconfiguration notification is lost.
     /// Draws randomness only when the channel is enabled.
     pub fn event_lost(&mut self) -> bool {
@@ -717,13 +700,16 @@ mod tests {
         assert!(random.scheduled_boundaries().is_empty());
     }
 
-    /// Feeds a fixed ramp through an injector, returning the deliveries.
+    /// Feeds a fixed ramp through server 0's channel state, returning the
+    /// deliveries.
     fn run_plan(plan: FaultPlan, samples: usize) -> Vec<Option<(f64, f64)>> {
         let mut injector = FaultInjector::new(plan).expect("valid plan");
+        injector.ensure_servers(1);
+        let (plan, states) = injector.split_mut();
         (0..samples)
             .map(|i| {
-                injector
-                    .deliver(0, s(i as f64), c(40.0 + i as f64 * 0.01))
+                states[0]
+                    .deliver(plan, 0, s(i as f64), c(40.0 + i as f64 * 0.01))
                     .map(|(t, v)| (t.get(), v.get()))
             })
             .collect()
@@ -743,35 +729,23 @@ mod tests {
     /// different seed → different stream.
     #[test]
     fn every_channel_is_deterministic_per_seed() {
-        let plans: Vec<(&str, Box<dyn Fn(u64) -> FaultPlan>)> = vec![
-            (
-                "dropout",
-                Box::new(|seed| {
-                    FaultPlan::new(seed)
-                        .with_dropout(DropoutFault::random(0.05, s(5.0), s(20.0)).expect("dropout"))
-                }),
-            ),
-            (
-                "stuck",
-                Box::new(|seed| {
-                    FaultPlan::new(seed)
-                        .with_stuck(StuckFault::random(0.05, s(5.0), s(20.0)).expect("stuck"))
-                }),
-            ),
-            (
-                "spike",
-                Box::new(|seed| {
-                    FaultPlan::new(seed)
-                        .with_spike(SpikeFault::random(0.1, c(5.0), c(15.0)).expect("spike"))
-                }),
-            ),
-            (
-                "jitter",
-                Box::new(|seed| {
-                    FaultPlan::new(seed)
-                        .with_jitter(JitterFault::random(0.2, s(10.0)).expect("jitter"))
-                }),
-            ),
+        type MakePlan = fn(u64) -> FaultPlan;
+        let plans: Vec<(&str, MakePlan)> = vec![
+            ("dropout", |seed| {
+                FaultPlan::new(seed)
+                    .with_dropout(DropoutFault::random(0.05, s(5.0), s(20.0)).expect("dropout"))
+            }),
+            ("stuck", |seed| {
+                FaultPlan::new(seed)
+                    .with_stuck(StuckFault::random(0.05, s(5.0), s(20.0)).expect("stuck"))
+            }),
+            ("spike", |seed| {
+                FaultPlan::new(seed)
+                    .with_spike(SpikeFault::random(0.1, c(5.0), c(15.0)).expect("spike"))
+            }),
+            ("jitter", |seed| {
+                FaultPlan::new(seed).with_jitter(JitterFault::random(0.2, s(10.0)).expect("jitter"))
+            }),
         ];
         for (name, make) in &plans {
             let a = run_plan(make(7), 400);
@@ -856,8 +830,10 @@ mod tests {
             .with_stuck(StuckFault::scheduled(vec![(10.0, 15.0)]).expect("s"))
             .with_spike(SpikeFault::scheduled(vec![(20.0, 8.0)]).expect("sp"));
         let mut injector = FaultInjector::new(plan).expect("valid");
+        injector.ensure_servers(1);
+        let (plan, states) = injector.split_mut();
         for i in 0..30 {
-            let _ = injector.deliver(0, s(i as f64), c(50.0));
+            let _ = states[0].deliver(plan, 0, s(i as f64), c(50.0));
         }
         let stats = injector.stats(0);
         assert_eq!(stats.dropped, 5);
@@ -874,12 +850,14 @@ mod tests {
         let plan =
             FaultPlan::new(11).with_spike(SpikeFault::random(0.2, c(5.0), c(10.0)).expect("spike"));
         let mut injector = FaultInjector::new(plan).expect("valid");
+        injector.ensure_servers(2);
+        let (plan, states) = injector.split_mut();
         let mut streams: Vec<Vec<Option<f64>>> = vec![Vec::new(), Vec::new()];
         for i in 0..200 {
-            for server in 0..2 {
+            for (server, state) in states.iter_mut().enumerate() {
                 streams[server].push(
-                    injector
-                        .deliver(server, s(i as f64), c(50.0))
+                    state
+                        .deliver(plan, server, s(i as f64), c(50.0))
                         .map(|(_, v)| v.get()),
                 );
             }

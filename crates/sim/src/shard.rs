@@ -61,20 +61,24 @@ pub fn workers(threads: usize, servers: usize) -> usize {
 /// ```
 #[must_use]
 pub fn shard_bounds(len: usize, shards: usize) -> Vec<(usize, usize)> {
+    shard_ranges(len, shards).collect()
+}
+
+/// [`shard_bounds`] as an iterator, for per-tick callers that must not
+/// allocate.
+pub(crate) fn shard_ranges(len: usize, shards: usize) -> impl Iterator<Item = (usize, usize)> {
     let shards = shards.max(1).min(len);
-    let mut bounds = Vec::with_capacity(shards);
-    if len == 0 {
-        return bounds;
-    }
-    let base = len / shards;
-    let extra = len % shards;
-    let mut start = 0;
-    for s in 0..shards {
-        let size = base + usize::from(s < extra);
-        bounds.push((start, start + size));
-        start += size;
-    }
-    bounds
+    let (base, extra) = if len == 0 {
+        (0, 0)
+    } else {
+        (len / shards, len % shards)
+    };
+    (0..shards).scan(0, move |start, s| {
+        let end = *start + base + usize::from(s < extra);
+        let range = (*start, end);
+        *start = end;
+        Some(range)
+    })
 }
 
 /// Runs `f` over disjoint contiguous chunks of `items` on a scoped
@@ -116,52 +120,19 @@ where
         consumed = *end;
     }
 
-    drain_jobs(chunks, threads, |(offset, chunk)| f(offset, chunk));
-}
-
-/// Runs `f` over the chunks obtained by splitting `items` at the given
-/// ascending split positions, on the same scoped worker pool as
-/// [`for_each_chunk`].
-///
-/// Unlike [`for_each_chunk`], the caller controls the partition. The
-/// event-driven engine uses this to split a *sparse* wake-up batch at
-/// the positions where the dense [`shard_bounds`] partition of the full
-/// server range would cut it, so wake-up batches shard exactly as dense
-/// steps do. Empty chunks are skipped; the same determinism contract as
-/// [`for_each_chunk`] applies (exclusive borrows only, bit-identical
-/// for every thread count).
-///
-/// # Panics
-///
-/// Panics if a split position is out of range or positions descend.
-pub fn for_each_split<T, F>(items: &mut [T], splits: &[usize], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(&mut [T]) + Sync,
-{
-    let mut chunks: Vec<&mut [T]> = Vec::with_capacity(splits.len() + 1);
-    let mut rest = items;
-    let mut consumed = 0;
-    for &pos in splits {
-        assert!(pos >= consumed, "split positions must ascend");
-        let (chunk, tail) = rest.split_at_mut(pos - consumed);
-        if !chunk.is_empty() {
-            chunks.push(chunk);
-        }
-        rest = tail;
-        consumed = pos;
-    }
-    if !rest.is_empty() {
-        chunks.push(rest);
-    }
-    drain_jobs(chunks, threads, f);
+    for_each_job(chunks, threads, |(offset, chunk)| f(offset, chunk));
 }
 
 /// Drains a job list on a scoped worker pool (inline when `threads <= 1`
-/// or there is at most one job). Job pick-up order is arbitrary; callers
-/// rely only on the exclusive-borrow contract for determinism. Worker
-/// panics are re-raised on the caller with their original payload.
-fn drain_jobs<J, F>(jobs: Vec<J>, threads: usize, f: F)
+/// or there is at most one job).
+///
+/// Jobs are typically disjoint `&mut` sub-slices the caller carved
+/// itself; the engine builds one per shard of a (possibly sparse) step
+/// batch. Job pick-up order is arbitrary, so the same determinism
+/// contract as [`for_each_chunk`] applies: `f` may only mutate state
+/// its job borrows exclusively. Worker panics are re-raised on the
+/// caller with their original payload.
+pub(crate) fn for_each_job<J, F>(jobs: Vec<J>, threads: usize, f: F)
 where
     J: Send,
     F: Fn(J) + Sync,
@@ -295,40 +266,5 @@ mod tests {
     fn empty_input_is_a_no_op() {
         let mut data: Vec<u32> = Vec::new();
         for_each_chunk(&mut data, 4, 4, |_, _| panic!("no chunks expected"));
-    }
-
-    #[test]
-    fn split_partitions_at_exact_positions() {
-        let mut data: Vec<u32> = (0..10).collect();
-        let seen = std::sync::Mutex::new(Vec::new());
-        for_each_split(&mut data, &[3, 3, 7], 1, |chunk| {
-            seen.lock().unwrap().push(chunk.to_vec());
-        });
-        // Serial execution visits chunks in order; the empty 3..3 chunk
-        // is skipped.
-        assert_eq!(
-            *seen.lock().unwrap(),
-            vec![vec![0, 1, 2], vec![3, 4, 5, 6], vec![7, 8, 9]]
-        );
-    }
-
-    #[test]
-    fn split_is_identical_across_thread_counts() {
-        let run = |threads: usize| -> Vec<f64> {
-            let mut data: Vec<f64> = (0..29).map(|i| f64::from(i) * 0.3).collect();
-            for_each_split(&mut data, &[5, 11, 11, 20], threads, |chunk| {
-                for v in chunk.iter_mut() {
-                    *v = (*v).cos() * 1.7;
-                }
-            });
-            data
-        };
-        let reference = run(1);
-        for threads in [2, 4, 8] {
-            let got = run(threads);
-            for (a, b) in reference.iter().zip(&got) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 }

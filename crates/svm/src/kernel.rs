@@ -544,26 +544,49 @@ mod tests {
 
     #[test]
     fn eval_row_batch_matches_scalar_eval_bitwise() {
-        let m = DenseMatrix::from_nested(vec![
-            vec![0.1, -0.4, 2.0],
-            vec![1.3, 0.0, -5.5],
-            vec![-2.2, 3.1, 0.7],
-        ])
-        .unwrap();
-        let x = [0.9, -1.1, 0.3];
-        for kernel in [
-            Kernel::Linear,
-            Kernel::rbf(0.7),
-            Kernel::polynomial(0.5),
-            Kernel::Sigmoid {
-                gamma: 0.2,
-                coef0: 0.1,
-            },
-        ] {
-            let mut out = vec![0.0; m.rows()];
-            kernel.eval_row_batch(&x, &m, &mut out);
-            for (o, row) in out.iter().zip(&m) {
-                assert_eq!(o.to_bits(), kernel.eval(&x, row).to_bits());
+        // In the second case x is all exact zeros, so every product is a
+        // signed zero and the sum's sign depends on where it starts. Five
+        // rows put four in the unrolled quad and one in the remainder.
+        let cases = [
+            (
+                vec![
+                    vec![0.1, -0.4, 2.0],
+                    vec![1.3, 0.0, -5.5],
+                    vec![-2.2, 3.1, 0.7],
+                ],
+                vec![0.9, -1.1, 0.3],
+            ),
+            (
+                vec![
+                    vec![4.0_f64.sin(), -0.5],
+                    vec![0.0, 0.0],
+                    vec![-1.5, 2.0],
+                    vec![0.25, -3.0],
+                    vec![4.0_f64.sin(), -0.5],
+                ],
+                vec![0.0, 0.0],
+            ),
+        ];
+        for (rows, x) in cases {
+            let m = DenseMatrix::from_nested(rows).unwrap();
+            for kernel in [
+                Kernel::Linear,
+                Kernel::rbf(0.7),
+                Kernel::polynomial(0.5),
+                Kernel::Sigmoid {
+                    gamma: 0.2,
+                    coef0: 0.1,
+                },
+            ] {
+                let mut out = vec![0.0; m.rows()];
+                kernel.eval_row_batch(&x, &m, &mut out);
+                for (o, row) in out.iter().zip(&m) {
+                    assert_eq!(
+                        o.to_bits(),
+                        kernel.eval(&x, row).to_bits(),
+                        "{kernel:?} at x = {x:?}, row = {row:?}"
+                    );
+                }
             }
         }
     }

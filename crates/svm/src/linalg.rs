@@ -24,7 +24,9 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         a.len(),
         b.len()
     );
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    // Fold from +0.0 like the unrolled batch kernels: `Iterator::sum`
+    // starts at −0.0, which keeps an all-signed-zero sum negative.
+    a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
 }
 
 /// Squared Euclidean distance between two equal-length slices.
