@@ -1,5 +1,5 @@
-//! Shared harness code for the figure-regeneration binaries and the
-//! Criterion benches.
+//! Shared harness code for the figure-regeneration binaries, the
+//! crate's integration tests and `vmbench`.
 //!
 //! Everything the three figures need — the training campaign, the deployed
 //! stable model, and the dynamic scenarios with reconfiguration events —

@@ -430,21 +430,30 @@ mod tests {
 
     #[test]
     fn p2_tracks_uniform_quantiles() {
-        let mut values = uniform_stream(42, 20_000);
-        let mut sketch = QuantileSketch::new();
-        for &v in &values {
-            sketch.observe(v);
+        // (seed, values, scale, max abs error). The second input is
+        // 200,000 values on [0, 100): the sketch's accuracy budget.
+        for (seed, n, scale, tolerance) in
+            [(42, 20_000, 1.0, 0.02), (0xC0FFEE, 200_000, 100.0, 1.0)]
+        {
+            let mut values: Vec<f64> = uniform_stream(seed, n)
+                .into_iter()
+                .map(|u| u * scale)
+                .collect();
+            let mut sketch = QuantileSketch::new();
+            for &v in &values {
+                sketch.observe(v);
+            }
+            values.sort_by(f64::total_cmp);
+            for (q, est) in sketch.quantiles() {
+                let exact = exact_quantile(&values, q);
+                assert!(
+                    (est - exact).abs() < tolerance,
+                    "seed {seed:#x} q={q}: estimate {est} vs exact {exact}"
+                );
+            }
+            assert_eq!(sketch.count(), n as u64);
+            assert!(sketch.min() >= 0.0 && sketch.max() < scale);
         }
-        values.sort_by(f64::total_cmp);
-        for (q, est) in sketch.quantiles() {
-            let exact = exact_quantile(&values, q);
-            assert!(
-                (est - exact).abs() < 0.02,
-                "q={q}: estimate {est} vs exact {exact}"
-            );
-        }
-        assert_eq!(sketch.count(), 20_000);
-        assert!(sketch.min() >= 0.0 && sketch.max() < 1.0);
     }
 
     #[test]
