@@ -18,7 +18,7 @@ use vmtherm_core::eval::{evaluate_dynamic, evaluate_stable};
 use vmtherm_core::features::FeatureEncoding;
 use vmtherm_core::stable::{run_experiments, StablePredictor, TrainingOptions};
 use vmtherm_core::units::Seconds;
-use vmtherm_sim::{CaseGenerator, SimDuration, SimTime};
+use vmtherm_sim::{CaseGenerator, SimDuration};
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::svr::SvrParams;
 
@@ -128,16 +128,17 @@ fn main() {
     let case = CaseGenerator::new(9)
         .random_case(123)
         .with_duration(SimDuration::from_secs(1500));
-    let outcome = case.run();
-    let reference = outcome
-        .sensor_series
-        .mean_after(SimTime::from_secs(600))
-        .expect("samples");
+    // The trace does not depend on t_break, so each rerun of the seeded
+    // case averages the same sensor samples from a different start.
+    let psi_after = |secs| {
+        case.clone()
+            .with_t_break(SimDuration::from_secs(secs))
+            .run()
+            .psi_stable
+    };
+    let reference = psi_after(600);
     for t_break in [300u64, 450, 600, 750, 900] {
-        let psi = outcome
-            .sensor_series
-            .mean_after(SimTime::from_secs(t_break))
-            .expect("samples");
+        let psi = psi_after(t_break);
         let marker = if t_break == 600 { "  <- paper" } else { "" };
         println!(
             "{t_break:>6}s {psi:>12.3} C {:>18.3}{marker}",

@@ -512,16 +512,12 @@ mod tests {
             psi_stable: 50.0,
             true_stable: 50.0,
             initial_temp: 25.0,
-            sensor_series: Default::default(),
-            die_series: Default::default(),
         };
         let mixed = ExperimentOutcome {
             snapshot: snapshot(&[(TaskProfile::Mixed, 2), (TaskProfile::Idle, 1)]),
             psi_stable: 44.0,
             true_stable: 44.0,
             initial_temp: 25.0,
-            sensor_series: Default::default(),
-            die_series: Default::default(),
         };
         let p = TaskProfilePredictor::fit_from_outcomes(&[homo, mixed]);
         assert_eq!(p.table_len(), 1);
@@ -571,8 +567,6 @@ mod tests {
                 psi_stable: target,
                 true_stable: target,
                 initial_temp: 25.0,
-                sensor_series: Default::default(),
-                die_series: Default::default(),
             });
         }
         let model = LinearStablePredictor::fit(&outcomes, FeatureEncoding::Full, 1e-6).unwrap();

@@ -92,29 +92,46 @@ pub fn dataset_from_outcomes(outcomes: &[ExperimentOutcome], encoding: FeatureEn
 }
 
 /// Runs every experiment config and collects outcomes (the paper's
-/// data-collection campaign).
+/// data-collection campaign) on
+/// [`available_parallelism`](std::thread::available_parallelism)
+/// threads, the same default as [`GridSearch::new`].
+///
+/// The result is bit-identical to
+/// `configs.iter().map(ExperimentConfig::run).collect()` at every thread
+/// count; see [`run_experiments_threaded`].
+///
+/// # Panics
+///
+/// Re-raises, with its original payload, the panic of any experiment
+/// that panics (see [`ExperimentConfig::run`]).
 #[must_use]
 pub fn run_experiments(configs: &[ExperimentConfig]) -> Vec<ExperimentOutcome> {
-    configs.iter().map(ExperimentConfig::run).collect()
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    run_experiments_threaded(configs, threads)
 }
 
-/// Runs the campaign on up to `threads` worker threads.
+/// [`run_experiments`] on up to `threads` worker threads (inline when
+/// `threads <= 1`).
 ///
-/// Each experiment is a self-contained seeded simulation, and outcomes
-/// land in index-addressed slots ([`vmtherm_sim::shard::for_each_chunk`]),
-/// so the returned vector is bit-identical to [`run_experiments`] for
-/// every thread count.
+/// Each experiment is a self-contained seeded simulation and runs as its
+/// own job ([`vmtherm_sim::shard::for_each_chunk`] with one config per
+/// chunk), so idle workers keep taking cases however unequal their VM
+/// counts. Every outcome lands in the slot of its config's index, so the
+/// returned vector does not depend on the thread count or on which worker
+/// ran which case.
+///
+/// # Panics
+///
+/// As [`run_experiments`].
 #[must_use]
 pub fn run_experiments_threaded(
     configs: &[ExperimentConfig],
     threads: usize,
 ) -> Vec<ExperimentOutcome> {
-    if threads <= 1 {
-        return run_experiments(configs);
-    }
     let mut slots: Vec<(&ExperimentConfig, Option<ExperimentOutcome>)> =
         configs.iter().map(|c| (c, None)).collect();
-    vmtherm_sim::shard::for_each_chunk(&mut slots, threads, threads, |_, chunk| {
+    let jobs = slots.len();
+    vmtherm_sim::shard::for_each_chunk(&mut slots, jobs, threads, |_, chunk| {
         for (config, slot) in chunk {
             *slot = Some(config.run());
         }
@@ -379,6 +396,49 @@ mod tests {
                 .with_epsilon(0.1)
                 .with_kernel(Kernel::rbf(0.02)),
         )
+    }
+
+    /// `count` short cases with exactly `vms` VMs each.
+    fn cases(vms: u32, count: usize, seed: u64) -> Vec<ExperimentConfig> {
+        CaseGenerator::new(seed)
+            .with_vm_range(vms, vms)
+            .random_cases(count, seed)
+            .into_iter()
+            .map(|c| c.with_duration(SimDuration::from_secs(700)))
+            .collect()
+    }
+
+    #[test]
+    fn campaign_is_bit_identical_to_serial_runs_at_any_thread_count() {
+        let small = cases(2, 3, 5);
+        let large = cases(12, 3, 6);
+        let mixed: Vec<ExperimentConfig> = small
+            .iter()
+            .zip(&large)
+            .flat_map(|(a, b)| [a.clone(), b.clone()])
+            .collect();
+        let campaigns: [&[ExperimentConfig]; 4] = [&[], &small[..1], &small, &mixed];
+        for configs in campaigns {
+            let serial: Vec<ExperimentOutcome> =
+                configs.iter().map(ExperimentConfig::run).collect();
+            for threads in [1, 2, 3, 8] {
+                assert_eq!(
+                    run_experiments_threaded(configs, threads),
+                    serial,
+                    "{} configs on {threads} threads",
+                    configs.len()
+                );
+            }
+            assert_eq!(run_experiments(configs), serial);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "t_break")]
+    fn campaign_reraises_an_experiment_panic() {
+        let mut configs = cases(2, 4, 7);
+        configs[2] = configs[2].clone().with_t_break(SimDuration::from_secs(700));
+        let _ = run_experiments_threaded(&configs, 2);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::datacenter::Datacenter;
 use crate::engine::Simulation;
 use crate::environment::AmbientModel;
 use crate::server::{ServerId, ServerSpec};
-use crate::telemetry::TimeSeries;
 use crate::time::{SimDuration, SimTime};
 use crate::vm::VmSpec;
 use crate::workload::{TaskProfile, ALL_TASK_PROFILES};
@@ -178,7 +177,7 @@ impl ExperimentConfig {
 
         sim.run_until(SimTime::ZERO + self.duration);
 
-        let trace = sim.trace(sid).expect("trace").clone();
+        let trace = sim.trace(sid).expect("trace");
         let break_at = SimTime::ZERO + self.t_break;
         let psi_stable = trace
             .sensor_c
@@ -194,14 +193,17 @@ impl ExperimentConfig {
             psi_stable,
             true_stable,
             initial_temp,
-            sensor_series: trace.sensor_c,
-            die_series: trace.die_c,
         }
     }
 }
 
-/// The result of one experiment: the Eq. (2) record plus full series for
-/// dynamic-prediction studies.
+/// The result of one experiment: the Eq. (2) record, its ground truth
+/// and φ(0).
+///
+/// The run's traces are dropped once Eq. (1) has averaged them, so an
+/// outcome is a few hundred bytes however long the run. Studies that need
+/// a series drive a [`Simulation`] themselves and read
+/// [`Simulation::trace`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentOutcome {
     /// The input side of the record.
@@ -212,10 +214,6 @@ pub struct ExperimentOutcome {
     pub true_stable: f64,
     /// φ(0): die temperature before the experiment started.
     pub initial_temp: f64,
-    /// Sensor reading series over the whole run.
-    pub sensor_series: TimeSeries,
-    /// True die temperature series over the whole run.
-    pub die_series: TimeSeries,
 }
 
 /// Randomised experiment cases in the paper's evaluation ranges:
@@ -340,12 +338,33 @@ mod tests {
 
     #[test]
     fn psi_stable_is_mean_after_break() {
-        let outcome = quick_config(2, 2).run();
-        let expect = outcome
-            .sensor_series
-            .mean_after(SimTime::from_secs(600))
-            .unwrap();
-        assert_eq!(outcome.psi_stable, expect);
+        let config = quick_config(2, 2);
+        let outcome = config.run();
+
+        // Record the same run's sensor trace independently and average
+        // it per Eq. (1): every sample at or after t_break = 600 s.
+        let mut dc = Datacenter::new();
+        let sid = dc.add_server(
+            config.server.clone(),
+            Celsius::new(config.ambient_c),
+            config.seed,
+        );
+        let mut sim = Simulation::new(dc, AmbientModel::Fixed(config.ambient_c), config.seed);
+        for spec in &config.vms {
+            sim.boot_vm_now(sid, spec.clone()).unwrap();
+        }
+        sim.run_until(SimTime::ZERO + config.duration);
+        let after_break: Vec<f64> = sim
+            .trace(sid)
+            .unwrap()
+            .sensor_c
+            .iter()
+            .filter(|&(t, _)| t >= 600.0)
+            .map(|(_, v)| v)
+            .collect();
+        assert!(after_break.len() > 100, "{} samples", after_break.len());
+        let expect = after_break.iter().sum::<f64>() / after_break.len() as f64;
+        assert_eq!(outcome.psi_stable.to_bits(), expect.to_bits());
     }
 
     #[test]
@@ -364,8 +383,7 @@ mod tests {
     fn experiments_are_seed_deterministic() {
         let a = quick_config(3, 5).run();
         let b = quick_config(3, 5).run();
-        assert_eq!(a.psi_stable, b.psi_stable);
-        assert_eq!(a.sensor_series, b.sensor_series);
+        assert_eq!(a, b);
     }
 
     #[test]

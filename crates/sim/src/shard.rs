@@ -98,8 +98,9 @@ pub(crate) fn shard_ranges(len: usize, shards: usize) -> impl Iterator<Item = (u
 ///
 /// With `threads <= 1` or a single chunk the work runs inline on the
 /// caller's thread — no pool is spun up, so the serial path stays
-/// allocation-free. Worker panics are re-raised on the caller with
-/// their original payload.
+/// allocation-free. Otherwise the caller drains chunks alongside the
+/// spawned workers. Worker panics are re-raised on the caller with their
+/// original payload.
 pub fn for_each_chunk<T, F>(items: &mut [T], shards: usize, threads: usize, f: F)
 where
     T: Send,
@@ -123,8 +124,9 @@ where
     for_each_job(chunks, threads, |(offset, chunk)| f(offset, chunk));
 }
 
-/// Drains a job list on a scoped worker pool (inline when `threads <= 1`
-/// or there is at most one job).
+/// Drains a job list on a scoped worker pool of up to `threads` workers,
+/// the calling thread among them (inline when `threads <= 1` or there is
+/// at most one job).
 ///
 /// Jobs are typically disjoint `&mut` sub-slices the caller carved
 /// itself; the engine builds one per shard of a (possibly sparse) step
@@ -146,24 +148,24 @@ where
 
     let workers = threads.min(jobs.len());
     let queue = std::sync::Mutex::new(jobs);
+    let drain = || loop {
+        let job = {
+            let mut q = queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            q.pop()
+        };
+        match job {
+            Some(job) => f(job),
+            None => break,
+        }
+    };
 
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let job = {
-                        let mut q = queue
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        q.pop()
-                    };
-                    match job {
-                        Some(job) => f(job),
-                        None => break,
-                    }
-                })
-            })
-            .collect();
+        // The caller is one of the workers: it spawns one thread fewer
+        // and its allocator arena serves jobs instead of sitting idle.
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        drain();
         for handle in handles {
             if let Err(payload) = handle.join() {
                 std::panic::resume_unwind(payload);
