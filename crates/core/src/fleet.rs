@@ -1,39 +1,36 @@
-//! Sharded fleet monitoring: thread-parallel [`FleetMonitor`] shards
-//! with a deterministic merge.
+//! Sharded fleet monitoring: one [`FleetMonitor`] stepped on a worker
+//! pool.
 //!
-//! A [`ShardedMonitor`] partitions the fleet into contiguous server
-//! ranges (via [`vmtherm_sim::shard::shard_bounds`]), owns one ranged
-//! [`FleetMonitor`] per shard, and steps them on a scoped worker pool
-//! ([`vmtherm_sim::shard::for_each_chunk`]). Each shard only mutates
-//! its own per-server state — predictors, pending forecasts, P²
-//! sketches — through an exclusive borrow, so per-server results are
-//! **bit-identical for any thread count and any shard partitioning**.
+//! A [`ShardedMonitor`] drives a single whole-fleet [`FleetMonitor`]:
+//! it supplies the number of contiguous server chunks (via
+//! [`vmtherm_sim::shard::shard_bounds`]) and worker threads
+//! ([`vmtherm_sim::shard::workers`]) that the monitor's per-server
+//! phase runs on ([`vmtherm_sim::shard::for_each_chunk`]). Each chunk
+//! only mutates its own per-server records — predictors, pending
+//! forecasts, P² sketches — through an exclusive borrow, so per-server
+//! results are **bit-identical for any thread count and any shard
+//! partitioning**. The anchor and event-log phase runs once, serially,
+//! before the chunks.
 //!
 //! Fleet-level values are *reduced serially after the parallel phase*,
-//! always in global server-index order:
-//!
-//! - [`ShardedMonitor::fleet_mse`] concatenates the shards'
-//!   [`FleetMonitor::server_stats`] slices and folds them with exactly
-//!   the floating-point association a whole-fleet monitor uses, so the
-//!   result is bitwise equal to `FleetMonitor::fleet_mse` on one
-//!   monitor covering the same servers.
-//! - [`ShardedMonitor::fleet_pred_err`] folds the per-server forecast
-//!   -error sketches into an [`obs::MergedQuantiles`] in server order,
-//!   again matching the unsharded fold bit for bit.
+//! always in global server-index order: [`FleetMonitor::fleet_mse`] and
+//! [`FleetMonitor::fleet_pred_err`] are the same folds whichever way the
+//! records were stepped.
 //!
 //! What is *not* bit-stable across thread counts: wall-clock timing
 //! metrics (`vmtherm_monitor_observe_ns`), the global forecast-error
 //! histogram's float sum (atomic CAS adds commute only up to FP
 //! rounding), and the interleaving of observability events across
-//! shards. Counters remain exact (atomic integer adds commute).
+//! chunks. Counters remain exact (atomic integer adds commute).
 
 use crate::dynamic::DynamicConfig;
 use crate::error::PredictError;
-use crate::monitor::{DegradationPolicy, DegradationStats, FleetMonitor, ServerStats};
+use crate::monitor::FleetMonitor;
 use crate::stable::StablePredictor;
+use std::ops::Deref;
 use vmtherm_obs::{self as obs, names};
 use vmtherm_sim::shard;
-use vmtherm_sim::{ServerId, Simulation};
+use vmtherm_sim::Simulation;
 use vmtherm_units::{Celsius, Seconds};
 
 /// Fleet-level roll-up gauges, registered lazily when the obs layer is
@@ -54,17 +51,16 @@ impl FleetGauges {
     }
 }
 
-/// A fleet monitor partitioned into independently steppable shards.
+/// A fleet monitor whose per-server phase runs in independently
+/// steppable shards, and which publishes the fleet roll-up gauges.
 ///
-/// Public accessors take **global** server ids and route to the owning
-/// shard, so a `ShardedMonitor` is a drop-in replacement for one
-/// [`FleetMonitor`] over the whole fleet — with `observe` running the
-/// per-shard work on up to `threads` worker threads, as
-/// [`shard::workers`] allows for the fleet size.
+/// It dereferences to the [`FleetMonitor`] it drives, so every read
+/// accessor takes **global** server ids and returns exactly what one
+/// unsharded monitor over the same fleet would.
 #[derive(Debug)]
 pub struct ShardedMonitor {
-    shards: Vec<FleetMonitor>,
-    servers: usize,
+    monitor: FleetMonitor,
+    shards: usize,
     threads: usize,
     fleet_gauges: Option<FleetGauges>,
 }
@@ -85,237 +81,59 @@ impl ShardedMonitor {
         shards: usize,
         threads: usize,
     ) -> Result<Self, PredictError> {
-        let monitors: Result<Vec<_>, _> = shard::shard_bounds(servers, shards)
-            .into_iter()
-            .map(|(lo, hi)| FleetMonitor::with_range(stable.clone(), config, lo, hi - lo, gap_secs))
-            .collect();
         Ok(ShardedMonitor {
-            shards: monitors?,
-            servers,
+            monitor: FleetMonitor::new(stable.clone(), config, servers, gap_secs)?,
+            shards: shard::shard_bounds(servers, shards).len(),
             threads: threads.max(1),
             fleet_gauges: None,
         })
     }
 
-    /// Replaces the degradation policy on every shard.
-    ///
-    /// # Errors
-    ///
-    /// Rejects invalid policies (see [`FleetMonitor::with_policy`]).
-    pub fn with_policy(mut self, policy: DegradationPolicy) -> Result<Self, PredictError> {
-        let monitors: Result<Vec<_>, _> = self
-            .shards
-            .into_iter()
-            .map(|m| m.with_policy(policy))
-            .collect();
-        self.shards = monitors?;
-        Ok(self)
-    }
-
-    /// Sets the die-temperature limit the headroom gauges measure
-    /// against, on every shard.
-    ///
-    /// # Errors
-    ///
-    /// Rejects non-finite or non-positive limits.
-    pub fn with_temp_limit(mut self, limit: Celsius) -> Result<Self, PredictError> {
-        let monitors: Result<Vec<_>, _> = self
-            .shards
-            .into_iter()
-            .map(|m| m.with_temp_limit(limit))
-            .collect();
-        self.shards = monitors?;
-        Ok(self)
-    }
-
-    /// Total servers covered across all shards.
-    #[must_use]
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
     /// Number of shards the fleet is partitioned into.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Worker threads `observe` may use.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Changes the worker-thread budget (clamped to at least 1). Has no
-    /// effect on results — only on wall-clock time.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The per-shard monitors, in ascending server-range order.
-    #[must_use]
-    pub fn shards(&self) -> &[FleetMonitor] {
-        &self.shards
-    }
-
-    fn shard_for(&self, server: ServerId) -> Option<&FleetMonitor> {
-        let idx = server.raw();
         self.shards
-            .iter()
-            .find(|m| idx >= m.first_server() && idx < m.first_server() + m.servers())
     }
 
-    /// Ingests new telemetry into every shard, in parallel once the
-    /// fleet gives each worker at least
+    /// [`FleetMonitor::observe`] with the per-server phase on the
+    /// shards, in parallel once the fleet gives each worker at least
     /// [`shard::MIN_SERVERS_PER_WORKER`] servers (inline below that).
-    ///
-    /// Equivalent to calling [`FleetMonitor::observe`] on each shard in
-    /// order; because shards only touch their own server range, running
-    /// them concurrently produces bit-identical per-server state.
-    /// Fleet-level gauges are reduced serially afterwards, in shard
-    /// order.
+    /// The fleet roll-up gauges are then reduced serially.
     ///
     /// # Panics
     ///
     /// Panics if the simulation has more servers than this monitor
     /// covers.
     pub fn observe(&mut self, sim: &Simulation, ambient_c: Celsius) {
-        assert!(
-            sim.datacenter().len() <= self.servers,
-            "monitor covers {} servers, simulation has {}",
-            self.servers,
-            sim.datacenter().len()
-        );
-        let workers = shard::workers(self.threads, self.servers);
-        let chunks = self.shards.len();
-        shard::for_each_chunk(&mut self.shards, chunks, workers, |_, chunk| {
-            for monitor in chunk {
-                monitor.observe(sim, ambient_c);
-            }
-        });
+        self.monitor
+            .observe_sharded(sim, ambient_c, self.shards, self.threads);
         if obs::enabled() {
-            let mse = self.fleet_mse();
-            let p95 = self.fleet_pred_err().quantile(0.95);
+            let mse = self.monitor.fleet_mse();
+            let p95 = self.monitor.fleet_pred_err().quantile(0.95);
             let gauges = self.fleet_gauges.get_or_insert_with(FleetGauges::register);
             gauges.mse.set(mse);
             gauges.pred_err_p95.set(p95);
         }
     }
+}
 
-    /// Fleet-wide MSE over all matured forecasts (`NaN` before any).
-    ///
-    /// Folds the concatenated per-server stats in global index order —
-    /// the same accumulator association as [`FleetMonitor::fleet_mse`]
-    /// on an unsharded monitor, so the value is bitwise identical.
-    #[must_use]
-    pub fn fleet_mse(&self) -> f64 {
-        let scored: usize = self
-            .shards
-            .iter()
-            .flat_map(|m| m.server_stats())
-            .map(|s| s.scored)
-            .sum();
-        if scored == 0 {
-            return f64::NAN;
-        }
-        let sum: f64 = self
-            .shards
-            .iter()
-            .flat_map(|m| m.server_stats())
-            .map(|s| s.sum_sq_err)
-            .sum();
-        sum / scored as f64
-    }
+impl Deref for ShardedMonitor {
+    type Target = FleetMonitor;
 
-    /// Fleet-level forecast-error roll-up, folded per server in global
-    /// index order (bitwise identical to the unsharded fold).
-    #[must_use]
-    pub fn fleet_pred_err(&self) -> obs::MergedQuantiles {
-        let mut merged = obs::MergedQuantiles::new();
-        for monitor in &self.shards {
-            for sketch in monitor.pred_err_sketches() {
-                merged.absorb(sketch);
-            }
-        }
-        merged
-    }
-
-    /// Per-server accuracy stats (zeros for unknown servers).
-    #[must_use]
-    pub fn stats(&self, server: ServerId) -> ServerStats {
-        self.shard_for(server)
-            .map(|m| m.stats(server))
-            .unwrap_or_default()
-    }
-
-    /// Per-server degradation stats (zeros for unknown servers).
-    #[must_use]
-    pub fn degradation(&self, server: ServerId) -> DegradationStats {
-        self.shard_for(server)
-            .map(|m| m.degradation(server))
-            .unwrap_or_default()
-    }
-
-    /// Whether a server's stream is currently in holdover.
-    #[must_use]
-    pub fn in_holdover(&self, server: ServerId) -> bool {
-        self.shard_for(server)
-            .is_some_and(|m| m.in_holdover(server))
-    }
-
-    /// Rolling MSE over a server's most recent forecasts (`NaN` before
-    /// any, or for unknown servers).
-    #[must_use]
-    pub fn rolling_mse(&self, server: ServerId) -> f64 {
-        self.shard_for(server)
-            .map_or(f64::NAN, |m| m.rolling_mse(server))
-    }
-
-    /// How many times a server has been re-anchored.
-    #[must_use]
-    pub fn reanchor_count(&self, server: ServerId) -> u64 {
-        self.shard_for(server)
-            .map_or(0, |m| m.reanchor_count(server))
-    }
-
-    /// Simulation time (s) of a server's most recent anchor.
-    #[must_use]
-    pub fn last_anchor_secs(&self, server: ServerId) -> f64 {
-        self.shard_for(server)
-            .map_or(0.0, |m| m.last_anchor_secs(server))
-    }
-
-    /// Forecasts issued for a server that have not matured yet.
-    #[must_use]
-    pub fn pending_forecasts(&self, server: ServerId) -> usize {
-        self.shard_for(server)
-            .map_or(0, |m| m.pending_forecasts(server))
-    }
-
-    /// The most recently issued forecast for a server as
-    /// `(target_secs, value_c)`.
-    #[must_use]
-    pub fn latest_forecast(&self, server: ServerId) -> Option<(f64, f64)> {
-        self.shard_for(server)
-            .and_then(|m| m.latest_forecast(server))
-    }
-
-    /// One server's absolute forecast-error P² sketch.
-    #[must_use]
-    pub fn pred_err_sketch(&self, server: ServerId) -> Option<&obs::QuantileSketch> {
-        self.shard_for(server)
-            .and_then(|m| m.pred_err_sketch(server))
+    fn deref(&self) -> &FleetMonitor {
+        &self.monitor
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::ServerStats;
     use crate::stable::{run_experiments, TrainingOptions};
     use vmtherm_sim::fault::{DropoutFault, FaultPlan, JitterFault, SpikeFault};
     use vmtherm_sim::{
-        AmbientModel, CaseGenerator, ClockMode, Datacenter, Event, ServerSpec, SimDuration,
-        SimTime, TaskProfile, VmSpec,
+        AmbientModel, CaseGenerator, ClockMode, Datacenter, Event, ServerId, ServerSpec,
+        SimDuration, SimTime, TaskProfile, VmSpec,
     };
     use vmtherm_svm::kernel::Kernel;
     use vmtherm_svm::svr::SvrParams;
@@ -583,6 +401,23 @@ mod tests {
         bits
     }
 
+    /// FNV-1a over 64-bit words.
+    fn fnv1a(words: &[u64]) -> u64 {
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Absolute pins of the 1-thread [`large_fleet_fingerprint`] on the
+    /// Fixed and Event clocks. The thread-to-thread comparison below
+    /// cannot see a change that moves every thread count together; these
+    /// digests can. The 40 s warm-up keeps every server awake, so the two
+    /// clocks reach the same bits.
+    const LARGE_FLEET_DIGESTS: [(ClockMode, u64); 2] = [
+        (ClockMode::Fixed, 0xec3c_838e_0708_1adb),
+        (ClockMode::Event, 0xec3c_838e_0708_1adb),
+    ];
+
     #[test]
     fn large_fleet_on_spawned_workers_matches_one_thread_bitwise() {
         assert_eq!(
@@ -591,8 +426,10 @@ mod tests {
             "fleet too small to spawn"
         );
         let stable = stable_model();
-        for clock in [ClockMode::Fixed, ClockMode::Event] {
+        for (clock, pinned) in LARGE_FLEET_DIGESTS {
             let reference = large_fleet_fingerprint(&stable, clock, 1);
+            let digest = fnv1a(&reference);
+            assert_eq!(digest, pinned, "{clock:?} clock digest {digest:#018x}");
             for threads in [2, 4] {
                 // `assert!` rather than `assert_eq!`: a diff of two
                 // fingerprints this long would bury the message.
@@ -612,7 +449,6 @@ mod tests {
                 .unwrap();
         assert_eq!(sharded.shard_count(), 3);
         assert_eq!(sharded.servers(), 3);
-        assert_eq!(sharded.threads(), 8);
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub use error::PredictError;
 pub use features::FeatureEncoding;
 pub use fleet::ShardedMonitor;
 pub use interval::{Interval, IntervalPredictor};
-pub use monitor::{DegradationPolicy, DegradationStats, FleetMonitor};
+pub use monitor::{DegradationStats, FleetMonitor};
 pub use online::OnlineTrainer;
 pub use predictor::OnlinePredictor;
 pub use setpoint::{SetpointAdvice, SetpointOptimizer, SetpointSearch};

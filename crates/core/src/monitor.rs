@@ -7,6 +7,13 @@
 //! (VM boot/stop, migration start/completion) using fresh ψ_stable
 //! predictions from the stable model, while scoring each forecast when its
 //! target time arrives.
+//!
+//! The monitor keeps one record per server. Each `observe` runs the
+//! initial anchor and the event log serially, then updates the records
+//! on [`vmtherm_sim::shard::for_each_chunk`]; a record is only touched
+//! through its chunk's exclusive borrow, so the result is bit-identical
+//! for any chunking and thread count ([`crate::fleet::ShardedMonitor`]
+//! supplies both).
 
 use crate::dynamic::{DynamicConfig, DynamicPredictor};
 use crate::error::PredictError;
@@ -15,7 +22,7 @@ use crate::stable::StablePredictor;
 use std::collections::VecDeque;
 use vmtherm_obs::{self as obs, names, ObsEvent};
 use vmtherm_sim::experiment::ConfigSnapshot;
-use vmtherm_sim::{ServerId, SimEvent, SimTime, Simulation, TelemetryError, TimeSeries};
+use vmtherm_sim::{shard, ServerId, SimEvent, SimTime, Simulation};
 use vmtherm_units::{Celsius, Seconds};
 
 static OBS_REANCHORS: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_REANCHOR_TOTAL);
@@ -42,9 +49,38 @@ static OBS_OBSERVE_NS: obs::LazySummary = obs::LazySummary::new(names::METRIC_MO
 /// Forecast errors kept per server for the rolling-MSE drift gauge.
 const ROLLING_WINDOW: usize = 128;
 
-/// Default die-temperature limit (°C) the headroom gauge measures against;
-/// a common throttle point for commodity server CPUs.
-pub const DEFAULT_TEMP_LIMIT_C: f64 = 85.0;
+/// Die-temperature limit (°C) the headroom gauge measures against; a
+/// common throttle point for commodity server CPUs.
+const TEMP_LIMIT_C: f64 = 85.0;
+
+// How the monitor degrades when a delivered telemetry stream misbehaves,
+// in the simulation's units. The values are conservative for 1 s
+// sampling: the physics moves a few tenths of a degree per second.
+
+/// Silence (s) after which a delivered stream is stale and the monitor
+/// enters holdover: it keeps forecasting from the anchored curve but
+/// stops pretending it has fresh ground truth. When the stream comes
+/// back, the server re-anchors once from the measured temperature, since
+/// γ drifted blind through the gap.
+const STALENESS_SECS: f64 = 30.0;
+
+/// Absolute deviation (°C) from the calibrated prediction beyond which a
+/// delivered sample is rejected as a spike and never reaches the γ
+/// calibrator (protects Eq. 5–6 from single-outlier poisoning).
+const SPIKE_THRESHOLD_C: f64 = 12.0;
+
+/// Bit-identical consecutive delivered readings before a sensor is
+/// declared stuck and quarantined from calibration. Sensor noise plus
+/// quantization make accidental exact repeats of this length essentially
+/// impossible, and the gate must not depend on the calibrated
+/// prediction: by the time the run is this long, γ has already chased
+/// the frozen value, so a deviation test would never fire.
+const STUCK_RUN: usize = 30;
+
+/// How far (s) a matured forecast's target may sit past the newest
+/// accepted delivered sample and still be scored against it; targets
+/// that fell deeper into a telemetry gap expire unscored.
+const SCORE_TOLERANCE_SECS: f64 = 2.0;
 
 /// Per-server drift gauges, registered against the global registry with a
 /// `{server="N"}` label when the observability layer is enabled.
@@ -55,7 +91,7 @@ struct ServerGauges {
     since_reanchor: obs::Gauge,
     pending: obs::Gauge,
     holdover: obs::Gauge,
-    /// °C below the configured die-temperature limit at the latest sample.
+    /// °C below [`TEMP_LIMIT_C`] at the newest accepted sample.
     headroom: obs::Gauge,
     /// Absolute forecast-error summary (p50/p95/p99 via the P² sketch).
     pred_err: obs::Summary,
@@ -64,108 +100,19 @@ struct ServerGauges {
 impl ServerGauges {
     fn register(server: usize) -> ServerGauges {
         let reg = obs::global();
+        let gauge = |name| reg.gauge(&names::server_gauge(name, server));
         ServerGauges {
-            rolling_mse: reg.gauge(&names::server_gauge(
-                names::METRIC_MONITOR_ROLLING_MSE,
-                server,
-            )),
-            gamma_abs: reg.gauge(&names::server_gauge(
-                names::METRIC_MONITOR_GAMMA_ABS,
-                server,
-            )),
-            since_reanchor: reg.gauge(&names::server_gauge(
-                names::METRIC_MONITOR_SINCE_REANCHOR,
-                server,
-            )),
-            pending: reg.gauge(&names::server_gauge(names::METRIC_MONITOR_PENDING, server)),
-            holdover: reg.gauge(&names::server_gauge(names::METRIC_MONITOR_HOLDOVER, server)),
-            headroom: reg.gauge(&names::server_gauge(
-                names::METRIC_MONITOR_TEMP_HEADROOM,
-                server,
-            )),
+            rolling_mse: gauge(names::METRIC_MONITOR_ROLLING_MSE),
+            gamma_abs: gauge(names::METRIC_MONITOR_GAMMA_ABS),
+            since_reanchor: gauge(names::METRIC_MONITOR_SINCE_REANCHOR),
+            pending: gauge(names::METRIC_MONITOR_PENDING),
+            holdover: gauge(names::METRIC_MONITOR_HOLDOVER),
+            headroom: gauge(names::METRIC_MONITOR_TEMP_HEADROOM),
             pred_err: reg.summary(&names::server_gauge(
                 names::METRIC_MONITOR_PRED_ABS_ERR,
                 server,
             )),
         }
-    }
-}
-
-/// How the monitor degrades when the telemetry stream misbehaves.
-///
-/// All thresholds are in the simulation's units (seconds, °C). The
-/// defaults are conservative for 1 s sampling: a 30 s silence is a stale
-/// stream, a 12 °C instantaneous deviation from the calibrated curve is a
-/// spike (the physics moves a few tenths of a degree per second), and 30
-/// bit-identical readings in a row from a noisy quantized sensor mean the
-/// sensor is stuck.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradationPolicy {
-    /// Silence (s) after which a server stream is stale and the monitor
-    /// enters holdover: it keeps forecasting from the anchored curve but
-    /// stops pretending it has fresh ground truth.
-    pub staleness_secs: f64,
-    /// Absolute deviation (°C) from the calibrated prediction beyond which
-    /// a sample is rejected as a spike and never reaches the γ calibrator
-    /// (protects Eq. 5–6 from single-outlier poisoning).
-    pub spike_threshold_c: f64,
-    /// Bit-identical consecutive readings before a sensor is declared
-    /// stuck and quarantined from calibration. Sensor noise plus
-    /// quantization make accidental exact repeats of this length
-    /// essentially impossible, and the gate must not depend on the
-    /// calibrated prediction: by the time the run is this long, γ has
-    /// already chased the frozen value, so a deviation test would never
-    /// fire (exactly the poisoning this policy exists to stop).
-    pub stuck_run: usize,
-    /// How far (s) a matured forecast's target may sit past the newest
-    /// accepted sample and still be scored against it; targets that fell
-    /// deeper into a telemetry gap expire unscored.
-    pub score_tolerance_secs: f64,
-    /// Force exactly one re-anchor when a stale stream recovers, so the
-    /// curve restarts from the measured temperature instead of trusting a
-    /// calibration that drifted blind through the gap.
-    pub reanchor_on_recovery: bool,
-}
-
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        DegradationPolicy {
-            staleness_secs: 30.0,
-            spike_threshold_c: 12.0,
-            stuck_run: 30,
-            score_tolerance_secs: 2.0,
-            reanchor_on_recovery: true,
-        }
-    }
-}
-
-impl DegradationPolicy {
-    fn validate(&self) -> Result<(), PredictError> {
-        if !(self.staleness_secs > 0.0) {
-            return Err(PredictError::invalid(
-                "staleness_secs",
-                format!("must be > 0, got {}", self.staleness_secs),
-            ));
-        }
-        if !(self.spike_threshold_c > 0.0) {
-            return Err(PredictError::invalid(
-                "spike_threshold_c",
-                format!("must be > 0, got {}", self.spike_threshold_c),
-            ));
-        }
-        if self.stuck_run < 2 {
-            return Err(PredictError::invalid(
-                "stuck_run",
-                format!("must be >= 2, got {}", self.stuck_run),
-            ));
-        }
-        if !(self.score_tolerance_secs >= 0.0) {
-            return Err(PredictError::invalid(
-                "score_tolerance_secs",
-                format!("must be >= 0, got {}", self.score_tolerance_secs),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -208,69 +155,307 @@ impl ServerStats {
     }
 }
 
-/// One predictor per server plus pending-forecast bookkeeping.
-///
-/// A monitor covers a contiguous **range** of global server indices
-/// (`first_server .. first_server + servers()`); the common whole-fleet
-/// case is simply the range starting at zero. Ranged monitors are the
-/// building block of [`crate::fleet::ShardedMonitor`]: every internal
-/// vector is local to the range while gauges, events and public
-/// accessors speak global server ids, so a sharded fleet produces
-/// bit-identical per-server state to one monitor covering everything.
+/// What one `observe` call shares with every per-server update.
+struct Tick<'a> {
+    sim: &'a Simulation,
+    stable: &'a StablePredictor,
+    ambient_c: Celsius,
+    /// The simulation clock (s).
+    now: f64,
+    gap_secs: f64,
+}
+
+/// Everything the monitor keeps for one server.
+#[derive(Debug)]
+struct ServerRecord {
+    predictor: DynamicPredictor,
+    /// Queue of `(target_time, forecast)`.
+    pending: VecDeque<(f64, f64)>,
+    stats: ServerStats,
+    /// Anchor operations, including the initial anchor.
+    reanchors: u64,
+    /// Time (s) of the most recent anchor.
+    last_anchor: f64,
+    /// Recent squared forecast errors for the rolling-MSE gauge.
+    recent_sq_err: VecDeque<f64>,
+    /// Absolute forecast-error P² sketch, maintained whether or not the
+    /// obs layer is enabled, so fleet roll-ups don't depend on it.
+    pred_err: obs::QuantileSketch,
+    /// Drift gauges; registered once the obs layer is enabled.
+    gauges: Option<ServerGauges>,
+    /// Timestamp (s) of the newest engine sample consumed, `NaN` before
+    /// any. Event-driven simulations leave the trace (and the delivery
+    /// stream it feeds) untouched while a server sleeps; without this
+    /// guard the unchanged last sample would re-feed the calibrator, and
+    /// a forecast would be issued, every tick.
+    last_engine_t: f64,
+    /// The newest accepted sample `(t, value)`, its timestamp rounded to
+    /// whole milliseconds as `TimeSeries::push` stores it.
+    last_accepted: Option<(f64, f64)>,
+    degradation: DegradationStats,
+    /// Read position into the simulation's delivery stream.
+    delivered_cursor: usize,
+    /// `(bit pattern, run length)` of the newest delivered reading, for
+    /// stuck-sensor detection without float equality.
+    stuck_run: (u64, usize),
+    /// Time (s) of the most recent delivery, `NaN` before any.
+    last_delivery: f64,
+    /// The delivered stream is stale and forecasts ride the anchored
+    /// curve alone.
+    holdover: bool,
+}
+
+impl ServerRecord {
+    fn new(predictor: DynamicPredictor) -> Self {
+        ServerRecord {
+            predictor,
+            pending: VecDeque::new(),
+            stats: ServerStats::default(),
+            reanchors: 0,
+            last_anchor: 0.0,
+            recent_sq_err: VecDeque::new(),
+            pred_err: obs::QuantileSketch::new(),
+            gauges: None,
+            last_engine_t: f64::NAN,
+            last_accepted: None,
+            degradation: DegradationStats::default(),
+            delivered_cursor: 0,
+            stuck_run: (0, 0),
+            last_delivery: f64::NAN,
+            holdover: false,
+        }
+    }
+
+    /// Anchors the predictor to an already-computed ψ_stable and does the
+    /// bookkeeping (counter, event record, time-of-anchor).
+    fn anchor(&mut self, server: usize, t_secs: f64, phi0: f64, psi_stable: f64, reason: &str) {
+        self.predictor.anchor(
+            Seconds::new(t_secs),
+            Celsius::new(phi0),
+            Celsius::new(psi_stable),
+        );
+        self.reanchors += 1;
+        self.last_anchor = t_secs;
+        OBS_REANCHORS.inc();
+        obs::emit_with(|| ObsEvent::Reanchor {
+            t_secs,
+            server,
+            phi0_c: phi0,
+            psi_stable_c: psi_stable,
+            reason: reason.to_string(),
+        });
+    }
+
+    /// Consumes the server's newest engine sample, once: feeds the
+    /// calibrator, scores matured forecasts and issues one fresh
+    /// forecast. A clean stream takes the sample as is and forecasts from
+    /// its time; a delivered stream first runs the degradation filters
+    /// over its new deliveries and forecasts from the clock, so holdover
+    /// keeps issuing while the stream is silent.
+    fn update(&mut self, tick: &Tick<'_>, server: usize) {
+        let sid = ServerId::new(server);
+        let Ok(trace) = tick.sim.trace(sid) else {
+            return;
+        };
+        let Some((t, measured)) = trace.sensor_c.last() else {
+            return;
+        };
+        // Bit-compare: timestamps are copied verbatim, and NaN-before-any
+        // never matches.
+        if self.last_engine_t.to_bits() == t.to_bits() {
+            return;
+        }
+        self.last_engine_t = t;
+        let (origin, tolerance) = match tick.sim.delivered(sid) {
+            Some(delivered) => {
+                self.ingest_delivered(tick, server, delivered);
+                (tick.now, SCORE_TOLERANCE_SECS)
+            }
+            // A clean stream has no gaps, so nothing expires.
+            None => {
+                self.accept(server, t, measured);
+                (t, f64::INFINITY)
+            }
+        };
+        self.settle(server, tick.now, tolerance);
+        self.issue(server, origin, tick.gap_secs);
+        self.publish(tick.now);
+    }
+
+    /// Runs the new deliveries through the degradation filters: absorbs
+    /// out-of-order samples, forces one re-anchor on stream recovery,
+    /// quarantines spikes and suspected-stuck readings before they reach
+    /// the γ calibrator, then tracks staleness/holdover at `tick.now`.
+    fn ingest_delivered(&mut self, tick: &Tick<'_>, server: usize, delivered: &[(f64, f64)]) {
+        let start = self.delivered_cursor;
+        self.delivered_cursor = delivered.len();
+        for &(t, v) in &delivered[start..] {
+            let prev = self.last_delivery;
+            let recovered = prev.is_finite() && t - prev >= STALENESS_SECS;
+            self.last_delivery = if prev.is_finite() { prev.max(t) } else { t };
+
+            let bits = v.to_bits();
+            let (last_bits, run) = self.stuck_run;
+            self.stuck_run = (bits, if bits == last_bits { run + 1 } else { 1 });
+
+            // Out-of-order arrivals carry stale information: absorb them
+            // into holdover rather than rewinding the calibrator.
+            if self.last_accepted.is_some_and(|(last_t, _)| t < last_t) {
+                self.degradation.ooo_absorbed += 1;
+                OBS_OOO.inc();
+                continue;
+            }
+            if recovered {
+                let snap = ConfigSnapshot::capture(tick.sim, ServerId::new(server), tick.ambient_c);
+                let psi_stable = tick.stable.predict(&snap);
+                self.anchor(server, t, v, psi_stable, "recovery");
+                self.degradation.recovery_reanchors += 1;
+                OBS_RECOVERY_REANCHORS.inc();
+                self.holdover = false;
+            }
+            let estimate = self.predictor.predict_ahead(Seconds::new(t), Seconds::ZERO);
+            if estimate.is_finite() && (v - estimate).abs() > SPIKE_THRESHOLD_C {
+                self.degradation.spikes_rejected += 1;
+                OBS_SPIKES_REJECTED.inc();
+                continue;
+            }
+            if self.stuck_run.1 >= STUCK_RUN {
+                self.degradation.stuck_suspected += 1;
+                OBS_STUCK_SUSPECTED.inc();
+                continue;
+            }
+            if !self.accept(server, t, v) {
+                // Sub-millisecond inversions the ordering check missed.
+                self.degradation.ooo_absorbed += 1;
+                OBS_OOO.inc();
+            }
+        }
+
+        let last = self.last_delivery;
+        if last.is_finite() {
+            let stale = tick.now - last >= STALENESS_SECS;
+            if stale && !self.holdover {
+                self.holdover = true;
+                self.degradation.holdover_entries += 1;
+                OBS_HOLDOVER_ENTRIES.inc();
+            } else if !stale {
+                self.holdover = false;
+            }
+        }
+    }
+
+    /// Records an accepted sample and feeds it to the calibrator; `false`
+    /// (nothing recorded) when its millisecond-rounded time runs behind
+    /// the newest accepted one.
+    fn accept(&mut self, server: usize, t: f64, v: f64) -> bool {
+        let t_ms = SimTime::from_millis((t * 1000.0).round().max(0.0) as u64).as_secs_f64();
+        if self.last_accepted.is_some_and(|(last_t, _)| t_ms < last_t) {
+            return false;
+        }
+        self.last_accepted = Some((t_ms, v));
+        self.predictor.observe(Seconds::new(t), Celsius::new(v));
+        OBS_SAMPLES.inc();
+        obs::emit_with(|| ObsEvent::Sample {
+            t_secs: t,
+            server,
+            temp_c: v,
+        });
+        true
+    }
+
+    /// Scores every forecast whose target has arrived against the newest
+    /// accepted sample; a target more than `tolerance` seconds past that
+    /// sample matured inside a telemetry gap and expires unscored rather
+    /// than being graded against stale ground truth.
+    fn settle(&mut self, server: usize, now: f64, tolerance: f64) {
+        while let Some(&(target, forecast)) = self.pending.front() {
+            if target > now {
+                break;
+            }
+            self.pending.pop_front();
+            let Some((_, rv)) = self
+                .last_accepted
+                .filter(|&(rt, _)| target - rt <= tolerance)
+            else {
+                self.degradation.forecasts_expired += 1;
+                OBS_EXPIRED.inc();
+                continue;
+            };
+            let err = rv - forecast;
+            self.stats.scored += 1;
+            self.stats.sum_sq_err += err * err;
+            if self.recent_sq_err.len() >= ROLLING_WINDOW {
+                self.recent_sq_err.pop_front();
+            }
+            self.recent_sq_err.push_back(err * err);
+            OBS_SCORED.inc();
+            OBS_ABS_ERR.observe(err.abs());
+            self.pred_err.observe(err.abs());
+            if let Some(gauges) = &self.gauges {
+                gauges.pred_err.observe(err.abs());
+            }
+            obs::emit_with(|| ObsEvent::ForecastScored {
+                t_secs: now,
+                server,
+                err_c: err,
+            });
+        }
+    }
+
+    /// Enqueues one forecast `gap_secs` ahead of `origin`.
+    fn issue(&mut self, server: usize, origin: f64, gap_secs: f64) {
+        let forecast = self
+            .predictor
+            .predict_ahead(Seconds::new(origin), Seconds::new(gap_secs));
+        if forecast.is_finite() {
+            let target = origin + gap_secs;
+            self.pending.push_back((target, forecast));
+            OBS_ISSUED.inc();
+            obs::emit_with(|| ObsEvent::Forecast {
+                t_secs: origin,
+                server,
+                target_t_secs: target,
+                temp_c: forecast,
+            });
+        }
+    }
+
+    /// Publishes the drift gauges, when registered.
+    fn publish(&self, now: f64) {
+        let Some(gauges) = &self.gauges else {
+            return;
+        };
+        gauges.rolling_mse.set(self.rolling_mse());
+        gauges.gamma_abs.set(self.predictor.gamma().abs());
+        gauges.since_reanchor.set(now - self.last_anchor);
+        gauges.pending.set(self.pending.len() as f64);
+        gauges.holdover.set(if self.holdover { 1.0 } else { 0.0 });
+        if let Some((_, v)) = self.last_accepted {
+            gauges.headroom.set(TEMP_LIMIT_C - v);
+        }
+    }
+
+    fn rolling_mse(&self) -> f64 {
+        let window = &self.recent_sq_err;
+        if window.is_empty() {
+            f64::NAN
+        } else {
+            window.iter().sum::<f64>() / window.len() as f64
+        }
+    }
+}
+
+/// One predictor per server plus pending-forecast bookkeeping, for the
+/// whole fleet.
 #[derive(Debug)]
 pub struct FleetMonitor {
     stable: StablePredictor,
     gap_secs: f64,
-    /// First global server index this monitor covers.
-    lo: usize,
-    /// Whether [`FleetMonitor::observe`] must cover the whole simulation
-    /// (true for [`FleetMonitor::new`] monitors, false for range shards
-    /// that intentionally own a slice of a larger fleet).
-    strict: bool,
-    predictors: Vec<DynamicPredictor>,
-    /// Per-server queue of `(target_time, forecast)`.
-    pending: Vec<VecDeque<(f64, f64)>>,
-    stats: Vec<ServerStats>,
+    /// One record per server, indexed by global server id.
+    records: Vec<ServerRecord>,
     /// How much of the simulation event log has been consumed.
     log_cursor: usize,
     anchored: bool,
-    /// Per-server re-anchor counts (including the initial anchor).
-    reanchors: Vec<u64>,
-    /// Per-server time (s) of the most recent anchor.
-    last_anchor: Vec<f64>,
-    /// Per-server window of recent squared forecast errors for the
-    /// rolling-MSE gauge.
-    recent_sq_err: Vec<VecDeque<f64>>,
-    /// Drift gauges; registered lazily once the obs layer is enabled.
-    gauges: Vec<ServerGauges>,
-    /// Degradation thresholds for faulted delivery streams.
-    policy: DegradationPolicy,
-    /// Per-server degradation counters.
-    degradation: Vec<DegradationStats>,
-    /// Per-server accepted samples (monotone by construction: out-of-order
-    /// arrivals are absorbed before or during the push).
-    ingested: Vec<TimeSeries>,
-    /// Per-server read position into the simulation's delivery stream.
-    delivered_cursor: Vec<usize>,
-    /// Per-server timestamp (s) of the newest clean-path sample already
-    /// consumed, `NaN` before any. Event-driven simulations leave the
-    /// trace untouched while a server sleeps; without this guard the
-    /// unchanged last sample would re-feed the calibrator every tick.
-    last_clean_t: Vec<f64>,
-    /// Per-server `(bit pattern, run length)` of the newest delivered
-    /// reading, for stuck-sensor detection without float equality.
-    stuck_run: Vec<(u64, usize)>,
-    /// Per-server time (s) of the most recent delivery, `NaN` before any.
-    last_delivery: Vec<f64>,
-    /// Per-server holdover flag: the stream is stale and forecasts ride
-    /// the anchored curve alone.
-    holdover: Vec<bool>,
-    /// Per-server absolute forecast-error P² sketches, maintained
-    /// unconditionally (unlike the lazily registered gauges) so fleet
-    /// roll-ups don't depend on the obs layer being enabled.
-    pred_err: Vec<obs::QuantileSketch>,
-    /// Die-temperature limit (°C) the headroom gauge measures against.
-    temp_limit_c: f64,
 }
 
 impl FleetMonitor {
@@ -279,32 +464,11 @@ impl FleetMonitor {
     ///
     /// # Errors
     ///
-    /// Propagates invalid [`DynamicConfig`]s.
+    /// Propagates invalid [`DynamicConfig`]s and rejects a non-positive
+    /// `gap_secs`.
     pub fn new(
         stable: StablePredictor,
         config: DynamicConfig,
-        servers: usize,
-        gap_secs: Seconds,
-    ) -> Result<Self, PredictError> {
-        let mut monitor = Self::with_range(stable, config, 0, servers, gap_secs)?;
-        monitor.strict = true;
-        Ok(monitor)
-    }
-
-    /// Creates a monitor covering the global server range
-    /// `first_server .. first_server + servers`, with forecast horizon
-    /// `gap_secs`. Gauge names, observability events and public
-    /// accessors all use global server indices, so ranged monitors over
-    /// a partition of the fleet are indistinguishable from one monitor
-    /// over the whole fleet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid [`DynamicConfig`]s.
-    pub fn with_range(
-        stable: StablePredictor,
-        config: DynamicConfig,
-        first_server: usize,
         servers: usize,
         gap_secs: Seconds,
     ) -> Result<Self, PredictError> {
@@ -315,164 +479,26 @@ impl FleetMonitor {
                 format!("must be > 0, got {gap_secs}"),
             ));
         }
-        let predictors: Result<Vec<_>, _> = (0..servers)
-            .map(|_| DynamicPredictor::new(config))
-            .collect();
+        let records = (0..servers)
+            .map(|_| DynamicPredictor::new(config).map(ServerRecord::new))
+            .collect::<Result<_, _>>()?;
         Ok(FleetMonitor {
             stable,
             gap_secs,
-            lo: first_server,
-            strict: false,
-            predictors: predictors?,
-            pending: vec![VecDeque::new(); servers],
-            stats: vec![ServerStats::default(); servers],
+            records,
             log_cursor: 0,
             anchored: false,
-            reanchors: vec![0; servers],
-            last_anchor: vec![0.0; servers],
-            recent_sq_err: vec![VecDeque::new(); servers],
-            gauges: Vec::new(),
-            policy: DegradationPolicy::default(),
-            degradation: vec![DegradationStats::default(); servers],
-            ingested: vec![TimeSeries::new(); servers],
-            delivered_cursor: vec![0; servers],
-            last_clean_t: vec![f64::NAN; servers],
-            stuck_run: vec![(0, 0); servers],
-            last_delivery: vec![f64::NAN; servers],
-            holdover: vec![false; servers],
-            pred_err: vec![obs::QuantileSketch::new(); servers],
-            temp_limit_c: DEFAULT_TEMP_LIMIT_C,
         })
     }
 
-    /// First global server index this monitor covers (0 for a
-    /// whole-fleet monitor).
-    #[must_use]
-    pub fn first_server(&self) -> usize {
-        self.lo
-    }
-
-    /// Maps a global server id to this monitor's local index, `None`
-    /// when the server is outside the covered range.
-    fn local(&self, server: ServerId) -> Option<usize> {
-        let local = server.raw().checked_sub(self.lo)?;
-        (local < self.predictors.len()).then_some(local)
-    }
-
-    /// Replaces the die-temperature limit the per-server headroom gauge
-    /// measures against (default [`DEFAULT_TEMP_LIMIT_C`]).
-    ///
-    /// # Errors
-    ///
-    /// [`PredictError::InvalidConfig`] for a non-finite or non-positive
-    /// limit.
-    pub fn with_temp_limit(mut self, limit: Celsius) -> Result<Self, PredictError> {
-        let limit = limit.get();
-        if !(limit.is_finite() && limit > 0.0) {
-            return Err(PredictError::invalid(
-                "temp_limit_c",
-                format!("must be finite and > 0, got {limit}"),
-            ));
-        }
-        self.temp_limit_c = limit;
-        Ok(self)
-    }
-
-    /// The die-temperature limit (°C) behind the headroom gauge.
-    #[must_use]
-    pub fn temp_limit_c(&self) -> f64 {
-        self.temp_limit_c
-    }
-
-    /// Replaces the degradation policy (validating it).
-    ///
-    /// # Errors
-    ///
-    /// [`PredictError::InvalidConfig`] for out-of-domain thresholds.
-    pub fn with_policy(mut self, policy: DegradationPolicy) -> Result<Self, PredictError> {
-        policy.validate()?;
-        self.policy = policy;
-        Ok(self)
-    }
-
-    /// The active degradation policy.
-    #[must_use]
-    pub fn policy(&self) -> &DegradationPolicy {
-        &self.policy
-    }
-
-    /// Degradation counters for a server.
-    #[must_use]
-    pub fn degradation(&self, server: ServerId) -> DegradationStats {
-        self.local(server)
-            .and_then(|i| self.degradation.get(i))
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Whether a server's stream is currently stale (holdover active).
-    #[must_use]
-    pub fn in_holdover(&self, server: ServerId) -> bool {
-        self.local(server)
-            .and_then(|i| self.holdover.get(i))
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Re-anchors one server's predictor and does the observability
-    /// bookkeeping (counter, event record, time-of-anchor).
-    fn reanchor(
-        &mut self,
-        sim: &Simulation,
-        sid: ServerId,
-        t_secs: f64,
-        ambient_c: Celsius,
-        reason: &'static str,
-    ) {
-        let Some(local) = self.local(sid) else {
-            return; // another shard's server
-        };
-        let Ok(server) = sim.datacenter().server(sid) else {
-            return;
-        };
-        let snap = ConfigSnapshot::capture(sim, sid, ambient_c);
-        let phi0 = server.die_temperature();
-        let psi_stable = self.stable.predict(&snap);
-        self.apply_anchor(local, t_secs, phi0, psi_stable, reason);
-    }
-
-    /// Anchors one predictor to an already-computed ψ_stable and records
-    /// the bookkeeping shared by the scalar and batch anchor paths.
-    fn apply_anchor(
-        &mut self,
-        idx: usize,
-        t_secs: f64,
-        phi0: f64,
-        psi_stable: f64,
-        reason: &'static str,
-    ) {
-        self.predictors[idx].anchor(
-            Seconds::new(t_secs),
-            Celsius::new(phi0),
-            Celsius::new(psi_stable),
-        );
-        self.reanchors[idx] += 1;
-        self.last_anchor[idx] = t_secs;
-        OBS_REANCHORS.inc();
-        let global = self.lo + idx;
-        obs::emit_with(|| ObsEvent::Reanchor {
-            t_secs,
-            server: global,
-            phi0_c: phi0,
-            psi_stable_c: psi_stable,
-            reason: reason.to_string(),
-        });
+    fn record(&self, server: ServerId) -> Option<&ServerRecord> {
+        self.records.get(server.raw())
     }
 
     /// Number of monitored servers.
     #[must_use]
     pub fn servers(&self) -> usize {
-        self.predictors.len()
+        self.records.len()
     }
 
     /// Forecast horizon (s).
@@ -492,42 +518,51 @@ impl FleetMonitor {
     ///
     /// Panics if the simulation has more servers than the monitor.
     pub fn observe(&mut self, sim: &Simulation, ambient_c: Celsius) {
+        self.observe_sharded(sim, ambient_c, 1, 1);
+    }
+
+    /// [`FleetMonitor::observe`] with the per-server phase split into
+    /// `shards` contiguous chunks on up to `threads` workers, as
+    /// [`shard::workers`] allows for the fleet size. The result does not
+    /// depend on either count.
+    pub(crate) fn observe_sharded(
+        &mut self,
+        sim: &Simulation,
+        ambient_c: Celsius,
+        shards: usize,
+        threads: usize,
+    ) {
         let _span = obs::span(names::SPAN_MONITOR_OBSERVE);
         let _sweep_timer = OBS_OBSERVE_NS.start_timer();
-        let n = self.servers();
+        let covered = sim.datacenter().len();
         assert!(
-            !self.strict || sim.datacenter().len() <= self.lo + n,
-            "monitor covers servers {}..{}, simulation has {}",
-            self.lo,
-            self.lo + n,
-            sim.datacenter().len()
+            covered <= self.records.len(),
+            "monitor covers {} servers, simulation has {covered}",
+            self.records.len()
         );
-        // Servers of this monitor's range that exist in the simulation,
-        // as local indices.
-        let covered = sim.datacenter().len().saturating_sub(self.lo).min(n);
-        if obs::enabled() && self.gauges.is_empty() {
-            let lo = self.lo;
-            self.gauges = (0..n).map(|i| ServerGauges::register(lo + i)).collect();
+        if obs::enabled() {
+            for (server, record) in self.records.iter_mut().enumerate() {
+                record
+                    .gauges
+                    .get_or_insert_with(|| ServerGauges::register(server));
+            }
         }
 
-        // Initial anchor for every covered server, once traces exist:
-        // one batch ψ_stable prediction over the range instead of a
-        // scalar predict per server. `predict_batch` is per-sample
-        // independent (bitwise equal to scalar predicts), so a range
-        // batch anchors exactly as a whole-fleet batch would.
+        // Initial anchor for every server, once traces exist: one batch
+        // ψ_stable prediction instead of a scalar predict per server.
         if !self.anchored {
             self.anchored = true;
             let t = sim.now().as_secs_f64();
             let snapshots: Vec<ConfigSnapshot> = (0..covered)
-                .map(|idx| ConfigSnapshot::capture(sim, ServerId::new(self.lo + idx), ambient_c))
+                .map(|server| ConfigSnapshot::capture(sim, ServerId::new(server), ambient_c))
                 .collect();
             let psi = self.stable.predict_batch(&snapshots);
-            for (idx, psi_stable) in psi.into_iter().enumerate() {
-                let Ok(server) = sim.datacenter().server(ServerId::new(self.lo + idx)) else {
+            for (server, psi_stable) in psi.into_iter().enumerate() {
+                let Ok(host) = sim.datacenter().server(ServerId::new(server)) else {
                     continue;
                 };
-                let phi0 = server.die_temperature();
-                self.apply_anchor(idx, t, phi0, psi_stable, "initial");
+                let phi0 = host.die_temperature();
+                self.records[server].anchor(server, t, phi0, psi_stable, "initial");
             }
         }
 
@@ -536,351 +571,133 @@ impl FleetMonitor {
         // the spike/staleness machinery has to absorb the drift instead.
         while self.log_cursor < sim.log().len() {
             let (at, event) = &sim.log()[self.log_cursor];
-            let at = at.as_secs_f64();
             let lost = sim.log_entry_lost(self.log_cursor);
             self.log_cursor += 1;
             if lost {
                 continue;
             }
-            let touched: Vec<(ServerId, &'static str)> = match event {
-                SimEvent::VmBooted { server, .. } => vec![(*server, "vm_boot")],
-                SimEvent::VmStopped { server, .. } => vec![(*server, "vm_stop")],
+            let touched: &[(ServerId, &str)] = match event {
+                SimEvent::VmBooted { server, .. } => &[(*server, "vm_boot")],
+                SimEvent::VmStopped { server, .. } => &[(*server, "vm_stop")],
                 SimEvent::MigrationStarted { source, dest, .. } => {
-                    vec![(*source, "migration_start"), (*dest, "migration_start")]
+                    &[(*source, "migration_start"), (*dest, "migration_start")]
                 }
-                SimEvent::MigrationCompleted { source, dest, .. } => {
-                    vec![
-                        (*source, "migration_complete"),
-                        (*dest, "migration_complete"),
-                    ]
-                }
-                _ => vec![],
+                SimEvent::MigrationCompleted { source, dest, .. } => &[
+                    (*source, "migration_complete"),
+                    (*dest, "migration_complete"),
+                ],
+                _ => &[],
             };
-            for (sid, reason) in touched {
-                self.reanchor(sim, sid, at, ambient_c, reason);
-            }
-        }
-
-        // Feed samples, score matured forecasts, enqueue fresh ones.
-        let now = sim.now().as_secs_f64();
-        for idx in 0..covered {
-            let global = self.lo + idx;
-            let sid = ServerId::new(global);
-            // A faulted delivery stream goes through the degradation
-            // machinery; the clean path below reads the physics trace
-            // directly and is untouched by fault handling.
-            if sim.delivered(sid).is_some() {
-                self.observe_faulted(sim, idx, now, ambient_c);
-                continue;
-            }
-            let Ok(trace) = sim.trace(sid) else { continue };
-            let Some((t, measured)) = trace.sensor_c.last() else {
-                continue;
-            };
-            // Event-driven simulations record nothing while a server
-            // sleeps; consume each sample once (bit-compare: timestamps
-            // are copied verbatim, and NaN-before-any never matches).
-            if self.last_clean_t[idx].to_bits() == t.to_bits() {
-                continue;
-            }
-            self.last_clean_t[idx] = t;
-            self.predictors[idx].observe(Seconds::new(t), Celsius::new(measured));
-            OBS_SAMPLES.inc();
-            obs::emit_with(|| ObsEvent::Sample {
-                t_secs: t,
-                server: global,
-                temp_c: measured,
-            });
-            while let Some(&(target, forecast)) = self.pending[idx].front() {
-                if target > now {
-                    break;
-                }
-                self.pending[idx].pop_front();
-                let err = measured - forecast;
-                self.stats[idx].scored += 1;
-                self.stats[idx].sum_sq_err += err * err;
-                if self.recent_sq_err[idx].len() >= ROLLING_WINDOW {
-                    self.recent_sq_err[idx].pop_front();
-                }
-                self.recent_sq_err[idx].push_back(err * err);
-                OBS_SCORED.inc();
-                OBS_ABS_ERR.observe(err.abs());
-                self.pred_err[idx].observe(err.abs());
-                if let Some(gauges) = self.gauges.get(idx) {
-                    gauges.pred_err.observe(err.abs());
-                }
-                obs::emit_with(|| ObsEvent::ForecastScored {
-                    t_secs: now,
-                    server: global,
-                    err_c: err,
-                });
-            }
-            let forecast =
-                self.predictors[idx].predict_ahead(Seconds::new(t), Seconds::new(self.gap_secs));
-            if forecast.is_finite() {
-                self.pending[idx].push_back((t + self.gap_secs, forecast));
-                OBS_ISSUED.inc();
-                obs::emit_with(|| ObsEvent::Forecast {
-                    t_secs: t,
-                    server: global,
-                    target_t_secs: t + self.gap_secs,
-                    temp_c: forecast,
-                });
-            }
-            if let Some(gauges) = self.gauges.get(idx) {
-                gauges.rolling_mse.set(self.rolling_mse(sid));
-                gauges.gamma_abs.set(self.predictors[idx].gamma().abs());
-                gauges.since_reanchor.set(now - self.last_anchor[idx]);
-                gauges.pending.set(self.pending[idx].len() as f64);
-                gauges.headroom.set(self.temp_limit_c - measured);
-            }
-        }
-    }
-
-    /// Ingests one server's faulted delivery stream: absorbs out-of-order
-    /// samples, quarantines spikes and suspected-stuck readings before
-    /// they reach the γ calibrator, tracks staleness/holdover, forces one
-    /// re-anchor on stream recovery, expires forecasts that matured inside
-    /// a gap and keeps forecasting from the anchored curve throughout.
-    fn observe_faulted(&mut self, sim: &Simulation, idx: usize, now: f64, ambient_c: Celsius) {
-        let global = self.lo + idx;
-        let sid = ServerId::new(global);
-        let policy = self.policy;
-        let Some(delivered) = sim.delivered(sid) else {
-            return;
-        };
-        let start = self.delivered_cursor[idx];
-        self.delivered_cursor[idx] = delivered.len();
-        for &(t, v) in &delivered[start..] {
-            let prev = self.last_delivery[idx];
-            let recovered = prev.is_finite() && t - prev >= policy.staleness_secs;
-            self.last_delivery[idx] = if prev.is_finite() { prev.max(t) } else { t };
-
-            // Stuck tracking on the raw bit pattern: sensor noise plus
-            // quantization make long accidental exact repeats unlikely.
-            let bits = v.to_bits();
-            let (last_bits, run) = self.stuck_run[idx];
-            self.stuck_run[idx] = if bits == last_bits {
-                (bits, run + 1)
-            } else {
-                (bits, 1)
-            };
-
-            // Out-of-order arrivals carry stale information: absorb them
-            // into holdover rather than rewinding the calibrator.
-            if let Some((last_t, _)) = self.ingested[idx].last() {
-                if t < last_t {
-                    self.degradation[idx].ooo_absorbed += 1;
-                    OBS_OOO.inc();
+            for &(sid, reason) in touched {
+                let (Some(record), Ok(host)) = (
+                    self.records.get_mut(sid.raw()),
+                    sim.datacenter().server(sid),
+                ) else {
                     continue;
-                }
-            }
-
-            // The stream came back after a gap: re-anchor once from the
-            // measured temperature before trusting calibration again —
-            // γ drifted blind through the silence.
-            if recovered && policy.reanchor_on_recovery {
+                };
                 let snap = ConfigSnapshot::capture(sim, sid, ambient_c);
                 let psi_stable = self.stable.predict(&snap);
-                self.apply_anchor(idx, t, v, psi_stable, "recovery");
-                self.degradation[idx].recovery_reanchors += 1;
-                OBS_RECOVERY_REANCHORS.inc();
-                self.holdover[idx] = false;
-            }
-
-            let estimate = self.predictors[idx].predict_ahead(Seconds::new(t), Seconds::ZERO);
-            if estimate.is_finite() && (v - estimate).abs() > policy.spike_threshold_c {
-                self.degradation[idx].spikes_rejected += 1;
-                OBS_SPIKES_REJECTED.inc();
-                continue;
-            }
-            if self.stuck_run[idx].1 >= policy.stuck_run {
-                self.degradation[idx].stuck_suspected += 1;
-                OBS_STUCK_SUSPECTED.inc();
-                continue;
-            }
-
-            // Accepted: record it and feed the calibrator.
-            let recorded = self.ingested[idx].push(
-                SimTime::from_millis((t * 1000.0).round().max(0.0) as u64),
-                v,
-            );
-            if let Err(TelemetryError::NonMonotonicTime { .. }) = recorded {
-                // Sub-millisecond inversions the ordering check missed.
-                self.degradation[idx].ooo_absorbed += 1;
-                OBS_OOO.inc();
-                continue;
-            }
-            self.predictors[idx].observe(Seconds::new(t), Celsius::new(v));
-            OBS_SAMPLES.inc();
-            obs::emit_with(|| ObsEvent::Sample {
-                t_secs: t,
-                server: global,
-                temp_c: v,
-            });
-        }
-
-        // Staleness bookkeeping at observation time.
-        let last = self.last_delivery[idx];
-        if last.is_finite() {
-            if !self.holdover[idx] && now - last >= policy.staleness_secs {
-                self.holdover[idx] = true;
-                self.degradation[idx].holdover_entries += 1;
-                OBS_HOLDOVER_ENTRIES.inc();
-            } else if self.holdover[idx] && now - last < policy.staleness_secs {
-                self.holdover[idx] = false;
+                record.anchor(
+                    sid.raw(),
+                    at.as_secs_f64(),
+                    host.die_temperature(),
+                    psi_stable,
+                    reason,
+                );
             }
         }
 
-        // Score matured forecasts against the newest accepted sample;
-        // targets that matured inside a telemetry gap expire unscored
-        // rather than being graded against stale ground truth.
-        let reference = self.ingested[idx].last();
-        while let Some(&(target, forecast)) = self.pending[idx].front() {
-            if target > now {
-                break;
-            }
-            self.pending[idx].pop_front();
-            match reference {
-                Some((rt, rv)) if target - rt <= policy.score_tolerance_secs => {
-                    let err = rv - forecast;
-                    self.stats[idx].scored += 1;
-                    self.stats[idx].sum_sq_err += err * err;
-                    if self.recent_sq_err[idx].len() >= ROLLING_WINDOW {
-                        self.recent_sq_err[idx].pop_front();
-                    }
-                    self.recent_sq_err[idx].push_back(err * err);
-                    OBS_SCORED.inc();
-                    OBS_ABS_ERR.observe(err.abs());
-                    self.pred_err[idx].observe(err.abs());
-                    if let Some(gauges) = self.gauges.get(idx) {
-                        gauges.pred_err.observe(err.abs());
-                    }
-                    obs::emit_with(|| ObsEvent::ForecastScored {
-                        t_secs: now,
-                        server: global,
-                        err_c: err,
-                    });
+        let tick = Tick {
+            sim,
+            stable: &self.stable,
+            ambient_c,
+            now: sim.now().as_secs_f64(),
+            gap_secs: self.gap_secs,
+        };
+        let workers = shard::workers(threads, covered);
+        shard::for_each_chunk(
+            &mut self.records[..covered],
+            shards,
+            workers,
+            |offset, chunk| {
+                for (i, record) in chunk.iter_mut().enumerate() {
+                    record.update(&tick, offset + i);
                 }
-                _ => {
-                    self.degradation[idx].forecasts_expired += 1;
-                    OBS_EXPIRED.inc();
-                }
-            }
-        }
-
-        // Forecast from the wall clock: holdover keeps issuing even while
-        // the stream is silent — the anchored curve is all we have.
-        let forecast =
-            self.predictors[idx].predict_ahead(Seconds::new(now), Seconds::new(self.gap_secs));
-        if forecast.is_finite() {
-            self.pending[idx].push_back((now + self.gap_secs, forecast));
-            OBS_ISSUED.inc();
-            obs::emit_with(|| ObsEvent::Forecast {
-                t_secs: now,
-                server: global,
-                target_t_secs: now + self.gap_secs,
-                temp_c: forecast,
-            });
-        }
-        if let Some(gauges) = self.gauges.get(idx) {
-            gauges.rolling_mse.set(self.rolling_mse(sid));
-            gauges.gamma_abs.set(self.predictors[idx].gamma().abs());
-            gauges.since_reanchor.set(now - self.last_anchor[idx]);
-            gauges.pending.set(self.pending[idx].len() as f64);
-            gauges
-                .holdover
-                .set(if self.holdover[idx] { 1.0 } else { 0.0 });
-            if let Some((_, v)) = self.ingested[idx].last() {
-                gauges.headroom.set(self.temp_limit_c - v);
-            }
-        }
+            },
+        );
     }
 
-    /// MSE over the most recent [`ROLLING_WINDOW`] scored forecasts for a
+    /// Degradation counters for a server.
+    #[must_use]
+    pub fn degradation(&self, server: ServerId) -> DegradationStats {
+        self.record(server)
+            .map(|r| r.degradation)
+            .unwrap_or_default()
+    }
+
+    /// Whether a server's stream is currently stale (holdover active).
+    #[must_use]
+    pub fn in_holdover(&self, server: ServerId) -> bool {
+        self.record(server).is_some_and(|r| r.holdover)
+    }
+
+    /// MSE over the most recent `ROLLING_WINDOW` (128) scored forecasts for a
     /// server (`NaN` before any matured). While fewer than a full window
     /// have been scored this equals [`ServerStats::mse`].
     #[must_use]
     pub fn rolling_mse(&self, server: ServerId) -> f64 {
-        match self.local(server).and_then(|i| self.recent_sq_err.get(i)) {
-            Some(w) if !w.is_empty() => w.iter().sum::<f64>() / w.len() as f64,
-            _ => f64::NAN,
-        }
+        self.record(server)
+            .map_or(f64::NAN, ServerRecord::rolling_mse)
     }
 
     /// Number of anchor operations performed for a server, including the
     /// initial anchor.
     #[must_use]
     pub fn reanchor_count(&self, server: ServerId) -> u64 {
-        self.local(server)
-            .and_then(|i| self.reanchors.get(i))
-            .copied()
-            .unwrap_or(0)
+        self.record(server).map_or(0, |r| r.reanchors)
     }
 
     /// Seconds of simulation time of a server's most recent anchor.
     #[must_use]
     pub fn last_anchor_secs(&self, server: ServerId) -> f64 {
-        self.local(server)
-            .and_then(|i| self.last_anchor.get(i))
-            .copied()
-            .unwrap_or(0.0)
+        self.record(server).map_or(0.0, |r| r.last_anchor)
     }
 
     /// Depth of a server's forecast-maturity queue.
     #[must_use]
     pub fn pending_forecasts(&self, server: ServerId) -> usize {
-        self.local(server)
-            .and_then(|i| self.pending.get(i))
-            .map_or(0, VecDeque::len)
+        self.record(server).map_or(0, |r| r.pending.len())
     }
 
     /// The current forecast (`gap_secs` ahead of the latest sample) for a
     /// server, if one is pending.
     #[must_use]
     pub fn latest_forecast(&self, server: ServerId) -> Option<(f64, f64)> {
-        self.pending.get(self.local(server)?)?.back().copied()
+        self.record(server)?.pending.back().copied()
     }
 
     /// Per-server accuracy stats.
     #[must_use]
     pub fn stats(&self, server: ServerId) -> ServerStats {
-        self.local(server)
-            .and_then(|i| self.stats.get(i))
-            .copied()
-            .unwrap_or_default()
+        self.record(server).map(|r| r.stats).unwrap_or_default()
     }
 
-    /// Fleet-wide MSE over all matured forecasts (`NaN` before any).
+    /// Fleet-wide MSE over all matured forecasts (`NaN` before any),
+    /// folded in server-index order.
     #[must_use]
     pub fn fleet_mse(&self) -> f64 {
-        let scored: usize = self.stats.iter().map(|s| s.scored).sum();
+        let scored: usize = self.records.iter().map(|r| r.stats.scored).sum();
         if scored == 0 {
             return f64::NAN;
         }
-        self.stats.iter().map(|s| s.sum_sq_err).sum::<f64>() / scored as f64
-    }
-
-    /// Per-server accuracy stats for the whole covered range, in local
-    /// (range) order. [`crate::fleet::ShardedMonitor`] concatenates
-    /// these slices in shard order to reduce fleet gauges with exactly
-    /// the floating-point association a whole-fleet monitor uses.
-    #[must_use]
-    pub fn server_stats(&self) -> &[ServerStats] {
-        &self.stats
+        self.records.iter().map(|r| r.stats.sum_sq_err).sum::<f64>() / scored as f64
     }
 
     /// One server's absolute forecast-error P² sketch (p50/p95/p99),
     /// maintained whether or not the obs layer is enabled.
     #[must_use]
     pub fn pred_err_sketch(&self, server: ServerId) -> Option<&obs::QuantileSketch> {
-        self.pred_err.get(self.local(server)?)
-    }
-
-    /// All per-server forecast-error sketches in local (range) order.
-    #[must_use]
-    pub fn pred_err_sketches(&self) -> &[obs::QuantileSketch] {
-        &self.pred_err
+        self.record(server).map(|r| &r.pred_err)
     }
 
     /// Fleet-level roll-up of the per-server forecast-error sketches,
@@ -889,16 +706,16 @@ impl FleetMonitor {
     #[must_use]
     pub fn fleet_pred_err(&self) -> obs::MergedQuantiles {
         let mut merged = obs::MergedQuantiles::new();
-        for sketch in &self.pred_err {
-            merged.absorb(sketch);
+        for record in &self.records {
+            merged.absorb(&record.pred_err);
         }
         merged
     }
 
-    /// The per-server dynamic predictors (read access for diagnostics).
+    /// A server's dynamic predictor (read access for diagnostics).
     #[must_use]
-    pub fn predictors(&self) -> &[DynamicPredictor] {
-        &self.predictors
+    pub fn predictor(&self, server: ServerId) -> Option<&DynamicPredictor> {
+        self.record(server).map(|r| &r.predictor)
     }
 
     /// Cross-checks the monitor's internal bookkeeping against the
@@ -908,8 +725,8 @@ impl FleetMonitor {
     ///
     /// * **coverage** — every delivered sample has been consumed
     ///   (`delivered_cursor` matches the stream length, never past it);
-    /// * **ingestion** — accepted samples are finite and no newer than
-    ///   the simulation clock;
+    /// * **ingestion** — the newest accepted sample is finite and no
+    ///   newer than the simulation clock;
     /// * **anchoring** — anchor timestamps are finite, not in the
     ///   future, and re-anchor counts are consistent with the recovery
     ///   counters;
@@ -921,71 +738,61 @@ impl FleetMonitor {
     pub fn invariant_report(&self, sim: &Simulation) -> Vec<String> {
         let mut violations = Vec::new();
         let now = sim.now().as_secs_f64();
-        for i in 0..self.servers() {
-            let global = self.lo + i;
-            let id = ServerId::new(global);
-            if let Some(stream) = sim.delivered(id) {
-                let cursor = self.delivered_cursor.get(i).copied().unwrap_or(0);
-                if cursor != stream.len() {
+        for (server, r) in self.records.iter().enumerate() {
+            if let Some(stream) = sim.delivered(ServerId::new(server)) {
+                if r.delivered_cursor != stream.len() {
                     violations.push(format!(
-                        "server {global}: consumed {cursor} of {} delivered samples",
+                        "server {server}: consumed {} of {} delivered samples",
+                        r.delivered_cursor,
                         stream.len()
                     ));
                 }
             }
-            if let Some(ingested) = self.ingested.get(i) {
-                if let Some((t, v)) = ingested.iter().last() {
-                    if !t.is_finite() || t > now {
-                        violations.push(format!(
-                            "server {global}: ingested sample at t={t} beyond clock {now}"
-                        ));
-                    }
-                    if !v.is_finite() {
-                        violations.push(format!(
-                            "server {global}: non-finite ingested value at t={t}"
-                        ));
-                    }
-                }
-            }
-            let anchor = self.last_anchor.get(i).copied().unwrap_or(0.0);
-            if !anchor.is_finite() || anchor > now {
-                violations.push(format!(
-                    "server {global}: anchor at t={anchor} beyond clock {now}"
-                ));
-            }
-            let reanchors = self.reanchors.get(i).copied().unwrap_or(0);
-            let degradation = self.degradation.get(i).copied().unwrap_or_default();
-            if degradation.recovery_reanchors > reanchors {
-                violations.push(format!(
-                    "server {global}: {} recovery re-anchors exceed {reanchors} total anchors",
-                    degradation.recovery_reanchors
-                ));
-            }
-            if self.holdover.get(i).copied().unwrap_or(false) && degradation.holdover_entries == 0 {
-                violations.push(format!(
-                    "server {global}: in holdover with no holdover entry recorded"
-                ));
-            }
-            if let Some(pending) = self.pending.get(i) {
-                let mut prev = f64::NEG_INFINITY;
-                for &(target, forecast) in pending {
-                    if !target.is_finite() || !forecast.is_finite() || target < prev {
-                        violations.push(format!(
-                            "server {global}: pending forecast ({target}, {forecast}) \
-                             out of order or non-finite"
-                        ));
-                        break;
-                    }
-                    prev = target;
-                }
-            }
-            if let Some(stats) = self.stats.get(i) {
-                if !stats.sum_sq_err.is_finite() || stats.sum_sq_err < 0.0 {
+            if let Some((t, v)) = r.last_accepted {
+                if !t.is_finite() || t > now {
                     violations.push(format!(
-                        "server {global}: squared-error accumulator {} invalid",
-                        stats.sum_sq_err
+                        "server {server}: ingested sample at t={t} beyond clock {now}"
                     ));
                 }
+                if !v.is_finite() {
+                    violations.push(format!(
+                        "server {server}: non-finite ingested value at t={t}"
+                    ));
+                }
+            }
+            if !r.last_anchor.is_finite() || r.last_anchor > now {
+                violations.push(format!(
+                    "server {server}: anchor at t={} beyond clock {now}",
+                    r.last_anchor
+                ));
+            }
+            if r.degradation.recovery_reanchors > r.reanchors {
+                violations.push(format!(
+                    "server {server}: {} recovery re-anchors exceed {} total anchors",
+                    r.degradation.recovery_reanchors, r.reanchors
+                ));
+            }
+            if r.holdover && r.degradation.holdover_entries == 0 {
+                violations.push(format!(
+                    "server {server}: in holdover with no holdover entry recorded"
+                ));
+            }
+            let mut prev = f64::NEG_INFINITY;
+            for &(target, forecast) in &r.pending {
+                if !target.is_finite() || !forecast.is_finite() || target < prev {
+                    violations.push(format!(
+                        "server {server}: pending forecast ({target}, {forecast}) \
+                         out of order or non-finite"
+                    ));
+                    break;
+                }
+                prev = target;
+            }
+            if !r.stats.sum_sq_err.is_finite() || r.stats.sum_sq_err < 0.0 {
+                violations.push(format!(
+                    "server {server}: squared-error accumulator {} invalid",
+                    r.stats.sum_sq_err
+                ));
             }
         }
         violations
@@ -996,6 +803,7 @@ impl FleetMonitor {
 mod tests {
     use super::*;
     use crate::stable::{run_experiments, TrainingOptions};
+    use vmtherm_sim::fault::{FaultPlan, SpikeFault};
     use vmtherm_sim::{
         AmbientModel, CaseGenerator, ClockMode, Datacenter, Event, ServerSpec, SimDuration,
         SimTime, TaskProfile, VmSpec,
@@ -1088,50 +896,69 @@ mod tests {
     #[test]
     fn event_mode_sparse_traces_flow_through_the_clean_path() {
         let _guard = obs_test_lock();
-        let mut dc = Datacenter::new();
-        for i in 0..3 {
-            dc.add_server(
-                ServerSpec::standard(format!("n{i}")),
-                Celsius::new(24.0),
-                i as u64,
-            );
+        let stable = stable_model();
+        // The clean trace, then a spike-only delivery stream: a sleeping
+        // server records nothing, so neither stream may issue (and then
+        // expire) a forecast per tick while it sleeps.
+        let spikes = FaultPlan::new(0x5EED)
+            .with_spike(SpikeFault::random(0.01, Celsius::new(15.0), Celsius::new(25.0)).unwrap());
+        for plan in [None, Some(spikes)] {
+            let faulted = plan.is_some();
+            let mut dc = Datacenter::new();
+            for i in 0..3 {
+                dc.add_server(
+                    ServerSpec::standard(format!("n{i}")),
+                    Celsius::new(24.0),
+                    i as u64,
+                );
+            }
+            let mut sim =
+                Simulation::new(dc, AmbientModel::Fixed(24.0), 7).with_clock(ClockMode::Event);
+            if let Some(plan) = plan {
+                sim.set_fault_plan(plan).unwrap();
+            }
+            for i in 0..3 {
+                sim.boot_vm_now(
+                    ServerId::new(i),
+                    VmSpec::new(format!("v{i}"), 1, 2.0, TaskProfile::Idle),
+                )
+                .unwrap();
+            }
+            let mut monitor =
+                FleetMonitor::new(stable.clone(), DynamicConfig::new(), 3, Seconds::new(60.0))
+                    .unwrap();
+            for _ in 0..1500 {
+                sim.step();
+                monitor.observe(&sim, Celsius::new(24.0));
+            }
+            // The fleet actually slept — traces are irregular, not 1 Hz.
+            assert!(sim.step_stats().skip_factor() > 2.0);
+            for i in 0..3 {
+                let sid = ServerId::new(i);
+                let samples = sim.trace(sid).unwrap().sensor_c.len();
+                assert!(samples < 1200, "server {i} trace not sparse: {samples}");
+                let s = monitor.stats(sid);
+                assert!(
+                    s.scored > 10,
+                    "server {i} scored only {} (faulted {faulted})",
+                    s.scored
+                );
+                // Each sample is consumed once: forecasts settled (scored
+                // or expired) cannot outnumber the sparse samples that
+                // triggered them.
+                let settled = s.scored as u64 + monitor.degradation(sid).forecasts_expired;
+                assert!(
+                    settled <= samples as u64,
+                    "server {i} re-consumed sleeping samples: {settled} settled, \
+                     {samples} samples (faulted {faulted})"
+                );
+                assert!(!monitor.in_holdover(sid), "sparse stream flagged stale");
+            }
+            let fleet = monitor.fleet_mse();
+            assert!(fleet.is_finite(), "fleet mse {fleet}");
+            let report = monitor.invariant_report(&sim);
+            assert!(report.is_empty(), "consistency violations: {report:?}");
         }
-        let mut sim =
-            Simulation::new(dc, AmbientModel::Fixed(24.0), 7).with_clock(ClockMode::Event);
-        for i in 0..3 {
-            sim.boot_vm_now(
-                ServerId::new(i),
-                VmSpec::new(format!("v{i}"), 1, 2.0, TaskProfile::Idle),
-            )
-            .unwrap();
-        }
-        let mut monitor =
-            FleetMonitor::new(stable_model(), DynamicConfig::new(), 3, Seconds::new(60.0)).unwrap();
-        for _ in 0..1500 {
-            sim.step();
-            monitor.observe(&sim, Celsius::new(24.0));
-        }
-        // The fleet actually slept — traces are irregular, not 1 Hz.
-        assert!(sim.step_stats().skip_factor() > 2.0);
-        for i in 0..3 {
-            let sid = ServerId::new(i);
-            let samples = sim.trace(sid).unwrap().sensor_c.len();
-            assert!(samples < 1200, "server {i} trace not sparse: {samples}");
-            let s = monitor.stats(sid);
-            assert!(s.scored > 10, "server {i} scored only {}", s.scored);
-            // Each sample is consumed once: forecasts (and scores) cannot
-            // outnumber the sparse samples that triggered them.
-            assert!(
-                s.scored <= samples,
-                "server {i} re-consumed sleeping samples: {} scored, {samples} samples",
-                s.scored
-            );
-            assert!(!monitor.in_holdover(sid), "clean stream flagged stale");
-        }
-        let fleet = monitor.fleet_mse();
-        assert!(fleet.is_finite(), "fleet mse {fleet}");
-        let report = monitor.invariant_report(&sim);
-        assert!(report.is_empty(), "consistency violations: {report:?}");
     }
 
     #[test]
@@ -1144,7 +971,9 @@ mod tests {
             sim.step();
             monitor.observe(&sim, Celsius::new(24.0));
         }
-        let before = monitor.predictors()[1]
+        let before = monitor
+            .predictor(ServerId::new(1))
+            .unwrap()
             .curve_value(Seconds::new(1.0))
             .unwrap();
         // Boot a heavy VM on server 1 → its predictor must re-anchor to a
@@ -1160,7 +989,9 @@ mod tests {
             sim.step();
             monitor.observe(&sim, Celsius::new(24.0));
         }
-        let after = monitor.predictors()[1]
+        let after = monitor
+            .predictor(ServerId::new(1))
+            .unwrap()
             .curve_value(Seconds::new(2000.0))
             .unwrap();
         assert!(after > before + 2.0, "no re-anchor: {before} -> {after}");
@@ -1266,7 +1097,7 @@ mod tests {
                 .gauge(&names::server_gauge(names::METRIC_MONITOR_GAMMA_ABS, i))
                 .get();
             assert!(
-                (gamma_abs - monitor.predictors()[i].gamma().abs()).abs() < 1e-12,
+                (gamma_abs - monitor.predictor(sid).unwrap().gamma().abs()).abs() < 1e-12,
                 "server {i} gamma gauge"
             );
             let since = registry
@@ -1288,7 +1119,7 @@ mod tests {
                 .get();
             let (_, measured) = sim.trace(sid).unwrap().sensor_c.last().unwrap();
             assert!(
-                (headroom - (DEFAULT_TEMP_LIMIT_C - measured)).abs() < 1e-9,
+                (headroom - (TEMP_LIMIT_C - measured)).abs() < 1e-9,
                 "server {i} headroom gauge {headroom} vs measured {measured}"
             );
             let pred_err =
@@ -1303,22 +1134,6 @@ mod tests {
         // The observe-sweep latency summary saw every observe call.
         assert!(registry.summary(names::METRIC_MONITOR_OBSERVE_NS).count() > 0);
         vmtherm_obs::set_enabled(false);
-    }
-
-    #[test]
-    fn temp_limit_is_validated_and_applied() {
-        let monitor =
-            FleetMonitor::new(stable_model(), DynamicConfig::new(), 1, Seconds::new(60.0))
-                .unwrap()
-                .with_temp_limit(Celsius::new(95.0))
-                .unwrap();
-        assert_eq!(monitor.temp_limit_c(), 95.0);
-        assert!(matches!(
-            FleetMonitor::new(stable_model(), DynamicConfig::new(), 1, Seconds::new(60.0))
-                .unwrap()
-                .with_temp_limit(Celsius::new(-1.0)),
-            Err(PredictError::InvalidConfig { .. })
-        ));
     }
 
     #[test]

@@ -135,7 +135,7 @@ pub struct WakePolicy {
     pub band_c_per_s: f64,
     /// Longest sleep. Wake intervals double from the base step up to
     /// this cap. Keep it below the monitor's staleness threshold
-    /// (`DegradationPolicy::staleness_secs`, default 30 s) so a
+    /// (30 s, `STALENESS_SECS` in `vmtherm_core::monitor`) so a
     /// sparse-but-healthy stream is never mistaken for an outage.
     pub max_skip: SimDuration,
 }

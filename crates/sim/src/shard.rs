@@ -106,6 +106,12 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
+    if threads <= 1 {
+        for (start, end) in shard_ranges(items.len(), shards) {
+            f(start, &mut items[start..end]);
+        }
+        return;
+    }
     let bounds = shard_bounds(items.len(), shards);
     // Carve the slice into disjoint chunks up front; handing each
     // worker an exclusive borrow means no two threads can alias a

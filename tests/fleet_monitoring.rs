@@ -111,8 +111,8 @@ fn monitor_tracks_fleet_through_migration_and_ambient_step() {
 #[test]
 fn monitor_absorbs_out_of_order_and_stale_telemetry_across_the_fleet() {
     // Same 4-server fleet as above, but the telemetry path is degraded:
-    // clock jitter reorders timestamps (the internal NonMonotonicTime
-    // push error must be absorbed, never surfaced) and outage windows
+    // clock jitter reorders timestamps (out-of-order samples must be
+    // absorbed, never surfaced) and outage windows
     // past the staleness threshold force holdover/recovery cycles.
     let mut dc = Datacenter::new();
     for i in 0..4 {

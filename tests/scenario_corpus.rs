@@ -6,7 +6,8 @@
 //! * pass determinism, fixed-vs-event clock equivalence, shard-grid
 //!   bit-identity, clean-path identity and the physical invariants;
 //! * keep the fleet monitor internally consistent when driven over the
-//!   fixed-clock run.
+//!   fixed- and event-clock runs, with a 3-shard, 2-thread
+//!   `ShardedMonitor` matching it bit for bit.
 //!
 //! A shrunk repro landing here is a permanent regression test: delete a
 //! file only when the property it pins is retired.
@@ -15,12 +16,13 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use vmtherm::core::dynamic::DynamicConfig;
+use vmtherm::core::fleet::ShardedMonitor;
 use vmtherm::core::monitor::FleetMonitor;
 use vmtherm::core::stable::{run_experiments, StablePredictor, TrainingOptions};
 use vmtherm::sim::scenario::oracle::{
     check_scenario, physical_fingerprint, run_to_end, OracleConfig,
 };
-use vmtherm::sim::{AmbientModel, CaseGenerator, ClockMode, Scenario, SimDuration};
+use vmtherm::sim::{AmbientModel, CaseGenerator, ClockMode, Scenario, ServerId, SimDuration};
 use vmtherm::svm::kernel::Kernel;
 use vmtherm::svm::svr::SvrParams;
 use vmtherm::units::{Celsius, Seconds};
@@ -128,30 +130,74 @@ fn corpus_clock_modes_agree_bit_for_bit() {
     }
 }
 
+/// Per-server monitor state as exact bits: scored count, squared-error
+/// sum, re-anchors, rolling MSE, last anchor and degradation counters.
+fn monitor_bits(monitor: &FleetMonitor) -> Vec<u64> {
+    let mut bits = vec![monitor.fleet_mse().to_bits()];
+    for s in 0..monitor.servers() {
+        let sid = ServerId::new(s);
+        let stats = monitor.stats(sid);
+        let d = monitor.degradation(sid);
+        bits.extend([
+            stats.scored as u64,
+            stats.sum_sq_err.to_bits(),
+            monitor.reanchor_count(sid),
+            monitor.rolling_mse(sid).to_bits(),
+            monitor.last_anchor_secs(sid).to_bits(),
+            d.ooo_absorbed,
+            d.spikes_rejected,
+            d.stuck_suspected,
+            d.holdover_entries,
+            d.recovery_reanchors,
+            d.forecasts_expired,
+        ]);
+    }
+    bits
+}
+
 #[test]
 fn corpus_keeps_the_fleet_monitor_consistent() {
     for (path, scenario) in corpus() {
-        let mut sim = scenario.build(ClockMode::Fixed).expect("build");
-        let mut monitor = FleetMonitor::new(
-            model().clone(),
-            DynamicConfig::new(),
-            scenario.servers,
-            Seconds::new(60.0),
-        )
-        .expect("monitor");
-        let ambient = match scenario.ambient {
-            AmbientModel::Fixed(c) => c,
-            _ => 24.0,
-        };
-        for _ in 0..scenario.duration.as_millis() / 1000 {
-            sim.step();
-            monitor.observe(&sim, Celsius::new(ambient));
+        for clock in [ClockMode::Fixed, ClockMode::Event] {
+            let mut sim = scenario.build(clock).expect("build");
+            let mut monitor = FleetMonitor::new(
+                model().clone(),
+                DynamicConfig::new(),
+                scenario.servers,
+                Seconds::new(60.0),
+            )
+            .expect("monitor");
+            // The same fleet on 3 shards and 2 threads must not move a bit.
+            let mut sharded = ShardedMonitor::new(
+                model(),
+                DynamicConfig::new(),
+                scenario.servers,
+                Seconds::new(60.0),
+                3,
+                2,
+            )
+            .expect("sharded monitor");
+            let ambient = match scenario.ambient {
+                AmbientModel::Fixed(c) => c,
+                _ => 24.0,
+            };
+            for _ in 0..scenario.duration.as_millis() / 1000 {
+                sim.step();
+                monitor.observe(&sim, Celsius::new(ambient));
+                sharded.observe(&sim, Celsius::new(ambient));
+            }
+            let name = path.display();
+            for (label, m) in [("monitor", &monitor), ("sharded monitor", &*sharded)] {
+                let report = m.invariant_report(&sim);
+                assert!(
+                    report.is_empty(),
+                    "{name} ({clock:?}): {label} consistency violations: {report:?}"
+                );
+            }
+            assert!(
+                monitor_bits(&monitor) == monitor_bits(&sharded),
+                "{name} ({clock:?}): sharded monitor diverged from the unsharded one"
+            );
         }
-        let report = monitor.invariant_report(&sim);
-        assert!(
-            report.is_empty(),
-            "{}: monitor consistency violations: {report:?}",
-            path.display()
-        );
     }
 }
