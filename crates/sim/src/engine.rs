@@ -12,8 +12,10 @@
 //! same contiguous shards whichever mode built it and stepped inline or
 //! on a scoped pool (see [`crate::shard`]). Every server step, including
 //! the catch-up that settles a sleeping server before an event touches
-//! it, goes through one routine that integrates the server, records its
-//! five trace channels and passes the reading through the fault channel.
+//! it, has the same two halves: integrate the server, then record its
+//! five trace channels and pass the reading through the fault channel.
+//! A shard integrates its batch a chunk at a time, running the chunk's
+//! thermal networks side by side (`thermal::integrate`).
 
 use crate::datacenter::Datacenter;
 use crate::environment::AmbientModel;
@@ -24,6 +26,7 @@ use crate::migration::{ActiveMigration, MigrationConfig};
 use crate::server::{Server, ServerId};
 use crate::shard;
 use crate::telemetry::ServerTrace;
+use crate::thermal::{self, Integration};
 use crate::time::{EventQueue, SimDuration, SimTime};
 use crate::vm::{Vm, VmId, VmSpec, VmState};
 use std::cmp::Reverse;
@@ -153,8 +156,8 @@ impl Default for WakePolicy {
 /// equivalent dense fixed-step run would have done.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StepStats {
-    /// [`Server::step`] calls performed (dense steps, wake-ups and
-    /// event-mode catch-up settles).
+    /// Server steps performed (dense steps, wake-ups and event-mode
+    /// catch-up settles).
     pub server_steps: u64,
     /// Server-steps a fixed-step run over the same span would perform
     /// (ticks × fleet size).
@@ -655,9 +658,12 @@ impl Simulation {
     /// the drained wake list, each server over the interval since its
     /// physics last advanced, in event mode. Either way it is split where
     /// the dense [`shard::shard_bounds`] partition of the full server
-    /// range cuts it, each shard carves disjoint `&mut` sub-slices of the
-    /// per-server arrays, and [`advance`] runs once per batched server —
-    /// inline below [`shard::workers`]' floor, else on a scoped pool.
+    /// range cuts it, and each shard carves disjoint `&mut` sub-slices of
+    /// the per-server arrays — run inline below [`shard::workers`]'
+    /// floor, else on a scoped pool. A shard walks its batch in chunks of
+    /// [`CHUNK`]: it begins each server's step, integrates the chunk's
+    /// thermal plans together, then records each server in index order;
+    /// a batch of one goes straight through [`advance`].
     /// Every shard owns exclusive state addressed by stable server index,
     /// so the result is bit-identical for any thread or shard count.
     /// Event mode then re-arms each woken server: its interval doubles
@@ -673,10 +679,7 @@ impl Simulation {
             Some(wake) if event => Batch::Due(&wake.due, &wake.elapsed),
             _ => Batch::All(self.dt.as_secs_f64()),
         };
-        let stepped = match batch {
-            Batch::All(_) => count,
-            Batch::Due(due, _) => due.len(),
-        };
+        let stepped = batch.len(count);
         self.server_steps += stepped as u64;
 
         let (mut servers, offsets) = self.datacenter.servers_and_offsets_mut();
@@ -691,27 +694,45 @@ impl Simulation {
             self.threads
         };
         let run = |mut job: Shard<'_>| {
-            let batched = match job.batch {
-                Batch::All(_) => job.servers.len(),
-                Batch::Due(due, _) => due.len(),
-            };
-            for k in 0..batched {
-                let (local, elapsed_secs) = match job.batch {
-                    Batch::All(dt_secs) => (k, dt_secs),
-                    Batch::Due(due, elapsed) => (due[k] - job.start, elapsed[k]),
-                };
-                let delivery = job
-                    .fault
-                    .as_mut()
-                    .map(|(plan, states, sinks)| (*plan, &mut states[local], &mut sinks[local]));
-                advance(
-                    &mut job.servers[local],
-                    &mut job.traces[local],
-                    delivery,
-                    now,
-                    ambient + offsets.get(job.start + local),
-                    elapsed_secs,
-                );
+            let batched = job.batch.len(job.servers.len());
+            if batched == 1 {
+                // A lone server (every tick of a one-server experiment)
+                // has nothing to integrate beside, so it skips the chunk
+                // set-up below.
+                let (local, elapsed_secs) = job.batch.entry(0, job.start);
+                let local_ambient = ambient + offsets.get(job.start + local);
+                let (server, trace, delivery) = job.parts(local);
+                advance(server, trace, delivery, now, local_ambient, elapsed_secs);
+                return;
+            }
+            let mut plans = [Integration::default(); CHUNK];
+            let mut owners = [0; CHUNK];
+            for first in (0..batched).step_by(CHUNK) {
+                let chunk = first..batched.min(first + CHUNK);
+                let mut planned = 0;
+                for k in chunk.clone() {
+                    let (local, elapsed_secs) = job.batch.entry(k, job.start);
+                    let local_ambient = ambient + offsets.get(job.start + local);
+                    if let Some(plan) = job.servers[local].begin_step(
+                        now,
+                        Celsius::new(local_ambient),
+                        Seconds::new(elapsed_secs),
+                    ) {
+                        plans[planned] = plan;
+                        owners[planned] = local;
+                        planned += 1;
+                    }
+                }
+                thermal::integrate(&mut plans[..planned]);
+                for (plan, &local) in plans.iter().zip(&owners).take(planned) {
+                    job.servers[local].end_step(*plan);
+                }
+                for k in chunk {
+                    let (local, _) = job.batch.entry(k, job.start);
+                    let local_ambient = ambient + offsets.get(job.start + local);
+                    let (server, trace, delivery) = job.parts(local);
+                    record(server, trace, delivery, now, local_ambient);
+                }
             }
         };
         // Inline shards run as soon as they are carved, so the serial
@@ -1140,6 +1161,25 @@ enum Batch<'a> {
     Due(&'a [usize], &'a [f64]),
 }
 
+impl Batch<'_> {
+    /// Servers in the batch, out of the `servers` it covers.
+    fn len(&self, servers: usize) -> usize {
+        match self {
+            Batch::All(_) => servers,
+            Batch::Due(due, _) => due.len(),
+        }
+    }
+
+    /// The `k`-th batched server's index local to a shard beginning at
+    /// `start`, and its interval.
+    fn entry(&self, k: usize, start: usize) -> (usize, f64) {
+        match *self {
+            Batch::All(dt_secs) => (k, dt_secs),
+            Batch::Due(due, elapsed) => (due[k] - start, elapsed[k]),
+        }
+    }
+}
+
 /// The shared fault plan plus one server's channel state and delivery
 /// sink.
 type Delivery<'a> = (
@@ -1165,10 +1205,28 @@ struct Shard<'a> {
     batch: Batch<'a>,
 }
 
-/// The one per-server step body, shared by dense steps, wake-ups and
+impl Shard<'_> {
+    /// The server at shard-local index `local` with its trace and fault
+    /// channel.
+    fn parts(&mut self, local: usize) -> (&mut Server, &mut ServerTrace, Option<Delivery<'_>>) {
+        let delivery = self
+            .fault
+            .as_mut()
+            .map(|(plan, states, sinks)| (*plan, &mut states[local], &mut sinks[local]));
+        (&mut self.servers[local], &mut self.traces[local], delivery)
+    }
+}
+
+/// Servers a shard begins, integrates together and records per pass:
+/// two groups of [`thermal::LANES`], so the integration runs full lane
+/// groups while the plans stay a small stack array.
+const CHUNK: usize = 2 * thermal::LANES;
+
+/// The single-server step body, used for a batch of one and for
 /// event-mode catch-up settles: advance `server` by `elapsed_secs` under
-/// `local_ambient`, record its five trace channels at `at`, and pass the
-/// sensor reading through the fault channel when a plan is installed.
+/// `local_ambient`, then [`record`] it at `at`. A larger batch runs the
+/// same two halves chunk by chunk, integrating the chunk's servers
+/// together in between.
 // Forced inline: as an out-of-line call it made a one-server tick (the
 // paper's fig1 experiments) 2–4% slower.
 #[inline(always)]
@@ -1181,6 +1239,20 @@ fn advance(
     elapsed_secs: f64,
 ) {
     server.step(at, Celsius::new(local_ambient), Seconds::new(elapsed_secs));
+    record(server, trace, delivery, at, local_ambient);
+}
+
+/// The recording half of a server step: read the sensor, record the
+/// five trace channels at `at`, and pass the reading through the fault
+/// channel when a plan is installed.
+#[inline(always)]
+fn record(
+    server: &mut Server,
+    trace: &mut ServerTrace,
+    delivery: Option<Delivery<'_>>,
+    at: SimTime,
+    local_ambient: f64,
+) {
     let reading = server.read_sensor();
     let recorded = trace
         .sensor_c
@@ -1904,6 +1976,96 @@ mod tests {
         assert!(sim.step_stats().skip_factor() > 2.0);
         let digest = crate::scenario::oracle::full_fingerprint(&sim);
         assert_eq!(digest, EVENT_CATCH_UP_DIGEST, "got {digest:#018x}");
+    }
+
+    /// An 11-server fleet on three racks mixing lumped servers with
+    /// per-core (`with_core_scheduling`) ones, behind a faulted delivery
+    /// channel: mostly idle, so the event clock sleeps its lumped
+    /// servers, with a boot, a fan change and a live migration mid-run.
+    fn mixed_fleet(mode: ClockMode) -> Simulation {
+        use crate::datacenter::RackId;
+        use crate::vmm::SchedulingPolicy;
+        let mut dc = Datacenter::new();
+        for i in 0..11 {
+            let spec = ServerSpec::standard(format!("m{i}"));
+            let spec = match i % 3 {
+                1 => spec.with_core_scheduling(SchedulingPolicy::Balanced),
+                2 if i > 5 => spec.with_core_scheduling(SchedulingPolicy::Pinned),
+                _ => spec,
+            };
+            dc.add_server_in_rack(spec, RackId::new(i / 4), Celsius::new(24.0), 30 + i as u64);
+        }
+        let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 17).with_clock(mode);
+        sim.set_fault_plan(
+            crate::fault::FaultPlan::new(23)
+                .with_spike(
+                    crate::fault::SpikeFault::random(0.05, Celsius::new(4.0), Celsius::new(9.0))
+                        .unwrap(),
+                )
+                .with_jitter(crate::fault::JitterFault::random(0.1, Seconds::new(1.5)).unwrap()),
+        )
+        .unwrap();
+        for s in 0..11 {
+            let task = if s % 4 == 3 {
+                TaskProfile::Mixed
+            } else {
+                TaskProfile::Idle
+            };
+            sim.boot_vm_now(ServerId::new(s), VmSpec::new("v", 2, 4.0, task))
+                .unwrap();
+        }
+        sim.schedule(
+            SimTime::from_secs(300),
+            Event::BootVm {
+                server: ServerId::new(5),
+                spec: VmSpec::new("late", 4, 8.0, TaskProfile::CpuBound),
+            },
+        );
+        sim.schedule(
+            SimTime::from_secs(500),
+            Event::SetFanSpeed {
+                server: ServerId::new(8),
+                speed: FanSpeed::High,
+            },
+        );
+        sim.schedule(
+            SimTime::from_secs(700),
+            Event::MigrateVm {
+                vm: VmId::new(0),
+                dest: ServerId::new(9),
+            },
+        );
+        sim
+    }
+
+    /// The mixed fleet's end state as `[physical, full on the fixed
+    /// clock, full on the event clock]`, captured before servers were
+    /// integrated in batches.
+    const MIXED_FLEET_DIGESTS: [u64; 3] = [
+        0xf2b0_8f79_d803_f3e0,
+        0x1327_f7c2_50ad_02a7,
+        0x9971_a98b_c69f_469c,
+    ];
+
+    #[test]
+    fn mixed_lumped_and_per_core_fleet_matches_its_pinned_digests() {
+        use crate::scenario::oracle;
+        let horizon = SimTime::from_secs(1200);
+        let mut fixed = mixed_fleet(ClockMode::Fixed);
+        fixed.run_until(horizon);
+        let mut event = mixed_fleet(ClockMode::Event);
+        event.run_until(horizon);
+        assert_eq!(
+            oracle::physical_fingerprint(&fixed),
+            oracle::physical_fingerprint(&event)
+        );
+        assert!(event.step_stats().skip_factor() > 1.2);
+        let digests = [
+            oracle::physical_fingerprint(&fixed),
+            oracle::full_fingerprint(&fixed),
+            oracle::full_fingerprint(&event),
+        ];
+        assert_eq!(digests, MIXED_FLEET_DIGESTS, "got {digests:#018x?}");
     }
 
     #[test]

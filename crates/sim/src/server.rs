@@ -4,7 +4,7 @@ use crate::error::SimError;
 use crate::fan::{FanBank, FanSpeed};
 use crate::power::PowerModel;
 use crate::sensor::{SensorConfig, TemperatureSensor};
-use crate::thermal::{ThermalNetwork, ThermalParams, ThermalState};
+use crate::thermal::{integrate, Integration, ThermalNetwork, ThermalParams, ThermalState};
 use crate::time::SimTime;
 use crate::vm::{Vm, VmId};
 use crate::vmm::{split_power, CoreScheduler, MultiCoreNetwork, SchedulingPolicy};
@@ -344,32 +344,68 @@ impl Server {
     /// onto cores, package power splits proportionally to core load, and
     /// the reported die temperature is the hottest core.
     pub fn step(&mut self, t: SimTime, ambient_c: Celsius, dt_secs: Seconds) {
+        if let Some(mut plan) = self.begin_step(t, ambient_c, dt_secs) {
+            integrate(std::slice::from_mut(&mut plan));
+            self.end_step(plan);
+        }
+    }
+
+    /// The first half of [`Server::step`]: queries demand, computes
+    /// utilization, power and sink resistance, and records them as the
+    /// last step's. A per-core server integrates in place and returns
+    /// `None`; a lumped one returns its thermal plan, which the caller
+    /// runs through [`integrate`] (possibly batched with other servers')
+    /// and hands to [`Server::end_step`].
+    pub(crate) fn begin_step(
+        &mut self,
+        t: SimTime,
+        ambient_c: Celsius,
+        dt_secs: Seconds,
+    ) -> Option<Integration> {
         // One demand query per VM per step (workload generators advance on
         // each query).
-        let mut demands: Vec<f64> = self.vms.iter_mut().map(|vm| vm.cpu_demand(t)).collect();
-        if self.migration_overhead > 0.0 {
-            demands.push(self.migration_overhead);
-        }
-        let total_demand: f64 = demands.iter().sum();
+        let overhead = (self.migration_overhead > 0.0).then_some(self.migration_overhead);
+        let demands = self
+            .vms
+            .iter_mut()
+            .map(|vm| vm.cpu_demand(t))
+            .chain(overhead);
+        // Only the core scheduler needs the demands one by one; the lumped
+        // model folds them in the same order, so the sum has the same bits.
+        let mut core_demands = Vec::new();
+        let total_demand: f64 = if self.core_model.is_some() {
+            core_demands.extend(demands);
+            core_demands.iter().sum()
+        } else {
+            demands.sum()
+        };
         let util = Utilization::saturating((total_demand / self.spec.cores() as f64).min(1.0));
         let power = self.spec.power().total_power(util, self.active_memory_gb());
         let r_sa = self.fans.sink_resistance();
+        self.last_utilization = util.as_fraction();
+        self.last_power = power;
         match &mut self.core_model {
             Some((scheduler, network)) => {
-                let core_utils = scheduler.assign(&demands);
+                let core_utils = scheduler.assign(&core_demands);
                 let per_core = split_power(
                     Watts::new(power),
                     Watts::new(self.spec.power().idle_watts()),
                     &core_utils,
                 );
                 network.step(&per_core, ambient_c, r_sa, dt_secs);
+                None
             }
-            None => self
-                .network
-                .step(Watts::new(power), ambient_c, r_sa, dt_secs),
+            None => Some(
+                self.network
+                    .plan(Watts::new(power), ambient_c, r_sa, dt_secs),
+            ),
         }
-        self.last_utilization = util.as_fraction();
-        self.last_power = power;
+    }
+
+    /// The second half of [`Server::step`] for a lumped server: adopts
+    /// the integrated plan [`Server::begin_step`] returned.
+    pub(crate) fn end_step(&mut self, plan: Integration) {
+        self.network.commit(plan);
     }
 
     /// True die temperature (°C) — ground truth, not observable in a real

@@ -85,7 +85,7 @@ impl Default for ThermalParams {
 }
 
 /// Mutable thermal state: the two node temperatures (°C).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ThermalState {
     /// CPU die (junction) temperature — what the sensor reports.
     pub die_c: f64,
@@ -156,12 +156,34 @@ impl ThermalNetwork {
     ///
     /// Integrates with classic RK4, sub-stepping so the internal step never
     /// exceeds 1 s (the die time constant is ~7 s; RK4 at 1 s is deep inside
-    /// its stability region and accurate to ~1e-6 K here).
+    /// its stability region and accurate to ~1e-6 K here). The engine
+    /// batches the same three phases across servers (plan, integrate,
+    /// commit), so this is the batch of one.
     ///
     /// # Panics
     ///
     /// Panics if `dt_secs` or `r_sink_amb` is non-positive.
     pub fn step(&mut self, power_w: Watts, ambient_c: Celsius, r_sink_amb: f64, dt_secs: Seconds) {
+        let mut job = self.plan(power_w, ambient_c, r_sink_amb, dt_secs);
+        integrate(std::slice::from_mut(&mut job));
+        self.commit(job);
+    }
+
+    /// The integration [`ThermalNetwork::step`] would run, not yet run:
+    /// pass it to [`integrate`], alone or batched with other networks'
+    /// plans, then hand the result to [`ThermalNetwork::commit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt_secs` or `r_sink_amb` is non-positive.
+    #[must_use]
+    pub(crate) fn plan(
+        &self,
+        power_w: Watts,
+        ambient_c: Celsius,
+        r_sink_amb: f64,
+        dt_secs: Seconds,
+    ) -> Integration {
         let dt = dt_secs.get();
         assert!(dt > 0.0, "step: non-positive dt");
         assert!(r_sink_amb > 0.0, "step: non-positive sink resistance");
@@ -177,17 +199,20 @@ impl ThermalNetwork {
                 }
             });
         }
-        let h = dt / substeps as f64;
-        for _ in 0..substeps {
-            self.state = rk4_step(
-                self.params,
-                self.state,
-                power_w.get(),
-                ambient_c.get(),
-                r_sink_amb,
-                h,
-            );
+        Integration {
+            params: self.params,
+            state: self.state,
+            power_w: power_w.get(),
+            ambient_c: ambient_c.get(),
+            r_sink_amb,
+            h: dt / substeps as f64,
+            substeps,
         }
+    }
+
+    /// Adopts the end state of an integrated [`ThermalNetwork::plan`].
+    pub(crate) fn commit(&mut self, job: Integration) {
+        self.state = job.state;
         debug_assert!(
             self.state.die_c.is_finite() && self.state.sink_c.is_finite(),
             "thermal integrator produced a non-finite temperature: {:?}",
@@ -244,6 +269,59 @@ pub fn steady_state(
     ThermalState {
         die_c: die,
         sink_c: sink,
+    }
+}
+
+/// Plans [`integrate`] runs side by side. One RK4 substep is a chain of
+/// eight dependent divisions, so a lone network waits on division
+/// latency; the chains of different networks are independent, and
+/// interleaving four of them keeps the divider busy.
+pub(crate) const LANES: usize = 4;
+
+/// One network's pending integration, from [`ThermalNetwork::plan`]:
+/// its parameters and start state, constant inputs, substep length `h`
+/// and substep count.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Integration {
+    params: ThermalParams,
+    state: ThermalState,
+    power_w: f64,
+    ambient_c: f64,
+    r_sink_amb: f64,
+    h: f64,
+    substeps: usize,
+}
+
+/// Runs every plan's RK4 substeps, [`LANES`] plans at a time side by
+/// side. Each plan executes exactly the substep sequence it would alone,
+/// so the end states do not depend on how plans are batched.
+pub(crate) fn integrate(jobs: &mut [Integration]) {
+    let mut groups = jobs.chunks_exact_mut(LANES);
+    for group in &mut groups {
+        integrate_lanes(group);
+    }
+    integrate_lanes(groups.into_remainder());
+}
+
+/// Substep `k` of every lane that has one, for `k` up to the longest
+/// lane's count.
+// Forced inline so a full group's loop sees the constant lane count.
+#[inline(always)]
+fn integrate_lanes(lanes: &mut [Integration]) {
+    let longest = lanes.iter().map(|lane| lane.substeps).max().unwrap_or(0);
+    for k in 0..longest {
+        for lane in lanes.iter_mut() {
+            if k < lane.substeps {
+                lane.state = rk4_step(
+                    lane.params,
+                    lane.state,
+                    lane.power_w,
+                    lane.ambient_c,
+                    lane.r_sink_amb,
+                    lane.h,
+                );
+            }
+        }
     }
 }
 
@@ -387,6 +465,57 @@ mod tests {
         }
         assert_eq!(a.state().die_c.to_bits(), b.state().die_c.to_bits());
         assert_eq!(a.state().sink_c.to_bits(), b.state().sink_c.to_bits());
+    }
+
+    #[test]
+    fn batched_lanes_match_scalar_steps_bitwise() {
+        // 11 plans: two full groups of LANES plus a remainder, mixing
+        // substep counts (1, 2, 3, 16 and 2.5 s -> 3 substeps of 5/6 s),
+        // parameters, start states and a zero-power network.
+        let dts = [1.0, 2.0, 3.0, 16.0, 2.5];
+        let cases: Vec<(ThermalNetwork, f64, f64, f64, f64)> = (0..11)
+            .map(|i| {
+                let f = i as f64;
+                let mut n = ThermalNetwork::new(
+                    ThermalParams::new(120.0 + 10.0 * f, 900.0 + 50.0 * f, 0.04 + 0.002 * f),
+                    c(22.0 + 0.5 * f),
+                );
+                n.set_state(ThermalState {
+                    die_c: 40.0 + 3.0 * f,
+                    sink_c: 30.0 + 1.5 * f,
+                });
+                let power = if i == 6 { 0.0 } else { 60.0 + 17.0 * f };
+                (
+                    n,
+                    power,
+                    21.0 + 0.3 * f,
+                    0.08 + 0.01 * f,
+                    dts[i % dts.len()],
+                )
+            })
+            .collect();
+        assert!(cases.len() > 2 * LANES && !cases.len().is_multiple_of(LANES));
+        let mut jobs: Vec<Integration> = cases
+            .iter()
+            .map(|(n, p, amb, r, dt)| n.plan(w(*p), c(*amb), *r, s(*dt)))
+            .collect();
+        assert_eq!(jobs[4].substeps, 3);
+        assert_eq!(jobs[4].h, 2.5 / 3.0);
+        integrate(&mut jobs);
+        for ((n, p, amb, r, dt), job) in cases.iter().zip(&jobs) {
+            let mut scalar = *n;
+            scalar.step(w(*p), c(*amb), *r, s(*dt));
+            // The pre-batching integrator: RK4 substeps one after another.
+            let substeps = dt.ceil() as usize;
+            let mut state = n.state();
+            for _ in 0..substeps {
+                state = rk4_step(n.params(), state, *p, *amb, *r, dt / substeps as f64);
+            }
+            for got in [scalar.state(), job.state] {
+                assert_eq!(got.die_c.to_bits(), state.die_c.to_bits());
+                assert_eq!(got.sink_c.to_bits(), state.sink_c.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -167,7 +167,8 @@ pub enum UtilizationModel {
     /// ingestion path for real datacenter traces where available — the
     /// synthetic profiles stand in when they are not.
     Trace {
-        /// `(time_secs, utilization)` samples, sorted by time, non-empty.
+        /// `(time_secs, utilization)` samples, sorted by time. An empty
+        /// trace is zero demand.
         points: Vec<(f64, f64)>,
     },
     /// Square wave alternating between two levels.
@@ -271,6 +272,7 @@ impl UtilizationModel {
                 off_secs,
                 ..
             } => (on_level * on_secs + off_level * off_secs) / (on_secs + off_secs),
+            UtilizationModel::Trace { points } if points.is_empty() => 0.0,
             UtilizationModel::Trace { points } => {
                 points.iter().map(|(_, u)| u).sum::<f64>() / points.len() as f64
             }
@@ -340,13 +342,16 @@ impl UtilizationGenerator {
     }
 }
 
-/// Linear interpolation in a sorted trace, looping past the end.
+/// Linear interpolation in a sorted trace, looping past the end; an empty
+/// trace is zero demand.
 fn sample_trace(points: &[(f64, f64)], secs: f64) -> f64 {
-    debug_assert!(!points.is_empty(), "empty trace");
+    let Some(&(last_t, last_u)) = points.last() else {
+        return 0.0;
+    };
     if points.len() == 1 {
         return points[0].1;
     }
-    let span = points.last().expect("nonempty").0 - points[0].0;
+    let span = last_t - points[0].0;
     let t = if span > 0.0 {
         points[0].0 + (secs - points[0].0).rem_euclid(span)
     } else {
@@ -357,7 +362,7 @@ fn sample_trace(points: &[(f64, f64)], secs: f64) -> f64 {
         return points[0].1;
     }
     if idx >= points.len() {
-        return points.last().expect("nonempty").1;
+        return last_u;
     }
     let (t0, u0) = points[idx - 1];
     let (t1, u1) = points[idx];
@@ -517,6 +522,17 @@ mod tests {
         };
         let mut g = m.into_generator();
         assert_eq!(g.at(SimTime::from_secs(99)), 0.7);
+    }
+
+    #[test]
+    fn empty_trace_is_zero_demand() {
+        // The variant is public, so a caller can skip `trace_from_csv`'s
+        // non-empty check.
+        let m = UtilizationModel::Trace { points: Vec::new() };
+        assert_eq!(m.level_hint(), 0.0);
+        let mut g = m.into_generator();
+        assert_eq!(g.at(SimTime::from_secs(0)), 0.0);
+        assert_eq!(g.at(SimTime::from_secs(99)), 0.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use vmtherm::core::fleet::ShardedMonitor;
 use vmtherm::core::monitor::FleetMonitor;
 use vmtherm::core::stable::{run_experiments, StablePredictor, TrainingOptions};
 use vmtherm::sim::scenario::oracle::{
-    check_scenario, physical_fingerprint, run_to_end, OracleConfig,
+    check_scenario, full_fingerprint, physical_fingerprint, run_to_end, OracleConfig,
 };
 use vmtherm::sim::{AmbientModel, CaseGenerator, ClockMode, Scenario, ServerId, SimDuration};
 use vmtherm::svm::kernel::Kernel;
@@ -197,6 +197,68 @@ fn corpus_keeps_the_fleet_monitor_consistent() {
             assert!(
                 monitor_bits(&monitor) == monitor_bits(&sharded),
                 "{name} ({clock:?}): sharded monitor diverged from the unsharded one"
+            );
+        }
+    }
+}
+
+/// Absolute end-state digests of every checked-in scenario, as
+/// `(name, physical, full on the fixed clock, full on the event clock)`.
+/// The other corpus tests only hold one stepping path against another,
+/// so a change that moves the physics, the trace recording or the fault
+/// delivery of both clocks together passes them; it fails here. The
+/// physical digest is the same on both clocks.
+const CORPUS_DIGESTS: [(&str, u64, u64, u64); 5] = [
+    (
+        "ambient-step-event-sleep",
+        0x3eee_72be_76cb_b7f2,
+        0xee7e_6fe2_cc87_38c6,
+        0xaee0_ba21_1afd_1bc7,
+    ),
+    (
+        "batch-shard-boundary",
+        0x1f44_4eea_4886_ffe1,
+        0xff5b_143a_6232_c625,
+        0xda61_834a_18b4_aece,
+    ),
+    (
+        "crac-failure-mid-migration",
+        0x5e1a_723d_1604_719c,
+        0x0eb9_717d_5e5f_900d,
+        0xfd22_c7ab_fad5_6bc0,
+    ),
+    (
+        "fan-fault-stuck-sensor",
+        0x515f_8e9e_2be2_303d,
+        0x1f7f_7d68_3ec7_54aa,
+        0x1f7f_7d68_3ec7_54aa,
+    ),
+    (
+        "flash-crowd-dropout",
+        0xc3c9_250e_2b03_9c34,
+        0x5dca_7060_b3d9_56d7,
+        0x5dca_7060_b3d9_56d7,
+    ),
+];
+
+#[test]
+fn corpus_end_states_match_their_pinned_digests() {
+    let corpus = corpus();
+    assert_eq!(corpus.len(), CORPUS_DIGESTS.len(), "corpus changed: re-pin");
+    for ((path, scenario), (name, physical, full_fixed, full_event)) in
+        corpus.iter().zip(CORPUS_DIGESTS)
+    {
+        assert_eq!(scenario.name, name, "{}: unpinned scenario", path.display());
+        for (clock, full) in [
+            (ClockMode::Fixed, full_fixed),
+            (ClockMode::Event, full_event),
+        ] {
+            let sim = run_to_end(scenario, clock, 1, 1).expect("run");
+            let got = (physical_fingerprint(&sim), full_fingerprint(&sim));
+            assert_eq!(
+                got,
+                (physical, full),
+                "{name} ({clock:?}) moved: got {got:#018x?}"
             );
         }
     }
