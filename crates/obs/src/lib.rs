@@ -5,14 +5,14 @@
 //!
 //! 1. a process-global [`Registry`] of counters, gauges, and fixed-bucket
 //!    histograms, exportable as Prometheus text or JSON ([`registry`]);
-//! 2. a span/timer API ([`span`]) with thread-local span stacks that
+//! 2. a span/timer API ([`span`](fn@span)) with thread-local span stacks that
 //!    aggregates into a per-run timing tree;
 //! 3. a schema-versioned JSONL event log ([`event`]) with a ring-buffer
 //!    mode, parsed and rendered by [`report`] (the `vmtherm obs-report`
 //!    subcommand).
 //!
 //! The whole layer is **off by default**. Instrumented hot paths go through
-//! [`LazyCounter`] / [`LazyGauge`] / [`LazyHistogram`] handles or [`span`]
+//! [`LazyCounter`] / [`LazyGauge`] / [`LazyHistogram`] handles or [`span`](fn@span)
 //! guards, all of which check one relaxed atomic load first — when disabled,
 //! instrumentation costs a branch and nothing else, and nothing allocates.
 
@@ -262,7 +262,7 @@ fn sanitize_component(name: &str) -> String {
         .collect()
 }
 
-/// Opens a span on the current thread; see [`span`]. The guard binding is
+/// Opens a span on the current thread; see [`span`](fn@span). The guard binding is
 /// held until the end of the enclosing scope.
 #[macro_export]
 macro_rules! span {

@@ -372,24 +372,6 @@ impl KernelSearchResult {
     }
 }
 
-/// Convenience wrapper: grid search with RBF kernel over small default
-/// ranges suitable for datasets of a few hundred samples, returning the
-/// best parameters.
-///
-/// # Errors
-///
-/// Propagates [`GridSearch::run`] errors.
-pub fn quick_search(data: &Dataset, seed: u64) -> Result<SvrParams, SvmError> {
-    let grid = GridSearch::new()
-        .with_c_values(Log2Range::new(-1, 9, 2).values())
-        .with_gamma_values(Log2Range::new(-7, 1, 2).values())
-        .with_epsilon_values(vec![0.05, 0.1])
-        .with_base_params(SvrParams::new().with_kernel(Kernel::rbf(1.0)))
-        .with_folds(5)
-        .with_seed(seed);
-    Ok(grid.run(data)?.best_params())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,7 +453,16 @@ mod tests {
         let default_mse = crate::cv::cross_validate_svr(&ds, SvrParams::new(), 5, &mut rng)
             .unwrap()
             .mean_mse;
-        let best = quick_search(&ds, 3).unwrap();
+        let best = GridSearch::new()
+            .with_c_values(Log2Range::new(-1, 9, 2).values())
+            .with_gamma_values(Log2Range::new(-7, 1, 2).values())
+            .with_epsilon_values(vec![0.05, 0.1])
+            .with_base_params(SvrParams::new().with_kernel(Kernel::rbf(1.0)))
+            .with_folds(5)
+            .with_seed(3)
+            .run(&ds)
+            .unwrap()
+            .best_params();
         let mut rng = StdRng::seed_from_u64(3);
         let best_mse = crate::cv::cross_validate_svr(&ds, best, 5, &mut rng)
             .unwrap()

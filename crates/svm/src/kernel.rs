@@ -5,6 +5,7 @@
 //! are provided as well so the benchmark harness can ablate the choice
 //! (see `DESIGN.md` §6.2).
 
+use crate::error::SvmError;
 use crate::linalg::{dot, squared_distance};
 use crate::matrix::DenseMatrix;
 use serde::{Deserialize, Serialize};
@@ -90,7 +91,7 @@ impl Kernel {
     ///
     /// The kernel dispatch is hoisted out of the row loop and the matrix is
     /// walked in row-major order, so the pass streams through one
-    /// contiguous allocation, [`ROW_UNROLL`] rows at a time (the rows'
+    /// contiguous allocation, four rows at a time (the rows'
     /// independent accumulator chains pipeline where the scalar path
     /// serialises on one). Each entry is computed with exactly the same
     /// arithmetic, in the same order, as [`Kernel::eval`], so results are
@@ -221,6 +222,17 @@ impl Kernel {
         }
     }
 
+    /// Rejects a non-positive or NaN `gamma`: the kernel check every
+    /// trainer's parameter validation shares.
+    pub(crate) fn validate(&self) -> Result<(), SvmError> {
+        match self.gamma() {
+            Some(g) if !(g > 0.0) => {
+                Err(SvmError::invalid("gamma", format!("must be > 0, got {g}")))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Returns a copy of this kernel with `gamma` replaced, leaving other
     /// parameters untouched. A no-op for [`Kernel::Linear`].
     #[must_use]
@@ -333,24 +345,6 @@ impl std::fmt::Display for Kernel {
             }
         }
     }
-}
-
-/// Computes the full symmetric kernel (Gram) matrix for a set of points.
-///
-/// Used by tests and small-problem utilities; the SMO solver computes rows
-/// on demand through [`RowCache`] instead of materialising the full matrix.
-#[must_use]
-pub fn gram_matrix(kernel: Kernel, points: &DenseMatrix) -> DenseMatrix {
-    let n = points.rows();
-    let mut g = DenseMatrix::zeros(n, n);
-    for i in 0..n {
-        for j in i..n {
-            let v = kernel.eval(points.row(i), points.row(j));
-            g.row_mut(i)[j] = v;
-            g.row_mut(j)[i] = v;
-        }
-    }
-    g
 }
 
 /// An LRU cache of kernel-matrix rows.
@@ -527,19 +521,6 @@ mod tests {
     fn gamma_accessor() {
         assert_eq!(Kernel::Linear.gamma(), None);
         assert_eq!(Kernel::rbf(0.25).gamma(), Some(0.25));
-    }
-
-    #[test]
-    fn gram_matrix_is_symmetric_with_unit_diagonal_for_rbf() {
-        let pts =
-            DenseMatrix::from_nested(vec![vec![0.0, 1.0], vec![1.0, 0.0], vec![2.0, 2.0]]).unwrap();
-        let g = gram_matrix(Kernel::rbf(1.0), &pts);
-        for i in 0..3 {
-            assert!((g.row(i)[i] - 1.0).abs() < 1e-15);
-            for j in 0..3 {
-                assert_eq!(g.row(i)[j], g.row(j)[i]);
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! # vmtherm-svm
 //!
-//! A self-contained support vector machine library: ε-SVR and C-SVC trained
-//! with the SMO algorithm, RBF/linear/polynomial/sigmoid kernels, feature
+//! A self-contained support vector machine library: ε-SVR, C-SVC and the
+//! one-class SVM, trained by one SMO loop and evaluated through one
+//! support-vector expansion; RBF/linear/polynomial/sigmoid kernels, feature
 //! scaling, k-fold cross-validation and `easygrid`-style grid search.
 //!
 //! It stands in for **LIBSVM 3.17 + `easygrid`**, which the paper
@@ -53,12 +54,13 @@
 //! - [`matrix`] — the flat row-major [`matrix::DenseMatrix`] feature storage
 //! - [`scale`] — `svm-scale`-style feature scaling
 //! - [`kernel`] — kernel functions and the solver's row cache
-//! - [`svr`] / [`nusvr`] / [`svc`] / [`oneclass`] — ε/ν regression,
-//!   classification and novelty-detection models
+//! - [`svr`] / [`svc`] / [`oneclass`] — ε-regression, classification and
+//!   novelty-detection models, sharing one support-vector expansion
+//!   `f(x) = Σ cᵢ·K(svᵢ, x) + b`
 //! - [`cv`] / [`grid`] — 10-fold CV and `easygrid` parameter search
 //! - [`metrics`] — MSE and friends (the paper's reporting metric)
 //! - [`model_io`] — LIBSVM-style model files
-//! - [`linalg`] — small dense vector helpers
+//! - [`linalg`] — dot products, norms, distances and moments over slices
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -72,13 +74,13 @@
 pub mod cv;
 pub mod data;
 pub mod error;
+mod expansion;
 pub mod grid;
 pub mod kernel;
 pub mod linalg;
 pub mod matrix;
 pub mod metrics;
 pub mod model_io;
-pub mod nusvr;
 pub mod oneclass;
 pub mod scale;
 mod smo;
@@ -89,7 +91,6 @@ pub use data::Dataset;
 pub use error::SvmError;
 pub use kernel::Kernel;
 pub use matrix::DenseMatrix;
-pub use nusvr::{NuSvrModel, NuSvrParams};
 pub use oneclass::{OneClassModel, OneClassParams};
 pub use scale::{ScaleMethod, Scaler};
 pub use svc::{SvcModel, SvcParams};

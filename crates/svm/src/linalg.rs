@@ -60,24 +60,6 @@ pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// `y += alpha * x` (the BLAS `axpy` primitive).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(
-        x.len(),
-        y.len(),
-        "axpy: dimension mismatch {} vs {}",
-        x.len(),
-        y.len()
-    );
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Mean of a slice; `0.0` for an empty slice.
 #[must_use]
 pub fn mean(a: &[f64]) -> f64 {
@@ -134,13 +116,6 @@ mod tests {
     #[test]
     fn norm_of_unit_axis() {
         assert_eq!(norm(&[0.0, 1.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, -1.0], &mut y);
-        assert_eq!(y, vec![7.0, -1.0]);
     }
 
     #[test]

@@ -26,8 +26,7 @@ pub fn svr_to_string(model: &SvrModel) -> String {
     let _ = writeln!(out, "bias={}", model.bias());
     let _ = writeln!(out, "dim={}", model.dim());
     let _ = writeln!(out, "nsv={}", model.num_support_vectors());
-    let (_, _, _, coefficients, support_vectors) = model.parts();
-    for (coef, sv) in coefficients.iter().zip(support_vectors) {
+    for (coef, sv) in model.coefficients().iter().zip(model.support_vectors()) {
         let _ = write!(out, "{coef}");
         for v in sv {
             let _ = write!(out, " {v}");
@@ -97,7 +96,9 @@ pub fn svr_from_string(text: &str) -> Result<SvrModel, SvmError> {
     let dim = dim.ok_or_else(|| SvmError::parse(0, "missing dim"))?;
     let nsv = nsv.ok_or_else(|| SvmError::parse(0, "missing nsv"))?;
 
-    let mut coefficients = Vec::with_capacity(nsv);
+    // Counts come from the file: grow as lines parse instead of pre-sizing,
+    // so a bogus count is a truncation error rather than an allocation.
+    let mut coefficients = Vec::new();
     let mut support_vectors = DenseMatrix::with_cols(dim);
     for _ in 0..nsv {
         let (lineno, line) = lines
@@ -256,8 +257,9 @@ pub fn scaler_from_string(text: &str) -> Result<Scaler, SvmError> {
     let method = method.ok_or_else(|| SvmError::parse(0, "missing method"))?;
     let base = base.ok_or_else(|| SvmError::parse(0, "missing base"))?;
     let dim = dim.ok_or_else(|| SvmError::parse(0, "missing dim"))?;
-    let mut offsets = Vec::with_capacity(dim);
-    let mut scales = Vec::with_capacity(dim);
+    // `dim` comes from the file: grow as lines parse (see `svr_from_string`).
+    let mut offsets = Vec::new();
+    let mut scales = Vec::new();
     for _ in 0..dim {
         let (lineno, line) = lines
             .next()
@@ -386,6 +388,24 @@ mod tests {
         assert!(scaler_from_string("nope\n").is_err());
         let text = "vmtherm-model scaler v1\nmethod=quantum\nbase=0\ndim=0\n";
         assert!(scaler_from_string(text).is_err());
+    }
+
+    /// Counts read from a header must not pre-size anything: a huge count
+    /// over a short body is a truncated file, not an allocation.
+    #[test]
+    fn huge_header_counts_are_truncation_errors() {
+        for count in ["18446744073709551615", "1000000000000"] {
+            let svr = format!("vmtherm-model svr v1\nkernel=linear\nbias=0\ndim=1\nnsv={count}\n");
+            assert!(
+                matches!(svr_from_string(&svr), Err(SvmError::Parse { .. })),
+                "nsv={count}"
+            );
+            let scaler = format!("vmtherm-model scaler v1\nmethod=minmax\nbase=0\ndim={count}\n");
+            assert!(
+                matches!(scaler_from_string(&scaler), Err(SvmError::Parse { .. })),
+                "dim={count}"
+            );
+        }
     }
 
     #[test]

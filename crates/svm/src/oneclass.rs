@@ -9,6 +9,7 @@
 
 use crate::data::Dataset;
 use crate::error::SvmError;
+use crate::expansion::Expansion;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
 use crate::smo::{self, KernelRows, SolveOptions};
@@ -19,21 +20,16 @@ use serde::{Deserialize, Serialize};
 pub struct OneClassParams {
     nu: f64,
     kernel: Kernel,
-    tolerance: f64,
-    max_iterations: usize,
-    cache_rows: usize,
 }
 
 impl OneClassParams {
-    /// LIBSVM-style defaults: ν = 0.5, RBF kernel.
+    /// LIBSVM-style defaults: ν = 0.5, RBF kernel. The solver runs at
+    /// LIBSVM's default tolerance `1e-3` with shrinking on.
     #[must_use]
     pub fn new() -> Self {
         OneClassParams {
             nu: 0.5,
             kernel: Kernel::default(),
-            tolerance: 1e-3,
-            max_iterations: 10_000_000,
-            cache_rows: 4096,
         }
     }
 
@@ -71,18 +67,7 @@ impl OneClassParams {
                 format!("must be in (0, 1], got {}", self.nu),
             ));
         }
-        if !(self.tolerance > 0.0) {
-            return Err(SvmError::invalid(
-                "tolerance",
-                format!("must be > 0, got {}", self.tolerance),
-            ));
-        }
-        if let Some(g) = self.kernel.gamma() {
-            if !(g > 0.0) {
-                return Err(SvmError::invalid("gamma", format!("must be > 0, got {g}")));
-            }
-        }
-        Ok(())
+        self.kernel.validate()
     }
 }
 
@@ -95,11 +80,8 @@ impl Default for OneClassParams {
 /// A trained one-class model. Targets of the training set are ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OneClassModel {
-    kernel: Kernel,
-    support_vectors: DenseMatrix,
-    coefficients: Vec<f64>,
-    rho: f64,
-    dim: usize,
+    /// Coefficients `α_i`, bias `−rho`.
+    expansion: Expansion,
     converged: bool,
 }
 
@@ -153,19 +135,8 @@ impl OneClassModel {
             alpha[whole] = n - whole as f64;
         }
 
-        let mut q = KernelRows::new(params.kernel, train.features(), params.cache_rows);
-        let solution = smo::solve(
-            &mut q,
-            &p,
-            &y,
-            &c,
-            alpha,
-            SolveOptions {
-                tolerance: params.tolerance,
-                max_iterations: params.max_iterations,
-                shrinking: true,
-            },
-        );
+        let mut q = KernelRows::new(params.kernel, train.features(), smo::CACHE_ROWS);
+        let solution = smo::solve(&mut q, &p, &y, &c, alpha, SolveOptions::default());
 
         let mut support_vectors = DenseMatrix::with_cols(train.dim());
         let mut coefficients = Vec::new();
@@ -176,11 +147,13 @@ impl OneClassModel {
             }
         }
         Ok(OneClassModel {
-            kernel: params.kernel,
-            support_vectors,
-            coefficients,
-            rho: solution.rho,
-            dim: train.dim(),
+            expansion: Expansion::new(
+                params.kernel,
+                support_vectors,
+                coefficients,
+                -solution.rho,
+                train.dim(),
+            )?,
             converged: solution.converged,
         })
     }
@@ -192,19 +165,7 @@ impl OneClassModel {
     /// [`SvmError::DimensionMismatch`] if `x.len()` differs from the
     /// training dimensionality.
     pub fn decision_value(&self, x: &[f64]) -> Result<f64, SvmError> {
-        if x.len() != self.dim {
-            return Err(SvmError::DimensionMismatch {
-                expected: self.dim,
-                actual: x.len(),
-            });
-        }
-        Ok(self
-            .support_vectors
-            .iter()
-            .zip(&self.coefficients)
-            .map(|(sv, a)| a * self.kernel.eval(sv, x))
-            .sum::<f64>()
-            - self.rho)
+        self.expansion.value(x)
     }
 
     /// `true` when `x` looks like the training (normal) data.
@@ -226,33 +187,13 @@ impl OneClassModel {
     /// [`SvmError::DimensionMismatch`] if the matrix width differs from
     /// the training dimensionality.
     pub fn predict_batch(&self, queries: &DenseMatrix) -> Result<Vec<f64>, SvmError> {
-        if queries.cols() != self.dim {
-            return Err(SvmError::DimensionMismatch {
-                expected: self.dim,
-                actual: queries.cols(),
-            });
-        }
-        let mut scratch = vec![0.0; self.support_vectors.rows()];
-        let mut out = Vec::with_capacity(queries.rows());
-        for x in queries {
-            self.kernel
-                .eval_row_batch(x, &self.support_vectors, &mut scratch);
-            out.push(
-                scratch
-                    .iter()
-                    .zip(&self.coefficients)
-                    .map(|(k, a)| a * k)
-                    .sum::<f64>()
-                    - self.rho,
-            );
-        }
-        Ok(out)
+        self.expansion.values(queries)
     }
 
     /// Number of support vectors retained.
     #[must_use]
     pub fn num_support_vectors(&self) -> usize {
-        self.support_vectors.rows()
+        self.expansion.support_vectors().rows()
     }
 
     /// Whether the solver reached its KKT tolerance.
@@ -264,7 +205,7 @@ impl OneClassModel {
     /// Feature dimensionality the model expects.
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.dim
+        self.expansion.dim()
     }
 }
 

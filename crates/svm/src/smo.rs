@@ -12,8 +12,10 @@
 //! violating pair with second-order working-set selection (WSS2) and solving
 //! the two-variable subproblem analytically.
 //!
-//! Both ε-SVR ([`crate::svr`]) and C-SVC ([`crate::svc`]) reduce to this
-//! form; the regression case uses the standard expansion to `2l` variables.
+//! ε-SVR ([`crate::svr`]), C-SVC ([`crate::svc`]) and the one-class SVM
+//! ([`crate::oneclass`]) all reduce to this form, and [`solve`] is the one
+//! loop that solves it; the regression case uses the standard expansion
+//! to `2l` variables.
 //! `Q` is never stored: the solver reads unsigned kernel rows from
 //! [`KernelRows`] and applies the signs itself.
 
@@ -28,7 +30,7 @@ const TAU: f64 = 1e-12;
 /// [`RowCache`], plus the kernel diagonal `K[b][b]`.
 ///
 /// A dual problem has one variable per point (C-SVC, one-class) or two
-/// (ε-/ν-SVR: `α` at `t < l`, `α*` at `t = l + b`), so variable `t` sits
+/// (ε-SVR: `α` at `t < l`, `α*` at `t = l + b`), so variable `t` sits
 /// on base point `b(t) = t` or `t − l`. The solver forms
 /// `Q_it = y_i·y_t·K[b_i][b_t]` from the sign vector `y` it is given,
 /// which is that problem's sign pattern: `y_t` per point, or +1 on the
@@ -154,6 +156,10 @@ fn debug_check_problem(l: usize, p: &[f64], y: &[f64], c: &[f64], alpha: &[f64])
         "expanded problems sign the α half +1 and the α* half −1"
     );
 }
+
+/// Kernel row-cache capacity, in rows, of every solve whose caller does
+/// not set one.
+pub(crate) const CACHE_ROWS: usize = 4096;
 
 /// Parameters controlling a single SMO solve.
 #[derive(Debug, Clone, Copy)]
@@ -555,248 +561,6 @@ fn reconstruct_gradient(
         }
         grad[t] = g;
     }
-}
-
-/// Result of a ν-problem solve: like [`Solution`] plus the second dual
-/// multiplier `r` (for ν-SVR, the learned tube half-width is `−r`).
-#[derive(Debug, Clone)]
-pub(crate) struct NuSolution {
-    /// The base solution (alpha, rho, objective, iterations, converged).
-    pub base: Solution,
-    /// The `r` multiplier of the second equality constraint.
-    pub r: f64,
-}
-
-/// Solves the ν-variant dual: same box and `yᵀa` constraint as
-/// [`solve`], plus the implicit second constraint conserved by restricting
-/// working pairs to a single label group (LIBSVM's `Solver_NU`).
-pub(crate) fn solve_nu(
-    q: &mut KernelRows<'_>,
-    p: &[f64],
-    y: &[f64],
-    c: &[f64],
-    mut alpha: Vec<f64>,
-    options: SolveOptions,
-) -> NuSolution {
-    let n = p.len();
-    let l = q.len();
-    debug_check_problem(l, p, y, c, &alpha);
-    // Kernel rows of the selection's candidate `i` for the positive
-    // (`kp`) and negative (`kn`) label group.
-    let mut kp = vec![0.0; l];
-    let mut kn = vec![0.0; l];
-    let mut grad: Vec<f64> = p.to_vec();
-    for i in 0..n {
-        if alpha[i] != 0.0 {
-            let ai = alpha[i];
-            for (g, qit) in grad.iter_mut().zip(signed_row(q.row(base(i, l)), y[i], y)) {
-                *g += ai * qit;
-            }
-        }
-    }
-
-    let mut iterations = 0;
-    let mut converged = false;
-    while iterations < options.max_iterations {
-        let Some((i, j)) =
-            select_working_set_nu(q, &grad, y, c, &alpha, options.tolerance, &mut kp, &mut kn)
-        else {
-            converged = true;
-            break;
-        };
-        iterations += 1;
-        // Row K[b_i] is the one the selection left for y_i's label group.
-        let ki = if y[i] > 0.0 { &kp } else { &kn };
-        let bj = base(j, l);
-        let dij = q.diag[base(i, l)] + q.diag[bj];
-        let kj = q.row(bj);
-        let old_ai = alpha[i];
-        let old_aj = alpha[j];
-        // Pairs share a label group, so only the y_i == y_j update applies.
-        let mut quad = dij - 2.0 * ((y[i] * y[j]) * ki[bj]);
-        if quad <= 0.0 {
-            quad = TAU;
-        }
-        let delta = (grad[i] - grad[j]) / quad;
-        let sum = alpha[i] + alpha[j];
-        let (ci, cj) = (c[i], c[j]);
-        alpha[i] -= delta;
-        alpha[j] += delta;
-        if sum > ci {
-            if alpha[i] > ci {
-                alpha[i] = ci;
-                alpha[j] = sum - ci;
-            }
-        } else if alpha[j] < 0.0 {
-            alpha[j] = 0.0;
-            alpha[i] = sum;
-        }
-        if sum > cj {
-            if alpha[j] > cj {
-                alpha[j] = cj;
-                alpha[i] = sum - cj;
-            }
-        } else if alpha[i] < 0.0 {
-            alpha[i] = 0.0;
-            alpha[j] = sum;
-        }
-        let dai = alpha[i] - old_ai;
-        let daj = alpha[j] - old_aj;
-        if dai == 0.0 && daj == 0.0 {
-            converged = true;
-            break;
-        }
-        update_gradient(&mut grad, y, ki, kj, y[i] * dai, y[j] * daj);
-    }
-
-    let (rho, r) = compute_rho_nu(&grad, y, c, &alpha);
-    let objective = 0.5
-        * alpha
-            .iter()
-            .zip(grad.iter().zip(p))
-            .map(|(a, (g, pi))| a * (g + pi))
-            .sum::<f64>();
-    NuSolution {
-        base: Solution {
-            alpha,
-            rho,
-            objective,
-            iterations,
-            converged,
-        },
-        r,
-    }
-}
-
-/// Working-set selection for the ν-problem: the best second-order pair
-/// *within* each label group, as in LIBSVM's `Solver_NU`. Leaves the
-/// positive group's candidate kernel row in `kp` and the negative
-/// group's in `kn`.
-#[allow(clippy::too_many_arguments)]
-fn select_working_set_nu(
-    q: &mut KernelRows<'_>,
-    grad: &[f64],
-    y: &[f64],
-    c: &[f64],
-    alpha: &[f64],
-    tolerance: f64,
-    kp: &mut [f64],
-    kn: &mut [f64],
-) -> Option<(usize, usize)> {
-    let n = grad.len();
-    let l = q.len();
-    let mut gmax_p = f64::NEG_INFINITY;
-    let mut ip: Option<usize> = None;
-    let mut gmax_n = f64::NEG_INFINITY;
-    let mut i_n: Option<usize> = None;
-    for t in 0..n {
-        if y[t] > 0.0 {
-            if alpha[t] < c[t] && -grad[t] >= gmax_p {
-                gmax_p = -grad[t];
-                ip = Some(t);
-            }
-        } else if alpha[t] > 0.0 && grad[t] >= gmax_n {
-            gmax_n = grad[t];
-            i_n = Some(t);
-        }
-    }
-    let mut fetch = |i: usize, row: &mut [f64]| {
-        let b = base(i, l);
-        row.copy_from_slice(q.row(b));
-        (i, q.diag[b])
-    };
-    let row_p = ip.map(|i| fetch(i, kp));
-    let row_n = i_n.map(|i| fetch(i, kn));
-
-    // Within a label group y_i·y_t = 1, so Q_it = K[b_i][b_t].
-    let mut gmax_p2 = f64::NEG_INFINITY;
-    let mut gmax_n2 = f64::NEG_INFINITY;
-    let mut obj_min = f64::INFINITY;
-    let mut best: Option<(usize, usize)> = None;
-    for t in 0..n {
-        let b = base(t, l);
-        if y[t] > 0.0 {
-            if alpha[t] > 0.0 {
-                if grad[t] > gmax_p2 {
-                    gmax_p2 = grad[t];
-                }
-                if let Some((i, di)) = row_p {
-                    let grad_diff = gmax_p + grad[t];
-                    if grad_diff > 0.0 {
-                        let mut quad = di + q.diag[b] - 2.0 * kp[b];
-                        if quad <= 0.0 {
-                            quad = TAU;
-                        }
-                        let obj = -(grad_diff * grad_diff) / quad;
-                        if obj <= obj_min {
-                            obj_min = obj;
-                            best = Some((i, t));
-                        }
-                    }
-                }
-            }
-        } else if alpha[t] < c[t] {
-            if -grad[t] > gmax_n2 {
-                gmax_n2 = -grad[t];
-            }
-            if let Some((i, di)) = row_n {
-                let grad_diff = gmax_n - grad[t];
-                if grad_diff > 0.0 {
-                    let mut quad = di + q.diag[b] - 2.0 * kn[b];
-                    if quad <= 0.0 {
-                        quad = TAU;
-                    }
-                    let obj = -(grad_diff * grad_diff) / quad;
-                    if obj <= obj_min {
-                        obj_min = obj;
-                        best = Some((i, t));
-                    }
-                }
-            }
-        }
-    }
-    if gmax_p + gmax_p2 < tolerance && gmax_n + gmax_n2 < tolerance {
-        return None;
-    }
-    best
-}
-
-/// `rho` and `r` for the ν-problem: per-group free-variable averages
-/// (LIBSVM `Solver_NU::calculate_rho`).
-fn compute_rho_nu(grad: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) -> (f64, f64) {
-    let group = |sign: f64| {
-        let mut ub = f64::INFINITY;
-        let mut lb = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for t in 0..grad.len() {
-            if (y[t] > 0.0) != (sign > 0.0) {
-                continue;
-            }
-            if alpha[t] >= c[t] {
-                lb = lb.max(grad[t]);
-            } else if alpha[t] <= 0.0 {
-                ub = ub.min(grad[t]);
-            } else {
-                sum += grad[t];
-                count += 1;
-            }
-        }
-        if count > 0 {
-            sum / count as f64
-        } else if ub.is_finite() && lb.is_finite() {
-            (ub + lb) / 2.0
-        } else if ub.is_finite() {
-            ub
-        } else if lb.is_finite() {
-            lb
-        } else {
-            0.0
-        }
-    };
-    let r1 = group(1.0);
-    let r2 = group(-1.0);
-    ((r1 - r2) / 2.0, (r1 + r2) / 2.0)
 }
 
 /// Records whether variable `t` is in I_up (α_t can move up along y_t)

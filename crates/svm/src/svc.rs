@@ -6,6 +6,7 @@
 
 use crate::data::Dataset;
 use crate::error::SvmError;
+use crate::expansion::Expansion;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
 use crate::smo::{self, KernelRows, SolveOptions};
@@ -16,33 +17,17 @@ use serde::{Deserialize, Serialize};
 pub struct SvcParams {
     c: f64,
     kernel: Kernel,
-    tolerance: f64,
-    max_iterations: usize,
-    cache_rows: usize,
-    #[serde(default = "default_prenorm_rows")]
-    prenorm_rows: bool,
-}
-
-/// Serde default for [`SvcParams::with_prenorm_rows`], matching
-/// [`SvcParams::new`].
-// The vendored serde shim's derive is declarative (no generated impls),
-// so this reference from the field attribute is not expanded yet.
-#[allow(dead_code)]
-fn default_prenorm_rows() -> bool {
-    true
 }
 
 impl SvcParams {
-    /// LIBSVM-default parameters (`C = 1`, RBF kernel).
+    /// LIBSVM-default parameters (`C = 1`, RBF kernel). The solver runs
+    /// at LIBSVM's default tolerance `1e-3` with shrinking and the
+    /// precomputed-norm RBF row pass on.
     #[must_use]
     pub fn new() -> Self {
         SvcParams {
             c: 1.0,
             kernel: Kernel::default(),
-            tolerance: 1e-3,
-            max_iterations: 10_000_000,
-            cache_rows: 4096,
-            prenorm_rows: true,
         }
     }
 
@@ -57,22 +42,6 @@ impl SvcParams {
     #[must_use]
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Sets the KKT stopping tolerance (> 0).
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Enables or disables the precomputed-norm RBF row pass inside the
-    /// solver; on by default. Same ≤1e-12 tolerance contract as
-    /// [`crate::svr::SvrParams::with_prenorm_rows`].
-    #[must_use]
-    pub fn with_prenorm_rows(mut self, prenorm_rows: bool) -> Self {
-        self.prenorm_rows = prenorm_rows;
         self
     }
 
@@ -95,18 +64,7 @@ impl SvcParams {
                 format!("must be > 0, got {}", self.c),
             ));
         }
-        if !(self.tolerance > 0.0) {
-            return Err(SvmError::invalid(
-                "tolerance",
-                format!("must be > 0, got {}", self.tolerance),
-            ));
-        }
-        if let Some(g) = self.kernel.gamma() {
-            if !(g > 0.0) {
-                return Err(SvmError::invalid("gamma", format!("must be > 0, got {g}")));
-            }
-        }
-        Ok(())
+        self.kernel.validate()
     }
 }
 
@@ -119,12 +77,8 @@ impl Default for SvcParams {
 /// A trained binary classifier. Labels are `±1`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SvcModel {
-    kernel: Kernel,
-    support_vectors: DenseMatrix,
-    /// `y_i α_i` per support vector.
-    coefficients: Vec<f64>,
-    bias: f64,
-    dim: usize,
+    /// Coefficients `y_i α_i`, bias `−rho`.
+    expansion: Expansion,
     iterations: usize,
     converged: bool,
 }
@@ -171,20 +125,9 @@ impl SvcModel {
         let y = train.targets().to_vec();
         let p = vec![-1.0; l];
         let c = vec![params.c; l];
-        let mut q = KernelRows::new(params.kernel, train.features(), params.cache_rows)
-            .with_prenorm_rows(params.prenorm_rows);
-        let solution = smo::solve(
-            &mut q,
-            &p,
-            &y,
-            &c,
-            vec![0.0; l],
-            SolveOptions {
-                tolerance: params.tolerance,
-                max_iterations: params.max_iterations,
-                shrinking: true,
-            },
-        );
+        let mut q = KernelRows::new(params.kernel, train.features(), smo::CACHE_ROWS)
+            .with_prenorm_rows(true);
+        let solution = smo::solve(&mut q, &p, &y, &c, vec![0.0; l], SolveOptions::default());
 
         let mut support_vectors = DenseMatrix::with_cols(train.dim());
         let mut coefficients = Vec::new();
@@ -195,11 +138,13 @@ impl SvcModel {
             }
         }
         Ok(SvcModel {
-            kernel: params.kernel,
-            support_vectors,
-            coefficients,
-            bias: -solution.rho,
-            dim: train.dim(),
+            expansion: Expansion::new(
+                params.kernel,
+                support_vectors,
+                coefficients,
+                -solution.rho,
+                train.dim(),
+            )?,
             iterations: solution.iterations,
             converged: solution.converged,
         })
@@ -212,19 +157,7 @@ impl SvcModel {
     /// [`SvmError::DimensionMismatch`] if `x.len()` differs from the
     /// training dimensionality.
     pub fn decision_value(&self, x: &[f64]) -> Result<f64, SvmError> {
-        if x.len() != self.dim {
-            return Err(SvmError::DimensionMismatch {
-                expected: self.dim,
-                actual: x.len(),
-            });
-        }
-        Ok(self
-            .support_vectors
-            .iter()
-            .zip(&self.coefficients)
-            .map(|(sv, b)| b * self.kernel.eval(sv, x))
-            .sum::<f64>()
-            + self.bias)
+        self.expansion.value(x)
     }
 
     /// Classifies `x` as `+1.0` or `-1.0` (ties break positive, as in
@@ -235,11 +168,7 @@ impl SvcModel {
     /// [`SvmError::DimensionMismatch`] if `x.len()` differs from the
     /// training dimensionality.
     pub fn classify(&self, x: &[f64]) -> Result<f64, SvmError> {
-        Ok(if self.decision_value(x)? >= 0.0 {
-            1.0
-        } else {
-            -1.0
-        })
+        Ok(label(self.decision_value(x)?))
     }
 
     /// Classifies every row of a feature matrix (`+1.0`/`-1.0` per row),
@@ -251,44 +180,29 @@ impl SvcModel {
     /// [`SvmError::DimensionMismatch`] if the matrix width differs from
     /// the training dimensionality.
     pub fn predict_batch(&self, queries: &DenseMatrix) -> Result<Vec<f64>, SvmError> {
-        if queries.cols() != self.dim {
-            return Err(SvmError::DimensionMismatch {
-                expected: self.dim,
-                actual: queries.cols(),
-            });
+        let mut values = self.expansion.values(queries)?;
+        for v in &mut values {
+            *v = label(*v);
         }
-        let mut scratch = vec![0.0; self.support_vectors.rows()];
-        let mut out = Vec::with_capacity(queries.rows());
-        for x in queries {
-            self.kernel
-                .eval_row_batch(x, &self.support_vectors, &mut scratch);
-            let dv = scratch
-                .iter()
-                .zip(&self.coefficients)
-                .map(|(k, b)| b * k)
-                .sum::<f64>()
-                + self.bias;
-            out.push(if dv >= 0.0 { 1.0 } else { -1.0 });
-        }
-        Ok(out)
+        Ok(values)
     }
 
     /// Number of support vectors retained.
     #[must_use]
     pub fn num_support_vectors(&self) -> usize {
-        self.support_vectors.rows()
+        self.expansion.support_vectors().rows()
     }
 
     /// `y_i α_i` per support vector, in training order.
     #[must_use]
     pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
+        self.expansion.coefficients()
     }
 
     /// The bias `b` (LIBSVM's `−rho`).
     #[must_use]
     pub fn bias(&self) -> f64 {
-        self.bias
+        self.expansion.bias()
     }
 
     /// Solver iterations used during training.
@@ -306,7 +220,16 @@ impl SvcModel {
     /// Feature dimensionality the model expects.
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.dim
+        self.expansion.dim()
+    }
+}
+
+/// The class of a decision value; ties break positive, as in LIBSVM.
+fn label(decision_value: f64) -> f64 {
+    if decision_value >= 0.0 {
+        1.0
+    } else {
+        -1.0
     }
 }
 

@@ -4,6 +4,7 @@
 
 use crate::data::Dataset;
 use crate::error::SvmError;
+use crate::expansion::Expansion;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
 use crate::smo::{self, KernelRows, SolveOptions};
@@ -38,21 +39,9 @@ pub struct SvrParams {
     epsilon: f64,
     kernel: Kernel,
     tolerance: f64,
-    max_iterations: usize,
     cache_rows: usize,
     shrinking: bool,
-    #[serde(default = "default_prenorm_rows")]
     prenorm_rows: bool,
-}
-
-/// Serde default for [`SvrParams::with_prenorm_rows`]: params serialised
-/// before the knob existed load with the prenorm pass enabled, matching
-/// [`SvrParams::new`].
-// The vendored serde shim's derive is declarative (no generated impls),
-// so this reference from the field attribute is not expanded yet.
-#[allow(dead_code)]
-fn default_prenorm_rows() -> bool {
-    true
 }
 
 impl SvrParams {
@@ -64,8 +53,7 @@ impl SvrParams {
             epsilon: 0.1,
             kernel: Kernel::default(),
             tolerance: 1e-3,
-            max_iterations: 10_000_000,
-            cache_rows: 4096,
+            cache_rows: smo::CACHE_ROWS,
             shrinking: true,
             prenorm_rows: true,
         }
@@ -96,13 +84,6 @@ impl SvrParams {
     #[must_use]
     pub fn with_tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = tolerance;
-        self
-    }
-
-    /// Caps solver iterations.
-    #[must_use]
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
         self
     }
 
@@ -178,12 +159,7 @@ impl SvrParams {
                 format!("must be > 0, got {}", self.tolerance),
             ));
         }
-        if let Some(g) = self.kernel.gamma() {
-            if !(g > 0.0) {
-                return Err(SvmError::invalid("gamma", format!("must be > 0, got {g}")));
-            }
-        }
-        Ok(())
+        self.kernel.validate()
     }
 }
 
@@ -197,11 +173,7 @@ impl Default for SvrParams {
 /// `β_i = α_i − α*_i`, and the bias.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SvrModel {
-    kernel: Kernel,
-    support_vectors: DenseMatrix,
-    coefficients: Vec<f64>,
-    bias: f64,
-    dim: usize,
+    expansion: Expansion,
     iterations: usize,
     converged: bool,
 }
@@ -270,8 +242,8 @@ impl SvrModel {
             vec![0.0; 2 * l],
             SolveOptions {
                 tolerance: params.tolerance,
-                max_iterations: params.max_iterations,
                 shrinking: params.shrinking,
+                ..SolveOptions::default()
             },
         );
         let dur_ns = timer.stop().unwrap_or(0);
@@ -301,11 +273,13 @@ impl SvrModel {
         }
 
         Ok(SvrModel {
-            kernel: params.kernel,
-            support_vectors,
-            coefficients,
-            bias: -solution.rho,
-            dim: train.dim(),
+            expansion: Expansion::new(
+                params.kernel,
+                support_vectors,
+                coefficients,
+                -solution.rho,
+                train.dim(),
+            )?,
             iterations: solution.iterations,
             converged: solution.converged,
         })
@@ -318,19 +292,7 @@ impl SvrModel {
     /// [`SvmError::DimensionMismatch`] if `x.len()` differs from the
     /// training dimensionality.
     pub fn predict(&self, x: &[f64]) -> Result<f64, SvmError> {
-        if x.len() != self.dim {
-            return Err(SvmError::DimensionMismatch {
-                expected: self.dim,
-                actual: x.len(),
-            });
-        }
-        Ok(self
-            .support_vectors
-            .iter()
-            .zip(&self.coefficients)
-            .map(|(sv, b)| b * self.kernel.eval(sv, x))
-            .sum::<f64>()
-            + self.bias)
+        self.expansion.value(x)
     }
 
     /// Predicts targets for every row of a feature matrix, evaluating one
@@ -342,27 +304,7 @@ impl SvrModel {
     /// [`SvmError::DimensionMismatch`] if the matrix width differs from the
     /// training dimensionality.
     pub fn predict_batch(&self, queries: &DenseMatrix) -> Result<Vec<f64>, SvmError> {
-        if queries.cols() != self.dim {
-            return Err(SvmError::DimensionMismatch {
-                expected: self.dim,
-                actual: queries.cols(),
-            });
-        }
-        let mut scratch = vec![0.0; self.support_vectors.rows()];
-        let mut out = Vec::with_capacity(queries.rows());
-        for x in queries {
-            self.kernel
-                .eval_row_batch(x, &self.support_vectors, &mut scratch);
-            out.push(
-                scratch
-                    .iter()
-                    .zip(&self.coefficients)
-                    .map(|(k, b)| b * k)
-                    .sum::<f64>()
-                    + self.bias,
-            );
-        }
-        Ok(out)
+        self.expansion.values(queries)
     }
 
     /// Predicts targets for every sample of a dataset.
@@ -378,38 +320,38 @@ impl SvrModel {
     /// Number of support vectors retained.
     #[must_use]
     pub fn num_support_vectors(&self) -> usize {
-        self.support_vectors.rows()
+        self.expansion.support_vectors().rows()
     }
 
     /// The retained support vectors, one per matrix row.
     #[must_use]
     pub fn support_vectors(&self) -> &DenseMatrix {
-        &self.support_vectors
+        self.expansion.support_vectors()
     }
 
     /// Dual coefficients `alpha_i - alpha_i*`, aligned with
     /// [`SvrModel::support_vectors`] rows.
     #[must_use]
     pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
+        self.expansion.coefficients()
     }
 
     /// The bias term `b`.
     #[must_use]
     pub fn bias(&self) -> f64 {
-        self.bias
+        self.expansion.bias()
     }
 
     /// The kernel the model was trained with.
     #[must_use]
     pub fn kernel(&self) -> Kernel {
-        self.kernel
+        self.expansion.kernel()
     }
 
     /// Feature dimensionality the model expects.
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.dim
+        self.expansion.dim()
     }
 
     /// Solver iterations used during training.
@@ -424,18 +366,6 @@ impl SvrModel {
         self.converged
     }
 
-    /// Destructures the model for serialisation:
-    /// `(kernel, bias, dim, coefficients, support_vectors)`.
-    pub(crate) fn parts(&self) -> (Kernel, f64, usize, &[f64], &DenseMatrix) {
-        (
-            self.kernel,
-            self.bias,
-            self.dim,
-            &self.coefficients,
-            &self.support_vectors,
-        )
-    }
-
     /// Rebuilds a model from serialised parts, validating consistency.
     pub(crate) fn from_parts(
         kernel: Kernel,
@@ -444,24 +374,8 @@ impl SvrModel {
         bias: f64,
         dim: usize,
     ) -> Result<Self, SvmError> {
-        if support_vectors.rows() != coefficients.len() {
-            return Err(SvmError::DimensionMismatch {
-                expected: support_vectors.rows(),
-                actual: coefficients.len(),
-            });
-        }
-        if !support_vectors.is_empty() && support_vectors.cols() != dim {
-            return Err(SvmError::DimensionMismatch {
-                expected: dim,
-                actual: support_vectors.cols(),
-            });
-        }
         Ok(SvrModel {
-            kernel,
-            support_vectors,
-            coefficients,
-            bias,
-            dim,
+            expansion: Expansion::new(kernel, support_vectors, coefficients, bias, dim)?,
             iterations: 0,
             converged: true,
         })

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use vmtherm_svm::data::Dataset;
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::matrix::DenseMatrix;
+use vmtherm_svm::oneclass::{OneClassModel, OneClassParams};
 use vmtherm_svm::svc::{SvcModel, SvcParams};
 use vmtherm_svm::svr::{SvrModel, SvrParams};
 
@@ -106,6 +107,33 @@ proptest! {
         let batch = model.predict_batch(&queries).unwrap();
         for (row, got) in queries.iter().zip(&batch) {
             let scalar = model.classify(row).unwrap();
+            prop_assert_eq!(scalar.to_bits(), got.to_bits());
+        }
+    }
+
+    /// One-class: `predict_batch` decision values ≡ per-row
+    /// `decision_value`, bit for bit.
+    #[test]
+    fn one_class_batch_matches_scalar_bitwise(
+        n in 6usize..24,
+        dim in 1usize..5,
+        salt in 1u64..1000,
+        kernel_idx in 0u8..4,
+        nu in 0.05f64..1.0,
+    ) {
+        let features = random_matrix(n, dim, salt);
+        let ds = Dataset::from_parts(features, vec![0.0; n]).unwrap();
+        let model = OneClassModel::train(
+            &ds,
+            OneClassParams::new().with_nu(nu).with_kernel(kernel_for(kernel_idx)),
+        )
+        .unwrap();
+
+        let queries = random_matrix(8, dim, salt.wrapping_mul(13).wrapping_add(5));
+        let batch = model.predict_batch(&queries).unwrap();
+        prop_assert_eq!(batch.len(), queries.rows());
+        for (row, got) in queries.iter().zip(&batch) {
+            let scalar = model.decision_value(row).unwrap();
             prop_assert_eq!(scalar.to_bits(), got.to_bits());
         }
     }

@@ -5,18 +5,19 @@
 //! captured from the solver before its inner loop was made copy-free and
 //! active-set-sized; any change to the order of floating-point operations
 //! inside `smo.rs` — a different tie-break, a re-associated sum — moves
-//! at least one of them. The problem types cover every solver path:
-//! ε-SVR (`solve` over two variables per point, with the prenorm and the
-//! exact RBF row pass, and with a one-row cache), C-SVC and one-class
-//! (`solve` over one variable per point, the latter from a non-zero
-//! feasible start) and ν-SVR (`solve_nu`). The one-class, high-C C-SVC,
-//! exact-row and one-row-cache cells were captured from the solver before
-//! it moved from signed `Q` rows to cached kernel rows.
+//! at least one of them. The problem types cover every path through the
+//! one SMO loop, `solve`: ε-SVR (two variables per point, with the
+//! prenorm and the exact RBF row pass, and with a one-row cache), C-SVC
+//! and one-class (one variable per point, the latter from a non-zero
+//! feasible start). The one-class, high-C C-SVC, exact-row and
+//! one-row-cache cells were captured from the solver before it moved from
+//! signed `Q` rows to cached kernel rows. The C-SVC and one-class cells
+//! also digest decision values, pinning the shared support-vector
+//! expansion that every model predicts through.
 
 use vmtherm_svm::data::Dataset;
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::matrix::DenseMatrix;
-use vmtherm_svm::nusvr::{NuSvrModel, NuSvrParams};
 use vmtherm_svm::oneclass::{OneClassModel, OneClassParams};
 use vmtherm_svm::svc::{SvcModel, SvcParams};
 use vmtherm_svm::svr::{SvrModel, SvrParams};
@@ -119,6 +120,10 @@ const SVR_GOLDEN: [Golden; 9] = [
 
 const SVC_GOLDEN: Golden = (133, 0xbfa3912c1172ddc5, 0xbb7b18e3123bc291);
 
+/// Digest of the same C-SVC model's `decision_value` on every training
+/// row: pins the prediction path as well as the solve.
+const SVC_DECISION_DIGEST: u64 = 0xa00d498ad53afe6d;
+
 /// C = 1024, γ = 2: six shrink passes, then a gradient rebuild.
 const SVC_HIGH_C_GOLDEN: Golden = (294, 0xbfa0e0630ab83120, 0xef37fc17fdf436fb);
 
@@ -128,8 +133,6 @@ const SVR_EXACT_ROWS_GOLDEN: Golden = (15_696, 0xbfb2cb3a6caab2fa, 0x136f9a89a2c
 /// One-class fingerprint: `(support vectors, digest of the decision
 /// values on the training rows)`.
 const ONE_CLASS_GOLDEN: (usize, u64) = (30, 0x6e3ce3788c24872a);
-
-const NU_SVR_GOLDEN: Golden = (6488, 0xbfb2951dd16fb7ac, 0xa7965abe4adb1a0d);
 
 #[test]
 fn epsilon_svr_cells_are_bit_identical() {
@@ -152,8 +155,9 @@ fn epsilon_svr_cells_are_bit_identical() {
 
 #[test]
 fn c_svc_is_bit_identical() {
+    let ds = classification_set();
     let model = SvcModel::train(
-        &classification_set(),
+        &ds,
         SvcParams::new().with_c(10.0).with_kernel(Kernel::rbf(1.0)),
     )
     .unwrap();
@@ -164,6 +168,15 @@ fn c_svc_is_bit_identical() {
         digest(model.coefficients()),
     );
     assert_eq!(got, SVC_GOLDEN, "C-SVC drifted");
+    let values: Vec<f64> = ds
+        .iter()
+        .map(|(x, _)| model.decision_value(x).unwrap())
+        .collect();
+    assert_eq!(
+        digest(&values),
+        SVC_DECISION_DIGEST,
+        "C-SVC decision values drifted"
+    );
 }
 
 #[test]
@@ -228,23 +241,4 @@ fn one_class_is_bit_identical() {
     let values = model.predict_batch(ds.features()).unwrap();
     let got = (model.num_support_vectors(), digest(&values));
     assert_eq!(got, ONE_CLASS_GOLDEN, "one-class drifted");
-}
-
-#[test]
-fn nu_svr_is_bit_identical() {
-    let model = NuSvrModel::train(
-        &regression_set(),
-        NuSvrParams::new()
-            .with_c(10.0)
-            .with_nu(0.4)
-            .with_kernel(Kernel::rbf(1.0)),
-    )
-    .unwrap();
-    let svr = model.as_svr();
-    let got = (
-        model.iterations(),
-        svr.bias().to_bits(),
-        digest(svr.coefficients()),
-    );
-    assert_eq!(got, NU_SVR_GOLDEN, "ν-SVR drifted");
 }

@@ -15,7 +15,7 @@
 //! - **L3** — no raw `f64` temperature/power/duration/utilization
 //!   parameters in `pub fn` (or public trait) signatures of
 //!   `vmtherm-core` and `vmtherm-sim`; such parameters must use the
-//!   [`vmtherm-units`] newtypes (`Celsius`, `Watts`, `Seconds`,
+//!   `vmtherm-units` newtypes (`Celsius`, `Watts`, `Seconds`,
 //!   `Utilization`). Detection is by parameter-name suffix (`_c`,
 //!   `_celsius`, `_w`, `_watts`, `_kw`, `_secs`, `_seconds`,
 //!   `utilization`); slices and vectors of `f64` are exempt (bulk data,
@@ -31,7 +31,7 @@
 //!   `vmtherm-obs`.
 //! - **L6** — no `Vec<Vec<f64>>` in `pub fn` (or public trait)
 //!   signatures of `vmtherm-svm` and `vmtherm-core`: feature matrices
-//!   cross public APIs as [`DenseMatrix`] (flat, row-major), keeping the
+//!   cross public APIs as `DenseMatrix` (flat, row-major), keeping the
 //!   pipeline on one contiguous allocation. The designated boundary
 //!   constructor `DenseMatrix::from_nested` is allowlisted.
 //! - **L7** — determinism: library code of `vmtherm-core`,
