@@ -51,8 +51,9 @@ COMMANDS:
   collect   run randomized thermal experiments, write Eq. (2) records (libsvm format)
             --out FILE [--cases N=200] [--seed S=42] [--duration SECS=1200]
             [--threads T=1 run experiments on T worker threads; each job
-            is a whole experiment, so unlike the fleet commands' per-tick
-            threads there is no 256-servers-per-worker floor; results are
+            is a lockstep group of up to 8 experiments sharing one
+            simulation, so unlike the fleet commands' per-tick threads
+            there is no 256-servers-per-worker floor; results are
             bit-identical for every T]
   train     train the stable-temperature SVR from records
             --records FILE --out MODEL [--grid] [--folds K=10] [--seed S]
@@ -1279,7 +1280,8 @@ mod tests {
         // serial one — the sharded-execution contract, end to end.
         let serial = temp_path("thr_records_1.libsvm");
         let threaded = temp_path("thr_records_3.libsvm");
-        let base = ["--cases", "10", "--seed", "6", "--duration", "700"];
+        // 17 cases: two full lockstep groups of 8 and a partial one.
+        let base = ["--cases", "17", "--seed", "6", "--duration", "700"];
         let mut args: Vec<&str> = vec!["--out", &serial];
         args.extend_from_slice(&base);
         run("collect", &flags(&args)).expect("serial collect");

@@ -25,6 +25,8 @@ pub struct WarmupCurve {
     psi_stable: f64,
     t_break_secs: f64,
     delta: f64,
+    /// `ln(1 + δ·t_break)`, the curve's normaliser.
+    ln_at_break: f64,
 }
 
 impl WarmupCurve {
@@ -47,6 +49,7 @@ impl WarmupCurve {
             psi_stable: psi_stable.get(),
             t_break_secs: t_break_secs.get(),
             delta,
+            ln_at_break: (1.0 + delta * t_break_secs.get()).ln(),
         }
     }
 
@@ -67,7 +70,7 @@ impl WarmupCurve {
         if t > self.t_break_secs {
             return self.psi_stable;
         }
-        let frac = (1.0 + self.delta * t).ln() / (1.0 + self.delta * self.t_break_secs).ln();
+        let frac = (1.0 + self.delta * t).ln() / self.ln_at_break;
         self.phi0 + (self.psi_stable - self.phi0) * frac
     }
 

@@ -64,6 +64,7 @@ pub fn evaluate_online(
     let values = series.values();
     let end = *times.last().expect("nonempty");
 
+    let mut actuals = ActualCursor::default();
     let mut points = Vec::new();
     for (i, (&t, &v)) in times.iter().zip(values).enumerate() {
         predictor.observe(Seconds::new(t), Celsius::new(v));
@@ -76,7 +77,7 @@ pub fn evaluate_online(
             continue;
         }
         // Actual measurement at (or just after) the target time.
-        let actual = lookup_at_or_after(times, values, i, target);
+        let actual = values[actuals.index(times, i, target)];
         points.push(EvalPoint {
             t_secs: target,
             actual,
@@ -102,9 +103,28 @@ pub fn evaluate_online(
     }
 }
 
-fn lookup_at_or_after(times: &[f64], values: &[f64], from: usize, target: f64) -> f64 {
-    let idx = times[from..].partition_point(|t| *t < target - 1e-9) + from;
-    values[idx.min(values.len() - 1)]
+/// Finds the measurement at (or just after) each forecast target of a
+/// replay. The targets `t + gap` never decrease, so one cursor walks the
+/// series forward once instead of a binary search per sample.
+#[derive(Debug, Default)]
+struct ActualCursor {
+    next: usize,
+}
+
+impl ActualCursor {
+    /// The first index at or after `from` whose time is not below
+    /// `target − 1e-9`, clamped to the last sample: the index
+    /// `times[from..].partition_point(|t| *t < target - 1e-9) + from`
+    /// would give, provided `times` is sorted and neither `from` nor
+    /// `target` decreases between calls.
+    fn index(&mut self, times: &[f64], from: usize, target: f64) -> usize {
+        let mut c = self.next.max(from);
+        while c < times.len() && times[c] < target - 1e-9 {
+            c += 1;
+        }
+        self.next = c;
+        c.min(times.len() - 1)
+    }
 }
 
 /// A scheduled re-anchor for [`evaluate_dynamic`]: at `t_secs` the
@@ -163,6 +183,7 @@ pub fn evaluate_dynamic(
     let values = series.values();
     let end = *times.last().expect("nonempty");
     let mut next_anchor = 0usize;
+    let mut actuals = ActualCursor::default();
     let mut points = Vec::new();
 
     for (i, (&t, &v)) in times.iter().zip(values).enumerate() {
@@ -184,7 +205,7 @@ pub fn evaluate_dynamic(
         if predicted.is_nan() {
             continue;
         }
-        let actual = lookup_at_or_after(times, values, i, target);
+        let actual = values[actuals.index(times, i, target)];
         points.push(EvalPoint {
             t_secs: target,
             actual,
@@ -453,5 +474,42 @@ mod tests {
         let v = psi_stable(&series, SimTime::from_secs(90)).unwrap();
         // samples 90..=99 → values 39.0..39.9, mean 39.45.
         assert!((v - 39.45).abs() < 1e-9);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn actual_cursor_matches_a_binary_search(
+            steps in proptest::collection::vec(0u8..4, 2..80),
+            gap_tenths in 1u32..400,
+            skip_every in 0usize..5,
+        ) {
+            // Quarter-second steps; a zero step repeats the previous time.
+            let mut t = 0.0;
+            let times: Vec<f64> = steps
+                .iter()
+                .map(|&step| {
+                    t += f64::from(step) * 0.25;
+                    t
+                })
+                .collect();
+            for gap in [f64::from(gap_tenths) * 0.1, 0.25, 1.0, 1e3] {
+                let mut cursor = ActualCursor::default();
+                for (i, &ti) in times.iter().enumerate() {
+                    // A replay skips the samples it does not score.
+                    if skip_every > 0 && i % skip_every == 0 {
+                        continue;
+                    }
+                    let target = ti + gap;
+                    let searched = times[i..].partition_point(|x| *x < target - 1e-9) + i;
+                    proptest::prop_assert_eq!(
+                        cursor.index(&times, i, target),
+                        searched.min(times.len() - 1),
+                        "sample {} gap {}", i, gap
+                    );
+                }
+            }
+        }
     }
 }

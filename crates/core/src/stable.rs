@@ -91,6 +91,10 @@ pub fn dataset_from_outcomes(outcomes: &[ExperimentOutcome], encoding: FeatureEn
     ds
 }
 
+// The threaded campaign runner lives with the experiment protocol whose
+// lockstep groups it schedules; this path keeps it beside the default.
+pub use vmtherm_sim::experiment::run_experiments_threaded;
+
 /// Runs every experiment config and collects outcomes (the paper's
 /// data-collection campaign) on
 /// [`available_parallelism`](std::thread::available_parallelism)
@@ -108,36 +112,6 @@ pub fn dataset_from_outcomes(outcomes: &[ExperimentOutcome], encoding: FeatureEn
 pub fn run_experiments(configs: &[ExperimentConfig]) -> Vec<ExperimentOutcome> {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     run_experiments_threaded(configs, threads)
-}
-
-/// [`run_experiments`] on up to `threads` worker threads (inline when
-/// `threads <= 1`).
-///
-/// Each experiment is a self-contained seeded simulation and runs as its
-/// own job ([`vmtherm_sim::shard::for_each_chunk`] with one config per
-/// chunk), so idle workers keep taking cases however unequal their VM
-/// counts. Every outcome lands in the slot of its config's index, so the
-/// returned vector does not depend on the thread count or on which worker
-/// ran which case.
-///
-/// # Panics
-///
-/// As [`run_experiments`].
-#[must_use]
-pub fn run_experiments_threaded(
-    configs: &[ExperimentConfig],
-    threads: usize,
-) -> Vec<ExperimentOutcome> {
-    let mut slots: Vec<(&ExperimentConfig, Option<ExperimentOutcome>)> =
-        configs.iter().map(|c| (c, None)).collect();
-    let jobs = slots.len();
-    vmtherm_sim::shard::for_each_chunk(&mut slots, jobs, threads, |_, chunk| {
-        for (config, slot) in chunk {
-            *slot = Some(config.run());
-        }
-    });
-    // Every slot is filled: the chunks cover the slice exactly once.
-    slots.into_iter().flat_map(|(_, outcome)| outcome).collect()
 }
 
 /// The deployed stable-temperature model: scaler + SVR + encoding.
@@ -370,7 +344,8 @@ mod tests {
     use super::*;
     use vmtherm_sim::server::ServerSpec;
     use vmtherm_sim::vm::VmSpec;
-    use vmtherm_sim::workload::TaskProfile;
+    use vmtherm_sim::vmm::SchedulingPolicy;
+    use vmtherm_sim::workload::{TaskProfile, ALL_TASK_PROFILES};
     use vmtherm_sim::CaseGenerator;
     use vmtherm_sim::SimDuration;
     use vmtherm_units::Celsius;
@@ -408,6 +383,73 @@ mod tests {
             .collect()
     }
 
+    /// A 19-config campaign for the bit-identity gates: two runs of 8
+    /// consecutive configs with one `duration` and a trailing run of 3
+    /// with another, every task profile, a per-core-scheduling server and
+    /// three `t_break`s (two of them inside one run of equal durations).
+    fn pinned_campaign() -> Vec<ExperimentConfig> {
+        let mut configs = CaseGenerator::new(24).random_cases(19, 2_400);
+        for (i, config) in configs.iter_mut().enumerate() {
+            let task = ALL_TASK_PROFILES[i % ALL_TASK_PROFILES.len()];
+            config.vms[0] = VmSpec::new("pinned", 2, 2.0, task);
+            let (duration, t_break) = match i {
+                0..=15 if i % 2 == 0 => (700, 600),
+                0..=15 => (700, 650),
+                _ => (900, 550),
+            };
+            config.duration = SimDuration::from_secs(duration);
+            config.t_break = SimDuration::from_secs(t_break);
+        }
+        configs[5].server = configs[5]
+            .server
+            .clone()
+            .with_core_scheduling(SchedulingPolicy::Pinned);
+        configs
+    }
+
+    /// FNV-1a over the bits of every field of every outcome.
+    fn outcome_digest(outcomes: &[ExperimentOutcome]) -> u64 {
+        let mut words = Vec::new();
+        for o in outcomes {
+            let s = &o.snapshot;
+            words.extend([
+                s.theta_cpu.to_bits(),
+                s.theta_memory_gb.to_bits(),
+                u64::from(s.fan_count),
+                s.fan_airflow_cfm.to_bits(),
+                s.ambient_c.to_bits(),
+                o.psi_stable.to_bits(),
+                o.true_stable.to_bits(),
+                o.initial_temp.to_bits(),
+                s.vms.len() as u64,
+            ]);
+            for vm in &s.vms {
+                let task = ALL_TASK_PROFILES.iter().position(|t| *t == vm.task);
+                words.extend([
+                    u64::from(vm.vcpus),
+                    vm.memory_gb.to_bits(),
+                    task.map_or(u64::MAX, |k| k as u64),
+                ]);
+            }
+        }
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+            word.to_le_bytes().iter().fold(hash, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    #[test]
+    fn campaign_outcomes_match_their_pinned_digest() {
+        // Pinned from one standalone simulation per experiment, each
+        // recording full traces.
+        let configs = pinned_campaign();
+        let serial: Vec<ExperimentOutcome> = configs.iter().map(ExperimentConfig::run).collect();
+        assert_eq!(outcome_digest(&serial), 0x5453_1749_2751_afaf);
+        let grouped = run_experiments_threaded(&configs, 1);
+        assert_eq!(outcome_digest(&grouped), 0x5453_1749_2751_afaf);
+    }
+
     #[test]
     fn campaign_is_bit_identical_to_serial_runs_at_any_thread_count() {
         let small = cases(2, 3, 5);
@@ -417,7 +459,8 @@ mod tests {
             .zip(&large)
             .flat_map(|(a, b)| [a.clone(), b.clone()])
             .collect();
-        let campaigns: [&[ExperimentConfig]; 4] = [&[], &small[..1], &small, &mixed];
+        let pinned = pinned_campaign();
+        let campaigns: [&[ExperimentConfig]; 5] = [&[], &small[..1], &small, &mixed, &pinned];
         for configs in campaigns {
             let serial: Vec<ExperimentOutcome> =
                 configs.iter().map(ExperimentConfig::run).collect();
@@ -436,8 +479,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "t_break")]
     fn campaign_reraises_an_experiment_panic() {
-        let mut configs = cases(2, 4, 7);
-        configs[2] = configs[2].clone().with_t_break(SimDuration::from_secs(700));
+        // Configs 0..8 share a duration and so one lockstep group; the bad
+        // one sits in its middle.
+        let mut configs = cases(2, 11, 7);
+        configs[3] = configs[3].clone().with_t_break(SimDuration::from_secs(700));
         let _ = run_experiments_threaded(&configs, 2);
     }
 

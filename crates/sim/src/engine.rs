@@ -25,7 +25,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultStats, ServerFaultState};
 use crate::migration::{ActiveMigration, MigrationConfig};
 use crate::server::{Server, ServerId};
 use crate::shard;
-use crate::telemetry::ServerTrace;
+use crate::telemetry::{ServerTrace, StableMeans};
 use crate::thermal::{self, Integration};
 use crate::time::{EventQueue, SimDuration, SimTime};
 use crate::vm::{Vm, VmId, VmSpec, VmState};
@@ -262,6 +262,9 @@ pub struct Simulation {
     next_vm: u64,
     migrations: Vec<ActiveMigration>,
     traces: Vec<ServerTrace>,
+    /// Per-server Eq. (1) folds that replace the traces, once a
+    /// crate-internal caller installs them ([`Simulation::fold_stable_means`]).
+    stable: Option<Vec<StableMeans>>,
     log: Vec<(SimTime, SimEvent)>,
     /// Parallel to `log`: `true` when the fault injector decided the
     /// monitoring plane never heard about that entry.
@@ -318,6 +321,7 @@ impl Simulation {
             next_vm: 0,
             migrations: Vec::new(),
             traces,
+            stable: None,
             log: Vec::new(),
             log_lost: Vec::new(),
             seed,
@@ -535,18 +539,49 @@ impl Simulation {
     ///
     /// Placement errors from [`crate::server::Server::boot_vm`].
     pub fn boot_vm_now(&mut self, server: ServerId, spec: VmSpec) -> Result<VmId, SimError> {
+        let ordinal = self.next_vm;
+        self.boot_vm_as(server, spec, self.seed, ordinal)
+    }
+
+    /// Boots a VM now with the workload stream that VM number `ordinal`
+    /// of a simulation seeded `seed` gets from [`Simulation::boot_vm_now`],
+    /// whatever id it receives here. Campaign groups use it to give each
+    /// experiment's VMs their standalone streams.
+    pub(crate) fn boot_vm_as(
+        &mut self,
+        server: ServerId,
+        spec: VmSpec,
+        seed: u64,
+        ordinal: u64,
+    ) -> Result<VmId, SimError> {
         self.settle_and_wake(server.raw());
         let id = VmId::new(self.next_vm);
         self.next_vm += 1;
+        // `Vm::new` folds the id into the seed, so fold the standalone id
+        // in and this one out.
         let vm = Vm::new(
             id,
             spec,
             self.clock,
-            self.seed ^ id.raw().wrapping_mul(0x9e37),
+            seed ^ ordinal.wrapping_mul(0x9e37) ^ ordinal ^ id.raw(),
         );
         self.datacenter.server_mut(server)?.boot_vm(vm)?;
         self.push_log(self.clock, SimEvent::VmBooted { vm: id, server });
         Ok(id)
+    }
+
+    /// From the next step on, folds each server's Eq. (1) means (its
+    /// sensor and die samples at or after `from[i]`) instead of recording
+    /// its trace. Covers the servers present now; call it after the last
+    /// `add_server`.
+    pub(crate) fn fold_stable_means(&mut self, from: impl IntoIterator<Item = SimTime>) {
+        self.stable = Some(from.into_iter().map(StableMeans::after).collect());
+    }
+
+    /// The folds [`Simulation::fold_stable_means`] installed, by server
+    /// index, leaving the traces recording again.
+    pub(crate) fn take_stable_means(&mut self) -> Vec<StableMeans> {
+        self.stable.take().unwrap_or_default()
     }
 
     /// Telemetry trace of a server.
@@ -684,6 +719,7 @@ impl Simulation {
 
         let (mut servers, offsets) = self.datacenter.servers_and_offsets_mut();
         let mut traces = &mut self.traces[..];
+        let mut stable = self.stable.as_deref_mut();
         let mut fault = self.fault.as_mut().map(|injector| {
             let (plan, states) = injector.split_mut();
             (plan, states, &mut self.delivered[..])
@@ -701,8 +737,8 @@ impl Simulation {
                 // set-up below.
                 let (local, elapsed_secs) = job.batch.entry(0, job.start);
                 let local_ambient = ambient + offsets.get(job.start + local);
-                let (server, trace, delivery) = job.parts(local);
-                advance(server, trace, delivery, now, local_ambient, elapsed_secs);
+                let (server, sink, delivery) = job.parts(local);
+                advance(server, sink, delivery, now, local_ambient, elapsed_secs);
                 return;
             }
             let mut plans = [Integration::default(); CHUNK];
@@ -730,8 +766,8 @@ impl Simulation {
                 for k in chunk {
                     let (local, _) = job.batch.entry(k, job.start);
                     let local_ambient = ambient + offsets.get(job.start + local);
-                    let (server, trace, delivery) = job.parts(local);
-                    record(server, trace, delivery, now, local_ambient);
+                    let (server, sink, delivery) = job.parts(local);
+                    record(server, sink, delivery, now, local_ambient);
                 }
             }
         };
@@ -745,6 +781,11 @@ impl Simulation {
             servers = rest;
             let (shard_traces, rest) = std::mem::take(&mut traces).split_at_mut(len);
             traces = rest;
+            let shard_stable = stable.as_mut().map(|means| {
+                let (shard_means, rest) = std::mem::take(means).split_at_mut(len);
+                *means = rest;
+                shard_means
+            });
             let shard_fault = fault.as_mut().map(|(plan, states, sinks)| {
                 let (shard_states, rest) = std::mem::take(states).split_at_mut(len);
                 *states = rest;
@@ -767,6 +808,7 @@ impl Simulation {
                 start,
                 servers: shard_servers,
                 traces: shard_traces,
+                stable: shard_stable,
                 fault: shard_fault,
                 batch: shard_batch,
             };
@@ -957,9 +999,13 @@ impl Simulation {
                 let (plan, states) = injector.split_mut();
                 (plan, &mut states[idx], &mut self.delivered[idx])
             });
+            let sink = match self.stable.as_mut() {
+                Some(means) => Sink::Stable(&mut means[idx]),
+                None => Sink::Trace(&mut self.traces[idx]),
+            };
             advance(
                 &mut servers[idx],
-                &mut self.traces[idx],
+                sink,
                 delivery,
                 self.clock - self.dt,
                 ambient + offsets.get(idx),
@@ -1201,26 +1247,41 @@ struct Shard<'a> {
     start: usize,
     servers: &'a mut [Server],
     traces: &'a mut [ServerTrace],
+    stable: Option<&'a mut [StableMeans]>,
     fault: Option<ShardDelivery<'a>>,
     batch: Batch<'a>,
 }
 
 impl Shard<'_> {
-    /// The server at shard-local index `local` with its trace and fault
-    /// channel.
-    fn parts(&mut self, local: usize) -> (&mut Server, &mut ServerTrace, Option<Delivery<'_>>) {
+    /// The server at shard-local index `local` with its recording sink
+    /// and fault channel.
+    fn parts(&mut self, local: usize) -> (&mut Server, Sink<'_>, Option<Delivery<'_>>) {
         let delivery = self
             .fault
             .as_mut()
             .map(|(plan, states, sinks)| (*plan, &mut states[local], &mut sinks[local]));
-        (&mut self.servers[local], &mut self.traces[local], delivery)
+        let sink = match self.stable.as_mut() {
+            Some(means) => Sink::Stable(&mut means[local]),
+            None => Sink::Trace(&mut self.traces[local]),
+        };
+        (&mut self.servers[local], sink, delivery)
     }
+}
+
+/// Where [`record`] puts a server's samples.
+enum Sink<'a> {
+    /// All five trace channels.
+    Trace(&'a mut ServerTrace),
+    /// Only the Eq. (1) folds of the sensor and die channels.
+    Stable(&'a mut StableMeans),
 }
 
 /// Servers a shard begins, integrates together and records per pass:
 /// two groups of [`thermal::LANES`], so the integration runs full lane
-/// groups while the plans stay a small stack array.
-const CHUNK: usize = 2 * thermal::LANES;
+/// groups while the plans stay a small stack array. Campaigns group
+/// experiments by the same count
+/// ([`run_experiments_threaded`](crate::experiment::run_experiments_threaded)).
+pub(crate) const CHUNK: usize = 2 * thermal::LANES;
 
 /// The single-server step body, used for a batch of one and for
 /// event-mode catch-up settles: advance `server` by `elapsed_secs` under
@@ -1232,37 +1293,49 @@ const CHUNK: usize = 2 * thermal::LANES;
 #[inline(always)]
 fn advance(
     server: &mut Server,
-    trace: &mut ServerTrace,
+    sink: Sink<'_>,
     delivery: Option<Delivery<'_>>,
     at: SimTime,
     local_ambient: f64,
     elapsed_secs: f64,
 ) {
     server.step(at, Celsius::new(local_ambient), Seconds::new(elapsed_secs));
-    record(server, trace, delivery, at, local_ambient);
+    record(server, sink, delivery, at, local_ambient);
 }
 
 /// The recording half of a server step: read the sensor, record the
-/// five trace channels at `at`, and pass the reading through the fault
-/// channel when a plan is installed.
+/// five trace channels at `at` (or fold the sensor and die samples into
+/// the Eq. (1) means), and pass the reading through the fault channel
+/// when a plan is installed. The sensor is read either way, so its
+/// noise stream does not depend on the sink.
 #[inline(always)]
 fn record(
     server: &mut Server,
-    trace: &mut ServerTrace,
+    sink: Sink<'_>,
     delivery: Option<Delivery<'_>>,
     at: SimTime,
     local_ambient: f64,
 ) {
     let reading = server.read_sensor();
-    let recorded = trace
-        .sensor_c
-        .push(at, reading)
-        .and(trace.die_c.push(at, server.die_temperature()))
-        .and(trace.utilization.push(at, server.last_utilization()))
-        .and(trace.power_w.push(at, server.last_power()))
-        .and(trace.ambient_c.push(at, local_ambient));
-    // The engine clock is monotone, so recording cannot go backwards.
-    debug_assert!(recorded.is_ok(), "engine clock regressed: {recorded:?}");
+    match sink {
+        Sink::Stable(means) => {
+            let t = at.as_secs_f64();
+            means.sensor_c.push(t, reading);
+            means.die_c.push(t, server.die_temperature());
+        }
+        Sink::Trace(trace) => {
+            let recorded = trace
+                .sensor_c
+                .push(at, reading)
+                .and(trace.die_c.push(at, server.die_temperature()))
+                .and(trace.utilization.push(at, server.last_utilization()))
+                .and(trace.power_w.push(at, server.last_power()))
+                .and(trace.ambient_c.push(at, local_ambient));
+            // The engine clock is monotone, so recording cannot go
+            // backwards.
+            debug_assert!(recorded.is_ok(), "engine clock regressed: {recorded:?}");
+        }
+    }
     // The trace above is ground truth; the monitoring plane sees the
     // reading only after the fault channels have had their say.
     if let Some((plan, state, sink)) = delivery {

@@ -6,12 +6,13 @@
 //! Eq. (2) `{input, output}` pair, where the output ψ_stable is the mean
 //! sensor temperature after `t_break = 600 s` (Eq. 1).
 //!
-//! [`ExperimentConfig::run`] executes one such experiment on the simulator;
-//! [`CaseGenerator`] samples the randomised cases of Fig. 1(a)
-//! (2–12 VMs, varying fans and ambient).
+//! [`ExperimentConfig::run`] executes one such experiment on the simulator
+//! and [`run_experiments_threaded`] a whole campaign, several experiments
+//! to a simulation; [`CaseGenerator`] samples the randomised cases of
+//! Fig. 1(a) (2–12 VMs, varying fans and ambient).
 
-use crate::datacenter::Datacenter;
-use crate::engine::Simulation;
+use crate::datacenter::{Datacenter, RackId};
+use crate::engine::{Simulation, CHUNK};
 use crate::environment::AmbientModel;
 use crate::server::{ServerId, ServerSpec};
 use crate::time::{SimDuration, SimTime};
@@ -147,7 +148,9 @@ impl ExperimentConfig {
         self
     }
 
-    /// Runs the experiment.
+    /// Runs the experiment: a simulation of its one server, averaged per
+    /// Eq. (1) as it runs. It is a campaign group of one, so a config has
+    /// the same outcome here as inside [`run_experiments_threaded`].
     ///
     /// # Panics
     ///
@@ -156,45 +159,117 @@ impl ExperimentConfig {
     /// or if `t_break >= duration`.
     #[must_use]
     pub fn run(&self) -> ExperimentOutcome {
-        let _span = vmtherm_obs::span(vmtherm_obs::names::SPAN_EXPERIMENT_RUN);
+        // One config in, one outcome out.
+        run_group(&[self]).swap_remove(0)
+    }
+}
+
+/// Runs every experiment config (the paper's data-collection campaign)
+/// on up to `threads` worker threads (inline when `threads <= 1`), and
+/// returns the outcomes in config order.
+///
+/// Each job is a lockstep group: up to eight consecutive configs of
+/// equal `duration`, run as one [`Simulation`] with a server per
+/// experiment, so the engine integrates their thermal networks side by
+/// side and folds each one's Eq. (1) means instead of recording traces.
+/// Every experiment keeps the ambient, seeds and `t_break` it has alone,
+/// and its outcome lands in its config's slot, so the result is
+/// bit-identical to `configs.iter().map(ExperimentConfig::run).collect()`
+/// at every thread count.
+///
+/// # Panics
+///
+/// Re-raises, with its original payload, the panic of any experiment
+/// that panics (see [`ExperimentConfig::run`]).
+#[must_use]
+pub fn run_experiments_threaded(
+    configs: &[ExperimentConfig],
+    threads: usize,
+) -> Vec<ExperimentOutcome> {
+    let mut slots: Vec<(&ExperimentConfig, Option<ExperimentOutcome>)> =
+        configs.iter().map(|c| (c, None)).collect();
+    let groups: Vec<_> = slots
+        .chunk_by_mut(|a, b| a.0.duration == b.0.duration)
+        .flat_map(|run| run.chunks_mut(CHUNK))
+        .collect();
+    crate::shard::for_each_job(groups, threads, |group| {
+        let configs: Vec<&ExperimentConfig> = group.iter().map(|(config, _)| *config).collect();
+        for ((_, slot), outcome) in group.iter_mut().zip(run_group(&configs)) {
+            *slot = Some(outcome);
+        }
+    });
+    // Every slot is filled: the groups cover the slice exactly once.
+    slots.into_iter().flat_map(|(_, outcome)| outcome).collect()
+}
+
+/// Runs experiments of one `duration` in lockstep as one [`Simulation`],
+/// experiment `k` on server `k` in rack `k`. Each keeps the bits it gets
+/// alone:
+///
+/// - the room is `Fixed(0.0)` and rack `k`'s offset is the experiment's
+///   ambient, so its server sees `0.0 + ambient`, the same bits as the
+///   standalone `ambient + 0.0`;
+/// - server `k` is seeded `seed ^ (k << 17)`, which `Server::new` folds
+///   back into the sensor seed of a standalone server 0;
+/// - VM `j` boots through [`Simulation::boot_vm_as`] with the workload
+///   stream of the standalone VM `j`;
+/// - each server folds Eq. (1) from its own `t_break`.
+///
+/// Every `t_break` is checked before anything is simulated. Each
+/// experiment's set-up (server, VMs, snapshot) is one `experiment_run`
+/// span; the group's run is one `engine_run` span beside them.
+fn run_group(configs: &[&ExperimentConfig]) -> Vec<ExperimentOutcome> {
+    for config in configs {
         assert!(
-            self.t_break < self.duration,
+            config.t_break < config.duration,
             "t_break must precede the experiment end"
         );
-        let mut dc = Datacenter::new();
-        let sid = dc.add_server(self.server.clone(), Celsius::new(self.ambient_c), self.seed);
-        let mut sim = Simulation::new(dc, AmbientModel::Fixed(self.ambient_c), self.seed);
-        for spec in &self.vms {
-            sim.boot_vm_now(sid, spec.clone())
-                .expect("experiment VM placement failed");
-        }
-        let snapshot = ConfigSnapshot::capture(&sim, sid, Celsius::new(self.ambient_c));
-        let initial_temp = sim
-            .datacenter()
-            .server(sid)
-            .expect("server")
-            .die_temperature();
-
-        sim.run_until(SimTime::ZERO + self.duration);
-
-        let trace = sim.trace(sid).expect("trace");
-        let break_at = SimTime::ZERO + self.t_break;
-        let psi_stable = trace
-            .sensor_c
-            .mean_after(break_at)
-            .expect("samples after t_break");
-        let true_stable = trace
-            .die_c
-            .mean_after(break_at)
-            .expect("samples after t_break");
-
-        ExperimentOutcome {
-            snapshot,
-            psi_stable,
-            true_stable,
-            initial_temp,
-        }
     }
+    let Some(duration) = configs.first().map(|config| config.duration) else {
+        return Vec::new();
+    };
+    debug_assert!(configs.iter().all(|config| config.duration == duration));
+    let mut sim = Simulation::new(Datacenter::new(), AmbientModel::Fixed(0.0), 0);
+    let starts: Vec<(ConfigSnapshot, f64)> = configs
+        .iter()
+        .enumerate()
+        .map(|(k, config)| {
+            let _span = vmtherm_obs::span(vmtherm_obs::names::SPAN_EXPERIMENT_RUN);
+            let rack = RackId::new(k);
+            let ambient = Celsius::new(config.ambient_c);
+            let dc = sim.datacenter_mut();
+            let sid = dc.add_server_in_rack(
+                config.server.clone(),
+                rack,
+                ambient,
+                config.seed ^ ((k as u64) << 17),
+            );
+            dc.set_rack_offset(rack, config.ambient_c);
+            for (j, spec) in config.vms.iter().enumerate() {
+                sim.boot_vm_as(sid, spec.clone(), config.seed, j as u64)
+                    .expect("experiment VM placement failed");
+            }
+            let snapshot = ConfigSnapshot::capture(&sim, sid, ambient);
+            let initial_temp = sim
+                .datacenter()
+                .server(sid)
+                .expect("server")
+                .die_temperature();
+            (snapshot, initial_temp)
+        })
+        .collect();
+    sim.fold_stable_means(configs.iter().map(|config| SimTime::ZERO + config.t_break));
+    sim.run_until(SimTime::ZERO + duration);
+    starts
+        .into_iter()
+        .zip(sim.take_stable_means())
+        .map(|((snapshot, initial_temp), means)| ExperimentOutcome {
+            snapshot,
+            psi_stable: means.sensor_c.mean().expect("samples after t_break"),
+            true_stable: means.die_c.mean().expect("samples after t_break"),
+            initial_temp,
+        })
+        .collect()
 }
 
 /// The result of one experiment: the Eq. (2) record, its ground truth

@@ -104,16 +104,11 @@ impl TimeSeries {
     /// samples qualify.
     #[must_use]
     pub fn mean_after(&self, from: SimTime) -> Option<f64> {
-        let from = from.as_secs_f64();
-        let mut sum = 0.0;
-        let mut n = 0usize;
+        let mut mean = MeanAfter::new(from);
         for (t, v) in self.iter() {
-            if t >= from {
-                sum += v;
-                n += 1;
-            }
+            mean.push(t, v);
         }
-        (n > 0).then(|| sum / n as f64)
+        mean.mean()
     }
 
     /// The value at or immediately before `t` (step interpolation), or
@@ -191,6 +186,63 @@ impl ServerTrace {
     #[must_use]
     pub fn new() -> Self {
         ServerTrace::default()
+    }
+}
+
+/// The Eq. (1) fold behind [`TimeSeries::mean_after`]: a left-to-right
+/// sum, from `0.0`, of the values sampled at or after `from`, over their
+/// count. Fed one sample at a time, in time order, it gives the same bits
+/// as `mean_after` on the recorded series.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MeanAfter {
+    from_secs: f64,
+    sum: f64,
+    n: usize,
+}
+
+impl MeanAfter {
+    /// An empty fold over the samples at or after `from`.
+    pub(crate) fn new(from: SimTime) -> Self {
+        MeanAfter {
+            from_secs: from.as_secs_f64(),
+            sum: 0.0,
+            n: 0,
+        }
+    }
+
+    /// Offers the sample `value` taken at `t_secs`.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, t_secs: f64, value: f64) {
+        if t_secs >= self.from_secs {
+            self.sum += value;
+            self.n += 1;
+        }
+    }
+
+    /// The mean so far, or `None` before the first qualifying sample.
+    pub(crate) fn mean(&self) -> Option<f64> {
+        (self.n > 0).then(|| self.sum / self.n as f64)
+    }
+}
+
+/// Eq. (1) for a server whose run keeps no trace: [`MeanAfter`] folds of
+/// the two channels an experiment averages, which the engine feeds in
+/// place of the five [`ServerTrace`] pushes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StableMeans {
+    /// The sensor channel: ψ_stable.
+    pub(crate) sensor_c: MeanAfter,
+    /// The die channel: the ground-truth stable temperature.
+    pub(crate) die_c: MeanAfter,
+}
+
+impl StableMeans {
+    /// Both folds over the samples at or after `from`.
+    pub(crate) fn after(from: SimTime) -> Self {
+        StableMeans {
+            sensor_c: MeanAfter::new(from),
+            die_c: MeanAfter::new(from),
+        }
     }
 }
 
