@@ -255,8 +255,13 @@ impl ObsSinks {
         } = self;
         // Stop answering scrapes before tearing the rest down.
         drop(server);
-        obs::clear_alerts();
-        obs::clear_flight_dir();
+        // Alerts and the flight recorder are process-global: only an
+        // invocation that may have installed them clears them, so a
+        // command without obs flags never tears down another's.
+        if enabled {
+            obs::clear_alerts();
+            obs::clear_flight_dir();
+        }
         let mut result = Ok(());
         if let Some(path) = trace {
             let mut text = String::new();

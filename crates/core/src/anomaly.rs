@@ -139,12 +139,6 @@ impl ResidualDetector {
     pub fn hot_score(&self) -> f64 {
         self.cusum_hot
     }
-
-    /// Current cold-side statistic.
-    #[must_use]
-    pub fn cold_score(&self) -> f64 {
-        self.cusum_cold
-    }
 }
 
 impl Default for ResidualDetector {
@@ -339,7 +333,7 @@ mod tests {
         assert!(d.hot_score() > 0.0);
         d.reset();
         assert_eq!(d.hot_score(), 0.0);
-        assert_eq!(d.cold_score(), 0.0);
+        assert_eq!(d.cusum_cold, 0.0);
     }
 
     #[test]

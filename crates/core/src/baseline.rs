@@ -9,9 +9,8 @@
 //!   Wang et al. \[4\]: a lookup from (task type, instance count) to stable
 //!   temperature, built from single-task profiling runs; undefined for
 //!   mixed tenancy, so it falls back to the dominant task.
-//! - [`LastValuePredictor`] / [`MovingAveragePredictor`] — naive persistence
-//!   baselines that bound how much of the paper's accuracy is "temperature
-//!   changes slowly".
+//! - [`LastValuePredictor`] — the naive persistence baseline that bounds
+//!   how much of the paper's accuracy is "temperature changes slowly".
 //! - [`LinearStablePredictor`] — ridge-regularised ordinary least squares on
 //!   the same Eq. (2) features, isolating how much the SVR's
 //!   non-linearity buys.
@@ -19,7 +18,7 @@
 use crate::error::PredictError;
 use crate::features::FeatureEncoding;
 use crate::predictor::OnlinePredictor;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use vmtherm_sim::experiment::{ConfigSnapshot, ExperimentOutcome};
 use vmtherm_sim::workload::TaskProfile;
 use vmtherm_units::{Celsius, Seconds, Watts};
@@ -49,50 +48,6 @@ impl OnlinePredictor for LastValuePredictor {
 
     fn name(&self) -> &str {
         "last-value"
-    }
-}
-
-/// Predicts the mean of the last `window` measurements.
-#[derive(Debug, Clone)]
-pub struct MovingAveragePredictor {
-    window: usize,
-    buffer: VecDeque<f64>,
-}
-
-impl MovingAveragePredictor {
-    /// Creates a predictor with the given window length.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero window.
-    #[must_use]
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "moving average needs a positive window");
-        MovingAveragePredictor {
-            window,
-            buffer: VecDeque::with_capacity(window),
-        }
-    }
-}
-
-impl OnlinePredictor for MovingAveragePredictor {
-    fn observe(&mut self, _t_secs: Seconds, measured_c: Celsius) {
-        if self.buffer.len() == self.window {
-            self.buffer.pop_front();
-        }
-        self.buffer.push_back(measured_c.get());
-    }
-
-    fn predict_ahead(&self, _t_secs: Seconds, _gap_secs: Seconds) -> f64 {
-        if self.buffer.is_empty() {
-            f64::NAN
-        } else {
-            self.buffer.iter().sum::<f64>() / self.buffer.len() as f64
-        }
-    }
-
-    fn name(&self) -> &str {
-        "moving-average"
     }
 }
 
@@ -199,7 +154,6 @@ pub struct TaskProfilePredictor {
     /// from iteration) is deterministic: among equidistant profiled
     /// counts the smaller `(task, count)` key wins, every run.
     table: BTreeMap<(TaskProfile, usize), f64>,
-    current_prediction: Option<f64>,
 }
 
 impl TaskProfilePredictor {
@@ -263,11 +217,6 @@ impl TaskProfilePredictor {
             .map(|(_, v)| *v)
             .ok_or(PredictError::NotReady("task not profiled"))
     }
-
-    /// Fixes the active configuration so the online interface can answer.
-    pub fn set_snapshot(&mut self, snapshot: &ConfigSnapshot) {
-        self.current_prediction = self.predict_stable(snapshot).ok();
-    }
 }
 
 /// The task with the largest vCPU share in a snapshot. Accumulation is
@@ -283,18 +232,6 @@ pub fn dominant_task(snapshot: &ConfigSnapshot) -> Option<TaskProfile> {
         .into_iter()
         .max_by(|a, b| a.1.cmp(&b.1).then(a.0.index().cmp(&b.0.index()).reverse()))
         .map(|(task, _)| task)
-}
-
-impl OnlinePredictor for TaskProfilePredictor {
-    fn observe(&mut self, _t_secs: Seconds, _measured_c: Celsius) {}
-
-    fn predict_ahead(&self, _t_secs: Seconds, _gap_secs: Seconds) -> f64 {
-        self.current_prediction.unwrap_or(f64::NAN)
-    }
-
-    fn name(&self) -> &str {
-        "task-profile"
-    }
 }
 
 /// Ridge-regularised least squares on Eq. (2) features → ψ_stable.
@@ -437,22 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn moving_average_windows() {
-        let mut p = MovingAveragePredictor::new(3);
-        for (t, v) in [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)] {
-            p.observe(s(t), c(v));
-        }
-        // window holds 2,3,4.
-        assert_eq!(p.predict_ahead(s(3.0), s(10.0)), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive window")]
-    fn zero_window_panics() {
-        let _ = MovingAveragePredictor::new(0);
-    }
-
-    #[test]
     fn rc_model_relaxes_exponentially() {
         let mut p =
             RcModelPredictor::new(s(100.0), 0.1, Watts::new(50.0), Watts::new(10.0), c(25.0));
@@ -521,15 +442,6 @@ mod tests {
         };
         let p = TaskProfilePredictor::fit_from_outcomes(&[homo, mixed]);
         assert_eq!(p.table_len(), 1);
-    }
-
-    #[test]
-    fn task_profile_online_interface() {
-        let mut p = TaskProfilePredictor::new();
-        p.add_profile(TaskProfile::CpuBound, 2, c(58.0));
-        assert!(p.predict_ahead(s(0.0), s(60.0)).is_nan());
-        p.set_snapshot(&snapshot(&[(TaskProfile::CpuBound, 2); 2]));
-        assert_eq!(p.predict_ahead(s(0.0), s(60.0)), 58.0);
     }
 
     #[test]

@@ -80,12 +80,6 @@ impl WarmupCurve {
         self.phi0
     }
 
-    /// The stable temperature the curve converges to.
-    #[must_use]
-    pub fn psi_stable(&self) -> f64 {
-        self.psi_stable
-    }
-
     /// The break time (s).
     #[must_use]
     pub fn t_break_secs(&self) -> f64 {

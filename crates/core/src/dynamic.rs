@@ -196,12 +196,6 @@ impl DynamicPredictor {
     pub fn config(&self) -> DynamicConfig {
         self.config
     }
-
-    /// Whether the predictor has been anchored.
-    #[must_use]
-    pub fn is_anchored(&self) -> bool {
-        self.anchor.is_some()
-    }
 }
 
 impl OnlinePredictor for DynamicPredictor {
@@ -241,15 +235,6 @@ impl OnlinePredictor for DynamicPredictor {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn on_reconfiguration(&mut self, t_secs: Seconds, current_temp_c: Celsius) {
-        // Keep the previous stable target if no model consulted: re-anchor
-        // from the current temperature toward the same ψ_stable. Callers
-        // with a stable model use `anchor_with_model` for a fresh target.
-        if let Some((_, curve)) = self.anchor {
-            self.anchor(t_secs, current_temp_c, Celsius::new(curve.psi_stable()));
-        }
     }
 }
 
@@ -342,17 +327,6 @@ mod tests {
         let g = p.gamma();
         p.anchor(s(100.0), c(45.0), c(70.0));
         assert_eq!(p.gamma(), g);
-    }
-
-    #[test]
-    fn reconfiguration_reanchors_from_current_temp() {
-        let mut p = predictor(true);
-        p.anchor(s(0.0), c(30.0), c(60.0));
-        p.on_reconfiguration(s(200.0), c(48.0));
-        // New curve starts at 48 at t=200.
-        assert!((p.curve_value(s(200.0)).unwrap() - 48.0).abs() < 1e-12);
-        // Still heads to the same stable target.
-        assert!((p.curve_value(s(200.0 + 600.0)).unwrap() - 60.0).abs() < 1e-12);
     }
 
     #[test]

@@ -57,6 +57,20 @@ pub fn evaluate_online(
     series: &TimeSeries,
     gap_secs: Seconds,
 ) -> DynamicEvalReport {
+    replay(predictor, series, gap_secs, |_, _, _| {})
+}
+
+/// The replay loop behind [`evaluate_online`] and [`evaluate_dynamic`]:
+/// at each sample, `before_observe(predictor, t, v)` runs first, then the
+/// predictor observes the sample, forecasts `t + gap`, and the forecast is
+/// scored against the measurement at (or just after) that time. Generic,
+/// so the dynamic replay stays statically dispatched.
+fn replay<P: OnlinePredictor + ?Sized>(
+    predictor: &mut P,
+    series: &TimeSeries,
+    gap_secs: Seconds,
+    mut before_observe: impl FnMut(&mut P, f64, f64),
+) -> DynamicEvalReport {
     let gap_secs = gap_secs.get();
     assert!(series.len() >= 2, "need at least two samples");
     assert!(gap_secs > 0.0, "gap must be positive");
@@ -67,6 +81,7 @@ pub fn evaluate_online(
     let mut actuals = ActualCursor::default();
     let mut points = Vec::new();
     for (i, (&t, &v)) in times.iter().zip(values).enumerate() {
+        before_observe(predictor, t, v);
         predictor.observe(Seconds::new(t), Celsius::new(v));
         let target = t + gap_secs;
         if target > end {
@@ -170,23 +185,13 @@ pub fn evaluate_dynamic(
     anchors: &[AnchorPoint],
 ) -> DynamicEvalReport {
     let _span = vmtherm_obs::span(vmtherm_obs::names::SPAN_DYNAMIC_EVAL);
-    let gap_secs = gap_secs.get();
     assert!(!anchors.is_empty(), "need at least one anchor");
     assert!(
         anchors.windows(2).all(|w| w[0].t_secs <= w[1].t_secs),
         "anchors must be sorted by time"
     );
-    assert!(series.len() >= 2, "need at least two samples");
-    assert!(gap_secs > 0.0, "gap must be positive");
-
-    let times = series.times();
-    let values = series.values();
-    let end = *times.last().expect("nonempty");
     let mut next_anchor = 0usize;
-    let mut actuals = ActualCursor::default();
-    let mut points = Vec::new();
-
-    for (i, (&t, &v)) in times.iter().zip(values).enumerate() {
+    replay(predictor, series, gap_secs, |predictor, t, v| {
         while next_anchor < anchors.len() && anchors[next_anchor].t_secs <= t + 1e-9 {
             predictor.anchor(
                 Seconds::new(t),
@@ -195,44 +200,7 @@ pub fn evaluate_dynamic(
             );
             next_anchor += 1;
         }
-        use crate::predictor::OnlinePredictor as _;
-        predictor.observe(Seconds::new(t), Celsius::new(v));
-        let target = t + gap_secs;
-        if target > end {
-            continue;
-        }
-        let predicted = predictor.predict_ahead(Seconds::new(t), Seconds::new(gap_secs));
-        if predicted.is_nan() {
-            continue;
-        }
-        let actual = values[actuals.index(times, i, target)];
-        points.push(EvalPoint {
-            t_secs: target,
-            actual,
-            predicted,
-        });
-    }
-
-    let (actual, predicted): (Vec<f64>, Vec<f64>) =
-        points.iter().map(|p| (p.actual, p.predicted)).unzip();
-    let (mse, mae) = if points.is_empty() {
-        (f64::NAN, f64::NAN)
-    } else {
-        (
-            metrics::mse(&actual, &predicted),
-            metrics::mae(&actual, &predicted),
-        )
-    };
-    DynamicEvalReport {
-        name: {
-            use crate::predictor::OnlinePredictor as _;
-            predictor.name().to_string()
-        },
-        gap_secs,
-        points,
-        mse,
-        mae,
-    }
+    })
 }
 
 /// Result of scoring a stable predictor on held-out cases — the Fig. 1(a)
@@ -432,6 +400,54 @@ mod tests {
             report2.mse,
             report.mse
         );
+    }
+
+    /// One anchor at the first sample is exactly an anchor set before an
+    /// online replay: both paths run the same loop, so every scored point
+    /// and both errors agree bit for bit.
+    #[test]
+    fn evaluate_dynamic_with_one_anchor_matches_evaluate_online() {
+        use crate::dynamic::{DynamicConfig, DynamicPredictor};
+        let series: TimeSeries = (0..700)
+            .map(|s| {
+                let t = f64::from(s);
+                (
+                    t,
+                    30.0 + 20.0 * (1.0 - (-t / 150.0).exp()) + (t * 0.37).sin(),
+                )
+            })
+            .collect();
+        let (t0, v0) = (series.times()[0], series.values()[0]);
+        let gap = Seconds::new(60.0);
+        let anchors = [AnchorPoint {
+            t_secs: t0,
+            psi_stable: 52.0,
+        }];
+        let mut dynamic = DynamicPredictor::new(DynamicConfig::new()).unwrap();
+        let via_dynamic = evaluate_dynamic(&mut dynamic, &series, gap, &anchors);
+
+        let mut online = DynamicPredictor::new(DynamicConfig::new()).unwrap();
+        online.anchor(Seconds::new(t0), Celsius::new(v0), Celsius::new(52.0));
+        let via_online = evaluate_online(&mut online, &series, gap);
+
+        let bits = |r: &DynamicEvalReport| -> Vec<[u64; 3]> {
+            r.points
+                .iter()
+                .map(|p| {
+                    [
+                        p.t_secs.to_bits(),
+                        p.actual.to_bits(),
+                        p.predicted.to_bits(),
+                    ]
+                })
+                .collect()
+        };
+        assert!(!via_dynamic.points.is_empty());
+        assert_eq!(bits(&via_dynamic), bits(&via_online));
+        assert_eq!(via_dynamic.mse.to_bits(), via_online.mse.to_bits());
+        assert_eq!(via_dynamic.mae.to_bits(), via_online.mae.to_bits());
+        assert_eq!(via_dynamic.name, via_online.name);
+        assert_ne!(dynamic.gamma(), 0.0, "calibration never ran");
     }
 
     #[test]

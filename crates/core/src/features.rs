@@ -41,34 +41,6 @@ impl FeatureEncoding {
         }
     }
 
-    /// Human-readable names of the features, in vector order.
-    #[must_use]
-    pub fn feature_names(&self) -> Vec<String> {
-        let mut names = vec![
-            "theta_cpu_core_ghz".to_string(),
-            "theta_memory_gb".to_string(),
-            "theta_fan_count".to_string(),
-            "theta_fan_airflow_cfm".to_string(),
-        ];
-        if *self != FeatureEncoding::NoEnvironment {
-            names.push("delta_env_c".to_string());
-        }
-        names.push("xi_vm_count".to_string());
-        match self {
-            FeatureEncoding::CountOnly => {
-                names.push("xi_total_vcpus".to_string());
-            }
-            _ => {
-                names.push("xi_total_vcpus".to_string());
-                names.push("xi_total_vm_memory_gb".to_string());
-                for p in ALL_TASK_PROFILES {
-                    names.push(format!("xi_demand_{p}"));
-                }
-            }
-        }
-        names
-    }
-
     /// Encodes one snapshot.
     #[must_use]
     pub fn encode(&self, snapshot: &ConfigSnapshot) -> Vec<f64> {
@@ -142,7 +114,6 @@ mod tests {
             FeatureEncoding::NoEnvironment,
         ] {
             assert_eq!(e.encode(&s).len(), e.dim(), "{e:?}");
-            assert_eq!(e.feature_names().len(), e.dim(), "{e:?}");
         }
     }
 
@@ -189,15 +160,6 @@ mod tests {
         assert_eq!(e.encode(&hot), e.encode(&cold));
         let f = FeatureEncoding::Full;
         assert_ne!(f.encode(&hot), f.encode(&cold));
-    }
-
-    #[test]
-    fn names_align_with_values() {
-        let e = FeatureEncoding::Full;
-        let names = e.feature_names();
-        assert_eq!(names[0], "theta_cpu_core_ghz");
-        assert_eq!(names[4], "delta_env_c");
-        assert!(names.iter().any(|n| n == "xi_demand_cpu-bound"));
     }
 
     #[test]

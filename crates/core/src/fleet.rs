@@ -89,12 +89,6 @@ impl ShardedMonitor {
         })
     }
 
-    /// Number of shards the fleet is partitioned into.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
     /// [`FleetMonitor::observe`] with the per-server phase on the
     /// shards, in parallel once the fleet gives each worker at least
     /// [`shard::MIN_SERVERS_PER_WORKER`] servers (inline below that).
@@ -447,7 +441,7 @@ mod tests {
         let sharded =
             ShardedMonitor::new(&stable, DynamicConfig::new(), 3, Seconds::new(40.0), 64, 8)
                 .unwrap();
-        assert_eq!(sharded.shard_count(), 3);
+        assert_eq!(sharded.shards, 3);
         assert_eq!(sharded.servers(), 3);
     }
 

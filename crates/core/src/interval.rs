@@ -72,12 +72,6 @@ impl IntervalPredictor {
         })
     }
 
-    /// Number of calibration residuals.
-    #[must_use]
-    pub fn calibration_size(&self) -> usize {
-        self.residuals.len()
-    }
-
     /// The conformal quantile for coverage `1 − alpha`.
     ///
     /// # Panics

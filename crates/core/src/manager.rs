@@ -2,25 +2,16 @@
 //! application ("temperature prediction is a fundamental technique to
 //! conduct thermal management proactively").
 //!
-//! Three tools:
+//! Two tools:
 //!
 //! - [`PlacementAdvisor`] — given candidate placements of a new VM, predict
 //!   each host's resulting ψ_stable and pick the coolest (hotspot
 //!   avoidance, minimising temperature disparity).
-//! - [`HotspotClassifier`] — an SVC over the same Eq. (2) features that
-//!   flags configurations whose stable temperature would exceed a
-//!   threshold.
 //! - [`MigrationAdvisor`] — find a predicted-hot host and propose moving
 //!   its largest VM to the predicted-coolest host with room.
 
-use crate::error::PredictError;
-use crate::features::FeatureEncoding;
 use crate::stable::StablePredictor;
-use vmtherm_sim::experiment::{ConfigSnapshot, ExperimentOutcome, VmInfo};
-use vmtherm_svm::data::Dataset;
-use vmtherm_svm::kernel::Kernel;
-use vmtherm_svm::scale::{ScaleMethod, Scaler};
-use vmtherm_svm::svc::{SvcModel, SvcParams};
+use vmtherm_sim::experiment::{ConfigSnapshot, VmInfo};
 use vmtherm_units::Celsius;
 
 /// Returns a copy of `snapshot` with `vm` added — the hypothetical
@@ -69,73 +60,6 @@ impl PlacementAdvisor {
     #[must_use]
     pub fn predictor(&self) -> &StablePredictor {
         &self.predictor
-    }
-}
-
-/// Binary hotspot risk classifier: will this configuration stabilise above
-/// the threshold?
-#[derive(Debug, Clone)]
-pub struct HotspotClassifier {
-    encoding: FeatureEncoding,
-    scaler: Scaler,
-    model: SvcModel,
-    threshold_c: f64,
-}
-
-impl HotspotClassifier {
-    /// Trains from experiment outcomes, labelling records by whether
-    /// ψ_stable exceeded `threshold_c`.
-    ///
-    /// # Errors
-    ///
-    /// [`PredictError::NoTrainingData`] for no records or single-class
-    /// data (a threshold no record crosses), SVM errors otherwise.
-    pub fn fit(
-        outcomes: &[ExperimentOutcome],
-        encoding: FeatureEncoding,
-        threshold_c: Celsius,
-    ) -> Result<Self, PredictError> {
-        if outcomes.is_empty() {
-            return Err(PredictError::NoTrainingData);
-        }
-        let mut raw = Dataset::new(encoding.dim());
-        for o in outcomes {
-            let label = if o.psi_stable > threshold_c.get() {
-                1.0
-            } else {
-                -1.0
-            };
-            raw.push(encoding.encode(&o.snapshot), label);
-        }
-        let positives = raw.targets().iter().filter(|t| **t > 0.0).count();
-        if positives == 0 || positives == raw.len() {
-            return Err(PredictError::NoTrainingData);
-        }
-        let scaler = Scaler::fit(&raw, ScaleMethod::MinMax);
-        let scaled = scaler.transform_dataset(&raw);
-        let model = SvcModel::train(
-            &scaled,
-            SvcParams::new().with_c(32.0).with_kernel(Kernel::rbf(0.05)),
-        )?;
-        Ok(HotspotClassifier {
-            encoding,
-            scaler,
-            model,
-            threshold_c: threshold_c.get(),
-        })
-    }
-
-    /// `true` when the configuration is predicted to exceed the threshold.
-    #[must_use]
-    pub fn is_hotspot(&self, snapshot: &ConfigSnapshot) -> bool {
-        let x = self.scaler.transform(&self.encoding.encode(snapshot));
-        self.model.classify(&x).is_ok_and(|label| label > 0.0)
-    }
-
-    /// The decision threshold (°C).
-    #[must_use]
-    pub fn threshold_c(&self) -> f64 {
-        self.threshold_c
     }
 }
 
@@ -233,6 +157,7 @@ mod tests {
     use crate::stable::TrainingOptions;
     use vmtherm_sim::workload::TaskProfile;
     use vmtherm_sim::{CaseGenerator, SimDuration};
+    use vmtherm_svm::kernel::Kernel;
     use vmtherm_svm::svr::SvrParams;
 
     fn trained_predictor() -> StablePredictor {
@@ -305,49 +230,6 @@ mod tests {
             task: TaskProfile::Idle,
         };
         assert!(p.best(&[], &vm).is_none());
-    }
-
-    #[test]
-    fn hotspot_classifier_separates_extremes() {
-        let mut gen = CaseGenerator::new(33);
-        let configs: Vec<_> = gen
-            .random_cases(60, 900)
-            .into_iter()
-            .map(|c| {
-                c.with_duration(SimDuration::from_secs(800))
-                    .with_t_break(SimDuration::from_secs(550))
-            })
-            .collect();
-        let outcomes = crate::stable::run_experiments(&configs);
-        // Pick a threshold near the median so both classes exist.
-        let mut temps: Vec<f64> = outcomes.iter().map(|o| o.psi_stable).collect();
-        temps.sort_by(f64::total_cmp);
-        let threshold = temps[temps.len() / 2];
-        let clf = HotspotClassifier::fit(&outcomes, FeatureEncoding::Full, Celsius::new(threshold))
-            .unwrap();
-        assert_eq!(clf.threshold_c(), threshold);
-        let hot = host(&[(TaskProfile::CpuBound, 4); 8], 28.0);
-        let cool = host(&[(TaskProfile::Idle, 1); 2], 18.0);
-        assert!(clf.is_hotspot(&hot));
-        assert!(!clf.is_hotspot(&cool));
-    }
-
-    #[test]
-    fn hotspot_single_class_is_error() {
-        let mut gen = CaseGenerator::new(3);
-        let configs: Vec<_> = gen
-            .random_cases(5, 100)
-            .into_iter()
-            .map(|c| {
-                c.with_duration(SimDuration::from_secs(700))
-                    .with_t_break(SimDuration::from_secs(600))
-            })
-            .collect();
-        let outcomes = crate::stable::run_experiments(&configs);
-        assert!(matches!(
-            HotspotClassifier::fit(&outcomes, FeatureEncoding::Full, Celsius::new(500.0)),
-            Err(PredictError::NoTrainingData)
-        ));
     }
 
     #[test]

@@ -79,12 +79,6 @@ impl OnlineTrainer {
         self.model.as_ref()
     }
 
-    /// Records currently in the window.
-    #[must_use]
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     /// How many times the model has been retrained.
     #[must_use]
     pub fn retrain_count(&self) -> usize {
@@ -150,7 +144,7 @@ mod tests {
         }
         assert_eq!(retrains, 2, "expected retrains at 10 and 20 records");
         assert!(trainer.model().is_some());
-        assert_eq!(trainer.window_len(), 25);
+        assert_eq!(trainer.window.len(), 25);
         assert_eq!(trainer.retrain_count(), 2);
     }
 
@@ -160,7 +154,7 @@ mod tests {
         for r in fresh_outcomes(8, 4) {
             let _ = trainer.push(r).unwrap();
         }
-        assert_eq!(trainer.window_len(), 5);
+        assert_eq!(trainer.window.len(), 5);
     }
 
     #[test]

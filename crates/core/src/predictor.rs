@@ -19,14 +19,6 @@ pub trait OnlinePredictor {
 
     /// Short name for reports (e.g. `"calibrated"`, `"last-value"`).
     fn name(&self) -> &str;
-
-    /// Notifies the predictor that the configuration changed at `t_secs`
-    /// (VM boot/stop/migration, fan change). `current_temp_c` is the
-    /// measurement at that instant. Predictors that cannot use this ignore
-    /// it; the paper's dynamic model re-anchors its curve.
-    fn on_reconfiguration(&mut self, t_secs: Seconds, current_temp_c: Celsius) {
-        let _ = (t_secs, current_temp_c);
-    }
 }
 
 #[cfg(test)]
@@ -41,7 +33,7 @@ mod tests {
         Seconds::new(v)
     }
 
-    /// A trivial implementor to pin down the default method.
+    /// A trivial implementor.
     struct Fixed(f64);
 
     impl OnlinePredictor for Fixed {
@@ -52,14 +44,6 @@ mod tests {
         fn name(&self) -> &str {
             "fixed"
         }
-    }
-
-    #[test]
-    fn default_reconfiguration_is_a_noop() {
-        let mut p = Fixed(50.0);
-        p.on_reconfiguration(s(10.0), c(60.0));
-        assert_eq!(p.predict_ahead(s(10.0), s(60.0)), 50.0);
-        assert_eq!(p.name(), "fixed");
     }
 
     #[test]

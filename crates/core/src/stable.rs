@@ -205,29 +205,8 @@ impl StablePredictor {
             .expect("encoder/scaler/model dims agree by construction")
     }
 
-    /// Predicts from a raw (unscaled) feature vector in this predictor's
-    /// encoding.
-    ///
-    /// # Errors
-    ///
-    /// [`PredictError::Svm`] wrapping a dimension mismatch when the vector
-    /// length does not match the encoding.
-    pub fn predict_features(&self, raw_features: &[f64]) -> Result<f64, PredictError> {
-        if raw_features.len() != self.encoding.dim() {
-            return Err(PredictError::Svm(
-                vmtherm_svm::SvmError::DimensionMismatch {
-                    expected: self.encoding.dim(),
-                    actual: raw_features.len(),
-                },
-            ));
-        }
-        Ok(self.model.predict(&self.scaler.transform(raw_features))?)
-    }
-
     /// Predicts every row of a raw (unscaled) feature matrix in this
-    /// predictor's encoding — the batch counterpart of
-    /// [`StablePredictor::predict_features`], bit-identical to mapping it
-    /// per row.
+    /// predictor's encoding.
     ///
     /// # Errors
     ///
@@ -550,7 +529,8 @@ mod tests {
     fn predict_features_rejects_wrong_dim() {
         let data = outcomes(10);
         let p = StablePredictor::fit(&data, &fast_options()).unwrap();
-        assert!(p.predict_features(&[1.0]).is_err());
+        let one_column = DenseMatrix::from_nested(vec![vec![1.0]]).unwrap();
+        assert!(p.predict_features_batch(&one_column).is_err());
     }
 
     #[test]

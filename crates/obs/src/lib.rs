@@ -12,9 +12,10 @@
 //!    subcommand).
 //!
 //! The whole layer is **off by default**. Instrumented hot paths go through
-//! [`LazyCounter`] / [`LazyGauge`] / [`LazyHistogram`] handles or [`span`](fn@span)
-//! guards, all of which check one relaxed atomic load first — when disabled,
-//! instrumentation costs a branch and nothing else, and nothing allocates.
+//! [`LazyCounter`] / [`LazyHistogram`] / [`LazySummary`] handles or
+//! [`span`](fn@span) guards, all of which check one relaxed atomic load
+//! first — when disabled, instrumentation costs a branch and nothing else,
+//! and nothing allocates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,12 +91,6 @@ pub fn disable_trace() -> Vec<ObsEvent> {
     TRACING.store(false, Ordering::Relaxed);
     let mut log = TRACE_LOG.lock().unwrap_or_else(PoisonError::into_inner);
     log.take().map(|mut l| l.drain()).unwrap_or_default()
-}
-
-/// Removes and returns all buffered events, leaving tracing active.
-pub fn drain_trace() -> Vec<ObsEvent> {
-    let mut log = TRACE_LOG.lock().unwrap_or_else(PoisonError::into_inner);
-    log.as_mut().map(EventLog::drain).unwrap_or_default()
 }
 
 /// Appends one structured event; a no-op unless tracing is on.
@@ -308,32 +303,6 @@ impl LazyCounter {
     }
 }
 
-/// A gauge handle resolved against the global registry on first use.
-pub struct LazyGauge {
-    name: &'static str,
-    cell: OnceLock<Gauge>,
-}
-
-impl LazyGauge {
-    /// Declares a gauge bound to `name` in the global registry.
-    pub const fn new(name: &'static str) -> LazyGauge {
-        LazyGauge {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Sets the gauge when the layer is enabled.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        if enabled() {
-            self.cell
-                .get_or_init(|| global().gauge(self.name))
-                .set(value);
-        }
-    }
-}
-
 /// A histogram handle resolved against the global registry on first use.
 pub struct LazyHistogram {
     name: &'static str,
@@ -368,21 +337,44 @@ impl LazyHistogram {
     /// drop. When the layer is disabled the timer holds no timestamp and its
     /// drop is a branch on `None`.
     #[inline]
-    pub fn start_timer(&'static self) -> HistTimer {
-        HistTimer {
-            hist: self,
-            start: enabled().then(std::time::Instant::now),
-        }
+    pub fn start_timer(&'static self) -> Timer {
+        Timer::start(self)
     }
 }
 
-/// RAII timer from [`LazyHistogram::start_timer`].
-pub struct HistTimer {
-    hist: &'static LazyHistogram,
+/// A lazy handle a [`Timer`] records its elapsed nanoseconds into.
+trait Observe: Sync {
+    fn observe(&self, value: f64);
+}
+
+impl Observe for LazyHistogram {
+    fn observe(&self, value: f64) {
+        LazyHistogram::observe(self, value);
+    }
+}
+
+impl Observe for LazySummary {
+    fn observe(&self, value: f64) {
+        LazySummary::observe(self, value);
+    }
+}
+
+/// RAII timer from [`LazyHistogram::start_timer`] and
+/// [`LazySummary::start_timer`]: records the elapsed nanoseconds into its
+/// handle on drop.
+pub struct Timer {
+    sink: &'static dyn Observe,
     start: Option<std::time::Instant>,
 }
 
-impl HistTimer {
+impl Timer {
+    fn start(sink: &'static dyn Observe) -> Timer {
+        Timer {
+            sink,
+            start: enabled().then(std::time::Instant::now),
+        }
+    }
+
     /// Stops the timer and returns the elapsed nanoseconds it recorded,
     /// or `None` when the layer was disabled at start.
     pub fn stop(mut self) -> Option<u64> {
@@ -398,12 +390,12 @@ impl HistTimer {
     fn finish(&mut self) -> Option<u64> {
         let start = self.start.take()?;
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.hist.observe(ns as f64);
+        self.sink.observe(ns as f64);
         Some(ns)
     }
 }
 
-impl Drop for HistTimer {
+impl Drop for Timer {
     fn drop(&mut self) {
         let _ = self.finish();
     }
@@ -442,26 +434,8 @@ impl LazySummary {
     /// lets deterministic crates time their sweeps without touching
     /// `Instant` themselves.
     #[inline]
-    pub fn start_timer(&'static self) -> SummaryTimer {
-        SummaryTimer {
-            summary: self,
-            start: enabled().then(std::time::Instant::now),
-        }
-    }
-}
-
-/// RAII timer from [`LazySummary::start_timer`].
-pub struct SummaryTimer {
-    summary: &'static LazySummary,
-    start: Option<std::time::Instant>,
-}
-
-impl Drop for SummaryTimer {
-    fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.summary.observe(ns as f64);
-        }
+    pub fn start_timer(&'static self) -> Timer {
+        Timer::start(self)
     }
 }
 
@@ -487,16 +461,17 @@ mod tests {
         let _lock = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         static C: LazyCounter = LazyCounter::new("lib_test_enabled_total");
         static H: LazyHistogram = LazyHistogram::new("lib_test_ns", Histogram::ns_buckets);
-        static G: LazyGauge = LazyGauge::new("lib_test_gauge");
+        static S: LazySummary = LazySummary::new("lib_test_summary_ns");
         set_enabled(true);
         C.add(3);
-        G.set(7.5);
         {
             let _t = H.start_timer();
+            let _s = S.start_timer();
         }
+        S.start_timer().cancel();
         set_enabled(false);
         assert_eq!(global().counter("lib_test_enabled_total").get(), 3);
-        assert_eq!(global().gauge("lib_test_gauge").get(), 7.5);
+        assert_eq!(global().summary("lib_test_summary_ns").count(), 1);
         assert_eq!(
             global()
                 .histogram("lib_test_ns", Histogram::ns_buckets)
@@ -526,7 +501,7 @@ mod tests {
         emit(ObsEvent::Meta {
             cmd: "late".to_string(),
         });
-        assert!(drain_trace().is_empty());
+        assert!(snapshot_trace().is_empty());
     }
 
     #[test]

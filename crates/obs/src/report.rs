@@ -103,18 +103,6 @@ impl TraceReport {
             self.sum_abs_err_c / self.forecasts_scored as f64
         }
     }
-
-    /// Number of distinct leaf span names (last path segment) in the trace.
-    pub fn distinct_span_names(&self) -> usize {
-        let mut names: Vec<&str> = self
-            .spans
-            .keys()
-            .filter_map(|p| p.rsplit('/').next())
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        names.len()
-    }
 }
 
 /// Aggregates parsed events into a [`TraceReport`].
@@ -415,7 +403,6 @@ mod tests {
             report.spans["experiment_run/engine_run"].total_ns,
             4_000_000
         );
-        assert_eq!(report.distinct_span_names(), 4);
         assert_eq!(report.gamma_updates, 1);
         assert_eq!(report.reanchors["vm_boot"], 1);
         assert_eq!(report.forecasts_scored, 2);

@@ -117,40 +117,31 @@ pub enum ClockMode {
     /// Multi-rate: the batch is the servers whose wake-up is due, each
     /// over the interval since its physics last advanced. Servers whose
     /// physics inputs are provably constant between reconfiguration
-    /// events and whose thermal state sits inside the [`WakePolicy`]
-    /// steady-state band sleep across ticks, integrating the accumulated
-    /// interval in one step-size-exact call at their next wake-up.
+    /// events and whose thermal state sits inside a steady-state band
+    /// (|dT/dt| below 0.01 °C/s) sleep across ticks, integrating the
+    /// accumulated interval in one step-size-exact call at their next
+    /// wake-up.
     /// Physical end states stay bit-identical to [`ClockMode::Fixed`];
     /// only telemetry density (and therefore sensor/fault RNG
     /// consumption) differs.
     Event,
 }
 
-/// When event-driven stepping may let a server sleep, and for how long.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WakePolicy {
-    /// A server may sleep only while its largest node temperature rate
-    /// |dT/dt| (°C/s) is below this band. Skipping is numerically exact
-    /// regardless (constant inputs are a separate precondition); the
-    /// band's job is to keep telemetry dense through thermal transients
-    /// so downstream consumers still see warm-up curves at full
-    /// resolution.
-    pub band_c_per_s: f64,
-    /// Longest sleep. Wake intervals double from the base step up to
-    /// this cap. Keep it below the monitor's staleness threshold
-    /// (30 s, `STALENESS_SECS` in `vmtherm_core::monitor`) so a
-    /// sparse-but-healthy stream is never mistaken for an outage.
-    pub max_skip: SimDuration,
-}
+/// The simulation step: every tick advances the clock by one second.
+const STEP: SimDuration = SimDuration::from_secs(1);
 
-impl Default for WakePolicy {
-    fn default() -> Self {
-        WakePolicy {
-            band_c_per_s: 0.01,
-            max_skip: SimDuration::from_secs(16),
-        }
-    }
-}
+/// Event mode lets a server sleep only while its largest node temperature
+/// rate |dT/dt| (°C/s) is below this band. Skipping is numerically exact
+/// regardless (constant inputs are a separate precondition); the band's
+/// job is to keep telemetry dense through thermal transients so
+/// downstream consumers still see warm-up curves at full resolution.
+const WAKE_BAND_C_PER_S: f64 = 0.01;
+
+/// Longest event-mode sleep. Wake intervals double from [`STEP`] up to
+/// this cap, which stays below the monitor's staleness threshold (30 s,
+/// `STALENESS_SECS` in `vmtherm_core::monitor`) so a sparse-but-healthy
+/// stream is never mistaken for an outage.
+const MAX_SKIP: SimDuration = SimDuration::from_secs(16);
 
 /// Physics work counters: integrations that actually ran vs. what an
 /// equivalent dense fixed-step run would have done.
@@ -254,9 +245,7 @@ pub enum SimEvent {
 pub struct Simulation {
     datacenter: Datacenter,
     ambient: AmbientModel,
-    migration_config: MigrationConfig,
     clock: SimTime,
-    dt: SimDuration,
     events: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
     next_vm: u64,
@@ -289,8 +278,6 @@ pub struct Simulation {
     /// How per-server physics advances (fixed dense steps or event-driven
     /// sparse wake-ups).
     clock_mode: ClockMode,
-    /// Steady-state band and sleep cap for event-driven stepping.
-    wake_policy: WakePolicy,
     /// Event-mode bookkeeping, `None` until the first event-mode step.
     wake: Option<WakeState>,
     /// Physics integrations actually performed.
@@ -313,9 +300,7 @@ impl Simulation {
         Simulation {
             datacenter,
             ambient,
-            migration_config: MigrationConfig::default(),
             clock: SimTime::ZERO,
-            dt: SimDuration::from_secs(1),
             events: BinaryHeap::new(),
             seq: 0,
             next_vm: 0,
@@ -332,7 +317,6 @@ impl Simulation {
             threads: 1,
             shards: 0,
             clock_mode: ClockMode::Fixed,
-            wake_policy: WakePolicy::default(),
             wake: None,
             server_steps: 0,
             dense_server_steps: 0,
@@ -363,17 +347,6 @@ impl Simulation {
     #[must_use]
     pub fn clock_mode(&self) -> ClockMode {
         self.clock_mode
-    }
-
-    /// Replaces the event-mode wake policy.
-    pub fn set_wake_policy(&mut self, policy: WakePolicy) {
-        self.wake_policy = policy;
-    }
-
-    /// The active event-mode wake policy.
-    #[must_use]
-    pub fn wake_policy(&self) -> WakePolicy {
-        self.wake_policy
     }
 
     /// Physics work counters so far (both clock modes): integrations
@@ -487,25 +460,6 @@ impl Simulation {
         self.log_lost.push(lost);
     }
 
-    /// Overrides the migration tunables.
-    #[must_use]
-    pub fn with_migration_config(mut self, config: MigrationConfig) -> Self {
-        self.migration_config = config;
-        self
-    }
-
-    /// Overrides the step size (default 1 s).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero step.
-    #[must_use]
-    pub fn with_step(mut self, dt: SimDuration) -> Self {
-        assert!(!dt.is_zero(), "zero simulation step");
-        self.dt = dt;
-        self
-    }
-
     /// Current simulation time.
     #[must_use]
     pub fn now(&self) -> SimTime {
@@ -601,12 +555,6 @@ impl Simulation {
         &self.log
     }
 
-    /// In-flight migrations.
-    #[must_use]
-    pub fn active_migrations(&self) -> &[ActiveMigration] {
-        &self.migrations
-    }
-
     /// Advances the simulation by one step.
     pub fn step(&mut self) {
         // Batched instrumentation: count (and time) one step per sampling
@@ -668,7 +616,7 @@ impl Simulation {
         self.step_servers(now, ambient);
         self.room_heat_kw = self.datacenter.room_heat_kw();
 
-        self.clock += self.dt;
+        self.clock += STEP;
     }
 
     /// Grows the per-server telemetry arrays, and the fault channel
@@ -712,7 +660,7 @@ impl Simulation {
         }
         let batch = match self.wake.as_ref() {
             Some(wake) if event => Batch::Due(&wake.due, &wake.elapsed),
-            _ => Batch::All(self.dt.as_secs_f64()),
+            _ => Batch::All(STEP.as_secs_f64()),
         };
         let stepped = batch.len(count);
         self.server_steps += stepped as u64;
@@ -831,7 +779,7 @@ impl Simulation {
     /// the end of this tick.
     fn drain_wakes(&mut self, now: SimTime) {
         let count = self.datacenter.len();
-        let tick_end = now + self.dt;
+        let tick_end = now + STEP;
         let Some(wake) = self.wake.as_mut() else {
             return;
         };
@@ -858,39 +806,35 @@ impl Simulation {
     /// back to the base step, and never sleep across a pinned fault-edge
     /// tick.
     fn rearm_wakes(&mut self, now: SimTime, ambient: f64) {
-        let policy = self.wake_policy;
-        let dt = self.dt;
-        let sparse_base =
-            dt.as_millis().is_multiple_of(1000) && matches!(self.ambient, AmbientModel::Fixed(_));
+        let fixed_ambient = matches!(self.ambient, AmbientModel::Fixed(_));
         let Some(wake) = self.wake.as_mut() else {
             return;
         };
         for &idx in &wake.due {
             let id = ServerId::new(idx);
             let offset = self.datacenter.ambient_offset(id).unwrap_or(0.0);
-            let sparse_ok = sparse_base
+            let sparse_ok = fixed_ambient
                 && self.datacenter.server(id).is_ok_and(|s| {
                     s.inputs_piecewise_constant()
                         && s.thermal_rate_c_per_s(Celsius::new(ambient + offset))
-                            .is_some_and(|rate| rate < policy.band_c_per_s)
+                            .is_some_and(|rate| rate < WAKE_BAND_C_PER_S)
                 });
             let interval = if sparse_ok {
                 SimDuration::from_millis(
                     wake.interval[idx]
                         .as_millis()
                         .saturating_mul(2)
-                        .min(policy.max_skip.as_millis())
-                        .max(dt.as_millis()),
+                        .min(MAX_SKIP.as_millis()),
                 )
             } else {
-                dt
+                STEP
             };
             wake.interval[idx] = interval;
             let mut at = now + interval;
             let cut = wake.fault_wakes.partition_point(|t| *t <= now);
             if let Some(&boundary) = wake.fault_wakes.get(cut) {
                 if boundary < at {
-                    at = boundary.max(now + dt);
+                    at = boundary.max(now + STEP);
                 }
             }
             wake.next_wake[idx] = at;
@@ -904,7 +848,6 @@ impl Simulation {
     fn ensure_wake_state(&mut self) {
         let count = self.datacenter.len();
         let clock = self.clock;
-        let dt = self.dt;
         let wake = self.wake.get_or_insert_with(|| WakeState {
             queue: EventQueue::new(),
             next_wake: Vec::new(),
@@ -919,13 +862,13 @@ impl Simulation {
             let idx = wake.next_wake.len();
             wake.next_wake.push(clock);
             wake.last_end.push(clock);
-            wake.interval.push(dt);
+            wake.interval.push(STEP);
             wake.queue.schedule(clock, idx);
         }
         if wake.fault_wakes_stale {
             wake.fault_wakes_stale = false;
             wake.fault_wakes = match self.fault.as_ref() {
-                Some(injector) => fault_wake_ticks(injector.plan(), dt),
+                Some(injector) => fault_wake_ticks(injector.plan()),
                 None => Vec::new(),
             };
         }
@@ -1007,7 +950,7 @@ impl Simulation {
                 &mut servers[idx],
                 sink,
                 delivery,
-                self.clock - self.dt,
+                self.clock - STEP,
                 ambient + offsets.get(idx),
                 elapsed,
             );
@@ -1032,10 +975,9 @@ impl Simulation {
     /// physics phase integrates it.
     fn wake_server(&mut self, idx: usize) {
         let now = self.clock;
-        let dt = self.dt;
         if let Some(wake) = self.wake.as_mut() {
             if idx < wake.next_wake.len() {
-                wake.interval[idx] = dt;
+                wake.interval[idx] = STEP;
                 if wake.next_wake[idx] > now {
                     wake.next_wake[idx] = now;
                     wake.queue.schedule(now, idx);
@@ -1127,7 +1069,8 @@ impl Simulation {
                         });
                     }
                 }
-                let duration = self.migration_config.duration_for(memory_gb);
+                let config = MigrationConfig::default();
+                let duration = config.duration_for(memory_gb);
                 self.migrations.push(ActiveMigration {
                     vm,
                     source,
@@ -1140,10 +1083,10 @@ impl Simulation {
                 if let Some(v) = src.vms_mut().iter_mut().find(|v| v.id() == vm) {
                     v.set_state(VmState::Migrating);
                 }
-                src.add_migration_overhead(self.migration_config.source_overhead_vcpus);
+                src.add_migration_overhead(config.source_overhead_vcpus);
                 self.datacenter
                     .server_mut(dest)?
-                    .add_migration_overhead(self.migration_config.dest_overhead_vcpus);
+                    .add_migration_overhead(config.dest_overhead_vcpus);
                 self.push_log(self.clock, SimEvent::MigrationStarted { vm, source, dest });
             }
             Event::SetFanSpeed { server, speed } => {
@@ -1161,11 +1104,12 @@ impl Simulation {
 
     fn finish_migration(&mut self, m: ActiveMigration) {
         // Remove overheads whether or not the cut-over succeeds.
+        let config = MigrationConfig::default();
         if let Ok(src) = self.datacenter.server_mut(m.source) {
-            src.add_migration_overhead(-self.migration_config.source_overhead_vcpus);
+            src.add_migration_overhead(-config.source_overhead_vcpus);
         }
         if let Ok(dst) = self.datacenter.server_mut(m.dest) {
-            dst.add_migration_overhead(-self.migration_config.dest_overhead_vcpus);
+            dst.add_migration_overhead(-config.dest_overhead_vcpus);
         }
         let vm = match self.datacenter.server_mut(m.source) {
             Ok(src) => src.take_vm(m.vm),
@@ -1355,18 +1299,18 @@ fn record(
 /// after each boundary **and** the tick just before it, so the delivered
 /// stream still shows the last pre-window sample and the first post-window
 /// sample at dense-comparable gaps around every scheduled edge.
-fn fault_wake_ticks(plan: &FaultPlan, dt: SimDuration) -> Vec<SimTime> {
-    let dt_ms = dt.as_millis().max(1);
+fn fault_wake_ticks(plan: &FaultPlan) -> Vec<SimTime> {
+    let step_ms = STEP.as_millis();
     let mut ticks = Vec::new();
     for boundary in plan.scheduled_boundaries() {
         if !boundary.is_finite() || boundary < 0.0 {
             continue;
         }
         let boundary_ms = (boundary * 1000.0).ceil() as u64;
-        let first_at = boundary_ms.div_ceil(dt_ms) * dt_ms;
+        let first_at = boundary_ms.div_ceil(step_ms) * step_ms;
         ticks.push(SimTime::from_millis(first_at));
-        if first_at >= dt_ms {
-            ticks.push(SimTime::from_millis(first_at - dt_ms));
+        if first_at >= step_ms {
+            ticks.push(SimTime::from_millis(first_at - step_ms));
         }
     }
     ticks.sort_unstable();
@@ -1490,11 +1434,11 @@ mod tests {
             },
         );
         sim.run_until(SimTime::from_secs(11));
-        assert_eq!(sim.active_migrations().len(), 1);
+        assert_eq!(sim.migrations.len(), 1);
         assert_eq!(sim.datacenter().locate_vm(id), Some(ServerId::new(0)));
         // 8 GB at 10 Gbit/s × 1.3 ≈ 8.3 s; run past it.
         sim.run_until(SimTime::from_secs(25));
-        assert_eq!(sim.active_migrations().len(), 0);
+        assert_eq!(sim.migrations.len(), 0);
         assert_eq!(sim.datacenter().locate_vm(id), Some(ServerId::new(1)));
         assert!(sim
             .log()
@@ -2167,11 +2111,6 @@ mod tests {
         let dc = Datacenter::homogeneous(&ServerSpec::standard("n"), 1, 4, Celsius::new(24.0), 3);
         let mut sim =
             Simulation::new(dc, AmbientModel::Fixed(24.0), 7).with_clock(ClockMode::Event);
-        sim.set_wake_policy(WakePolicy {
-            band_c_per_s: 0.01,
-            max_skip: SimDuration::from_secs(4),
-        });
-        assert_eq!(sim.wake_policy().max_skip, SimDuration::from_secs(4));
         sim.run_until(SimTime::from_secs(2000));
         let trace = sim.trace(ServerId::new(0)).unwrap();
         let times = trace.sensor_c.times();
@@ -2179,7 +2118,7 @@ mod tests {
             .windows(2)
             .map(|w| w[1] - w[0])
             .fold(0.0_f64, f64::max);
-        assert!(max_gap <= 4.0, "gap {max_gap} exceeds the 4 s cap");
-        assert!(max_gap > 1.0, "never slept at all");
+        // Quiet intervals double 2, 4, 8, 16 s and stop at the cap.
+        assert_eq!(max_gap, MAX_SKIP.as_secs_f64(), "largest sleep gap");
     }
 }

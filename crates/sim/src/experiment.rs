@@ -330,14 +330,6 @@ impl CaseGenerator {
         self
     }
 
-    /// Fixes the fan count (e.g. 4 for Fig. 1(c)).
-    #[must_use]
-    pub fn with_fixed_fans(mut self, fans: u32) -> Self {
-        self.min_fans = fans;
-        self.max_fans = fans;
-        self
-    }
-
     /// Samples one random VM spec.
     pub fn random_vm(&mut self, index: usize) -> VmSpec {
         // Weighted draws written as exhaustive matches over the sampled
@@ -482,14 +474,6 @@ mod tests {
             assert!((18.0..=28.0).contains(&case.ambient_c));
             let mem: f64 = case.vms.iter().map(VmSpec::memory_gb).sum();
             assert!(mem <= case.server.memory_gb());
-        }
-    }
-
-    #[test]
-    fn generator_with_fixed_fans() {
-        let mut gen = CaseGenerator::new(3).with_fixed_fans(4);
-        for i in 0..10 {
-            assert_eq!(gen.random_case(i).server.fans().count(), 4);
         }
     }
 

@@ -8,7 +8,6 @@
 //! lower resistance, cooler stable temperature.
 
 use serde::{Deserialize, Serialize};
-use vmtherm_units::Celsius;
 
 /// Discrete fan speed levels, as exposed by typical BMC firmware.
 #[derive(
@@ -35,9 +34,6 @@ impl FanSpeed {
             FanSpeed::High => 60.0,
         }
     }
-
-    /// All levels, ascending.
-    pub const ALL: [FanSpeed; 3] = [FanSpeed::Low, FanSpeed::Medium, FanSpeed::High];
 }
 
 impl std::fmt::Display for FanSpeed {
@@ -98,7 +94,7 @@ impl FanBank {
         self.speed
     }
 
-    /// Mutable speed control (for thermostatic policies).
+    /// Sets the speed level in place.
     pub fn set_speed(&mut self, speed: FanSpeed) {
         self.speed = speed;
     }
@@ -108,11 +104,6 @@ impl FanBank {
     /// anomaly-detection extension must catch from temperature alone.
     pub fn fail(&mut self, n: u32) {
         self.failed = (self.failed + n).min(self.count);
-    }
-
-    /// Repairs all failed fans.
-    pub fn repair(&mut self) {
-        self.failed = 0;
     }
 
     /// Number of fans currently spinning.
@@ -167,49 +158,6 @@ impl Default for FanBank {
     }
 }
 
-/// A simple thermostatic fan-speed policy: raise the speed above
-/// `high_watermark` °C, lower it below `low_watermark` °C.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ThermostaticPolicy {
-    /// Temperature above which the policy escalates one level (°C).
-    pub high_watermark: f64,
-    /// Temperature below which the policy de-escalates one level (°C).
-    pub low_watermark: f64,
-}
-
-impl ThermostaticPolicy {
-    /// Applies the policy to a bank given the current die temperature,
-    /// returning `true` if the speed changed.
-    pub fn apply(&self, bank: &mut FanBank, die_temp_c: Celsius) -> bool {
-        let current = bank.speed();
-        let next = if die_temp_c.get() > self.high_watermark {
-            match current {
-                FanSpeed::Low => FanSpeed::Medium,
-                FanSpeed::Medium | FanSpeed::High => FanSpeed::High,
-            }
-        } else if die_temp_c.get() < self.low_watermark {
-            match current {
-                FanSpeed::High => FanSpeed::Medium,
-                FanSpeed::Medium | FanSpeed::Low => FanSpeed::Low,
-            }
-        } else {
-            current
-        };
-        let changed = next != current;
-        bank.set_speed(next);
-        changed
-    }
-}
-
-impl Default for ThermostaticPolicy {
-    fn default() -> Self {
-        ThermostaticPolicy {
-            high_watermark: 75.0,
-            low_watermark: 45.0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,27 +205,11 @@ mod tests {
     #[test]
     fn fan_power_grows_with_speed() {
         let mut prev = 0.0;
-        for s in FanSpeed::ALL {
+        for s in [FanSpeed::Low, FanSpeed::Medium, FanSpeed::High] {
             let p = FanBank::new(4).with_speed(s).fan_power();
             assert!(p > prev);
             prev = p;
         }
-    }
-
-    #[test]
-    fn thermostat_escalates_and_deescalates() {
-        let policy = ThermostaticPolicy {
-            high_watermark: 70.0,
-            low_watermark: 40.0,
-        };
-        let mut bank = FanBank::new(4);
-        assert!(policy.apply(&mut bank, Celsius::new(80.0)));
-        assert_eq!(bank.speed(), FanSpeed::High);
-        assert!(!policy.apply(&mut bank, Celsius::new(80.0))); // already high
-        assert!(policy.apply(&mut bank, Celsius::new(30.0)));
-        assert_eq!(bank.speed(), FanSpeed::Medium);
-        assert!(policy.apply(&mut bank, Celsius::new(30.0)));
-        assert_eq!(bank.speed(), FanSpeed::Low);
     }
 
     #[test]
@@ -291,16 +223,6 @@ mod tests {
         assert!(degraded.fan_power() < healthy.fan_power());
         degraded.fail(10); // saturates
         assert_eq!(degraded.operational(), 0);
-        degraded.repair();
-        assert_eq!(degraded.failed(), 0);
-        assert_eq!(degraded.airflow_cfm(), healthy.airflow_cfm());
-    }
-
-    #[test]
-    fn thermostat_holds_in_deadband() {
-        let policy = ThermostaticPolicy::default();
-        let mut bank = FanBank::new(2).with_speed(FanSpeed::Medium);
-        assert!(!policy.apply(&mut bank, Celsius::new(60.0)));
-        assert_eq!(bank.speed(), FanSpeed::Medium);
+        assert_eq!(degraded.failed(), 4);
     }
 }

@@ -86,7 +86,7 @@ pub mod vmm;
 pub mod workload;
 
 pub use datacenter::Datacenter;
-pub use engine::{ClockMode, Event, SimEvent, Simulation, StepStats, WakePolicy};
+pub use engine::{ClockMode, Event, SimEvent, Simulation, StepStats};
 pub use environment::AmbientModel;
 pub use error::SimError;
 pub use experiment::{CaseGenerator, ConfigSnapshot, ExperimentConfig, ExperimentOutcome};

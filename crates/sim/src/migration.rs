@@ -83,16 +83,6 @@ impl ActiveMigration {
     pub fn is_complete(&self, now: SimTime) -> bool {
         now >= self.completes_at()
     }
-
-    /// Transfer progress in `[0, 1]` at `now`.
-    #[must_use]
-    pub fn progress(&self, now: SimTime) -> f64 {
-        if self.duration.is_zero() {
-            return 1.0;
-        }
-        let elapsed = now.saturating_duration_since(self.started).as_secs_f64();
-        (elapsed / self.duration.as_secs_f64()).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +116,7 @@ mod tests {
     }
 
     #[test]
-    fn completion_and_progress() {
+    fn completion_is_start_plus_duration() {
         let m = ActiveMigration {
             vm: VmId::new(1),
             source: ServerId::new(0),
@@ -137,11 +127,6 @@ mod tests {
         assert_eq!(m.completes_at(), SimTime::from_secs(110));
         assert!(!m.is_complete(SimTime::from_secs(109)));
         assert!(m.is_complete(SimTime::from_secs(110)));
-        assert_eq!(m.progress(SimTime::from_secs(100)), 0.0);
-        assert_eq!(m.progress(SimTime::from_secs(105)), 0.5);
-        assert_eq!(m.progress(SimTime::from_secs(999)), 1.0);
-        // Before start: saturates to zero.
-        assert_eq!(m.progress(SimTime::from_secs(50)), 0.0);
     }
 
     #[test]
@@ -153,7 +138,6 @@ mod tests {
             started: SimTime::ZERO,
             duration: SimDuration::ZERO,
         };
-        assert_eq!(m.progress(SimTime::ZERO), 1.0);
         assert!(m.is_complete(SimTime::ZERO));
     }
 }

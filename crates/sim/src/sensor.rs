@@ -48,15 +48,6 @@ impl SensorConfig {
             quantization,
         })
     }
-
-    /// An idealised noiseless, continuous sensor (useful in tests).
-    #[must_use]
-    pub fn ideal() -> Self {
-        SensorConfig {
-            noise_sigma: 0.0,
-            quantization: 0.0,
-        }
-    }
 }
 
 impl Default for SensorConfig {
@@ -121,7 +112,7 @@ mod tests {
 
     #[test]
     fn ideal_sensor_is_exact() {
-        let mut s = TemperatureSensor::new(SensorConfig::ideal(), 1);
+        let mut s = TemperatureSensor::new(SensorConfig::new(0.0, 0.0).expect("config"), 1);
         assert_eq!(s.read(c(53.21)), 53.21);
     }
 

@@ -4,7 +4,7 @@ use crate::error::SimError;
 use crate::fan::{FanBank, FanSpeed};
 use crate::power::PowerModel;
 use crate::sensor::{SensorConfig, TemperatureSensor};
-use crate::thermal::{integrate, Integration, ThermalNetwork, ThermalParams, ThermalState};
+use crate::thermal::{integrate, Integration, ThermalNetwork, ThermalParams};
 use crate::time::SimTime;
 use crate::vm::{Vm, VmId};
 use crate::vmm::{split_power, CoreScheduler, MultiCoreNetwork, SchedulingPolicy};
@@ -86,13 +86,6 @@ impl ServerSpec {
     #[must_use]
     pub fn standard(name: impl Into<String>) -> Self {
         ServerSpec::commodity(name, 16, 2.4, 64.0, 4)
-    }
-
-    /// Overrides the fan bank.
-    #[must_use]
-    pub fn with_fans(mut self, fans: FanBank) -> Self {
-        self.fans = fans;
-        self
     }
 
     /// Overrides the power model.
@@ -260,11 +253,6 @@ impl Server {
         self.fans.fail(n);
     }
 
-    /// Repairs all failed fans.
-    pub fn repair_fans(&mut self) {
-        self.fans.repair();
-    }
-
     /// Hosted VMs.
     #[must_use]
     pub fn vms(&self) -> &[Vm] {
@@ -320,14 +308,6 @@ impl Server {
     /// vCPU units.
     pub fn add_migration_overhead(&mut self, delta_vcpus: f64) {
         self.migration_overhead = (self.migration_overhead + delta_vcpus).max(0.0);
-    }
-
-    /// Aggregate CPU utilization in `[0, 1]` at time `t`: total vCPU demand
-    /// (plus migration overhead) over physical cores, saturating at 1.
-    pub fn cpu_utilization(&mut self, t: SimTime) -> f64 {
-        let demand: f64 =
-            self.vms.iter_mut().map(|vm| vm.cpu_demand(t)).sum::<f64>() + self.migration_overhead;
-        (demand / self.spec.cores() as f64).min(1.0)
     }
 
     /// Actively used memory across VMs (GB).
@@ -431,19 +411,6 @@ impl Server {
         self.sensor.read(Celsius::new(t))
     }
 
-    /// The steady-state die temperature if current conditions persisted —
-    /// used by ground-truth oracles in tests.
-    #[must_use]
-    pub fn steady_state_die(&self, utilization: Utilization, ambient_c: Celsius) -> f64 {
-        let power = self
-            .spec
-            .power()
-            .total_power(utilization, self.active_memory_gb());
-        self.network
-            .steady_state(Watts::new(power), ambient_c, self.fans.sink_resistance())
-            .die_c
-    }
-
     /// Utilization from the most recent [`Server::step`].
     #[must_use]
     pub fn last_utilization(&self) -> f64 {
@@ -460,11 +427,6 @@ impl Server {
     #[must_use]
     pub fn room_heat_watts(&self) -> f64 {
         self.last_power + self.fans.fan_power()
-    }
-
-    /// Overrides the thermal state (experiment warm starts).
-    pub fn set_thermal_state(&mut self, state: ThermalState) {
-        self.network.set_state(state);
     }
 
     /// `true` when every input to this server's physics is constant
@@ -544,8 +506,8 @@ mod tests {
             s.boot_vm(vm(i, 4, 4.0, TaskProfile::CpuBound)).unwrap();
         }
         // 40 vcpus at ~0.9 on 16 cores: saturated.
-        let u = s.cpu_utilization(SimTime::from_secs(10));
-        assert_eq!(u, 1.0);
+        s.step(SimTime::from_secs(10), amb(25.0), Seconds::new(1.0));
+        assert_eq!(s.last_utilization(), 1.0);
     }
 
     #[test]
@@ -593,12 +555,16 @@ mod tests {
     fn migration_overhead_raises_utilization() {
         let mut s = server();
         s.boot_vm(vm(1, 4, 8.0, TaskProfile::Mixed)).unwrap();
-        let base = s.cpu_utilization(SimTime::from_secs(1));
+        let utilization_at_1s = |s: &mut Server| {
+            s.step(SimTime::from_secs(1), amb(25.0), Seconds::new(1.0));
+            s.last_utilization()
+        };
+        let base = utilization_at_1s(&mut s);
         s.add_migration_overhead(2.0);
-        let with = s.cpu_utilization(SimTime::from_secs(1));
+        let with = utilization_at_1s(&mut s);
         assert!(with > base);
         s.add_migration_overhead(-5.0); // clamps at zero
-        let cleared = s.cpu_utilization(SimTime::from_secs(1));
+        let cleared = utilization_at_1s(&mut s);
         assert!(cleared <= with);
     }
 

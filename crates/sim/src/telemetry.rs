@@ -128,21 +128,6 @@ impl TimeSeries {
         Some((*self.times.last()?, *self.values.last()?))
     }
 
-    /// Minimum and maximum values, or `None` when empty.
-    #[must_use]
-    pub fn min_max(&self) -> Option<(f64, f64)> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for v in &self.values {
-            lo = lo.min(*v);
-            hi = hi.max(*v);
-        }
-        Some((lo, hi))
-    }
-
     /// Serialises as two-column CSV with a header.
     #[must_use]
     pub fn to_csv(&self, value_name: &str) -> String {
@@ -309,11 +294,10 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_last() {
+    fn last_is_the_newest_sample() {
         let ts = series();
-        assert_eq!(ts.min_max(), Some((0.0, 18.0)));
         assert_eq!(ts.last(), Some((9.0, 18.0)));
-        assert_eq!(TimeSeries::new().min_max(), None);
+        assert_eq!(TimeSeries::new().last(), None);
     }
 
     #[test]

@@ -61,14 +61,6 @@ impl ThermalParams {
             r_die_sink,
         }
     }
-
-    /// The slowest time constant (s) of the network for a given sink
-    /// resistance — roughly `C_sink · (R_sa + R_ds)`; the system is within
-    /// 1% of steady state after ~5 of these.
-    #[must_use]
-    pub fn dominant_time_constant(&self, r_sink_amb: f64) -> f64 {
-        self.c_sink * (r_sink_amb + self.r_die_sink)
-    }
 }
 
 impl Default for ThermalParams {
@@ -143,12 +135,6 @@ impl ThermalNetwork {
     #[must_use]
     pub fn params(&self) -> ThermalParams {
         self.params
-    }
-
-    /// Overrides the state (e.g. to start an experiment from a prior
-    /// operating point, the paper's φ(0)).
-    pub fn set_state(&mut self, state: ThermalState) {
-        self.state = state;
     }
 
     /// Advances the network by `dt_secs` under constant heat input
@@ -480,10 +466,10 @@ mod tests {
                     ThermalParams::new(120.0 + 10.0 * f, 900.0 + 50.0 * f, 0.04 + 0.002 * f),
                     c(22.0 + 0.5 * f),
                 );
-                n.set_state(ThermalState {
+                n.state = ThermalState {
                     die_c: 40.0 + 3.0 * f,
                     sink_c: 30.0 + 1.5 * f,
-                });
+                };
                 let power = if i == 6 { 0.0 } else { 60.0 + 17.0 * f };
                 (
                     n,
@@ -566,25 +552,8 @@ mod tests {
     }
 
     #[test]
-    fn dominant_time_constant_matches_observed_settling() {
-        let p = ThermalParams::default();
-        let tau = p.dominant_time_constant(R_SA);
-        assert!((100.0..300.0).contains(&tau), "tau = {tau}");
-    }
-
-    #[test]
     #[should_panic(expected = "non-positive dt")]
     fn zero_dt_panics() {
         network().step(w(100.0), c(25.0), R_SA, Seconds::ZERO);
-    }
-
-    #[test]
-    fn set_state_overrides() {
-        let mut n = network();
-        n.set_state(ThermalState {
-            die_c: 60.0,
-            sink_c: 50.0,
-        });
-        assert_eq!(n.die_temperature(), 60.0);
     }
 }

@@ -65,12 +65,6 @@ impl SimTime {
         );
         SimDuration(self.0 - earlier.0)
     }
-
-    /// Saturating difference: zero if `earlier` is after `self`.
-    #[must_use]
-    pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -264,7 +258,6 @@ mod tests {
         let a = SimTime::from_secs(3);
         let b = SimTime::from_secs(10);
         assert_eq!(b.duration_since(a), SimDuration::from_secs(7));
-        assert_eq!(a.saturating_duration_since(b), SimDuration::ZERO);
     }
 
     #[test]

@@ -165,12 +165,6 @@ impl MultiCoreNetwork {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Shared heatsink temperature (°C).
-    #[must_use]
-    pub fn sink_temperature(&self) -> f64 {
-        self.sink_c
-    }
-
     /// Advances the network by `dt_secs` given per-core power (W),
     /// ambient and the sink→ambient resistance.
     ///
@@ -359,7 +353,7 @@ mod tests {
         for _ in 0..3000 {
             net.step(&power, amb(25.0), 0.10, Seconds::new(1.0));
         }
-        assert!((net.sink_temperature() - want_sink).abs() < 1e-3);
+        assert!((net.sink_c - want_sink).abs() < 1e-3);
         for (have, want) in net.core_temperatures().iter().zip(&want_cores) {
             assert!((have - want).abs() < 1e-3, "{have} vs {want}");
         }

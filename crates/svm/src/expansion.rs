@@ -1,9 +1,9 @@
 //! The support-vector expansion every trained machine evaluates:
 //! `f(x) = Σ cᵢ·K(svᵢ, x) + bias`.
 //!
-//! ε-SVR stores `cᵢ = αᵢ − α*ᵢ`, C-SVC `cᵢ = yᵢαᵢ` and one-class `cᵢ = αᵢ`,
-//! each with `bias = −rho`. IEEE 754 defines `s − rho` as `s + (−rho)`, so
-//! one-class decision values keep the bits of LIBSVM's `s − rho`.
+//! ε-SVR stores `cᵢ = αᵢ − α*ᵢ` and one-class `cᵢ = αᵢ`, each with
+//! `bias = −rho`. IEEE 754 defines `s − rho` as `s + (−rho)`, so one-class
+//! decision values keep the bits of LIBSVM's `s − rho`.
 
 use crate::error::SvmError;
 use crate::kernel::Kernel;

@@ -6,7 +6,6 @@
 use crate::cv::cross_validate_svr;
 use crate::data::Dataset;
 use crate::error::SvmError;
-use crate::kernel::Kernel;
 use crate::svr::SvrParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,12 +117,6 @@ impl GridSearch {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// The base parameters the grid mutates.
-    #[must_use]
-    pub fn base_params(&self) -> SvrParams {
-        self.base
     }
 
     /// Number of grid cells that will be evaluated.
@@ -274,107 +267,10 @@ impl GridSearchResult {
     }
 }
 
-/// Model selection across kernel *families*: runs one [`GridSearch`] per
-/// candidate kernel (sharing ranges, folds and seed so scores are
-/// comparable) and returns the winner — the full `easygrid -t` sweep.
-#[derive(Debug, Clone)]
-pub struct KernelSearch {
-    kernels: Vec<Kernel>,
-    grid: GridSearch,
-}
-
-impl KernelSearch {
-    /// Searches over the given kernels with the given per-kernel grid
-    /// (whose base-params kernel is replaced per candidate).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty kernel list.
-    #[must_use]
-    pub fn new(kernels: Vec<Kernel>, grid: GridSearch) -> Self {
-        assert!(
-            !kernels.is_empty(),
-            "kernel search needs at least one kernel"
-        );
-        KernelSearch { kernels, grid }
-    }
-
-    /// The standard four-family sweep (linear, poly-3, RBF, sigmoid) over
-    /// a compact grid.
-    ///
-    /// Scale the data first ([`crate::scale::Scaler`]): on unscaled
-    /// features the polynomial and sigmoid kernels produce enormous or
-    /// indefinite kernel values and their cells converge extremely
-    /// slowly.
-    #[must_use]
-    pub fn standard(seed: u64) -> Self {
-        let grid = GridSearch::new()
-            .with_c_values(Log2Range::new(-1, 9, 2).values())
-            .with_gamma_values(Log2Range::new(-9, 1, 2).values())
-            .with_epsilon_values(vec![0.05, 0.1])
-            .with_folds(5)
-            .with_seed(seed);
-        KernelSearch::new(
-            vec![
-                Kernel::Linear,
-                Kernel::Polynomial {
-                    gamma: 1.0,
-                    coef0: 1.0,
-                    degree: 3,
-                },
-                Kernel::rbf(1.0),
-                Kernel::Sigmoid {
-                    gamma: 1.0,
-                    coef0: 0.0,
-                },
-            ],
-            grid,
-        )
-    }
-
-    /// Runs the sweep; returns per-kernel winners plus the overall best.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying grid-search errors, and returns
-    /// [`SvmError::InvalidParameter`] for an empty kernel list.
-    pub fn run(&self, data: &Dataset) -> Result<KernelSearchResult, SvmError> {
-        let mut per_kernel = Vec::with_capacity(self.kernels.len());
-        for &kernel in &self.kernels {
-            let base = self.grid.base_params().with_kernel(kernel);
-            let grid = self.grid.clone().with_base_params(base);
-            let result = grid.run(data)?;
-            per_kernel.push((kernel, result.best));
-        }
-        let best = per_kernel
-            .iter()
-            .map(|(_, cell)| *cell)
-            .min_by(|a, b| a.cv_mse.total_cmp(&b.cv_mse))
-            .ok_or_else(|| SvmError::invalid("kernels", "empty kernel list"))?;
-        Ok(KernelSearchResult { per_kernel, best })
-    }
-}
-
-/// Outcome of [`KernelSearch::run`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelSearchResult {
-    /// The winning cell of each kernel family, in input order.
-    pub per_kernel: Vec<(Kernel, GridCell)>,
-    /// The overall winner.
-    pub best: GridCell,
-}
-
-impl KernelSearchResult {
-    /// Parameters of the overall winner.
-    #[must_use]
-    pub fn best_params(&self) -> SvrParams {
-        self.best.params
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Kernel;
 
     fn wave_dataset() -> Dataset {
         let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 * 0.2]).collect();
@@ -471,60 +367,6 @@ mod tests {
             best_mse <= default_mse + 1e-9,
             "{best_mse} vs {default_mse}"
         );
-    }
-
-    #[test]
-    fn kernel_search_picks_the_right_family() {
-        // RBF-shaped data: the winner must not be linear/sigmoid.
-        let ds = wave_dataset();
-        let sweep = KernelSearch::new(
-            vec![Kernel::Linear, Kernel::rbf(1.0)],
-            GridSearch::new()
-                .with_c_values(vec![1.0, 16.0])
-                .with_gamma_values(vec![0.1, 1.0])
-                .with_folds(3)
-                .with_seed(4),
-        );
-        let result = sweep.run(&ds).unwrap();
-        assert_eq!(result.per_kernel.len(), 2);
-        assert!(matches!(result.best_params().kernel(), Kernel::Rbf { .. }));
-        // Overall best equals the min over per-kernel winners.
-        let min = result
-            .per_kernel
-            .iter()
-            .map(|(_, c)| c.cv_mse)
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(result.best.cv_mse, min);
-    }
-
-    #[test]
-    fn standard_sweep_runs_on_scaled_data() {
-        use crate::scale::{ScaleMethod, Scaler};
-        let raw = wave_dataset();
-        let ds = Scaler::fit(&raw, ScaleMethod::MinMax).transform_dataset(&raw);
-        let result = KernelSearch::standard(9).run(&ds).unwrap();
-        assert_eq!(result.per_kernel.len(), 4);
-        assert!(result.best.cv_mse.is_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one kernel")]
-    fn empty_kernel_list_panics() {
-        let _ = KernelSearch::new(vec![], GridSearch::new());
-    }
-
-    /// `new` refuses an empty list, so build one directly: `run` must
-    /// answer with an error, not a panic.
-    #[test]
-    fn kernel_search_without_kernels_is_an_error() {
-        let search = KernelSearch {
-            kernels: vec![],
-            grid: GridSearch::new(),
-        };
-        assert!(matches!(
-            search.run(&wave_dataset()),
-            Err(SvmError::InvalidParameter { .. })
-        ));
     }
 
     #[test]

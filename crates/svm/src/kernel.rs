@@ -56,17 +56,6 @@ impl Kernel {
         Kernel::Rbf { gamma }
     }
 
-    /// Convenience constructor for the polynomial kernel with LIBSVM-style
-    /// defaults (`coef0 = 0`, `degree = 3`).
-    #[must_use]
-    pub fn polynomial(gamma: f64) -> Self {
-        Kernel::Polynomial {
-            gamma,
-            coef0: 0.0,
-            degree: 3,
-        }
-    }
-
     /// Evaluates `K(x, z)`.
     ///
     /// # Panics
@@ -434,12 +423,6 @@ impl RowCache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Number of rows currently resident.
-    #[must_use]
-    pub fn resident(&self) -> usize {
-        self.cached
-    }
 }
 
 #[cfg(test)]
@@ -477,12 +460,6 @@ mod tests {
             degree: 1,
         };
         assert_eq!(k.eval(&[1.0], &[3.0]), 7.0);
-    }
-
-    #[test]
-    fn polynomial_default_degree_is_three() {
-        let k = Kernel::polynomial(1.0);
-        assert_eq!(k.eval(&[1.0], &[2.0]), 8.0);
     }
 
     #[test]
@@ -553,7 +530,11 @@ mod tests {
             for kernel in [
                 Kernel::Linear,
                 Kernel::rbf(0.7),
-                Kernel::polynomial(0.5),
+                Kernel::Polynomial {
+                    gamma: 0.5,
+                    coef0: 0.0,
+                    degree: 3,
+                },
                 Kernel::Sigmoid {
                     gamma: 0.2,
                     coef0: 0.1,
@@ -625,7 +606,11 @@ mod tests {
         let norms = m.row_squared_norms();
         for kernel in [
             Kernel::Linear,
-            Kernel::polynomial(0.5),
+            Kernel::Polynomial {
+                gamma: 0.5,
+                coef0: 0.0,
+                degree: 3,
+            },
             Kernel::Sigmoid {
                 gamma: 0.2,
                 coef0: 0.1,
@@ -674,7 +659,7 @@ mod tests {
         let _ = cache.row(1, || vec![1.0]);
         let _ = cache.row(0, || panic!("0 cached")); // refresh 0
         let _ = cache.row(2, || vec![2.0]); // evicts 1
-        assert_eq!(cache.resident(), 2);
+        assert_eq!(cache.cached, 2);
         let _ = cache.row(1, || vec![1.0]); // recompute: miss
         assert_eq!(cache.misses(), 4);
     }
@@ -684,7 +669,7 @@ mod tests {
         let mut cache = RowCache::new(2, 0);
         let _ = cache.row(0, || vec![0.0]);
         let _ = cache.row(1, || vec![1.0]);
-        assert_eq!(cache.resident(), 1);
+        assert_eq!(cache.cached, 1);
     }
 
     #[test]

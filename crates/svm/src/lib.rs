@@ -1,6 +1,6 @@
 //! # vmtherm-svm
 //!
-//! A self-contained support vector machine library: ε-SVR, C-SVC and the
+//! A self-contained support vector machine library: ε-SVR and the
 //! one-class SVM, trained by one SMO loop and evaluated through one
 //! support-vector expansion; RBF/linear/polynomial/sigmoid kernels, feature
 //! scaling, k-fold cross-validation and `easygrid`-style grid search.
@@ -54,13 +54,13 @@
 //! - [`matrix`] — the flat row-major [`matrix::DenseMatrix`] feature storage
 //! - [`scale`] — `svm-scale`-style feature scaling
 //! - [`kernel`] — kernel functions and the solver's row cache
-//! - [`svr`] / [`svc`] / [`oneclass`] — ε-regression, classification and
-//!   novelty-detection models, sharing one support-vector expansion
+//! - [`svr`] / [`oneclass`] — ε-regression and novelty-detection models,
+//!   sharing one support-vector expansion
 //!   `f(x) = Σ cᵢ·K(svᵢ, x) + b`
 //! - [`cv`] / [`grid`] — 10-fold CV and `easygrid` parameter search
 //! - [`metrics`] — MSE and friends (the paper's reporting metric)
 //! - [`model_io`] — LIBSVM-style model files
-//! - [`linalg`] — dot products, norms, distances and moments over slices
+//! - [`linalg`] — dot products, distances and moments over slices
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -84,7 +84,6 @@ pub mod model_io;
 pub mod oneclass;
 pub mod scale;
 mod smo;
-pub mod svc;
 pub mod svr;
 
 pub use data::Dataset;
@@ -93,5 +92,4 @@ pub use kernel::Kernel;
 pub use matrix::DenseMatrix;
 pub use oneclass::{OneClassModel, OneClassParams};
 pub use scale::{ScaleMethod, Scaler};
-pub use svc::{SvcModel, SvcParams};
 pub use svr::{SvrModel, SvrParams};

@@ -50,16 +50,6 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Euclidean norm of a slice.
-///
-/// ```
-/// assert_eq!(vmtherm_svm::linalg::norm(&[3.0, 4.0]), 5.0);
-/// ```
-#[must_use]
-pub fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Mean of a slice; `0.0` for an empty slice.
 #[must_use]
 pub fn mean(a: &[f64]) -> f64 {
@@ -111,11 +101,6 @@ mod tests {
         let a = [1.0, 2.0];
         let b = [-3.0, 0.5];
         assert_eq!(squared_distance(&a, &b), squared_distance(&b, &a));
-    }
-
-    #[test]
-    fn norm_of_unit_axis() {
-        assert_eq!(norm(&[0.0, 1.0, 0.0]), 1.0);
     }
 
     #[test]

@@ -49,16 +49,6 @@ impl DenseMatrix {
         }
     }
 
-    /// A `rows × cols` matrix of zeros.
-    #[must_use]
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        DenseMatrix {
-            data: vec![0.0; rows * cols],
-            rows,
-            cols,
-        }
-    }
-
     /// Builds a matrix from nested row vectors. This is the designated
     /// boundary constructor for nested-vec data entering the crate; new
     /// code should build flat.
@@ -84,21 +74,6 @@ impl DenseMatrix {
             rows: nested.len(),
             cols,
         })
-    }
-
-    /// Builds a matrix from a flat row-major buffer and its dimensions.
-    ///
-    /// # Errors
-    ///
-    /// [`SvmError::DimensionMismatch`] if `data.len() != rows * cols`.
-    pub fn from_vec(data: Vec<f64>, rows: usize, cols: usize) -> Result<Self, SvmError> {
-        if data.len() != rows * cols {
-            return Err(SvmError::DimensionMismatch {
-                expected: rows * cols,
-                actual: data.len(),
-            });
-        }
-        Ok(DenseMatrix { data, rows, cols })
     }
 
     /// Number of rows.
@@ -132,21 +107,6 @@ impl DenseMatrix {
             self.rows
         );
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutable view of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    #[must_use]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(
-            i < self.rows,
-            "row {i} out of bounds for {} rows",
-            self.rows
-        );
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// The whole matrix as one row-major slice.
@@ -283,13 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_checks_dimensions() {
-        let m = DenseMatrix::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2, 3).unwrap();
-        assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert!(DenseMatrix::from_vec(vec![1.0], 2, 3).is_err());
-    }
-
-    #[test]
     fn push_row_grows() {
         let mut m = DenseMatrix::with_cols(2);
         m.push_row(&[1.0, 2.0]);
@@ -332,13 +285,5 @@ mod tests {
         assert_eq!(m.rows(), 2);
         assert_eq!(m.iter().count(), 2);
         assert!(m.iter().all(<[f64]>::is_empty));
-    }
-
-    #[test]
-    fn zeros_has_expected_shape() {
-        let m = DenseMatrix::zeros(3, 4);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 4);
-        assert!(m.as_slice().iter().all(|v| *v == 0.0));
     }
 }

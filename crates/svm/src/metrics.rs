@@ -1,4 +1,4 @@
-//! Regression and classification quality metrics.
+//! Regression quality metrics.
 //!
 //! The paper reports **Mean Squared Error** throughout its evaluation
 //! (Fig. 1(a): stable MSE ≤ 1.10; Fig. 1(c): dynamic MSE 0.70–1.50), so
@@ -85,18 +85,6 @@ pub fn r2(actual: &[f64], predicted: &[f64]) -> f64 {
         return 0.0;
     }
     1.0 - ss_res / ss_tot
-}
-
-/// Fraction of equal entries — classification accuracy for ±1 labels.
-///
-/// # Panics
-///
-/// Panics if lengths differ or both are empty.
-#[must_use]
-pub fn accuracy(actual: &[f64], predicted: &[f64]) -> f64 {
-    check(actual, predicted);
-    let correct = actual.iter().zip(predicted).filter(|(a, p)| a == p).count();
-    correct as f64 / actual.len() as f64
 }
 
 fn check(actual: &[f64], predicted: &[f64]) {
@@ -199,14 +187,6 @@ mod tests {
     fn r2_constant_actuals() {
         assert_eq!(r2(&[5.0, 5.0], &[5.0, 5.0]), 1.0);
         assert_eq!(r2(&[5.0, 5.0], &[4.0, 6.0]), 0.0);
-    }
-
-    #[test]
-    fn accuracy_counts_matches() {
-        assert_eq!(
-            accuracy(&[1.0, -1.0, 1.0, 1.0], &[1.0, 1.0, 1.0, -1.0]),
-            0.5
-        );
     }
 
     #[test]

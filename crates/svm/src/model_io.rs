@@ -143,38 +143,50 @@ fn kernel_tag(k: Kernel) -> String {
     }
 }
 
+/// Parses a kernel tag and holds the kernel to the checks training
+/// applies, so a model file cannot load a kernel training would reject.
 fn parse_kernel_tag(tag: &str, line: usize) -> Result<Kernel, SvmError> {
     let mut parts = tag.split_whitespace();
     let name = parts
         .next()
         .ok_or_else(|| SvmError::parse(line, "empty kernel tag"))?;
-    let mut num = || -> Result<f64, SvmError> {
+    let mut param = || {
         parts
             .next()
-            .ok_or_else(|| SvmError::parse(line, "kernel tag missing parameter"))?
-            .parse()
-            .map_err(|_| SvmError::parse(line, "bad kernel parameter"))
+            .ok_or_else(|| SvmError::parse(line, "kernel tag missing parameter"))
     };
-    match name {
-        "linear" => Ok(Kernel::Linear),
-        "rbf" => Ok(Kernel::Rbf { gamma: num()? }),
+    let bad = || SvmError::parse(line, "bad kernel parameter");
+    let kernel = match name {
+        "linear" => Kernel::Linear,
+        "rbf" => Kernel::Rbf {
+            gamma: param()?.parse().map_err(|_| bad())?,
+        },
         "poly" => {
-            let gamma = num()?;
-            let coef0 = num()?;
-            let degree = num()? as u32;
-            Ok(Kernel::Polynomial {
+            let gamma = param()?.parse().map_err(|_| bad())?;
+            let coef0 = param()?.parse().map_err(|_| bad())?;
+            // A whole, non-negative degree that fits the `i32` of `powi`.
+            let degree = param()?
+                .parse::<i32>()
+                .ok()
+                .and_then(|d| u32::try_from(d).ok())
+                .ok_or_else(bad)?;
+            Kernel::Polynomial {
                 gamma,
                 coef0,
                 degree,
-            })
+            }
         }
         "sigmoid" => {
-            let gamma = num()?;
-            let coef0 = num()?;
-            Ok(Kernel::Sigmoid { gamma, coef0 })
+            let gamma = param()?.parse().map_err(|_| bad())?;
+            let coef0 = param()?.parse().map_err(|_| bad())?;
+            Kernel::Sigmoid { gamma, coef0 }
         }
-        other => Err(SvmError::parse(line, format!("unknown kernel `{other}`"))),
-    }
+        other => return Err(SvmError::parse(line, format!("unknown kernel `{other}`"))),
+    };
+    kernel
+        .validate()
+        .map_err(|e| SvmError::parse(line, e.to_string()))?;
+    Ok(kernel)
 }
 
 /// Serialises a fitted [`Scaler`] into the text container.
@@ -339,6 +351,41 @@ mod tests {
     fn rejects_unknown_kernel() {
         let text = "vmtherm-model svr v1\nkernel=quantum 1\nbias=0\ndim=1\nnsv=0\n";
         assert!(svr_from_string(text).is_err());
+    }
+
+    /// A model file whose kernel line is `kernel=<tag>` must fail on that
+    /// line (line 2).
+    fn assert_kernel_tag_rejected(tag: &str) {
+        let text = format!("vmtherm-model svr v1\nkernel={tag}\nbias=0\ndim=1\nnsv=0\n");
+        assert!(
+            matches!(svr_from_string(&text), Err(SvmError::Parse { line: 2, .. })),
+            "`{tag}` loaded"
+        );
+    }
+
+    #[test]
+    fn rejects_negative_rbf_gamma() {
+        assert_kernel_tag_rejected("rbf -0.5");
+    }
+
+    #[test]
+    fn rejects_nan_rbf_gamma() {
+        assert_kernel_tag_rejected("rbf NaN");
+    }
+
+    #[test]
+    fn rejects_fractional_poly_degree() {
+        assert_kernel_tag_rejected("poly 0.1 1 2.7");
+    }
+
+    #[test]
+    fn rejects_negative_poly_degree() {
+        assert_kernel_tag_rejected("poly 0.1 1 -3");
+    }
+
+    #[test]
+    fn rejects_poly_degree_beyond_i32() {
+        assert_kernel_tag_rejected("poly 0.1 1 2147483648");
     }
 
     #[test]

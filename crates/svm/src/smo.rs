@@ -12,10 +12,9 @@
 //! violating pair with second-order working-set selection (WSS2) and solving
 //! the two-variable subproblem analytically.
 //!
-//! ε-SVR ([`crate::svr`]), C-SVC ([`crate::svc`]) and the one-class SVM
-//! ([`crate::oneclass`]) all reduce to this form, and [`solve`] is the one
-//! loop that solves it; the regression case uses the standard expansion
-//! to `2l` variables.
+//! ε-SVR ([`crate::svr`]) and the one-class SVM ([`crate::oneclass`])
+//! both reduce to this form, and [`solve`] is the one loop that solves
+//! it; the regression case uses the standard expansion to `2l` variables.
 //! `Q` is never stored: the solver reads unsigned kernel rows from
 //! [`KernelRows`] and applies the signs itself.
 
@@ -29,7 +28,7 @@ const TAU: f64 = 1e-12;
 /// Kernel rows over the `l` training points of one solve, behind an LRU
 /// [`RowCache`], plus the kernel diagonal `K[b][b]`.
 ///
-/// A dual problem has one variable per point (C-SVC, one-class) or two
+/// A dual problem has one variable per point (one-class) or two
 /// (ε-SVR: `α` at `t < l`, `α*` at `t = l + b`), so variable `t` sits
 /// on base point `b(t) = t` or `t − l`. The solver forms
 /// `Q_it = y_i·y_t·K[b_i][b_t]` from the sign vector `y` it is given,

@@ -9,7 +9,6 @@ use vmtherm_svm::data::Dataset;
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::matrix::DenseMatrix;
 use vmtherm_svm::oneclass::{OneClassModel, OneClassParams};
-use vmtherm_svm::svc::{SvcModel, SvcParams};
 use vmtherm_svm::svr::{SvrModel, SvrParams};
 
 /// Deterministic pseudo-random feature from indices, as in
@@ -83,31 +82,6 @@ proptest! {
                 scalar,
                 row
             );
-        }
-    }
-
-    /// C-SVC: `predict_batch` labels match per-row `classify`, bit for bit.
-    #[test]
-    fn svc_batch_matches_scalar_bitwise(
-        n in 4usize..16,
-        dim in 1usize..5,
-        salt in 1u64..1000,
-        kernel_idx in 0u8..4,
-    ) {
-        let features = random_matrix(2 * n, dim, salt);
-        let ys: Vec<f64> = (0..2 * n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
-        let ds = Dataset::from_parts(features, ys).unwrap();
-        let model = SvcModel::train(
-            &ds,
-            SvcParams::new().with_c(5.0).with_kernel(kernel_for(kernel_idx)),
-        )
-        .unwrap();
-
-        let queries = random_matrix(8, dim, salt.wrapping_mul(17).wrapping_add(3));
-        let batch = model.predict_batch(&queries).unwrap();
-        for (row, got) in queries.iter().zip(&batch) {
-            let scalar = model.classify(row).unwrap();
-            prop_assert_eq!(scalar.to_bits(), got.to_bits());
         }
     }
 

@@ -7,19 +7,17 @@
 //! inside `smo.rs` — a different tie-break, a re-associated sum — moves
 //! at least one of them. The problem types cover every path through the
 //! one SMO loop, `solve`: ε-SVR (two variables per point, with the
-//! prenorm and the exact RBF row pass, and with a one-row cache), C-SVC
-//! and one-class (one variable per point, the latter from a non-zero
-//! feasible start). The one-class, high-C C-SVC, exact-row and
-//! one-row-cache cells were captured from the solver before it moved from
-//! signed `Q` rows to cached kernel rows. The C-SVC and one-class cells
-//! also digest decision values, pinning the shared support-vector
-//! expansion that every model predicts through.
+//! prenorm and the exact RBF row pass, and with a one-row cache) and
+//! one-class (one variable per point, from a non-zero feasible start).
+//! The one-class, exact-row and one-row-cache cells were captured from
+//! the solver before it moved from signed `Q` rows to cached kernel rows.
+//! The one-class cell also digests decision values, pinning the shared
+//! support-vector expansion that every model predicts through.
 
 use vmtherm_svm::data::Dataset;
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::matrix::DenseMatrix;
 use vmtherm_svm::oneclass::{OneClassModel, OneClassParams};
-use vmtherm_svm::svc::{SvcModel, SvcParams};
 use vmtherm_svm::svr::{SvrModel, SvrParams};
 
 const POINTS: usize = 48;
@@ -44,21 +42,6 @@ fn regression_set() -> Dataset {
         .enumerate()
         .map(|(i, x)| {
             1.5 * x[0] + (3.0 * x[1]).sin() + 0.3 * x[2] * x[3] + 0.05 * (i as f64 * 2.399).sin()
-        })
-        .collect();
-    Dataset::from_parts(DenseMatrix::from_nested(xs).unwrap(), ys).unwrap()
-}
-
-fn classification_set() -> Dataset {
-    let xs = features();
-    let ys = xs
-        .iter()
-        .map(|x| {
-            if x[0] + 0.5 * (2.0 * x[1]).sin() - 0.1 * x[3] > 0.1 {
-                1.0
-            } else {
-                -1.0
-            }
         })
         .collect();
     Dataset::from_parts(DenseMatrix::from_nested(xs).unwrap(), ys).unwrap()
@@ -118,15 +101,6 @@ const SVR_GOLDEN: [Golden; 9] = [
     (94_508, 0xbfb2c85232ba18e9, 0x4bed7c5d527d4373),
 ];
 
-const SVC_GOLDEN: Golden = (133, 0xbfa3912c1172ddc5, 0xbb7b18e3123bc291);
-
-/// Digest of the same C-SVC model's `decision_value` on every training
-/// row: pins the prediction path as well as the solve.
-const SVC_DECISION_DIGEST: u64 = 0xa00d498ad53afe6d;
-
-/// C = 1024, γ = 2: six shrink passes, then a gradient rebuild.
-const SVC_HIGH_C_GOLDEN: Golden = (294, 0xbfa0e0630ab83120, 0xef37fc17fdf436fb);
-
 /// ε-SVR cell C = 64, γ = 2, ε = 0.01 on the exact (scalar) RBF row pass.
 const SVR_EXACT_ROWS_GOLDEN: Golden = (15_696, 0xbfb2cb3a6caab2fa, 0x136f9a89a2c438ec);
 
@@ -151,32 +125,6 @@ fn epsilon_svr_cells_are_bit_identical() {
         })
         .collect();
     assert_eq!(got, SVR_GOLDEN, "ε-SVR cells drifted");
-}
-
-#[test]
-fn c_svc_is_bit_identical() {
-    let ds = classification_set();
-    let model = SvcModel::train(
-        &ds,
-        SvcParams::new().with_c(10.0).with_kernel(Kernel::rbf(1.0)),
-    )
-    .unwrap();
-    assert!(model.converged());
-    let got = (
-        model.iterations(),
-        model.bias().to_bits(),
-        digest(model.coefficients()),
-    );
-    assert_eq!(got, SVC_GOLDEN, "C-SVC drifted");
-    let values: Vec<f64> = ds
-        .iter()
-        .map(|(x, _)| model.decision_value(x).unwrap())
-        .collect();
-    assert_eq!(
-        digest(&values),
-        SVC_DECISION_DIGEST,
-        "C-SVC decision values drifted"
-    );
 }
 
 #[test]
@@ -205,24 +153,6 @@ fn epsilon_svr_one_row_cache_matches_default_cache() {
             .with_cache_rows(1),
     );
     assert_eq!(got, SVR_GOLDEN[2], "one-row-cache ε-SVR drifted");
-}
-
-#[test]
-fn high_c_svc_is_bit_identical() {
-    let model = SvcModel::train(
-        &classification_set(),
-        SvcParams::new()
-            .with_c(1024.0)
-            .with_kernel(Kernel::rbf(2.0)),
-    )
-    .unwrap();
-    assert!(model.converged());
-    let got = (
-        model.iterations(),
-        model.bias().to_bits(),
-        digest(model.coefficients()),
-    );
-    assert_eq!(got, SVC_HIGH_C_GOLDEN, "high-C C-SVC drifted");
 }
 
 /// ν·l = 14.4, so the solve starts from 14 variables at 1, one at 0.4

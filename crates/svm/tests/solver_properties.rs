@@ -7,7 +7,6 @@ use vmtherm_svm::data::Dataset;
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::matrix::DenseMatrix;
 use vmtherm_svm::oneclass::{OneClassModel, OneClassParams};
-use vmtherm_svm::svc::{SvcModel, SvcParams};
 use vmtherm_svm::svr::{SvrModel, SvrParams};
 
 /// Deterministic pseudo-random feature from indices (keeps shrinking fast
@@ -64,34 +63,6 @@ proptest! {
             ds.targets().iter().map(|y| (y - mean_y).abs()).sum::<f64>() / n as f64;
         prop_assert!(model_mae <= const_mae + eps + 0.1,
             "model mae {model_mae} worse than constant {const_mae} + eps {eps}");
-    }
-
-    /// SVC: the decision function classifies every *non-bound* support
-    /// vector correctly, and with separable data and large C the training
-    /// error is zero.
-    #[test]
-    fn svc_separable_data_is_separated(
-        n in 4usize..16,
-        salt in 1u64..1000,
-        margin in 0.5f64..2.0,
-    ) {
-        // Two clusters at ±(margin+1) on axis 0: linearly separable.
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for i in 0..n {
-            let jitter = feature(i, 1, salt) * 0.3;
-            let side = if i % 2 == 0 { 1.0 } else { -1.0 };
-            xs.push(vec![side * (margin + 1.0) + jitter * 0.1, jitter]);
-            ys.push(side);
-        }
-        let ds = Dataset::from_parts(DenseMatrix::from_nested(xs).unwrap(), ys).unwrap();
-        let model = SvcModel::train(
-            &ds,
-            SvcParams::new().with_c(1000.0).with_kernel(Kernel::Linear),
-        ).unwrap();
-        for (x, y) in ds.iter() {
-            prop_assert_eq!(model.classify(x).unwrap(), y);
-        }
     }
 
     /// One-class: decision values of training data are ≥ the minimum over

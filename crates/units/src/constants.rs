@@ -39,12 +39,6 @@ pub fn paper_delta_update() -> Seconds {
     Seconds::new(PAPER_DELTA_UPDATE_SECS)
 }
 
-/// [`PAPER_DELTA_GAP_SECS`] as a typed duration.
-#[must_use]
-pub fn paper_delta_gap() -> Seconds {
-    Seconds::new(PAPER_DELTA_GAP_SECS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,7 +47,6 @@ mod tests {
     fn typed_accessors_match_raw_constants() {
         assert_eq!(paper_t_break().get(), PAPER_T_BREAK_SECS);
         assert_eq!(paper_delta_update().get(), PAPER_DELTA_UPDATE_SECS);
-        assert_eq!(paper_delta_gap().get(), PAPER_DELTA_GAP_SECS);
     }
 
     #[test]

@@ -81,12 +81,6 @@ macro_rules! unit_common {
                 self.0
             }
 
-            /// `|self − other|` as a raw magnitude.
-            #[must_use]
-            pub fn abs_diff(self, other: Self) -> f64 {
-                (self.0 - other.0).abs()
-            }
-
             /// Total ordering (IEEE `totalOrder`); the values are always
             /// finite, so this agrees with `<`/`>` everywhere.
             #[must_use]
@@ -112,12 +106,6 @@ macro_rules! unit_common {
                 } else {
                     self
                 }
-            }
-
-            /// Equality up to `eps` — the lint-sanctioned way to compare.
-            #[must_use]
-            pub fn approx_eq(self, other: Self, eps: f64) -> bool {
-                self.abs_diff(other) <= eps
             }
         }
 
@@ -257,13 +245,6 @@ unit_common!(Seconds, "duration (s)", " s");
 impl Seconds {
     /// 0 s.
     pub const ZERO: Seconds = Seconds(0.0);
-
-    /// Construct from minutes.
-    #[must_use]
-    #[track_caller]
-    pub fn from_minutes(minutes: f64) -> Self {
-        Seconds::new(minutes * 60.0)
-    }
 }
 
 impl std::ops::Add for Seconds {
@@ -348,23 +329,10 @@ impl Utilization {
         Utilization(fraction.clamp(0.0, 1.0))
     }
 
-    /// Construct from a percentage in `[0, 100]`.
-    #[must_use]
-    #[track_caller]
-    pub fn from_percent(percent: f64) -> Self {
-        Utilization::new(percent / 100.0)
-    }
-
     /// The fraction in `[0, 1]`.
     #[must_use]
     pub const fn as_fraction(self) -> f64 {
         self.0
-    }
-
-    /// The percentage in `[0, 100]`.
-    #[must_use]
-    pub fn as_percent(self) -> f64 {
-        self.0 * 100.0
     }
 
     /// Total ordering; values are finite so this agrees with `<`/`>`.
@@ -410,8 +378,8 @@ mod tests {
         let a = Celsius::new(50.0);
         let b = Celsius::new(42.5);
         assert!((a - b - 7.5).abs() < 1e-12);
-        assert!((a + 2.0).approx_eq(Celsius::new(52.0), 1e-12));
-        assert!((a - 2.0).approx_eq(Celsius::new(48.0), 1e-12));
+        assert!(((a + 2.0) - Celsius::new(52.0)).abs() < 1e-12);
+        assert!(((a - 2.0) - Celsius::new(48.0)).abs() < 1e-12);
         assert_eq!(a.max(b).get(), 50.0);
         assert_eq!(a.min(b).get(), 42.5);
         assert_eq!(a.total_cmp(&b), Ordering::Greater);
@@ -434,7 +402,6 @@ mod tests {
     fn seconds_arithmetic_allows_signed_offsets() {
         let t = Seconds::new(100.0) - Seconds::new(130.0);
         assert_eq!(t.get(), -30.0);
-        assert_eq!(Seconds::from_minutes(2.0).get(), 120.0);
         assert_eq!((Seconds::new(10.0) * 3.0).get(), 30.0);
     }
 
@@ -444,8 +411,7 @@ mod tests {
         assert!(Utilization::try_new(-0.1).is_err());
         assert_eq!(Utilization::saturating(1.7).as_fraction(), 1.0);
         assert_eq!(Utilization::saturating(-3.0).as_fraction(), 0.0);
-        assert_eq!(Utilization::from_percent(85.0).as_fraction(), 0.85);
-        assert_eq!(Utilization::new(0.25).as_percent(), 25.0);
+        assert_eq!(Utilization::new(0.25).as_fraction(), 0.25);
     }
 
     #[test]
