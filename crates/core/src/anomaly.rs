@@ -22,7 +22,7 @@ use vmtherm_sim::experiment::{ConfigSnapshot, ExperimentOutcome};
 use vmtherm_svm::data::Dataset;
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::oneclass::{OneClassModel, OneClassParams};
-use vmtherm_svm::scale::{ScaleMethod, Scaler};
+use vmtherm_svm::scale::Scaler;
 use vmtherm_units::Celsius;
 
 /// Which way the temperature deviates from prediction.
@@ -225,7 +225,7 @@ impl NoveltyDetector {
         for o in outcomes {
             raw.push(vec![predictor.predict(&o.snapshot), o.psi_stable], 0.0);
         }
-        let scaler = Scaler::fit(&raw, ScaleMethod::MinMax);
+        let scaler = Scaler::fit(&raw);
         let scaled = scaler.transform_dataset(&raw);
         let model = OneClassModel::train(
             &scaled,

@@ -73,24 +73,6 @@ impl WarmupCurve {
         let frac = (1.0 + self.delta * t).ln() / self.ln_at_break;
         self.phi0 + (self.psi_stable - self.phi0) * frac
     }
-
-    /// The starting temperature φ(0).
-    #[must_use]
-    pub fn phi0(&self) -> f64 {
-        self.phi0
-    }
-
-    /// The break time (s).
-    #[must_use]
-    pub fn t_break_secs(&self) -> f64 {
-        self.t_break_secs
-    }
-
-    /// The shape parameter δ.
-    #[must_use]
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
 }
 
 #[cfg(test)]

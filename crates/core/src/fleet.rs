@@ -262,8 +262,8 @@ mod tests {
             let sid = ServerId::new(i);
             assert_eq!(reference.latest_forecast(sid), sharded.latest_forecast(sid));
             assert_eq!(
-                reference.pending_forecasts(sid),
-                sharded.pending_forecasts(sid)
+                reference.record(sid).map(|r| r.pending.len()),
+                sharded.record(sid).map(|r| r.pending.len())
             );
             assert_eq!(reference.in_holdover(sid), sharded.in_holdover(sid));
             assert_eq!(
@@ -457,6 +457,6 @@ mod tests {
         assert_eq!(sharded.reanchor_count(ghost), 0);
         assert_eq!(sharded.latest_forecast(ghost), None);
         assert!(!sharded.in_holdover(ghost));
-        assert!(sharded.pred_err_sketch(ghost).is_none());
+        assert!(sharded.record(ghost).is_none());
     }
 }

@@ -167,10 +167,10 @@ struct Tick<'a> {
 
 /// Everything the monitor keeps for one server.
 #[derive(Debug)]
-struct ServerRecord {
+pub(crate) struct ServerRecord {
     predictor: DynamicPredictor,
     /// Queue of `(target_time, forecast)`.
-    pending: VecDeque<(f64, f64)>,
+    pub(crate) pending: VecDeque<(f64, f64)>,
     stats: ServerStats,
     /// Anchor operations, including the initial anchor.
     reanchors: u64,
@@ -491,7 +491,7 @@ impl FleetMonitor {
         })
     }
 
-    fn record(&self, server: ServerId) -> Option<&ServerRecord> {
+    pub(crate) fn record(&self, server: ServerId) -> Option<&ServerRecord> {
         self.records.get(server.raw())
     }
 
@@ -663,12 +663,6 @@ impl FleetMonitor {
         self.record(server).map_or(0.0, |r| r.last_anchor)
     }
 
-    /// Depth of a server's forecast-maturity queue.
-    #[must_use]
-    pub fn pending_forecasts(&self, server: ServerId) -> usize {
-        self.record(server).map_or(0, |r| r.pending.len())
-    }
-
     /// The current forecast (`gap_secs` ahead of the latest sample) for a
     /// server, if one is pending.
     #[must_use]
@@ -691,13 +685,6 @@ impl FleetMonitor {
             return f64::NAN;
         }
         self.records.iter().map(|r| r.stats.sum_sq_err).sum::<f64>() / scored as f64
-    }
-
-    /// One server's absolute forecast-error P² sketch (p50/p95/p99),
-    /// maintained whether or not the obs layer is enabled.
-    #[must_use]
-    pub fn pred_err_sketch(&self, server: ServerId) -> Option<&obs::QuantileSketch> {
-        self.record(server).map(|r| &r.pred_err)
     }
 
     /// Fleet-level roll-up of the per-server forecast-error sketches,
@@ -1113,7 +1100,7 @@ mod tests {
             let pending = registry
                 .gauge(&names::server_gauge(names::METRIC_MONITOR_PENDING, i))
                 .get();
-            assert_eq!(pending as usize, monitor.pending_forecasts(sid));
+            assert_eq!(pending as usize, monitor.record(sid).unwrap().pending.len());
             let headroom = registry
                 .gauge(&names::server_gauge(names::METRIC_MONITOR_TEMP_HEADROOM, i))
                 .get();

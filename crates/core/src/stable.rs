@@ -4,9 +4,10 @@
 //!
 //! 1. run experiments, each yielding one Eq. (2) record
 //!    `(θ_cpu, θ_memory, θ_fan, ξ_VM, δ_env) → ψ_stable`;
-//! 2. scale features (`svm-scale`);
+//! 2. scale features onto `[-1, 1]` (`svm-scale`, [`Scaler::fit`]);
 //! 3. grid-search SVR hyper-parameters with 10-fold cross-validation
-//!    (`easygrid`), RBF kernel;
+//!    (`easygrid`): [`grid::search`] scores the paper's 126-cell RBF grid
+//!    on one fold split drawn from [`TrainingOptions::seed`];
 //! 4. train the final model on all records;
 //! 5. deploy: encode a live configuration snapshot and predict ψ_stable.
 
@@ -15,10 +16,9 @@ use crate::features::FeatureEncoding;
 use serde::{Deserialize, Serialize};
 use vmtherm_sim::experiment::{ConfigSnapshot, ExperimentConfig, ExperimentOutcome};
 use vmtherm_svm::data::Dataset;
-use vmtherm_svm::grid::{GridSearch, Log2Range};
-use vmtherm_svm::kernel::Kernel;
+use vmtherm_svm::grid;
 use vmtherm_svm::matrix::DenseMatrix;
-use vmtherm_svm::scale::{ScaleMethod, Scaler};
+use vmtherm_svm::scale::Scaler;
 use vmtherm_svm::svr::{SvrModel, SvrParams};
 
 /// How the stable model is trained.
@@ -98,7 +98,7 @@ pub use vmtherm_sim::experiment::run_experiments_threaded;
 /// Runs every experiment config and collects outcomes (the paper's
 /// data-collection campaign) on
 /// [`available_parallelism`](std::thread::available_parallelism)
-/// threads, the same default as [`GridSearch::new`].
+/// threads, the same default as [`grid::search`].
 ///
 /// The result is bit-identical to
 /// `configs.iter().map(ExperimentConfig::run).collect()` at every thread
@@ -153,20 +153,13 @@ impl StablePredictor {
         if raw.is_empty() {
             return Err(PredictError::NoTrainingData);
         }
-        let scaler = Scaler::fit(&raw, ScaleMethod::MinMax);
+        let scaler = Scaler::fit(&raw);
         let scaled = scaler.transform_dataset(&raw);
 
         let (params, cv_mse) = match options.params {
             Some(p) => (p, None),
             None => {
-                let grid = GridSearch::new()
-                    .with_c_values(Log2Range::new(-1, 11, 2).values())
-                    .with_gamma_values(Log2Range::new(-9, 1, 2).values())
-                    .with_epsilon_values(vec![0.05, 0.1, 0.2])
-                    .with_base_params(SvrParams::new().with_kernel(Kernel::rbf(1.0)))
-                    .with_folds(options.folds)
-                    .with_seed(options.seed);
-                let result = grid.run(&scaled)?;
+                let result = grid::search(&scaled, options.folds, options.seed)?;
                 (result.best_params(), Some(result.best_mse()))
             }
         };
@@ -327,6 +320,7 @@ mod tests {
     use vmtherm_sim::workload::{TaskProfile, ALL_TASK_PROFILES};
     use vmtherm_sim::CaseGenerator;
     use vmtherm_sim::SimDuration;
+    use vmtherm_svm::kernel::Kernel;
     use vmtherm_units::Celsius;
 
     /// Small, fast experiment set: short runs, fixed params (no grid).
@@ -352,13 +346,21 @@ mod tests {
         )
     }
 
-    /// `count` short cases with exactly `vms` VMs each.
-    fn cases(vms: u32, count: usize, seed: u64) -> Vec<ExperimentConfig> {
+    /// `count` short cases with exactly `vms` small VMs each, cycling
+    /// through the task profiles.
+    fn cases(vms: usize, count: usize, seed: u64) -> Vec<ExperimentConfig> {
         CaseGenerator::new(seed)
-            .with_vm_range(vms, vms)
             .random_cases(count, seed)
             .into_iter()
-            .map(|c| c.with_duration(SimDuration::from_secs(700)))
+            .map(|mut c| {
+                c.vms = (0..vms)
+                    .map(|i| {
+                        let task = ALL_TASK_PROFILES[i % ALL_TASK_PROFILES.len()];
+                        VmSpec::new(format!("vm-{i}"), 1, 2.0, task)
+                    })
+                    .collect();
+                c.with_duration(SimDuration::from_secs(700))
+            })
             .collect()
     }
 

@@ -296,11 +296,6 @@ pub struct ExperimentOutcome {
 #[derive(Debug, Clone)]
 pub struct CaseGenerator {
     rng: StdRng,
-    min_vms: u32,
-    max_vms: u32,
-    min_fans: u32,
-    max_fans: u32,
-    ambient_range: (f64, f64),
 }
 
 impl CaseGenerator {
@@ -309,25 +304,7 @@ impl CaseGenerator {
     pub fn new(seed: u64) -> Self {
         CaseGenerator {
             rng: StdRng::seed_from_u64(seed),
-            min_vms: 2,
-            max_vms: 12,
-            min_fans: 2,
-            max_fans: 6,
-            ambient_range: (18.0, 28.0),
         }
-    }
-
-    /// Overrides the VM-count range (inclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min == 0` or `min > max`.
-    #[must_use]
-    pub fn with_vm_range(mut self, min: u32, max: u32) -> Self {
-        assert!(min > 0 && min <= max, "bad vm range {min}..={max}");
-        self.min_vms = min;
-        self.max_vms = max;
-        self
     }
 
     /// Samples one random VM spec.
@@ -353,11 +330,9 @@ impl CaseGenerator {
     /// by construction (≤ 12 VMs × 8 GB < 64 GB... not quite — the
     /// generator resamples memory-heavy sets until they fit).
     pub fn random_case(&mut self, seed: u64) -> ExperimentConfig {
-        let n = self.rng.gen_range(self.min_vms..=self.max_vms);
-        let fans = self.rng.gen_range(self.min_fans..=self.max_fans);
-        let ambient = self
-            .rng
-            .gen_range(self.ambient_range.0..=self.ambient_range.1);
+        let n = self.rng.gen_range(2u32..=12);
+        let fans = self.rng.gen_range(2u32..=6);
+        let ambient = self.rng.gen_range(18.0..=28.0);
         let server = ServerSpec::commodity("exp", 16, 2.4, 64.0, fans);
         let mut vms: Vec<VmSpec> = (0..n).map(|i| self.random_vm(i as usize)).collect();
         // Keep total memory within the box.

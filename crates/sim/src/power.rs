@@ -103,7 +103,7 @@ mod tests {
     fn power_is_idle_at_zero_and_max_at_one() {
         let m = PowerModel::new(Watts::new(50.0), Watts::new(200.0), 1.2, 0.0);
         assert_eq!(m.cpu_power(Utilization::ZERO), 50.0);
-        assert!((m.cpu_power(Utilization::FULL) - 200.0).abs() < 1e-12);
+        assert!((m.cpu_power(u(1.0)) - 200.0).abs() < 1e-12);
     }
 
     #[test]
@@ -121,7 +121,7 @@ mod tests {
     fn out_of_range_utilization_clamps() {
         let m = PowerModel::default();
         assert_eq!(m.cpu_power(u(-0.5)), m.cpu_power(Utilization::ZERO));
-        assert_eq!(m.cpu_power(u(1.5)), m.cpu_power(Utilization::FULL));
+        assert_eq!(m.cpu_power(u(1.5)), m.cpu_power(u(1.0)));
     }
 
     #[test]

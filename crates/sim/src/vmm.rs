@@ -68,12 +68,14 @@ impl CoreScheduler {
                     let mut remaining = demand.max(0.0);
                     while remaining > 1e-12 {
                         let chunk = remaining.min(1.0);
-                        let idx = cores
-                            .iter()
-                            .enumerate()
-                            .min_by(|a, b| a.1.total_cmp(b.1))
-                            .map(|(i, _)| i)
-                            .expect("at least one core");
+                        // The least-loaded core; ties go to the lowest
+                        // index, so equal loads fill cores in order.
+                        let mut idx = 0;
+                        for (i, load) in cores.iter().enumerate().skip(1) {
+                            if load.total_cmp(&cores[idx]).is_lt() {
+                                idx = i;
+                            }
+                        }
                         cores[idx] += chunk;
                         remaining -= chunk;
                     }

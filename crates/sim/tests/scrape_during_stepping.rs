@@ -1,5 +1,10 @@
-//! Live-scrape-under-load test: HTTP scrapes of the obs registry while
-//! the engine is stepping must neither fail nor perturb the simulation.
+//! Live-scrape-under-load test: HTTP scrapes of the obs registry around
+//! and during an engine run must neither fail nor perturb the simulation.
+//!
+//! Overlap with stepping is likely but not guaranteed: in a release
+//! build the 1,800-s run can finish before the first response arrives,
+//! and then the test shows only that scrapes started with the run and
+//! completed intact, and that the run's end state is unchanged.
 //!
 //! This is the integration-level counterpart of the obs crate's own
 //! serve tests: there the registry is poked by hand; here a real
@@ -10,7 +15,7 @@
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use vmtherm_obs::{self as obs, ScrapeServer};
@@ -80,20 +85,29 @@ fn concurrent_scrapes_during_engine_stepping_do_not_perturb_the_run() {
     let server = ScrapeServer::start("127.0.0.1:0").expect("bind ephemeral");
     let addr = server.local_addr();
 
-    // Scrapers hammer /metrics for as long as the engine is stepping:
+    // Scrapers hammer /metrics until the engine has finished stepping:
     // every response must be a complete 200, torn or failed scrapes fail
-    // the worker thread and therefore the test.
+    // the worker thread and therefore the test. All four threads meet at
+    // the barrier, so every scraper starts its first request as stepping
+    // starts, and completes it before looking at `done`: a run that ends
+    // before any response arrives still sees one scrape per scraper.
+    let start = Arc::new(Barrier::new(4));
     let done = Arc::new(AtomicBool::new(false));
     let scrapers: Vec<_> = (0..3)
         .map(|_| {
+            let start = Arc::clone(&start);
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
+                start.wait();
                 let mut scrapes = 0u32;
-                while !done.load(Ordering::Relaxed) {
+                loop {
                     let (status, body) = scrape(addr, "/metrics");
                     assert_eq!(status, 200);
                     assert!(!body.is_empty());
                     scrapes += 1;
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 scrapes
             })
@@ -101,6 +115,7 @@ fn concurrent_scrapes_during_engine_stepping_do_not_perturb_the_run() {
         .collect();
 
     let mut sim = build_sim();
+    start.wait();
     sim.run_until(SimTime::from_secs(1800));
     done.store(true, Ordering::Relaxed);
 
@@ -120,6 +135,8 @@ fn concurrent_scrapes_during_engine_stepping_do_not_perturb_the_run() {
     drop(server);
     obs::set_enabled(false);
 
+    // Holds by construction (each scraper completes one request before
+    // it reads `done`); it guards that ordering, not overlap with stepping.
     assert!(total_scrapes > 0, "scrapers never ran");
     assert_eq!(
         fingerprint(&sim),

@@ -1,8 +1,8 @@
 //! K-fold cross-validation.
 //!
 //! The paper selects SVR hyper-parameters "using easygrid … with 10-fold
-//! validation"; [`kfold_indices`] produces the folds and [`cross_validate_svr`]
-//! scores one parameter set exactly the way `easygrid` drives LIBSVM.
+//! validation"; [`kfold_indices`] draws the one fold split that
+//! [`grid::search`](crate::grid::search) scores every cell on.
 
 use crate::data::Dataset;
 use crate::error::SvmError;
@@ -43,51 +43,39 @@ pub fn kfold_indices<R: Rng>(n: usize, k: usize, rng: &mut R) -> Result<Vec<Vec<
     Ok(folds)
 }
 
-/// Result of a cross-validation run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CvResult {
-    /// Per-fold mean squared error.
-    pub fold_mse: Vec<f64>,
-    /// Mean of [`CvResult::fold_mse`].
-    pub mean_mse: f64,
+/// The training and held-out rows when fold `held_out` of `folds` is held
+/// out: the other folds concatenated in fold order, and the fold itself.
+pub(crate) fn train_test(
+    data: &Dataset,
+    folds: &[Vec<usize>],
+    held_out: usize,
+) -> (Dataset, Dataset) {
+    let train_idx: Vec<usize> = folds
+        .iter()
+        .enumerate()
+        .filter(|(f, _)| *f != held_out)
+        .flat_map(|(_, fold)| fold)
+        .copied()
+        .collect();
+    (data.subset(&train_idx), data.subset(&folds[held_out]))
 }
 
-/// K-fold cross-validated MSE of an ε-SVR parameter set.
-///
-/// Each fold is held out once; the model trains on the remaining folds and
-/// is scored on the held-out one. The dataset is assumed already scaled
-/// (fit the scaler outside if leakage matters for your experiment; the
-/// paper's protocol scales once over the training file, as `svm-scale`
-/// does).
+/// One cross-validation solve: trains on `train` and returns the model's
+/// mean squared error on `test`.
 ///
 /// # Errors
 ///
-/// Propagates fold-construction and training errors.
-pub fn cross_validate_svr<R: Rng>(
-    data: &Dataset,
+/// Propagates training and prediction errors.
+pub(crate) fn fold_mse(
+    train: &Dataset,
+    test: &Dataset,
     params: SvrParams,
-    k: usize,
-    rng: &mut R,
-) -> Result<CvResult, SvmError> {
-    let folds = kfold_indices(data.len(), k, rng)?;
-    let mut fold_mse = Vec::with_capacity(k);
-    for held_out in &folds {
-        let _span = obs::span(names::SPAN_CV_FOLD);
-        OBS_FOLDS.inc();
-        let train_idx: Vec<usize> = folds
-            .iter()
-            .filter(|f| !std::ptr::eq(*f, held_out))
-            .flatten()
-            .copied()
-            .collect();
-        let train = data.subset(&train_idx);
-        let test = data.subset(held_out);
-        let model = SvrModel::train(&train, params)?;
-        let preds = model.predict_dataset(&test)?;
-        fold_mse.push(metrics::mse(test.targets(), &preds));
-    }
-    let mean_mse = fold_mse.iter().sum::<f64>() / fold_mse.len() as f64;
-    Ok(CvResult { fold_mse, mean_mse })
+) -> Result<f64, SvmError> {
+    let _span = obs::span(names::SPAN_CV_FOLD);
+    OBS_FOLDS.inc();
+    let model = SvrModel::train(train, params)?;
+    let preds = model.predict_dataset(test)?;
+    Ok(metrics::mse(test.targets(), &preds))
 }
 
 #[cfg(test)]
@@ -144,7 +132,7 @@ mod tests {
 
     #[test]
     fn cv_on_learnable_function_has_low_mse() {
-        // y = 2x + 1, easily learnable: CV MSE must be small.
+        // y = 2x + 1, easily learnable: every fold's MSE must be small.
         let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 * 0.1]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x[0] + 1.0).collect();
         let ds =
@@ -153,21 +141,41 @@ mod tests {
             .with_c(100.0)
             .with_epsilon(0.01)
             .with_kernel(Kernel::Linear);
-        let mut rng = StdRng::seed_from_u64(4);
-        let result = cross_validate_svr(&ds, params, 5, &mut rng).unwrap();
-        assert_eq!(result.fold_mse.len(), 5);
-        assert!(result.mean_mse < 0.05, "mean mse = {}", result.mean_mse);
+        let folds = kfold_indices(ds.len(), 5, &mut StdRng::seed_from_u64(4)).unwrap();
+        let mut total = 0.0;
+        for held_out in 0..5 {
+            let (train, test) = train_test(&ds, &folds, held_out);
+            assert_eq!(train.len() + test.len(), ds.len());
+            total += fold_mse(&train, &test, params).unwrap();
+        }
+        assert!(total / 5.0 < 0.05, "mean mse = {}", total / 5.0);
     }
 
     #[test]
     fn cv_mean_is_mean_of_folds() {
-        let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x[0]).collect();
+        // Every grid cell's CV MSE is its fold MSEs, each trained on the
+        // other folds in fold order, summed in fold order over k.
+        let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![f64::from(i) * 0.1]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).sin()).collect();
         let ds =
             Dataset::from_parts(crate::matrix::DenseMatrix::from_nested(xs).unwrap(), ys).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let r = cross_validate_svr(&ds, SvrParams::new(), 4, &mut rng).unwrap();
-        let mean = r.fold_mse.iter().sum::<f64>() / 4.0;
-        assert!((r.mean_mse - mean).abs() < 1e-12);
+        let result = crate::grid::search(&ds, 4, 5).unwrap();
+        let folds = kfold_indices(ds.len(), 4, &mut StdRng::seed_from_u64(5)).unwrap();
+        let n = result.cells.len();
+        for cell in [
+            result.cells[0],
+            result.best,
+            result.cells[n / 2],
+            result.cells[n - 1],
+        ] {
+            let mses: Vec<f64> = (0..4)
+                .map(|f| {
+                    let (train, test) = train_test(&ds, &folds, f);
+                    fold_mse(&train, &test, cell.params).unwrap()
+                })
+                .collect();
+            let mean = mses.iter().sum::<f64>() / 4.0;
+            assert_eq!(cell.cv_mse.to_bits(), mean.to_bits(), "{:?}", cell.params);
+        }
     }
 }

@@ -1,239 +1,23 @@
-//! Grid search over SVR hyper-parameters — a reimplementation of the
-//! `easygrid`/`grid.py` protocol the paper uses: exhaustive search over
-//! log₂-spaced `(C, γ)` (and optionally `ε`) cells, each scored by k-fold
-//! cross-validation, best cell wins.
+//! Grid search over SVR hyper-parameters — the paper's `easygrid`
+//! protocol: every cell of one fixed log₂ `(C, γ, ε)` grid over the RBF
+//! kernel is scored by k-fold cross-validation on one shared fold split,
+//! and the cell with the lowest CV MSE wins.
 
-use crate::cv::cross_validate_svr;
+use crate::cv::{fold_mse, kfold_indices, train_test};
 use crate::data::Dataset;
 use crate::error::SvmError;
+use crate::kernel::Kernel;
 use crate::svr::SvrParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A log₂-spaced range, e.g. `Log2Range::new(-5, 15, 2)` generates
-/// `2⁻⁵, 2⁻³, …, 2¹⁵` — the spacing `grid.py` defaults to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Log2Range {
-    begin: i32,
-    end: i32,
-    step: i32,
-}
-
-impl Log2Range {
-    /// Inclusive range of exponents with the given positive step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step == 0` or `begin > end`.
-    #[must_use]
-    pub fn new(begin: i32, end: i32, step: i32) -> Self {
-        assert!(step > 0, "log2 range step must be positive");
-        assert!(begin <= end, "log2 range is empty: {begin}..={end}");
-        Log2Range { begin, end, step }
-    }
-
-    /// The values `2^e` for each exponent in the range.
-    #[must_use]
-    pub fn values(&self) -> Vec<f64> {
-        (self.begin..=self.end)
-            .step_by(self.step as usize)
-            .map(|e| 2f64.powi(e))
-            .collect()
-    }
-}
-
-/// Configuration of a grid search. Defaults mirror `grid.py`:
-/// `C ∈ 2⁻⁵‥2¹⁵ (step 2)`, `γ ∈ 2⁻¹⁵‥2³ (step 2)`, fixed ε, 10 folds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridSearch {
-    c_range: Vec<f64>,
-    gamma_range: Vec<f64>,
-    epsilon_range: Vec<f64>,
-    base: SvrParams,
-    folds: usize,
-    seed: u64,
-    threads: usize,
-}
-
-impl GridSearch {
-    /// A grid with `grid.py`-style default ranges.
-    #[must_use]
-    pub fn new() -> Self {
-        GridSearch {
-            c_range: Log2Range::new(-5, 15, 2).values(),
-            gamma_range: Log2Range::new(-15, 3, 2).values(),
-            epsilon_range: vec![0.1],
-            base: SvrParams::new(),
-            folds: 10,
-            seed: 0x5eed,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }
-    }
-
-    /// Replaces the `C` candidates.
-    #[must_use]
-    pub fn with_c_values(mut self, values: Vec<f64>) -> Self {
-        self.c_range = values;
-        self
-    }
-
-    /// Replaces the `γ` candidates.
-    #[must_use]
-    pub fn with_gamma_values(mut self, values: Vec<f64>) -> Self {
-        self.gamma_range = values;
-        self
-    }
-
-    /// Replaces the `ε` candidates (default: just `0.1`).
-    #[must_use]
-    pub fn with_epsilon_values(mut self, values: Vec<f64>) -> Self {
-        self.epsilon_range = values;
-        self
-    }
-
-    /// Base parameters the grid mutates (kernel family, tolerance, …).
-    #[must_use]
-    pub fn with_base_params(mut self, base: SvrParams) -> Self {
-        self.base = base;
-        self
-    }
-
-    /// Number of cross-validation folds (paper: 10).
-    #[must_use]
-    pub fn with_folds(mut self, folds: usize) -> Self {
-        self.folds = folds;
-        self
-    }
-
-    /// Seed for the fold shuffles, for reproducible searches.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Caps worker threads (default: available parallelism).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Number of grid cells that will be evaluated.
-    #[must_use]
-    pub fn cells(&self) -> usize {
-        let gamma_cells = if self.base.kernel().gamma().is_some() {
-            self.gamma_range.len()
-        } else {
-            1
-        };
-        self.c_range.len() * gamma_cells * self.epsilon_range.len()
-    }
-
-    /// Runs the search and returns every scored cell plus the winner.
-    ///
-    /// Cells are scored with the same fold split (same seed) so scores are
-    /// comparable, exactly as `grid.py` reuses its folds. Work is spread
-    /// over up to `threads` OS threads; each worker keeps `(index, score)`
-    /// pairs for the cells it claimed and the merge re-orders them by cell
-    /// index, so the result is bit-identical for any thread count and
-    /// completion order (the index-addressed pattern rule L9 requires of
-    /// this module).
-    ///
-    /// # Errors
-    ///
-    /// Propagates cross-validation errors (e.g. too few samples for the
-    /// fold count, invalid base parameters), and rejects an empty grid
-    /// (some candidate range was set to no values).
-    pub fn run(&self, data: &Dataset) -> Result<GridSearchResult, SvmError> {
-        let mut cells: Vec<SvrParams> = Vec::with_capacity(self.cells());
-        let gamma_values: Vec<Option<f64>> = if self.base.kernel().gamma().is_some() {
-            self.gamma_range.iter().copied().map(Some).collect()
-        } else {
-            vec![None]
-        };
-        for &c in &self.c_range {
-            for &g in &gamma_values {
-                for &e in &self.epsilon_range {
-                    let mut p = self.base.with_c(c).with_epsilon(e);
-                    if let Some(g) = g {
-                        p = p.with_kernel(p.kernel().with_gamma(g));
-                    }
-                    cells.push(p);
-                }
-            }
-        }
-        if cells.is_empty() {
-            return Err(SvmError::invalid(
-                "grid",
-                "empty parameter grid: no (C, gamma, epsilon) candidates",
-            ));
-        }
-
-        let folds = self.folds;
-        let seed = self.seed;
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        // Work-stealing over an atomic cursor; every claimed index yields
-        // exactly one (index, outcome) pair in some worker's local vector.
-        let mut pairs: Vec<(usize, Result<f64, SvmError>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads.min(cells.len()))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= cells.len() {
-                                break;
-                            }
-                            let mut rng = StdRng::seed_from_u64(seed);
-                            let outcome = cross_validate_svr(data, cells[i], folds, &mut rng)
-                                .map(|cv| cv.mean_mse);
-                            local.push((i, outcome));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            let mut all = Vec::with_capacity(cells.len());
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => all.extend(local),
-                    // A worker panicked (it should not: CV returns errors
-                    // by value); re-raise on the caller's thread.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            all
-        });
-        // Index-addressed merge: the atomic cursor hands out each index
-        // exactly once, so sorting the claimed pairs restores grid order
-        // and pairs/cells zip one-to-one.
-        pairs.sort_unstable_by_key(|(i, _)| *i);
-        let mut scored = Vec::with_capacity(cells.len());
-        for (params, (_, outcome)) in cells.into_iter().zip(pairs) {
-            scored.push(GridCell {
-                params,
-                cv_mse: outcome?,
-            });
-        }
-
-        let best = scored
-            .iter()
-            .min_by(|a, b| a.cv_mse.total_cmp(&b.cv_mse))
-            .copied()
-            .ok_or_else(|| SvmError::invalid("grid", "empty parameter grid"))?;
-        Ok(GridSearchResult {
-            cells: scored,
-            best,
-        })
-    }
-}
-
-impl Default for GridSearch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// `C ∈ 2⁻¹, 2¹, …, 2¹¹`, ascending: the order each chain trains them in.
+const C_VALUES: [f64; 7] = [0.5, 2.0, 8.0, 32.0, 128.0, 512.0, 2048.0];
+/// RBF `γ ∈ 2⁻⁹, 2⁻⁷, …, 2¹`.
+const GAMMAS: [f64; 6] = [0.001_953_125, 0.007_812_5, 0.031_25, 0.125, 0.5, 2.0];
+/// Tube half-widths `ε`.
+const EPSILONS: [f64; 3] = [0.05, 0.1, 0.2];
 
 /// One evaluated grid cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -244,12 +28,12 @@ pub struct GridCell {
     pub cv_mse: f64,
 }
 
-/// Outcome of [`GridSearch::run`].
+/// Outcome of [`search`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridSearchResult {
-    /// All evaluated cells, in grid order.
+    /// All 126 cells in grid order: `C` outermost, then `γ`, then `ε`.
     pub cells: Vec<GridCell>,
-    /// The cell with the lowest CV MSE.
+    /// The first cell with the lowest CV MSE.
     pub best: GridCell,
 }
 
@@ -267,10 +51,141 @@ impl GridSearchResult {
     }
 }
 
+/// Scores every cell of the paper's grid — `C ∈ 2⁻¹‥2¹¹`,
+/// `γ ∈ 2⁻⁹‥2¹` (both step 2²) and `ε ∈ {0.05, 0.1, 0.2}`, RBF kernel,
+/// 126 cells — by `folds`-fold cross-validation on `data` (already
+/// scaled, as `svm-scale` leaves it) and returns them with the winner.
+///
+/// The fold split is drawn once from `seed`, so every cell is scored on
+/// the same folds, as `grid.py` does. A cell's CV MSE is its held-out
+/// fold MSEs summed in fold order and divided by `folds`. Work runs on
+/// [`available_parallelism`](std::thread::available_parallelism) threads
+/// and the result is bit-identical for any thread count.
+///
+/// # Errors
+///
+/// [`SvmError::TooFewSamples`] when `data` has fewer samples than
+/// `folds`, [`SvmError::InvalidParameter`] when `folds < 2`, and any
+/// training error.
+pub fn search(data: &Dataset, folds: usize, seed: u64) -> Result<GridSearchResult, SvmError> {
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    search_on(data, folds, seed, threads)
+}
+
+/// [`search`] on up to `threads` worker threads.
+///
+/// A job is one `(γ, ε, fold)` chain: it trains the seven `C` values in
+/// ascending order on that fold's training rows and returns their
+/// held-out MSEs. Workers claim jobs from an atomic cursor and keep
+/// `(job, outcome)` pairs; the merge re-orders them by job index, so the
+/// result does not depend on thread count or completion order (the
+/// index-addressed pattern rule L9 requires of this module).
+fn search_on(
+    data: &Dataset,
+    folds: usize,
+    seed: u64,
+    threads: usize,
+) -> Result<GridSearchResult, SvmError> {
+    let split = kfold_indices(data.len(), folds, &mut StdRng::seed_from_u64(seed))?;
+    let jobs = GAMMAS.len() * EPSILONS.len() * folds;
+    let workers = threads.clamp(1, jobs);
+    let next = AtomicUsize::new(0);
+    let mut pairs: Vec<(usize, Result<[f64; C_VALUES.len()], SvmError>)> =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = Vec::with_capacity(jobs.div_ceil(workers));
+                        loop {
+                            let job = next.fetch_add(1, Ordering::Relaxed);
+                            if job >= jobs {
+                                break;
+                            }
+                            let cell = job / folds;
+                            let gamma = GAMMAS[cell / EPSILONS.len()];
+                            let epsilon = EPSILONS[cell % EPSILONS.len()];
+                            local.push((job, chain(data, &split, job % folds, gamma, epsilon)));
+                        }
+                        local
+                    })
+                })
+                .collect();
+            let mut all = Vec::with_capacity(jobs);
+            for handle in handles {
+                match handle.join() {
+                    Ok(local) => all.extend(local),
+                    // A worker panicked (it should not: training returns
+                    // errors by value); re-raise on the caller's thread.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            all
+        });
+    // Index-addressed merge: the cursor hands out each job exactly once,
+    // so sorting restores job order, `(γ, ε)`-major with folds innermost.
+    pairs.sort_unstable_by_key(|(job, _)| *job);
+    let mut chains = Vec::with_capacity(jobs);
+    for (_, outcome) in pairs {
+        chains.push(outcome?);
+    }
+
+    let mut cells = Vec::with_capacity(C_VALUES.len() * GAMMAS.len() * EPSILONS.len());
+    for (ci, &c) in C_VALUES.iter().enumerate() {
+        for (gi, &gamma) in GAMMAS.iter().enumerate() {
+            for (ei, &epsilon) in EPSILONS.iter().enumerate() {
+                let first = (gi * EPSILONS.len() + ei) * folds;
+                let cv_mse = chains[first..first + folds]
+                    .iter()
+                    .map(|mses| mses[ci])
+                    .sum::<f64>()
+                    / folds as f64;
+                cells.push(GridCell {
+                    params: cell_params(c, gamma, epsilon),
+                    cv_mse,
+                });
+            }
+        }
+    }
+    let best = (1..cells.len()).fold(0, |best, i| {
+        if cells[i].cv_mse.total_cmp(&cells[best].cv_mse).is_lt() {
+            i
+        } else {
+            best
+        }
+    });
+    Ok(GridSearchResult {
+        best: cells[best],
+        cells,
+    })
+}
+
+/// The held-out MSE of each `C` value, trained in ascending order on the
+/// split that holds out fold `held_out`.
+fn chain(
+    data: &Dataset,
+    split: &[Vec<usize>],
+    held_out: usize,
+    gamma: f64,
+    epsilon: f64,
+) -> Result<[f64; C_VALUES.len()], SvmError> {
+    let (train, test) = train_test(data, split, held_out);
+    let mut mses = [0.0; C_VALUES.len()];
+    for (mse, &c) in mses.iter_mut().zip(&C_VALUES) {
+        *mse = fold_mse(&train, &test, cell_params(c, gamma, epsilon))?;
+    }
+    Ok(mses)
+}
+
+fn cell_params(c: f64, gamma: f64, epsilon: f64) -> SvrParams {
+    SvrParams::new()
+        .with_c(c)
+        .with_epsilon(epsilon)
+        .with_kernel(Kernel::rbf(gamma))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Kernel;
 
     fn wave_dataset() -> Dataset {
         let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 * 0.2]).collect();
@@ -278,102 +193,112 @@ mod tests {
         Dataset::from_parts(crate::matrix::DenseMatrix::from_nested(xs).unwrap(), ys).unwrap()
     }
 
-    #[test]
-    fn log2_range_values() {
-        assert_eq!(Log2Range::new(-1, 3, 2).values(), vec![0.5, 2.0, 8.0]);
+    /// Thirty scaled-looking 3-feature rows with a smooth nonlinear target.
+    fn pin_dataset() -> Dataset {
+        let xs: Vec<Vec<f64>> = (0..30)
+            .map(|i| {
+                let t = i as f64;
+                vec![(t * 0.37).sin(), (t * 0.61).cos(), (t * 0.13).sin() * 0.8]
+            })
+            .collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                40.0 + 6.0 * x[0]
+                    + 3.0 * (2.0 * x[1]).sin()
+                    + x[2] * x[0]
+                    + 0.2 * (i as f64 * 2.399).sin()
+            })
+            .collect();
+        Dataset::from_parts(crate::matrix::DenseMatrix::from_nested(xs).unwrap(), ys).unwrap()
     }
 
+    /// FNV-1a over the little-endian bytes of every cell's
+    /// `(C, γ, ε, cv_mse)` bits, in grid order.
+    fn cell_digest(cells: &[GridCell]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for cell in cells {
+            let gamma = cell.params.kernel().gamma().unwrap();
+            for v in [cell.params.c(), gamma, cell.params.epsilon(), cell.cv_mse] {
+                for b in v.to_bits().to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// `cell_digest` of `pin_dataset` searched with 4 folds and seed 7,
+    /// pinned from the one-cell-per-job search this module replaced (the
+    /// paper axes over an RBF base, each cell re-splitting the same folds).
+    const PIN_DIGEST: u64 = 0x679f_39e6_2fc3_cf40;
+
     #[test]
-    #[should_panic(expected = "empty")]
-    fn log2_range_rejects_reversed() {
-        let _ = Log2Range::new(3, 1, 1);
+    fn search_matches_its_pinned_cell_digest_at_any_thread_count() {
+        let ds = pin_dataset();
+        let public = search(&ds, 4, 7).unwrap();
+        assert_eq!(cell_digest(&public.cells), PIN_DIGEST);
+        assert_eq!(public.best.params.c(), 2048.0);
+        assert_eq!(public.best.params.kernel(), Kernel::rbf(0.125));
+        assert_eq!(public.best.params.epsilon(), 0.1);
+        for threads in [1, 3] {
+            let r = search_on(&ds, 4, 7, threads).unwrap();
+            assert_eq!(r.cells.len(), public.cells.len());
+            for (a, b) in r.cells.iter().zip(&public.cells) {
+                assert_eq!(a.params, b.params, "threads={threads}");
+                assert_eq!(a.cv_mse.to_bits(), b.cv_mse.to_bits(), "threads={threads}");
+            }
+            assert_eq!(r.best, public.best, "threads={threads}");
+        }
     }
 
     #[test]
     fn cells_counts_cartesian_product() {
-        let g = GridSearch::new()
-            .with_c_values(vec![1.0, 2.0])
-            .with_gamma_values(vec![0.1, 0.2, 0.4])
-            .with_epsilon_values(vec![0.1]);
-        assert_eq!(g.cells(), 6);
-    }
-
-    #[test]
-    fn linear_kernel_ignores_gamma_axis() {
-        let g = GridSearch::new()
-            .with_c_values(vec![1.0, 2.0])
-            .with_gamma_values(vec![0.1, 0.2, 0.4])
-            .with_base_params(SvrParams::new().with_kernel(Kernel::Linear));
-        assert_eq!(g.cells(), 2);
+        let result = search_on(&wave_dataset(), 3, 5, 2).unwrap();
+        assert_eq!(result.cells.len(), 7 * 6 * 3);
+        let mut i = 0;
+        for c_exp in (-1..=11).step_by(2) {
+            for g_exp in (-9..=1).step_by(2) {
+                for epsilon in [0.05, 0.1, 0.2] {
+                    let expect = cell_params(2f64.powi(c_exp), 2f64.powi(g_exp), epsilon);
+                    assert_eq!(result.cells[i].params, expect, "cell {i}");
+                    i += 1;
+                }
+            }
+        }
     }
 
     #[test]
     fn finds_best_cell_and_it_has_min_mse() {
-        let ds = wave_dataset();
-        let g = GridSearch::new()
-            .with_c_values(vec![0.1, 10.0])
-            .with_gamma_values(vec![0.01, 1.0])
-            .with_folds(4)
-            .with_seed(11);
-        let result = g.run(&ds).unwrap();
-        assert_eq!(result.cells.len(), 4);
+        let result = search_on(&wave_dataset(), 4, 11, 2).unwrap();
         let min = result
             .cells
             .iter()
             .map(|c| c.cv_mse)
             .fold(f64::INFINITY, f64::min);
         assert_eq!(result.best_mse(), min);
-    }
-
-    #[test]
-    fn search_is_deterministic_across_thread_counts() {
-        let ds = wave_dataset();
-        let base = GridSearch::new()
-            .with_c_values(vec![1.0, 4.0])
-            .with_gamma_values(vec![0.5, 2.0])
-            .with_folds(3)
-            .with_seed(7);
-        let serial = base.clone().with_threads(1).run(&ds).unwrap();
-        let parallel = base.with_threads(4).run(&ds).unwrap();
-        assert_eq!(serial.cells.len(), parallel.cells.len());
-        for (a, b) in serial.cells.iter().zip(&parallel.cells) {
-            assert_eq!(a.params, b.params);
-            assert!((a.cv_mse - b.cv_mse).abs() < 1e-12);
-        }
+        let first = result.cells.iter().find(|c| c.cv_mse == min).unwrap();
+        assert_eq!(result.best_params(), first.params);
     }
 
     #[test]
     fn grid_beats_default_params_on_wavy_data() {
         let ds = wave_dataset();
-        let mut rng = StdRng::seed_from_u64(3);
-        let default_mse = crate::cv::cross_validate_svr(&ds, SvrParams::new(), 5, &mut rng)
-            .unwrap()
-            .mean_mse;
-        let best = GridSearch::new()
-            .with_c_values(Log2Range::new(-1, 9, 2).values())
-            .with_gamma_values(Log2Range::new(-7, 1, 2).values())
-            .with_epsilon_values(vec![0.05, 0.1])
-            .with_base_params(SvrParams::new().with_kernel(Kernel::rbf(1.0)))
-            .with_folds(5)
-            .with_seed(3)
-            .run(&ds)
-            .unwrap()
-            .best_params();
-        let mut rng = StdRng::seed_from_u64(3);
-        let best_mse = crate::cv::cross_validate_svr(&ds, best, 5, &mut rng)
-            .unwrap()
-            .mean_mse;
+        let split = kfold_indices(ds.len(), 5, &mut StdRng::seed_from_u64(3)).unwrap();
+        let default_mse = (0..5)
+            .map(|f| {
+                let (train, test) = train_test(&ds, &split, f);
+                fold_mse(&train, &test, SvrParams::new()).unwrap()
+            })
+            .sum::<f64>()
+            / 5.0;
+        let best_mse = search_on(&ds, 5, 3, 2).unwrap().best_mse();
         assert!(
             best_mse <= default_mse + 1e-9,
             "{best_mse} vs {default_mse}"
         );
-    }
-
-    #[test]
-    fn empty_grid_is_rejected_not_panicked() {
-        let ds = wave_dataset();
-        let g = GridSearch::new().with_c_values(vec![]);
-        assert!(matches!(g.run(&ds), Err(SvmError::InvalidParameter { .. })));
     }
 
     #[test]
@@ -383,7 +308,13 @@ mod tests {
             vec![1.0, 2.0],
         )
         .unwrap();
-        let g = GridSearch::new().with_folds(10);
-        assert!(matches!(g.run(&ds), Err(SvmError::TooFewSamples { .. })));
+        assert!(matches!(
+            search(&ds, 10, 1),
+            Err(SvmError::TooFewSamples { .. })
+        ));
+        assert!(matches!(
+            search(&ds, 1, 1),
+            Err(SvmError::InvalidParameter { .. })
+        ));
     }
 }

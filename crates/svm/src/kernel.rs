@@ -221,25 +221,6 @@ impl Kernel {
             _ => Ok(()),
         }
     }
-
-    /// Returns a copy of this kernel with `gamma` replaced, leaving other
-    /// parameters untouched. A no-op for [`Kernel::Linear`].
-    #[must_use]
-    pub fn with_gamma(self, new_gamma: f64) -> Self {
-        match self {
-            Kernel::Linear => Kernel::Linear,
-            Kernel::Polynomial { coef0, degree, .. } => Kernel::Polynomial {
-                gamma: new_gamma,
-                coef0,
-                degree,
-            },
-            Kernel::Rbf { .. } => Kernel::Rbf { gamma: new_gamma },
-            Kernel::Sigmoid { coef0, .. } => Kernel::Sigmoid {
-                gamma: new_gamma,
-                coef0,
-            },
-        }
-    }
 }
 
 /// Cross-row unroll width of [`Kernel::eval_row_batch`]: enough
@@ -470,28 +451,6 @@ mod tests {
         };
         let v = k.eval(&[5.0], &[5.0]);
         assert!((-1.0..=1.0).contains(&v));
-    }
-
-    #[test]
-    fn with_gamma_replaces_only_gamma() {
-        let k = Kernel::Polynomial {
-            gamma: 1.0,
-            coef0: 2.0,
-            degree: 4,
-        };
-        match k.with_gamma(9.0) {
-            Kernel::Polynomial {
-                gamma,
-                coef0,
-                degree,
-            } => {
-                assert_eq!(gamma, 9.0);
-                assert_eq!(coef0, 2.0);
-                assert_eq!(degree, 4);
-            }
-            other => panic!("unexpected kernel {other:?}"),
-        }
-        assert_eq!(Kernel::Linear.with_gamma(3.0), Kernel::Linear);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! use vmtherm_svm::data::Dataset;
 //! use vmtherm_svm::kernel::Kernel;
 //! use vmtherm_svm::matrix::DenseMatrix;
-//! use vmtherm_svm::scale::{ScaleMethod, Scaler};
+//! use vmtherm_svm::scale::Scaler;
 //! use vmtherm_svm::svr::{SvrModel, SvrParams};
 //!
 //! # fn main() -> Result<(), vmtherm_svm::error::SvmError> {
@@ -31,7 +31,7 @@
 //!
 //! // Scale features, train, predict — the same pipeline `svm-scale` +
 //! // `svm-train` + `svm-predict` implement.
-//! let scaler = Scaler::fit(&train, ScaleMethod::MinMax);
+//! let scaler = Scaler::fit(&train);
 //! let scaled = scaler.transform_dataset(&train);
 //! let params = SvrParams::new().with_c(100.0).with_epsilon(0.01).with_kernel(Kernel::Linear);
 //! let model = SvrModel::train(&scaled, params)?;
@@ -52,15 +52,16 @@
 //!
 //! - [`data`] — datasets and the libsvm text format
 //! - [`matrix`] — the flat row-major [`matrix::DenseMatrix`] feature storage
-//! - [`scale`] — `svm-scale`-style feature scaling
+//! - [`scale`] — `svm-scale`'s min-max feature scaling onto `[-1, 1]`
 //! - [`kernel`] — kernel functions and the solver's row cache
 //! - [`svr`] / [`oneclass`] — ε-regression and novelty-detection models,
 //!   sharing one support-vector expansion
 //!   `f(x) = Σ cᵢ·K(svᵢ, x) + b`
-//! - [`cv`] / [`grid`] — 10-fold CV and `easygrid` parameter search
-//! - [`metrics`] — MSE and friends (the paper's reporting metric)
+//! - [`cv`] / [`grid`] — the k-fold split and the `easygrid` search over
+//!   the paper's fixed 126-cell grid
+//! - [`metrics`] — MSE (the paper's reporting metric), MAE, max error
 //! - [`model_io`] — LIBSVM-style model files
-//! - [`linalg`] — dot products, distances and moments over slices
+//! - [`linalg`] — dot products and distances over slices
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -91,5 +92,5 @@ pub use error::SvmError;
 pub use kernel::Kernel;
 pub use matrix::DenseMatrix;
 pub use oneclass::{OneClassModel, OneClassParams};
-pub use scale::{ScaleMethod, Scaler};
+pub use scale::Scaler;
 pub use svr::{SvrModel, SvrParams};

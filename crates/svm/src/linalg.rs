@@ -50,26 +50,6 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Mean of a slice; `0.0` for an empty slice.
-#[must_use]
-pub fn mean(a: &[f64]) -> f64 {
-    if a.is_empty() {
-        0.0
-    } else {
-        a.iter().sum::<f64>() / a.len() as f64
-    }
-}
-
-/// Population variance of a slice; `0.0` for slices shorter than two.
-#[must_use]
-pub fn variance(a: &[f64]) -> f64 {
-    if a.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(a);
-    a.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / a.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,18 +81,5 @@ mod tests {
         let a = [1.0, 2.0];
         let b = [-3.0, 0.5];
         assert_eq!(squared_distance(&a, &b), squared_distance(&b, &a));
-    }
-
-    #[test]
-    fn mean_and_variance() {
-        let a = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((mean(&a) - 5.0).abs() < 1e-12);
-        assert!((variance(&a) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn variance_of_singleton_is_zero() {
-        assert_eq!(variance(&[42.0]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
     }
 }

@@ -13,7 +13,7 @@
 use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
-use crate::scale::{ScaleMethod, Scaler};
+use crate::scale::{self, Scaler};
 use crate::svr::SvrModel;
 use std::fmt::Write as _;
 
@@ -189,18 +189,16 @@ fn parse_kernel_tag(tag: &str, line: usize) -> Result<Kernel, SvmError> {
     Ok(kernel)
 }
 
-/// Serialises a fitted [`Scaler`] into the text container.
+/// Serialises a fitted [`Scaler`] into the text container. The `method`
+/// and `base` lines name the one transform there is, min-max onto
+/// `[-1, 1]`.
 #[must_use]
 pub fn scaler_to_string(scaler: &Scaler) -> String {
-    let (method, base, offsets, scales) = scaler.parts();
+    let (offsets, scales) = scaler.parts();
     let mut out = String::new();
     out.push_str("vmtherm-model scaler v1\n");
-    let method_tag = match method {
-        ScaleMethod::MinMax => "minmax",
-        ScaleMethod::ZScore => "zscore",
-    };
-    let _ = writeln!(out, "method={method_tag}");
-    let _ = writeln!(out, "base={base}");
+    out.push_str("method=minmax\n");
+    let _ = writeln!(out, "base={}", scale::LOWER);
     let _ = writeln!(out, "dim={}", offsets.len());
     for (o, s) in offsets.iter().zip(scales) {
         let _ = writeln!(out, "{o} {s}");
@@ -212,7 +210,8 @@ pub fn scaler_to_string(scaler: &Scaler) -> String {
 ///
 /// # Errors
 ///
-/// [`SvmError::Parse`] on malformed content.
+/// [`SvmError::Parse`] on malformed content, and on any method other than
+/// `minmax` or any base other than `-1`.
 pub fn scaler_from_string(text: &str) -> Result<Scaler, SvmError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines
@@ -221,8 +220,8 @@ pub fn scaler_from_string(text: &str) -> Result<Scaler, SvmError> {
     if header.trim() != "vmtherm-model scaler v1" {
         return Err(SvmError::parse(1, format!("bad header `{header}`")));
     }
-    let mut method: Option<ScaleMethod> = None;
-    let mut base: Option<f64> = None;
+    let mut method = false;
+    let mut base = false;
     let mut dim: Option<usize> = None;
     for _ in 0..3 {
         let (lineno, line) = lines
@@ -233,23 +232,25 @@ pub fn scaler_from_string(text: &str) -> Result<Scaler, SvmError> {
             .ok_or_else(|| SvmError::parse(lineno + 1, "expected key=value"))?;
         match key {
             "method" => {
-                method = Some(match value {
-                    "minmax" => ScaleMethod::MinMax,
-                    "zscore" => ScaleMethod::ZScore,
-                    other => {
-                        return Err(SvmError::parse(
-                            lineno + 1,
-                            format!("unknown method `{other}`"),
-                        ))
-                    }
-                });
+                if value != "minmax" {
+                    return Err(SvmError::parse(
+                        lineno + 1,
+                        format!("unknown method `{value}`"),
+                    ));
+                }
+                method = true;
             }
             "base" => {
-                base = Some(
-                    value
-                        .parse()
-                        .map_err(|_| SvmError::parse(lineno + 1, "bad base"))?,
-                );
+                let parsed: f64 = value
+                    .parse()
+                    .map_err(|_| SvmError::parse(lineno + 1, "bad base"))?;
+                if parsed.to_bits() != scale::LOWER.to_bits() {
+                    return Err(SvmError::parse(
+                        lineno + 1,
+                        format!("unsupported base `{value}`: scalers map onto [-1, 1]"),
+                    ));
+                }
+                base = true;
             }
             "dim" => {
                 dim = Some(
@@ -266,8 +267,12 @@ pub fn scaler_from_string(text: &str) -> Result<Scaler, SvmError> {
             }
         }
     }
-    let method = method.ok_or_else(|| SvmError::parse(0, "missing method"))?;
-    let base = base.ok_or_else(|| SvmError::parse(0, "missing base"))?;
+    if !method {
+        return Err(SvmError::parse(0, "missing method"));
+    }
+    if !base {
+        return Err(SvmError::parse(0, "missing base"));
+    }
     let dim = dim.ok_or_else(|| SvmError::parse(0, "missing dim"))?;
     // `dim` comes from the file: grow as lines parse (see `svr_from_string`).
     let mut offsets = Vec::new();
@@ -290,7 +295,7 @@ pub fn scaler_from_string(text: &str) -> Result<Scaler, SvmError> {
         offsets.push(o);
         scales.push(s);
     }
-    Scaler::from_parts(method, base, offsets, scales)
+    Scaler::from_parts(offsets, scales)
 }
 
 #[cfg(test)]
@@ -411,30 +416,39 @@ mod tests {
     #[test]
     fn scaler_round_trip() {
         use crate::data::Dataset;
-        use crate::scale::ScaleMethod;
         let ds = Dataset::from_parts(
             DenseMatrix::from_nested(vec![vec![0.0, 5.0], vec![10.0, 15.0], vec![4.0, 9.0]])
                 .unwrap(),
             vec![0.0; 3],
         )
         .unwrap();
-        for method in [ScaleMethod::MinMax, ScaleMethod::ZScore] {
-            let scaler = Scaler::fit(&ds, method);
-            let back = scaler_from_string(&scaler_to_string(&scaler)).unwrap();
-            let x = [3.3, 12.2];
-            let a = scaler.transform(&x);
-            let b = back.transform(&x);
-            for (u, v) in a.iter().zip(&b) {
-                assert!((u - v).abs() < 1e-12, "{method:?}");
-            }
+        let scaler = Scaler::fit(&ds);
+        let text = scaler_to_string(&scaler);
+        assert!(text.starts_with("vmtherm-model scaler v1\nmethod=minmax\nbase=-1\ndim=2\n"));
+        let back = scaler_from_string(&text).unwrap();
+        assert_eq!(back, scaler);
+        let x = [3.3, 12.2];
+        let a = scaler.transform(&x);
+        let b = back.transform(&x);
+        for (u, v) in a.iter().zip(&b) {
+            assert_eq!(u.to_bits(), v.to_bits());
         }
     }
 
     #[test]
     fn scaler_rejects_bad_header_and_method() {
         assert!(scaler_from_string("nope\n").is_err());
-        let text = "vmtherm-model scaler v1\nmethod=quantum\nbase=0\ndim=0\n";
-        assert!(scaler_from_string(text).is_err());
+        for header in [
+            "method=quantum\nbase=-1",
+            "method=zscore\nbase=0",
+            "method=minmax\nbase=0",
+        ] {
+            let text = format!("vmtherm-model scaler v1\n{header}\ndim=0\n");
+            assert!(
+                matches!(scaler_from_string(&text), Err(SvmError::Parse { .. })),
+                "{header}"
+            );
+        }
     }
 
     /// Counts read from a header must not pre-size anything: a huge count
@@ -442,14 +456,22 @@ mod tests {
     #[test]
     fn huge_header_counts_are_truncation_errors() {
         for count in ["18446744073709551615", "1000000000000"] {
+            // Both headers are otherwise valid, so parsing reaches the body
+            // loop and must stop at the missing lines, not at the header.
             let svr = format!("vmtherm-model svr v1\nkernel=linear\nbias=0\ndim=1\nnsv={count}\n");
             assert!(
-                matches!(svr_from_string(&svr), Err(SvmError::Parse { .. })),
+                matches!(
+                    svr_from_string(&svr),
+                    Err(SvmError::Parse { ref message, .. }) if message == "truncated support vectors"
+                ),
                 "nsv={count}"
             );
-            let scaler = format!("vmtherm-model scaler v1\nmethod=minmax\nbase=0\ndim={count}\n");
+            let scaler = format!("vmtherm-model scaler v1\nmethod=minmax\nbase=-1\ndim={count}\n");
             assert!(
-                matches!(scaler_from_string(&scaler), Err(SvmError::Parse { .. })),
+                matches!(
+                    scaler_from_string(&scaler),
+                    Err(SvmError::Parse { ref message, .. }) if message == "truncated scaler body"
+                ),
                 "dim={count}"
             );
         }

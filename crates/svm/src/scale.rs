@@ -10,29 +10,25 @@ use crate::error::SvmError;
 use crate::matrix::DenseMatrix;
 use serde::{Deserialize, Serialize};
 
-/// The scaling method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ScaleMethod {
-    /// Map each feature linearly to `[lower, upper]` from its training
-    /// min/max — what `svm-scale` does with its default `[-1, 1]` range.
-    #[default]
-    MinMax,
-    /// Standardise each feature to zero mean and unit variance.
-    ZScore,
-}
+/// Lower bound of the scaled range, `svm-scale`'s default `-l -1`; each
+/// feature's training minimum maps here.
+pub(crate) const LOWER: f64 = -1.0;
+/// Upper bound of the scaled range (`-u 1`); each feature's training
+/// maximum maps here.
+const UPPER: f64 = 1.0;
 
-/// A fitted, reusable feature transform.
+/// A fitted, reusable min-max feature transform onto `[-1, 1]`.
 ///
 /// ```
 /// use vmtherm_svm::data::Dataset;
 /// use vmtherm_svm::matrix::DenseMatrix;
-/// use vmtherm_svm::scale::{ScaleMethod, Scaler};
+/// use vmtherm_svm::scale::Scaler;
 ///
 /// let train = Dataset::from_parts(
 ///     DenseMatrix::from_nested(vec![vec![0.0, 100.0], vec![10.0, 300.0]])?,
 ///     vec![0.0, 1.0],
 /// )?;
-/// let scaler = Scaler::fit(&train, ScaleMethod::MinMax);
+/// let scaler = Scaler::fit(&train);
 /// let scaled = scaler.transform_dataset(&train);
 /// assert_eq!(scaled.feature(0), &[-1.0, -1.0]);
 /// assert_eq!(scaled.feature(1), &[1.0, 1.0]);
@@ -40,78 +36,37 @@ pub enum ScaleMethod {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scaler {
-    method: ScaleMethod,
-    /// Per-feature `(offset, scale)` such that `x' = (x - offset) * scale + base`.
+    /// Per-feature `(offset, scale)` such that `x' = (x - offset) * scale - 1`.
     offsets: Vec<f64>,
     scales: Vec<f64>,
-    /// Lower bound of the target range (min-max only; 0 for z-score).
-    base: f64,
 }
 
 impl Scaler {
-    /// Fits a scaler on the training set with the default output range
-    /// `[-1, 1]` (min-max) or zero-mean/unit-variance (z-score).
+    /// Fits a scaler mapping each training feature's min/max linearly onto
+    /// `[-1, 1]`, as `svm-scale` does by default.
     ///
-    /// Constant features (zero spread) are mapped to `base` rather than
+    /// Constant features (zero spread) are mapped to `-1` rather than
     /// dividing by zero.
     #[must_use]
-    pub fn fit(train: &Dataset, method: ScaleMethod) -> Self {
-        Self::fit_with_range(train, method, -1.0, 1.0)
-    }
-
-    /// Fits a min-max scaler with an explicit `[lower, upper]` output range.
-    /// The range is ignored for [`ScaleMethod::ZScore`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lower >= upper`.
-    #[must_use]
-    pub fn fit_with_range(train: &Dataset, method: ScaleMethod, lower: f64, upper: f64) -> Self {
-        assert!(lower < upper, "scaler range [{lower}, {upper}] is empty");
+    pub fn fit(train: &Dataset) -> Self {
         let d = train.dim();
         let mut offsets = vec![0.0; d];
         let mut scales = vec![1.0; d];
-        let base = match method {
-            ScaleMethod::MinMax => lower,
-            ScaleMethod::ZScore => 0.0,
-        };
         for j in 0..d {
-            let column: Vec<f64> = train.features().iter().map(|x| x[j]).collect();
-            match method {
-                ScaleMethod::MinMax => {
-                    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                    for v in &column {
-                        lo = lo.min(*v);
-                        hi = hi.max(*v);
-                    }
-                    offsets[j] = lo;
-                    let spread = hi - lo;
-                    scales[j] = if spread > 0.0 {
-                        (upper - lower) / spread
-                    } else {
-                        0.0
-                    };
-                }
-                ScaleMethod::ZScore => {
-                    let m = crate::linalg::mean(&column);
-                    let sd = crate::linalg::variance(&column).sqrt();
-                    offsets[j] = m;
-                    scales[j] = if sd > 0.0 { 1.0 / sd } else { 0.0 };
-                }
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for x in train.features() {
+                lo = lo.min(x[j]);
+                hi = hi.max(x[j]);
             }
+            offsets[j] = lo;
+            let spread = hi - lo;
+            scales[j] = if spread > 0.0 {
+                (UPPER - LOWER) / spread
+            } else {
+                0.0
+            };
         }
-        Scaler {
-            method,
-            offsets,
-            scales,
-            base,
-        }
-    }
-
-    /// The method this scaler was fitted with.
-    #[must_use]
-    pub fn method(&self) -> ScaleMethod {
-        self.method
+        Scaler { offsets, scales }
     }
 
     /// Feature dimensionality this scaler expects.
@@ -136,7 +91,7 @@ impl Scaler {
         );
         x.iter()
             .enumerate()
-            .map(|(j, v)| (v - self.offsets[j]) * self.scales[j] + self.base)
+            .map(|(j, v)| (v - self.offsets[j]) * self.scales[j] + LOWER)
             .collect()
     }
 
@@ -168,36 +123,9 @@ impl Scaler {
         out
     }
 
-    /// Inverts the transform for one scaled vector. Constant features
-    /// (scale 0) recover their training value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    #[must_use]
-    pub fn inverse_transform(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            x.len(),
-            self.dim(),
-            "scaler dim {} != input {}",
-            self.dim(),
-            x.len()
-        );
-        x.iter()
-            .enumerate()
-            .map(|(j, v)| {
-                if self.scales[j] == 0.0 {
-                    self.offsets[j]
-                } else {
-                    (v - self.base) / self.scales[j] + self.offsets[j]
-                }
-            })
-            .collect()
-    }
-
-    /// Destructures for serialisation: `(method, base, offsets, scales)`.
-    pub(crate) fn parts(&self) -> (ScaleMethod, f64, &[f64], &[f64]) {
-        (self.method, self.base, &self.offsets, &self.scales)
+    /// Destructures for serialisation: `(offsets, scales)`.
+    pub(crate) fn parts(&self) -> (&[f64], &[f64]) {
+        (&self.offsets, &self.scales)
     }
 
     /// Rebuilds from serialised parts.
@@ -205,39 +133,14 @@ impl Scaler {
     /// # Errors
     ///
     /// [`SvmError::DimensionMismatch`] when the vectors disagree.
-    pub(crate) fn from_parts(
-        method: ScaleMethod,
-        base: f64,
-        offsets: Vec<f64>,
-        scales: Vec<f64>,
-    ) -> Result<Self, SvmError> {
+    pub(crate) fn from_parts(offsets: Vec<f64>, scales: Vec<f64>) -> Result<Self, SvmError> {
         if offsets.len() != scales.len() {
             return Err(SvmError::DimensionMismatch {
                 expected: offsets.len(),
                 actual: scales.len(),
             });
         }
-        Ok(Scaler {
-            method,
-            offsets,
-            scales,
-            base,
-        })
-    }
-
-    /// Validates that a fitted scaler is compatible with a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SvmError::DimensionMismatch`] when dimensions differ.
-    pub fn check_compatible(&self, ds: &Dataset) -> Result<(), SvmError> {
-        if ds.dim() != self.dim() {
-            return Err(SvmError::DimensionMismatch {
-                expected: self.dim(),
-                actual: ds.dim(),
-            });
-        }
-        Ok(())
+        Ok(Scaler { offsets, scales })
     }
 }
 
@@ -260,67 +163,36 @@ mod tests {
 
     #[test]
     fn minmax_maps_to_unit_range() {
-        let s = Scaler::fit(&train(), ScaleMethod::MinMax);
+        let s = Scaler::fit(&train());
         let t = s.transform(&[0.0, 20.0, 5.0]);
         assert_eq!(t[0], -1.0);
         assert_eq!(t[1], 1.0);
     }
 
     #[test]
-    fn minmax_custom_range() {
-        let s = Scaler::fit_with_range(&train(), ScaleMethod::MinMax, 0.0, 1.0);
-        let t = s.transform(&[4.0, 10.0, 5.0]);
-        assert_eq!(t[0], 1.0);
-        assert_eq!(t[1], 0.0);
-    }
-
-    #[test]
     fn constant_feature_maps_to_base_not_nan() {
-        let s = Scaler::fit(&train(), ScaleMethod::MinMax);
+        let s = Scaler::fit(&train());
         let t = s.transform(&[1.0, 12.0, 123.0]);
         assert_eq!(t[2], -1.0);
         assert!(t.iter().all(|v| v.is_finite()));
     }
 
     #[test]
-    fn zscore_standardises() {
-        let s = Scaler::fit(&train(), ScaleMethod::ZScore);
-        let scaled = s.transform_dataset(&train());
-        let col0: Vec<f64> = scaled.features().iter().map(|x| x[0]).collect();
-        assert!(crate::linalg::mean(&col0).abs() < 1e-12);
-        assert!((crate::linalg::variance(&col0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_transform_round_trips() {
-        for method in [ScaleMethod::MinMax, ScaleMethod::ZScore] {
-            let s = Scaler::fit(&train(), method);
-            let x = [3.0, 17.0, 5.0];
-            let back = s.inverse_transform(&s.transform(&x));
-            for (a, b) in x.iter().zip(&back) {
-                assert!((a - b).abs() < 1e-12, "{method:?}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
     fn transform_matrix_matches_per_row_transform() {
-        for method in [ScaleMethod::MinMax, ScaleMethod::ZScore] {
-            let s = Scaler::fit(&train(), method);
-            let ds = train();
-            let scaled = s.transform_matrix(ds.features());
-            for (row, x) in scaled.iter().zip(ds.features()) {
-                let expect = s.transform(x);
-                for (a, b) in row.iter().zip(&expect) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{method:?}");
-                }
+        let s = Scaler::fit(&train());
+        let ds = train();
+        let scaled = s.transform_matrix(ds.features());
+        for (row, x) in scaled.iter().zip(ds.features()) {
+            let expect = s.transform(x);
+            for (a, b) in row.iter().zip(&expect) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }
 
     #[test]
     fn transform_dataset_keeps_targets() {
-        let s = Scaler::fit(&train(), ScaleMethod::MinMax);
+        let s = Scaler::fit(&train());
         let scaled = s.transform_dataset(&train());
         assert_eq!(scaled.targets(), train().targets());
     }
@@ -329,26 +201,8 @@ mod tests {
     fn out_of_range_inputs_extrapolate_linearly() {
         // Prediction-time inputs outside the training min/max must not clamp:
         // the paper's model sees unseen ambient temperatures.
-        let s = Scaler::fit_with_range(&train(), ScaleMethod::MinMax, 0.0, 1.0);
-        let t = s.transform(&[8.0, 10.0, 5.0]); // train max for f0 is 4
-        assert_eq!(t[0], 2.0);
-    }
-
-    #[test]
-    fn check_compatible_detects_mismatch() {
-        let s = Scaler::fit(&train(), ScaleMethod::MinMax);
-        let other = Dataset::from_parts(
-            DenseMatrix::from_nested(vec![vec![1.0]]).unwrap(),
-            vec![0.0],
-        )
-        .unwrap();
-        assert!(s.check_compatible(&other).is_err());
-        assert!(s.check_compatible(&train()).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "range")]
-    fn empty_range_panics() {
-        let _ = Scaler::fit_with_range(&train(), ScaleMethod::MinMax, 1.0, 1.0);
+        let s = Scaler::fit(&train());
+        let t = s.transform(&[8.0, 10.0, 5.0]); // train range for f0 is [0, 4]
+        assert_eq!(t[0], 3.0);
     }
 }

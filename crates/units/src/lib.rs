@@ -279,8 +279,6 @@ pub struct Utilization(f64);
 impl Utilization {
     /// Fully idle.
     pub const ZERO: Utilization = Utilization(0.0);
-    /// Fully busy.
-    pub const FULL: Utilization = Utilization(1.0);
 
     /// Validating constructor for a fraction in `[0, 1]`.
     ///

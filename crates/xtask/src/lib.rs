@@ -56,9 +56,9 @@
 //! - **L9** — concurrency discipline: `thread::scope`/`thread::spawn`
 //!   in library code of the deterministic crates may only appear in an
 //!   allowlisted module whose merge step is *index-addressed* (every
-//!   worker writes results keyed by input index, the `grid.rs`
-//!   pattern), so results are independent of thread count and
-//!   completion order.
+//!   worker keeps results keyed by the job index it claimed and the
+//!   merge sorts by it, as `grid.rs` does with its (γ, ε, fold) chains),
+//!   so results are independent of thread count and completion order.
 //! - **L10** — allowlist ratchet: every entry of `xtask-lint-allow.txt`
 //!   must still match a live source line (stale entries fail the
 //!   build), and the entry count is pinned by `xtask-lint-ratchet.txt`,

@@ -8,7 +8,7 @@ use vmtherm::sim::thermal::{steady_state, ThermalNetwork, ThermalParams};
 use vmtherm::svm::data::Dataset;
 use vmtherm::svm::kernel::Kernel;
 use vmtherm::svm::matrix::DenseMatrix;
-use vmtherm::svm::scale::{ScaleMethod, Scaler};
+use vmtherm::svm::scale::Scaler;
 use vmtherm::svm::svr::{SvrModel, SvrParams};
 use vmtherm::units::{Celsius, Seconds, Watts};
 
@@ -103,16 +103,23 @@ proptest! {
         let n = rows.len();
         let m = DenseMatrix::from_nested(rows.clone()).expect("matrix");
         let ds = Dataset::from_parts(m, vec![0.0; n]).expect("dataset");
-        let scaler = Scaler::fit(&ds, ScaleMethod::MinMax);
+        let scaler = Scaler::fit(&ds);
+        let lo: Vec<f64> = (0..4).map(|j| rows.iter().map(|r| r[j]).fold(f64::INFINITY, f64::min)).collect();
+        let hi: Vec<f64> = (0..4).map(|j| rows.iter().map(|r| r[j]).fold(f64::NEG_INFINITY, f64::max)).collect();
         for row in &rows {
             let t = scaler.transform(row);
             for v in &t {
                 prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(v), "scaled {v}");
             }
-            let back = scaler.inverse_transform(&t);
-            for (a, b) in row.iter().zip(&back) {
-                // Constant features legitimately collapse to their value.
-                prop_assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+            // Invert `[lo, hi] -> [-1, 1]` from the training extremes.
+            for j in 0..4 {
+                let back = if hi[j] > lo[j] {
+                    lo[j] + (t[j] + 1.0) * (hi[j] - lo[j]) / 2.0
+                } else {
+                    // Constant features legitimately collapse to their value.
+                    lo[j]
+                };
+                prop_assert!((row[j] - back).abs() < 1e-6, "{} vs {back}", row[j]);
             }
         }
     }
