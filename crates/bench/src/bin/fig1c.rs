@@ -12,13 +12,7 @@
 //!
 //! Run with: `cargo run --release -p vmtherm-bench --bin fig1c`
 
-use vmtherm_bench::{
-    cell, dynamic_scenario, score_dynamic, train_stable_model, training_campaign, DynamicScenario,
-};
-
-const GAPS: [f64; 5] = [15.0, 30.0, 60.0, 90.0, 120.0];
-const UPDATES: [f64; 4] = [5.0, 15.0, 30.0, 60.0];
-const SCENARIOS: usize = 6;
+use vmtherm_bench::{cell, fig1c_grid, FIG1C_GAPS, FIG1C_SCENARIOS, FIG1C_UPDATES};
 
 /// Parses `--csv PATH` from the command line.
 fn csv_flag() -> Option<String> {
@@ -34,50 +28,23 @@ fn csv_flag() -> Option<String> {
 fn main() {
     println!("=== Figure 1(c): dynamic MSE vs prediction gap x update interval (4 fans) ===\n");
     println!("training stable model (120 experiments, pre-tuned params)...");
-    let train = training_campaign(120, 42);
-    let model = train_stable_model(&train, false);
-
-    println!("building {SCENARIOS} reconfiguration scenarios on the 4-fan server...\n");
-    let scenarios: Vec<DynamicScenario> = (0..SCENARIOS)
-        .map(|i| {
-            dynamic_scenario(
-                &model,
-                3 + i,                 // 3..=8 initial VMs
-                1,                     // mild single-VM burst mid-run
-                4,                     // the figure's fan count
-                20.0 + i as f64 * 1.5, // ambient spread
-                900,
-                1800,
-                100 + i as u64,
-            )
-        })
-        .collect();
+    println!("building {FIG1C_SCENARIOS} reconfiguration scenarios on the 4-fan server...\n");
+    let grid = fig1c_grid();
 
     // Header.
     print!("{:>12} |", "gap \\ update");
-    for u in UPDATES {
+    for u in FIG1C_UPDATES {
         print!("{:>8}", format!("{u}s"));
     }
-    println!("\n{}", "-".repeat(14 + 8 * UPDATES.len()));
+    println!("\n{}", "-".repeat(14 + 8 * FIG1C_UPDATES.len()));
 
-    let mut grid_min = f64::INFINITY;
-    let mut grid_max = f64::NEG_INFINITY;
-    let mut rows = Vec::new();
-    for gap in GAPS {
-        let mut row = Vec::new();
-        for update in UPDATES {
-            let mse = scenarios
-                .iter()
-                .map(|s| score_dynamic(s, gap, update, true).mse)
-                .sum::<f64>()
-                / scenarios.len() as f64;
-            grid_min = grid_min.min(mse);
-            grid_max = grid_max.max(mse);
-            row.push(mse);
-        }
-        rows.push((gap, row));
-    }
-    for (gap, row) in &rows {
+    let grid_min = grid.iter().flatten().copied().fold(f64::INFINITY, f64::min);
+    let grid_max = grid
+        .iter()
+        .flatten()
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max);
+    for (gap, row) in FIG1C_GAPS.iter().zip(&grid) {
         print!("{:>11}s |", gap);
         for mse in row {
             print!(" {}", cell(*mse));
@@ -87,8 +54,8 @@ fn main() {
 
     if let Some(path) = csv_flag() {
         let mut csv = String::from("gap_s,update_s,mse\n");
-        for (gap, row) in &rows {
-            for (u, mse) in UPDATES.iter().zip(row) {
+        for (gap, row) in FIG1C_GAPS.iter().zip(&grid) {
+            for (u, mse) in FIG1C_UPDATES.iter().zip(row) {
                 csv.push_str(&format!("{gap},{u},{mse}\n"));
             }
         }
@@ -97,10 +64,10 @@ fn main() {
     }
 
     // Trend checks (the figure's qualitative content).
-    let first_col: Vec<f64> = rows.iter().map(|(_, r)| r[0]).collect();
+    let first_col: Vec<f64> = grid.iter().map(|r| r[0]).collect();
     let gap_monotone =
         first_col.windows(2).filter(|w| w[1] >= w[0] - 0.05).count() >= first_col.len() - 2;
-    let last_row = &rows.last().expect("rows").1;
+    let last_row = grid.last().expect("rows");
     let update_trend = last_row.last().expect("cols") >= &(last_row[0] - 0.1);
 
     println!("\n--- summary ---");

@@ -171,6 +171,56 @@ pub fn score_dynamic(
     )
 }
 
+/// Fig. 1(c)'s prediction gaps Δ_gap (s), one grid row each.
+pub const FIG1C_GAPS: [f64; 5] = [15.0, 30.0, 60.0, 90.0, 120.0];
+
+/// Fig. 1(c)'s calibration update intervals Δ_update (s), one grid
+/// column each.
+pub const FIG1C_UPDATES: [f64; 4] = [5.0, 15.0, 30.0, 60.0];
+
+/// Reconfiguration scenarios each Fig. 1(c) cell averages over.
+pub const FIG1C_SCENARIOS: usize = 6;
+
+/// Computes Fig. 1(c)'s grid: the calibrated dynamic predictor's MSE per
+/// `(Δ_gap, Δ_update)` cell, averaged over [`FIG1C_SCENARIOS`]
+/// reconfiguration scenarios on the 4-fan server, under a model trained
+/// on 120 experiments with [`tuned_params`]. Row `i` is gap
+/// `FIG1C_GAPS[i]`, column `j` is update interval `FIG1C_UPDATES[j]`.
+#[must_use]
+pub fn fig1c_grid() -> Vec<Vec<f64>> {
+    let train = training_campaign(120, 42);
+    let model = train_stable_model(&train, false);
+    let scenarios: Vec<DynamicScenario> = (0..FIG1C_SCENARIOS)
+        .map(|i| {
+            dynamic_scenario(
+                &model,
+                3 + i,                 // 3..=8 initial VMs
+                1,                     // mild single-VM burst mid-run
+                4,                     // the figure's fan count
+                20.0 + i as f64 * 1.5, // ambient spread
+                900,
+                1800,
+                100 + i as u64,
+            )
+        })
+        .collect();
+    FIG1C_GAPS
+        .iter()
+        .map(|&gap| {
+            FIG1C_UPDATES
+                .iter()
+                .map(|&update| {
+                    scenarios
+                        .iter()
+                        .map(|s| score_dynamic(s, gap, update, true).mse)
+                        .sum::<f64>()
+                        / scenarios.len() as f64
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Formats a float table cell.
 #[must_use]
 pub fn cell(v: f64) -> String {

@@ -72,16 +72,13 @@ COMMANDS:
             --model MODEL [--dropout F=0] [--stuck F=0] [--spike P=0]
             [--jitter P=0] [--lost P=0] [--fault-seed S=64023]
             [--vms N=5] [--fans F=4] [--ambient C=24] [--secs T=1800]
-            [--burst-at SECS=900] [--gap G=60] [--seed S=7] [--threads T=1]
+            [--burst-at SECS=900] [--gap G=60] [--seed S=7]
             [--clock fixed|event]
             (--dropout/--stuck are target sample fractions lost to 45 s
             outage windows; --spike/--jitter/--lost are per-sample/event
-            probabilities; --threads shards the engine and monitor onto
-            up to T worker threads, used only once each worker gets at
-            least 256 servers (smaller fleets step inline) — results are
-            bit-identical for every T;
-            --clock event lets thermally steady servers sleep between
-            sparse wake-ups, physics bit-identical to fixed stepping)
+            probabilities; --clock event lets thermally steady servers
+            sleep between sparse wake-ups, physics bit-identical to
+            fixed stepping)
   watchdog  simulate a silent fan failure and report when the residual
             watchdog raises the alarm
             --model MODEL [--fail N=2] [--fail-at SECS=900] [--secs T=3000]
@@ -111,11 +108,7 @@ COMMANDS:
             --secs 0 binds the port and exits, for smoke tests)
             [--addr A=127.0.0.1:9464] [--secs T=30] [--hz H=50]
             [--model MODEL] [--vms N=5] [--fans F=4] [--ambient C=24]
-            [--seed S=7] [--threads T=1 shard the demo fleet onto up to T
-            worker threads, used only once each worker gets at least 256
-            servers (smaller fleets step inline); metrics are
-            bit-identical for every T]
-            [--clock fixed|event event-driven sparse stepping]
+            [--seed S=7] [--clock fixed|event event-driven sparse stepping]
 ";
 
 /// Parses the `--clock` flag shared by the simulation-driving commands:
@@ -522,7 +515,6 @@ fn chaos(flags: &Flags) -> Result<String, String> {
     let lost: f64 = flags.num("lost", 0.0)?;
     let seed: u64 = flags.num("seed", 7)?;
     let fault_seed: u64 = flags.num("fault-seed", 0xFA17)?;
-    let threads: usize = flags.num("threads", 1)?;
     if burst_at >= secs {
         return Err("--burst-at must precede --secs".to_string());
     }
@@ -576,18 +568,10 @@ fn chaos(flags: &Flags) -> Result<String, String> {
     );
     sim.set_fault_plan(plan)
         .map_err(|e| format!("fault plan: {e}"))?;
-    sim.set_threads(threads);
     sim.set_clock_mode(parse_clock(flags)?);
 
-    let mut monitor = ShardedMonitor::new(
-        &model,
-        DynamicConfig::new(),
-        1,
-        Seconds::new(gap),
-        threads,
-        threads,
-    )
-    .map_err(|e| e.to_string())?;
+    let mut monitor = ShardedMonitor::new(&model, DynamicConfig::new(), 1, Seconds::new(gap), 1, 1)
+        .map_err(|e| e.to_string())?;
     let mut alert_lines = Vec::new();
     for _ in 0..secs {
         sim.step();
@@ -1013,7 +997,6 @@ fn obs_serve(flags: &Flags) -> Result<String, String> {
     let fans: u32 = flags.num("fans", 4)?;
     let ambient: f64 = flags.num("ambient", 24.0)?;
     let seed: u64 = flags.num("seed", 7)?;
-    let threads: usize = flags.num("threads", 1)?;
     if !hz.is_finite() || hz <= 0.0 {
         return Err("--hz must be a positive rate".to_string());
     }
@@ -1049,17 +1032,10 @@ fn obs_serve(flags: &Flags) -> Result<String, String> {
     );
     sim.set_fault_plan(plan)
         .map_err(|e| format!("fault plan: {e}"))?;
-    sim.set_threads(threads);
     sim.set_clock_mode(parse_clock(flags)?);
-    let mut monitor = ShardedMonitor::new(
-        &model,
-        DynamicConfig::new(),
-        1,
-        Seconds::new(60.0),
-        threads,
-        threads,
-    )
-    .map_err(|e| e.to_string())?;
+    let mut monitor =
+        ShardedMonitor::new(&model, DynamicConfig::new(), 1, Seconds::new(60.0), 1, 1)
+            .map_err(|e| e.to_string())?;
 
     let period = std::time::Duration::from_secs_f64(1.0 / hz);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
@@ -1280,9 +1256,8 @@ mod tests {
 
     #[test]
     fn threads_flag_never_changes_results() {
-        // `collect --threads T` writes byte-identical records for every T,
-        // and a threaded `chaos` run reports the exact same text as the
-        // serial one — the sharded-execution contract, end to end.
+        // `collect --threads T` writes byte-identical records for every T —
+        // the sharded-execution contract, end to end.
         let serial = temp_path("thr_records_1.libsvm");
         let threaded = temp_path("thr_records_3.libsvm");
         // 17 cases: two full lockstep groups of 8 and a partial one.
@@ -1296,24 +1271,6 @@ mod tests {
         let a = fs::read(&serial).expect("serial records");
         let b = fs::read(&threaded).expect("threaded records");
         assert_eq!(a, b, "collect --threads changed the records");
-
-        let model = temp_path("thr_model.txt");
-        run("train", &flags(&["--records", &serial, "--out", &model])).expect("train");
-        let chaos_base = [
-            "--model",
-            &model,
-            "--dropout",
-            "0.05",
-            "--secs",
-            "600",
-            "--burst-at",
-            "300",
-        ];
-        let one = run("chaos", &flags(&chaos_base)).expect("serial chaos");
-        let mut args: Vec<&str> = vec!["--threads", "4"];
-        args.extend_from_slice(&chaos_base);
-        let four = run("chaos", &flags(&args)).expect("threaded chaos");
-        assert_eq!(one, four, "chaos --threads changed the report");
     }
 
     #[test]

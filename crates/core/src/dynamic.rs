@@ -6,7 +6,7 @@
 //! server and VM configuration changing at run time" — so the predictor
 //! exposes [`DynamicPredictor::anchor`]: at every reconfiguration it asks
 //! the stable model for a fresh ψ_stable, starts a new curve from the
-//! current measured temperature, and (by default) resets γ per Eq. (4).
+//! current measured temperature, and resets γ per Eq. (4).
 
 use crate::calibration::Calibrator;
 use crate::curve::WarmupCurve;
@@ -16,7 +16,7 @@ use crate::stable::StablePredictor;
 use serde::{Deserialize, Serialize};
 use vmtherm_obs::{self as obs, names, ObsEvent};
 use vmtherm_sim::experiment::ConfigSnapshot;
-use vmtherm_units::constants::{PAPER_DELTA_UPDATE_SECS, PAPER_LAMBDA, PAPER_T_BREAK_SECS};
+use vmtherm_units::constants::{paper_t_break, PAPER_DELTA_UPDATE_SECS, PAPER_LAMBDA};
 use vmtherm_units::{Celsius, Seconds};
 
 static OBS_GAMMA_UPDATES: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_GAMMA_UPDATES);
@@ -32,13 +32,8 @@ pub struct DynamicConfig {
     pub lambda: f64,
     /// Calibration update interval Δ_update in seconds (paper example: 15).
     pub update_interval_secs: f64,
-    /// Curve break time in seconds (paper: 600).
-    pub t_break_secs: f64,
     /// Curve shape parameter δ.
     pub delta: f64,
-    /// Whether an anchor resets γ to 0 (Eq. 4). Keeping γ across anchors
-    /// is an ablation variant.
-    pub reset_gamma_on_anchor: bool,
     /// Disables calibration entirely (the "without calibration" arm of
     /// Fig. 1(b)).
     pub calibrate: bool,
@@ -51,9 +46,7 @@ impl DynamicConfig {
         DynamicConfig {
             lambda: PAPER_LAMBDA,
             update_interval_secs: PAPER_DELTA_UPDATE_SECS,
-            t_break_secs: PAPER_T_BREAK_SECS,
             delta: WarmupCurve::DEFAULT_DELTA,
-            reset_gamma_on_anchor: true,
             calibrate: true,
         }
     }
@@ -90,12 +83,6 @@ impl DynamicConfig {
             return Err(PredictError::invalid(
                 "update_interval_secs",
                 format!("must be > 0, got {}", self.update_interval_secs),
-            ));
-        }
-        if !(self.t_break_secs > 0.0) {
-            return Err(PredictError::invalid(
-                "t_break_secs",
-                format!("must be > 0, got {}", self.t_break_secs),
             ));
         }
         if !(self.delta > 0.0) {
@@ -146,18 +133,12 @@ impl DynamicPredictor {
     }
 
     /// Anchors a new curve at `t_secs`: the system sat at `phi0` (current
-    /// measurement) and is predicted to stabilise at `psi_stable`.
+    /// measurement) and is predicted to stabilise at `psi_stable` by the
+    /// paper's t_break. γ resets to 0 (Eq. 4).
     pub fn anchor(&mut self, t_secs: Seconds, phi0: Celsius, psi_stable: Celsius) {
-        let curve = WarmupCurve::new(
-            phi0,
-            psi_stable,
-            Seconds::new(self.config.t_break_secs),
-            self.config.delta,
-        );
+        let curve = WarmupCurve::new(phi0, psi_stable, paper_t_break(), self.config.delta);
         self.anchor = Some((t_secs.get(), curve));
-        if self.config.reset_gamma_on_anchor {
-            self.calibrator.reset();
-        }
+        self.calibrator.reset();
     }
 
     /// Convenience: anchor using the stable model's prediction for the
@@ -315,18 +296,6 @@ mod tests {
         assert!(p.gamma().abs() > 1.0);
         p.anchor(s(100.0), c(45.0), c(70.0));
         assert_eq!(p.gamma(), 0.0);
-    }
-
-    #[test]
-    fn anchor_can_keep_gamma() {
-        let mut cfg = DynamicConfig::new();
-        cfg.reset_gamma_on_anchor = false;
-        let mut p = DynamicPredictor::new(cfg).unwrap();
-        p.anchor(s(0.0), c(30.0), c(60.0));
-        p.observe(s(0.0), c(40.0));
-        let g = p.gamma();
-        p.anchor(s(100.0), c(45.0), c(70.0));
-        assert_eq!(p.gamma(), g);
     }
 
     #[test]

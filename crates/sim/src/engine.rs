@@ -27,7 +27,7 @@ use crate::server::{Server, ServerId};
 use crate::shard;
 use crate::telemetry::{ServerTrace, StableMeans};
 use crate::thermal::{self, Integration};
-use crate::time::{EventQueue, SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime};
 use crate::vm::{Vm, VmId, VmSpec, VmState};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -111,7 +111,7 @@ impl Ord for Scheduled {
 pub enum ClockMode {
     /// Every server integrates every tick over one step — the original
     /// dense behaviour and the bit-identical reference. The batch is the
-    /// whole fleet, so this mode never touches the wake queue.
+    /// whole fleet, so this mode never builds a wake table.
     #[default]
     Fixed,
     /// Multi-rate: the batch is the servers whose wake-up is due, each
@@ -171,11 +171,8 @@ impl StepStats {
 /// so fixed-mode simulations pay nothing.
 #[derive(Debug)]
 struct WakeState {
-    /// Wake-ups ordered by `(time, server index)` — a total order, so
-    /// same-instant wake-ups drain in stable server order.
-    queue: EventQueue,
-    /// Authoritative next wake tick per server; queue entries that no
-    /// longer match are stale and discarded on pop (lazy deletion).
+    /// Next wake tick per server: a server is due at every tick `now`
+    /// with `next_wake <= now`, and waking re-arms it past `now`.
     next_wake: Vec<SimTime>,
     /// Time through which each server's physics has been integrated.
     last_end: Vec<SimTime>,
@@ -638,7 +635,7 @@ impl Simulation {
     /// The per-server physics phase of one tick, for both clock modes.
     ///
     /// The batch is every server, each over one step, in fixed mode, and
-    /// the drained wake list, each server over the interval since its
+    /// the servers due in the wake table, each over the interval since its
     /// physics last advanced, in event mode. Either way it is split where
     /// the dense [`shard::shard_bounds`] partition of the full server
     /// range cuts it, and each shard carves disjoint `&mut` sub-slices of
@@ -773,31 +770,24 @@ impl Simulation {
         }
     }
 
-    /// Drains the wake-ups due at `now` into the reused `due` buffer
-    /// (ascending server index) and records in `elapsed` how far each
-    /// one integrates: from the end of its last physics interval through
-    /// the end of this tick.
+    /// Collects the servers due at `now` into the reused `due` buffer
+    /// (a scan of the wake table, so ascending server index) and records
+    /// in `elapsed` how far each one integrates: from the end of its last
+    /// physics interval through the end of this tick.
     fn drain_wakes(&mut self, now: SimTime) {
-        let count = self.datacenter.len();
         let tick_end = now + STEP;
         let Some(wake) = self.wake.as_mut() else {
             return;
         };
-        // An entry is valid only if it matches the authoritative
-        // per-server slot (lazy deletion of superseded entries).
         wake.due.clear();
-        while let Some((at, idx)) = wake.queue.pop_due(now) {
-            if idx < count && wake.next_wake[idx] == at {
-                wake.due.push(idx);
-            }
-        }
-        wake.due.sort_unstable();
-        wake.due.dedup();
         wake.elapsed.clear();
-        for &idx in &wake.due {
-            wake.elapsed
-                .push(tick_end.duration_since(wake.last_end[idx]).as_secs_f64());
-            wake.last_end[idx] = tick_end;
+        for (idx, &at) in wake.next_wake.iter().enumerate() {
+            if at <= now {
+                wake.due.push(idx);
+                wake.elapsed
+                    .push(tick_end.duration_since(wake.last_end[idx]).as_secs_f64());
+                wake.last_end[idx] = tick_end;
+            }
         }
     }
 
@@ -838,7 +828,6 @@ impl Simulation {
                 }
             }
             wake.next_wake[idx] = at;
-            wake.queue.schedule(at, idx);
         }
     }
 
@@ -849,7 +838,6 @@ impl Simulation {
         let count = self.datacenter.len();
         let clock = self.clock;
         let wake = self.wake.get_or_insert_with(|| WakeState {
-            queue: EventQueue::new(),
             next_wake: Vec::new(),
             last_end: Vec::new(),
             interval: Vec::new(),
@@ -859,11 +847,9 @@ impl Simulation {
             elapsed: Vec::new(),
         });
         while wake.next_wake.len() < count {
-            let idx = wake.next_wake.len();
             wake.next_wake.push(clock);
             wake.last_end.push(clock);
             wake.interval.push(STEP);
-            wake.queue.schedule(clock, idx);
         }
         if wake.fault_wakes_stale {
             wake.fault_wakes_stale = false;
@@ -978,10 +964,7 @@ impl Simulation {
         if let Some(wake) = self.wake.as_mut() {
             if idx < wake.next_wake.len() {
                 wake.interval[idx] = STEP;
-                if wake.next_wake[idx] > now {
-                    wake.next_wake[idx] = now;
-                    wake.queue.schedule(now, idx);
-                }
+                wake.next_wake[idx] = wake.next_wake[idx].min(now);
             }
         }
     }

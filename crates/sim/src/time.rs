@@ -6,8 +6,6 @@
 //! all whole seconds, comfortably representable.
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -153,72 +151,6 @@ impl Sub for SimDuration {
     }
 }
 
-/// A deterministic wake-up queue for event-driven stepping: a min-heap
-/// of `(SimTime, server index)` pairs.
-///
-/// The heap key is the **whole tuple**, so the ordering is total: two
-/// wake-ups at the same instant resolve by stable server index, never
-/// by insertion order, heap layout or address. That is what makes
-/// event-driven stepping bit-identical run to run — same-time wake-ups
-/// always drain in server-index order, matching the serial dense loop.
-///
-/// Superseded entries are handled by **lazy deletion**: the engine keeps
-/// the authoritative next-wake time per server and discards popped
-/// entries that no longer match it, so re-scheduling a server earlier
-/// never has to search the heap.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(SimTime, usize)>>,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Number of entries (including superseded ones not yet popped).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no entries are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules a wake-up for `server` at `at`.
-    pub fn schedule(&mut self, at: SimTime, server: usize) {
-        self.heap.push(Reverse((at, server)));
-    }
-
-    /// The earliest queued `(time, server)` pair, if any.
-    #[must_use]
-    pub fn peek(&self) -> Option<(SimTime, usize)> {
-        self.heap.peek().map(|Reverse(entry)| *entry)
-    }
-
-    /// Pops the earliest entry if it is due at or before `now`.
-    /// Call in a loop to drain everything due this tick; same-time
-    /// entries come out in ascending server-index order.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, usize)> {
-        match self.heap.peek() {
-            Some(Reverse((at, _))) if *at <= now => self.heap.pop().map(|Reverse(entry)| entry),
-            _ => None,
-        }
-    }
-
-    /// Drops every queued entry.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t={:.3}s", self.as_secs_f64())
@@ -283,45 +215,5 @@ mod tests {
     fn display() {
         assert_eq!(SimTime::from_millis(1234).to_string(), "t=1.234s");
         assert_eq!(SimDuration::from_secs(60).to_string(), "60.000s");
-    }
-
-    #[test]
-    fn event_queue_orders_by_time_then_server_index() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(5), 3);
-        q.schedule(SimTime::from_secs(2), 7);
-        q.schedule(SimTime::from_secs(5), 1);
-        q.schedule(SimTime::from_secs(2), 0);
-        assert_eq!(q.len(), 4);
-        let mut drained = Vec::new();
-        while let Some(entry) = q.pop_due(SimTime::from_secs(10)) {
-            drained.push(entry);
-        }
-        assert_eq!(
-            drained,
-            vec![
-                (SimTime::from_secs(2), 0),
-                (SimTime::from_secs(2), 7),
-                (SimTime::from_secs(5), 1),
-                (SimTime::from_secs(5), 3),
-            ]
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn event_queue_pop_due_respects_the_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(4), 0);
-        q.schedule(SimTime::from_secs(6), 1);
-        assert_eq!(q.pop_due(SimTime::from_secs(3)), None);
-        assert_eq!(
-            q.pop_due(SimTime::from_secs(4)),
-            Some((SimTime::from_secs(4), 0))
-        );
-        assert_eq!(q.pop_due(SimTime::from_secs(4)), None);
-        assert_eq!(q.peek(), Some((SimTime::from_secs(6), 1)));
-        q.clear();
-        assert!(q.is_empty());
     }
 }

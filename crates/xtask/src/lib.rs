@@ -64,11 +64,6 @@
 //!   build), and the entry count is pinned by `xtask-lint-ratchet.txt`,
 //!   which may only be edited downward — the allowlist can shrink but
 //!   never silently grow.
-//! - **L11** — scenario-corpus hygiene: every file under
-//!   `tests/scenarios/` is well-formed JSON carrying the scenario
-//!   schema's required keys, and its `name` field matches its file
-//!   stem — a half-checked-in fuzz repro fails the build instead of
-//!   silently never replaying.
 //!
 //! The scanner is deliberately line-oriented (no syn/proc-macro
 //! dependency): rules are written so that the idioms they police are
@@ -107,9 +102,6 @@ pub enum Rule {
     L9,
     /// Allowlist ratchet: entries stay live, count only decreases.
     L10,
-    /// Scenario-corpus hygiene: every checked-in repro parses and is
-    /// named after itself.
-    L11,
 }
 
 impl fmt::Display for Rule {
@@ -125,7 +117,6 @@ impl fmt::Display for Rule {
             Rule::L8 => "L8",
             Rule::L9 => "L9",
             Rule::L10 => "L10",
-            Rule::L11 => "L11",
         };
         f.write_str(name)
     }
@@ -256,7 +247,6 @@ impl Allowlist {
                 "L8" => Rule::L8,
                 "L9" => Rule::L9,
                 "L10" => Rule::L10,
-                "L11" => Rule::L11,
                 other => {
                     return Err(format!(
                         "allowlist line {}: unknown rule {other:?}",
@@ -404,7 +394,6 @@ pub fn lint_workspace(root: &Path, allow: &Allowlist) -> Result<Vec<Violation>, 
         }
     }
     check_unsafe_hygiene(root, &mut violations)?;
-    check_scenario_corpus(root, &mut violations)?;
     check_allowlist_ratchet(root, allow, &mut violations);
     violations.retain(|v| !allow.covers(v));
     violations.sort_by(|a, b| {
@@ -1191,306 +1180,6 @@ fn check_allowlist_ratchet(root: &Path, allow: &Allowlist, out: &mut Vec<Violati
     }
 }
 
-/// Directory of checked-in fuzz repros and hand-minimized scenarios
-/// (rule L11).
-pub const SCENARIO_CORPUS_DIR: &str = "tests/scenarios";
-
-/// Top-level keys every scenario file must carry (rule L11); mirrors
-/// the `vmtherm-sim` scenario codec, which xtask deliberately does not
-/// link.
-const SCENARIO_REQUIRED_KEYS: [&str; 9] = [
-    "schema",
-    "name",
-    "seed",
-    "servers",
-    "vms_per_server",
-    "duration_ms",
-    "ambient",
-    "fault",
-    "events",
-];
-
-/// L11: every file in the scenario corpus is a well-formed JSON object
-/// carrying the schema's required keys, named after its own `name`
-/// field. The corpus replay test then only has to worry about semantic
-/// regressions, never about a typo'd check-in it silently skipped.
-fn check_scenario_corpus(root: &Path, out: &mut Vec<Violation>) -> Result<(), String> {
-    let dir = root.join(SCENARIO_CORPUS_DIR);
-    let entries = match fs::read_dir(&dir) {
-        Ok(entries) => entries,
-        // A repo state without a corpus is legal (the replay test owns
-        // the "at least N scenarios" floor); only a present-but-broken
-        // corpus is a lint matter.
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(format!("reading {}: {e}", dir.display())),
-    };
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.map(|e| e.path()).ok())
-        .filter(|p| p.is_file())
-        .collect();
-    files.sort();
-    for file in files {
-        let rel = relative(root, &file);
-        let mut fail = |message: String| {
-            out.push(Violation {
-                rule: Rule::L11,
-                path: rel.clone(),
-                line: 0,
-                message,
-                source: String::new(),
-            });
-        };
-        if file.extension().map(|ext| ext != "json").unwrap_or(true) {
-            fail("corpus files must be scenario `.json` documents".to_string());
-            continue;
-        }
-        let text = match fs::read_to_string(&file) {
-            Ok(text) => text,
-            Err(e) => {
-                fail(format!("unreadable corpus file: {e}"));
-                continue;
-            }
-        };
-        let (keys, name) = match scan_scenario_json(&text) {
-            Ok(scan) => scan,
-            Err(e) => {
-                fail(format!("not well-formed JSON: {e}"));
-                continue;
-            }
-        };
-        for required in SCENARIO_REQUIRED_KEYS {
-            if !keys.iter().any(|k| k == required) {
-                fail(format!("missing required scenario key `{required}`"));
-            }
-        }
-        let stem = file
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        match name {
-            Some(name) if name == stem => {}
-            Some(name) => fail(format!(
-                "scenario is named `{name}` but the file stem is `{stem}`; \
-                 rename one so replays and repro commands agree"
-            )),
-            None => fail("`name` is not a string".to_string()),
-        }
-    }
-    Ok(())
-}
-
-/// Minimal JSON well-formedness scanner for rule L11 — xtask links no
-/// JSON library, and the corpus schema only needs syntax plus the
-/// top-level keys. Returns those keys in order and the string value of
-/// `name`, if any.
-fn scan_scenario_json(text: &str) -> Result<(Vec<String>, Option<String>), String> {
-    let mut cursor = JsonCursor {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    cursor.skip_ws();
-    if cursor.peek() != Some(b'{') {
-        return Err("document is not a JSON object".to_string());
-    }
-    let mut keys = Vec::new();
-    let mut name = None;
-    cursor.top_object(&mut keys, &mut name)?;
-    cursor.skip_ws();
-    if cursor.pos != cursor.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", cursor.pos));
-    }
-    Ok((keys, name))
-}
-
-/// Byte cursor over a JSON document (rule L11). Depth is bounded so a
-/// pathological file cannot overflow the stack.
-struct JsonCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-/// Nesting bound for [`JsonCursor`]; real scenarios nest 4 levels.
-const JSON_MAX_DEPTH: u32 = 64;
-
-impl JsonCursor<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected `{}` at byte {}",
-                char::from(byte),
-                self.pos
-            ))
-        }
-    }
-
-    /// The top-level object, recording its keys and the `name` string.
-    fn top_object(
-        &mut self,
-        keys: &mut Vec<String>,
-        name: &mut Option<String>,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            if key == "name" && self.peek() == Some(b'"') {
-                *name = Some(self.string()?);
-            } else {
-                self.value(1)?;
-            }
-            keys.push(key);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn value(&mut self, depth: u32) -> Result<(), String> {
-        if depth > JSON_MAX_DEPTH {
-            return Err(format!("nesting deeper than {JSON_MAX_DEPTH}"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_ws();
-                    self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.value(depth + 1)?;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.value(depth + 1)?;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("expected a JSON value at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(format!("malformed literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut digits = 0;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(format!("malformed number at byte {start}"));
-        }
-        Ok(())
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = Vec::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return String::from_utf8(out)
-                        .map_err(|_| format!("invalid UTF-8 in string at byte {}", self.pos));
-                }
-                Some(b'\\') => {
-                    // Escapes never appear in scenario names; keep the
-                    // raw bytes so syntax stays validated either way.
-                    self.pos += 1;
-                    if let Some(b) = self.peek() {
-                        out.push(b'\\');
-                        out.push(b);
-                        self.pos += 1;
-                    } else {
-                        return Err("unterminated escape".to_string());
-                    }
-                }
-                Some(b) => {
-                    out.push(b);
-                    self.pos += 1;
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-}
-
 /// L5: paper constants live only in `vmtherm-units` and exactly once.
 fn check_paper_constants(root: &Path, out: &mut Vec<Violation>) -> Result<(), String> {
     let units_src = root.join("crates").join("units").join("src");
@@ -1635,73 +1324,6 @@ mod tests {
         assert!(Allowlist::parse("L2 | missing fields").is_err());
         assert!(Allowlist::parse("L99 | a | b | c").is_err());
         assert!(Allowlist::parse("L2 | a |  | empty needle").is_err());
-    }
-
-    #[test]
-    fn json_scanner_accepts_scenario_shape() {
-        let text = "{\n  \"schema\": 1,\n  \"name\": \"repro-1-2\",\n  \"seed\": \"15\",\n  \
-                    \"servers\": 2,\n  \"vms_per_server\": 0,\n  \"duration_ms\": 900000,\n  \
-                    \"ambient\": {\"type\": \"fixed\", \"c\": 24},\n  \"fault\": {\"seed\": \"9\"},\n  \
-                    \"events\": [{\"at_ms\": 1000, \"type\": \"stop_vm\", \"vm\": 0}]\n}\n";
-        let (keys, name) = scan_scenario_json(text).expect("scan");
-        for required in SCENARIO_REQUIRED_KEYS {
-            assert!(keys.iter().any(|k| k == required), "missing {required}");
-        }
-        assert_eq!(name.as_deref(), Some("repro-1-2"));
-    }
-
-    #[test]
-    fn json_scanner_rejects_malformed_documents() {
-        assert!(scan_scenario_json("{").is_err());
-        assert!(scan_scenario_json("[1, 2]").is_err());
-        assert!(scan_scenario_json("{\"a\": 1} trailing").is_err());
-        assert!(scan_scenario_json("{\"a\": }").is_err());
-        assert!(scan_scenario_json("{\"a\": \"unterminated}").is_err());
-        assert!(scan_scenario_json("not json").is_err());
-    }
-
-    #[test]
-    fn corpus_lint_flags_broken_checkins() {
-        let root = std::env::temp_dir().join("xtask-l11-fixture");
-        let dir = root.join(SCENARIO_CORPUS_DIR);
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(&dir).expect("fixture dir");
-        let good = "{\"schema\": 1, \"name\": \"good\", \"seed\": \"1\", \"servers\": 1, \
-                    \"vms_per_server\": 0, \"duration_ms\": 10000, \
-                    \"ambient\": {\"type\": \"fixed\", \"c\": 24}, \"fault\": {\"seed\": \"1\"}, \
-                    \"events\": []}";
-        fs::write(dir.join("good.json"), good).expect("write");
-        // Name disagrees with the stem.
-        fs::write(dir.join("renamed.json"), good).expect("write");
-        // Truncated JSON.
-        fs::write(dir.join("broken.json"), "{\"schema\": 1,").expect("write");
-        // Missing required keys.
-        fs::write(dir.join("sparse.json"), "{\"name\": \"sparse\"}").expect("write");
-        // Wrong extension.
-        fs::write(dir.join("notes.txt"), "scratch").expect("write");
-
-        let mut violations = Vec::new();
-        check_scenario_corpus(&root, &mut violations).expect("lint");
-        let paths: Vec<String> = violations
-            .iter()
-            .map(|v| v.path.file_name().unwrap().to_string_lossy().into_owned())
-            .collect();
-        assert!(violations.iter().all(|v| v.rule == Rule::L11));
-        assert!(!paths.contains(&"good.json".to_string()), "{violations:?}");
-        assert!(paths.contains(&"renamed.json".to_string()), "{paths:?}");
-        assert!(paths.contains(&"broken.json".to_string()), "{paths:?}");
-        assert!(paths.contains(&"sparse.json".to_string()), "{paths:?}");
-        assert!(paths.contains(&"notes.txt".to_string()), "{paths:?}");
-        let _ = fs::remove_dir_all(&root);
-
-        // A repo without a corpus directory is not a violation.
-        let empty_root = std::env::temp_dir().join("xtask-l11-empty");
-        let _ = fs::remove_dir_all(&empty_root);
-        fs::create_dir_all(&empty_root).expect("fixture dir");
-        let mut violations = Vec::new();
-        check_scenario_corpus(&empty_root, &mut violations).expect("lint");
-        assert!(violations.is_empty(), "{violations:?}");
-        let _ = fs::remove_dir_all(&empty_root);
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! Replays every checked-in scenario under `tests/scenarios/` through
 //! the differential oracle battery — the regression half of the
-//! fuzz → shrink → check-in loop. Each file must:
+//! fuzz → shrink → check-in loop. The directory holds only `.json`
+//! scenario files, and each file must:
 //!
-//! * parse losslessly (value round-trip through the JSON codec);
+//! * be the scenario codec's own encoding: its JSON value equals
+//!   `Scenario::to_json` of what it decodes to, so every key is present
+//!   and none is unknown, and its `name` is its file stem;
 //! * pass determinism, fixed-vs-event clock equivalence, shard-grid
 //!   bit-identity, clean-path identity and the physical invariants;
 //! * keep the fleet monitor internally consistent when driven over the
 //!   fixed- and event-clock runs, with a 3-shard, 2-thread
-//!   `ShardedMonitor` matching it bit for bit.
+//!   `ShardedMonitor` matching it bit for bit. The same monitor oracle
+//!   also runs over the first cases of the default `vmtherm fuzz`
+//!   campaign.
 //!
 //! A shrunk repro landing here is a permanent regression test: delete a
 //! file only when the property it pins is retired.
@@ -19,6 +24,8 @@ use vmtherm::core::dynamic::DynamicConfig;
 use vmtherm::core::fleet::ShardedMonitor;
 use vmtherm::core::monitor::FleetMonitor;
 use vmtherm::core::stable::{run_experiments, StablePredictor, TrainingOptions};
+use vmtherm::obs::json;
+use vmtherm::sim::scenario::generate;
 use vmtherm::sim::scenario::oracle::{
     check_scenario, full_fingerprint, physical_fingerprint, run_to_end, OracleConfig,
 };
@@ -27,17 +34,23 @@ use vmtherm::svm::kernel::Kernel;
 use vmtherm::svm::svr::SvrParams;
 use vmtherm::units::{Celsius, Seconds};
 
-/// Every `*.json` under `tests/scenarios/`, sorted for deterministic
-/// test output.
+/// Every entry of `tests/scenarios/`, sorted for deterministic test
+/// output, each checked to be a `.json` file: anything else there is a
+/// half-checked-in repro that would never replay.
 fn corpus() -> Vec<(PathBuf, Scenario)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios");
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .expect("tests/scenarios must exist")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+        .map(|e| e.expect("readable corpus entry").path())
         .collect();
     files.sort();
+    for path in &files {
+        assert!(
+            path.is_file() && path.extension().is_some_and(|ext| ext == "json"),
+            "{} is not a scenario `.json` file",
+            path.display()
+        );
+    }
     files
         .into_iter()
         .map(|path| {
@@ -79,15 +92,15 @@ fn corpus_is_present_and_round_trips() {
         corpus.len()
     );
     for (path, scenario) in &corpus {
-        scenario
-            .validate()
-            .unwrap_or_else(|e| panic!("{} invalid: {e}", path.display()));
-        let rendered = scenario.to_json_string();
-        let reparsed = Scenario::parse(&rendered).expect("re-parse");
-        assert_eq!(
-            &reparsed,
-            scenario,
-            "{} does not round-trip through the codec",
+        // `corpus` decoded and validated the file; its JSON value must
+        // also be exactly what the codec writes, which rejects a missing
+        // optional key and an unknown one alike.
+        let text = std::fs::read_to_string(path).expect("readable corpus file");
+        let doc = json::parse(&text).expect("parsed once already");
+        assert!(
+            doc == scenario.to_json(),
+            "{} is not the codec's encoding of its scenario (a key is missing, \
+             unknown or out of order); rewrite it from `Scenario::to_json_string`",
             path.display()
         );
         let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
@@ -155,50 +168,66 @@ fn monitor_bits(monitor: &FleetMonitor) -> Vec<u64> {
     bits
 }
 
+/// Drives `scenario` on both clocks with a `FleetMonitor` and a
+/// 3-shard, 2-thread `ShardedMonitor` over the same fleet, and asserts
+/// that both pass `invariant_report` and agree bit for bit.
+fn assert_monitor_consistent(name: &str, scenario: &Scenario) {
+    for clock in [ClockMode::Fixed, ClockMode::Event] {
+        let mut sim = scenario.build(clock).expect("build");
+        let mut monitor = FleetMonitor::new(
+            model().clone(),
+            DynamicConfig::new(),
+            scenario.servers,
+            Seconds::new(60.0),
+        )
+        .expect("monitor");
+        let mut sharded = ShardedMonitor::new(
+            model(),
+            DynamicConfig::new(),
+            scenario.servers,
+            Seconds::new(60.0),
+            3,
+            2,
+        )
+        .expect("sharded monitor");
+        let ambient = match scenario.ambient {
+            AmbientModel::Fixed(c) => c,
+            _ => 24.0,
+        };
+        for _ in 0..scenario.duration.as_millis() / 1000 {
+            sim.step();
+            monitor.observe(&sim, Celsius::new(ambient));
+            sharded.observe(&sim, Celsius::new(ambient));
+        }
+        for (label, m) in [("monitor", &monitor), ("sharded monitor", &*sharded)] {
+            let report = m.invariant_report(&sim);
+            assert!(
+                report.is_empty(),
+                "{name} ({clock:?}): {label} consistency violations: {report:?}"
+            );
+        }
+        assert!(
+            monitor_bits(&monitor) == monitor_bits(&sharded),
+            "{name} ({clock:?}): sharded monitor diverged from the unsharded one"
+        );
+    }
+}
+
 #[test]
 fn corpus_keeps_the_fleet_monitor_consistent() {
     for (path, scenario) in corpus() {
-        for clock in [ClockMode::Fixed, ClockMode::Event] {
-            let mut sim = scenario.build(clock).expect("build");
-            let mut monitor = FleetMonitor::new(
-                model().clone(),
-                DynamicConfig::new(),
-                scenario.servers,
-                Seconds::new(60.0),
-            )
-            .expect("monitor");
-            // The same fleet on 3 shards and 2 threads must not move a bit.
-            let mut sharded = ShardedMonitor::new(
-                model(),
-                DynamicConfig::new(),
-                scenario.servers,
-                Seconds::new(60.0),
-                3,
-                2,
-            )
-            .expect("sharded monitor");
-            let ambient = match scenario.ambient {
-                AmbientModel::Fixed(c) => c,
-                _ => 24.0,
-            };
-            for _ in 0..scenario.duration.as_millis() / 1000 {
-                sim.step();
-                monitor.observe(&sim, Celsius::new(ambient));
-                sharded.observe(&sim, Celsius::new(ambient));
-            }
-            let name = path.display();
-            for (label, m) in [("monitor", &monitor), ("sharded monitor", &*sharded)] {
-                let report = m.invariant_report(&sim);
-                assert!(
-                    report.is_empty(),
-                    "{name} ({clock:?}): {label} consistency violations: {report:?}"
-                );
-            }
-            assert!(
-                monitor_bits(&monitor) == monitor_bits(&sharded),
-                "{name} ({clock:?}): sharded monitor diverged from the unsharded one"
-            );
-        }
+        assert_monitor_consistent(&path.display().to_string(), &scenario);
+    }
+}
+
+/// The default campaign seed of `vmtherm fuzz`.
+const FUZZ_SEED: u64 = 0xF022;
+
+#[test]
+fn generated_scenarios_keep_the_fleet_monitor_consistent() {
+    for index in 0..24 {
+        let scenario = generate::scenario(FUZZ_SEED, index);
+        assert_monitor_consistent(&scenario.name, &scenario);
     }
 }
 
