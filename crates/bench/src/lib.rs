@@ -6,8 +6,6 @@
 //! is built here once so `fig1a`, `fig1b`, `fig1c` and the ablation
 //! harness all run the *same* pipeline with the same constants.
 
-#![deny(unsafe_code)]
-
 use vmtherm_core::dynamic::{DynamicConfig, DynamicPredictor};
 use vmtherm_core::eval::{evaluate_dynamic, AnchorPoint, DynamicEvalReport};
 use vmtherm_core::stable::{run_experiments, StablePredictor, TrainingOptions};

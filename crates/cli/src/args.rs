@@ -1,11 +1,11 @@
 //! Minimal `--flag value` argument parsing — deliberately dependency-free.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed flags of one subcommand invocation.
 #[derive(Debug, Clone, Default)]
 pub struct Flags {
-    values: HashMap<String, String>,
+    values: BTreeMap<String, String>,
     switches: Vec<String>,
 }
 
@@ -66,6 +66,29 @@ impl Flags {
         }
     }
 
+    /// Rejects every given flag that is not in `known`, naming each.
+    ///
+    /// # Errors
+    ///
+    /// Message naming `command` and each flag it does not take.
+    pub fn reject_unknown(&self, command: &str, known: &[&str]) -> Result<(), String> {
+        let mut unknown: Vec<String> = self
+            .values
+            .keys()
+            .chain(&self.switches)
+            .filter(|name| !known.contains(&name.as_str()))
+            .map(|name| format!("--{name}"))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort();
+        Err(format!(
+            "`{command}` does not take {} (see `vmtherm --help`)",
+            unknown.join(", ")
+        ))
+    }
+
     /// Whether a bare switch was given.
     #[must_use]
     pub fn switch(&self, name: &str) -> bool {
@@ -111,6 +134,14 @@ mod tests {
     fn rejects_positional() {
         let err = Flags::parse(vec!["oops".to_string()]).unwrap_err();
         assert!(err.contains("positional"));
+    }
+
+    #[test]
+    fn reject_unknown_names_every_stray_flag() {
+        let f = parse(&["--seed", "7", "--secz", "60", "--fast"]);
+        assert!(f.reject_unknown("x", &["seed", "secz", "fast"]).is_ok());
+        let err = f.reject_unknown("x", &["seed"]).unwrap_err();
+        assert!(err.contains("`x` does not take --fast, --secz"), "{err}");
     }
 
     #[test]

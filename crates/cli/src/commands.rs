@@ -122,31 +122,109 @@ fn parse_clock(flags: &Flags) -> Result<ClockMode, String> {
     }
 }
 
+/// One subcommand: its name, its body and the flags the body reads.
+type Command = (
+    &'static str,
+    fn(&Flags) -> Result<String, String>,
+    &'static [&'static str],
+);
+
+/// Every subcommand. A flag its row does not list (nor [`OBS_FLAGS`],
+/// which every command but `obs-report` takes) is rejected before the
+/// command runs.
+const COMMANDS: [Command; 12] = [
+    (
+        "collect",
+        collect,
+        &["out", "cases", "seed", "duration", "threads"],
+    ),
+    ("train", train, &["records", "out", "grid", "folds", "seed"]),
+    ("eval", eval, &["model", "records"]),
+    ("predict", predict, &["model", "records"]),
+    (
+        "monitor",
+        monitor,
+        &[
+            "model", "out", "vms", "fans", "ambient", "secs", "burst-at", "gap", "update", "seed",
+        ],
+    ),
+    (
+        "chaos",
+        chaos,
+        &[
+            "model",
+            "vms",
+            "fans",
+            "ambient",
+            "secs",
+            "burst-at",
+            "gap",
+            "dropout",
+            "stuck",
+            "spike",
+            "jitter",
+            "lost",
+            "seed",
+            "fault-seed",
+            "clock",
+        ],
+    ),
+    (
+        "watchdog",
+        watchdog,
+        &["model", "fail", "fail-at", "secs", "vms", "ambient", "seed"],
+    ),
+    (
+        "setpoint",
+        setpoint,
+        &[
+            "model", "servers", "vms-per", "limit", "margin", "min", "max", "seed",
+        ],
+    ),
+    (
+        "fuzz",
+        fuzz,
+        &["seed", "cases", "shrink-budget", "dir", "out"],
+    ),
+    ("replay", replay, &["path", "model"]),
+    ("obs-report", obs_report, &["trace"]),
+    (
+        "obs-serve",
+        obs_serve,
+        &[
+            "addr", "secs", "hz", "vms", "fans", "ambient", "seed", "model", "clock",
+        ],
+    ),
+];
+
+/// The global observability flags (see [`ObsSinks`]).
+const OBS_FLAGS: [&str; 6] = [
+    "metrics",
+    "trace",
+    "serve-metrics",
+    "alerts",
+    "flight-dir",
+    "flight-ring",
+];
+
 /// Runs one subcommand.
 ///
 /// # Errors
 ///
-/// A human-readable message on bad flags, I/O failure or pipeline errors.
+/// A human-readable message on an unknown command or flag, bad flag
+/// values, I/O failure or pipeline errors.
 pub fn run(command: &str, flags: &Flags) -> Result<String, String> {
+    let Some(&(_, body, known)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(format!("unknown command `{command}`\n\n{USAGE}"));
+    };
     // `obs-report` consumes a trace file; every other command may produce one.
     if command == "obs-report" {
-        return obs_report(flags);
+        flags.reject_unknown(command, known)?;
+        return body(flags);
     }
+    flags.reject_unknown(command, &[known, &OBS_FLAGS].concat())?;
     let sinks = ObsSinks::init(command, flags)?;
-    let result = match command {
-        "collect" => collect(flags),
-        "train" => train(flags),
-        "eval" => eval(flags),
-        "predict" => predict(flags),
-        "monitor" => monitor(flags),
-        "chaos" => chaos(flags),
-        "watchdog" => watchdog(flags),
-        "setpoint" => setpoint(flags),
-        "fuzz" => fuzz(flags),
-        "replay" => replay(flags),
-        "obs-serve" => obs_serve(flags),
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
-    };
+    let result = body(flags);
     let flushed = sinks.flush();
     match (result, flushed) {
         (Ok(output), Ok(())) => Ok(output),
@@ -685,9 +763,10 @@ fn watchdog(flags: &Flags) -> Result<String, String> {
         vmtherm_core::anomaly::ResidualDetector::new(8.0, 0.8)
             .map_err(|e| format!("detector: {e}"))?,
     );
-    let mut out = format!(
-        "configuration predicted stable at {predicted:.1} C;          {fail} fan(s) fail at {fail_at} s
-"
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "configuration predicted stable at {predicted:.1} C; {fail} fan(s) fail at {fail_at} s"
     );
     let mut alarm_at: Option<u64> = None;
     let mut start = 600u64;
@@ -701,13 +780,13 @@ fn watchdog(flags: &Flags) -> Result<String, String> {
         if let Some(a) = watchdog.observe(&snapshot, Celsius::new(mean)) {
             if alarm_at.is_none() {
                 alarm_at = Some(start + 120);
-                out.push_str(&format!(
-                    "ALARM at {} s: {:?} (score {:.1})
-",
+                let _ = writeln!(
+                    out,
+                    "ALARM at {} s: {:?} (score {:.1})",
                     start + 120,
                     a.kind,
                     a.score
-                ));
+                );
             }
         }
         start += 120;
@@ -1195,6 +1274,22 @@ mod tests {
             ]),
         )
         .expect("watchdog");
+        let header = msg.lines().next().unwrap_or_default();
+        let predicted = header
+            .strip_prefix("configuration predicted stable at ")
+            .and_then(|rest| rest.strip_suffix(" C; 2 fan(s) fail at 900 s"))
+            .unwrap_or_else(|| panic!("unexpected header: {header:?}"));
+        assert!(
+            predicted.parse::<f64>().is_ok()
+                && predicted.split('.').nth(1).map(str::len) == Some(1),
+            "unexpected header: {header:?}"
+        );
+        assert!(
+            msg.lines()
+                .nth(1)
+                .is_some_and(|l| l.starts_with("ALARM at ")),
+            "{msg}"
+        );
         assert!(msg.contains("ALARM"), "no alarm in: {msg}");
         assert!(msg.contains("detected at"));
 
@@ -1271,6 +1366,40 @@ mod tests {
         let a = fs::read(&serial).expect("serial records");
         let b = fs::read(&threaded).expect("threaded records");
         assert_eq!(a, b, "collect --threads changed the records");
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_before_the_command_runs() {
+        // `--secz` is a typo and `chaos` has no `--threads`; neither may be
+        // ignored. The model file does not exist, so reaching the command
+        // body would fail on it instead.
+        let model = temp_path("no_such_model.txt");
+        let err = run(
+            "chaos",
+            &flags(&["--model", &model, "--threads", "4", "--secz", "60"]),
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("--secz") && err.contains("--threads"),
+            "unexpected: {err}"
+        );
+        let err = run("chaos", &flags(&["--model", &model, "--secz", "60"])).unwrap_err();
+        assert!(
+            err.contains("--secz") && !err.contains("--model"),
+            "unexpected: {err}"
+        );
+        let err = run("chaos", &flags(&["--model", &model, "--threads", "4"])).unwrap_err();
+        assert!(err.contains("--threads"), "unexpected: {err}");
+        // A switch is a flag too.
+        let err = run("eval", &flags(&["--model", &model, "--grid"])).unwrap_err();
+        assert!(err.contains("--grid"), "unexpected: {err}");
+        // The global obs flags are every command's but obs-report's.
+        let err = run(
+            "obs-report",
+            &flags(&["--trace", &model, "--metrics", "m.prom"]),
+        )
+        .unwrap_err();
+        assert!(err.contains("--metrics"), "unexpected: {err}");
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //!
 //! See `vmtherm --help` (or [`commands::USAGE`]) for the command list.
 
-#![deny(unsafe_code)]
-
 mod args;
 mod commands;
 

@@ -250,6 +250,10 @@ impl NoveltyDetector {
     /// The signed decision value (negative = anomalous), for thresholding
     /// and ranking.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the detector builds, scales and scores fixed two-column rows"
+    )]
     pub fn score(&self, snapshot: &ConfigSnapshot, observed_stable_c: Celsius) -> f64 {
         let x = vec![self.predictor.predict(snapshot), observed_stable_c.get()];
         self.model

@@ -283,6 +283,10 @@ impl LinearStablePredictor {
     #[must_use]
     pub fn predict(&self, snapshot: &ConfigSnapshot) -> f64 {
         let x = self.encoding.encode(snapshot);
+        #[expect(
+            clippy::expect_used,
+            reason = "fit() always appends the intercept, so weights is never empty"
+        )]
         let mut acc = *self.weights.last().expect("intercept");
         for (w, v) in self.weights.iter().zip(&x) {
             acc += w * v;

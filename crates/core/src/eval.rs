@@ -76,6 +76,10 @@ fn replay<P: OnlinePredictor + ?Sized>(
     assert!(gap_secs > 0.0, "gap must be positive");
     let times = series.times();
     let values = series.values();
+    #[expect(
+        clippy::expect_used,
+        reason = "guarded by assert!(series.len() >= 2) at function entry"
+    )]
     let end = *times.last().expect("nonempty");
 
     let mut actuals = ActualCursor::default();

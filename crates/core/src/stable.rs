@@ -175,6 +175,10 @@ impl StablePredictor {
 
     /// Predicts ψ_stable for a configuration.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "encoder, scaler and model are fit on the same matrix, so widths match"
+    )]
     pub fn predict(&self, snapshot: &ConfigSnapshot) -> f64 {
         let x = self.encoding.encode(snapshot);
         self.model
@@ -188,6 +192,10 @@ impl StablePredictor {
     /// batch path. Bit-identical to mapping [`StablePredictor::predict`]
     /// over the slice.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "encoder, scaler and model are fit on the same matrix, so widths match"
+    )]
     pub fn predict_batch(&self, snapshots: &[ConfigSnapshot]) -> Vec<f64> {
         let mut features = DenseMatrix::with_cols(self.encoding.dim());
         for snapshot in snapshots {

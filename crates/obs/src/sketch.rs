@@ -8,8 +8,8 @@
 //! Determinism contract: updates are pure f64 arithmetic on the observed
 //! stream — no randomness, no wall clock, no allocation after construction.
 //! Two sketches fed the same sequence of values hold bit-identical state, so
-//! the sketch is safe to use from the deterministic crates (L7) through the
-//! `Lazy*` instrumentation layer.
+//! the sketch is safe to use from the deterministic crates (core, sim, svm)
+//! through the `Lazy*` instrumentation layer.
 
 /// One streaming quantile estimated by the P² (piecewise-parabolic)
 /// algorithm: five markers whose heights approximate the q-quantile after

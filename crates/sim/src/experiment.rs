@@ -57,6 +57,10 @@ impl ConfigSnapshot {
     /// configuration.
     #[must_use]
     pub fn capture(sim: &Simulation, server: ServerId, ambient_c: Celsius) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "capture() is documented to require a server id from this sim"
+        )]
         let s = sim
             .datacenter()
             .server(server)
@@ -246,10 +250,18 @@ fn run_group(configs: &[&ExperimentConfig]) -> Vec<ExperimentOutcome> {
             );
             dc.set_rack_offset(rack, config.ambient_c);
             for (j, spec) in config.vms.iter().enumerate() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "ExperimentConfig validates capacity before booting; failure is a harness bug"
+                )]
                 sim.boot_vm_as(sid, spec.clone(), config.seed, j as u64)
                     .expect("experiment VM placement failed");
             }
             let snapshot = ConfigSnapshot::capture(&sim, sid, ambient);
+            #[expect(
+                clippy::expect_used,
+                reason = "the server id was created by add_server a few lines above"
+            )]
             let initial_temp = sim
                 .datacenter()
                 .server(sid)
@@ -265,7 +277,15 @@ fn run_group(configs: &[&ExperimentConfig]) -> Vec<ExperimentOutcome> {
         .zip(sim.take_stable_means())
         .map(|((snapshot, initial_temp), means)| ExperimentOutcome {
             snapshot,
+            #[expect(
+                clippy::expect_used,
+                reason = "run duration is asserted longer than t_break, so the window has samples"
+            )]
             psi_stable: means.sensor_c.mean().expect("samples after t_break"),
+            #[expect(
+                clippy::expect_used,
+                reason = "run duration is asserted longer than t_break, so the window has samples"
+            )]
             true_stable: means.die_c.mean().expect("samples after t_break"),
             initial_temp,
         })

@@ -52,7 +52,13 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
+// Library code is panic-free: a vetted unwrap/expect/panic carries an
+// `#[expect(..., reason = "...")]` at the statement, and xtask lint L10
+// pins how many there are (test code is exempt through clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Replay determinism: no hash-ordered collections, wall clocks or threads
+// outside index-addressed merges (the list is in clippy.toml).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 // `!(x > 0.0)` rejects NaN as well as non-positive values — the validation
 // idiom used throughout; and numeric solver loops index several parallel
 // arrays at once, where iterator zips would obscure the maths.

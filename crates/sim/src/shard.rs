@@ -9,8 +9,9 @@
 //! there is no cross-shard data flow whose order could vary, and every
 //! serial reduction (room heat, fleet MSE, sketch merges) runs after
 //! the scope closes, in fixed server-index order. This is the same
-//! contract as `vmtherm_svm::grid`'s index-addressed merge, which the
-//! L9 lint vets; this module is its sibling on the simulator side.
+//! contract as `vmtherm_svm::grid`'s index-addressed merge; the two are
+//! the only modules of the deterministic crates allowed to spawn threads
+//! (clippy.toml's `disallowed-methods`).
 //!
 //! Per-server RNG streams are derived from `seed ⊕ f(stable server
 //! index)` (see `fault::ServerFaultState::new` and the VM workload
@@ -167,6 +168,10 @@ where
         }
     };
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "each job mutates only state it borrows exclusively, so the outcome does not depend on which worker ran it"
+    )]
     std::thread::scope(|scope| {
         // The caller is one of the workers: it spawns one thread fewer
         // and its allocator arena serves jobs instead of sitting idle.

@@ -78,8 +78,8 @@ pub fn search(data: &Dataset, folds: usize, seed: u64) -> Result<GridSearchResul
 /// ascending order on that fold's training rows and returns their
 /// held-out MSEs. Workers claim jobs from an atomic cursor and keep
 /// `(job, outcome)` pairs; the merge re-orders them by job index, so the
-/// result does not depend on thread count or completion order (the
-/// index-addressed pattern rule L9 requires of this module).
+/// result does not depend on thread count or completion order. That
+/// index-addressed merge is why this module may spawn threads.
 fn search_on(
     data: &Dataset,
     folds: usize,
@@ -90,6 +90,10 @@ fn search_on(
     let jobs = GAMMAS.len() * EPSILONS.len() * folds;
     let workers = threads.clamp(1, jobs);
     let next = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "workers keep (job, outcome) pairs and the merge sorts them by job index"
+    )]
     let mut pairs: Vec<(usize, Result<[f64; C_VALUES.len()], SvmError>)> =
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)

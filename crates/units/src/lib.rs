@@ -16,7 +16,6 @@
 //! `f64` — the types guard the *entry points*, where unit mistakes are made.
 //! `cargo run -p xtask -- lint` rule L3 enforces that the public surfaces of
 //! `vmtherm-core` and `vmtherm-sim` use these types instead of raw `f64`.
-#![forbid(unsafe_code)]
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -1,27 +1,24 @@
 //! Workspace task runner. Currently one task:
 //!
 //! ```text
-//! cargo run -p xtask -- lint [--json] [--root DIR] [--allowlist FILE]
+//! cargo run -p xtask -- lint [--json] [--root DIR]
 //! ```
 //!
-//! Runs the project lint rules L1–L10 (see the library docs) and exits
-//! non-zero when any violation is found. With `--json`, findings are
-//! emitted as one JSON object per line (for CI annotation) instead of the
-//! human-readable report. The allowlist defaults to
-//! `xtask-lint-allow.txt` in the workspace root; the companion ratchet
-//! file `xtask-lint-ratchet.txt` (rule L10) pins its entry count.
-
-#![deny(unsafe_code)]
+//! Runs the project lint rules (see the library docs) and exits non-zero
+//! when any violation is found. With `--json`, findings are emitted as one
+//! JSON object per line (for CI annotation) instead of the human-readable
+//! report. The ratchet file `xtask-lint-ratchet.txt` in the workspace root
+//! (rule L10) pins the number of panic-lint exemption attributes.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::{lint_workspace, Allowlist};
+use xtask::lint_workspace;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(task) = args.next() else {
-        eprintln!("usage: cargo run -p xtask -- lint [--json] [--root DIR] [--allowlist FILE]");
+        eprintln!("usage: cargo run -p xtask -- lint [--json] [--root DIR]");
         return ExitCode::FAILURE;
     };
     if task != "lint" {
@@ -30,12 +27,10 @@ fn main() -> ExitCode {
     }
 
     let mut root: Option<PathBuf> = None;
-    let mut allowlist_path: Option<PathBuf> = None;
     let mut json = false;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--allowlist" => allowlist_path = args.next().map(PathBuf::from),
             "--json" => json = true,
             other => {
                 eprintln!("unknown flag {other:?}");
@@ -52,23 +47,11 @@ fn main() -> ExitCode {
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from("."))
     });
-    let allowlist_path = allowlist_path.unwrap_or_else(|| root.join("xtask-lint-allow.txt"));
 
-    let allow = match Allowlist::load(&allowlist_path) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("xtask lint: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match lint_workspace(&root, &allow) {
+    match lint_workspace(&root) {
         Ok(violations) if violations.is_empty() => {
             if !json {
-                println!(
-                    "xtask lint: OK ({} allowlisted site{})",
-                    allow.len(),
-                    if allow.len() == 1 { "" } else { "s" }
-                );
+                println!("xtask lint: OK");
             }
             ExitCode::SUCCESS
         }

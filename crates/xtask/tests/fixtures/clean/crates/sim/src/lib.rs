@@ -1,7 +1,6 @@
 //! A well-behaved event queue: the heap key is one total-order tuple,
 //! so pop order is a pure function of the pushed contents — never of
 //! insertion history or hash state.
-#![forbid(unsafe_code)]
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -1,6 +1,5 @@
-//! A well-behaved crate: hygiene attributes, newtyped public API,
+//! A well-behaved crate: newtyped public API,
 //! no panics, no float equality, no paper constants.
-#![deny(unsafe_code)]
 
 pub fn observe(t_secs: Seconds, measured_c: Celsius) -> f64 {
     t_secs.get() + measured_c.get()

@@ -1,2 +1,2 @@
-//! Missing `#![deny(unsafe_code)]`; manifest missing the lint table.
+//! The manifest is missing the workspace lint table.
 pub fn fine() {}

@@ -1,44 +1,4 @@
-//! Dirty fixture: nondeterministic idioms in deterministic library code.
-#![forbid(unsafe_code)]
-
-use std::collections::HashMap;
-
-pub fn tally(keys: &[u32]) -> usize {
-    let mut seen: HashMap<u32, u32> = HashMap::new();
-    for k in keys {
-        *seen.entry(*k).or_insert(0) += 1;
-    }
-    seen.len()
-}
-
-pub fn elapsed_ns() -> u128 {
-    let start = std::time::Instant::now();
-    start.elapsed().as_nanos()
-}
-
-pub fn stamp_secs() -> u64 {
-    match std::time::SystemTime::now().elapsed() {
-        Ok(d) => d.as_secs(),
-        Err(_) => 0,
-    }
-}
-
-pub fn noise() -> f64 {
-    let mut rng = rand::thread_rng();
-    rng.gen()
-}
-
-#[cfg(test)]
-mod tests {
-    use std::collections::HashMap;
-
-    #[test]
-    fn test_code_may_use_hash_maps() {
-        let mut m = HashMap::new();
-        m.insert(1u32, 2u32);
-        assert_eq!(m.len(), 1);
-    }
-}
+//! Dirty fixture: a heap-feeding `Ord` on a partial key.
 
 /// A wake-up queue ordered on a partial key: pops between equal `at`
 /// values come out in insertion-history order, which rule L7 rejects in

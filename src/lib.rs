@@ -4,11 +4,12 @@
 //! reproduction of *"Virtual Machine Level Temperature Profiling and
 //! Prediction in Cloud Datacenters"* (Wu et al., ICDCS 2016).
 //!
-//! It re-exports the three member crates:
+//! It re-exports the four member crates, plus the unit newtypes as
+//! [`units`]:
 //!
-//! - [`svm`] (`vmtherm-svm`) — ε-SVR/C-SVC with an SMO solver, kernels,
-//!   scaling, cross-validation and grid search (the LIBSVM + easygrid
-//!   substitute).
+//! - [`svm`] (`vmtherm-svm`) — ε-SVR and the one-class SVM with an SMO
+//!   solver, kernels, scaling, cross-validation and grid search (the
+//!   LIBSVM + easygrid substitute).
 //! - [`sim`] (`vmtherm-sim`) — the datacenter thermal simulator standing in
 //!   for the paper's physical testbed.
 //! - [`core`] (`vmtherm-core`) — the paper's contribution: stable (SVR) and
@@ -31,7 +32,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
 
 pub use vmtherm_core as core;
 pub use vmtherm_obs as obs;
