@@ -4,8 +4,7 @@
 use crate::args::Flags;
 use std::fmt::Write as _;
 use std::fs;
-use vmtherm_core::dynamic::{DynamicConfig, DynamicPredictor};
-use vmtherm_core::eval::{evaluate_dynamic, AnchorPoint};
+use vmtherm_core::dynamic::DynamicConfig;
 use vmtherm_core::features::FeatureEncoding;
 use vmtherm_core::fleet::ShardedMonitor;
 use vmtherm_core::monitor::FleetMonitor;
@@ -428,12 +427,7 @@ fn train(flags: &Flags) -> Result<String, String> {
     let options = if flags.switch("grid") {
         TrainingOptions::new().with_folds(folds).with_seed(seed)
     } else {
-        TrainingOptions::new().with_params(
-            vmtherm_svm::svr::SvrParams::new()
-                .with_c(128.0)
-                .with_epsilon(0.05)
-                .with_kernel(vmtherm_svm::kernel::Kernel::rbf(0.02)),
-        )
+        TrainingOptions::new().with_params(vmtherm_bench::tuned_params())
     };
     let n = ds.len();
     let model = StablePredictor::fit_dataset(ds, &options).map_err(|e| format!("training: {e}"))?;
@@ -528,35 +522,13 @@ fn monitor(flags: &Flags) -> Result<String, String> {
         return Err("--burst-at must precede --secs".to_string());
     }
     let model = load_model(model_path)?;
-
-    // Build and run the scenario.
-    let (mut sim, sid) = commodity_sim("monitored", fans, ambient, seed, vms)?;
-    let before = ConfigSnapshot::capture(&sim, sid, Celsius::new(ambient));
-    sim.schedule(
-        SimTime::from_secs(burst_at),
-        Event::BootVm {
-            server: sid,
-            spec: VmSpec::new("burst", 2, 4.0, TaskProfile::CpuBound),
-        },
-    );
-    sim.run_until(SimTime::from_secs(secs));
-    let after = ConfigSnapshot::capture(&sim, sid, Celsius::new(ambient));
-    let series = sim.trace(sid).map_err(|e| e.to_string())?.sensor_c.clone();
-    let anchors = vec![
-        AnchorPoint {
-            t_secs: 0.0,
-            psi_stable: model.predict(&before),
-        },
-        AnchorPoint {
-            t_secs: burst_at as f64,
-            psi_stable: model.predict(&after),
-        },
-    ];
-
-    let mut predictor =
-        DynamicPredictor::new(DynamicConfig::new().with_update_interval(Seconds::new(update)))
-            .map_err(|e| e.to_string())?;
-    let report = evaluate_dynamic(&mut predictor, &series, Seconds::new(gap), &anchors);
+    // The Fig. 1(c) harness treats a placement failure as a bug, so a VM
+    // set the server cannot hold is rejected here with the placement
+    // error instead.
+    commodity_sim("monitored", fans, ambient, seed, vms)?;
+    let scenario =
+        vmtherm_bench::dynamic_scenario(&model, vms, 1, fans, ambient, burst_at, secs, seed);
+    let report = vmtherm_bench::score_dynamic(&scenario, gap, update, true);
 
     // CSV: target time, empirical, forecast.
     let mut csv = String::from("time_s,empirical_c,forecast_c\n");
@@ -1151,12 +1123,7 @@ fn demo_model(seed: u64) -> Result<StablePredictor, String> {
         .collect();
     let outcomes = run_experiments(&configs);
     let ds = dataset_from_outcomes(&outcomes, FeatureEncoding::Full);
-    let options = TrainingOptions::new().with_params(
-        vmtherm_svm::svr::SvrParams::new()
-            .with_c(128.0)
-            .with_epsilon(0.05)
-            .with_kernel(vmtherm_svm::kernel::Kernel::rbf(0.02)),
-    );
+    let options = TrainingOptions::new().with_params(vmtherm_bench::tuned_params());
     StablePredictor::fit_dataset(ds, &options).map_err(|e| format!("demo model: {e}"))
 }
 

@@ -1,20 +1,21 @@
 //! The discrete-time simulation engine.
 //!
-//! A global clock ticks in steps of `dt` (1 s by default). Each tick
-//! applies the due reconfiguration events the paper highlights — VM
-//! boots, stops and live migrations, fan-speed changes — then advances
-//! per-server physics and records each server's telemetry.
+//! A global clock ticks in one-second steps. Each tick applies the due
+//! reconfiguration events the paper highlights — VM boots, stops and
+//! live migrations, fan-speed changes — then advances per-server physics
+//! and records each server's telemetry.
 //!
-//! Per-server physics runs through one loop for both [`ClockMode`]s.
-//! A tick's batch is every server over `dt` ([`ClockMode::Fixed`]) or
-//! the servers whose wake-up is due, each over the interval since it
-//! last advanced ([`ClockMode::Event`]). The batch is split into the
-//! same contiguous shards whichever mode built it and stepped inline or
-//! on a scoped pool (see [`crate::shard`]). Every server step, including
-//! the catch-up that settles a sleeping server before an event touches
-//! it, has the same two halves: integrate the server, then record its
-//! five trace channels and pass the reading through the fault channel.
-//! A shard integrates its batch a chunk at a time, running the chunk's
+//! Per-server physics runs through one loop for both [`ClockMode`]s,
+//! fed by one wake table: a tick's batch is the servers whose wake-up is
+//! due, each over the interval since it last advanced. The Fixed clock
+//! re-arms every server one step ahead, so its batch is the whole fleet
+//! over one step; the Event clock lets steady servers sleep. The batch
+//! is split into contiguous shards and stepped inline or on a scoped
+//! pool (see [`crate::shard`]). Every server step, including the
+//! catch-up that settles a sleeping server before an event touches it,
+//! has the same two halves: integrate the server, then record its five
+//! trace channels and pass the reading through the fault channel. A
+//! shard integrates its batch a chunk at a time, running the chunk's
 //! thermal networks side by side (`thermal::integrate`).
 
 use crate::datacenter::Datacenter;
@@ -103,15 +104,16 @@ impl Ord for Scheduled {
     }
 }
 
-/// Which servers a tick's physics batch holds. Both modes step their
-/// batch through the same per-server loop; they differ only in how the
-/// batch is built and in event mode's re-arm afterwards.
+/// Whether steady servers may sleep. Both modes take each tick's batch
+/// from the same wake table and step it through the same per-server
+/// loop; they differ only in how long a stepped server waits for its
+/// next wake-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum ClockMode {
     /// Every server integrates every tick over one step — the original
-    /// dense behaviour and the bit-identical reference. The batch is the
-    /// whole fleet, so this mode never builds a wake table.
+    /// dense behaviour and the bit-identical reference. Every server is
+    /// due again one step ahead, so the batch is always the whole fleet.
     #[default]
     Fixed,
     /// Multi-rate: the batch is the servers whose wake-up is due, each
@@ -167,30 +169,66 @@ impl StepStats {
     }
 }
 
-/// Event-mode bookkeeping, allocated lazily on the first event-mode step
-/// so fixed-mode simulations pay nothing.
+/// Everything the engine keeps for one server beside the [`Server`]
+/// itself: what it recorded, what the monitoring plane received, and
+/// its entry in the wake table.
 #[derive(Debug)]
+struct Slot {
+    /// Next wake tick: the server is due at every tick `now` with
+    /// `next_wake <= now`, and waking re-arms it past `now`.
+    next_wake: SimTime,
+    /// Time through which the server's physics has been integrated.
+    last_end: SimTime,
+    /// Current wake interval (doubles while sleeping is safe, resets to
+    /// the base step on any transient).
+    interval: SimDuration,
+    trace: ServerTrace,
+    /// Eq. (1) folds that replace the trace, once a crate-internal caller
+    /// installs them ([`Simulation::fold_stable_means`]).
+    stable: Option<StableMeans>,
+    /// Fault channel state while a non-noop plan is installed.
+    fault: Option<ServerFaultState>,
+    /// `(time_secs, reading_c)` samples as the monitoring plane received
+    /// them — possibly dropped, corrupted or re-timestamped. Appended
+    /// only while a plan is installed; clean runs read the trace.
+    delivered: Vec<(f64, f64)>,
+}
+
+impl Slot {
+    /// The slot of a server that joins at `now`: integrated through
+    /// `now`, due this tick, with a one-step interval.
+    fn new(now: SimTime, fault: Option<ServerFaultState>) -> Self {
+        Slot {
+            next_wake: now,
+            last_end: now,
+            interval: STEP,
+            trace: ServerTrace::new(),
+            stable: None,
+            fault,
+            delivered: Vec::new(),
+        }
+    }
+
+    /// The interval (seconds) the server integrates to reach `end`, from
+    /// the end of its last one; `end` becomes the new last end.
+    fn advance_to(&mut self, end: SimTime) -> f64 {
+        let elapsed = end.duration_since(self.last_end).as_secs_f64();
+        self.last_end = end;
+        elapsed
+    }
+}
+
+/// The wake table's fleet-wide parts; each server's own entry lives in
+/// its [`Slot`].
+#[derive(Debug, Default)]
 struct WakeState {
-    /// Next wake tick per server: a server is due at every tick `now`
-    /// with `next_wake <= now`, and waking re-arms it past `now`.
-    next_wake: Vec<SimTime>,
-    /// Time through which each server's physics has been integrated.
-    last_end: Vec<SimTime>,
-    /// Current per-server wake interval (doubles while sleeping is safe,
-    /// resets to the base step on any transient).
-    interval: Vec<SimDuration>,
-    /// Sorted tick instants adjacent to scheduled fault-window edges;
-    /// sleep never crosses one, so sparse delivery still resolves them.
+    /// Sorted tick instants adjacent to the installed plan's scheduled
+    /// fault-window edges; sleep never crosses one, so sparse delivery
+    /// still resolves them.
     fault_wakes: Vec<SimTime>,
-    /// `true` when `fault_wakes` must be recomputed from the installed
-    /// plan before the next use.
-    fault_wakes_stale: bool,
     /// This tick's woken servers in ascending index order, reused across
     /// ticks.
     due: Vec<usize>,
-    /// Parallel to `due`: the interval (seconds) each woken server
-    /// integrates this tick.
-    elapsed: Vec<f64>,
 }
 
 /// A notification the engine emits when something happened, for observers
@@ -247,23 +285,19 @@ pub struct Simulation {
     seq: u64,
     next_vm: u64,
     migrations: Vec<ActiveMigration>,
-    traces: Vec<ServerTrace>,
-    /// Per-server Eq. (1) folds that replace the traces, once a
-    /// crate-internal caller installs them ([`Simulation::fold_stable_means`]).
-    stable: Option<Vec<StableMeans>>,
+    /// One per server, by stable server index. A server added through
+    /// [`Simulation::datacenter_mut`] gets its slot at the next step or
+    /// settle ([`Simulation::grow_slots`]).
+    slots: Vec<Slot>,
     log: Vec<(SimTime, SimEvent)>,
     /// Parallel to `log`: `true` when the fault injector decided the
     /// monitoring plane never heard about that entry.
     log_lost: Vec<bool>,
     seed: u64,
     room_heat_kw: f64,
-    /// Telemetry path faults, if a non-noop plan was installed.
+    /// Telemetry path faults, if a non-noop plan was installed; each
+    /// server's channel state lives in its slot.
     fault: Option<FaultInjector>,
-    /// Per-server `(time_secs, reading_c)` samples as the monitoring plane
-    /// receives them — possibly dropped, corrupted or re-timestamped.
-    /// Only populated while an injector is installed; clean runs read the
-    /// physics traces directly and pay nothing.
-    delivered: Vec<Vec<(f64, f64)>>,
     /// Steps not yet flushed to the obs step counter; bounds per-step
     /// instrumentation cost to one branch plus an integer increment.
     obs_backlog: u32,
@@ -272,11 +306,9 @@ pub struct Simulation {
     /// Shard-count override: 0 means one contiguous shard per thread.
     /// Exposed so tests can prove partition invariance directly.
     shards: usize,
-    /// How per-server physics advances (fixed dense steps or event-driven
-    /// sparse wake-ups).
+    /// How servers are re-armed (every step, or sleeping while steady).
     clock_mode: ClockMode,
-    /// Event-mode bookkeeping, `None` until the first event-mode step.
-    wake: Option<WakeState>,
+    wake: WakeState,
     /// Physics integrations actually performed.
     server_steps: u64,
     /// Integrations an all-dense run would have performed.
@@ -293,7 +325,9 @@ impl Simulation {
     /// decorrelation.
     #[must_use]
     pub fn new(datacenter: Datacenter, ambient: AmbientModel, seed: u64) -> Self {
-        let traces = (0..datacenter.len()).map(|_| ServerTrace::new()).collect();
+        let slots = (0..datacenter.len())
+            .map(|_| Slot::new(SimTime::ZERO, None))
+            .collect();
         Simulation {
             datacenter,
             ambient,
@@ -302,19 +336,17 @@ impl Simulation {
             seq: 0,
             next_vm: 0,
             migrations: Vec::new(),
-            traces,
-            stable: None,
+            slots,
             log: Vec::new(),
             log_lost: Vec::new(),
             seed,
             room_heat_kw: 0.0,
             fault: None,
-            delivered: Vec::new(),
             obs_backlog: 0,
             threads: 1,
             shards: 0,
             clock_mode: ClockMode::Fixed,
-            wake: None,
+            wake: WakeState::default(),
             server_steps: 0,
             dense_server_steps: 0,
         }
@@ -328,14 +360,12 @@ impl Simulation {
         self
     }
 
-    /// Switches how per-server physics advances. Leaving
-    /// [`ClockMode::Event`] first settles every sleeping server up to
-    /// the current clock, so the hand-over state is exactly what dense
-    /// stepping would hold.
+    /// Switches how per-server physics advances. A switch first settles
+    /// every sleeping server up to the current clock, so the hand-over
+    /// state is exactly what dense stepping would hold.
     pub fn set_clock_mode(&mut self, mode: ClockMode) {
-        if self.clock_mode == ClockMode::Event && mode != ClockMode::Event {
+        if mode != self.clock_mode {
             self.settle_all();
-            self.wake = None;
         }
         self.clock_mode = mode;
     }
@@ -400,17 +430,14 @@ impl Simulation {
     ///
     /// [`SimError::InvalidConfig`] for an out-of-domain plan.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), SimError> {
-        // Catch sleepers up under the old injector, then swap. The new
-        // plan's scheduled window edges pin extra wake-ups, so they must
-        // be recomputed before anyone sleeps again.
+        plan.validate()?;
+        // Catch sleepers up under the old plan, then swap. The new plan's
+        // scheduled window edges pin extra wake-ups.
         self.settle_all();
-        if plan.is_noop() {
-            self.fault = None;
-        } else {
-            self.fault = Some(FaultInjector::new(plan)?);
-        }
-        if let Some(wake) = self.wake.as_mut() {
-            wake.fault_wakes_stale = true;
+        self.wake.fault_wakes = fault_wake_ticks(&plan);
+        self.fault = (!plan.is_noop()).then(|| FaultInjector::new(plan));
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            slot.fault = self.fault.as_ref().map(|f| f.server_state(idx));
         }
         Ok(())
     }
@@ -421,7 +448,9 @@ impl Simulation {
     #[must_use]
     pub fn delivered(&self, server: ServerId) -> Option<&[(f64, f64)]> {
         self.fault.as_ref()?;
-        self.delivered.get(server.raw()).map(Vec::as_slice)
+        self.slots
+            .get(server.raw())
+            .map(|slot| slot.delivered.as_slice())
     }
 
     /// Whether the log entry at `index` was lost to the monitoring plane.
@@ -433,10 +462,17 @@ impl Simulation {
     /// Total fault-injection counts so far (zeros without a plan).
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {
-        self.fault
-            .as_ref()
-            .map(FaultInjector::total_stats)
-            .unwrap_or_default()
+        let Some(injector) = self.fault.as_ref() else {
+            return FaultStats::default();
+        };
+        let mut total = FaultStats {
+            events_lost: injector.events_lost(),
+            ..FaultStats::default()
+        };
+        for state in self.slots.iter().filter_map(|slot| slot.fault.as_ref()) {
+            total.add(state.stats());
+        }
+        total
     }
 
     /// Appends a log entry, asking the injector (when installed) whether
@@ -526,13 +562,19 @@ impl Simulation {
     /// its trace. Covers the servers present now; call it after the last
     /// `add_server`.
     pub(crate) fn fold_stable_means(&mut self, from: impl IntoIterator<Item = SimTime>) {
-        self.stable = Some(from.into_iter().map(StableMeans::after).collect());
+        self.grow_slots();
+        for (slot, from) in self.slots.iter_mut().zip(from) {
+            slot.stable = Some(StableMeans::after(from));
+        }
     }
 
     /// The folds [`Simulation::fold_stable_means`] installed, by server
     /// index, leaving the traces recording again.
     pub(crate) fn take_stable_means(&mut self) -> Vec<StableMeans> {
-        self.stable.take().unwrap_or_default()
+        self.slots
+            .iter_mut()
+            .filter_map(|slot| slot.stable.take())
+            .collect()
     }
 
     /// Telemetry trace of a server.
@@ -541,8 +583,9 @@ impl Simulation {
     ///
     /// [`SimError::UnknownServer`] for an out-of-range id.
     pub fn trace(&self, server: ServerId) -> Result<&ServerTrace, SimError> {
-        self.traces
+        self.slots
             .get(server.raw())
+            .map(|slot| &slot.trace)
             .ok_or(SimError::UnknownServer(server))
     }
 
@@ -569,10 +612,7 @@ impl Simulation {
             None
         };
 
-        self.grow_per_server_state();
-        if self.clock_mode == ClockMode::Event {
-            self.ensure_wake_state();
-        }
+        self.grow_slots();
 
         // 1. Apply due events.
         while self
@@ -616,87 +656,78 @@ impl Simulation {
         self.clock += STEP;
     }
 
-    /// Grows the per-server telemetry arrays, and the fault channel
-    /// states when a plan is installed, to cover a datacenter the caller
-    /// may have extended since the last step.
-    fn grow_per_server_state(&mut self) {
-        let count = self.datacenter.len();
-        while self.traces.len() < count {
-            self.traces.push(ServerTrace::new());
-        }
-        if let Some(injector) = self.fault.as_mut() {
-            injector.ensure_servers(count);
-            while self.delivered.len() < count {
-                self.delivered.push(Vec::new());
-            }
+    /// Gives every server the caller may have added to the datacenter
+    /// since the last step a slot: due now, and with a fault channel
+    /// state when a plan is installed.
+    fn grow_slots(&mut self) {
+        while self.slots.len() < self.datacenter.len() {
+            let fault = self
+                .fault
+                .as_ref()
+                .map(|f| f.server_state(self.slots.len()));
+            self.slots.push(Slot::new(self.clock, fault));
         }
     }
 
     /// The per-server physics phase of one tick, for both clock modes.
     ///
-    /// The batch is every server, each over one step, in fixed mode, and
-    /// the servers due in the wake table, each over the interval since its
-    /// physics last advanced, in event mode. Either way it is split where
-    /// the dense [`shard::shard_bounds`] partition of the full server
-    /// range cuts it, and each shard carves disjoint `&mut` sub-slices of
-    /// the per-server arrays — run inline below [`shard::workers`]'
+    /// The batch is the servers due in the wake table
+    /// ([`Simulation::drain_wakes`]), each over the interval since its
+    /// physics last advanced: on the Fixed clock every server over one
+    /// step. It is split where the dense
+    /// [`shard::shard_bounds`] partition of the full server range cuts
+    /// it, and each shard carves disjoint `&mut` sub-slices of the
+    /// servers and their slots — run inline below [`shard::workers`]'
     /// floor, else on a scoped pool. A shard walks its batch in chunks of
     /// [`CHUNK`]: it begins each server's step, integrates the chunk's
     /// thermal plans together, then records each server in index order;
     /// a batch of one goes straight through [`advance`].
     /// Every shard owns exclusive state addressed by stable server index,
     /// so the result is bit-identical for any thread or shard count.
-    /// Event mode then re-arms each woken server: its interval doubles
-    /// while it is provably steady and snaps back to the base step on any
-    /// transient, and it never sleeps across a pinned fault-edge tick.
+    /// Then [`Simulation::rearm_wakes`] lets the steady ones sleep.
     fn step_servers(&mut self, now: SimTime, ambient: f64) {
         let count = self.datacenter.len();
-        let event = self.clock_mode == ClockMode::Event;
-        if event {
-            self.drain_wakes(now);
-        }
-        let batch = match self.wake.as_ref() {
-            Some(wake) if event => Batch::Due(&wake.due, &wake.elapsed),
-            _ => Batch::All(STEP.as_secs_f64()),
-        };
-        let stepped = batch.len(count);
-        self.server_steps += stepped as u64;
+        self.drain_wakes(now);
+        let due = &self.wake.due[..];
+        let tick_end = now + STEP;
+        self.server_steps += due.len() as u64;
 
         let (mut servers, offsets) = self.datacenter.servers_and_offsets_mut();
-        let mut traces = &mut self.traces[..];
-        let mut stable = self.stable.as_deref_mut();
-        let mut fault = self.fault.as_mut().map(|injector| {
-            let (plan, states) = injector.split_mut();
-            (plan, states, &mut self.delivered[..])
-        });
+        let mut slots = &mut self.slots[..];
+        let plan = self.fault.as_ref().map(FaultInjector::plan);
         let shards = if self.shards > 0 {
             self.shards
         } else {
             self.threads
         };
-        let run = |mut job: Shard<'_>| {
-            let batched = job.batch.len(job.servers.len());
-            if batched == 1 {
+        let run = |job: Shard<'_>| {
+            if let [idx] = job.due {
                 // A lone server (every tick of a one-server experiment)
                 // has nothing to integrate beside, so it skips the chunk
                 // set-up below.
-                let (local, elapsed_secs) = job.batch.entry(0, job.start);
-                let local_ambient = ambient + offsets.get(job.start + local);
-                let (server, sink, delivery) = job.parts(local);
-                advance(server, sink, delivery, now, local_ambient, elapsed_secs);
+                let local = idx - job.start;
+                let slot = &mut job.slots[local];
+                let elapsed_secs = slot.advance_to(tick_end);
+                advance(
+                    &mut job.servers[local],
+                    slot,
+                    plan,
+                    now,
+                    ambient + offsets.get(*idx),
+                    elapsed_secs,
+                );
                 return;
             }
             let mut plans = [Integration::default(); CHUNK];
             let mut owners = [0; CHUNK];
-            for first in (0..batched).step_by(CHUNK) {
-                let chunk = first..batched.min(first + CHUNK);
+            for due in job.due.chunks(CHUNK) {
                 let mut planned = 0;
-                for k in chunk.clone() {
-                    let (local, elapsed_secs) = job.batch.entry(k, job.start);
-                    let local_ambient = ambient + offsets.get(job.start + local);
+                for &idx in due {
+                    let local = idx - job.start;
+                    let elapsed_secs = job.slots[local].advance_to(tick_end);
                     if let Some(plan) = job.servers[local].begin_step(
                         now,
-                        Celsius::new(local_ambient),
+                        Celsius::new(ambient + offsets.get(idx)),
                         Seconds::new(elapsed_secs),
                     ) {
                         plans[planned] = plan;
@@ -708,54 +739,39 @@ impl Simulation {
                 for (plan, &local) in plans.iter().zip(&owners).take(planned) {
                     job.servers[local].end_step(*plan);
                 }
-                for k in chunk {
-                    let (local, _) = job.batch.entry(k, job.start);
-                    let local_ambient = ambient + offsets.get(job.start + local);
-                    let (server, sink, delivery) = job.parts(local);
-                    record(server, sink, delivery, now, local_ambient);
+                for &idx in due {
+                    let local = idx - job.start;
+                    let local_ambient = ambient + offsets.get(idx);
+                    record(
+                        &mut job.servers[local],
+                        &mut job.slots[local],
+                        plan,
+                        now,
+                        local_ambient,
+                    );
                 }
             }
         };
         // Inline shards run as soon as they are carved, so the serial
         // path allocates nothing; only a real pool collects them.
-        let workers = shard::workers(self.threads, stepped);
+        let workers = shard::workers(self.threads, due.len());
         let mut pool = Vec::new();
         for (start, end) in shard::shard_ranges(count, shards) {
             let len = end - start;
             let (shard_servers, rest) = std::mem::take(&mut servers).split_at_mut(len);
             servers = rest;
-            let (shard_traces, rest) = std::mem::take(&mut traces).split_at_mut(len);
-            traces = rest;
-            let shard_stable = stable.as_mut().map(|means| {
-                let (shard_means, rest) = std::mem::take(means).split_at_mut(len);
-                *means = rest;
-                shard_means
-            });
-            let shard_fault = fault.as_mut().map(|(plan, states, sinks)| {
-                let (shard_states, rest) = std::mem::take(states).split_at_mut(len);
-                *states = rest;
-                let (shard_sinks, rest) = std::mem::take(sinks).split_at_mut(len);
-                *sinks = rest;
-                (*plan, shard_states, shard_sinks)
-            });
-            let shard_batch = match batch {
-                Batch::All(dt_secs) => Batch::All(dt_secs),
-                Batch::Due(due, elapsed) => {
-                    let from = due.partition_point(|&i| i < start);
-                    let to = due.partition_point(|&i| i < end);
-                    if from == to {
-                        continue;
-                    }
-                    Batch::Due(&due[from..to], &elapsed[from..to])
-                }
-            };
+            let (shard_slots, rest) = std::mem::take(&mut slots).split_at_mut(len);
+            slots = rest;
+            let from = due.partition_point(|&i| i < start);
+            let to = due.partition_point(|&i| i < end);
+            if from == to {
+                continue;
+            }
             let job = Shard {
                 start,
                 servers: shard_servers,
-                traces: shard_traces,
-                stable: shard_stable,
-                fault: shard_fault,
-                batch: shard_batch,
+                slots: shard_slots,
+                due: &due[from..to],
             };
             if workers > 1 {
                 pool.push(job);
@@ -765,53 +781,50 @@ impl Simulation {
         }
         shard::for_each_job(pool, workers, run);
 
-        if event {
-            self.rearm_wakes(now, ambient);
-        }
+        self.rearm_wakes(now, ambient);
     }
 
-    /// Collects the servers due at `now` into the reused `due` buffer
-    /// (a scan of the wake table, so ascending server index) and records
-    /// in `elapsed` how far each one integrates: from the end of its last
-    /// physics interval through the end of this tick.
+    /// Collects the servers due at `now` into the reused `due` buffer (a
+    /// scan of the slots, so ascending server index) and re-arms each one
+    /// step ahead. Each integrates from the end of its last physics
+    /// interval through the end of this tick ([`Slot::advance_to`], in
+    /// its shard).
     fn drain_wakes(&mut self, now: SimTime) {
-        let tick_end = now + STEP;
-        let Some(wake) = self.wake.as_mut() else {
-            return;
-        };
-        wake.due.clear();
-        wake.elapsed.clear();
-        for (idx, &at) in wake.next_wake.iter().enumerate() {
-            if at <= now {
-                wake.due.push(idx);
-                wake.elapsed
-                    .push(tick_end.duration_since(wake.last_end[idx]).as_secs_f64());
-                wake.last_end[idx] = tick_end;
+        let next = now + STEP;
+        let due = &mut self.wake.due;
+        due.clear();
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            if slot.next_wake <= now {
+                due.push(idx);
+                slot.next_wake = next;
             }
         }
     }
 
-    /// Re-arms the servers woken this tick, serially in index order:
-    /// double the interval while the server is provably steady, else fall
-    /// back to the base step, and never sleep across a pinned fault-edge
-    /// tick.
+    /// The sleep decision for the servers woken this tick, serially in
+    /// index order. On the Fixed clock, or under a time-varying ambient,
+    /// nothing sleeps: every woken server stays re-armed one step ahead,
+    /// and its interval is already one step (a slot starts at one step,
+    /// and a clock switch or an ambient change settles every server,
+    /// which resets it). On the Event clock a server's interval doubles
+    /// while it is provably steady and falls back to one step on any
+    /// transient, and it never sleeps across a pinned fault-edge tick.
     fn rearm_wakes(&mut self, now: SimTime, ambient: f64) {
-        let fixed_ambient = matches!(self.ambient, AmbientModel::Fixed(_));
-        let Some(wake) = self.wake.as_mut() else {
+        if self.clock_mode != ClockMode::Event || !matches!(self.ambient, AmbientModel::Fixed(_)) {
             return;
-        };
-        for &idx in &wake.due {
+        }
+        for &idx in &self.wake.due {
             let id = ServerId::new(idx);
-            let offset = self.datacenter.ambient_offset(id).unwrap_or(0.0);
-            let sparse_ok = fixed_ambient
-                && self.datacenter.server(id).is_ok_and(|s| {
-                    s.inputs_piecewise_constant()
-                        && s.thermal_rate_c_per_s(Celsius::new(ambient + offset))
-                            .is_some_and(|rate| rate < WAKE_BAND_C_PER_S)
-                });
-            let interval = if sparse_ok {
+            let sparse_ok = self.datacenter.server(id).is_ok_and(|s| {
+                let offset = self.datacenter.ambient_offset(id).unwrap_or(0.0);
+                s.inputs_piecewise_constant()
+                    && s.thermal_rate_c_per_s(Celsius::new(ambient + offset))
+                        .is_some_and(|rate| rate < WAKE_BAND_C_PER_S)
+            });
+            let slot = &mut self.slots[idx];
+            slot.interval = if sparse_ok {
                 SimDuration::from_millis(
-                    wake.interval[idx]
+                    slot.interval
                         .as_millis()
                         .saturating_mul(2)
                         .min(MAX_SKIP.as_millis()),
@@ -819,54 +832,21 @@ impl Simulation {
             } else {
                 STEP
             };
-            wake.interval[idx] = interval;
-            let mut at = now + interval;
-            let cut = wake.fault_wakes.partition_point(|t| *t <= now);
-            if let Some(&boundary) = wake.fault_wakes.get(cut) {
+            let mut at = now + slot.interval;
+            let fault_wakes = &self.wake.fault_wakes;
+            if let Some(&boundary) = fault_wakes.get(fault_wakes.partition_point(|t| *t <= now)) {
                 if boundary < at {
                     at = boundary.max(now + STEP);
                 }
             }
-            wake.next_wake[idx] = at;
-        }
-    }
-
-    /// Creates (or grows) the event-mode bookkeeping so every server has
-    /// a wake slot, and refreshes the pinned fault-edge wake ticks when
-    /// the installed plan changed.
-    fn ensure_wake_state(&mut self) {
-        let count = self.datacenter.len();
-        let clock = self.clock;
-        let wake = self.wake.get_or_insert_with(|| WakeState {
-            next_wake: Vec::new(),
-            last_end: Vec::new(),
-            interval: Vec::new(),
-            fault_wakes: Vec::new(),
-            fault_wakes_stale: true,
-            due: Vec::new(),
-            elapsed: Vec::new(),
-        });
-        while wake.next_wake.len() < count {
-            wake.next_wake.push(clock);
-            wake.last_end.push(clock);
-            wake.interval.push(STEP);
-        }
-        if wake.fault_wakes_stale {
-            wake.fault_wakes_stale = false;
-            wake.fault_wakes = match self.fault.as_ref() {
-                Some(injector) => fault_wake_ticks(injector.plan()),
-                None => Vec::new(),
-            };
+            slot.next_wake = at;
         }
     }
 
     /// Integrates any sleeping server the event is about to touch up to
     /// the current clock, so the mutation applies to exact dense-mode
-    /// state. No-op in fixed mode.
+    /// state.
     fn settle_for(&mut self, event: &Event) {
-        if self.clock_mode != ClockMode::Event {
-            return;
-        }
         match event {
             Event::BootVm { server, .. }
             | Event::SetFanSpeed { server, .. }
@@ -893,11 +873,13 @@ impl Simulation {
         }
     }
 
-    /// Event-mode catch-up for one server: integrate from the end of its
-    /// last physics interval to the current clock with its (still
-    /// constant) pre-transient inputs, record the catch-up sample, then
-    /// pull its wake-up forward to this tick. A server that is already
-    /// current just re-arms; fixed mode is untouched.
+    /// Catch-up for one server: integrate from the end of its last
+    /// physics interval to the current clock with its (still constant)
+    /// pre-transient inputs, record the catch-up sample, then re-densify
+    /// it: reset its interval to the base step and pull its wake-up
+    /// forward to this tick. A server that is already current (every
+    /// server on the Fixed clock) only re-arms, which changes nothing
+    /// there.
     ///
     /// The catch-up sample lands at `clock - dt`: fixed-mode stepping at
     /// tick `t` records the state reached through `t + dt` under the
@@ -906,66 +888,37 @@ impl Simulation {
     /// awake now) records at `clock` as usual, keeping timestamps
     /// strictly monotone.
     fn settle_and_wake(&mut self, idx: usize) {
-        if self.clock_mode != ClockMode::Event || idx >= self.datacenter.len() {
-            return;
-        }
-        self.ensure_wake_state();
-        let Some(wake) = self.wake.as_mut() else {
+        self.grow_slots();
+        let now = self.clock;
+        let Some(slot) = self.slots.get_mut(idx) else {
             return;
         };
-        let last_end = wake.last_end[idx];
-        if last_end < self.clock {
-            wake.last_end[idx] = self.clock;
-            self.grow_per_server_state();
-            let elapsed = self.clock.duration_since(last_end).as_secs_f64();
+        if slot.last_end < now {
+            let elapsed = slot.advance_to(now);
             // Sleeping requires a fixed ambient, so the query instant is
             // immaterial; the rack offset is additive as in the dense loop.
             let ambient = self
                 .ambient
-                .temperature(self.clock, Watts::from_kilowatts(self.room_heat_kw));
+                .temperature(now, Watts::from_kilowatts(self.room_heat_kw));
             let (servers, offsets) = self.datacenter.servers_and_offsets_mut();
-            let delivery = self.fault.as_mut().map(|injector| {
-                let (plan, states) = injector.split_mut();
-                (plan, &mut states[idx], &mut self.delivered[idx])
-            });
-            let sink = match self.stable.as_mut() {
-                Some(means) => Sink::Stable(&mut means[idx]),
-                None => Sink::Trace(&mut self.traces[idx]),
-            };
             advance(
                 &mut servers[idx],
-                sink,
-                delivery,
-                self.clock - STEP,
+                slot,
+                self.fault.as_ref().map(FaultInjector::plan),
+                now - STEP,
                 ambient + offsets.get(idx),
                 elapsed,
             );
             self.server_steps += 1;
         }
-        self.wake_server(idx);
+        slot.interval = STEP;
+        slot.next_wake = slot.next_wake.min(now);
     }
 
-    /// Catches every sleeping server up to the current clock (event mode
-    /// only).
+    /// Catches every sleeping server up to the current clock.
     fn settle_all(&mut self) {
-        if self.clock_mode != ClockMode::Event || self.wake.is_none() {
-            return;
-        }
         for idx in 0..self.datacenter.len() {
             self.settle_and_wake(idx);
-        }
-    }
-
-    /// Re-densifies one server: resets its wake interval to the base step
-    /// and pulls its next wake-up to the current tick so this step's
-    /// physics phase integrates it.
-    fn wake_server(&mut self, idx: usize) {
-        let now = self.clock;
-        if let Some(wake) = self.wake.as_mut() {
-            if idx < wake.next_wake.len() {
-                wake.interval[idx] = STEP;
-                wake.next_wake[idx] = wake.next_wake[idx].min(now);
-            }
         }
     }
 
@@ -976,11 +929,9 @@ impl Simulation {
         while self.clock < t {
             self.step();
         }
-        // Event mode: flush sleepers so the fleet state at `t` is exactly
-        // what dense stepping would hold.
-        if self.clock_mode == ClockMode::Event {
-            self.settle_all();
-        }
+        // Flush sleepers so the fleet state at `t` is exactly what dense
+        // stepping would hold.
+        self.settle_all();
         if self.obs_backlog > 0 {
             OBS_STEPS.add(u64::from(self.obs_backlog));
             self.obs_backlog = 0;
@@ -1123,84 +1074,15 @@ impl Simulation {
     }
 }
 
-/// Which servers of one shard a physics batch advances, and over what
-/// interval (seconds).
-#[derive(Clone, Copy)]
-enum Batch<'a> {
-    /// Every server over the same interval: fixed mode's dense step.
-    All(f64),
-    /// The listed servers, by ascending stable index, each over its own
-    /// interval: event mode's wake list.
-    Due(&'a [usize], &'a [f64]),
-}
-
-impl Batch<'_> {
-    /// Servers in the batch, out of the `servers` it covers.
-    fn len(&self, servers: usize) -> usize {
-        match self {
-            Batch::All(_) => servers,
-            Batch::Due(due, _) => due.len(),
-        }
-    }
-
-    /// The `k`-th batched server's index local to a shard beginning at
-    /// `start`, and its interval.
-    fn entry(&self, k: usize, start: usize) -> (usize, f64) {
-        match *self {
-            Batch::All(dt_secs) => (k, dt_secs),
-            Batch::Due(due, elapsed) => (due[k] - start, elapsed[k]),
-        }
-    }
-}
-
-/// The shared fault plan plus one server's channel state and delivery
-/// sink.
-type Delivery<'a> = (
-    &'a FaultPlan,
-    &'a mut ServerFaultState,
-    &'a mut Vec<(f64, f64)>,
-);
-
-/// [`Delivery`] for a contiguous range of servers.
-type ShardDelivery<'a> = (
-    &'a FaultPlan,
-    &'a mut [ServerFaultState],
-    &'a mut [Vec<(f64, f64)>],
-);
-
 /// One contiguous shard of a physics batch: exclusive sub-slices of the
-/// per-server arrays, beginning at stable server index `start`.
+/// servers and their slots, beginning at stable server index `start`,
+/// and the part of the tick's batch that falls inside it.
 struct Shard<'a> {
     start: usize,
     servers: &'a mut [Server],
-    traces: &'a mut [ServerTrace],
-    stable: Option<&'a mut [StableMeans]>,
-    fault: Option<ShardDelivery<'a>>,
-    batch: Batch<'a>,
-}
-
-impl Shard<'_> {
-    /// The server at shard-local index `local` with its recording sink
-    /// and fault channel.
-    fn parts(&mut self, local: usize) -> (&mut Server, Sink<'_>, Option<Delivery<'_>>) {
-        let delivery = self
-            .fault
-            .as_mut()
-            .map(|(plan, states, sinks)| (*plan, &mut states[local], &mut sinks[local]));
-        let sink = match self.stable.as_mut() {
-            Some(means) => Sink::Stable(&mut means[local]),
-            None => Sink::Trace(&mut self.traces[local]),
-        };
-        (&mut self.servers[local], sink, delivery)
-    }
-}
-
-/// Where [`record`] puts a server's samples.
-enum Sink<'a> {
-    /// All five trace channels.
-    Trace(&'a mut ServerTrace),
-    /// Only the Eq. (1) folds of the sensor and die channels.
-    Stable(&'a mut StableMeans),
+    slots: &'a mut [Slot],
+    /// The batched servers, by ascending stable index.
+    due: &'a [usize],
 }
 
 /// Servers a shard begins, integrates together and records per pass:
@@ -1220,14 +1102,14 @@ pub(crate) const CHUNK: usize = 2 * thermal::LANES;
 #[inline(always)]
 fn advance(
     server: &mut Server,
-    sink: Sink<'_>,
-    delivery: Option<Delivery<'_>>,
+    slot: &mut Slot,
+    plan: Option<&FaultPlan>,
     at: SimTime,
     local_ambient: f64,
     elapsed_secs: f64,
 ) {
     server.step(at, Celsius::new(local_ambient), Seconds::new(elapsed_secs));
-    record(server, sink, delivery, at, local_ambient);
+    record(server, slot, plan, at, local_ambient);
 }
 
 /// The recording half of a server step: read the sensor, record the
@@ -1238,19 +1120,20 @@ fn advance(
 #[inline(always)]
 fn record(
     server: &mut Server,
-    sink: Sink<'_>,
-    delivery: Option<Delivery<'_>>,
+    slot: &mut Slot,
+    plan: Option<&FaultPlan>,
     at: SimTime,
     local_ambient: f64,
 ) {
     let reading = server.read_sensor();
-    match sink {
-        Sink::Stable(means) => {
+    match slot.stable.as_mut() {
+        Some(means) => {
             let t = at.as_secs_f64();
             means.sensor_c.push(t, reading);
             means.die_c.push(t, server.die_temperature());
         }
-        Sink::Trace(trace) => {
+        None => {
+            let trace = &mut slot.trace;
             let recorded = trace
                 .sensor_c
                 .push(at, reading)
@@ -1265,14 +1148,14 @@ fn record(
     }
     // The trace above is ground truth; the monitoring plane sees the
     // reading only after the fault channels have had their say.
-    if let Some((plan, state, sink)) = delivery {
+    if let (Some(plan), Some(state)) = (plan, slot.fault.as_mut()) {
         if let Some((t, v)) = state.deliver(
             plan,
             server.id().raw(),
             Seconds::new(at.as_secs_f64()),
             Celsius::new(reading),
         ) {
-            sink.push((t.get(), v.get()));
+            slot.delivered.push((t.get(), v.get()));
         }
     }
 }
@@ -1751,7 +1634,7 @@ mod tests {
                 fp.push(t.to_bits());
                 fp.push(v.to_bits());
             }
-            let stats = sim.fault.as_ref().unwrap().stats(s);
+            let stats = sim.slots[s].fault.as_ref().unwrap().stats();
             fp.extend([stats.dropped, stats.stuck, stats.spiked, stats.jittered]);
         }
         fp
@@ -1915,7 +1798,7 @@ mod tests {
                 fp.push(t.to_bits());
                 fp.push(v.to_bits());
             }
-            let stats = sim.fault.as_ref().unwrap().stats(s);
+            let stats = sim.slots[s].fault.as_ref().unwrap().stats();
             fp.extend([stats.dropped, stats.stuck, stats.spiked, stats.jittered]);
         }
         assert!(sim.step_stats().skip_factor() > 1.5);
@@ -2066,6 +1949,125 @@ mod tests {
             oracle::full_fingerprint(&event),
         ];
         assert_eq!(digests, MIXED_FLEET_DIGESTS, "got {digests:#018x?}");
+    }
+
+    /// A faulted 11-server fleet whose plan is swapped, removed and
+    /// re-installed mid-run, and which gains a server after stepping has
+    /// begun: plan A at 0 s, plan B (another seed, other channels) at
+    /// 300 s, a twelfth server at 450 s, no plan at 600 s, plan A again
+    /// at 900 s, end at 1200 s. Returns the full fingerprint at the end
+    /// and the fault counts just before each swap and at the end.
+    fn plan_swap_and_growth(mode: ClockMode) -> (u64, Vec<[u64; 5]>) {
+        use crate::fault::{DropoutFault, JitterFault, LostEventFault, SpikeFault, StuckFault};
+        let plan_a = FaultPlan::new(21)
+            .with_dropout(DropoutFault::random(0.02, Seconds::new(2.0), Seconds::new(6.0)).unwrap())
+            .with_spike(SpikeFault::random(0.05, Celsius::new(4.0), Celsius::new(9.0)).unwrap())
+            .with_jitter(JitterFault::random(0.1, Seconds::new(1.5)).unwrap());
+        let plan_b = FaultPlan::new(37)
+            .with_stuck(StuckFault::scheduled(vec![(320.0, 340.0)]).unwrap())
+            .with_dropout(DropoutFault::scheduled(vec![(400.0, 410.0), (500.0, 530.0)]).unwrap())
+            .with_spike(SpikeFault::scheduled(vec![(350.0, 6.0), (470.0, -5.0)]).unwrap())
+            .with_lost_events(LostEventFault::random(0.5).unwrap());
+        let dc = Datacenter::homogeneous(&ServerSpec::standard("n"), 11, 4, Celsius::new(24.0), 5);
+        let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 9).with_clock(mode);
+        sim.set_shards(3);
+        sim.set_fault_plan(plan_a.clone()).unwrap();
+        for s in 0..11 {
+            let task = if s % 5 == 0 {
+                TaskProfile::CpuBound
+            } else {
+                TaskProfile::Idle
+            };
+            sim.boot_vm_now(ServerId::new(s), VmSpec::new("v", 2, 4.0, task))
+                .unwrap();
+        }
+        sim.schedule(
+            SimTime::from_secs(200),
+            Event::BootVm {
+                server: ServerId::new(3),
+                spec: VmSpec::new("late", 2, 4.0, TaskProfile::Mixed),
+            },
+        );
+        sim.schedule(SimTime::from_secs(380), Event::StopVm(VmId::new(2)));
+        sim.schedule(
+            SimTime::from_secs(650),
+            Event::MigrateVm {
+                vm: VmId::new(4),
+                dest: ServerId::new(9),
+            },
+        );
+        let counts = |sim: &Simulation| {
+            let stats = sim.fault_stats();
+            [
+                stats.dropped,
+                stats.stuck,
+                stats.spiked,
+                stats.jittered,
+                stats.events_lost,
+            ]
+        };
+        let mut stats = Vec::new();
+        sim.run_until(SimTime::from_secs(300));
+        stats.push(counts(&sim));
+        sim.set_fault_plan(plan_b).unwrap();
+        sim.run_until(SimTime::from_secs(450));
+        let added =
+            sim.datacenter_mut()
+                .add_server(ServerSpec::standard("late"), Celsius::new(24.0), 77);
+        sim.schedule(
+            SimTime::from_secs(800),
+            Event::BootVm {
+                server: added,
+                spec: VmSpec::new("new", 2, 4.0, TaskProfile::Idle),
+            },
+        );
+        sim.run_until(SimTime::from_secs(600));
+        stats.push(counts(&sim));
+        sim.set_fault_plan(FaultPlan::none()).unwrap();
+        sim.run_until(SimTime::from_secs(900));
+        sim.set_fault_plan(plan_a).unwrap();
+        sim.run_until(SimTime::from_secs(1200));
+        stats.push(counts(&sim));
+        assert_eq!(sim.datacenter().len(), 12);
+        if mode == ClockMode::Event {
+            assert!(
+                sim.step_stats().skip_factor() > 1.5,
+                "{:?}",
+                sim.step_stats()
+            );
+        }
+        (crate::scenario::oracle::full_fingerprint(&sim), stats)
+    }
+
+    /// [`plan_swap_and_growth`] on `[Fixed, Event]`, captured before the
+    /// per-server engine state moved into one slot per server.
+    const PLAN_SWAP_DIGESTS: [u64; 2] = [0x1365_64cb_800d_11fc, 0x0e2f_bde8_0512_73e1];
+    /// The fault counts `[dropped, stuck, spiked, jittered, events_lost]`
+    /// at 300 s (plan A), 600 s (plan B) and 1200 s (plan A again), on
+    /// `[Fixed, Event]`.
+    const PLAN_SWAP_STATS: [[[u64; 5]; 3]; 2] = [
+        [
+            [281, 0, 149, 320, 0],
+            [470, 209, 24, 0, 1],
+            [304, 0, 167, 347, 0],
+        ],
+        [
+            [231, 0, 137, 292, 0],
+            [225, 90, 24, 0, 1],
+            [98, 0, 68, 132, 0],
+        ],
+    ];
+
+    #[test]
+    fn plan_swaps_and_fleet_growth_match_their_pinned_digests() {
+        for (k, mode) in [ClockMode::Fixed, ClockMode::Event].into_iter().enumerate() {
+            let (digest, stats) = plan_swap_and_growth(mode);
+            assert_eq!(
+                (digest, stats.as_slice()),
+                (PLAN_SWAP_DIGESTS[k], PLAN_SWAP_STATS[k].as_slice()),
+                "{mode:?}: got {digest:#018x} {stats:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! stick at a reading, single readings spike, timestamps jitter and arrive
 //! out of order, and reconfiguration notifications get lost. A
 //! [`FaultPlan`] describes which of those channels are active and with
-//! what intensity; a [`FaultInjector`] applies them between the
-//! [`crate::sensor::TemperatureSensor`] and the consumers, with one seeded
-//! RNG stream per server so every run is bit-for-bit reproducible.
+//! what intensity. Installed with
+//! [`Simulation::set_fault_plan`](crate::engine::Simulation::set_fault_plan),
+//! the plan applies between the [`crate::sensor::TemperatureSensor`] and
+//! the consumers, with one seeded RNG stream per server so every run is
+//! bit-for-bit reproducible.
 //!
 //! Channels that are not configured draw **no** randomness and touch
 //! nothing, so a plan with no channels ([`FaultPlan::is_noop`]) is
-//! indistinguishable from having no injector at all — the property the
+//! indistinguishable from having no plan at all — the property the
 //! figure harnesses rely on.
 //!
 //! The physics traces recorded by the engine stay clean (they are ground
@@ -50,6 +52,50 @@ fn check_windows(field: &'static str, windows: &[(f64, f64)]) -> Result<(), SimE
     Ok(())
 }
 
+/// The field names one window channel's errors report.
+struct WindowFields {
+    window_prob: &'static str,
+    window: &'static str,
+    windows: &'static str,
+}
+
+const DROPOUT_FIELDS: WindowFields = WindowFields {
+    window_prob: "dropout.window_prob",
+    window: "dropout.window",
+    windows: "dropout.windows",
+};
+
+const STUCK_FIELDS: WindowFields = WindowFields {
+    window_prob: "stuck.window_prob",
+    window: "stuck.window",
+    windows: "stuck.windows",
+};
+
+/// What [`DropoutFault`] and [`StuckFault`] hold: `(window_prob,
+/// min_secs, max_secs, windows)`.
+type WindowParts = (f64, f64, f64, Vec<(f64, f64)>);
+
+/// The one constructor behind both window channels: random windows of
+/// `span = (min, max)` opening with probability `window_prob`, or only
+/// the explicit `windows` when `span` is `None`.
+fn window_channel(
+    fields: &WindowFields,
+    window_prob: f64,
+    span: Option<(Seconds, Seconds)>,
+    windows: Vec<(f64, f64)>,
+) -> Result<WindowParts, SimError> {
+    check_prob(fields.window_prob, window_prob)?;
+    let (min, max) = span.map_or((0.0, 0.0), |(min, max)| (min.get(), max.get()));
+    if span.is_some() && (!(min > 0.0) || !(max >= min)) {
+        return Err(SimError::invalid(
+            fields.window,
+            format!("need 0 < min <= max, got [{min}, {max}]"),
+        ));
+    }
+    check_windows(fields.windows, &windows)?;
+    Ok((window_prob, min, max, windows))
+}
+
 fn in_window(windows: &[(f64, f64)], t: f64) -> Option<f64> {
     windows
         .iter()
@@ -79,19 +125,8 @@ impl DropoutFault {
     /// [`SimError::InvalidConfig`] unless `window_prob` is a probability
     /// and `0 < min ≤ max`.
     pub fn random(window_prob: f64, min: Seconds, max: Seconds) -> Result<Self, SimError> {
-        check_prob("dropout.window_prob", window_prob)?;
-        if !(min.get() > 0.0) || !(max.get() >= min.get()) {
-            return Err(SimError::invalid(
-                "dropout.window",
-                format!("need 0 < min <= max, got [{}, {}]", min.get(), max.get()),
-            ));
-        }
-        Ok(DropoutFault {
-            window_prob,
-            min_secs: min.get(),
-            max_secs: max.get(),
-            windows: Vec::new(),
-        })
+        window_channel(&DROPOUT_FIELDS, window_prob, Some((min, max)), Vec::new())
+            .map(Self::from_parts)
     }
 
     /// Only the given explicit `[start, end)` windows (s), no randomness.
@@ -100,13 +135,16 @@ impl DropoutFault {
     ///
     /// [`SimError::InvalidConfig`] for an empty or backwards window.
     pub fn scheduled(windows: Vec<(f64, f64)>) -> Result<Self, SimError> {
-        check_windows("dropout.windows", &windows)?;
-        Ok(DropoutFault {
-            window_prob: 0.0,
-            min_secs: 0.0,
-            max_secs: 0.0,
+        window_channel(&DROPOUT_FIELDS, 0.0, None, windows).map(Self::from_parts)
+    }
+
+    fn from_parts((window_prob, min_secs, max_secs, windows): WindowParts) -> Self {
+        DropoutFault {
+            window_prob,
+            min_secs,
+            max_secs,
             windows,
-        })
+        }
     }
 }
 
@@ -131,19 +169,8 @@ impl StuckFault {
     ///
     /// Same domain as [`DropoutFault::random`].
     pub fn random(window_prob: f64, min: Seconds, max: Seconds) -> Result<Self, SimError> {
-        check_prob("stuck.window_prob", window_prob)?;
-        if !(min.get() > 0.0) || !(max.get() >= min.get()) {
-            return Err(SimError::invalid(
-                "stuck.window",
-                format!("need 0 < min <= max, got [{}, {}]", min.get(), max.get()),
-            ));
-        }
-        Ok(StuckFault {
-            window_prob,
-            min_secs: min.get(),
-            max_secs: max.get(),
-            windows: Vec::new(),
-        })
+        window_channel(&STUCK_FIELDS, window_prob, Some((min, max)), Vec::new())
+            .map(Self::from_parts)
     }
 
     /// Only the given explicit `[start, end)` windows (s), no randomness.
@@ -152,13 +179,16 @@ impl StuckFault {
     ///
     /// [`SimError::InvalidConfig`] for an empty or backwards window.
     pub fn scheduled(windows: Vec<(f64, f64)>) -> Result<Self, SimError> {
-        check_windows("stuck.windows", &windows)?;
-        Ok(StuckFault {
-            window_prob: 0.0,
-            min_secs: 0.0,
-            max_secs: 0.0,
+        window_channel(&STUCK_FIELDS, 0.0, None, windows).map(Self::from_parts)
+    }
+
+    fn from_parts((window_prob, min_secs, max_secs, windows): WindowParts) -> Self {
+        StuckFault {
+            window_prob,
+            min_secs,
+            max_secs,
             windows,
-        })
+        }
     }
 }
 
@@ -377,6 +407,35 @@ impl FaultPlan {
         bounds
     }
 
+    /// Checks a plan that may have been assembled by hand or parsed
+    /// rather than built through the channel constructors: every
+    /// probability lies in `[0, 1]` and every explicit window is a
+    /// forward time range.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), SimError> {
+        if let Some(d) = &self.dropout {
+            check_prob(DROPOUT_FIELDS.window_prob, d.window_prob)?;
+            check_windows(DROPOUT_FIELDS.windows, &d.windows)?;
+        }
+        if let Some(s) = &self.stuck {
+            check_prob(STUCK_FIELDS.window_prob, s.window_prob)?;
+            check_windows(STUCK_FIELDS.windows, &s.windows)?;
+        }
+        if let Some(s) = &self.spike {
+            check_prob("spike.prob", s.prob)?;
+        }
+        if let Some(j) = &self.jitter {
+            check_prob("jitter.prob", j.prob)?;
+        }
+        if let Some(l) = &self.lost_events {
+            check_prob("lost_event.prob", l.prob)?;
+        }
+        Ok(())
+    }
+
     /// `true` when no channel is configured: injecting this plan is
     /// bit-identical to not injecting at all.
     #[must_use]
@@ -405,7 +464,7 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    fn add(&mut self, other: &FaultStats) {
+    pub(crate) fn add(&mut self, other: FaultStats) {
         self.dropped += other.dropped;
         self.stuck += other.stuck;
         self.spiked += other.spiked;
@@ -431,7 +490,8 @@ pub(crate) struct ServerFaultState {
 }
 
 impl ServerFaultState {
-    fn new(seed: u64, server: usize) -> Self {
+    /// Server `server`'s fresh channel state under a plan seeded `seed`.
+    pub(crate) fn new(seed: u64, server: usize) -> Self {
         ServerFaultState {
             rng: StdRng::seed_from_u64(
                 seed ^ (server as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -442,6 +502,11 @@ impl ServerFaultState {
             spike_cursor: 0,
             stats: FaultStats::default(),
         }
+    }
+
+    /// What this server's channels did so far.
+    pub(crate) fn stats(&self) -> FaultStats {
+        self.stats
     }
 
     /// Routes one sensor reading through the active channels of `plan`.
@@ -565,77 +630,40 @@ impl ServerFaultState {
     }
 }
 
-/// Applies a [`FaultPlan`] to per-server sensor deliveries.
+/// A plan's fleet-wide state: the plan and its lost-event channel. Each
+/// server's channel state ([`ServerFaultState`]) lives with the engine's
+/// other per-server state.
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
-    servers: Vec<ServerFaultState>,
     event_rng: StdRng,
     events_lost: u64,
 }
 
 impl FaultInjector {
-    /// Builds an injector for the plan. Per-server state is created
-    /// lazily as servers are seen, so fleets may grow mid-run.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] — channel constructors validate their
-    /// own domains, but a hand-assembled plan is re-checked here.
-    pub fn new(plan: FaultPlan) -> Result<Self, SimError> {
-        if let Some(d) = &plan.dropout {
-            check_prob("dropout.window_prob", d.window_prob)?;
-            check_windows("dropout.windows", &d.windows)?;
-        }
-        if let Some(s) = &plan.stuck {
-            check_prob("stuck.window_prob", s.window_prob)?;
-            check_windows("stuck.windows", &s.windows)?;
-        }
-        if let Some(s) = &plan.spike {
-            check_prob("spike.prob", s.prob)?;
-        }
-        if let Some(j) = &plan.jitter {
-            check_prob("jitter.prob", j.prob)?;
-        }
-        if let Some(l) = &plan.lost_events {
-            check_prob("lost_event.prob", l.prob)?;
-        }
+    /// The injector for a plan [`FaultPlan::validate`] accepted.
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         let event_rng = StdRng::seed_from_u64(plan.seed ^ 0x00C0_FFEE);
-        Ok(FaultInjector {
+        FaultInjector {
             plan,
-            servers: Vec::new(),
             event_rng,
             events_lost: 0,
-        })
+        }
     }
 
     /// The plan this injector applies.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
+    pub(crate) fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
-    /// Grows per-server state up to `count` servers so disjoint states
-    /// exist before the fleet is split across worker threads.
-    pub(crate) fn ensure_servers(&mut self, count: usize) {
-        while self.servers.len() < count {
-            let idx = self.servers.len();
-            self.servers
-                .push(ServerFaultState::new(self.plan.seed, idx));
-        }
-    }
-
-    /// Splits the injector into its (shared) plan and the per-server
-    /// state slice, indexed by stable server id. Call
-    /// [`FaultInjector::ensure_servers`] first: the slice only covers
-    /// servers that already have state.
-    pub(crate) fn split_mut(&mut self) -> (&FaultPlan, &mut [ServerFaultState]) {
-        (&self.plan, &mut self.servers)
+    /// Server `server`'s fresh channel state under this plan.
+    pub(crate) fn server_state(&self, server: usize) -> ServerFaultState {
+        ServerFaultState::new(self.plan.seed, server)
     }
 
     /// Decides whether the next reconfiguration notification is lost.
     /// Draws randomness only when the channel is enabled.
-    pub fn event_lost(&mut self) -> bool {
+    pub(crate) fn event_lost(&mut self) -> bool {
         let Some(lost) = &self.plan.lost_events else {
             return false;
         };
@@ -648,26 +676,9 @@ impl FaultInjector {
         }
     }
 
-    /// Per-server injection counts (zeros for a server never seen).
-    #[must_use]
-    pub fn stats(&self, server: usize) -> FaultStats {
-        self.servers
-            .get(server)
-            .map(|s| s.stats)
-            .unwrap_or_default()
-    }
-
-    /// Injection counts summed over servers, plus lost events.
-    #[must_use]
-    pub fn total_stats(&self) -> FaultStats {
-        let mut total = FaultStats {
-            events_lost: self.events_lost,
-            ..FaultStats::default()
-        };
-        for s in &self.servers {
-            total.add(&s.stats);
-        }
-        total
+    /// Reconfiguration notifications lost so far.
+    pub(crate) fn events_lost(&self) -> u64 {
+        self.events_lost
     }
 }
 
@@ -703,13 +714,12 @@ mod tests {
     /// Feeds a fixed ramp through server 0's channel state, returning the
     /// deliveries.
     fn run_plan(plan: FaultPlan, samples: usize) -> Vec<Option<(f64, f64)>> {
-        let mut injector = FaultInjector::new(plan).expect("valid plan");
-        injector.ensure_servers(1);
-        let (plan, states) = injector.split_mut();
+        plan.validate().expect("valid plan");
+        let mut state = ServerFaultState::new(plan.seed, 0);
         (0..samples)
             .map(|i| {
-                states[0]
-                    .deliver(plan, 0, s(i as f64), c(40.0 + i as f64 * 0.01))
+                state
+                    .deliver(&plan, 0, s(i as f64), c(40.0 + i as f64 * 0.01))
                     .map(|(t, v)| (t.get(), v.get()))
             })
             .collect()
@@ -764,7 +774,7 @@ mod tests {
         let draw = |seed: u64| -> Vec<bool> {
             let plan =
                 FaultPlan::new(seed).with_lost_events(LostEventFault::random(0.3).expect("lost"));
-            let mut injector = FaultInjector::new(plan).expect("valid");
+            let mut injector = FaultInjector::new(plan);
             (0..100).map(|_| injector.event_lost()).collect()
         };
         assert_eq!(draw(3), draw(3));
@@ -829,35 +839,40 @@ mod tests {
             .with_dropout(DropoutFault::scheduled(vec![(0.0, 5.0)]).expect("d"))
             .with_stuck(StuckFault::scheduled(vec![(10.0, 15.0)]).expect("s"))
             .with_spike(SpikeFault::scheduled(vec![(20.0, 8.0)]).expect("sp"));
-        let mut injector = FaultInjector::new(plan).expect("valid");
-        injector.ensure_servers(1);
-        let (plan, states) = injector.split_mut();
+        let mut states = [
+            ServerFaultState::new(plan.seed, 0),
+            ServerFaultState::new(plan.seed, 1),
+        ];
         for i in 0..30 {
-            let _ = states[0].deliver(plan, 0, s(i as f64), c(50.0));
+            let _ = states[0].deliver(&plan, 0, s(i as f64), c(50.0));
         }
-        let stats = injector.stats(0);
+        let stats = states[0].stats();
         assert_eq!(stats.dropped, 5);
         assert_eq!(stats.stuck, 4); // samples 11..15 held (10 is its own value)
         assert_eq!(stats.spiked, 1);
-        let total = injector.total_stats();
+        let mut total = FaultStats::default();
+        for state in &states {
+            total.add(state.stats());
+        }
         assert_eq!(total.dropped, 5);
         // Server streams are independent: server 1 saw nothing.
-        assert_eq!(injector.stats(1), FaultStats::default());
+        assert_eq!(states[1].stats(), FaultStats::default());
     }
 
     #[test]
     fn per_server_streams_are_decorrelated() {
         let plan =
             FaultPlan::new(11).with_spike(SpikeFault::random(0.2, c(5.0), c(10.0)).expect("spike"));
-        let mut injector = FaultInjector::new(plan).expect("valid");
-        injector.ensure_servers(2);
-        let (plan, states) = injector.split_mut();
+        let mut states = [
+            ServerFaultState::new(plan.seed, 0),
+            ServerFaultState::new(plan.seed, 1),
+        ];
         let mut streams: Vec<Vec<Option<f64>>> = vec![Vec::new(), Vec::new()];
         for i in 0..200 {
             for (server, state) in states.iter_mut().enumerate() {
                 streams[server].push(
                     state
-                        .deliver(plan, server, s(i as f64), c(50.0))
+                        .deliver(&plan, server, s(i as f64), c(50.0))
                         .map(|(_, v)| v.get()),
                 );
             }
@@ -878,6 +893,49 @@ mod tests {
         assert!(SpikeFault::scheduled(vec![(1.0, 0.0)]).is_err());
         assert!(JitterFault::random(0.1, s(0.0)).is_err());
         assert!(LostEventFault::random(2.0).is_err());
+    }
+
+    #[test]
+    fn hand_assembled_plans_are_validated() {
+        let mut plan = FaultPlan::new(1)
+            .with_dropout(DropoutFault::scheduled(vec![(1.0, 2.0)]).expect("d"))
+            .with_stuck(StuckFault::random(0.1, s(1.0), s(2.0)).expect("s"));
+        assert!(plan.validate().is_ok());
+        let field = |plan: &FaultPlan| match plan.validate() {
+            Err(SimError::InvalidConfig { field, .. }) => field,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        plan.stuck.as_mut().expect("stuck").window_prob = 1.5;
+        assert_eq!(field(&plan), "stuck.window_prob");
+        plan.dropout
+            .as_mut()
+            .expect("dropout")
+            .windows
+            .push((5.0, 4.0));
+        assert_eq!(field(&plan), "dropout.windows");
+        let plan = FaultPlan::new(1).with_jitter(JitterFault {
+            prob: -0.5,
+            max_skew_secs: 1.0,
+        });
+        assert_eq!(field(&plan), "jitter.prob");
+        let plan = FaultPlan::new(1).with_lost_events(LostEventFault { prob: 2.0 });
+        assert_eq!(field(&plan), "lost_event.prob");
+        // The window channels report the same fields from their
+        // constructors.
+        assert!(matches!(
+            StuckFault::random(0.1, s(3.0), s(2.0)),
+            Err(SimError::InvalidConfig {
+                field: "stuck.window",
+                ..
+            })
+        ));
+        assert!(matches!(
+            DropoutFault::scheduled(vec![(-1.0, 2.0)]),
+            Err(SimError::InvalidConfig {
+                field: "dropout.windows",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -97,8 +97,7 @@ pub use environment::AmbientModel;
 pub use error::SimError;
 pub use experiment::{CaseGenerator, ConfigSnapshot, ExperimentConfig, ExperimentOutcome};
 pub use fault::{
-    DropoutFault, FaultInjector, FaultPlan, FaultStats, JitterFault, LostEventFault, SpikeFault,
-    StuckFault,
+    DropoutFault, FaultPlan, FaultStats, JitterFault, LostEventFault, SpikeFault, StuckFault,
 };
 pub use scenario::{
     oracle::{OracleConfig, OracleFailure, ScenarioReport},

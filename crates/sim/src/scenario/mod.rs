@@ -221,12 +221,7 @@ impl Scenario {
                 ScenarioAction::SetAmbient { model } => check_ambient(field, model)?,
             }
         }
-        // Delegate fault-plan domain checks to the injector's validator
-        // without paying for channel state construction on noop plans.
-        if !self.fault.is_noop() {
-            crate::fault::FaultInjector::new(self.fault.clone())?;
-        }
-        Ok(())
+        self.fault.validate()
     }
 
     /// Number of VMs booted before the clock starts.

@@ -6,7 +6,12 @@
 //! express for us:
 //!
 //! - **L1** — every crate manifest inherits the shared
-//!   `[workspace.lints]` table via `[lints] workspace = true`.
+//!   `[workspace.lints]` table via `[lints] workspace = true`, and the
+//!   roots of the crates the compiler rules below cover still deny
+//!   them: core, svm, sim and obs the panic lints, core, sim and svm the
+//!   `clippy.toml` bans. Deleting one of those lines would otherwise
+//!   leave clippy green, because each vetted site's `#[expect]` turns
+//!   its lint on for its own scope.
 //! - **L3** — no raw `f64` temperature/power/duration/utilization
 //!   parameters in `pub fn` (or public trait) signatures of
 //!   `vmtherm-core` and `vmtherm-sim`; such parameters must use the
@@ -76,7 +81,8 @@ use std::path::{Path, PathBuf};
 /// enforce those rules (see the crate docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// Crate hygiene: `[lints] workspace = true` in every manifest.
+    /// Crate hygiene: `[lints] workspace = true` in every manifest, and
+    /// the panic and determinism denies in the crate roots they cover.
     L1,
     /// No raw `f64` unit-suffixed parameters in public signatures.
     L3,
@@ -229,6 +235,7 @@ const PAPER_CONSTANT_NAMES: [&str; 4] = [
 pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     let mut violations = Vec::new();
     check_crate_hygiene(root, &mut violations)?;
+    check_root_denies(root, &mut violations)?;
     scan_crates(root, &UNIT_SAFE_CRATES, |rel, text| {
         check_unit_newtypes(rel, text, &mut violations);
         check_float_comparisons(rel, text, &mut violations);
@@ -337,6 +344,60 @@ fn check_crate_hygiene(root: &Path, out: &mut Vec<Violation>) -> Result<(), Stri
                     .to_string(),
                 source: String::new(),
             });
+        }
+    }
+    Ok(())
+}
+
+/// The lints each crate group's root must deny (rule L1): the
+/// panic-free crates deny the panic lints, the deterministic crates the
+/// `clippy.toml` bans. An `#[expect]` turns its lint on for its own
+/// scope, so deleting a root deny would leave clippy green with the
+/// rule silently off.
+const ROOT_DENIES: [(&[&str], &[&str]); 2] = [
+    (&PANIC_FREE_CRATES, &PANIC_LINTS),
+    (
+        &DETERMINISTIC_CRATES,
+        &["clippy::disallowed_types", "clippy::disallowed_methods"],
+    ),
+];
+
+/// L1, second half: the root `src/lib.rs` of every manifest-bearing crate
+/// in a [`ROOT_DENIES`] group denies (or forbids) that group's lints.
+fn check_root_denies(root: &Path, out: &mut Vec<Violation>) -> Result<(), String> {
+    for (crates, lints) in ROOT_DENIES {
+        for name in crates {
+            let dir = root.join("crates").join(name);
+            let lib = dir.join("src").join("lib.rs");
+            if !dir.join("Cargo.toml").exists() || !lib.exists() {
+                continue;
+            }
+            let code: Vec<String> = read_source(root, &lib)?
+                .lines()
+                .map(strip_comment_and_strings)
+                .collect();
+            let denied: Vec<String> = attribute_lints(&code, &["#![deny(", "#![forbid("])
+                .into_iter()
+                .flat_map(|(_, lints)| lints)
+                .collect();
+            let missing: Vec<&str> = lints
+                .iter()
+                .copied()
+                .filter(|lint| !denied.iter().any(|d| d == lint))
+                .collect();
+            if !missing.is_empty() {
+                out.push(Violation {
+                    rule: Rule::L1,
+                    path: relative(root, &lib),
+                    line: 0,
+                    message: format!(
+                        "crate root does not deny {} (add `#![deny({})]`)",
+                        missing.join(", "),
+                        lints.join(", ")
+                    ),
+                    source: String::new(),
+                });
+            }
         }
     }
     Ok(())
@@ -758,16 +819,28 @@ fn parse_ratchet(text: &str) -> Result<usize, String> {
 /// comments and string contents (a `reason = "…"`) are ignored.
 fn panic_exemption_lines(text: &str) -> Vec<usize> {
     let code: Vec<String> = text.lines().map(strip_comment_and_strings).collect();
+    attribute_lints(&code, &["#[allow(", "#![allow(", "#[expect(", "#![expect("])
+        .into_iter()
+        .filter(|(_, lints)| {
+            lints
+                .iter()
+                .any(|lint| PANIC_LINTS.contains(&lint.as_str()))
+        })
+        .map(|(line, _)| line)
+        .collect()
+}
+
+/// Every attribute in `code` (lines with comments and string contents
+/// stripped) that opens with one of `openers`, as its 1-based line and
+/// the lint list up to the parenthesis closing it; an attribute may
+/// wrap over several lines.
+fn attribute_lints(code: &[String], openers: &[&str]) -> Vec<(usize, Vec<String>)> {
     let mut found = Vec::new();
     for (idx, line) in code.iter().enumerate() {
         let trimmed = line.trim_start();
-        let Some(rest) = ["#[allow(", "#![allow(", "#[expect(", "#![expect("]
-            .iter()
-            .find_map(|open| trimmed.strip_prefix(open))
-        else {
+        let Some(rest) = openers.iter().find_map(|open| trimmed.strip_prefix(open)) else {
             continue;
         };
-        // Collect the lint list up to the parenthesis closing the attribute.
         let mut lints = String::new();
         let mut depth = 1;
         'scan: for part in std::iter::once(rest).chain(code[idx + 1..].iter().map(String::as_str)) {
@@ -784,12 +857,12 @@ fn panic_exemption_lines(text: &str) -> Vec<usize> {
             }
             lints.push(',');
         }
-        if lints
+        let lints = lints
             .split(',')
-            .any(|lint| PANIC_LINTS.contains(&lint.trim()))
-        {
-            found.push(idx + 1);
-        }
+            .map(|lint| lint.trim().to_string())
+            .filter(|lint| !lint.is_empty())
+            .collect();
+        found.push((idx + 1, lints));
     }
     found
 }

@@ -2,6 +2,9 @@
 //! so pop order is a pure function of the pushed contents — never of
 //! insertion history or hash state.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

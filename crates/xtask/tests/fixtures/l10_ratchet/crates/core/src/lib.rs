@@ -1,5 +1,5 @@
 //! Three panic-lint exemption attributes against a ratchet of two.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types, clippy::disallowed_methods)]
 
 #[expect(clippy::expect_used, reason = "fixture: caller checks nonempty")]
 pub fn first(xs: &[f64]) -> f64 {

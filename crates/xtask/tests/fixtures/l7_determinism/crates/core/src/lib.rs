@@ -1,5 +1,5 @@
 //! Dirty fixture: a heap-feeding `Ord` on a partial key.
-
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types, clippy::disallowed_methods)]
 /// A wake-up queue ordered on a partial key: pops between equal `at`
 /// values come out in insertion-history order, which rule L7 rejects in
 /// any file that feeds a `BinaryHeap`.

@@ -51,6 +51,27 @@ fn l1_missing_hygiene_fires() {
 }
 
 #[test]
+fn l1_missing_root_denies_fire() {
+    // sim's panic deny is commented out and core denies only one of the
+    // two determinism bans; obs forbids the panic lints, which passes.
+    let violations = lint_fixture("l1_root_denies");
+    let sim = find(&violations, Rule::L1, "crates/sim/src/lib.rs", 0);
+    assert!(
+        sim.message
+            .contains("clippy::unwrap_used, clippy::expect_used, clippy::panic"),
+        "{sim:#?}"
+    );
+    let core = find(&violations, Rule::L1, "crates/core/src/lib.rs", 0);
+    assert!(
+        core.message
+            .contains("deny clippy::disallowed_methods (add"),
+        "{core:#?}"
+    );
+    assert_eq!(violations.len(), 2, "{violations:#?}");
+    assert!(!binary_passes("l1_root_denies"));
+}
+
+#[test]
 fn l3_raw_unit_parameters_fire() {
     let violations = lint_fixture("l3_raw_units");
     let inherent = find(&violations, Rule::L3, "crates/core/src/lib.rs", 6);
