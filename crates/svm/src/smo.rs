@@ -115,26 +115,28 @@ fn signed_row<'r>(k: &'r [f64], yi: f64, y: &'r [f64]) -> impl Iterator<Item = f
         .map(move |(&yt, &kt)| yi * yt * kt)
 }
 
-/// `G_t += Q_it·Δα_i + Q_jt·Δα_j` for every variable, from the kernel
-/// rows `ki = K[b_i]` and `kj = K[b_j]` with `yai = y_i·Δα_i` and
-/// `yaj = y_j·Δα_j`. Per base point `b` it forms `x = K_i[b]·yai` and
-/// `z = K_j[b]·yaj` once and adds `y_t·x + y_t·z`, which is bit for bit
-/// the signed-row update `Q_it·Δα_i + Q_jt·Δα_j`: the two differ only by
-/// factors of ±1.
-fn update_gradient(grad: &mut [f64], y: &[f64], ki: &[f64], kj: &[f64], yai: f64, yaj: f64) {
-    let (alpha_half, star_half) = grad.split_at_mut(ki.len());
+/// Applies `G_t += Q_it·Δα_i + Q_jt·Δα_j` to the sign-folded gradient
+/// `yg_t = y_t·G_t` of every variable, from the kernel rows `ki = K[b_i]`
+/// and `kj = K[b_j]` with `yai = y_i·Δα_i` and `yaj = y_j·Δα_j`. Per base
+/// point `b` it forms `x = K_i[b]·yai` and `z = K_j[b]·yaj` once; `y_t·x +
+/// y_t·z` is bit for bit the signed-row term `Q_it·Δα_i + Q_jt·Δα_j`: the
+/// two differ only by factors of ±1.
+fn update_gradient(yg: &mut [f64], y: &[f64], ki: &[f64], kj: &[f64], yai: f64, yaj: f64) {
+    let (alpha_half, star_half) = yg.split_at_mut(ki.len());
     if star_half.is_empty() {
+        // Unfold `G_t = y_t·yg_t`, update it, fold it back: all exact.
         for (((g, &yt), &kit), &kjt) in alpha_half.iter_mut().zip(y).zip(ki).zip(kj) {
             let (x, z) = (kit * yai, kjt * yaj);
-            *g += yt * x + yt * z;
+            *g = yt * (yt * *g + (yt * x + yt * z));
         }
     } else {
-        // y_t = +1 on the α half and −1 on the α* half. `(−x) + (−z)` is
-        // the signed-row sum; `−(x + z)` would differ on signed zeros.
+        // y_t = +1 on the α half, so `yg_t = G_t` there. On the α* half
+        // `G_t = −yg_t` gains `(−x) + (−z)` and the sum is negated back;
+        // `yg_t += x + z` would differ on signed zeros.
         for (((g, g_star), &kit), &kjt) in alpha_half.iter_mut().zip(star_half).zip(ki).zip(kj) {
             let (x, z) = (kit * yai, kjt * yaj);
             *g += x + z;
-            *g_star += (-x) + (-z);
+            *g_star = -((-*g_star) + ((-x) + (-z)));
         }
     }
 }
@@ -235,19 +237,15 @@ pub(crate) fn solve(
             }
         }
     }
-
-    // I_up / I_low membership per variable, refreshed whenever α moves,
-    // so the selection scans test one flag instead of y, α and C.
-    let mut up = vec![false; n];
-    let mut low = vec![false; n];
-    for t in 0..n {
-        classify(t, y, c, &alpha, &mut up, &mut low);
+    // From here on the gradient is kept sign-folded, `yg_t = y_t·G_t`:
+    // the selection reads `y_t·G_t` straight from it, and `G_t = y_t·yg_t`
+    // is exact wherever the plain gradient is needed.
+    let mut yg = grad;
+    for (g, &yt) in yg.iter_mut().zip(y) {
+        *g *= yt;
     }
 
-    // The working set as an ascending index list: the selection loops
-    // visit exactly the active variables, in the same order a scan of
-    // 0..n would, so every tie resolves the same way.
-    let mut active: Vec<usize> = (0..n).collect();
+    let mut set = WorkingSet::new(y, c, &alpha);
     let mut unshrunk = false;
     let shrink_period = n.clamp(1, 1000);
     let mut counter = shrink_period;
@@ -261,42 +259,32 @@ pub(crate) fn solve(
             if options.shrinking {
                 do_shrinking(
                     q,
-                    &mut grad,
+                    &mut yg,
                     &g_bar,
                     p,
                     y,
                     c,
                     &alpha,
-                    &mut active,
+                    &mut set,
                     &mut unshrunk,
                     options.tolerance,
                 );
             }
         }
 
-        let pair = select_working_set(q, &grad, y, &up, &low, options.tolerance, &active, &mut ki);
+        let pair = select_working_set(q, &yg, &set, options.tolerance, &mut ki);
         let (i, j) = match pair {
             Some(pair) => pair,
             None => {
-                if active.len() == n {
+                if set.active.len() == n {
                     converged = true;
                     break;
                 }
                 // Optimal on the shrunk set: reconstruct and re-check on
                 // the full set.
-                reconstruct_gradient(q, &mut grad, &g_bar, p, y, c, &alpha, &active);
-                active.clear();
-                active.extend(0..n);
-                match select_working_set(
-                    q,
-                    &grad,
-                    y,
-                    &up,
-                    &low,
-                    options.tolerance,
-                    &active,
-                    &mut ki,
-                ) {
+                reconstruct_gradient(q, &mut yg, &g_bar, p, y, c, &alpha, &set.active);
+                set.restore();
+                match select_working_set(q, &yg, &set, options.tolerance, &mut ki) {
                     Some(pair) => {
                         counter = 1; // shrink again next iteration
                         pair
@@ -319,6 +307,7 @@ pub(crate) fn solve(
         let cj = c[j];
         let old_ai = alpha[i];
         let old_aj = alpha[j];
+        let (gi, gj) = (y[i] * yg[i], y[j] * yg[j]);
 
         if (y[i] - y[j]).abs() > 0.5 {
             // y_i != y_j
@@ -326,7 +315,7 @@ pub(crate) fn solve(
             if quad <= 0.0 {
                 quad = TAU;
             }
-            let delta = (-grad[i] - grad[j]) / quad;
+            let delta = (-gi - gj) / quad;
             let diff = alpha[i] - alpha[j];
             alpha[i] += delta;
             alpha[j] += delta;
@@ -354,7 +343,7 @@ pub(crate) fn solve(
             if quad <= 0.0 {
                 quad = TAU;
             }
-            let delta = (grad[i] - grad[j]) / quad;
+            let delta = (gi - gj) / quad;
             let sum = alpha[i] + alpha[j];
             alpha[i] -= delta;
             alpha[j] += delta;
@@ -385,12 +374,12 @@ pub(crate) fn solve(
             converged = true;
             break;
         }
-        classify(i, y, c, &alpha, &mut up, &mut low);
-        classify(j, y, c, &alpha, &mut up, &mut low);
+        set.classify(i, y, c, &alpha);
+        set.classify(j, y, c, &alpha);
         // Update G densely: the entries of shrunk variables go stale
         // either way, and `reconstruct_gradient` rewrites every one of
         // them before anything reads them…
-        update_gradient(&mut grad, y, &ki, kj, y[i] * dai, y[j] * daj);
+        update_gradient(&mut yg, y, &ki, kj, y[i] * dai, y[j] * daj);
         // …and G̅ over everything when a variable crosses its upper bound.
         let was_ub_i = old_ai >= ci;
         let is_ub_i = alpha[i] >= ci;
@@ -410,20 +399,20 @@ pub(crate) fn solve(
         }
     }
 
-    if active.len() < n {
+    if set.active.len() < n {
         // Hit the iteration cap while shrunk: make the gradient whole so
         // rho and the objective are computed from consistent values.
-        reconstruct_gradient(q, &mut grad, &g_bar, p, y, c, &alpha, &active);
+        reconstruct_gradient(q, &mut yg, &g_bar, p, y, c, &alpha, &set.active);
     }
 
-    let rho = compute_rho(&grad, y, c, &alpha);
+    let rho = compute_rho(&yg, y, c, &alpha);
 
     // Dual objective: 0.5 aᵀQa + pᵀa = 0.5 Σ a_i (G_i + p_i).
     let objective = 0.5
         * alpha
             .iter()
-            .zip(grad.iter().zip(p))
-            .map(|(a, (g, pi))| a * (g + pi))
+            .zip(yg.iter().zip(y).zip(p))
+            .map(|(a, ((g, yt), pi))| a * (yt * g + pi))
             .sum::<f64>();
 
     // Box feasibility 0 ≤ α_i ≤ C_i is maintained by every clip above;
@@ -452,66 +441,78 @@ pub(crate) fn solve(
 
 /// Whether variable `t` can be confidently removed from the working set
 /// (LIBSVM `be_shrunk`): it sits at a bound and its KKT multiplier is
-/// strictly on the optimal side of both current extremes.
+/// strictly on the optimal side of both current extremes. `G_t` is read
+/// as `y_t·yg_t`.
 fn be_shrunk(
     t: usize,
     gmax1: f64,
     gmax2: f64,
-    grad: &[f64],
+    yg: &[f64],
     y: &[f64],
     c: &[f64],
     alpha: &[f64],
 ) -> bool {
+    let g = y[t] * yg[t];
     if alpha[t] >= c[t] {
         if y[t] > 0.0 {
-            -grad[t] > gmax1
+            -g > gmax1
         } else {
-            -grad[t] > gmax2
+            -g > gmax2
         }
     } else if alpha[t] <= 0.0 {
         if y[t] > 0.0 {
-            grad[t] > gmax2
+            g > gmax2
         } else {
-            grad[t] > gmax1
+            g > gmax1
         }
     } else {
         false
     }
 }
 
-/// Periodic shrink pass (LIBSVM `do_shrinking`). `active` is the
-/// ascending active-index list; it stays ascending.
+/// Periodic shrink pass (LIBSVM `do_shrinking`): unshrinks everything
+/// once when the active set is close to optimal, then drops the
+/// variables [`be_shrunk`] flags from `set`.
+///
+/// Known deviation from LIBSVM: the y = −1 branch swaps the
+/// `gmax1`/`gmax2` conditions. LIBSVM sends `+G` into `gmax1` when α > 0
+/// and `−G` into `gmax2` when α < C, so that `gmax1 = max over I_up of
+/// −y·G` and `gmax2 = max over I_low of y·G`; this loop sends `−G` into
+/// `gmax2` when α > 0 and `+G` into `gmax1` when α < C. It only decides
+/// which variables are shrunk, never the optimum the final full-set
+/// check accepts. Fixing it moves every pinned solve and the vmbench
+/// goldens, so it stays until a change that re-pins them on purpose.
 #[allow(clippy::too_many_arguments)]
 fn do_shrinking(
     q: &mut KernelRows<'_>,
-    grad: &mut [f64],
+    yg: &mut [f64],
     g_bar: &[f64],
     p: &[f64],
     y: &[f64],
     c: &[f64],
     alpha: &[f64],
-    active: &mut Vec<usize>,
+    set: &mut WorkingSet,
     unshrunk: &mut bool,
     tolerance: f64,
 ) {
-    let n = grad.len();
     // m(α) and M(α) over the active set.
     let mut gmax1 = f64::NEG_INFINITY;
     let mut gmax2 = f64::NEG_INFINITY;
-    for &t in active.iter() {
+    for &t in &set.active {
+        let g = y[t] * yg[t];
         if y[t] > 0.0 {
-            if alpha[t] < c[t] && -grad[t] >= gmax1 {
-                gmax1 = -grad[t];
+            if alpha[t] < c[t] && -g >= gmax1 {
+                gmax1 = -g;
             }
-            if alpha[t] > 0.0 && grad[t] >= gmax2 {
-                gmax2 = grad[t];
+            if alpha[t] > 0.0 && g >= gmax2 {
+                gmax2 = g;
             }
         } else {
-            if alpha[t] > 0.0 && -grad[t] >= gmax2 {
-                gmax2 = -grad[t];
+            if alpha[t] > 0.0 && -g >= gmax2 {
+                gmax2 = -g;
             }
-            if alpha[t] < c[t] && grad[t] >= gmax1 {
-                gmax1 = grad[t];
+            if alpha[t] < c[t] && g >= gmax1 {
+                gmax1 = g;
             }
         }
     }
@@ -520,22 +521,21 @@ fn do_shrinking(
         // Close to optimal: bring everyone back once so the final
         // convergence check is exact.
         *unshrunk = true;
-        reconstruct_gradient(q, grad, g_bar, p, y, c, alpha, active);
-        active.clear();
-        active.extend(0..n);
+        reconstruct_gradient(q, yg, g_bar, p, y, c, alpha, &set.active);
+        set.restore();
     }
 
-    active.retain(|&t| !be_shrunk(t, gmax1, gmax2, grad, y, c, alpha));
+    set.retain(|t| !be_shrunk(t, gmax1, gmax2, yg, y, c, alpha));
 }
 
 /// Recomputes G for inactive variables — those missing from the
 /// ascending `active` list — from G̅ and the free variables (LIBSVM
-/// `reconstruct_gradient`). Free variables are never shrunk, so their G
-/// entries are always current.
+/// `reconstruct_gradient`), and stores it sign-folded as `y_t·G_t`. Free
+/// variables are never shrunk, so their entries are always current.
 #[allow(clippy::too_many_arguments)]
 fn reconstruct_gradient(
     q: &mut KernelRows<'_>,
-    grad: &mut [f64],
+    yg: &mut [f64],
     g_bar: &[f64],
     p: &[f64],
     y: &[f64],
@@ -543,7 +543,7 @@ fn reconstruct_gradient(
     alpha: &[f64],
     active: &[usize],
 ) {
-    let n = grad.len();
+    let n = yg.len();
     let l = q.len();
     let free: Vec<usize> = (0..n)
         .filter(|&j| alpha[j] > 0.0 && alpha[j] < c[j])
@@ -558,50 +558,130 @@ fn reconstruct_gradient(
         for &j in &free {
             g += alpha[j] * (y[t] * y[j] * kt[base(j, l)]);
         }
-        grad[t] = g;
+        yg[t] = y[t] * g;
     }
 }
 
-/// Records whether variable `t` is in I_up (α_t can move up along y_t)
-/// and in I_low (it can move down), as LIBSVM's `is_upper_bound`/
+/// The working set as ascending index lists: the active variables, and
+/// the active members of I_up and of I_low. The selection scans walk the
+/// two member lists, so they visit exactly the candidates a scan of
+/// `0..n` would test, in the same order, and every tie resolves the same
+/// way. `up`/`low` hold each variable's membership; the lists are rebuilt
+/// from them whenever `active` changes and patched when
+/// [`WorkingSet::classify`] moves a variable in or out.
+struct WorkingSet {
+    active: Vec<usize>,
+    up: Vec<bool>,
+    low: Vec<bool>,
+    up_list: Vec<usize>,
+    low_list: Vec<usize>,
+}
+
+impl WorkingSet {
+    /// Every variable active, classified at `alpha`.
+    fn new(y: &[f64], c: &[f64], alpha: &[f64]) -> Self {
+        let n = alpha.len();
+        let (up, low) = (0..n).map(|t| membership(t, y, c, alpha)).unzip();
+        let mut set = WorkingSet {
+            active: (0..n).collect(),
+            up,
+            low,
+            up_list: Vec::with_capacity(n),
+            low_list: Vec::with_capacity(n),
+        };
+        set.rebuild();
+        set
+    }
+
+    /// Re-classifies active variable `t` after α_t moved, patching the
+    /// member lists where its membership changed.
+    fn classify(&mut self, t: usize, y: &[f64], c: &[f64], alpha: &[f64]) {
+        debug_assert!(self.active.binary_search(&t).is_ok(), "{t} is not active");
+        let (up, low) = membership(t, y, c, alpha);
+        if up != self.up[t] {
+            self.up[t] = up;
+            toggle(&mut self.up_list, t, up);
+        }
+        if low != self.low[t] {
+            self.low[t] = low;
+            toggle(&mut self.low_list, t, low);
+        }
+    }
+
+    /// Keeps the active variables `keep` accepts.
+    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        self.active.retain(|&t| keep(t));
+        self.rebuild();
+    }
+
+    /// Makes every variable active again.
+    fn restore(&mut self) {
+        self.active.clear();
+        self.active.extend(0..self.up.len());
+        self.rebuild();
+    }
+
+    fn rebuild(&mut self) {
+        let WorkingSet {
+            active,
+            up,
+            low,
+            up_list,
+            low_list,
+        } = self;
+        up_list.clear();
+        up_list.extend(active.iter().copied().filter(|&t| up[t]));
+        low_list.clear();
+        low_list.extend(active.iter().copied().filter(|&t| low[t]));
+    }
+}
+
+/// Whether variable `t` is in I_up (α_t can move up along y_t) and in
+/// I_low (it can move down), as LIBSVM's `is_upper_bound`/
 /// `is_lower_bound` tests combine with the sign.
-fn classify(t: usize, y: &[f64], c: &[f64], alpha: &[f64], up: &mut [bool], low: &mut [bool]) {
+fn membership(t: usize, y: &[f64], c: &[f64], alpha: &[f64]) -> (bool, bool) {
     let (below_c, above_zero) = (alpha[t] < c[t], alpha[t] > 0.0);
-    (up[t], low[t]) = if y[t] > 0.0 {
+    if y[t] > 0.0 {
         (below_c, above_zero)
     } else {
         (above_zero, below_c)
-    };
+    }
 }
 
-/// Second-order working-set selection (WSS2 from Fan, Chen & Lin 2005),
-/// restricted to the variables in the ascending `active` list, with
-/// I_up/I_low membership from [`classify`]. Leaves the kernel row
-/// `K[b_i]` in `ki` for the update to reuse.
+/// Inserts `t` into the ascending `list` when it became a `member`, and
+/// removes it when it stopped being one.
+fn toggle(list: &mut Vec<usize>, t: usize, member: bool) {
+    let at = list.partition_point(|&s| s < t);
+    if member {
+        list.insert(at, t);
+    } else {
+        debug_assert_eq!(list.get(at), Some(&t));
+        list.remove(at);
+    }
+}
+
+/// Second-order working-set selection (WSS2 from Fan, Chen & Lin 2005)
+/// over the active members of I_up and I_low, reading `y_t·G_t` from the
+/// sign-folded gradient `yg`. Leaves the kernel row `K[b_i]` in `ki` for
+/// the update to reuse.
 ///
 /// Returns `None` when the maximal KKT violation over the active set is
 /// below `tolerance`.
-#[allow(clippy::too_many_arguments)]
 fn select_working_set(
     q: &mut KernelRows<'_>,
-    grad: &[f64],
-    y: &[f64],
-    up: &[bool],
-    low: &[bool],
+    yg: &[f64],
+    set: &WorkingSet,
     tolerance: f64,
-    active: &[usize],
     ki: &mut [f64],
 ) -> Option<(usize, usize)> {
     // i = argmax over I_up of -y_t G_t
     let mut gmax = f64::NEG_INFINITY;
     let mut i_best: Option<usize> = None;
-    for &t in active {
-        if up[t] {
-            let v = -y[t] * grad[t];
-            if v >= gmax {
-                gmax = v;
-                i_best = Some(t);
-            }
+    for &t in &set.up_list {
+        let v = -yg[t];
+        if v >= gmax {
+            gmax = v;
+            i_best = Some(t);
         }
     }
     let i = i_best?;
@@ -614,13 +694,10 @@ fn select_working_set(
     let mut gmax2 = f64::NEG_INFINITY;
     let mut obj_min = f64::INFINITY;
     let mut j_best: Option<usize> = None;
-    for &t in active {
-        if !low[t] {
-            continue;
-        }
+    for &t in &set.low_list {
         // Stopping criterion tracks max over I_low of y_t G_t, so that
         // gmax + gmax2 = m(α) − M(α), the maximal KKT violation.
-        let ygt = y[t] * grad[t];
+        let ygt = yg[t];
         if ygt > gmax2 {
             gmax2 = ygt;
         }
@@ -647,30 +724,29 @@ fn select_working_set(
     j_best.map(|j| (i, j))
 }
 
-/// Computes `rho` from the final gradient, as LIBSVM does: average of
-/// `y_t G_t` over free variables, else the midpoint of the active bounds.
-fn compute_rho(grad: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) -> f64 {
-    let n = grad.len();
+/// Computes `rho` from the final sign-folded gradient `yg`, as LIBSVM
+/// does: average of `y_t G_t` over free variables, else the midpoint of
+/// the active bounds.
+fn compute_rho(yg: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) -> f64 {
     let mut upper = f64::INFINITY;
     let mut lower = f64::NEG_INFINITY;
     let mut free_sum = 0.0;
     let mut free_count = 0usize;
-    for t in 0..n {
-        let yg = y[t] * grad[t];
+    for (t, &ygt) in yg.iter().enumerate() {
         if alpha[t] >= c[t] {
             if y[t] < 0.0 {
-                upper = upper.min(yg);
+                upper = upper.min(ygt);
             } else {
-                lower = lower.max(yg);
+                lower = lower.max(ygt);
             }
         } else if alpha[t] <= 0.0 {
             if y[t] > 0.0 {
-                upper = upper.min(yg);
+                upper = upper.min(ygt);
             } else {
-                lower = lower.max(yg);
+                lower = lower.max(ygt);
             }
         } else {
-            free_sum += yg;
+            free_sum += ygt;
             free_count += 1;
         }
     }
@@ -892,9 +968,11 @@ mod tests {
         }
     }
 
-    /// The dense gradient update from kernel rows equals the signed-row
-    /// update `G_t += Q_it·Δα_i + Q_jt·Δα_j` bit for bit, including the
-    /// signed zeros that `−(x + z)` would get wrong.
+    /// The dense update of the sign-folded gradient equals
+    /// `y∘(G + Q_i·Δα_i + Q_j·Δα_j)` from signed rows bit for bit, in
+    /// both layouts (the one-variable-per-point one with mixed signs),
+    /// including the signed zeros that `yg += x + z` on the α* half or
+    /// `−(x + z)` would get wrong.
     #[test]
     fn dense_gradient_update_matches_signed_rows() {
         // A linear kernel over points with zero coordinates yields ±0
@@ -918,14 +996,70 @@ mod tests {
                 let qj = signed_q_row(kernel, &points, &y, j);
                 for (dai, daj) in [(0.25, -0.5), (0.0, -0.0), (-0.0, 0.0), (1e-300, 3.0)] {
                     let want: Vec<f64> = (0..n)
-                        .map(|t| start[t] + (qi[t] * dai + qj[t] * daj))
+                        .map(|t| y[t] * (start[t] + (qi[t] * dai + qj[t] * daj)))
                         .collect();
                     let ki = q.row(base(i, l)).to_vec();
                     let kj = q.row(base(j, l));
-                    let mut got = start.clone();
+                    let mut got: Vec<f64> = start.iter().zip(&y).map(|(g, yt)| yt * g).collect();
                     update_gradient(&mut got, &y, &ki, kj, y[i] * dai, y[j] * daj);
                     assert_eq!(bits(&got), bits(&want), "i={i} j={j} Δ=({dai}, {daj})");
                 }
+            }
+        }
+    }
+
+    /// Panics unless `set`'s member lists are the ascending filters of
+    /// its ascending `active` list by the flags, and every flag matches
+    /// [`membership`] at `alpha`.
+    fn check_lists(set: &WorkingSet, y: &[f64], c: &[f64], alpha: &[f64]) {
+        assert!(
+            set.active.windows(2).all(|w| w[0] < w[1]),
+            "{:?}",
+            set.active
+        );
+        for t in 0..alpha.len() {
+            assert_eq!(
+                (set.up[t], set.low[t]),
+                membership(t, y, c, alpha),
+                "flags of {t}"
+            );
+        }
+        let filter = |flags: &[bool]| -> Vec<usize> {
+            set.active.iter().copied().filter(|&t| flags[t]).collect()
+        };
+        assert_eq!(set.up_list, filter(&set.up), "I_up list");
+        assert_eq!(set.low_list, filter(&set.low), "I_low list");
+    }
+
+    proptest::proptest! {
+        /// After any sequence of α moves on active variables (each
+        /// followed by `classify`, as the solver does), shrinks and
+        /// restores, the I_up/I_low lists are exactly the active members
+        /// of each set, in ascending order.
+        #[test]
+        fn member_lists_track_classify_shrink_and_restore(
+            signs in proptest::collection::vec(0u8..2, 1..40),
+            ops in proptest::collection::vec(0usize..24_000, 0..200),
+        ) {
+            let n = signs.len();
+            let y: Vec<f64> = signs.iter().map(|&s| if s == 1 { 1.0 } else { -1.0 }).collect();
+            let c: Vec<f64> = (0..n).map(|t| 1.0 + (t % 3) as f64).collect();
+            let mut alpha: Vec<f64> = (0..n).map(|t| c[t] * (t % 3) as f64 / 2.0).collect();
+            let mut set = WorkingSet::new(&y, &c, &alpha);
+            check_lists(&set, &y, &c, &alpha);
+            for code in ops {
+                // An op (0..8), a pick (0..1000) and an α level (0..3).
+                let (pick, level) = (code / 8 % 1000, code / 8000);
+                match code % 8 {
+                    0..=5 if !set.active.is_empty() => {
+                        let t = set.active[pick % set.active.len()];
+                        alpha[t] = c[t] * level as f64 / 2.0;
+                        set.classify(t, &y, &c, &alpha);
+                    }
+                    6 => set.retain(|t| (t * 7 + pick) % 3 != 0),
+                    _ => set.restore(),
+                }
+                check_lists(&set, &y, &c, &alpha);
             }
         }
     }

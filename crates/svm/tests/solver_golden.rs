@@ -12,7 +12,10 @@
 //! The one-class, exact-row and one-row-cache cells were captured from
 //! the solver before it moved from signed `Q` rows to cached kernel rows.
 //! The one-class cell also digests decision values, pinning the shared
-//! support-vector expansion that every model predicts through.
+//! support-vector expansion that every model predicts through. The
+//! paper-regime cell (scaled features, targets near +45, the grid's
+//! hottest C and γ) was captured from the solver before its selection
+//! scans moved from per-variable flags to I_up/I_low index lists.
 
 use vmtherm_svm::data::Dataset;
 use vmtherm_svm::kernel::Kernel;
@@ -42,6 +45,25 @@ fn regression_set() -> Dataset {
         .enumerate()
         .map(|(i, x)| {
             1.5 * x[0] + (3.0 * x[1]).sin() + 0.3 * x[2] * x[3] + 0.05 * (i as f64 * 2.399).sin()
+        })
+        .collect();
+    Dataset::from_parts(DenseMatrix::from_nested(xs).unwrap(), ys).unwrap()
+}
+
+/// The paper's regime: the features of [`features`] halved onto
+/// [−1, 1], as `svm-scale` leaves them, and targets offset by about +45,
+/// like ψ_stable in °C.
+fn paper_regime_set() -> Dataset {
+    let xs: Vec<Vec<f64>> = features()
+        .into_iter()
+        .map(|x| x.into_iter().map(|v| v / 2.0).collect())
+        .collect();
+    let ys = xs
+        .iter()
+        .enumerate()
+        .map(|(i, x)| {
+            45.0 + 6.0 * x[0] + 2.5 * (3.0 * x[1]).sin() + x[2] * x[3] - 1.5 * x[3]
+                + 0.2 * (i as f64 * 2.399).sin()
         })
         .collect();
     Dataset::from_parts(DenseMatrix::from_nested(xs).unwrap(), ys).unwrap()
@@ -104,6 +126,13 @@ const SVR_GOLDEN: [Golden; 9] = [
 /// ε-SVR cell C = 64, γ = 2, ε = 0.01 on the exact (scalar) RBF row pass.
 const SVR_EXACT_ROWS_GOLDEN: Golden = (15_696, 0xbfb2cb3a6caab2fa, 0x136f9a89a2c438ec);
 
+/// The grid search's hottest cell on [`paper_regime_set`]: C = 2048,
+/// γ = 2⁻⁵, ε = 0.05, shrinking on. Variables reach the C bound (37 of
+/// the 96 end there) and I_up/I_low membership changes in about one
+/// iteration in sixty, so the solver's member lists are patched many
+/// times between shrinks.
+const PAPER_REGIME_GOLDEN: Golden = (5_713, 0x4045f375227ea037, 0x8e1255e263a59b03);
+
 /// One-class fingerprint: `(support vectors, digest of the decision
 /// values on the training rows)`.
 const ONE_CLASS_GOLDEN: (usize, u64) = (30, 0x6e3ce3788c24872a);
@@ -138,6 +167,19 @@ fn epsilon_svr_exact_rows_are_bit_identical() {
             .with_prenorm_rows(false),
     );
     assert_eq!(got, SVR_EXACT_ROWS_GOLDEN, "exact-row ε-SVR drifted");
+}
+
+#[test]
+fn epsilon_svr_paper_regime_is_bit_identical() {
+    let got = svr_golden(
+        &paper_regime_set(),
+        SvrParams::new()
+            .with_c(2048.0)
+            .with_epsilon(0.05)
+            .with_kernel(Kernel::rbf(0.031_25))
+            .with_shrinking(true),
+    );
+    assert_eq!(got, PAPER_REGIME_GOLDEN, "paper-regime ε-SVR drifted");
 }
 
 /// A one-row cache evicts on nearly every fetch; the answer must not
