@@ -4,25 +4,16 @@
 //! Once ψ_stable is predictable from configuration, a *persistent*
 //! disagreement between prediction and measurement indicates a physical
 //! fault rather than workload: a failed fan, blocked airflow, a CRAC
-//! excursion the room sensors missed. Two complementary detectors:
-//!
-//! - [`ResidualDetector`] — a two-sided CUSUM over prediction residuals;
-//!   raises an alarm when the cumulative drift exceeds a threshold.
-//!   Robust to sensor noise (which is zero-mean) while catching small
-//!   sustained shifts quickly.
-//! - [`NoveltyDetector`] — a one-class SVM over the *joint* vector
-//!   (Eq. (2) features ‖ observed stable temperature), trained on healthy
-//!   records only; flags configurations whose thermal response does not
-//!   match anything seen in healthy operation.
+//! excursion the room sensors missed. [`ResidualDetector`] is a two-sided
+//! CUSUM over prediction residuals: it raises an alarm when the
+//! cumulative drift exceeds a threshold, robust to sensor noise (which is
+//! zero-mean) while catching small sustained shifts quickly.
+//! [`ThermalWatchdog`] binds it to a trained stable model.
 
 use crate::error::PredictError;
 use crate::stable::StablePredictor;
 use serde::{Deserialize, Serialize};
-use vmtherm_sim::experiment::{ConfigSnapshot, ExperimentOutcome};
-use vmtherm_svm::data::Dataset;
-use vmtherm_svm::kernel::Kernel;
-use vmtherm_svm::oneclass::{OneClassModel, OneClassParams};
-use vmtherm_svm::scale::Scaler;
+use vmtherm_sim::experiment::ConfigSnapshot;
 use vmtherm_units::Celsius;
 
 /// Which way the temperature deviates from prediction.
@@ -185,88 +176,13 @@ impl ThermalWatchdog {
     }
 }
 
-/// One-class novelty detector in the 2-D space of
-/// `(predicted ψ_stable, observed ψ_stable)`.
-///
-/// Healthy operation traces out the diagonal band of that plane (the
-/// prediction error of the stable model); a physical fault pushes the
-/// observation off the band in a way no healthy record ever did. Working
-/// in this 2-D projection — rather than the raw 14-D feature space — keeps
-/// the density estimation tractable with a few hundred records.
-#[derive(Debug, Clone)]
-pub struct NoveltyDetector {
-    predictor: StablePredictor,
-    scaler: Scaler,
-    model: OneClassModel,
-}
-
-impl NoveltyDetector {
-    /// Trains on healthy experiment records against a trained stable
-    /// model. `nu` bounds the fraction of healthy records treated as
-    /// boundary outliers (0.05–0.15 typical).
-    ///
-    /// Prefer records the stable model did **not** train on; residuals on
-    /// its own training data understate healthy error and tighten the
-    /// band optimistically.
-    ///
-    /// # Errors
-    ///
-    /// [`PredictError::NoTrainingData`] for no records; SVM errors
-    /// otherwise.
-    pub fn fit(
-        predictor: StablePredictor,
-        outcomes: &[ExperimentOutcome],
-        nu: f64,
-    ) -> Result<Self, PredictError> {
-        if outcomes.is_empty() {
-            return Err(PredictError::NoTrainingData);
-        }
-        let mut raw = Dataset::new(2);
-        for o in outcomes {
-            raw.push(vec![predictor.predict(&o.snapshot), o.psi_stable], 0.0);
-        }
-        let scaler = Scaler::fit(&raw);
-        let scaled = scaler.transform_dataset(&raw);
-        let model = OneClassModel::train(
-            &scaled,
-            OneClassParams::new()
-                .with_nu(nu)
-                .with_kernel(Kernel::rbf(8.0)),
-        )?;
-        Ok(NoveltyDetector {
-            predictor,
-            scaler,
-            model,
-        })
-    }
-
-    /// `true` when the observed stable temperature is inconsistent with
-    /// healthy behaviour for such a configuration.
-    #[must_use]
-    pub fn is_anomalous(&self, snapshot: &ConfigSnapshot, observed_stable_c: Celsius) -> bool {
-        self.score(snapshot, observed_stable_c) < 0.0
-    }
-
-    /// The signed decision value (negative = anomalous), for thresholding
-    /// and ranking.
-    #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "the detector builds, scales and scores fixed two-column rows"
-    )]
-    pub fn score(&self, snapshot: &ConfigSnapshot, observed_stable_c: Celsius) -> f64 {
-        let x = vec![self.predictor.predict(snapshot), observed_stable_c.get()];
-        self.model
-            .decision_value(&self.scaler.transform(&x))
-            .expect("detector dims agree by construction")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stable::{run_experiments, TrainingOptions};
+    use vmtherm_sim::experiment::ExperimentOutcome;
     use vmtherm_sim::{CaseGenerator, SimDuration};
+    use vmtherm_svm::kernel::Kernel;
     use vmtherm_svm::svr::SvrParams;
 
     fn healthy_outcomes(n: usize) -> Vec<ExperimentOutcome> {
@@ -382,46 +298,5 @@ mod tests {
             alarm.expect("watchdog must fire").kind,
             AnomalyKind::RunningHot
         );
-    }
-
-    #[test]
-    fn novelty_detector_separates_healthy_from_faulty() {
-        let outcomes = healthy_outcomes(80);
-        let model = stable_model(&outcomes);
-        let detector = NoveltyDetector::fit(model, &outcomes, 0.1).unwrap();
-        // Healthy joint vectors are mostly inliers.
-        let healthy_flags = outcomes
-            .iter()
-            .filter(|o| detector.is_anomalous(&o.snapshot, Celsius::new(o.psi_stable)))
-            .count();
-        assert!(
-            (healthy_flags as f64) < 0.25 * outcomes.len() as f64,
-            "{healthy_flags} healthy records flagged"
-        );
-        // A +8 °C shifted response is flagged for most configurations.
-        let faulty_flags = outcomes
-            .iter()
-            .filter(|o| detector.is_anomalous(&o.snapshot, Celsius::new(o.psi_stable + 8.0)))
-            .count();
-        assert!(
-            (faulty_flags as f64) > 0.7 * outcomes.len() as f64,
-            "only {faulty_flags} faulty records flagged"
-        );
-        // Scores order correctly.
-        let o = &outcomes[3];
-        assert!(
-            detector.score(&o.snapshot, Celsius::new(o.psi_stable))
-                > detector.score(&o.snapshot, Celsius::new(o.psi_stable + 8.0))
-        );
-    }
-
-    #[test]
-    fn novelty_detector_rejects_empty() {
-        let outcomes = healthy_outcomes(10);
-        let model = stable_model(&outcomes);
-        assert!(matches!(
-            NoveltyDetector::fit(model, &[], 0.1),
-            Err(PredictError::NoTrainingData)
-        ));
     }
 }

@@ -18,13 +18,11 @@
 //!
 //! Plus the baselines the paper positions itself against
 //! ([`baseline`]: RC model \[5\], task-temperature profiles \[4\], naive
-//! persistence, linear regression), the evaluation harness ([`eval`]), a
-//! thermal-management layer built on the predictions ([`manager`]), and a
-//! thermal anomaly detector that turns persistent prediction residuals
+//! persistence, linear regression), the evaluation harness ([`eval`]) and
+//! a thermal anomaly detector that turns persistent prediction residuals
 //! into fault alarms ([`anomaly`]). Further extensions: split-conformal
-//! prediction intervals ([`interval`]), sliding-window online retraining
-//! ([`online`]), predictive CRAC setpoint optimization ([`setpoint`]) and
-//! a fleet monitor with automatic re-anchoring ([`monitor`]) and its
+//! prediction intervals ([`interval`]), predictive CRAC setpoint
+//! optimization ([`setpoint`]) and a fleet monitor with automatic re-anchoring ([`monitor`]) and its
 //! thread-parallel sharded form with deterministic merge ([`fleet`]).
 //!
 //! ## End-to-end example
@@ -89,9 +87,7 @@ pub mod eval;
 pub mod features;
 pub mod fleet;
 pub mod interval;
-pub mod manager;
 pub mod monitor;
-pub mod online;
 pub mod predictor;
 pub mod setpoint;
 pub mod stable;
@@ -101,7 +97,7 @@ pub mod units {
     pub use vmtherm_units::*;
 }
 
-pub use anomaly::{NoveltyDetector, ResidualDetector, ThermalWatchdog};
+pub use anomaly::{ResidualDetector, ThermalWatchdog};
 pub use calibration::Calibrator;
 pub use curve::WarmupCurve;
 pub use dynamic::{DynamicConfig, DynamicPredictor};
@@ -110,7 +106,6 @@ pub use features::FeatureEncoding;
 pub use fleet::ShardedMonitor;
 pub use interval::{Interval, IntervalPredictor};
 pub use monitor::{DegradationStats, FleetMonitor};
-pub use online::OnlineTrainer;
 pub use predictor::OnlinePredictor;
 pub use setpoint::{SetpointAdvice, SetpointOptimizer, SetpointSearch};
 pub use stable::{StablePredictor, TrainingOptions};

@@ -426,6 +426,12 @@ impl Simulation {
     /// Installs a telemetry fault plan. A no-op plan removes the injector
     /// entirely, so disabled faults are bit-identical to a clean run.
     ///
+    /// The swap restarts the fault counts: [`Simulation::fault_stats`]
+    /// reads zero right after it and counts only the new plan's faults.
+    /// The delivery streams are not reset: [`Simulation::delivered`] keeps
+    /// every sample the earlier plans delivered, so across a swap the
+    /// counts no longer reconcile with the streams.
+    ///
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] for an out-of-domain plan.
@@ -459,7 +465,10 @@ impl Simulation {
         self.log_lost.get(index).copied().unwrap_or(false)
     }
 
-    /// Total fault-injection counts so far (zeros without a plan).
+    /// Fault-injection counts of the installed plan since
+    /// [`Simulation::set_fault_plan`] installed it (zeros without a plan).
+    /// Each swap restarts them, while [`Simulation::delivered`] keeps the
+    /// samples of earlier plans.
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {
         let Some(injector) = self.fault.as_ref() else {
@@ -2009,7 +2018,16 @@ mod tests {
         let mut stats = Vec::new();
         sim.run_until(SimTime::from_secs(300));
         stats.push(counts(&sim));
+        let streams = |sim: &Simulation| -> Vec<usize> {
+            (0..sim.datacenter().len())
+                .map(|s| sim.delivered(ServerId::new(s)).unwrap().len())
+                .collect()
+        };
+        let before = streams(&sim);
         sim.set_fault_plan(plan_b).unwrap();
+        // The swap restarts the counts and keeps every delivered sample.
+        assert_eq!(counts(&sim), [0; 5], "{mode:?}: counts after the swap");
+        assert_eq!(streams(&sim), before, "{mode:?}: streams after the swap");
         sim.run_until(SimTime::from_secs(450));
         let added =
             sim.datacenter_mut()

@@ -1,9 +1,8 @@
 //! # vmtherm-svm
 //!
-//! A self-contained support vector machine library: ε-SVR and the
-//! one-class SVM, trained by one SMO loop and evaluated through one
-//! support-vector expansion; RBF/linear/polynomial/sigmoid kernels, feature
-//! scaling, k-fold cross-validation and `easygrid`-style grid search.
+//! A self-contained support vector machine library: ε-SVR trained by one
+//! SMO loop; RBF/linear/polynomial/sigmoid kernels, feature scaling,
+//! k-fold cross-validation and `easygrid`-style grid search.
 //!
 //! It stands in for **LIBSVM 3.17 + `easygrid`**, which the paper
 //! *"Virtual Machine Level Temperature Profiling and Prediction in Cloud
@@ -54,9 +53,8 @@
 //! - [`matrix`] — the flat row-major [`matrix::DenseMatrix`] feature storage
 //! - [`scale`] — `svm-scale`'s min-max feature scaling onto `[-1, 1]`
 //! - [`kernel`] — kernel functions and the solver's row cache
-//! - [`svr`] / [`oneclass`] — ε-regression and novelty-detection models,
-//!   sharing one support-vector expansion
-//!   `f(x) = Σ cᵢ·K(svᵢ, x) + b`
+//! - [`svr`] — the ε-regression model, the support-vector expansion
+//!   `f(x) = Σ βᵢ·K(svᵢ, x) + b`
 //! - [`cv`] / [`grid`] — the k-fold split and the `easygrid` search over
 //!   the paper's fixed 126-cell grid
 //! - [`metrics`] — MSE (the paper's reporting metric), MAE, max error
@@ -81,14 +79,12 @@
 pub mod cv;
 pub mod data;
 pub mod error;
-mod expansion;
 pub mod grid;
 pub mod kernel;
 pub mod linalg;
 pub mod matrix;
 pub mod metrics;
 pub mod model_io;
-pub mod oneclass;
 pub mod scale;
 mod smo;
 pub mod svr;
@@ -97,6 +93,5 @@ pub use data::Dataset;
 pub use error::SvmError;
 pub use kernel::Kernel;
 pub use matrix::DenseMatrix;
-pub use oneclass::{OneClassModel, OneClassParams};
 pub use scale::Scaler;
 pub use svr::{SvrModel, SvrParams};

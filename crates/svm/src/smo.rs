@@ -1,20 +1,21 @@
-//! Sequential Minimal Optimization (SMO) solver for the SVM dual problem.
+//! Sequential Minimal Optimization (SMO) solver for the ε-SVR dual.
 //!
 //! This is the same algorithm LIBSVM implements (Fan, Chen & Lin, JMLR 2005):
 //! it minimises
 //!
 //! ```text
 //!     min_a  0.5 aᵀ Q a + pᵀ a
-//!     s.t.   yᵀ a = Δ,   0 <= a_i <= C_i
+//!     s.t.   yᵀ a = Δ,   0 <= a_t <= C
 //! ```
 //!
 //! with `Q_ij = y_i y_j K(x_i, x_j)`, by repeatedly selecting a maximal
 //! violating pair with second-order working-set selection (WSS2) and solving
 //! the two-variable subproblem analytically.
 //!
-//! ε-SVR ([`crate::svr`]) and the one-class SVM ([`crate::oneclass`])
-//! both reduce to this form, and [`solve`] is the one loop that solves
-//! it; the regression case uses the standard expansion to `2l` variables.
+//! ε-SVR ([`crate::svr`]) over `l` points takes this form with `2l`
+//! variables (LIBSVM's `solve_epsilon_svr`): `α_b` at `t = b` with sign
+//! `y_t = +1` and `α*_b` at `t = l + b` with `y_t = −1`, all under one `C`.
+//! [`solve`] serves that one shape and reads every sign off the index.
 //! `Q` is never stored: the solver reads unsigned kernel rows from
 //! [`KernelRows`] and applies the signs itself.
 
@@ -28,13 +29,11 @@ const TAU: f64 = 1e-12;
 /// Kernel rows over the `l` training points of one solve, behind an LRU
 /// [`RowCache`], plus the kernel diagonal `K[b][b]`.
 ///
-/// A dual problem has one variable per point (one-class) or two
-/// (ε-SVR: `α` at `t < l`, `α*` at `t = l + b`), so variable `t` sits
-/// on base point `b(t) = t` or `t − l`. The solver forms
-/// `Q_it = y_i·y_t·K[b_i][b_t]` from the sign vector `y` it is given,
-/// which is that problem's sign pattern: `y_t` per point, or +1 on the
-/// `α` half and −1 on the `α*` half. Multiplying by ±1 is exact, so every
-/// `Q` entry the solver uses has the bits a stored signed row would.
+/// Variable `t` of the `2l`-variable dual sits on base point `b(t) = t`
+/// (`α`) or `t − l` (`α*`). The solver forms `Q_it = y_i·y_t·K[b_i][b_t]`
+/// with the signs [`sign`] reads off the index. Multiplying by ±1 is
+/// exact, so every `Q` entry the solver uses has the bits a stored signed
+/// row would.
 pub(crate) struct KernelRows<'a> {
     kernel: Kernel,
     points: &'a DenseMatrix,
@@ -106,13 +105,26 @@ fn base(t: usize, l: usize) -> usize {
     }
 }
 
+/// Sign `y_t` of variable `t` in a problem over `l` points: +1 on the `α`
+/// half, −1 on the `α*` half.
+fn sign(t: usize, l: usize) -> f64 {
+    if t < l {
+        1.0
+    } else {
+        -1.0
+    }
+}
+
 /// Row `i` of `Q`, `Q_it = y_i·y_t·K[b_i][b_t]` for every variable `t`,
-/// from the kernel row `k = K[b_i]`. For the cold paths only: the
-/// initial gradient and the G̅ updates.
-fn signed_row<'r>(k: &'r [f64], yi: f64, y: &'r [f64]) -> impl Iterator<Item = f64> + 'r {
-    y.iter()
-        .zip(k.iter().cycle())
-        .map(move |(&yt, &kt)| yi * yt * kt)
+/// from the kernel row `k = K[b_i]` and the sign `yi = y_i`. For the cold
+/// paths only: the initial gradient and the G̅ updates.
+fn signed_row(k: &[f64], yi: f64) -> impl Iterator<Item = f64> + '_ {
+    let l = k.len();
+    k.iter()
+        .cycle()
+        .take(2 * l)
+        .enumerate()
+        .map(move |(t, &kt)| yi * sign(t, l) * kt)
 }
 
 /// Applies `G_t += Q_it·Δα_i + Q_jt·Δα_j` to the sign-folded gradient
@@ -121,41 +133,50 @@ fn signed_row<'r>(k: &'r [f64], yi: f64, y: &'r [f64]) -> impl Iterator<Item = f
 /// point `b` it forms `x = K_i[b]·yai` and `z = K_j[b]·yaj` once; `y_t·x +
 /// y_t·z` is bit for bit the signed-row term `Q_it·Δα_i + Q_jt·Δα_j`: the
 /// two differ only by factors of ±1.
-fn update_gradient(yg: &mut [f64], y: &[f64], ki: &[f64], kj: &[f64], yai: f64, yaj: f64) {
+fn update_gradient(yg: &mut [f64], ki: &[f64], kj: &[f64], yai: f64, yaj: f64) {
+    // y_t = +1 on the α half, so `yg_t = G_t` there. On the α* half
+    // `G_t = −yg_t` gains `(−x) + (−z)` and the sum is negated back;
+    // `yg_t += x + z` would differ on signed zeros.
     let (alpha_half, star_half) = yg.split_at_mut(ki.len());
-    if star_half.is_empty() {
-        // Unfold `G_t = y_t·yg_t`, update it, fold it back: all exact.
-        for (((g, &yt), &kit), &kjt) in alpha_half.iter_mut().zip(y).zip(ki).zip(kj) {
-            let (x, z) = (kit * yai, kjt * yaj);
-            *g = yt * (yt * *g + (yt * x + yt * z));
-        }
-    } else {
-        // y_t = +1 on the α half, so `yg_t = G_t` there. On the α* half
-        // `G_t = −yg_t` gains `(−x) + (−z)` and the sum is negated back;
-        // `yg_t += x + z` would differ on signed zeros.
-        for (((g, g_star), &kit), &kjt) in alpha_half.iter_mut().zip(star_half).zip(ki).zip(kj) {
-            let (x, z) = (kit * yai, kjt * yaj);
-            *g += x + z;
-            *g_star = -((-*g_star) + ((-x) + (-z)));
+    for (((g, g_star), &kit), &kjt) in alpha_half.iter_mut().zip(star_half).zip(ki).zip(kj) {
+        let (x, z) = (kit * yai, kjt * yaj);
+        *g += x + z;
+        *g_star = -((-*g_star) + ((-x) + (-z)));
+    }
+}
+
+/// Adds `±C·Q_t` to G̅ when variable `t`, with sign `yt` and kernel row
+/// `k = K[b_t]`, moved across its upper bound from `old` to `new`.
+fn update_g_bar(g_bar: &mut [f64], k: &[f64], yt: f64, c: f64, old: f64, new: f64) {
+    let is_ub = new >= c;
+    if (old >= c) != is_ub {
+        let dir = if is_ub { 1.0 } else { -1.0 };
+        for (g, qt) in g_bar.iter_mut().zip(signed_row(k, yt)) {
+            *g += dir * c * qt;
         }
     }
 }
 
-/// Checks the problem shape [`KernelRows`] documents: `l` or `2l`
-/// variables, and for `2l` the +1/−1 halves of the sign vector.
-fn debug_check_problem(l: usize, p: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) {
-    let n = p.len();
-    debug_assert!(n == l || n == 2 * l, "{n} variables over {l} points");
-    debug_assert_eq!(y.len(), n);
-    debug_assert_eq!(c.len(), n);
-    debug_assert_eq!(alpha.len(), n);
+/// Checks the problem shape [`KernelRows`] documents: `2l` variables over
+/// `l` points, each with a linear term and a start inside `[0, C]`.
+fn debug_check_problem(l: usize, p: &[f64], c: f64, alpha: &[f64]) {
+    debug_assert_eq!(p.len(), 2 * l, "{} variables over {l} points", p.len());
+    debug_assert_eq!(alpha.len(), 2 * l);
+    debug_assert!(c > 0.0, "C = {c}");
     debug_assert!(
-        n == l
-            || y.iter()
-                .enumerate()
-                .all(|(t, &s)| s == if t < l { 1.0 } else { -1.0 }),
-        "expanded problems sign the α half +1 and the α* half −1"
+        alpha.iter().all(|a| (0.0..=c).contains(a)),
+        "the start leaves the box [0, C]"
     );
+}
+
+/// The linear term `p` of the ε-SVR dual over `targets` (LIBSVM's
+/// `solve_epsilon_svr`): `p_b = ε − y_b` for `α_b` and `p_{l+b} = ε + y_b`
+/// for `α*_b`.
+pub(crate) fn linear_term(targets: &[f64], epsilon: f64) -> Vec<f64> {
+    let alpha_half = targets.iter().map(|y| epsilon - y);
+    alpha_half
+        .chain(targets.iter().map(|y| epsilon + y))
+        .collect()
 }
 
 /// Kernel row-cache capacity, in rows, of every solve whose caller does
@@ -189,9 +210,10 @@ impl Default for SolveOptions {
 /// Result of an SMO solve.
 #[derive(Debug, Clone)]
 pub(crate) struct Solution {
-    /// Optimal dual variables.
+    /// Optimal dual variables: `α` at `0..l`, `α*` at `l..2l`.
     pub alpha: Vec<f64>,
-    /// Offset `rho`; the decision function is `f(x) = Σ y_i a_i K(x_i,x) − rho`.
+    /// Offset `rho`; the regression function is
+    /// `f(x) = Σ_b (α_b − α*_b) K(x_b, x) − rho`.
     pub rho: f64,
     /// Final dual objective value (diagnostic; exercised by tests).
     #[allow(dead_code)]
@@ -202,19 +224,19 @@ pub(crate) struct Solution {
     pub converged: bool,
 }
 
-/// Solves the dual problem. `p` is the linear term, `y` the ±1 signs, `c`
-/// the per-variable upper bounds, `alpha` the (feasible) starting point.
+/// Solves the `2l`-variable dual over the `l` points of `q`. `p` is the
+/// linear term, `c` the upper bound of every variable, `alpha` the
+/// (feasible) starting point.
 pub(crate) fn solve(
     q: &mut KernelRows<'_>,
     p: &[f64],
-    y: &[f64],
-    c: &[f64],
+    c: f64,
     mut alpha: Vec<f64>,
     options: SolveOptions,
 ) -> Solution {
     let n = p.len();
     let l = q.len();
-    debug_check_problem(l, p, y, c, &alpha);
+    debug_check_problem(l, p, c, &alpha);
 
     // Kernel row K[b_i] of the working variable i, filled by the
     // selection and reused by the update. The partner row K[b_j] is read
@@ -222,17 +244,17 @@ pub(crate) fn solve(
     let mut ki = vec![0.0; l];
 
     // G_i = (Q a)_i + p_i; G̅_i tracks the bound-variable contribution
-    // Σ_{α_j = C_j} C_j Q_ij needed to reconstruct G for shrunk variables.
+    // Σ_{α_j = C} C·Q_ij needed to reconstruct G for shrunk variables.
     let mut grad: Vec<f64> = p.to_vec();
     let mut g_bar = vec![0.0; n];
     for i in 0..n {
         if alpha[i] != 0.0 {
             let ai = alpha[i];
-            let at_bound = ai >= c[i];
-            for (t, qit) in signed_row(q.row(base(i, l)), y[i], y).enumerate() {
+            let at_bound = ai >= c;
+            for (t, qit) in signed_row(q.row(base(i, l)), sign(i, l)).enumerate() {
                 grad[t] += ai * qit;
                 if at_bound {
-                    g_bar[t] += c[i] * qit;
+                    g_bar[t] += c * qit;
                 }
             }
         }
@@ -241,11 +263,11 @@ pub(crate) fn solve(
     // the selection reads `y_t·G_t` straight from it, and `G_t = y_t·yg_t`
     // is exact wherever the plain gradient is needed.
     let mut yg = grad;
-    for (g, &yt) in yg.iter_mut().zip(y) {
-        *g *= yt;
+    for (t, g) in yg.iter_mut().enumerate() {
+        *g *= sign(t, l);
     }
 
-    let mut set = WorkingSet::new(y, c, &alpha);
+    let mut set = WorkingSet::new(c, &alpha);
     let mut unshrunk = false;
     let shrink_period = n.clamp(1, 1000);
     let mut counter = shrink_period;
@@ -262,8 +284,6 @@ pub(crate) fn solve(
                     &mut yg,
                     &g_bar,
                     p,
-                    y,
-                    c,
                     &alpha,
                     &mut set,
                     &mut unshrunk,
@@ -282,7 +302,7 @@ pub(crate) fn solve(
                 }
                 // Optimal on the shrunk set: reconstruct and re-check on
                 // the full set.
-                reconstruct_gradient(q, &mut yg, &g_bar, p, y, c, &alpha, &set.active);
+                reconstruct_gradient(q, &mut yg, &g_bar, p, c, &alpha, &set.active);
                 set.restore();
                 match select_working_set(q, &yg, &set, options.tolerance, &mut ki) {
                     Some(pair) => {
@@ -302,15 +322,16 @@ pub(crate) fn solve(
         let bj = base(j, l);
         let dij = q.diag[base(i, l)] + q.diag[bj];
         let kj = q.row(bj);
-        let qij = (y[i] * y[j]) * ki[bj];
-        let ci = c[i];
-        let cj = c[j];
+        let (yi, yj) = (sign(i, l), sign(j, l));
+        let qij = (yi * yj) * ki[bj];
         let old_ai = alpha[i];
         let old_aj = alpha[j];
-        let (gi, gj) = (y[i] * yg[i], y[j] * yg[j]);
+        let (gi, gj) = (yi * yg[i], yj * yg[j]);
 
-        if (y[i] - y[j]).abs() > 0.5 {
-            // y_i != y_j
+        // LIBSVM clips against C_i and C_j; both are C here, so its
+        // `diff > C_i − C_j` and `sum > C_i`/`sum > C_j` tests each
+        // collapse to one branch taken before both clips.
+        if yi != yj {
             let mut quad = dij + 2.0 * qij;
             if quad <= 0.0 {
                 quad = TAU;
@@ -324,21 +345,21 @@ pub(crate) fn solve(
                     alpha[j] = 0.0;
                     alpha[i] = diff;
                 }
-            } else if alpha[i] < 0.0 {
-                alpha[i] = 0.0;
-                alpha[j] = -diff;
-            }
-            if diff > ci - cj {
-                if alpha[i] > ci {
-                    alpha[i] = ci;
-                    alpha[j] = ci - diff;
+                if alpha[i] > c {
+                    alpha[i] = c;
+                    alpha[j] = c - diff;
                 }
-            } else if alpha[j] > cj {
-                alpha[j] = cj;
-                alpha[i] = cj + diff;
+            } else {
+                if alpha[i] < 0.0 {
+                    alpha[i] = 0.0;
+                    alpha[j] = -diff;
+                }
+                if alpha[j] > c {
+                    alpha[j] = c;
+                    alpha[i] = c + diff;
+                }
             }
         } else {
-            // y_i == y_j
             let mut quad = dij - 2.0 * qij;
             if quad <= 0.0 {
                 quad = TAU;
@@ -347,23 +368,24 @@ pub(crate) fn solve(
             let sum = alpha[i] + alpha[j];
             alpha[i] -= delta;
             alpha[j] += delta;
-            if sum > ci {
-                if alpha[i] > ci {
-                    alpha[i] = ci;
-                    alpha[j] = sum - ci;
+            if sum > c {
+                if alpha[i] > c {
+                    alpha[i] = c;
+                    alpha[j] = sum - c;
                 }
-            } else if alpha[j] < 0.0 {
-                alpha[j] = 0.0;
-                alpha[i] = sum;
-            }
-            if sum > cj {
-                if alpha[j] > cj {
-                    alpha[j] = cj;
-                    alpha[i] = sum - cj;
+                if alpha[j] > c {
+                    alpha[j] = c;
+                    alpha[i] = sum - c;
                 }
-            } else if alpha[i] < 0.0 {
-                alpha[i] = 0.0;
-                alpha[j] = sum;
+            } else {
+                if alpha[j] < 0.0 {
+                    alpha[j] = 0.0;
+                    alpha[i] = sum;
+                }
+                if alpha[i] < 0.0 {
+                    alpha[i] = 0.0;
+                    alpha[j] = sum;
+                }
             }
         }
 
@@ -374,54 +396,38 @@ pub(crate) fn solve(
             converged = true;
             break;
         }
-        set.classify(i, y, c, &alpha);
-        set.classify(j, y, c, &alpha);
+        set.classify(i, &alpha);
+        set.classify(j, &alpha);
         // Update G densely: the entries of shrunk variables go stale
         // either way, and `reconstruct_gradient` rewrites every one of
         // them before anything reads them…
-        update_gradient(&mut yg, y, &ki, kj, y[i] * dai, y[j] * daj);
+        update_gradient(&mut yg, &ki, kj, yi * dai, yj * daj);
         // …and G̅ over everything when a variable crosses its upper bound.
-        let was_ub_i = old_ai >= ci;
-        let is_ub_i = alpha[i] >= ci;
-        if was_ub_i != is_ub_i {
-            let sign = if is_ub_i { 1.0 } else { -1.0 };
-            for (g, qit) in g_bar.iter_mut().zip(signed_row(&ki, y[i], y)) {
-                *g += sign * ci * qit;
-            }
-        }
-        let was_ub_j = old_aj >= cj;
-        let is_ub_j = alpha[j] >= cj;
-        if was_ub_j != is_ub_j {
-            let sign = if is_ub_j { 1.0 } else { -1.0 };
-            for (g, qjt) in g_bar.iter_mut().zip(signed_row(kj, y[j], y)) {
-                *g += sign * cj * qjt;
-            }
-        }
+        update_g_bar(&mut g_bar, &ki, yi, c, old_ai, alpha[i]);
+        update_g_bar(&mut g_bar, kj, yj, c, old_aj, alpha[j]);
     }
 
     if set.active.len() < n {
         // Hit the iteration cap while shrunk: make the gradient whole so
         // rho and the objective are computed from consistent values.
-        reconstruct_gradient(q, &mut yg, &g_bar, p, y, c, &alpha, &set.active);
+        reconstruct_gradient(q, &mut yg, &g_bar, p, c, &alpha, &set.active);
     }
 
-    let rho = compute_rho(&yg, y, c, &alpha);
+    let rho = compute_rho(&yg, c, &alpha);
 
     // Dual objective: 0.5 aᵀQa + pᵀa = 0.5 Σ a_i (G_i + p_i).
     let objective = 0.5
         * alpha
             .iter()
-            .zip(yg.iter().zip(y).zip(p))
-            .map(|(a, ((g, yt), pi))| a * (yt * g + pi))
+            .zip(yg.iter().zip(p))
+            .enumerate()
+            .map(|(t, (a, (g, pi)))| a * (sign(t, l) * g + pi))
             .sum::<f64>();
 
-    // Box feasibility 0 ≤ α_i ≤ C_i is maintained by every clip above;
+    // Box feasibility 0 ≤ α_i ≤ C is maintained by every clip above;
     // a violation here means the update arithmetic itself went wrong.
     debug_assert!(
-        alpha
-            .iter()
-            .zip(c)
-            .all(|(a, ci)| (-1e-12..=ci + 1e-12).contains(a)),
+        alpha.iter().all(|a| (-1e-12..=c + 1e-12).contains(a)),
         "SMO produced an alpha outside [0, C]"
     );
     debug_assert!(rho.is_finite(), "SMO produced a non-finite rho");
@@ -443,24 +449,17 @@ pub(crate) fn solve(
 /// (LIBSVM `be_shrunk`): it sits at a bound and its KKT multiplier is
 /// strictly on the optimal side of both current extremes. `G_t` is read
 /// as `y_t·yg_t`.
-fn be_shrunk(
-    t: usize,
-    gmax1: f64,
-    gmax2: f64,
-    yg: &[f64],
-    y: &[f64],
-    c: &[f64],
-    alpha: &[f64],
-) -> bool {
-    let g = y[t] * yg[t];
-    if alpha[t] >= c[t] {
-        if y[t] > 0.0 {
+fn be_shrunk(t: usize, gmax1: f64, gmax2: f64, yg: &[f64], c: f64, alpha: &[f64]) -> bool {
+    let l = yg.len() / 2;
+    let g = sign(t, l) * yg[t];
+    if alpha[t] >= c {
+        if t < l {
             -g > gmax1
         } else {
             -g > gmax2
         }
     } else if alpha[t] <= 0.0 {
-        if y[t] > 0.0 {
+        if t < l {
             g > gmax2
         } else {
             g > gmax1
@@ -474,7 +473,7 @@ fn be_shrunk(
 /// once when the active set is close to optimal, then drops the
 /// variables [`be_shrunk`] flags from `set`.
 ///
-/// Known deviation from LIBSVM: the y = −1 branch swaps the
+/// Known deviation from LIBSVM: the α* (y = −1) branch swaps the
 /// `gmax1`/`gmax2` conditions. LIBSVM sends `+G` into `gmax1` when α > 0
 /// and `−G` into `gmax2` when α < C, so that `gmax1 = max over I_up of
 /// −y·G` and `gmax2 = max over I_low of y·G`; this loop sends `−G` into
@@ -488,20 +487,19 @@ fn do_shrinking(
     yg: &mut [f64],
     g_bar: &[f64],
     p: &[f64],
-    y: &[f64],
-    c: &[f64],
     alpha: &[f64],
     set: &mut WorkingSet,
     unshrunk: &mut bool,
     tolerance: f64,
 ) {
+    let (l, c) = (q.len(), set.c);
     // m(α) and M(α) over the active set.
     let mut gmax1 = f64::NEG_INFINITY;
     let mut gmax2 = f64::NEG_INFINITY;
     for &t in &set.active {
-        let g = y[t] * yg[t];
-        if y[t] > 0.0 {
-            if alpha[t] < c[t] && -g >= gmax1 {
+        let g = sign(t, l) * yg[t];
+        if t < l {
+            if alpha[t] < c && -g >= gmax1 {
                 gmax1 = -g;
             }
             if alpha[t] > 0.0 && g >= gmax2 {
@@ -511,7 +509,7 @@ fn do_shrinking(
             if alpha[t] > 0.0 && -g >= gmax2 {
                 gmax2 = -g;
             }
-            if alpha[t] < c[t] && g >= gmax1 {
+            if alpha[t] < c && g >= gmax1 {
                 gmax1 = g;
             }
         }
@@ -521,44 +519,41 @@ fn do_shrinking(
         // Close to optimal: bring everyone back once so the final
         // convergence check is exact.
         *unshrunk = true;
-        reconstruct_gradient(q, yg, g_bar, p, y, c, alpha, &set.active);
+        reconstruct_gradient(q, yg, g_bar, p, c, alpha, &set.active);
         set.restore();
     }
 
-    set.retain(|t| !be_shrunk(t, gmax1, gmax2, yg, y, c, alpha));
+    set.retain(|t| !be_shrunk(t, gmax1, gmax2, yg, c, alpha));
 }
 
 /// Recomputes G for inactive variables — those missing from the
 /// ascending `active` list — from G̅ and the free variables (LIBSVM
 /// `reconstruct_gradient`), and stores it sign-folded as `y_t·G_t`. Free
 /// variables are never shrunk, so their entries are always current.
-#[allow(clippy::too_many_arguments)]
 fn reconstruct_gradient(
     q: &mut KernelRows<'_>,
     yg: &mut [f64],
     g_bar: &[f64],
     p: &[f64],
-    y: &[f64],
-    c: &[f64],
+    c: f64,
     alpha: &[f64],
     active: &[usize],
 ) {
     let n = yg.len();
     let l = q.len();
-    let free: Vec<usize> = (0..n)
-        .filter(|&j| alpha[j] > 0.0 && alpha[j] < c[j])
-        .collect();
+    let free: Vec<usize> = (0..n).filter(|&j| alpha[j] > 0.0 && alpha[j] < c).collect();
     let mut next_active = active.iter().copied().peekable();
     for t in 0..n {
         if next_active.next_if_eq(&t).is_some() {
             continue;
         }
+        let yt = sign(t, l);
         let kt = q.row(base(t, l));
         let mut g = p[t] + g_bar[t];
         for &j in &free {
-            g += alpha[j] * (y[t] * y[j] * kt[base(j, l)]);
+            g += alpha[j] * (yt * sign(j, l) * kt[base(j, l)]);
         }
-        yg[t] = y[t] * g;
+        yg[t] = yt * g;
     }
 }
 
@@ -570,6 +565,8 @@ fn reconstruct_gradient(
 /// from them whenever `active` changes and patched when
 /// [`WorkingSet::classify`] moves a variable in or out.
 struct WorkingSet {
+    /// The upper bound `C` of every variable.
+    c: f64,
     active: Vec<usize>,
     up: Vec<bool>,
     low: Vec<bool>,
@@ -579,10 +576,11 @@ struct WorkingSet {
 
 impl WorkingSet {
     /// Every variable active, classified at `alpha`.
-    fn new(y: &[f64], c: &[f64], alpha: &[f64]) -> Self {
+    fn new(c: f64, alpha: &[f64]) -> Self {
         let n = alpha.len();
-        let (up, low) = (0..n).map(|t| membership(t, y, c, alpha)).unzip();
+        let (up, low) = (0..n).map(|t| membership(t, c, alpha)).unzip();
         let mut set = WorkingSet {
+            c,
             active: (0..n).collect(),
             up,
             low,
@@ -595,9 +593,9 @@ impl WorkingSet {
 
     /// Re-classifies active variable `t` after α_t moved, patching the
     /// member lists where its membership changed.
-    fn classify(&mut self, t: usize, y: &[f64], c: &[f64], alpha: &[f64]) {
+    fn classify(&mut self, t: usize, alpha: &[f64]) {
         debug_assert!(self.active.binary_search(&t).is_ok(), "{t} is not active");
-        let (up, low) = membership(t, y, c, alpha);
+        let (up, low) = membership(t, self.c, alpha);
         if up != self.up[t] {
             self.up[t] = up;
             toggle(&mut self.up_list, t, up);
@@ -628,6 +626,7 @@ impl WorkingSet {
             low,
             up_list,
             low_list,
+            ..
         } = self;
         up_list.clear();
         up_list.extend(active.iter().copied().filter(|&t| up[t]));
@@ -636,12 +635,12 @@ impl WorkingSet {
     }
 }
 
-/// Whether variable `t` is in I_up (α_t can move up along y_t) and in
-/// I_low (it can move down), as LIBSVM's `is_upper_bound`/
-/// `is_lower_bound` tests combine with the sign.
-fn membership(t: usize, y: &[f64], c: &[f64], alpha: &[f64]) -> (bool, bool) {
-    let (below_c, above_zero) = (alpha[t] < c[t], alpha[t] > 0.0);
-    if y[t] > 0.0 {
+/// Whether variable `t` of the `2l` in `alpha` is in I_up (α_t can move
+/// up along y_t) and in I_low (it can move down), as LIBSVM's
+/// `is_upper_bound`/`is_lower_bound` tests combine with the sign.
+fn membership(t: usize, c: f64, alpha: &[f64]) -> (bool, bool) {
+    let (below_c, above_zero) = (alpha[t] < c, alpha[t] > 0.0);
+    if t < alpha.len() / 2 {
         (below_c, above_zero)
     } else {
         (above_zero, below_c)
@@ -727,20 +726,21 @@ fn select_working_set(
 /// Computes `rho` from the final sign-folded gradient `yg`, as LIBSVM
 /// does: average of `y_t G_t` over free variables, else the midpoint of
 /// the active bounds.
-fn compute_rho(yg: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) -> f64 {
+fn compute_rho(yg: &[f64], c: f64, alpha: &[f64]) -> f64 {
+    let l = yg.len() / 2;
     let mut upper = f64::INFINITY;
     let mut lower = f64::NEG_INFINITY;
     let mut free_sum = 0.0;
     let mut free_count = 0usize;
     for (t, &ygt) in yg.iter().enumerate() {
-        if alpha[t] >= c[t] {
-            if y[t] < 0.0 {
+        if alpha[t] >= c {
+            if t >= l {
                 upper = upper.min(ygt);
             } else {
                 lower = lower.max(ygt);
             }
         } else if alpha[t] <= 0.0 {
-            if y[t] > 0.0 {
+            if t < l {
                 upper = upper.min(ygt);
             } else {
                 lower = lower.max(ygt);
@@ -773,46 +773,46 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// `Σα − Σα*`, which every solve keeps at its start's value.
+    fn balance(alpha: &[f64]) -> f64 {
+        let (a, a_star) = alpha.split_at(alpha.len() / 2);
+        a.iter().sum::<f64>() - a_star.iter().sum::<f64>()
+    }
+
     /// Reference row `i` of `Q` as explicitly signed values: the exact
     /// batch kernel row times `y_i·y_t`.
-    fn signed_q_row(kernel: Kernel, points: &DenseMatrix, y: &[f64], i: usize) -> Vec<f64> {
+    fn signed_q_row(kernel: Kernel, points: &DenseMatrix, i: usize) -> Vec<f64> {
         let l = points.rows();
         let mut k = vec![0.0; l];
         kernel.eval_row_batch(points.row(base(i, l)), points, &mut k);
-        (0..y.len())
-            .map(|t| k[base(t, l)] * (y[i] * y[t]))
+        (0..2 * l)
+            .map(|t| k[base(t, l)] * (sign(i, l) * sign(t, l)))
             .collect()
     }
 
-    /// Sign vectors for both problem layouts over `l` points: one
-    /// mixed-label variable per point, and the ±1 ε-SVR expansion.
-    fn layouts(l: usize) -> [Vec<f64>; 2] {
-        let per_point = (0..l)
-            .map(|t| if t % 3 == 0 { -1.0 } else { 1.0 })
-            .collect();
-        let expanded = (0..2 * l).map(|t| if t < l { 1.0 } else { -1.0 }).collect();
-        [per_point, expanded]
-    }
-
-    /// Hand-solvable 2-point classification problem: points -1 and +1 on a
-    /// line, labels -1 and +1, linear kernel. The dual optimum is
-    /// a_0 = a_1 = min(C, 0.5) and the separating function is f(x) = x·w − rho
-    /// with rho = 0.
+    /// Hand-solvable 2-point regression: points −1 and +1 on a line,
+    /// targets −1 and +1, linear kernel, ε = 0.1. The flattest function
+    /// inside the tube is f(x) = 0.9·x, so β = α − α* is (−0.45, 0.45):
+    /// α_1 = α*_0 = 0.45, the other two variables stay 0, and rho = 0.
     #[test]
-    fn two_point_svc_dual() {
+    fn two_point_svr_dual() {
         let points = DenseMatrix::from_nested(vec![vec![-1.0], vec![1.0]]).unwrap();
-        let y = vec![-1.0, 1.0];
         let mut q = KernelRows::new(Kernel::Linear, &points, 16);
-        let p = vec![-1.0, -1.0];
-        let c = vec![10.0, 10.0];
-        let sol = solve(&mut q, &p, &y, &c, vec![0.0, 0.0], SolveOptions::default());
+        let p = linear_term(&[-1.0, 1.0], 0.1);
+        let sol = solve(&mut q, &p, 10.0, vec![0.0; 4], SolveOptions::default());
         assert!(sol.converged);
-        assert!((sol.alpha[0] - 0.5).abs() < 1e-6, "alpha = {:?}", sol.alpha);
-        assert!((sol.alpha[1] - 0.5).abs() < 1e-6);
+        for (t, want) in [0.0, 0.45, 0.45, 0.0].into_iter().enumerate() {
+            assert!(
+                (sol.alpha[t] - want).abs() < 1e-6,
+                "alpha = {:?}",
+                sol.alpha
+            );
+        }
         assert!(sol.rho.abs() < 1e-6);
     }
 
-    /// Equality constraint Σ y_i a_i = 0 must hold throughout.
+    /// The equality constraint Σα = Σα* holds at the end of a solve from
+    /// α = 0, and every variable stays in the box 0 ≤ α ≤ C.
     #[test]
     fn solution_satisfies_equality_constraint() {
         let points = DenseMatrix::from_nested(
@@ -821,21 +821,57 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let y: Vec<f64> = (0..12)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
+        let targets: Vec<f64> = (0..12).map(|i| (i as f64 * 1.1).cos() * 2.0).collect();
         let mut q = KernelRows::new(Kernel::rbf(0.5), &points, 16);
-        let p = vec![-1.0; 12];
-        let c = vec![1.0; 12];
-        let sol = solve(&mut q, &p, &y, &c, vec![0.0; 12], SolveOptions::default());
-        let balance: f64 = sol.alpha.iter().zip(&y).map(|(a, yi)| a * yi).sum();
+        let p = linear_term(&targets, 0.1);
+        let c = 1.0;
+        let sol = solve(&mut q, &p, c, vec![0.0; 24], SolveOptions::default());
+        let balance = balance(&sol.alpha);
         assert!(balance.abs() < 1e-9, "balance = {balance}");
+        assert!(sol.alpha.iter().any(|&a| a >= c), "no variable at C");
         for (t, a) in sol.alpha.iter().enumerate() {
             assert!(
-                *a >= -1e-12 && *a <= 1.0 + 1e-12,
+                *a >= -1e-12 && *a <= c + 1e-12,
                 "alpha[{t}] = {a} out of box"
             );
         }
+    }
+
+    /// A solve from a feasible non-zero start, with variables at C on
+    /// both halves (so G̅ starts non-zero and the shrink passes rebuild
+    /// gradients from it), reaches the optimum of the solve from α = 0.
+    #[test]
+    fn solve_from_a_feasible_start_reaches_the_same_optimum() {
+        let points =
+            DenseMatrix::from_nested((0..24).map(|i| vec![(i as f64 * 0.9).sin()]).collect())
+                .unwrap();
+        let targets: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).cos() * 3.0).collect();
+        let p = linear_term(&targets, 0.01);
+        let (l, c) = (targets.len(), 64.0);
+        let options = SolveOptions {
+            tolerance: 1e-9,
+            ..SolveOptions::default()
+        };
+        let solve_from = |alpha: Vec<f64>| {
+            let mut q = KernelRows::new(Kernel::rbf(2.0), &points, 64);
+            solve(&mut q, &p, c, alpha, options)
+        };
+        // Σα = Σα*: one variable at C and one at C/2 on each half.
+        let mut start = vec![0.0; 2 * l];
+        start[0] = c;
+        start[l + 1] = c;
+        start[3] = 0.5 * c;
+        start[l + 5] = 0.5 * c;
+        let warm = solve_from(start);
+        let cold = solve_from(vec![0.0; 2 * l]);
+        assert!(warm.converged && cold.converged);
+        assert!(balance(&warm.alpha).abs() < 1e-9);
+        assert!(
+            (warm.objective - cold.objective).abs() < 1e-9 * cold.objective.abs(),
+            "warm {} vs cold {}",
+            warm.objective,
+            cold.objective
+        );
     }
 
     /// With a tiny iteration cap the solver reports non-convergence instead
@@ -845,18 +881,16 @@ mod tests {
         let points =
             DenseMatrix::from_nested((0..40).map(|i| vec![(i as f64 * 1.37).sin()]).collect())
                 .unwrap();
-        let y: Vec<f64> = (0..40)
+        let targets: Vec<f64> = (0..40)
             .map(|i| if i % 3 == 0 { 1.0 } else { -1.0 })
             .collect();
         let mut q = KernelRows::new(Kernel::rbf(5.0), &points, 8);
-        let p = vec![-1.0; 40];
-        let c = vec![100.0; 40];
+        let p = linear_term(&targets, 0.1);
         let sol = solve(
             &mut q,
             &p,
-            &y,
-            &c,
-            vec![0.0; 40],
+            100.0,
+            vec![0.0; 80],
             SolveOptions {
                 tolerance: 1e-9,
                 max_iterations: 2,
@@ -877,17 +911,15 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let y: Vec<f64> = (0..20).map(|i| if i < 10 { 1.0 } else { -1.0 }).collect();
-        let p = vec![-1.0; 20];
-        let c = vec![1.0; 20];
+        let targets: Vec<f64> = (0..20).map(|i| if i < 10 { 1.0 } else { -1.0 }).collect();
+        let p = linear_term(&targets, 0.1);
 
         let mut q1 = KernelRows::new(Kernel::rbf(1.0), &points, 32);
         let partial = solve(
             &mut q1,
             &p,
-            &y,
-            &c,
-            vec![0.0; 20],
+            1.0,
+            vec![0.0; 40],
             SolveOptions {
                 tolerance: 1e-3,
                 max_iterations: 3,
@@ -895,13 +927,12 @@ mod tests {
             },
         );
         let mut q2 = KernelRows::new(Kernel::rbf(1.0), &points, 32);
-        let full = solve(&mut q2, &p, &y, &c, vec![0.0; 20], SolveOptions::default());
+        let full = solve(&mut q2, &p, 1.0, vec![0.0; 40], SolveOptions::default());
         assert!(full.objective <= partial.objective + 1e-9);
     }
 
     /// The prenorm RBF row pass honours its ≤1e-12 tolerance contract on
-    /// the `Q` entries of both problem layouts, and is a bitwise no-op for
-    /// non-RBF kernels.
+    /// every `Q` entry, and is a bitwise no-op for non-RBF kernels.
     #[test]
     fn prenorm_rows_honour_the_tolerance_contract() {
         let points = DenseMatrix::from_nested(
@@ -917,37 +948,34 @@ mod tests {
         let l = points.rows();
         for kernel in [Kernel::rbf(0.6), Kernel::Linear] {
             let mut fast = KernelRows::new(kernel, &points, 32).with_prenorm_rows(true);
-            for y in layouts(l) {
-                for i in 0..y.len() {
-                    let exact = signed_q_row(kernel, &points, &y, i);
-                    let got: Vec<f64> = signed_row(fast.row(base(i, l)), y[i], &y).collect();
-                    match kernel {
-                        Kernel::Rbf { .. } => {
-                            for (av, bv) in exact.iter().zip(&got) {
-                                assert!(
-                                    (av - bv).abs() <= 1e-12 * av.abs().max(1.0),
-                                    "prenorm Q entry drifted: {av} vs {bv}"
-                                );
-                            }
+            for i in 0..2 * l {
+                let exact = signed_q_row(kernel, &points, i);
+                let got: Vec<f64> = signed_row(fast.row(base(i, l)), sign(i, l)).collect();
+                match kernel {
+                    Kernel::Rbf { .. } => {
+                        for (av, bv) in exact.iter().zip(&got) {
+                            assert!(
+                                (av - bv).abs() <= 1e-12 * av.abs().max(1.0),
+                                "prenorm Q entry drifted: {av} vs {bv}"
+                            );
                         }
-                        _ => assert_eq!(bits(&exact), bits(&got)),
                     }
+                    _ => assert_eq!(bits(&exact), bits(&got)),
                 }
             }
         }
     }
 
     /// The solver's `Q` entries `y_i·y_t·K[b_i][b_t]` equal explicitly
-    /// signed rows bit for bit, signed zeros included, in both layouts.
+    /// signed rows bit for bit, signed zeros included.
     #[test]
     fn regression_q_signs() {
         let points = DenseMatrix::from_nested(vec![vec![0.0], vec![1.0]]).unwrap();
         let mut q = KernelRows::new(Kernel::Linear, &points, 8);
-        let y = [1.0, 1.0, -1.0, -1.0];
         // α row for point 1 (sign +1), then α* row for point 1 (sign −1).
-        let row1: Vec<f64> = signed_row(q.row(base(1, 2)), y[1], &y).collect();
+        let row1: Vec<f64> = signed_row(q.row(base(1, 2)), sign(1, 2)).collect();
         assert_eq!(bits(&row1), bits(&[0.0, 1.0, -0.0, -1.0]));
-        let row3: Vec<f64> = signed_row(q.row(base(3, 2)), y[3], &y).collect();
+        let row3: Vec<f64> = signed_row(q.row(base(3, 2)), sign(3, 2)).collect();
         assert_eq!(bits(&row3), bits(&[-0.0, -1.0, 0.0, 1.0]));
         assert_eq!(q.diag[base(3, 2)], 1.0);
 
@@ -959,18 +987,15 @@ mod tests {
         .unwrap();
         let l = points.rows();
         let mut q = KernelRows::new(Kernel::Linear, &points, 2);
-        for y in layouts(l) {
-            for i in 0..y.len() {
-                let got: Vec<f64> = signed_row(q.row(base(i, l)), y[i], &y).collect();
-                let want = signed_q_row(Kernel::Linear, &points, &y, i);
-                assert_eq!(bits(&got), bits(&want), "row {i}");
-            }
+        for i in 0..2 * l {
+            let got: Vec<f64> = signed_row(q.row(base(i, l)), sign(i, l)).collect();
+            let want = signed_q_row(Kernel::Linear, &points, i);
+            assert_eq!(bits(&got), bits(&want), "row {i}");
         }
     }
 
     /// The dense update of the sign-folded gradient equals
-    /// `y∘(G + Q_i·Δα_i + Q_j·Δα_j)` from signed rows bit for bit, in
-    /// both layouts (the one-variable-per-point one with mixed signs),
+    /// `y∘(G + Q_i·Δα_i + Q_j·Δα_j)` from signed rows bit for bit,
     /// including the signed zeros that `yg += x + z` on the α* half or
     /// `−(x + z)` would get wrong.
     #[test]
@@ -984,26 +1009,25 @@ mod tests {
         )
         .unwrap();
         let l = points.rows();
+        let n = 2 * l;
         let kernel = Kernel::Linear;
         let mut q = KernelRows::new(kernel, &points, 8);
-        for y in layouts(l) {
-            let n = y.len();
-            let start: Vec<f64> = (0..n)
-                .map(|t| if t % 2 == 0 { 0.0 } else { -0.0 })
-                .collect();
-            for (i, j) in [(0, 1), (1, n - 1), (n - 1, 3)] {
-                let qi = signed_q_row(kernel, &points, &y, i);
-                let qj = signed_q_row(kernel, &points, &y, j);
-                for (dai, daj) in [(0.25, -0.5), (0.0, -0.0), (-0.0, 0.0), (1e-300, 3.0)] {
-                    let want: Vec<f64> = (0..n)
-                        .map(|t| y[t] * (start[t] + (qi[t] * dai + qj[t] * daj)))
-                        .collect();
-                    let ki = q.row(base(i, l)).to_vec();
-                    let kj = q.row(base(j, l));
-                    let mut got: Vec<f64> = start.iter().zip(&y).map(|(g, yt)| yt * g).collect();
-                    update_gradient(&mut got, &y, &ki, kj, y[i] * dai, y[j] * daj);
-                    assert_eq!(bits(&got), bits(&want), "i={i} j={j} Δ=({dai}, {daj})");
-                }
+        let y: Vec<f64> = (0..n).map(|t| sign(t, l)).collect();
+        let start: Vec<f64> = (0..n)
+            .map(|t| if t % 2 == 0 { 0.0 } else { -0.0 })
+            .collect();
+        for (i, j) in [(0, 1), (1, n - 1), (n - 1, 3), (l, l + 3)] {
+            let qi = signed_q_row(kernel, &points, i);
+            let qj = signed_q_row(kernel, &points, j);
+            for (dai, daj) in [(0.25, -0.5), (0.0, -0.0), (-0.0, 0.0), (1e-300, 3.0)] {
+                let want: Vec<f64> = (0..n)
+                    .map(|t| y[t] * (start[t] + (qi[t] * dai + qj[t] * daj)))
+                    .collect();
+                let ki = q.row(base(i, l)).to_vec();
+                let kj = q.row(base(j, l));
+                let mut got: Vec<f64> = start.iter().zip(&y).map(|(g, yt)| yt * g).collect();
+                update_gradient(&mut got, &ki, kj, y[i] * dai, y[j] * daj);
+                assert_eq!(bits(&got), bits(&want), "i={i} j={j} Δ=({dai}, {daj})");
             }
         }
     }
@@ -1011,7 +1035,7 @@ mod tests {
     /// Panics unless `set`'s member lists are the ascending filters of
     /// its ascending `active` list by the flags, and every flag matches
     /// [`membership`] at `alpha`.
-    fn check_lists(set: &WorkingSet, y: &[f64], c: &[f64], alpha: &[f64]) {
+    fn check_lists(set: &WorkingSet, alpha: &[f64]) {
         assert!(
             set.active.windows(2).all(|w| w[0] < w[1]),
             "{:?}",
@@ -1020,7 +1044,7 @@ mod tests {
         for t in 0..alpha.len() {
             assert_eq!(
                 (set.up[t], set.low[t]),
-                membership(t, y, c, alpha),
+                membership(t, set.c, alpha),
                 "flags of {t}"
             );
         }
@@ -1035,31 +1059,30 @@ mod tests {
         /// After any sequence of α moves on active variables (each
         /// followed by `classify`, as the solver does), shrinks and
         /// restores, the I_up/I_low lists are exactly the active members
-        /// of each set, in ascending order.
+        /// of each set, in ascending order, on both halves.
         #[test]
         fn member_lists_track_classify_shrink_and_restore(
-            signs in proptest::collection::vec(0u8..2, 1..40),
+            l in 1usize..20,
+            c in 0.5f64..4.0,
             ops in proptest::collection::vec(0usize..24_000, 0..200),
         ) {
-            let n = signs.len();
-            let y: Vec<f64> = signs.iter().map(|&s| if s == 1 { 1.0 } else { -1.0 }).collect();
-            let c: Vec<f64> = (0..n).map(|t| 1.0 + (t % 3) as f64).collect();
-            let mut alpha: Vec<f64> = (0..n).map(|t| c[t] * (t % 3) as f64 / 2.0).collect();
-            let mut set = WorkingSet::new(&y, &c, &alpha);
-            check_lists(&set, &y, &c, &alpha);
+            let n = 2 * l;
+            let mut alpha: Vec<f64> = (0..n).map(|t| c * (t % 3) as f64 / 2.0).collect();
+            let mut set = WorkingSet::new(c, &alpha);
+            check_lists(&set, &alpha);
             for code in ops {
                 // An op (0..8), a pick (0..1000) and an α level (0..3).
                 let (pick, level) = (code / 8 % 1000, code / 8000);
                 match code % 8 {
                     0..=5 if !set.active.is_empty() => {
                         let t = set.active[pick % set.active.len()];
-                        alpha[t] = c[t] * level as f64 / 2.0;
-                        set.classify(t, &y, &c, &alpha);
+                        alpha[t] = c * level as f64 / 2.0;
+                        set.classify(t, &alpha);
                     }
                     6 => set.retain(|t| (t * 7 + pick) % 3 != 0),
                     _ => set.restore(),
                 }
-                check_lists(&set, &y, &c, &alpha);
+                check_lists(&set, &alpha);
             }
         }
     }

@@ -4,7 +4,6 @@
 
 use crate::data::Dataset;
 use crate::error::SvmError;
-use crate::expansion::Expansion;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
 use crate::smo::{self, KernelRows, SolveOptions};
@@ -169,11 +168,17 @@ impl Default for SvrParams {
     }
 }
 
-/// A trained ε-SVR model: support vectors, their coefficients
-/// `β_i = α_i − α*_i`, and the bias.
+/// A trained ε-SVR model: the support-vector expansion
+/// `f(x) = Σ βᵢ·K(svᵢ, x) + b` with `βᵢ = αᵢ − α*ᵢ` and `b = −rho`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SvrModel {
-    expansion: Expansion,
+    kernel: Kernel,
+    /// One support vector per row, each `dim` wide.
+    support_vectors: DenseMatrix,
+    /// `βᵢ`, one per support vector.
+    coefficients: Vec<f64>,
+    bias: f64,
+    dim: usize,
     iterations: usize,
     converged: bool,
 }
@@ -213,22 +218,7 @@ impl SvrModel {
         }
         let l = train.len();
         let points = train.features();
-        let y_targets = train.targets();
-
-        // ε-SVR dual in expanded form (LIBSVM's solve_epsilon_svr):
-        // variables 0..l are α (sign +1) with p_i = ε − y_i,
-        // variables l..2l are α* (sign −1) with p_i = ε + y_i.
-        let mut p = Vec::with_capacity(2 * l);
-        let mut signs = Vec::with_capacity(2 * l);
-        for &yi in y_targets {
-            p.push(params.epsilon - yi);
-        }
-        for &yi in y_targets {
-            p.push(params.epsilon + yi);
-        }
-        signs.extend(std::iter::repeat_n(1.0, l));
-        signs.extend(std::iter::repeat_n(-1.0, l));
-        let c = vec![params.c; 2 * l];
+        let p = smo::linear_term(train.targets(), params.epsilon);
 
         let mut q = KernelRows::new(params.kernel, points, params.cache_rows)
             .with_prenorm_rows(params.prenorm_rows);
@@ -237,8 +227,7 @@ impl SvrModel {
         let solution = smo::solve(
             &mut q,
             &p,
-            &signs,
-            &c,
+            params.c,
             vec![0.0; 2 * l],
             SolveOptions {
                 tolerance: params.tolerance,
@@ -273,16 +262,25 @@ impl SvrModel {
         }
 
         Ok(SvrModel {
-            expansion: Expansion::new(
-                params.kernel,
-                support_vectors,
-                coefficients,
-                -solution.rho,
-                train.dim(),
-            )?,
+            kernel: params.kernel,
+            support_vectors,
+            coefficients,
+            bias: -solution.rho,
+            dim: train.dim(),
             iterations: solution.iterations,
             converged: solution.converged,
         })
+    }
+
+    fn check_dim(&self, actual: usize) -> Result<(), SvmError> {
+        if actual == self.dim {
+            Ok(())
+        } else {
+            Err(SvmError::DimensionMismatch {
+                expected: self.dim,
+                actual,
+            })
+        }
     }
 
     /// Predicts the target for one feature vector.
@@ -292,7 +290,14 @@ impl SvrModel {
     /// [`SvmError::DimensionMismatch`] if `x.len()` differs from the
     /// training dimensionality.
     pub fn predict(&self, x: &[f64]) -> Result<f64, SvmError> {
-        self.expansion.value(x)
+        self.check_dim(x.len())?;
+        Ok(self
+            .support_vectors
+            .iter()
+            .zip(&self.coefficients)
+            .map(|(sv, c)| c * self.kernel.eval(sv, x))
+            .sum::<f64>()
+            + self.bias)
     }
 
     /// Predicts targets for every row of a feature matrix, evaluating one
@@ -304,7 +309,22 @@ impl SvrModel {
     /// [`SvmError::DimensionMismatch`] if the matrix width differs from the
     /// training dimensionality.
     pub fn predict_batch(&self, queries: &DenseMatrix) -> Result<Vec<f64>, SvmError> {
-        self.expansion.values(queries)
+        self.check_dim(queries.cols())?;
+        let mut scratch = vec![0.0; self.support_vectors.rows()];
+        let mut out = Vec::with_capacity(queries.rows());
+        for x in queries {
+            self.kernel
+                .eval_row_batch(x, &self.support_vectors, &mut scratch);
+            out.push(
+                scratch
+                    .iter()
+                    .zip(&self.coefficients)
+                    .map(|(k, c)| c * k)
+                    .sum::<f64>()
+                    + self.bias,
+            );
+        }
+        Ok(out)
     }
 
     /// Predicts targets for every sample of a dataset.
@@ -320,38 +340,38 @@ impl SvrModel {
     /// Number of support vectors retained.
     #[must_use]
     pub fn num_support_vectors(&self) -> usize {
-        self.expansion.support_vectors().rows()
+        self.support_vectors.rows()
     }
 
     /// The retained support vectors, one per matrix row.
     #[must_use]
     pub fn support_vectors(&self) -> &DenseMatrix {
-        self.expansion.support_vectors()
+        &self.support_vectors
     }
 
     /// Dual coefficients `alpha_i - alpha_i*`, aligned with
     /// [`SvrModel::support_vectors`] rows.
     #[must_use]
     pub fn coefficients(&self) -> &[f64] {
-        self.expansion.coefficients()
+        &self.coefficients
     }
 
     /// The bias term `b`.
     #[must_use]
     pub fn bias(&self) -> f64 {
-        self.expansion.bias()
+        self.bias
     }
 
     /// The kernel the model was trained with.
     #[must_use]
     pub fn kernel(&self) -> Kernel {
-        self.expansion.kernel()
+        self.kernel
     }
 
     /// Feature dimensionality the model expects.
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.expansion.dim()
+        self.dim
     }
 
     /// Solver iterations used during training.
@@ -366,7 +386,9 @@ impl SvrModel {
         self.converged
     }
 
-    /// Rebuilds a model from serialised parts, validating consistency.
+    /// Rebuilds a model from serialised parts, checking that there is one
+    /// coefficient per support vector and that the support vectors are
+    /// `dim` wide.
     pub(crate) fn from_parts(
         kernel: Kernel,
         support_vectors: DenseMatrix,
@@ -374,8 +396,24 @@ impl SvrModel {
         bias: f64,
         dim: usize,
     ) -> Result<Self, SvmError> {
+        if support_vectors.rows() != coefficients.len() {
+            return Err(SvmError::DimensionMismatch {
+                expected: support_vectors.rows(),
+                actual: coefficients.len(),
+            });
+        }
+        if !support_vectors.is_empty() && support_vectors.cols() != dim {
+            return Err(SvmError::DimensionMismatch {
+                expected: dim,
+                actual: support_vectors.cols(),
+            });
+        }
         Ok(SvrModel {
-            expansion: Expansion::new(kernel, support_vectors, coefficients, bias, dim)?,
+            kernel,
+            support_vectors,
+            coefficients,
+            bias,
+            dim,
             iterations: 0,
             converged: true,
         })

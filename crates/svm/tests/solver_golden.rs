@@ -5,14 +5,12 @@
 //! captured from the solver before its inner loop was made copy-free and
 //! active-set-sized; any change to the order of floating-point operations
 //! inside `smo.rs` — a different tie-break, a re-associated sum — moves
-//! at least one of them. The problem types cover every path through the
-//! one SMO loop, `solve`: ε-SVR (two variables per point, with the
-//! prenorm and the exact RBF row pass, and with a one-row cache) and
-//! one-class (one variable per point, from a non-zero feasible start).
-//! The one-class, exact-row and one-row-cache cells were captured from
-//! the solver before it moved from signed `Q` rows to cached kernel rows.
-//! The one-class cell also digests decision values, pinning the shared
-//! support-vector expansion that every model predicts through. The
+//! at least one of them. The cells cover the paths through the one SMO
+//! loop, `solve`, over the `2l`-variable ε-SVR dual: with the prenorm and
+//! the exact RBF row pass, with and without shrinking, and with a one-row
+//! cache. The exact-row and one-row-cache cells were captured from the
+//! solver before it moved from signed `Q` rows to cached kernel rows, and
+//! all of them before it read the variables' signs off their index. The
 //! paper-regime cell (scaled features, targets near +45, the grid's
 //! hottest C and γ) was captured from the solver before its selection
 //! scans moved from per-variable flags to I_up/I_low index lists.
@@ -20,7 +18,6 @@
 use vmtherm_svm::data::Dataset;
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::matrix::DenseMatrix;
-use vmtherm_svm::oneclass::{OneClassModel, OneClassParams};
 use vmtherm_svm::svr::{SvrModel, SvrParams};
 
 const POINTS: usize = 48;
@@ -133,10 +130,6 @@ const SVR_EXACT_ROWS_GOLDEN: Golden = (15_696, 0xbfb2cb3a6caab2fa, 0x136f9a89a2c
 /// times between shrinks.
 const PAPER_REGIME_GOLDEN: Golden = (5_713, 0x4045f375227ea037, 0x8e1255e263a59b03);
 
-/// One-class fingerprint: `(support vectors, digest of the decision
-/// values on the training rows)`.
-const ONE_CLASS_GOLDEN: (usize, u64) = (30, 0x6e3ce3788c24872a);
-
 #[test]
 fn epsilon_svr_cells_are_bit_identical() {
     let ds = regression_set();
@@ -195,22 +188,4 @@ fn epsilon_svr_one_row_cache_matches_default_cache() {
             .with_cache_rows(1),
     );
     assert_eq!(got, SVR_GOLDEN[2], "one-row-cache ε-SVR drifted");
-}
-
-/// ν·l = 14.4, so the solve starts from 14 variables at 1, one at 0.4
-/// and a non-zero initial gradient.
-#[test]
-fn one_class_is_bit_identical() {
-    let ds = regression_set();
-    let model = OneClassModel::train(
-        &ds,
-        OneClassParams::new()
-            .with_nu(0.3)
-            .with_kernel(Kernel::rbf(0.5)),
-    )
-    .unwrap();
-    assert!(model.converged());
-    let values = model.predict_batch(ds.features()).unwrap();
-    let got = (model.num_support_vectors(), digest(&values));
-    assert_eq!(got, ONE_CLASS_GOLDEN, "one-class drifted");
 }

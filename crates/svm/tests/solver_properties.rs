@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use vmtherm_svm::data::Dataset;
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::matrix::DenseMatrix;
-use vmtherm_svm::oneclass::{OneClassModel, OneClassParams};
 use vmtherm_svm::svr::{SvrModel, SvrParams};
 
 /// Deterministic pseudo-random feature from indices (keeps shrinking fast
@@ -63,33 +62,6 @@ proptest! {
             ds.targets().iter().map(|y| (y - mean_y).abs()).sum::<f64>() / n as f64;
         prop_assert!(model_mae <= const_mae + eps + 0.1,
             "model mae {model_mae} worse than constant {const_mae} + eps {eps}");
-    }
-
-    /// One-class: decision values of training data are ≥ the minimum over
-    /// support vectors, and the ν bound on training outliers holds.
-    #[test]
-    fn oneclass_nu_property(
-        n in 10usize..40,
-        salt in 1u64..1000,
-        nu in 0.05f64..0.5,
-    ) {
-        let xs: Vec<Vec<f64>> =
-            (0..n).map(|i| (0..2).map(|j| feature(i, j, salt)).collect()).collect();
-        let ds = Dataset::from_parts(DenseMatrix::from_nested(xs).unwrap(), vec![0.0; n]).unwrap();
-        let model = OneClassModel::train(
-            &ds,
-            OneClassParams::new().with_nu(nu).with_kernel(Kernel::rbf(0.5)),
-        ).unwrap();
-        // At the optimum, free support vectors sit exactly on the decision
-        // boundary; solver tolerance can flip their sign. Count only points
-        // *clearly* outside as outliers.
-        let outliers =
-            ds.iter().filter(|(x, _)| model.decision_value(x).unwrap() < -0.01).count() as f64 / n as f64;
-        // ν upper-bounds the fraction of outliers (asymptotically; allow
-        // one point of slack for tiny samples).
-        prop_assert!(outliers <= nu + 1.5 / n as f64 + 1e-9,
-            "outlier fraction {outliers} exceeds nu {nu}");
-        prop_assert!(model.num_support_vectors() >= 1);
     }
 
     /// The shrinking heuristic is a pure optimisation: solutions with and

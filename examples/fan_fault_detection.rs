@@ -4,13 +4,12 @@
 //! A server's BMC believes all 4 fans are healthy, but two of them stop
 //! mid-run. No configuration input of Eq. (2) changes — yet the CPU runs
 //! hotter than the model predicts for that configuration. The
-//! [`ThermalWatchdog`] (CUSUM over prediction residuals) and the
-//! [`NoveltyDetector`] (one-class SVM over predicted-vs-observed pairs)
-//! both flag the fault; a healthy control run stays quiet.
+//! [`ThermalWatchdog`] (CUSUM over prediction residuals) flags the fault;
+//! a healthy control run stays quiet.
 //!
 //! Run with: `cargo run --release --example fan_fault_detection`
 
-use vmtherm::core::anomaly::{NoveltyDetector, ResidualDetector, ThermalWatchdog};
+use vmtherm::core::anomaly::{ResidualDetector, ThermalWatchdog};
 use vmtherm::core::stable::{run_experiments, StablePredictor, TrainingOptions};
 use vmtherm::sim::experiment::ConfigSnapshot;
 use vmtherm::sim::{
@@ -67,7 +66,7 @@ fn run_server(failed_fans: u32, seed: u64) -> (ConfigSnapshot, Vec<(f64, f64)>) 
 }
 
 fn main() {
-    println!("training stable model and detectors (100 healthy experiments)...");
+    println!("training stable model (100 healthy experiments)...");
     let mut generator = CaseGenerator::new(31);
     let configs: Vec<_> = generator
         .random_cases(100, 600)
@@ -82,7 +81,6 @@ fn main() {
             .with_kernel(Kernel::rbf(0.02)),
     );
     let model = StablePredictor::fit(&healthy, &options).expect("training");
-    let novelty = NoveltyDetector::fit(model.clone(), &healthy, 0.1).expect("novelty training");
 
     for (label, failed) in [("healthy control", 0u32), ("2-fan failure at t=900s", 2)] {
         println!("\n=== scenario: {label} ===");
@@ -94,17 +92,15 @@ fn main() {
             ResidualDetector::new(8.0, 0.8).expect("detector"),
         );
         let mut alarmed_at: Option<f64> = None;
-        println!("   t | window mean | residual | cusum | novelty");
+        println!("    t | window mean | residual | cusum");
         for (t, mean) in &windows {
             let alarm = watchdog.observe(&snapshot, Celsius::new(*mean));
-            let novel = novelty.is_anomalous(&snapshot, Celsius::new(*mean));
             println!(
-                "{:>5} | {:>9.2} C | {:>+7.2} | {:>5.1} | {}",
+                "{:>5} | {:>9.2} C | {:>+7.2} | {:>5.1}",
                 *t as u64,
                 mean,
                 mean - predicted,
-                watchdog.detector().hot_score(),
-                if novel { "ANOMALOUS" } else { "ok" }
+                watchdog.detector().hot_score()
             );
             if let (Some(a), None) = (alarm, alarmed_at) {
                 alarmed_at = Some(*t);

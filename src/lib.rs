@@ -7,7 +7,7 @@
 //! It re-exports the four member crates, plus the unit newtypes as
 //! [`units`]:
 //!
-//! - [`svm`] (`vmtherm-svm`) — ε-SVR and the one-class SVM with an SMO
+//! - [`svm`] (`vmtherm-svm`) — ε-SVR with an SMO
 //!   solver, kernels, scaling, cross-validation and grid search (the
 //!   LIBSVM + easygrid substitute).
 //! - [`sim`] (`vmtherm-sim`) — the datacenter thermal simulator standing in
