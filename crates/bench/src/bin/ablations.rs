@@ -51,7 +51,7 @@ fn main() {
                         .with_update_interval(Seconds::new(15.0)),
                 )
                 .expect("config");
-                evaluate_dynamic(&mut p, &s.series, Seconds::new(60.0), &s.anchors).mse
+                evaluate_dynamic(&mut p, s.series.series(), Seconds::new(60.0), &s.anchors).mse
             })
             .sum::<f64>()
             / scenarios.len() as f64;
@@ -151,11 +151,17 @@ fn main() {
     let s = &scenarios[1];
     let with_anchor = {
         let mut p = DynamicPredictor::new(DynamicConfig::new()).expect("config");
-        evaluate_dynamic(&mut p, &s.series, Seconds::new(60.0), &s.anchors).mse
+        evaluate_dynamic(&mut p, s.series.series(), Seconds::new(60.0), &s.anchors).mse
     };
     let without_anchor = {
         let mut p = DynamicPredictor::new(DynamicConfig::new()).expect("config");
-        evaluate_dynamic(&mut p, &s.series, Seconds::new(60.0), &s.anchors[..1]).mse
+        evaluate_dynamic(
+            &mut p,
+            s.series.series(),
+            Seconds::new(60.0),
+            &s.anchors[..1],
+        )
+        .mse
     };
     println!("re-anchor at reconfiguration: MSE = {with_anchor:.3}");
     println!("single anchor at t=0 only:    MSE = {without_anchor:.3}");
@@ -182,7 +188,7 @@ fn main() {
                 let mut cfg = DynamicConfig::new();
                 cfg.delta = delta;
                 let mut p = DynamicPredictor::new(cfg).expect("config");
-                evaluate_dynamic(&mut p, &s.series, Seconds::new(60.0), &s.anchors).mse
+                evaluate_dynamic(&mut p, s.series.series(), Seconds::new(60.0), &s.anchors).mse
             })
             .sum::<f64>()
             / scenarios.len() as f64;

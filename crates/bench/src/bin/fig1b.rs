@@ -47,7 +47,8 @@ fn main() {
     let calibrated = score_dynamic(&scenario, GAP_SECS, UPDATE_SECS, true);
     let uncalibrated = score_dynamic(&scenario, GAP_SECS, UPDATE_SECS, false);
     let mut last_value = LastValuePredictor::new();
-    let naive = evaluate_online(&mut last_value, &scenario.series, Seconds::new(GAP_SECS));
+    let series = scenario.series.series();
+    let naive = evaluate_online(&mut last_value, series, Seconds::new(GAP_SECS));
 
     // The figure: empirical vs the two model arms, sampled every 60 s.
     println!("   t |  empirical  calibrated  uncalibrated");
@@ -60,8 +61,7 @@ fn main() {
     };
     for t in (60..=1740).step_by(60) {
         let t = t as f64;
-        let empirical = scenario
-            .series
+        let empirical = series
             .iter()
             .find(|(ts, _)| (*ts - t).abs() < 0.5)
             .map_or(f64::NAN, |(_, v)| v);

@@ -126,7 +126,7 @@ pub fn dynamic_scenario(
     sim.run_until(SimTime::from_secs(total_secs));
 
     let snapshot_after = ConfigSnapshot::capture(&sim, sid, Celsius::new(ambient));
-    let series = sim.trace(sid).expect("trace").sensor_c.clone();
+    let series = sim.trace(sid).expect("trace").sensor_c.to_time_series();
 
     let psi = model.predict_batch(&[snapshot_before.clone(), snapshot_after.clone()]);
     let anchors = vec![
@@ -163,7 +163,7 @@ pub fn score_dynamic(
     let mut predictor = DynamicPredictor::new(cfg).expect("dynamic config");
     evaluate_dynamic(
         &mut predictor,
-        &scenario.series,
+        scenario.series.series(),
         Seconds::new(gap_secs),
         &scenario.anchors,
     )
@@ -243,7 +243,7 @@ mod tests {
         let outcomes = training_campaign(15, 4);
         let model = train_stable_model(&outcomes, false);
         let s = dynamic_scenario(&model, 4, 2, 4, 24.0, 600, 1200, 9);
-        assert_eq!(s.series.len(), 1200);
+        assert_eq!(s.series.series().len(), 1200);
         assert_eq!(s.anchors.len(), 2);
         assert_eq!(s.snapshot_after.vms.len(), s.snapshot_before.vms.len() + 2);
         // (burst of 2 requested below)

@@ -10,7 +10,7 @@
 use crate::predictor::OnlinePredictor;
 use crate::stable::StablePredictor;
 use vmtherm_sim::experiment::ExperimentOutcome;
-use vmtherm_sim::telemetry::TimeSeries;
+use vmtherm_sim::telemetry::Series;
 use vmtherm_sim::time::SimTime;
 use vmtherm_svm::metrics;
 use vmtherm_units::{Celsius, Seconds};
@@ -54,7 +54,7 @@ pub struct DynamicEvalReport {
 #[must_use]
 pub fn evaluate_online(
     predictor: &mut dyn OnlinePredictor,
-    series: &TimeSeries,
+    series: Series<'_>,
     gap_secs: Seconds,
 ) -> DynamicEvalReport {
     replay(predictor, series, gap_secs, |_, _, _| {})
@@ -67,7 +67,7 @@ pub fn evaluate_online(
 /// so the dynamic replay stays statically dispatched.
 fn replay<P: OnlinePredictor + ?Sized>(
     predictor: &mut P,
-    series: &TimeSeries,
+    series: Series<'_>,
     gap_secs: Seconds,
     mut before_observe: impl FnMut(&mut P, f64, f64),
 ) -> DynamicEvalReport {
@@ -76,11 +76,9 @@ fn replay<P: OnlinePredictor + ?Sized>(
     assert!(gap_secs > 0.0, "gap must be positive");
     let times = series.times();
     let values = series.values();
-    #[expect(
-        clippy::expect_used,
-        reason = "guarded by assert!(series.len() >= 2) at function entry"
-    )]
-    let end = *times.last().expect("nonempty");
+    let Some(&end) = times.last() else {
+        return DynamicEvalReport::scored(predictor.name(), gap_secs, Vec::new());
+    };
 
     let mut actuals = ActualCursor::default();
     let mut points = Vec::new();
@@ -103,23 +101,7 @@ fn replay<P: OnlinePredictor + ?Sized>(
             predicted,
         });
     }
-    let (actual, predicted): (Vec<f64>, Vec<f64>) =
-        points.iter().map(|p| (p.actual, p.predicted)).unzip();
-    let (mse, mae) = if points.is_empty() {
-        (f64::NAN, f64::NAN)
-    } else {
-        (
-            metrics::mse(&actual, &predicted),
-            metrics::mae(&actual, &predicted),
-        )
-    };
-    DynamicEvalReport {
-        name: predictor.name().to_string(),
-        gap_secs,
-        points,
-        mse,
-        mae,
-    }
+    DynamicEvalReport::scored(predictor.name(), gap_secs, points)
 }
 
 /// Finds the measurement at (or just after) each forecast target of a
@@ -158,6 +140,27 @@ pub struct AnchorPoint {
 }
 
 impl DynamicEvalReport {
+    /// The report over `points`; its errors are NaN when none were scored.
+    fn scored(name: &str, gap_secs: f64, points: Vec<EvalPoint>) -> Self {
+        let (actual, predicted): (Vec<f64>, Vec<f64>) =
+            points.iter().map(|p| (p.actual, p.predicted)).unzip();
+        let (mse, mae) = if points.is_empty() {
+            (f64::NAN, f64::NAN)
+        } else {
+            (
+                metrics::mse(&actual, &predicted),
+                metrics::mae(&actual, &predicted),
+            )
+        };
+        DynamicEvalReport {
+            name: name.to_string(),
+            gap_secs,
+            points,
+            mse,
+            mae,
+        }
+    }
+
     /// Serialises the scored forecasts as CSV
     /// (`time_s,actual_c,predicted_c`), ready for plotting.
     #[must_use]
@@ -184,7 +187,7 @@ impl DynamicEvalReport {
 #[must_use]
 pub fn evaluate_dynamic(
     predictor: &mut crate::dynamic::DynamicPredictor,
-    series: &TimeSeries,
+    series: Series<'_>,
     gap_secs: Seconds,
     anchors: &[AnchorPoint],
 ) -> DynamicEvalReport {
@@ -269,7 +272,7 @@ pub fn evaluate_stable(
 /// The ψ_stable of Eq. (1) for an arbitrary series and break time —
 /// re-exported here so downstream code computes it one way only.
 #[must_use]
-pub fn psi_stable(series: &TimeSeries, t_break: SimTime) -> Option<f64> {
+pub fn psi_stable(series: Series<'_>, t_break: SimTime) -> Option<f64> {
     series.mean_after(t_break)
 }
 
@@ -277,6 +280,7 @@ pub fn psi_stable(series: &TimeSeries, t_break: SimTime) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::baseline::LastValuePredictor;
+    use vmtherm_sim::telemetry::TimeSeries;
 
     fn ramp_series(n: usize) -> TimeSeries {
         (0..n).map(|i| (i as f64, 30.0 + i as f64 * 0.1)).collect()
@@ -287,7 +291,7 @@ mod tests {
         // Ramp rises 0.1/s; last-value with gap 10 is always 1.0 low.
         let series = ramp_series(100);
         let mut p = LastValuePredictor::new();
-        let report = evaluate_online(&mut p, &series, Seconds::new(10.0));
+        let report = evaluate_online(&mut p, series.series(), Seconds::new(10.0));
         assert!(!report.points.is_empty());
         assert!((report.mse - 1.0).abs() < 1e-9, "mse = {}", report.mse);
         assert!((report.mae - 1.0).abs() < 1e-9);
@@ -306,7 +310,7 @@ mod tests {
                 "oracle"
             }
         }
-        let report = evaluate_online(&mut Oracle, &ramp_series(50), Seconds::new(5.0));
+        let report = evaluate_online(&mut Oracle, ramp_series(50).series(), Seconds::new(5.0));
         assert!(report.mse < 1e-18);
     }
 
@@ -314,7 +318,7 @@ mod tests {
     fn forecasts_beyond_series_end_are_skipped() {
         let series = ramp_series(20);
         let mut p = LastValuePredictor::new();
-        let report = evaluate_online(&mut p, &series, Seconds::new(5.0));
+        let report = evaluate_online(&mut p, series.series(), Seconds::new(5.0));
         // Targets range 5..=19: 15 scored points (t = 0..=14).
         assert_eq!(report.points.len(), 15);
         assert!(report.points.iter().all(|pt| pt.t_secs <= 19.0));
@@ -345,7 +349,7 @@ mod tests {
         }
         let report = evaluate_online(
             &mut SlowStart { seen: 0 },
-            &ramp_series(30),
+            ramp_series(30).series(),
             Seconds::new(5.0),
         );
         assert_eq!(report.points.len(), 30 - 5 - 9);
@@ -355,7 +359,7 @@ mod tests {
     #[should_panic(expected = "gap")]
     fn zero_gap_panics() {
         let mut p = LastValuePredictor::new();
-        let _ = evaluate_online(&mut p, &ramp_series(10), Seconds::ZERO);
+        let _ = evaluate_online(&mut p, ramp_series(10).series(), Seconds::ZERO);
     }
 
     #[test]
@@ -391,13 +395,13 @@ mod tests {
             },
         ];
         let mut p = DynamicPredictor::new(DynamicConfig::new()).unwrap();
-        let report = evaluate_dynamic(&mut p, &series, Seconds::new(60.0), &anchors);
+        let report = evaluate_dynamic(&mut p, series.series(), Seconds::new(60.0), &anchors);
         // Residual error comes only from forecasts issued just before the
         // (unannounced) phase change at t = 300.
         assert!(report.mse < 1.0, "mse = {}", report.mse);
         // Without the second anchor the predictor misses the phase change.
         let mut p2 = DynamicPredictor::new(DynamicConfig::new().without_calibration()).unwrap();
-        let report2 = evaluate_dynamic(&mut p2, &series, Seconds::new(60.0), &anchors[..1]);
+        let report2 = evaluate_dynamic(&mut p2, series.series(), Seconds::new(60.0), &anchors[..1]);
         assert!(
             report2.mse > report.mse,
             "{} vs {}",
@@ -421,18 +425,18 @@ mod tests {
                 )
             })
             .collect();
-        let (t0, v0) = (series.times()[0], series.values()[0]);
+        let (t0, v0) = (series.series().times()[0], series.series().values()[0]);
         let gap = Seconds::new(60.0);
         let anchors = [AnchorPoint {
             t_secs: t0,
             psi_stable: 52.0,
         }];
         let mut dynamic = DynamicPredictor::new(DynamicConfig::new()).unwrap();
-        let via_dynamic = evaluate_dynamic(&mut dynamic, &series, gap, &anchors);
+        let via_dynamic = evaluate_dynamic(&mut dynamic, series.series(), gap, &anchors);
 
         let mut online = DynamicPredictor::new(DynamicConfig::new()).unwrap();
         online.anchor(Seconds::new(t0), Celsius::new(v0), Celsius::new(52.0));
-        let via_online = evaluate_online(&mut online, &series, gap);
+        let via_online = evaluate_online(&mut online, series.series(), gap);
 
         let bits = |r: &DynamicEvalReport| -> Vec<[u64; 3]> {
             r.points
@@ -459,7 +463,7 @@ mod tests {
     fn evaluate_dynamic_needs_anchor() {
         use crate::dynamic::{DynamicConfig, DynamicPredictor};
         let mut p = DynamicPredictor::new(DynamicConfig::new()).unwrap();
-        let _ = evaluate_dynamic(&mut p, &ramp_series(10), Seconds::new(5.0), &[]);
+        let _ = evaluate_dynamic(&mut p, ramp_series(10).series(), Seconds::new(5.0), &[]);
     }
 
     #[test]
@@ -491,7 +495,7 @@ mod tests {
     #[test]
     fn psi_stable_matches_series_mean() {
         let series = ramp_series(100);
-        let v = psi_stable(&series, SimTime::from_secs(90)).unwrap();
+        let v = psi_stable(series.series(), SimTime::from_secs(90)).unwrap();
         // samples 90..=99 → values 39.0..39.9, mean 39.45.
         assert!((v - 39.45).abs() < 1e-9);
     }

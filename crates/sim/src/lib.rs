@@ -105,7 +105,7 @@ pub use scenario::{
     Scenario, ScenarioAction, ScenarioEvent,
 };
 pub use server::{Server, ServerId, ServerSpec};
-pub use telemetry::{ServerTrace, TelemetryError, TimeSeries};
+pub use telemetry::{Series, ServerTrace, TelemetryError, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use vm::{Vm, VmId, VmSpec};
 pub use workload::TaskProfile;

@@ -22,7 +22,7 @@ use super::Scenario;
 use crate::engine::{ClockMode, Simulation};
 use crate::error::SimError;
 use crate::server::ServerId;
-use crate::telemetry::TimeSeries;
+use crate::telemetry::Series;
 
 /// Die-temperature sanity floor (°C) for the invariant oracle.
 const DIE_FLOOR: f64 = -10.0;
@@ -97,7 +97,7 @@ impl Fnv {
     fn write_f64(&mut self, value: f64) {
         self.write(value.to_bits());
     }
-    fn write_series(&mut self, series: &TimeSeries) {
+    fn write_series(&mut self, series: Series<'_>) {
         self.write(series.len() as u64);
         for (t, v) in series.iter() {
             self.write_f64(t);
@@ -156,11 +156,11 @@ pub fn clean_fingerprint(sim: &Simulation) -> u64 {
     let dc = sim.datacenter();
     for i in 0..dc.len() {
         if let Ok(trace) = sim.trace(ServerId::new(i)) {
-            fnv.write_series(&trace.sensor_c);
-            fnv.write_series(&trace.die_c);
-            fnv.write_series(&trace.utilization);
-            fnv.write_series(&trace.power_w);
-            fnv.write_series(&trace.ambient_c);
+            fnv.write_series(trace.sensor_c);
+            fnv.write_series(trace.die_c);
+            fnv.write_series(trace.utilization);
+            fnv.write_series(trace.power_w);
+            fnv.write_series(trace.ambient_c);
         }
     }
     fnv.write(sim.log().len() as u64);
@@ -236,12 +236,12 @@ fn check_invariants(sim: &Simulation, label: &str, failures: &mut Vec<OracleFail
             continue;
         };
         let horizon = sim.now().as_secs_f64();
-        let series: [(&str, &TimeSeries); 5] = [
-            ("sensor_c", &trace.sensor_c),
-            ("die_c", &trace.die_c),
-            ("utilization", &trace.utilization),
-            ("power_w", &trace.power_w),
-            ("ambient_c", &trace.ambient_c),
+        let series: [(&str, Series<'_>); 5] = [
+            ("sensor_c", trace.sensor_c),
+            ("die_c", trace.die_c),
+            ("utilization", trace.utilization),
+            ("power_w", trace.power_w),
+            ("ambient_c", trace.ambient_c),
         ];
         for (name, ts) in series {
             let mut prev = f64::NEG_INFINITY;

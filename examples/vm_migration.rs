@@ -84,8 +84,7 @@ fn main() {
     );
     sim.run_until(SimTime::from_secs(1800));
 
-    let trace = sim.trace(src).expect("trace").clone();
-    let series = &trace.sensor_c;
+    let series = sim.trace(src).expect("trace").sensor_c;
 
     // --- Drive the predictors over the measured series ---------------------
     let snapshot_before = {
@@ -130,9 +129,8 @@ fn main() {
     ] {
         // Manual replay so the re-anchor lands mid-stream.
         let mut scored: Vec<(f64, f64)> = Vec::new();
-        let times = series.times().to_vec();
-        let values = series.values().to_vec();
-        for (i, (&t, &v)) in times.iter().zip(&values).enumerate() {
+        let (times, values) = (series.times(), series.values());
+        for (i, (&t, &v)) in times.iter().zip(values).enumerate() {
             if (t - migrate_at.as_secs_f64()).abs() < 0.5 {
                 pred.anchor_with_model(Seconds::new(t), Celsius::new(v), &stable, &snapshot_after);
             }

@@ -7,16 +7,25 @@ use vmtherm::core::eval::{evaluate_dynamic, AnchorPoint};
 use vmtherm::core::stable::{run_experiments, StablePredictor, TrainingOptions};
 use vmtherm::sim::experiment::ConfigSnapshot;
 use vmtherm::sim::{
-    AmbientModel, CaseGenerator, Datacenter, Event, ServerSpec, SimDuration, SimTime, Simulation,
-    TaskProfile, VmSpec,
+    AmbientModel, CaseGenerator, Datacenter, Event, Series, ServerId, ServerSpec, SimDuration,
+    SimTime, Simulation, TaskProfile, VmSpec,
 };
 use vmtherm::svm::kernel::Kernel;
 use vmtherm::svm::svr::SvrParams;
 use vmtherm::units::{Celsius, Seconds};
 
+/// A run and its anchors; the scored channel is the run's own sensor
+/// trace.
 struct Scenario {
-    series: vmtherm::sim::telemetry::TimeSeries,
+    sim: Simulation,
+    sid: ServerId,
     anchors: Vec<AnchorPoint>,
+}
+
+impl Scenario {
+    fn series(&self) -> Series<'_> {
+        self.sim.trace(self.sid).expect("trace").sensor_c
+    }
 }
 
 fn stable_model() -> StablePredictor {
@@ -61,7 +70,8 @@ fn scenario(model: &StablePredictor, seed: u64) -> Scenario {
     sim.run_until(SimTime::from_secs(1500));
     let after = ConfigSnapshot::capture(&sim, sid, Celsius::new(ambient));
     Scenario {
-        series: sim.trace(sid).expect("trace").sensor_c.clone(),
+        sim,
+        sid,
         anchors: vec![
             AnchorPoint {
                 t_secs: 0.0,
@@ -86,8 +96,8 @@ fn calibration_lowers_dynamic_mse() {
         let mut cal = DynamicPredictor::new(DynamicConfig::new()).expect("config");
         let mut uncal =
             DynamicPredictor::new(DynamicConfig::new().without_calibration()).expect("config");
-        cal_total += evaluate_dynamic(&mut cal, &s.series, Seconds::new(60.0), &s.anchors).mse;
-        uncal_total += evaluate_dynamic(&mut uncal, &s.series, Seconds::new(60.0), &s.anchors).mse;
+        cal_total += evaluate_dynamic(&mut cal, s.series(), Seconds::new(60.0), &s.anchors).mse;
+        uncal_total += evaluate_dynamic(&mut uncal, s.series(), Seconds::new(60.0), &s.anchors).mse;
     }
     assert!(
         cal_total < uncal_total,
@@ -102,7 +112,7 @@ fn dynamic_mse_in_papers_band_for_standard_settings() {
     let model = stable_model();
     let s = scenario(&model, 9);
     let mut p = DynamicPredictor::new(DynamicConfig::new()).expect("config");
-    let report = evaluate_dynamic(&mut p, &s.series, Seconds::new(60.0), &s.anchors);
+    let report = evaluate_dynamic(&mut p, s.series(), Seconds::new(60.0), &s.anchors);
     assert!(
         report.mse < 2.5,
         "dynamic MSE {} far out of band",
@@ -118,7 +128,7 @@ fn longer_gaps_are_harder() {
     let s = scenario(&model, 11);
     let mse_for = |gap: f64| {
         let mut p = DynamicPredictor::new(DynamicConfig::new()).expect("config");
-        evaluate_dynamic(&mut p, &s.series, Seconds::new(gap), &s.anchors).mse
+        evaluate_dynamic(&mut p, s.series(), Seconds::new(gap), &s.anchors).mse
     };
     let short = mse_for(15.0);
     let long = mse_for(180.0);
@@ -142,7 +152,7 @@ fn more_frequent_updates_help() {
                 DynamicConfig::new().with_update_interval(Seconds::new(update)),
             )
             .expect("config");
-            evaluate_dynamic(&mut p, &s.series, Seconds::new(60.0), &s.anchors).mse
+            evaluate_dynamic(&mut p, s.series(), Seconds::new(60.0), &s.anchors).mse
         };
         fast_total += mse_for(5.0);
         slow_total += mse_for(120.0);
@@ -159,11 +169,11 @@ fn reanchoring_beats_single_anchor_through_reconfiguration() {
     let s = scenario(&model, 33);
     let both = {
         let mut p = DynamicPredictor::new(DynamicConfig::new()).expect("config");
-        evaluate_dynamic(&mut p, &s.series, Seconds::new(60.0), &s.anchors).mse
+        evaluate_dynamic(&mut p, s.series(), Seconds::new(60.0), &s.anchors).mse
     };
     let only_first = {
         let mut p = DynamicPredictor::new(DynamicConfig::new()).expect("config");
-        evaluate_dynamic(&mut p, &s.series, Seconds::new(60.0), &s.anchors[..1]).mse
+        evaluate_dynamic(&mut p, s.series(), Seconds::new(60.0), &s.anchors[..1]).mse
     };
     assert!(
         both <= only_first + 0.05,

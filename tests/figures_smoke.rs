@@ -73,7 +73,7 @@ fn fig1b_smoke_calibration_wins() {
     );
     sim.run_until(SimTime::from_secs(1200));
     let after = ConfigSnapshot::capture(&sim, sid, Celsius::new(ambient));
-    let series = sim.trace(sid).expect("trace").sensor_c.clone();
+    let series = sim.trace(sid).expect("trace").sensor_c;
     let anchors = [
         AnchorPoint {
             t_secs: 0.0,
@@ -86,8 +86,8 @@ fn fig1b_smoke_calibration_wins() {
     ];
     let mut cal = DynamicPredictor::new(DynamicConfig::new()).expect("cfg");
     let mut unc = DynamicPredictor::new(DynamicConfig::new().without_calibration()).expect("cfg");
-    let cal_mse = evaluate_dynamic(&mut cal, &series, Seconds::new(60.0), &anchors).mse;
-    let unc_mse = evaluate_dynamic(&mut unc, &series, Seconds::new(60.0), &anchors).mse;
+    let cal_mse = evaluate_dynamic(&mut cal, series, Seconds::new(60.0), &anchors).mse;
+    let unc_mse = evaluate_dynamic(&mut unc, series, Seconds::new(60.0), &anchors).mse;
     assert!(cal_mse < unc_mse + 0.2, "cal {cal_mse} vs uncal {unc_mse}");
 }
 
@@ -113,7 +113,7 @@ fn fig1c_smoke_grid_trends() {
     }
     let snap = ConfigSnapshot::capture(&sim, sid, Celsius::new(ambient));
     sim.run_until(SimTime::from_secs(1200));
-    let series = sim.trace(sid).expect("trace").sensor_c.clone();
+    let series = sim.trace(sid).expect("trace").sensor_c;
     let anchors = [AnchorPoint {
         t_secs: 0.0,
         psi_stable: m.predict(&snap),
@@ -123,7 +123,7 @@ fn fig1c_smoke_grid_trends() {
         let mut p =
             DynamicPredictor::new(DynamicConfig::new().with_update_interval(Seconds::new(update)))
                 .expect("cfg");
-        evaluate_dynamic(&mut p, &series, Seconds::new(gap), &anchors).mse
+        evaluate_dynamic(&mut p, series, Seconds::new(gap), &anchors).mse
     };
     // Gap trend at fixed update.
     let short = mse_for(15.0, 15.0);
