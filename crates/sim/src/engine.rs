@@ -30,8 +30,7 @@ use crate::telemetry::{ServerTrace, StableMeans, TraceColumns};
 use crate::thermal::{self, Integration};
 use crate::time::{SimDuration, SimTime};
 use crate::vm::{Vm, VmId, VmSpec, VmState};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use vmtherm_obs::{self as obs, names};
 use vmtherm_units::{Celsius, Seconds, Watts};
 
@@ -78,30 +77,6 @@ pub enum Event {
         /// Additional fans to fail.
         count: u32,
     },
-}
-
-#[derive(Debug)]
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Whether steady servers may sleep. Both modes take each tick's batch
@@ -282,8 +257,9 @@ pub struct Simulation {
     datacenter: Datacenter,
     ambient: AmbientModel,
     clock: SimTime,
-    events: BinaryHeap<Reverse<Scheduled>>,
-    seq: u64,
+    /// Pending reconfigurations in time order; equal times keep their
+    /// schedule order.
+    events: VecDeque<(SimTime, Event)>,
     next_vm: u64,
     migrations: Vec<ActiveMigration>,
     /// One per server, by stable server index. A server added through
@@ -333,8 +309,7 @@ impl Simulation {
             datacenter,
             ambient,
             clock: SimTime::ZERO,
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: VecDeque::new(),
             next_vm: 0,
             migrations: Vec::new(),
             slots,
@@ -520,14 +495,13 @@ impl Simulation {
         &mut self.datacenter
     }
 
-    /// Schedules an event.
+    /// Schedules an event. Events apply in time order at the first step
+    /// whose start is at or after their time, and events with equal times
+    /// in the order they were scheduled; one dated before [`Self::now`]
+    /// applies at the next step.
     pub fn schedule(&mut self, at: SimTime, event: Event) {
-        self.seq += 1;
-        self.events.push(Reverse(Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        }));
+        let index = self.events.partition_point(|(t, _)| *t <= at);
+        self.events.insert(index, (at, event));
     }
 
     /// Boots a VM immediately, returning its id.
@@ -630,14 +604,8 @@ impl Simulation {
         self.grow_slots();
 
         // 1. Apply due events.
-        while self
-            .events
-            .peek()
-            .is_some_and(|Reverse(head)| head.at <= self.clock)
-        {
-            if let Some(Reverse(s)) = self.events.pop() {
-                self.apply_event(s.event);
-            }
+        while let Some((_, event)) = self.events.pop_front_if(|(at, _)| *at <= self.clock) {
+            self.apply_event(event);
         }
 
         // 2. Complete due migrations. Both endpoints settle first so the
@@ -1449,7 +1417,7 @@ mod tests {
     #[test]
     fn same_timestamp_events_apply_in_schedule_order() {
         // Two ambient changes at the same instant: the later-scheduled one
-        // wins (sequence numbers break ties deterministically).
+        // wins (equal times keep their schedule order).
         let mut sim = two_server_sim();
         sim.schedule(
             SimTime::from_secs(3),
@@ -1462,6 +1430,33 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         let trace = sim.trace(ServerId::new(0)).unwrap();
         assert_eq!(*trace.ambient_c.values().last().unwrap(), 31.0);
+    }
+
+    #[test]
+    fn events_apply_in_time_order_and_past_dated_ones_at_the_next_step() {
+        // Scheduled out of time order, then one dated before `now` mid-run:
+        // each step's sample shows the ambient the due events left.
+        let mut sim = two_server_sim();
+        sim.schedule(
+            SimTime::from_secs(5),
+            Event::SetAmbient(AmbientModel::Fixed(30.0)),
+        );
+        sim.schedule(
+            SimTime::from_secs(3),
+            Event::SetAmbient(AmbientModel::Fixed(28.0)),
+        );
+        sim.run_until(SimTime::from_secs(4));
+        sim.schedule(
+            SimTime::from_secs(1),
+            Event::SetAmbient(AmbientModel::Fixed(33.0)),
+        );
+        sim.run_until(SimTime::from_secs(7));
+        let trace = sim.trace(ServerId::new(0)).unwrap();
+        assert_eq!(trace.ambient_c.times(), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(
+            trace.ambient_c.values(),
+            [25.0, 25.0, 25.0, 28.0, 33.0, 30.0, 30.0]
+        );
     }
 
     #[test]

@@ -20,17 +20,10 @@ use serde::{Deserialize, Serialize};
 use vmtherm_obs::{self as obs, names};
 use vmtherm_units::{Celsius, Seconds, Watts};
 
-static OBS_SUBSTEPS: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_THERMAL_SUBSTEPS);
-
-std::thread_local! {
-    /// Substeps not yet flushed to [`OBS_SUBSTEPS`]; integrator calls are
-    /// per-server per-engine-step, so the counter is batched to keep the
-    /// hot path at an integer add.
-    static OBS_SUBSTEP_BACKLOG: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-/// Flush threshold for the batched substep counter.
-const OBS_SUBSTEP_FLUSH: u32 = 1024;
+/// RK4 substeps run, counted once per [`integrate`] batch and once per
+/// per-core integration.
+pub(crate) static OBS_SUBSTEPS: obs::LazyCounter =
+    obs::LazyCounter::new(names::METRIC_THERMAL_SUBSTEPS);
 
 /// Static parameters of the two-node network.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -174,17 +167,6 @@ impl ThermalNetwork {
         assert!(dt > 0.0, "step: non-positive dt");
         assert!(r_sink_amb > 0.0, "step: non-positive sink resistance");
         let substeps = dt.ceil().max(1.0) as usize;
-        if obs::enabled() {
-            OBS_SUBSTEP_BACKLOG.with(|backlog| {
-                let pending = backlog.get().saturating_add(substeps as u32);
-                if pending >= OBS_SUBSTEP_FLUSH {
-                    OBS_SUBSTEPS.add(u64::from(pending));
-                    backlog.set(0);
-                } else {
-                    backlog.set(pending);
-                }
-            });
-        }
         Integration {
             params: self.params,
             state: self.state,
@@ -282,6 +264,9 @@ pub(crate) struct Integration {
 /// side. Each plan executes exactly the substep sequence it would alone,
 /// so the end states do not depend on how plans are batched.
 pub(crate) fn integrate(jobs: &mut [Integration]) {
+    if obs::enabled() {
+        OBS_SUBSTEPS.add(jobs.iter().map(|job| job.substeps as u64).sum());
+    }
     let mut groups = jobs.chunks_exact_mut(LANES);
     for group in &mut groups {
         integrate_lanes(group);

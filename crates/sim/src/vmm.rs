@@ -12,7 +12,7 @@
 //!   reported temperature is the **hottest core**, which is what DTS-based
 //!   monitoring exports.
 
-use crate::thermal::ThermalParams;
+use crate::thermal::{self, ThermalParams};
 use serde::{Deserialize, Serialize};
 use vmtherm_units::{Celsius, Seconds, Watts};
 
@@ -191,6 +191,7 @@ impl MultiCoreNetwork {
         assert!(r_sink_amb > 0.0, "non-positive sink resistance");
         let substeps = dt.ceil().max(1.0) as usize;
         let h = dt / substeps as f64;
+        thermal::OBS_SUBSTEPS.add(substeps as u64);
         for _ in 0..substeps {
             self.rk4(core_power_w, ambient_c.get(), r_sink_amb, h);
         }

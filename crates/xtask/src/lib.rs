@@ -11,7 +11,9 @@
 //!   them: core, svm, sim and obs the panic lints, core, sim and svm the
 //!   `clippy.toml` bans. Deleting one of those lines would otherwise
 //!   leave clippy green, because each vetted site's `#[expect]` turns
-//!   its lint on for its own scope.
+//!   its lint on for its own scope. Likewise the root `clippy.toml` must
+//!   still list every type and method those bans cover: clippy bans
+//!   only what is listed.
 //! - **L3** — no raw `f64` temperature/power/duration/utilization
 //!   parameters in `pub fn` (or public trait) signatures of
 //!   `vmtherm-core` and `vmtherm-sim`; such parameters must use the
@@ -35,12 +37,6 @@
 //!   pipeline on one contiguous allocation. The one exemption is the
 //!   designated boundary constructor, `DenseMatrix::from_nested` in
 //!   `crates/svm/src/matrix.rs`.
-//! - **L7** — heap ordering: in library code of `vmtherm-core`,
-//!   `vmtherm-sim` and `vmtherm-svm`, a file that uses `BinaryHeap` must
-//!   give every local `impl Ord` a single total-order tuple key (the
-//!   `(SimTime, server_index)` pattern — `(self.a, self.b)
-//!   .cmp(&(other.a, other.b))`): a heap ordered on a partial or
-//!   field-by-field key makes pop order depend on insertion history.
 //! - **L10** — exemption ratchet: the number of `#[allow]`/`#[expect]`
 //!   attributes naming `clippy::unwrap_used`, `clippy::expect_used` or
 //!   `clippy::panic` in the library code of `vmtherm-core`,
@@ -49,7 +45,7 @@
 //!   vetted panic sites can shrink but never silently grow.
 //!
 //! The rules the compiler can check with type information are left to
-//! it (numbers L2, L8 and L9 are retired with their scanners):
+//! it (numbers L2, L7, L8 and L9 are retired with their scanners):
 //!
 //! - no `unsafe` anywhere, tests and bins included:
 //!   `[workspace.lints.rust] unsafe_code = "forbid"`;
@@ -59,7 +55,8 @@
 //!   fails clippy as `unfulfilled_lint_expectations` once the site is
 //!   gone; `clippy.toml` exempts test code;
 //! - determinism and threads: `clippy.toml`'s `disallowed-types`
-//!   (`HashMap`, `HashSet`) and `disallowed-methods` (`Instant::now`,
+//!   (`HashMap`, `HashSet`, and `BinaryHeap`, so no event order rests on
+//!   a hand-written `Ord`) and `disallowed-methods` (`Instant::now`,
 //!   `SystemTime::now`, `thread::spawn`, `thread::scope`), denied in the
 //!   roots of core, sim and svm. The two index-addressed merges that may
 //!   spawn threads (`crates/svm/src/grid.rs`, `crates/sim/src/shard.rs`)
@@ -77,12 +74,13 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The lint rules. Numbers L2, L8 and L9 are retired: rustc and clippy
-/// enforce those rules (see the crate docs).
+/// The lint rules. Numbers L2, L7, L8 and L9 are retired: rustc and
+/// clippy enforce those rules (see the crate docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// Crate hygiene: `[lints] workspace = true` in every manifest, and
-    /// the panic and determinism denies in the crate roots they cover.
+    /// Crate hygiene: `[lints] workspace = true` in every manifest, the
+    /// panic and determinism denies in the crate roots they cover, and
+    /// the `clippy.toml` entries the determinism denies enforce.
     L1,
     /// No raw `f64` unit-suffixed parameters in public signatures.
     L3,
@@ -92,8 +90,6 @@ pub enum Rule {
     L5,
     /// No nested `Vec<Vec<f64>>` matrices in public signatures.
     L6,
-    /// Heap ordering: heap-feeding `Ord` impls compare one tuple key.
-    L7,
     /// Exemption ratchet: panic-lint exemptions only ever decrease.
     L10,
 }
@@ -196,9 +192,8 @@ const UNIT_SAFE_CRATES: [&str; 2] = ["core", "sim"];
 /// `DenseMatrix`, never `Vec<Vec<f64>>` (rule L6).
 const MATRIX_SAFE_CRATES: [&str; 2] = ["svm", "core"];
 
-/// Crates whose library code must be replay-deterministic (rule L7):
-/// results depend only on inputs and seeds, never on heap insertion
-/// history.
+/// Crates whose library code must be replay-deterministic: their roots
+/// deny the `clippy.toml` bans, and those bans must stay listed (rule L1).
 const DETERMINISTIC_CRATES: [&str; 3] = ["core", "sim", "svm"];
 
 /// The one public signature allowed a nested matrix (rule L6): the
@@ -236,6 +231,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     let mut violations = Vec::new();
     check_crate_hygiene(root, &mut violations)?;
     check_root_denies(root, &mut violations)?;
+    check_clippy_bans(root, &mut violations);
     scan_crates(root, &UNIT_SAFE_CRATES, |rel, text| {
         check_unit_newtypes(rel, text, &mut violations);
         check_float_comparisons(rel, text, &mut violations);
@@ -244,9 +240,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
         check_nested_matrices(rel, text, &mut violations);
     })?;
     check_paper_constants(root, &mut violations)?;
-    scan_crates(root, &DETERMINISTIC_CRATES, |rel, text| {
-        check_heap_ordering(rel, text, &mut violations);
-    })?;
     check_exemption_ratchet(root, &mut violations)?;
     violations.sort_by(|a, b| {
         (a.rule as u8)
@@ -401,6 +394,57 @@ fn check_root_denies(root: &Path, out: &mut Vec<Violation>) -> Result<(), String
         }
     }
     Ok(())
+}
+
+/// The types and methods `clippy.toml` must list for the deterministic
+/// crates' root denies to ban them (rule L1). Clippy bans only what its
+/// lists name, so a deleted entry would turn its ban off with every gate
+/// green.
+const CLIPPY_BANS: [&str; 7] = [
+    "std::collections::HashMap",
+    "std::collections::HashSet",
+    "std::collections::BinaryHeap",
+    "std::time::Instant::now",
+    "std::time::SystemTime::now",
+    "std::thread::spawn",
+    "std::thread::scope",
+];
+
+/// L1, third part: a workspace with a manifest-bearing deterministic
+/// crate has a root `clippy.toml` that names every [`CLIPPY_BANS`] path,
+/// quoted, on an uncommented line.
+fn check_clippy_bans(root: &Path, out: &mut Vec<Violation>) {
+    let guarded = DETERMINISTIC_CRATES
+        .iter()
+        .any(|name| root.join("crates").join(name).join("Cargo.toml").exists());
+    if !guarded {
+        return;
+    }
+    // A missing or unreadable file lists nothing.
+    let config = root.join("clippy.toml");
+    let text = fs::read_to_string(&config).unwrap_or_default();
+    let missing: Vec<&str> = CLIPPY_BANS
+        .into_iter()
+        .filter(|ban| {
+            let quoted = format!("\"{ban}\"");
+            !text
+                .lines()
+                .any(|line| !line.trim_start().starts_with('#') && line.contains(&quoted))
+        })
+        .collect();
+    if !missing.is_empty() {
+        out.push(Violation {
+            rule: Rule::L1,
+            path: relative(root, &config),
+            line: 0,
+            message: format!(
+                "clippy.toml does not list {}; the deterministic crates' root denies ban \
+                 only what it lists",
+                missing.join(", ")
+            ),
+            source: String::new(),
+        });
+    }
 }
 
 /// Whether a manifest contains `[lints]` with `workspace = true` inside.
@@ -748,56 +792,6 @@ fn is_temperature_ident(ident: &str) -> bool {
     last.ends_with("_c") || last.ends_with("_celsius")
 }
 
-/// The tuple-compare idiom every heap-feeding `Ord` must use: one
-/// composite tuple key, total by construction, as in
-/// `(self.at, self.seq).cmp(&(other.at, other.seq))`.
-const HEAP_TUPLE_CMP: &str = ".cmp(&(";
-
-/// How many lines after `impl Ord for` the tuple compare must appear —
-/// generous enough for a rustfmt-wrapped `fn cmp`, tight enough that a
-/// later unrelated compare cannot vouch for a field-by-field ordering.
-const HEAP_ORD_WINDOW: usize = 10;
-
-/// L7: in files that feed a `BinaryHeap`, every local `Ord` must compare
-/// a single total-order tuple key (see [`HEAP_TUPLE_CMP`]).
-fn check_heap_ordering(rel: &Path, text: &str, out: &mut Vec<Violation>) {
-    let source = SourceLines::non_test(text);
-    // Heap-ordering discipline is file-scoped: an `Ord` in a file with no
-    // heap cannot reorder pops, and a heap over std tuples (which already
-    // compare lexicographically) needs no local impl at all.
-    if !source
-        .lines
-        .iter()
-        .any(|(_, _, c)| c.contains("BinaryHeap"))
-    {
-        return;
-    }
-    for (i, (line, raw, code)) in source.lines.iter().enumerate() {
-        if !code.contains("impl Ord for") {
-            continue;
-        }
-        let window_end = source.lines.len().min(i + 1 + HEAP_ORD_WINDOW);
-        let has_tuple_key = source.lines[i..window_end]
-            .iter()
-            .any(|(_, _, c)| c.contains(HEAP_TUPLE_CMP));
-        if !has_tuple_key {
-            out.push(Violation {
-                rule: Rule::L7,
-                path: rel.to_path_buf(),
-                line: *line,
-                message: format!(
-                    "`impl Ord` in a file that feeds a BinaryHeap must compare one \
-                     total-order tuple key — `(self.a, self.b){HEAP_TUPLE_CMP}other.a, \
-                     other.b))`, the (SimTime, server_index) pattern — within \
-                     {HEAP_ORD_WINDOW} lines; field-by-field or partial comparisons \
-                     make pop order depend on insertion history"
-                ),
-                source: (*raw).to_string(),
-            });
-        }
-    }
-}
-
 /// Parses the ratchet file: the first non-comment, non-blank line must be
 /// a single decimal count.
 fn parse_ratchet(text: &str) -> Result<usize, String> {
@@ -1107,37 +1101,6 @@ mod tests {
         // Still exactly one object on one line.
         assert!(!json.contains('\n'));
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn heap_ord_requires_a_tuple_key_only_next_to_a_heap() {
-        let field_by_field = "use std::collections::BinaryHeap;\n\
-             struct S { at: u64, seq: u64 }\n\
-             impl Ord for S {\n\
-             \tfn cmp(&self, other: &Self) -> std::cmp::Ordering {\n\
-             \t\tself.at.cmp(&other.at)\n\
-             \t}\n\
-             }\n";
-        let mut out = Vec::new();
-        check_heap_ordering(Path::new("x.rs"), field_by_field, &mut out);
-        assert_eq!(out.len(), 1, "{out:#?}");
-        assert_eq!(out[0].rule, Rule::L7);
-        assert_eq!(out[0].line, 3);
-        assert!(out[0].message.contains("tuple key"), "{out:#?}");
-
-        let tuple_key = field_by_field.replace(
-            "self.at.cmp(&other.at)",
-            "(self.at, self.seq).cmp(&(other.at, other.seq))",
-        );
-        out.clear();
-        check_heap_ordering(Path::new("x.rs"), &tuple_key, &mut out);
-        assert!(out.is_empty(), "{out:#?}");
-
-        // The same field-by-field Ord in a heap-free file is fine.
-        let no_heap = field_by_field.replace("use std::collections::BinaryHeap;\n", "");
-        out.clear();
-        check_heap_ordering(Path::new("x.rs"), &no_heap, &mut out);
-        assert!(out.is_empty(), "{out:#?}");
     }
 
     #[test]

@@ -39,9 +39,13 @@ fn main() -> ExitCode {
         }
     }
     // `cargo run -p xtask` sets the cwd to the invoker's directory and
-    // CARGO_MANIFEST_DIR to crates/xtask; the workspace root is two up.
+    // CARGO_MANIFEST_DIR to this checkout's crates/xtask; the workspace
+    // root is two up. Read it at run time: a checkout copied with its
+    // `target/` runs a binary whose compile-time path names the original
+    // tree. The compile-time path covers a binary run outside cargo.
     let root = root.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        std::env::var_os("CARGO_MANIFEST_DIR")
+            .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
             .parent()
             .and_then(|p| p.parent())
             .map(PathBuf::from)

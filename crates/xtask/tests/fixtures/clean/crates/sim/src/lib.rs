@@ -1,35 +1,13 @@
-//! A well-behaved event queue: the heap key is one total-order tuple,
-//! so pop order is a pure function of the pushed contents — never of
-//! insertion history or hash state.
+//! A well-behaved event queue: kept in time order, equal times in
+//! schedule order, so the apply order is a pure function of the
+//! schedule calls.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
-#[derive(PartialEq, Eq)]
-pub struct Scheduled {
-    pub at: u64,
-    pub seq: u64,
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-pub fn pop_order(mut heap: BinaryHeap<Reverse<Scheduled>>) -> Vec<u64> {
-    let mut out = Vec::new();
-    while let Some(Reverse(s)) = heap.pop() {
-        out.push(s.seq);
-    }
-    out
+pub fn schedule(queue: &mut VecDeque<(u64, u32)>, at: u64, event: u32) {
+    let index = queue.partition_point(|(t, _)| *t <= at);
+    queue.insert(index, (at, event));
 }

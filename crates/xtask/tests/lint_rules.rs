@@ -72,6 +72,22 @@ fn l1_missing_root_denies_fire() {
 }
 
 #[test]
+fn l1_missing_clippy_bans_fire() {
+    // sim denies both determinism lints, but clippy.toml's heap entry is
+    // commented out, so clippy would accept a BinaryHeap there.
+    let violations = lint_fixture("l1_clippy_bans");
+    let config = find(&violations, Rule::L1, "clippy.toml", 0);
+    assert!(
+        config
+            .message
+            .contains("does not list std::collections::BinaryHeap;"),
+        "{config:#?}"
+    );
+    assert_eq!(violations.len(), 1, "{violations:#?}");
+    assert!(!binary_passes("l1_clippy_bans"));
+}
+
+#[test]
 fn l3_raw_unit_parameters_fire() {
     let violations = lint_fixture("l3_raw_units");
     let inherent = find(&violations, Rule::L3, "crates/core/src/lib.rs", 6);
@@ -163,17 +179,6 @@ fn l6_allowlist_covers_the_boundary_constructor() {
         elsewhere.source.contains("pub fn from_nested"),
         "{elsewhere:#?}"
     );
-}
-
-#[test]
-fn l7_nondeterministic_idioms_fire() {
-    // A field-by-field Ord in a file that feeds a BinaryHeap; the clean
-    // fixture's tuple-key Ord next to its own BinaryHeap must not fire.
-    let violations = lint_fixture("l7_determinism");
-    let heap_ord = find(&violations, Rule::L7, "crates/core/src/lib.rs", 16);
-    assert!(heap_ord.message.contains("tuple key"), "{heap_ord:#?}");
-    assert_eq!(violations.len(), 1, "{violations:#?}");
-    assert!(!binary_passes("l7_determinism"));
 }
 
 #[test]
