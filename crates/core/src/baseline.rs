@@ -238,8 +238,10 @@ pub fn dominant_task(snapshot: &ConfigSnapshot) -> Option<TaskProfile> {
 #[derive(Debug, Clone)]
 pub struct LinearStablePredictor {
     encoding: FeatureEncoding,
-    /// Weights, last entry is the intercept.
+    /// One weight per encoded feature.
     weights: Vec<f64>,
+    /// The constant term.
+    intercept: f64,
 }
 
 impl LinearStablePredictor {
@@ -274,20 +276,23 @@ impl LinearStablePredictor {
         for i in 0..d {
             xtx[i * d + i] += ridge;
         }
-        let weights = solve_linear(xtx, d, xty)
+        let mut weights = solve_linear(xtx, d, xty)
             .ok_or_else(|| PredictError::invalid("ridge", "singular normal equations"))?;
-        Ok(LinearStablePredictor { encoding, weights })
+        let intercept = weights
+            .pop()
+            .ok_or_else(|| PredictError::invalid("ridge", "no intercept in the solution"))?;
+        Ok(LinearStablePredictor {
+            encoding,
+            weights,
+            intercept,
+        })
     }
 
     /// Predicts ψ_stable for a configuration.
     #[must_use]
     pub fn predict(&self, snapshot: &ConfigSnapshot) -> f64 {
         let x = self.encoding.encode(snapshot);
-        #[expect(
-            clippy::expect_used,
-            reason = "fit() always appends the intercept, so weights is never empty"
-        )]
-        let mut acc = *self.weights.last().expect("intercept");
+        let mut acc = self.intercept;
         for (w, v) in self.weights.iter().zip(&x) {
             acc += w * v;
         }

@@ -324,7 +324,6 @@ mod tests {
     use super::*;
     use vmtherm_sim::server::ServerSpec;
     use vmtherm_sim::vm::VmSpec;
-    use vmtherm_sim::vmm::SchedulingPolicy;
     use vmtherm_sim::workload::{TaskProfile, ALL_TASK_PROFILES};
     use vmtherm_sim::CaseGenerator;
     use vmtherm_sim::SimDuration;
@@ -374,8 +373,8 @@ mod tests {
 
     /// A 19-config campaign for the bit-identity gates: two runs of 8
     /// consecutive configs with one `duration` and a trailing run of 3
-    /// with another, every task profile, a per-core-scheduling server and
-    /// three `t_break`s (two of them inside one run of equal durations).
+    /// with another, every task profile and three `t_break`s (two of
+    /// them inside one run of equal durations).
     fn pinned_campaign() -> Vec<ExperimentConfig> {
         let mut configs = CaseGenerator::new(24).random_cases(19, 2_400);
         for (i, config) in configs.iter_mut().enumerate() {
@@ -389,10 +388,6 @@ mod tests {
             config.duration = SimDuration::from_secs(duration);
             config.t_break = SimDuration::from_secs(t_break);
         }
-        configs[5].server = configs[5]
-            .server
-            .clone()
-            .with_core_scheduling(SchedulingPolicy::Pinned);
         configs
     }
 
@@ -434,9 +429,9 @@ mod tests {
         // recording full traces.
         let configs = pinned_campaign();
         let serial: Vec<ExperimentOutcome> = configs.iter().map(ExperimentConfig::run).collect();
-        assert_eq!(outcome_digest(&serial), 0x5453_1749_2751_afaf);
+        assert_eq!(outcome_digest(&serial), 0x2f82_bc44_d955_91b6);
         let grouped = run_experiments_threaded(&configs, 1);
-        assert_eq!(outcome_digest(&grouped), 0x5453_1749_2751_afaf);
+        assert_eq!(outcome_digest(&grouped), 0x2f82_bc44_d955_91b6);
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //! is split into contiguous shards and stepped inline or on a scoped
 //! pool (see [`crate::shard`]). Every server step, including the
 //! catch-up that settles a sleeping server before an event touches it,
-//! has the same two halves: integrate the server, then record its five
-//! trace channels and pass the reading through the fault channel. A
-//! shard integrates its batch a chunk at a time, running the chunk's
-//! thermal networks side by side (`thermal::integrate`).
+//! runs through one body: a shard integrates its batch a chunk at a
+//! time, running the chunk's thermal networks side by side
+//! (`thermal::integrate`), then records each server's five trace
+//! channels and passes the reading through the fault channel.
 
-use crate::datacenter::Datacenter;
+use crate::datacenter::{AmbientOffsets, Datacenter};
 use crate::environment::AmbientModel;
 use crate::error::SimError;
 use crate::fan::FanSpeed;
@@ -275,9 +275,6 @@ pub struct Simulation {
     /// Telemetry path faults, if a non-noop plan was installed; each
     /// server's channel state lives in its slot.
     fault: Option<FaultInjector>,
-    /// Steps not yet flushed to the obs step counter; bounds per-step
-    /// instrumentation cost to one branch plus an integer increment.
-    obs_backlog: u32,
     /// Worker threads for the per-server physics phase (1 = serial).
     threads: usize,
     /// Shard-count override: 0 means one contiguous shard per thread.
@@ -292,10 +289,11 @@ pub struct Simulation {
     dense_server_steps: u64,
 }
 
-/// Engine steps are counted (and one step latency sampled) once per this
-/// many steps, so the hot loop pays an atomic and two clock reads only on
-/// every 64th step.
-const OBS_SAMPLE_EVERY: u32 = 64;
+/// Step latency is sampled on the last tick of every this many (ticks
+/// 63, 127, …), so the hot loop pays two clock reads only on one tick in
+/// 64. The first tick of each 64 would time tick 0's one-off costs and
+/// every doubling of the trace columns (at 64, 128, 256, … samples).
+const OBS_TIME_EVERY: u64 = 64;
 
 impl Simulation {
     /// Wraps a datacenter with a room model. `seed` drives VM workload
@@ -318,7 +316,6 @@ impl Simulation {
             seed,
             room_heat_kw: 0.0,
             fault: None,
-            obs_backlog: 0,
             threads: 1,
             shards: 0,
             clock_mode: ClockMode::Fixed,
@@ -586,17 +583,12 @@ impl Simulation {
 
     /// Advances the simulation by one step.
     pub fn step(&mut self) {
-        // Batched instrumentation: count (and time) one step per sampling
-        // window so the hot loop stays within the <3% overhead budget.
+        // Every step is counted; only every 64th tick is timed, so the hot
+        // loop stays within the <3% overhead budget.
         let _step_timer = if obs::enabled() {
-            self.obs_backlog += 1;
-            if self.obs_backlog >= OBS_SAMPLE_EVERY {
-                OBS_STEPS.add(u64::from(self.obs_backlog));
-                self.obs_backlog = 0;
-                Some(OBS_STEP_NS.start_timer())
-            } else {
-                None
-            }
+            OBS_STEPS.inc();
+            let tick = self.clock.as_millis() / STEP.as_millis();
+            (tick % OBS_TIME_EVERY == OBS_TIME_EVERY - 1).then(|| OBS_STEP_NS.start_timer())
         } else {
             None
         };
@@ -661,10 +653,8 @@ impl Simulation {
     /// [`shard::shard_bounds`] partition of the full server range cuts
     /// it, and each shard carves disjoint `&mut` sub-slices of the
     /// servers and their slots — run inline below [`shard::workers`]'
-    /// floor, else on a scoped pool. A shard walks its batch in chunks of
-    /// [`CHUNK`]: it begins each server's step, integrates the chunk's
-    /// thermal plans together, then records each server in index order;
-    /// a batch of one goes straight through [`advance`].
+    /// floor, else on a scoped pool. Each shard steps its batch through
+    /// [`Shard::step`].
     /// Every shard owns exclusive state addressed by stable server index,
     /// so the result is bit-identical for any thread or shard count.
     /// Then [`Simulation::rearm_wakes`] lets the steady ones sleep.
@@ -672,69 +662,17 @@ impl Simulation {
         let count = self.datacenter.len();
         self.drain_wakes(now);
         let due = &self.wake.due[..];
-        let tick_end = now + STEP;
         self.server_steps += due.len() as u64;
 
         let (mut servers, offsets) = self.datacenter.servers_and_offsets_mut();
         let mut slots = &mut self.slots[..];
-        let plan = self.fault.as_ref().map(FaultInjector::plan);
+        let faults = self.fault.as_ref().map(FaultInjector::plan);
         let shards = if self.shards > 0 {
             self.shards
         } else {
             self.threads
         };
-        let run = |job: Shard<'_>| {
-            if let [idx] = job.due {
-                // A lone server (every tick of a one-server experiment)
-                // has nothing to integrate beside, so it skips the chunk
-                // set-up below.
-                let local = idx - job.start;
-                let slot = &mut job.slots[local];
-                let elapsed_secs = slot.advance_to(tick_end);
-                advance(
-                    &mut job.servers[local],
-                    slot,
-                    plan,
-                    now,
-                    ambient + offsets.get(*idx),
-                    elapsed_secs,
-                );
-                return;
-            }
-            let mut plans = [Integration::default(); CHUNK];
-            let mut owners = [0; CHUNK];
-            for due in job.due.chunks(CHUNK) {
-                let mut planned = 0;
-                for &idx in due {
-                    let local = idx - job.start;
-                    let elapsed_secs = job.slots[local].advance_to(tick_end);
-                    if let Some(plan) = job.servers[local].begin_step(
-                        now,
-                        Celsius::new(ambient + offsets.get(idx)),
-                        Seconds::new(elapsed_secs),
-                    ) {
-                        plans[planned] = plan;
-                        owners[planned] = local;
-                        planned += 1;
-                    }
-                }
-                thermal::integrate(&mut plans[..planned]);
-                for (plan, &local) in plans.iter().zip(&owners).take(planned) {
-                    job.servers[local].end_step(*plan);
-                }
-                for &idx in due {
-                    let local = idx - job.start;
-                    let local_ambient = ambient + offsets.get(idx);
-                    record(
-                        &mut job.servers[local],
-                        &mut job.slots[local],
-                        plan,
-                        now,
-                        local_ambient,
-                    );
-                }
-            }
-        };
+        let run = |job: Shard<'_>| job.step(faults, offsets, ambient, now, now + STEP);
         // Inline shards run as soon as they are carved, so the serial
         // path allocates nothing; only a real pool collects them.
         let workers = shard::workers(self.threads, due.len());
@@ -801,8 +739,7 @@ impl Simulation {
             let sparse_ok = self.datacenter.server(id).is_ok_and(|s| {
                 let offset = self.datacenter.ambient_offset(id).unwrap_or(0.0);
                 s.inputs_piecewise_constant()
-                    && s.thermal_rate_c_per_s(Celsius::new(ambient + offset))
-                        .is_some_and(|rate| rate < WAKE_BAND_C_PER_S)
+                    && s.thermal_rate_c_per_s(Celsius::new(ambient + offset)) < WAKE_BAND_C_PER_S
             });
             let slot = &mut self.slots[idx];
             slot.interval = if sparse_ok {
@@ -877,20 +814,24 @@ impl Simulation {
             return;
         };
         if slot.last_end < now {
-            let elapsed = slot.advance_to(now);
             // Sleeping requires a fixed ambient, so the query instant is
-            // immaterial; the rack offset is additive as in the dense loop.
+            // immaterial.
             let ambient = self
                 .ambient
                 .temperature(now, Watts::from_kilowatts(self.room_heat_kw));
             let (servers, offsets) = self.datacenter.servers_and_offsets_mut();
-            advance(
-                &mut servers[idx],
-                slot,
+            let job = Shard {
+                start: idx,
+                servers: std::slice::from_mut(&mut servers[idx]),
+                slots: std::slice::from_mut(slot),
+                due: std::slice::from_ref(&idx),
+            };
+            job.step(
                 self.fault.as_ref().map(FaultInjector::plan),
+                offsets,
+                ambient,
                 now - STEP,
-                ambient + offsets.get(idx),
-                elapsed,
+                now,
             );
             self.server_steps += 1;
         }
@@ -915,10 +856,6 @@ impl Simulation {
         // Flush sleepers so the fleet state at `t` is exactly what dense
         // stepping would hold.
         self.settle_all();
-        if self.obs_backlog > 0 {
-            OBS_STEPS.add(u64::from(self.obs_backlog));
-            self.obs_backlog = 0;
-        }
     }
 
     /// Runs for a further duration.
@@ -1068,32 +1005,59 @@ struct Shard<'a> {
     due: &'a [usize],
 }
 
+impl Shard<'_> {
+    /// The one server step body, for every tick's batch and for
+    /// event-mode catch-up settles (a one-server shard). Each due server
+    /// integrates from the end of its last interval through `end`
+    /// ([`Slot::advance_to`]) under the room `ambient` plus its rack
+    /// offset, with demand queried at `at`, and is [`record`]ed at `at`.
+    /// The batch goes a chunk of [`CHUNK`] at a time: begin each server's
+    /// step, integrate the chunk's thermal plans side by side, end each
+    /// step, then record each server in index order.
+    fn step(
+        self,
+        faults: Option<&FaultPlan>,
+        offsets: AmbientOffsets<'_>,
+        ambient: f64,
+        at: SimTime,
+        end: SimTime,
+    ) {
+        let mut plans = [Integration::default(); CHUNK];
+        for due in self.due.chunks(CHUNK) {
+            let plans = &mut plans[..due.len()];
+            for (plan, &idx) in plans.iter_mut().zip(due) {
+                let local = idx - self.start;
+                let elapsed_secs = self.slots[local].advance_to(end);
+                *plan = self.servers[local].begin_step(
+                    at,
+                    Celsius::new(ambient + offsets.get(idx)),
+                    Seconds::new(elapsed_secs),
+                );
+            }
+            thermal::integrate(plans);
+            for (plan, &idx) in plans.iter().zip(due) {
+                self.servers[idx - self.start].end_step(*plan);
+            }
+            for &idx in due {
+                let local = idx - self.start;
+                record(
+                    &mut self.servers[local],
+                    &mut self.slots[local],
+                    faults,
+                    at,
+                    ambient + offsets.get(idx),
+                );
+            }
+        }
+    }
+}
+
 /// Servers a shard begins, integrates together and records per pass:
 /// two groups of [`thermal::LANES`], so the integration runs full lane
 /// groups while the plans stay a small stack array. Campaigns group
 /// experiments by the same count
 /// ([`run_experiments_threaded`](crate::experiment::run_experiments_threaded)).
 pub(crate) const CHUNK: usize = 2 * thermal::LANES;
-
-/// The single-server step body, used for a batch of one and for
-/// event-mode catch-up settles: advance `server` by `elapsed_secs` under
-/// `local_ambient`, then [`record`] it at `at`. A larger batch runs the
-/// same two halves chunk by chunk, integrating the chunk's servers
-/// together in between.
-// Forced inline: as an out-of-line call it made a one-server tick (the
-// paper's fig1 experiments) 2–4% slower.
-#[inline(always)]
-fn advance(
-    server: &mut Server,
-    slot: &mut Slot,
-    plan: Option<&FaultPlan>,
-    at: SimTime,
-    local_ambient: f64,
-    elapsed_secs: f64,
-) {
-    server.step(at, Celsius::new(local_ambient), Seconds::new(elapsed_secs));
-    record(server, slot, plan, at, local_ambient);
-}
 
 /// The recording half of a server step: read the sensor, record the
 /// five trace channels at `at` as one sample of the slot's columns (or
@@ -1841,7 +1805,8 @@ mod tests {
     /// against another, so a change that moves every path together
     /// (physics, trace recording or fault delivery) passes them. These
     /// digests were captured before the per-server step bodies were
-    /// merged into [`advance`] and must never move without a reason.
+    /// merged into one ([`Shard::step`]) and must never move without a
+    /// reason.
     const FIXED_FAULTED_DIGEST: u64 = 0xcd08_0a4d_f90b_930e;
     const EVENT_CATCH_UP_DIGEST: u64 = 0x48d9_5bd1_c994_db75;
 
@@ -1882,7 +1847,7 @@ mod tests {
         for mut sim in [
             transient_fleet(ClockMode::Fixed),
             transient_fleet(ClockMode::Event),
-            mixed_fleet(ClockMode::Event),
+            rack_fleet(ClockMode::Event),
         ] {
             sim.run_until(SimTime::from_secs(900));
             for i in 0..sim.datacenter().len() {
@@ -1904,21 +1869,14 @@ mod tests {
         }
     }
 
-    /// An 11-server fleet on three racks mixing lumped servers with
-    /// per-core (`with_core_scheduling`) ones, behind a faulted delivery
-    /// channel: mostly idle, so the event clock sleeps its lumped
-    /// servers, with a boot, a fan change and a live migration mid-run.
-    fn mixed_fleet(mode: ClockMode) -> Simulation {
+    /// An 11-server fleet on three racks behind a faulted delivery
+    /// channel: mostly idle, so the event clock sleeps its servers, with
+    /// a boot, a fan change and a live migration mid-run.
+    fn rack_fleet(mode: ClockMode) -> Simulation {
         use crate::datacenter::RackId;
-        use crate::vmm::SchedulingPolicy;
         let mut dc = Datacenter::new();
         for i in 0..11 {
             let spec = ServerSpec::standard(format!("m{i}"));
-            let spec = match i % 3 {
-                1 => spec.with_core_scheduling(SchedulingPolicy::Balanced),
-                2 if i > 5 => spec.with_core_scheduling(SchedulingPolicy::Pinned),
-                _ => spec,
-            };
             dc.add_server_in_rack(spec, RackId::new(i / 4), Celsius::new(24.0), 30 + i as u64);
         }
         let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 17).with_clock(mode);
@@ -1964,22 +1922,22 @@ mod tests {
         sim
     }
 
-    /// The mixed fleet's end state as `[physical, full on the fixed
-    /// clock, full on the event clock]`, captured before servers were
-    /// integrated in batches.
-    const MIXED_FLEET_DIGESTS: [u64; 3] = [
-        0xf2b0_8f79_d803_f3e0,
-        0x1327_f7c2_50ad_02a7,
-        0x9971_a98b_c69f_469c,
+    /// The rack fleet's end state as `[physical, full on the fixed
+    /// clock, full on the event clock]`, captured before the per-server
+    /// step bodies were merged into one.
+    const RACK_FLEET_DIGESTS: [u64; 3] = [
+        0xe3bf_525e_4b0c_4bf5,
+        0x4e76_e5d8_2b79_72b2,
+        0x05ba_37b4_808e_aad3,
     ];
 
     #[test]
-    fn mixed_lumped_and_per_core_fleet_matches_its_pinned_digests() {
+    fn faulted_rack_fleet_matches_its_pinned_digests() {
         use crate::scenario::oracle;
         let horizon = SimTime::from_secs(1200);
-        let mut fixed = mixed_fleet(ClockMode::Fixed);
+        let mut fixed = rack_fleet(ClockMode::Fixed);
         fixed.run_until(horizon);
-        let mut event = mixed_fleet(ClockMode::Event);
+        let mut event = rack_fleet(ClockMode::Event);
         event.run_until(horizon);
         assert_eq!(
             oracle::physical_fingerprint(&fixed),
@@ -1991,7 +1949,7 @@ mod tests {
             oracle::full_fingerprint(&fixed),
             oracle::full_fingerprint(&event),
         ];
-        assert_eq!(digests, MIXED_FLEET_DIGESTS, "got {digests:#018x?}");
+        assert_eq!(digests, RACK_FLEET_DIGESTS, "got {digests:#018x?}");
     }
 
     /// A faulted 11-server fleet whose plan is swapped, removed and

@@ -42,7 +42,6 @@
 //! - [`workload`] — task profiles and utilization traces (ξ_VM's tasks)
 //! - [`vm`] / [`server`] / [`datacenter`] — the modelled fleet
 //! - [`power`] / [`thermal`] / [`fan`] / [`sensor`] / [`environment`] — physics
-//! - [`vmm`] — vCPU→core scheduling and per-core thermal modelling
 //! - [`migration`] — live pre-copy migration costs
 //! - [`engine`] — event-driven stepping and telemetry
 //! - [`telemetry`] — time series and traces
@@ -88,7 +87,6 @@ pub mod telemetry;
 pub mod thermal;
 pub mod time;
 pub mod vm;
-pub mod vmm;
 pub mod workload;
 
 pub use datacenter::Datacenter;

@@ -7,7 +7,6 @@ use crate::sensor::{SensorConfig, TemperatureSensor};
 use crate::thermal::{integrate, Integration, ThermalNetwork, ThermalParams};
 use crate::time::SimTime;
 use crate::vm::{Vm, VmId};
-use crate::vmm::{split_power, CoreScheduler, MultiCoreNetwork, SchedulingPolicy};
 use serde::{Deserialize, Serialize};
 use vmtherm_units::{Celsius, Seconds, Utilization, Watts};
 
@@ -47,9 +46,6 @@ pub struct ServerSpec {
     power: PowerModel,
     thermal: ThermalParams,
     sensor: SensorConfig,
-    /// When set, the server models per-core temperatures with this vCPU
-    /// scheduling policy, and the sensor reports the hottest core.
-    core_scheduling: Option<SchedulingPolicy>,
 }
 
 impl ServerSpec {
@@ -78,7 +74,6 @@ impl ServerSpec {
             power: PowerModel::for_capacity(cores, ghz_per_core),
             thermal: ThermalParams::default(),
             sensor: SensorConfig::default(),
-            core_scheduling: None,
         }
     }
 
@@ -107,21 +102,6 @@ impl ServerSpec {
     pub fn with_sensor(mut self, sensor: SensorConfig) -> Self {
         self.sensor = sensor;
         self
-    }
-
-    /// Enables per-core thermal modelling with the given vCPU scheduling
-    /// policy: the sensor then reports the hottest core, as DTS-based
-    /// monitoring does.
-    #[must_use]
-    pub fn with_core_scheduling(mut self, policy: SchedulingPolicy) -> Self {
-        self.core_scheduling = Some(policy);
-        self
-    }
-
-    /// The per-core scheduling policy, when per-core modelling is on.
-    #[must_use]
-    pub fn core_scheduling(&self) -> Option<SchedulingPolicy> {
-        self.core_scheduling
     }
 
     /// Human-readable name.
@@ -187,7 +167,6 @@ pub struct Server {
     fans: FanBank,
     vms: Vec<Vm>,
     network: ThermalNetwork,
-    core_model: Option<(CoreScheduler, MultiCoreNetwork)>,
     sensor: TemperatureSensor,
     /// Extra vCPU-units of load imposed by in-flight migrations.
     migration_overhead: f64,
@@ -204,19 +183,12 @@ impl Server {
         let network = ThermalNetwork::new(spec.thermal(), ambient_c);
         let sensor = TemperatureSensor::new(spec.sensor(), seed ^ (id.raw() as u64) << 17);
         let fans = spec.fans();
-        let core_model = spec.core_scheduling().map(|policy| {
-            (
-                CoreScheduler::new(spec.cores() as usize, policy),
-                MultiCoreNetwork::from_lumped(spec.thermal(), spec.cores() as usize, ambient_c),
-            )
-        });
         Server {
             id,
             spec,
             fans,
             vms: Vec::new(),
             network,
-            core_model,
             sensor,
             migration_overhead: 0.0,
             last_utilization: 0.0,
@@ -318,90 +290,52 @@ impl Server {
 
     /// Advances the server's physics by `dt_secs` at time `t` under
     /// `ambient_c`, updating utilization, power, and the thermal network.
-    ///
-    /// With per-core modelling enabled
-    /// ([`ServerSpec::with_core_scheduling`]), per-VM demand is scheduled
-    /// onto cores, package power splits proportionally to core load, and
-    /// the reported die temperature is the hottest core.
     pub fn step(&mut self, t: SimTime, ambient_c: Celsius, dt_secs: Seconds) {
-        if let Some(mut plan) = self.begin_step(t, ambient_c, dt_secs) {
-            integrate(std::slice::from_mut(&mut plan));
-            self.end_step(plan);
-        }
+        let mut plan = self.begin_step(t, ambient_c, dt_secs);
+        integrate(std::slice::from_mut(&mut plan));
+        self.end_step(plan);
     }
 
     /// The first half of [`Server::step`]: queries demand, computes
-    /// utilization, power and sink resistance, and records them as the
-    /// last step's. A per-core server integrates in place and returns
-    /// `None`; a lumped one returns its thermal plan, which the caller
-    /// runs through [`integrate`] (possibly batched with other servers')
-    /// and hands to [`Server::end_step`].
+    /// utilization, power and sink resistance, records them as the last
+    /// step's, and returns the thermal plan, which the caller runs
+    /// through [`integrate`] (possibly batched with other servers') and
+    /// hands to [`Server::end_step`].
     pub(crate) fn begin_step(
         &mut self,
         t: SimTime,
         ambient_c: Celsius,
         dt_secs: Seconds,
-    ) -> Option<Integration> {
+    ) -> Integration {
         // One demand query per VM per step (workload generators advance on
         // each query).
         let overhead = (self.migration_overhead > 0.0).then_some(self.migration_overhead);
-        let demands = self
+        let total_demand: f64 = self
             .vms
             .iter_mut()
             .map(|vm| vm.cpu_demand(t))
-            .chain(overhead);
-        // Only the core scheduler needs the demands one by one; the lumped
-        // model folds them in the same order, so the sum has the same bits.
-        let mut core_demands = Vec::new();
-        let total_demand: f64 = if self.core_model.is_some() {
-            core_demands.extend(demands);
-            core_demands.iter().sum()
-        } else {
-            demands.sum()
-        };
+            .chain(overhead)
+            .sum();
         let util = Utilization::saturating((total_demand / self.spec.cores() as f64).min(1.0));
         let power = self.spec.power().total_power(util, self.active_memory_gb());
         let r_sa = self.fans.sink_resistance();
         self.last_utilization = util.as_fraction();
         self.last_power = power;
-        match &mut self.core_model {
-            Some((scheduler, network)) => {
-                let core_utils = scheduler.assign(&core_demands);
-                let per_core = split_power(
-                    Watts::new(power),
-                    Watts::new(self.spec.power().idle_watts()),
-                    &core_utils,
-                );
-                network.step(&per_core, ambient_c, r_sa, dt_secs);
-                None
-            }
-            None => Some(
-                self.network
-                    .plan(Watts::new(power), ambient_c, r_sa, dt_secs),
-            ),
-        }
+        self.network
+            .plan(Watts::new(power), ambient_c, r_sa, dt_secs)
     }
 
-    /// The second half of [`Server::step`] for a lumped server: adopts
-    /// the integrated plan [`Server::begin_step`] returned.
+    /// The second half of [`Server::step`]: adopts the integrated plan
+    /// [`Server::begin_step`] returned.
     pub(crate) fn end_step(&mut self, plan: Integration) {
         self.network.commit(plan);
     }
 
     /// True die temperature (°C) — ground truth, not observable in a real
-    /// deployment. With per-core modelling this is the hottest core.
+    /// deployment.
     #[must_use]
     pub fn die_temperature(&self) -> f64 {
-        match &self.core_model {
-            Some((_, network)) => network.hottest_core(),
-            None => self.network.die_temperature(),
-        }
-    }
-
-    /// Per-core temperatures when per-core modelling is enabled.
-    #[must_use]
-    pub fn core_temperatures(&self) -> Option<&[f64]> {
-        self.core_model.as_ref().map(|(_, n)| n.core_temperatures())
+        self.network.die_temperature()
     }
 
     /// One sensor reading of the die temperature (noisy, quantized) — what
@@ -430,32 +364,28 @@ impl Server {
     }
 
     /// `true` when every input to this server's physics is constant
-    /// between reconfiguration events: lumped thermal model (the per-core
-    /// scheduler is stateful) and every hosted VM's demand time-invariant.
+    /// between reconfiguration events: every hosted VM's demand is
+    /// time-invariant.
     /// Event-driven stepping may integrate across several ticks in one
     /// call only under this predicate — the integration is then bitwise
     /// identical to stepping every tick (see
     /// [`crate::thermal::ThermalNetwork::step`]'s sub-stepping).
     #[must_use]
     pub fn inputs_piecewise_constant(&self) -> bool {
-        self.core_model.is_none() && self.vms.iter().all(Vm::demand_is_constant)
+        self.vms.iter().all(Vm::demand_is_constant)
     }
 
     /// Largest instantaneous node temperature rate |dT/dt| (°C/s) of the
-    /// lumped network at the current state, assuming the most recent power
-    /// draw persists. `None` with per-core modelling, whose rates the
-    /// event scheduler does not reason about.
+    /// thermal network at the current state, assuming the most recent
+    /// power draw persists.
     #[must_use]
-    pub fn thermal_rate_c_per_s(&self, ambient_c: Celsius) -> Option<f64> {
-        if self.core_model.is_some() {
-            return None;
-        }
+    pub fn thermal_rate_c_per_s(&self, ambient_c: Celsius) -> f64 {
         let (d_die, d_sink) = self.network.rates(
             Watts::new(self.last_power),
             ambient_c,
             self.fans.sink_resistance(),
         );
-        Some(d_die.abs().max(d_sink.abs()))
+        d_die.abs().max(d_sink.abs())
     }
 }
 
@@ -601,34 +531,6 @@ mod tests {
             b.step(SimTime::from_secs(sec), amb(25.0), Seconds::new(1.0));
         }
         assert!(b.die_temperature() < a.die_temperature() - 2.0);
-    }
-
-    #[test]
-    fn per_core_mode_reports_hottest_core() {
-        use crate::vmm::SchedulingPolicy;
-        // Same workload, pinned vs balanced scheduling: pinned concentrates
-        // heat so the reported (hottest-core) temperature is higher.
-        let run = |policy: SchedulingPolicy| {
-            let spec = ServerSpec::standard("pc").with_core_scheduling(policy);
-            let mut s = Server::new(ServerId::new(0), spec, amb(25.0), 9);
-            // Two 4-vCPU cpu-bound VMs on 16 cores: skew is possible.
-            s.boot_vm(vm(1, 4, 8.0, TaskProfile::CpuBound)).unwrap();
-            s.boot_vm(vm(2, 4, 8.0, TaskProfile::CpuBound)).unwrap();
-            for sec in 0..1200 {
-                s.step(SimTime::from_secs(sec), amb(25.0), Seconds::new(1.0));
-            }
-            assert!(s.core_temperatures().is_some());
-            s.die_temperature()
-        };
-        let pinned = run(SchedulingPolicy::Pinned);
-        let balanced = run(SchedulingPolicy::Balanced);
-        assert!(
-            pinned > balanced + 2.0,
-            "pinned {pinned} not hotter than balanced {balanced}"
-        );
-        // Lumped mode has no core view.
-        let lumped = Server::new(ServerId::new(1), ServerSpec::standard("l"), amb(25.0), 9);
-        assert!(lumped.core_temperatures().is_none());
     }
 
     #[test]

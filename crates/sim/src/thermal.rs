@@ -20,10 +20,8 @@ use serde::{Deserialize, Serialize};
 use vmtherm_obs::{self as obs, names};
 use vmtherm_units::{Celsius, Seconds, Watts};
 
-/// RK4 substeps run, counted once per [`integrate`] batch and once per
-/// per-core integration.
-pub(crate) static OBS_SUBSTEPS: obs::LazyCounter =
-    obs::LazyCounter::new(names::METRIC_THERMAL_SUBSTEPS);
+/// RK4 substeps run, counted once per [`integrate`] batch.
+static OBS_SUBSTEPS: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_THERMAL_SUBSTEPS);
 
 /// Static parameters of the two-node network.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -9,7 +9,6 @@ use vmtherm_sim::server::ServerSpec;
 use vmtherm_sim::thermal::{steady_state, ThermalNetwork, ThermalParams};
 use vmtherm_sim::time::SimDuration;
 use vmtherm_sim::vm::VmSpec;
-use vmtherm_sim::vmm::{CoreScheduler, MultiCoreNetwork, SchedulingPolicy};
 use vmtherm_sim::workload::TaskProfile;
 use vmtherm_units::{Celsius, Seconds, Utilization, Watts};
 
@@ -83,48 +82,6 @@ proptest! {
         let p = m.total_power(Utilization::saturating(util), mem);
         prop_assert!(p >= m.idle_watts() - 1e-9);
         prop_assert!(p <= m.max_watts() + m.memory_power(mem) + 1e-9);
-    }
-
-    /// The balanced scheduler never produces a higher peak core load than
-    /// the pinned scheduler for the same demands.
-    #[test]
-    fn balanced_peak_is_minimal(
-        demands in proptest::collection::vec(0.0..3.0f64, 1..10),
-        cores in 2usize..16,
-    ) {
-        let balanced = CoreScheduler::new(cores, SchedulingPolicy::Balanced).assign(&demands);
-        let pinned = CoreScheduler::new(cores, SchedulingPolicy::Pinned).assign(&demands);
-        let peak = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
-        prop_assert!(peak(&balanced) <= peak(&pinned) + 1e-9);
-        // Conservation below saturation: both schedulers place all demand.
-        let total: f64 = demands.iter().sum();
-        if total <= cores as f64 && peak(&pinned) < 1.0 - 1e-9 {
-            prop_assert!((balanced.iter().sum::<f64>() - total).abs() < 1e-6);
-            prop_assert!((pinned.iter().sum::<f64>() - total).abs() < 1e-6);
-        }
-    }
-
-    /// Multi-core steady state conserves energy: total heat through the
-    /// sink equals total core power.
-    #[test]
-    fn multicore_energy_balance(
-        n in 1usize..12,
-        base_power in 0.0..40.0f64,
-        r_sa in 0.06..0.4f64,
-        ambient in 15.0..35.0f64,
-    ) {
-        let params = ThermalParams::default();
-        let net = MultiCoreNetwork::from_lumped(params, n, Celsius::new(ambient));
-        let power: Vec<f64> = (0..n).map(|i| base_power + i as f64 * 3.0).collect();
-        let (cores, sink) = net.steady_state(&power, Celsius::new(ambient), r_sa);
-        let total: f64 = power.iter().sum();
-        // Sink heat balance.
-        prop_assert!(((sink - ambient) / r_sa - total).abs() < 1e-9);
-        // Each core's conduction equals its power.
-        for (t, p) in cores.iter().zip(&power) {
-            let q = (t - sink) / (params.r_die_sink * n as f64);
-            prop_assert!((q - p).abs() < 1e-9);
-        }
     }
 
     /// Experiments are deterministic functions of their seed: identical

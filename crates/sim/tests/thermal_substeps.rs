@@ -1,12 +1,11 @@
 //! `vmtherm_thermal_substeps_total` counts every RK4 substep the
-//! integrators run: a lumped and a per-core server each stepped for a
-//! known span must raise the counter by exactly their substeps.
+//! integrator runs: a server stepped for a known span must raise the
+//! counter by exactly its substeps.
 //!
 //! Its own test binary with one test: the counter is process-global, so
 //! no other run may step a simulation while this one measures.
 
 use vmtherm_obs::{self as obs, names};
-use vmtherm_sim::vmm::SchedulingPolicy;
 use vmtherm_sim::{AmbientModel, ClockMode, Datacenter, ServerSpec, SimTime, Simulation};
 use vmtherm_units::Celsius;
 
@@ -31,15 +30,11 @@ fn substeps_over(spec: ServerSpec, clock: ClockMode, secs: u64) -> u64 {
 #[test]
 fn substep_counter_rises_by_exactly_the_substeps_run() {
     obs::set_enabled(true);
-    let lumped = ServerSpec::standard("lumped");
-    let per_core =
-        ServerSpec::standard("per-core").with_core_scheduling(SchedulingPolicy::Balanced);
-    assert_eq!(substeps_over(lumped.clone(), ClockMode::Fixed, 100), 100);
-    assert_eq!(substeps_over(per_core, ClockMode::Fixed, 100), 100);
+    let spec = ServerSpec::standard("s");
+    assert_eq!(substeps_over(spec.clone(), ClockMode::Fixed, 100), 100);
     // A sleeping server integrates multi-second spans when it wakes and
-    // when the run settles; those count one substep per second too. (A
-    // per-core server never sleeps.)
-    assert_eq!(substeps_over(lumped, ClockMode::Event, 1000), 1000);
+    // when the run settles; those count one substep per second too.
+    assert_eq!(substeps_over(spec, ClockMode::Event, 1000), 1000);
 
     // With the layer off, nothing is counted.
     obs::set_enabled(false);
