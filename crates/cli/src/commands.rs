@@ -907,8 +907,18 @@ fn fuzz(flags: &Flags) -> Result<String, String> {
     // The campaign record is written before the pass/fail verdict so a
     // red nightly run still uploads what it found.
     if let Some(path) = flags.get("out") {
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        let host_threads = std::thread::available_parallelism().map_or(1, usize::from);
         let record = obs::Json::obj(vec![
             ("schema", obs::Json::Num(1.0)),
+            ("host_threads", obs::Json::Num(host_threads as f64)),
+            ("git_rev", obs::Json::Str(git_rev())),
+            ("rustc", obs::Json::str(env!("VMTHERM_RUSTC"))),
+            ("profile", obs::Json::str(profile)),
             ("campaign_seed", obs::Json::Str(seed.to_string())),
             ("cases", obs::Json::Num(cases as f64)),
             ("failures", obs::Json::Num(repros.len() as f64)),
@@ -934,6 +944,29 @@ fn fuzz(flags: &Flags) -> Result<String, String> {
             repros.len()
         ))
     }
+}
+
+/// The commit checked out in the working directory, read from `.git`
+/// without running git (as vmbench's stamp reads it); `unknown` outside
+/// a git checkout.
+fn git_rev() -> String {
+    let read = |p: &str| fs::read_to_string(p).ok();
+    let Some(head) = read(".git/HEAD") else {
+        return "unknown".to_string();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    read(&format!(".git/{reference}"))
+        .or_else(|| {
+            read(".git/packed-refs")?
+                .lines()
+                .find(|l| l.ends_with(reference))
+                .map(str::to_string)
+        })
+        .and_then(|l| l.split_whitespace().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Replays checked-in scenario files through the oracle battery — the
@@ -1577,6 +1610,23 @@ mod tests {
             record.get("cases").and_then(vmtherm_obs::Json::as_u64),
             Some(2)
         );
+        // The build, host and config stamp vmbench prints.
+        let text = |key| record.get(key).and_then(vmtherm_obs::Json::as_str);
+        assert!(record
+            .get("host_threads")
+            .and_then(vmtherm_obs::Json::as_u64)
+            .is_some_and(|n| n >= 1));
+        assert!(text("git_rev").is_some_and(|rev| !rev.is_empty()));
+        assert!(text("rustc").is_some_and(|v| v.starts_with("rustc ")));
+        assert_eq!(
+            text("profile"),
+            Some(if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            })
+        );
+        assert_eq!(text("campaign_seed"), Some("1234"));
 
         let err = run("fuzz", &flags(&["--cases", "0"])).unwrap_err();
         assert!(err.contains("--cases"), "unexpected: {err}");

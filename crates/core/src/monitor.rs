@@ -10,10 +10,12 @@
 //!
 //! The monitor keeps one record per server. Each `observe` runs the
 //! initial anchor and the event log serially, then updates the records
-//! on [`vmtherm_sim::shard::for_each_chunk`]; a record is only touched
-//! through its chunk's exclusive borrow, so the result is bit-identical
-//! for any chunking and thread count ([`crate::fleet::ShardedMonitor`]
-//! supplies both).
+//! on [`vmtherm_sim::shard::for_each_chunk`]: those of the servers the
+//! engine woke in the step since the last observe
+//! ([`Simulation::recorded_since`]), or every record when the engine
+//! cannot name them. A record is only touched through its chunk's
+//! exclusive borrow, so the result is bit-identical for any chunking and
+//! thread count ([`crate::fleet::ShardedMonitor`] supplies both).
 
 use crate::dynamic::{DynamicConfig, DynamicPredictor};
 use crate::error::PredictError;
@@ -456,6 +458,8 @@ pub struct FleetMonitor {
     /// How much of the simulation event log has been consumed.
     log_cursor: usize,
     anchored: bool,
+    /// The simulation clock at the last `observe`, `None` before any.
+    observed_at: Option<SimTime>,
 }
 
 impl FleetMonitor {
@@ -488,6 +492,7 @@ impl FleetMonitor {
             records,
             log_cursor: 0,
             anchored: false,
+            observed_at: None,
         })
     }
 
@@ -511,8 +516,9 @@ impl FleetMonitor {
     /// affected predictors; each server's newest sensor sample feeds
     /// calibration; matured forecasts are scored; one fresh forecast per
     /// server is enqueued. Call once per simulation step (after
-    /// `sim.step()`); `ambient_c` is the room temperature used when
-    /// capturing configuration snapshots.
+    /// `sim.step()`), then only the servers the step woke are visited;
+    /// `ambient_c` is the room temperature used when capturing
+    /// configuration snapshots. One monitor follows one simulation.
     ///
     /// # Panics
     ///
@@ -614,14 +620,29 @@ impl FleetMonitor {
             now: sim.now().as_secs_f64(),
             gap_secs: self.gap_secs,
         };
-        let workers = shard::workers(threads, covered);
+        // Only a server that recorded since the last observe can hold a
+        // new sample, and a visit that finds none changes nothing. The
+        // engine names those servers after exactly one step; otherwise
+        // every server is visited.
+        let batch = self.observed_at.and_then(|since| sim.recorded_since(since));
+        self.observed_at = Some(sim.now());
+        let workers = shard::workers(threads, batch.map_or(covered, <[usize]>::len));
         shard::for_each_chunk(
             &mut self.records[..covered],
             shards,
             workers,
-            |offset, chunk| {
-                for (i, record) in chunk.iter_mut().enumerate() {
-                    record.update(&tick, offset + i);
+            |offset, chunk| match batch {
+                Some(batch) => {
+                    let from = batch.partition_point(|&i| i < offset);
+                    let to = batch.partition_point(|&i| i < offset + chunk.len());
+                    for &server in &batch[from..to] {
+                        chunk[server - offset].update(&tick, server);
+                    }
+                }
+                None => {
+                    for (i, record) in chunk.iter_mut().enumerate() {
+                        record.update(&tick, offset + i);
+                    }
                 }
             },
         );

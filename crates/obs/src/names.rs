@@ -14,7 +14,8 @@ pub const METRIC_ENGINE_STEPS: &str = "vmtherm_engine_steps_total";
 pub const METRIC_ENGINE_STEP_NS: &str = "vmtherm_engine_step_ns";
 /// Simulation events applied by the engine (counter).
 pub const METRIC_ENGINE_EVENTS: &str = "vmtherm_engine_events_total";
-/// RK4 substeps run by the thermal integrator (counter).
+/// RK4 substeps the thermal integrator ran, without those it skipped at a
+/// bitwise fixed point (counter).
 pub const METRIC_THERMAL_SUBSTEPS: &str = "vmtherm_thermal_substeps_total";
 /// Wall-clock nanoseconds per SMO solve (histogram, ns buckets).
 pub const METRIC_SMO_SOLVE_NS: &str = "vmtherm_smo_solve_ns";
@@ -150,7 +151,9 @@ pub fn help(base: &str) -> Option<&'static str> {
         _ if base == METRIC_ENGINE_STEPS => "Engine steps executed.",
         _ if base == METRIC_ENGINE_STEP_NS => "Wall-clock nanoseconds per engine step.",
         _ if base == METRIC_ENGINE_EVENTS => "Simulation events applied by the engine.",
-        _ if base == METRIC_THERMAL_SUBSTEPS => "RK4 substeps run by the thermal integrator.",
+        _ if base == METRIC_THERMAL_SUBSTEPS => {
+            "RK4 substeps the thermal integrator ran; substeps skipped at a bitwise fixed point are not counted."
+        }
         _ if base == METRIC_SMO_SOLVE_NS => "Wall-clock nanoseconds per SMO solve.",
         _ if base == METRIC_SMO_ITERATIONS => "SMO optimizer iterations across all solves.",
         _ if base == METRIC_KERNEL_CACHE_HITS => "Kernel row-cache hits across all solves.",

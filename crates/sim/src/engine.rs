@@ -205,6 +205,11 @@ struct WakeState {
     /// This tick's woken servers in ascending index order, reused across
     /// ticks.
     due: Vec<usize>,
+    /// A catch-up settle recorded a sample after the last step, so `due`
+    /// no longer names every server that recorded since that step began
+    /// ([`Simulation::recorded_since`]). Each step clears it: its own
+    /// catch-ups woke their servers into its batch.
+    settled_after_step: bool,
 }
 
 /// A notification the engine emits when something happened, for observers
@@ -627,8 +632,23 @@ impl Simulation {
         self.dense_server_steps += self.datacenter.len() as u64;
         self.step_servers(now, ambient);
         self.room_heat_kw = self.datacenter.room_heat_kw();
+        self.wake.settled_after_step = false;
 
         self.clock += STEP;
+    }
+
+    /// The servers that may have recorded a sample since the clock read
+    /// `since`, in ascending index order, when the engine can name them:
+    /// exactly one step ran since then, and no catch-up settle recorded
+    /// after it. The answer is that step's woken batch, which also holds
+    /// every server a catch-up settled before or during the step (a
+    /// settle wakes its server that tick). `None` means any server may
+    /// have recorded: after no step or several, or after a catch-up
+    /// outside a step, such as [`Simulation::run_until`]'s final settle
+    /// or a clock switch.
+    #[must_use]
+    pub fn recorded_since(&self, since: SimTime) -> Option<&[usize]> {
+        (since + STEP == self.clock && !self.wake.settled_after_step).then_some(&self.wake.due[..])
     }
 
     /// Gives every server the caller may have added to the datacenter
@@ -834,6 +854,7 @@ impl Simulation {
                 now,
             );
             self.server_steps += 1;
+            self.wake.settled_after_step = true;
         }
         slot.interval = STEP;
         slot.next_wake = slot.next_wake.min(now);
@@ -2115,5 +2136,51 @@ mod tests {
             .fold(0.0_f64, f64::max);
         // Quiet intervals double 2, 4, 8, 16 s and stop at the cap.
         assert_eq!(max_gap, MAX_SKIP.as_secs_f64(), "largest sleep gap");
+    }
+
+    #[test]
+    fn recorded_since_names_exactly_the_servers_that_recorded() {
+        let dc = Datacenter::homogeneous(&ServerSpec::standard("n"), 3, 4, Celsius::new(24.0), 3);
+        let mut sim =
+            Simulation::new(dc, AmbientModel::Fixed(24.0), 7).with_clock(ClockMode::Event);
+        sim.boot_vm_now(ServerId::new(1), spec(4, 2.0)).unwrap();
+        sim.run_until(SimTime::from_secs(3000));
+        let samples = |sim: &Simulation| -> Vec<usize> {
+            (0..3)
+                .map(|i| sim.trace(ServerId::new(i)).unwrap().sensor_c.len())
+                .collect()
+        };
+        // `run_until` ended on a settle, so nothing is named.
+        let mut since = sim.now();
+        assert_eq!(sim.recorded_since(since), None);
+        let mut partial = 0;
+        for tick in 0..200 {
+            let before = samples(&sim);
+            if tick == 50 {
+                // A catch-up before a step wakes its server into the batch.
+                sim.set_clock_mode(ClockMode::Fixed);
+                sim.set_clock_mode(ClockMode::Event);
+            }
+            sim.step();
+            let batch = sim.recorded_since(since).expect("one step since");
+            let after = samples(&sim);
+            let grew: Vec<usize> = (0..3).filter(|&i| after[i] > before[i]).collect();
+            assert_eq!(batch, grew, "tick {tick}");
+            partial += usize::from(batch.len() < 3);
+            since = sim.now();
+        }
+        assert!(partial > 100, "too few sleeping ticks: {partial}");
+        // No step since, two steps since, or a catch-up after the step.
+        assert_eq!(sim.recorded_since(since), None);
+        sim.step();
+        sim.step();
+        assert_eq!(sim.recorded_since(since), None);
+        for _ in 0..40 {
+            since = sim.now();
+            sim.step();
+        }
+        assert!(sim.recorded_since(since).is_some());
+        sim.set_clock_mode(ClockMode::Fixed);
+        assert_eq!(sim.recorded_since(since), None);
     }
 }

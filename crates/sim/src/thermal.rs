@@ -20,7 +20,8 @@ use serde::{Deserialize, Serialize};
 use vmtherm_obs::{self as obs, names};
 use vmtherm_units::{Celsius, Seconds, Watts};
 
-/// RK4 substeps run, counted once per [`integrate`] batch.
+/// RK4 substeps run, counted once per [`integrate`] batch; substeps a
+/// plan skips at a bitwise fixed point are not.
 static OBS_SUBSTEPS: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_THERMAL_SUBSTEPS);
 
 /// Static parameters of the two-node network.
@@ -255,33 +256,42 @@ pub(crate) struct Integration {
     ambient_c: f64,
     r_sink_amb: f64,
     h: f64,
+    /// Substeps to run; after [`integrate`], the substeps it ran.
     substeps: usize,
 }
 
 /// Runs every plan's RK4 substeps, [`LANES`] plans at a time side by
-/// side. Each plan executes exactly the substep sequence it would alone,
-/// so the end states do not depend on how plans are batched.
+/// side. Each plan ends in exactly the state its full substep sequence
+/// reaches alone, so the end states do not depend on how plans are
+/// batched.
+///
+/// A plan stops early at a bitwise fixed point. Its inputs are constant
+/// over the integration, so a substep that returns its input state bit
+/// for bit would return it again at every later substep: the remaining
+/// substeps cannot change a bit, and are not run.
 pub(crate) fn integrate(jobs: &mut [Integration]) {
-    if obs::enabled() {
-        OBS_SUBSTEPS.add(jobs.iter().map(|job| job.substeps as u64).sum());
-    }
     let mut groups = jobs.chunks_exact_mut(LANES);
     for group in &mut groups {
         integrate_lanes(group);
     }
     integrate_lanes(groups.into_remainder());
+    if obs::enabled() {
+        OBS_SUBSTEPS.add(jobs.iter().map(|job| job.substeps as u64).sum());
+    }
 }
 
-/// Substep `k` of every lane that has one, for `k` up to the longest
-/// lane's count.
+/// Substep `k` of every lane still moving, for `k` from 0 until no lane
+/// is. A lane stops after its last substep or at the first substep that
+/// returns its input state bit for bit, and keeps the count it ran.
 // Forced inline so a full group's loop sees the constant lane count.
 #[inline(always)]
 fn integrate_lanes(lanes: &mut [Integration]) {
-    let longest = lanes.iter().map(|lane| lane.substeps).max().unwrap_or(0);
-    for k in 0..longest {
+    let mut k = 0;
+    loop {
+        let mut moving = false;
         for lane in lanes.iter_mut() {
             if k < lane.substeps {
-                lane.state = rk4_step(
+                let next = rk4_step(
                     lane.params,
                     lane.state,
                     lane.power_w,
@@ -289,8 +299,22 @@ fn integrate_lanes(lanes: &mut [Integration]) {
                     lane.r_sink_amb,
                     lane.h,
                 );
+                if k + 1 < lane.substeps {
+                    if next.die_c.to_bits() == lane.state.die_c.to_bits()
+                        && next.sink_c.to_bits() == lane.state.sink_c.to_bits()
+                    {
+                        lane.substeps = k + 1;
+                    } else {
+                        moving = true;
+                    }
+                }
+                lane.state = next;
             }
         }
+        if !moving {
+            return;
+        }
+        k += 1;
     }
 }
 
@@ -485,6 +509,120 @@ mod tests {
                 assert_eq!(got.sink_c.to_bits(), state.sink_c.to_bits());
             }
         }
+    }
+
+    /// One RK4 substep under `job`'s inputs.
+    fn substep(job: &Integration, state: ThermalState) -> ThermalState {
+        rk4_step(
+            job.params,
+            state,
+            job.power_w,
+            job.ambient_c,
+            job.r_sink_amb,
+            job.h,
+        )
+    }
+
+    /// The integrator without lanes or the fixed-point exit: every
+    /// planned substep, one after another, with the state before each.
+    fn plain_substeps(job: &Integration) -> Vec<ThermalState> {
+        let mut path = vec![job.state];
+        for _ in 0..job.substeps {
+            path.push(substep(job, path[path.len() - 1]));
+        }
+        path
+    }
+
+    fn same_bits(a: ThermalState, b: ThermalState) -> bool {
+        a.die_c.to_bits() == b.die_c.to_bits() && a.sink_c.to_bits() == b.sink_c.to_bits()
+    }
+
+    /// Plain substeps from `job`'s start state up to the first one that
+    /// returns its input bit for bit; the last state is that fixed point.
+    fn path_to_fixed_point(job: &Integration) -> Vec<ThermalState> {
+        let mut path = vec![job.state];
+        loop {
+            let last = path[path.len() - 1];
+            let next = substep(job, last);
+            if same_bits(next, last) {
+                return path;
+            }
+            path.push(next);
+            assert!(path.len() < 100_000, "no bitwise fixed point: {job:?}");
+        }
+    }
+
+    #[test]
+    fn fixed_point_exit_matches_the_plain_loop_bitwise() {
+        // Every substep count from 1 to 16 and two fractional intervals
+        // (3 substeps of 5/6 s, 8 of 15/16 s), each from three starts:
+        // far from steady state, a few substeps before a bitwise fixed
+        // point, and at one. 54 plans: 13 full lane groups and a
+        // remainder of 2, so every group mixes counts and starts.
+        let dts: Vec<f64> = (1..=16).map(f64::from).chain([2.5, 7.5]).collect();
+        let mut jobs: Vec<Integration> = (0..dts.len() * 3)
+            .map(|i| {
+                let f = i as f64;
+                let params =
+                    ThermalParams::new(120.0 + 3.0 * f, 900.0 + 20.0 * f, 0.04 + 0.001 * f);
+                let power = if i == 10 { 0.0 } else { 40.0 + 7.0 * f };
+                let (ambient, r_sa) = (21.0 + 0.2 * f, 0.08 + 0.002 * f);
+                let steady = steady_state(params, w(power), c(ambient), r_sa);
+                let near = ThermalNetwork {
+                    params,
+                    state: ThermalState {
+                        die_c: steady.die_c + 0.02,
+                        sink_c: steady.sink_c + 0.01,
+                    },
+                };
+                let mut job = near.plan(w(power), c(ambient), r_sa, s(dts[i / 3]));
+                let path = path_to_fixed_point(&job);
+                job.state = match i % 3 {
+                    0 => ThermalState {
+                        die_c: 30.0 + f,
+                        sink_c: 28.0 + 0.5 * f,
+                    },
+                    // Reaches the fixed point after half its substeps.
+                    1 => path[path.len() - 1 - job.substeps / 2],
+                    _ => path[path.len() - 1],
+                };
+                job
+            })
+            .collect();
+        assert_eq!(jobs.len() % LANES, 2);
+
+        let plain: Vec<Vec<ThermalState>> = jobs.iter().map(plain_substeps).collect();
+        let planned: Vec<usize> = jobs.iter().map(|job| job.substeps).collect();
+        integrate(&mut jobs);
+
+        let (mut starts_fixed, mut stops_midway, mut die_settles_first) = (0, 0, 0);
+        for ((job, path), planned) in jobs.iter().zip(&plain).zip(planned) {
+            let end = path[planned];
+            assert!(
+                same_bits(job.state, end),
+                "{job:?} ended at {:?}, the plain loop at {end:?}",
+                job.state
+            );
+            // The substeps run: through the first that returned its input.
+            let ran = (1..=planned)
+                .find(|&k| same_bits(path[k], path[k - 1]))
+                .unwrap_or(planned);
+            assert_eq!(job.substeps, ran, "{job:?}");
+            starts_fixed += usize::from(planned > 1 && ran == 1);
+            stops_midway += usize::from(ran > 1 && ran < planned);
+            // A substep that keeps the die's bits but moves the sink's,
+            // short of the end state.
+            die_settles_first += usize::from((1..ran).any(|k| {
+                path[k].die_c.to_bits() == path[k - 1].die_c.to_bits()
+                    && !same_bits(path[k], path[k - 1])
+                    && !same_bits(path[k], end)
+            }));
+        }
+        assert!(
+            starts_fixed > 0 && stops_midway > 0 && die_settles_first > 0,
+            "cases do not exercise the exit: {starts_fixed} start fixed, \
+             {stops_midway} stop midway, {die_settles_first} settle the die first"
+        );
     }
 
     #[test]

@@ -237,7 +237,7 @@ fn generated_scenarios_keep_the_fleet_monitor_consistent() {
 /// so a change that moves the physics, the trace recording or the fault
 /// delivery of both clocks together passes them; it fails here. The
 /// physical digest is the same on both clocks.
-const CORPUS_DIGESTS: [(&str, u64, u64, u64); 5] = [
+const CORPUS_DIGESTS: [(&str, u64, u64, u64); 6] = [
     (
         "ambient-step-event-sleep",
         0x3eee_72be_76cb_b7f2,
@@ -267,6 +267,12 @@ const CORPUS_DIGESTS: [(&str, u64, u64, u64); 5] = [
         0xc3c9_250e_2b03_9c34,
         0x5dca_7060_b3d9_56d7,
         0x5dca_7060_b3d9_56d7,
+    ),
+    (
+        "long-idle-fixed-point",
+        0x8f3e_d293_b79c_e1be,
+        0xfb1f_85fa_b1cb_4cee,
+        0xdafa_44a6_ee97_51c9,
     ),
 ];
 
