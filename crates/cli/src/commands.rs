@@ -6,7 +6,6 @@ use std::fmt::Write as _;
 use std::fs;
 use vmtherm_core::dynamic::DynamicConfig;
 use vmtherm_core::features::FeatureEncoding;
-use vmtherm_core::fleet::ShardedMonitor;
 use vmtherm_core::monitor::FleetMonitor;
 use vmtherm_core::stable::{
     dataset_from_outcomes, run_experiments, run_experiments_threaded, StablePredictor,
@@ -51,9 +50,7 @@ COMMANDS:
             --out FILE [--cases N=200] [--seed S=42] [--duration SECS=1200]
             [--threads T=1 run experiments on T worker threads; each job
             is a lockstep group of up to 8 experiments sharing one
-            simulation, so unlike the fleet commands' per-tick threads
-            there is no 256-servers-per-worker floor; results are
-            bit-identical for every T]
+            simulation; results are bit-identical for every T]
   train     train the stable-temperature SVR from records
             --records FILE --out MODEL [--grid] [--folds K=10] [--seed S]
   eval      score a model against labeled records (prints MSE/MAE);
@@ -88,8 +85,7 @@ COMMANDS:
             [--margin C=1.5] [--min C=16] [--max C=32] [--seed S=7]
   fuzz      sample seeded scenarios and run each through the differential
             oracle battery (determinism, fixed-vs-event clock equivalence,
-            (threads, shards) bit-identity, clean-path identity, physical
-            invariants); shrink any violation to a minimal repro JSON
+            clean-path identity, physical invariants); shrink any violation to a minimal repro JSON
             [--seed S=61474] [--cases K=50] [--dir DIR=tests/scenarios]
             [--shrink-budget N=400] [--out FILE write a campaign record
             (JSON) whether or not violations were found]
@@ -620,7 +616,7 @@ fn chaos(flags: &Flags) -> Result<String, String> {
         .map_err(|e| format!("fault plan: {e}"))?;
     sim.set_clock_mode(parse_clock(flags)?);
 
-    let mut monitor = ShardedMonitor::new(&model, DynamicConfig::new(), 1, Seconds::new(gap), 1, 1)
+    let mut monitor = FleetMonitor::new(model, DynamicConfig::new(), 1, Seconds::new(gap))
         .map_err(|e| e.to_string())?;
     let mut alert_lines = Vec::new();
     for _ in 0..secs {
@@ -866,15 +862,13 @@ fn fuzz(flags: &Flags) -> Result<String, String> {
     if cases == 0 {
         return Err("--cases must be positive".to_string());
     }
-    let config = oracle::OracleConfig::default();
-
     let mut detail = String::new();
     let mut repros: Vec<String> = Vec::new();
     let mut min_skip = f64::INFINITY;
     let mut max_skip = 0.0f64;
     for index in 0..cases {
         let scenario = generate::scenario(seed, index);
-        let report = oracle::check_scenario(&scenario, &config)
+        let report = oracle::check_scenario(&scenario)
             .map_err(|e| format!("case {index} ({}): {e}", scenario.name))?;
         min_skip = min_skip.min(report.event_skip_factor);
         max_skip = max_skip.max(report.event_skip_factor);
@@ -883,7 +877,7 @@ fn fuzz(flags: &Flags) -> Result<String, String> {
         };
         let _ = writeln!(detail, "case {index} ({}): {first}", scenario.name);
         let result = shrink::shrink(&scenario, first, budget, &mut |candidate| {
-            oracle::check_scenario(candidate, &config)
+            oracle::check_scenario(candidate)
                 .ok()
                 .and_then(|r| r.failures.first().cloned())
         });
@@ -981,8 +975,6 @@ fn replay(flags: &Flags) -> Result<String, String> {
         Some(p) => Some(load_model(p)?),
         None => None,
     };
-    let config = oracle::OracleConfig::default();
-
     let meta = fs::metadata(&path).map_err(|e| format!("{path}: {e}"))?;
     let mut files: Vec<std::path::PathBuf> = if meta.is_dir() {
         fs::read_dir(&path)
@@ -1005,8 +997,7 @@ fn replay(flags: &Flags) -> Result<String, String> {
         let name = file.display();
         let text = fs::read_to_string(file).map_err(|e| format!("{name}: {e}"))?;
         let scenario = Scenario::parse(&text).map_err(|e| format!("{name}: {e}"))?;
-        let report =
-            oracle::check_scenario(&scenario, &config).map_err(|e| format!("{name}: {e}"))?;
+        let report = oracle::check_scenario(&scenario).map_err(|e| format!("{name}: {e}"))?;
         let mut lines: Vec<String> = report.failures.iter().map(ToString::to_string).collect();
         if let Some(model) = &model {
             lines.extend(monitor_oracle(&scenario, model).map_err(|e| format!("{name}: {e}"))?);
@@ -1117,9 +1108,8 @@ fn obs_serve(flags: &Flags) -> Result<String, String> {
     sim.set_fault_plan(plan)
         .map_err(|e| format!("fault plan: {e}"))?;
     sim.set_clock_mode(parse_clock(flags)?);
-    let mut monitor =
-        ShardedMonitor::new(&model, DynamicConfig::new(), 1, Seconds::new(60.0), 1, 1)
-            .map_err(|e| e.to_string())?;
+    let mut monitor = FleetMonitor::new(model, DynamicConfig::new(), 1, Seconds::new(60.0))
+        .map_err(|e| e.to_string())?;
 
     let period = std::time::Duration::from_secs_f64(1.0 / hz);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
@@ -1352,7 +1342,7 @@ mod tests {
     #[test]
     fn threads_flag_never_changes_results() {
         // `collect --threads T` writes byte-identical records for every T —
-        // the sharded-execution contract, end to end.
+        // the campaign pool's determinism contract, end to end.
         let serial = temp_path("thr_records_1.libsvm");
         let threaded = temp_path("thr_records_3.libsvm");
         // 17 cases: two full lockstep groups of 8 and a partial one.

@@ -1,113 +1,52 @@
-//! Sharded fleet monitoring: one [`FleetMonitor`] stepped on a worker
-//! pool.
+//! [`ShardedMonitor`], an inert name kept for the frozen vmbench
+//! sources. The module's tests hold the fleet-scale pins of
+//! [`FleetMonitor`].
 //!
-//! A [`ShardedMonitor`] drives a single whole-fleet [`FleetMonitor`]:
-//! it supplies the number of contiguous server chunks (via
-//! [`vmtherm_sim::shard::shard_bounds`]) and worker threads
-//! ([`vmtherm_sim::shard::workers`]) that the monitor's per-server
-//! phase runs on ([`vmtherm_sim::shard::for_each_chunk`]). Each chunk
-//! only mutates its own per-server records — predictors, pending
-//! forecasts, P² sketches — through an exclusive borrow, so per-server
-//! results are **bit-identical for any thread count and any shard
-//! partitioning**. The anchor and event-log phase runs once, serially,
-//! before the chunks.
-//!
-//! Fleet-level values are *reduced serially after the parallel phase*,
-//! always in global server-index order: [`FleetMonitor::fleet_mse`] and
-//! [`FleetMonitor::fleet_pred_err`] are the same folds whichever way the
-//! records were stepped.
-//!
-//! What is *not* bit-stable across thread counts: wall-clock timing
-//! metrics (`vmtherm_monitor_observe_ns`), the global forecast-error
-//! histogram's float sum (atomic CAS adds commute only up to FP
-//! rounding), and the interleaving of observability events across
-//! chunks. Counters remain exact (atomic integer adds commute).
+//! Every fleet tick steps and observes on the calling thread: a scoped
+//! 2-thread section costs about 55 µs to spawn and join, while a server
+//! costs about 0.55 µs per phase, so a second thread would only pay
+//! above roughly 200 servers, and no fleet the repository runs is that
+//! large (DESIGN.md §10).
 
 use crate::dynamic::DynamicConfig;
 use crate::error::PredictError;
 use crate::monitor::FleetMonitor;
 use crate::stable::StablePredictor;
 use std::ops::Deref;
-use vmtherm_obs::{self as obs, names};
-use vmtherm_sim::shard;
 use vmtherm_sim::Simulation;
 use vmtherm_units::{Celsius, Seconds};
 
-/// Fleet-level roll-up gauges, registered lazily when the obs layer is
-/// enabled (mirrors the per-server gauge registration in `monitor`).
+/// A [`FleetMonitor`] under its former name; its shard and thread
+/// counts have no effect. Kept only so the frozen vmbench sources build
+/// until they are next changed (ROADMAP item 1); nothing in the
+/// workspace uses it.
 #[derive(Debug)]
-struct FleetGauges {
-    mse: obs::Gauge,
-    pred_err_p95: obs::Gauge,
-}
-
-impl FleetGauges {
-    fn register() -> FleetGauges {
-        let reg = obs::global();
-        FleetGauges {
-            mse: reg.gauge(names::METRIC_MONITOR_FLEET_MSE),
-            pred_err_p95: reg.gauge(names::METRIC_MONITOR_FLEET_PRED_ERR_P95),
-        }
-    }
-}
-
-/// A fleet monitor whose per-server phase runs in independently
-/// steppable shards, and which publishes the fleet roll-up gauges.
-///
-/// It dereferences to the [`FleetMonitor`] it drives, so every read
-/// accessor takes **global** server ids and returns exactly what one
-/// unsharded monitor over the same fleet would.
-#[derive(Debug)]
-pub struct ShardedMonitor {
-    monitor: FleetMonitor,
-    shards: usize,
-    threads: usize,
-    fleet_gauges: Option<FleetGauges>,
-}
+pub struct ShardedMonitor(FleetMonitor);
 
 impl ShardedMonitor {
-    /// Creates a monitor for `servers` hosts split into `shards`
-    /// contiguous ranges, stepping on up to `threads` worker threads
-    /// (both clamped to at least 1; shards above `servers` collapse).
+    /// [`FleetMonitor::new`]; `_shards` and `_threads` have no effect.
     ///
     /// # Errors
     ///
-    /// Propagates invalid [`DynamicConfig`]s.
+    /// As [`FleetMonitor::new`].
     pub fn new(
         stable: &StablePredictor,
         config: DynamicConfig,
         servers: usize,
         gap_secs: Seconds,
-        shards: usize,
-        threads: usize,
+        _shards: usize,
+        _threads: usize,
     ) -> Result<Self, PredictError> {
-        Ok(ShardedMonitor {
-            monitor: FleetMonitor::new(stable.clone(), config, servers, gap_secs)?,
-            shards: shard::shard_bounds(servers, shards).len(),
-            threads: threads.max(1),
-            fleet_gauges: None,
-        })
+        FleetMonitor::new(stable.clone(), config, servers, gap_secs).map(ShardedMonitor)
     }
 
-    /// [`FleetMonitor::observe`] with the per-server phase on the
-    /// shards, in parallel once the fleet gives each worker at least
-    /// [`shard::MIN_SERVERS_PER_WORKER`] servers (inline below that).
-    /// The fleet roll-up gauges are then reduced serially.
+    /// [`FleetMonitor::observe`].
     ///
     /// # Panics
     ///
-    /// Panics if the simulation has more servers than this monitor
-    /// covers.
+    /// As [`FleetMonitor::observe`].
     pub fn observe(&mut self, sim: &Simulation, ambient_c: Celsius) {
-        self.monitor
-            .observe_sharded(sim, ambient_c, self.shards, self.threads);
-        if obs::enabled() {
-            let mse = self.monitor.fleet_mse();
-            let p95 = self.monitor.fleet_pred_err().quantile(0.95);
-            let gauges = self.fleet_gauges.get_or_insert_with(FleetGauges::register);
-            gauges.mse.set(mse);
-            gauges.pred_err_p95.set(p95);
-        }
+        self.0.observe(sim, ambient_c);
     }
 }
 
@@ -115,7 +54,7 @@ impl Deref for ShardedMonitor {
     type Target = FleetMonitor;
 
     fn deref(&self) -> &FleetMonitor {
-        &self.monitor
+        &self.0
     }
 }
 
@@ -131,8 +70,6 @@ mod tests {
     };
     use vmtherm_svm::kernel::Kernel;
     use vmtherm_svm::svr::SvrParams;
-
-    const SERVERS: usize = 5;
 
     fn stable_model() -> StablePredictor {
         let mut generator = CaseGenerator::new(42);
@@ -154,163 +91,12 @@ mod tests {
         .unwrap()
     }
 
-    fn fleet_sim(faulted: bool) -> Simulation {
-        let mut dc = Datacenter::new();
-        for i in 0..SERVERS {
-            dc.add_server(
-                ServerSpec::standard(format!("n{i}")),
-                Celsius::new(24.0),
-                i as u64,
-            );
-        }
-        let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 7);
-        for i in 0..SERVERS {
-            sim.boot_vm_now(
-                ServerId::new(i),
-                VmSpec::new(format!("v{i}"), 2 + i as u32, 4.0, TaskProfile::CpuBound),
-            )
-            .unwrap();
-        }
-        if faulted {
-            sim.set_fault_plan(
-                FaultPlan::new(21)
-                    .with_dropout(
-                        DropoutFault::random(0.02, Seconds::new(2.0), Seconds::new(6.0)).unwrap(),
-                    )
-                    .with_spike(
-                        SpikeFault::random(0.05, Celsius::new(4.0), Celsius::new(9.0)).unwrap(),
-                    )
-                    .with_jitter(JitterFault::random(0.1, Seconds::new(1.5)).unwrap()),
-            )
-            .unwrap();
-        }
-        // A mid-run burst exercises event-driven re-anchoring.
-        sim.schedule(
-            SimTime::from_secs(90),
-            Event::BootVm {
-                server: ServerId::new(1),
-                spec: VmSpec::new("burst", 4, 8.0, TaskProfile::CpuBound),
-            },
-        );
-        sim
-    }
+    /// More than ten times the size of vmbench's 48-server fleets.
+    const LARGE_FLEET: usize = 512;
 
-    /// Everything observable about a monitor's end state, as exact bits.
-    fn fingerprint(mse: f64, monitors: &[&dyn Fn(ServerId) -> (u64, u64, u64, u64)]) -> Vec<u64> {
-        let mut bits = vec![mse.to_bits()];
-        for probe in monitors {
-            for i in 0..SERVERS {
-                let (a, b, c, d) = probe(ServerId::new(i));
-                bits.extend([a, b, c, d]);
-            }
-        }
-        bits
-    }
-
-    fn run_and_compare(faulted: bool, shards: usize, threads: usize) {
-        let stable = stable_model();
-        let mut sim_a = fleet_sim(faulted);
-        let mut sim_b = fleet_sim(faulted);
-        let mut reference = FleetMonitor::new(
-            stable.clone(),
-            DynamicConfig::new(),
-            SERVERS,
-            Seconds::new(40.0),
-        )
-        .unwrap();
-        let mut sharded = ShardedMonitor::new(
-            &stable,
-            DynamicConfig::new(),
-            SERVERS,
-            Seconds::new(40.0),
-            shards,
-            threads,
-        )
-        .unwrap();
-        for _ in 0..200 {
-            sim_a.step();
-            sim_b.step();
-            reference.observe(&sim_a, Celsius::new(24.0));
-            sharded.observe(&sim_b, Celsius::new(24.0));
-        }
-
-        let probe_ref = |sid: ServerId| {
-            let s = reference.stats(sid);
-            (
-                s.scored as u64,
-                s.sum_sq_err.to_bits(),
-                reference.rolling_mse(sid).to_bits(),
-                reference.reanchor_count(sid),
-            )
-        };
-        let probe_sharded = |sid: ServerId| {
-            let s = sharded.stats(sid);
-            (
-                s.scored as u64,
-                s.sum_sq_err.to_bits(),
-                sharded.rolling_mse(sid).to_bits(),
-                sharded.reanchor_count(sid),
-            )
-        };
-        assert_eq!(
-            fingerprint(reference.fleet_mse(), &[&probe_ref]),
-            fingerprint(sharded.fleet_mse(), &[&probe_sharded]),
-            "shards={shards} threads={threads} faulted={faulted}"
-        );
-        // Forecasts, holdover flags and anchors line up server by server.
-        for i in 0..SERVERS {
-            let sid = ServerId::new(i);
-            assert_eq!(reference.latest_forecast(sid), sharded.latest_forecast(sid));
-            assert_eq!(
-                reference.record(sid).map(|r| r.pending.len()),
-                sharded.record(sid).map(|r| r.pending.len())
-            );
-            assert_eq!(reference.in_holdover(sid), sharded.in_holdover(sid));
-            assert_eq!(
-                reference.last_anchor_secs(sid).to_bits(),
-                sharded.last_anchor_secs(sid).to_bits()
-            );
-            assert_eq!(reference.degradation(sid), sharded.degradation(sid));
-        }
-        // The fleet roll-up folds to the same bits as the unsharded fold.
-        let (a, b) = (reference.fleet_pred_err(), sharded.fleet_pred_err());
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.sum().to_bits(), b.sum().to_bits());
-        assert_eq!(a.min().to_bits(), b.min().to_bits());
-        assert_eq!(a.max().to_bits(), b.max().to_bits());
-        for (qa, qb) in a.quantiles().iter().zip(b.quantiles()) {
-            assert_eq!(qa.0.to_bits(), qb.0.to_bits());
-            assert_eq!(qa.1.to_bits(), qb.1.to_bits());
-        }
-    }
-
-    #[test]
-    fn sharded_monitor_matches_unsharded_bitwise() {
-        run_and_compare(false, 2, 2);
-    }
-
-    #[test]
-    fn sharded_monitor_matches_unsharded_bitwise_with_faults() {
-        run_and_compare(true, 3, 4);
-    }
-
-    #[test]
-    fn single_shard_single_thread_matches_too() {
-        run_and_compare(true, 1, 1);
-    }
-
-    /// Enough servers that two workers each get a full
-    /// `MIN_SERVERS_PER_WORKER`, so threads 2 and 4 really spawn.
-    const LARGE_FLEET: usize = 2 * shard::MIN_SERVERS_PER_WORKER;
-
-    /// Steps a faulted `LARGE_FLEET`-server run on `threads` workers
-    /// (`shards = threads`) with a sharded monitor watching every tick,
-    /// and returns every engine and monitor end-state bit.
-    fn large_fleet_fingerprint(
-        stable: &StablePredictor,
-        clock: ClockMode,
-        threads: usize,
-    ) -> Vec<u64> {
+    /// Steps a faulted `LARGE_FLEET`-server run with a monitor watching
+    /// every tick, and returns every engine and monitor end-state bit.
+    fn large_fleet_fingerprint(stable: &StablePredictor, clock: ClockMode) -> Vec<u64> {
         let dc = Datacenter::homogeneous(
             &ServerSpec::standard("n"),
             LARGE_FLEET,
@@ -318,7 +104,7 @@ mod tests {
             Celsius::new(24.0),
             3,
         );
-        let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 7).with_threads(threads);
+        let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 7);
         sim.set_clock_mode(clock);
         sim.set_fault_plan(
             FaultPlan::new(21)
@@ -345,13 +131,11 @@ mod tests {
                 },
             );
         }
-        let mut monitor = ShardedMonitor::new(
-            stable,
+        let mut monitor = FleetMonitor::new(
+            stable.clone(),
             DynamicConfig::new(),
             LARGE_FLEET,
             Seconds::new(10.0),
-            threads,
-            threads,
         )
         .unwrap();
         for _ in 0..40 {
@@ -402,36 +186,21 @@ mod tests {
         })
     }
 
-    /// Absolute pins of the 1-thread [`large_fleet_fingerprint`] on the
-    /// Fixed and Event clocks. The thread-to-thread comparison below
-    /// cannot see a change that moves every thread count together; these
-    /// digests can. The 40 s warm-up keeps every server awake, so the two
-    /// clocks reach the same bits.
+    /// Absolute pins of [`large_fleet_fingerprint`] on the Fixed and
+    /// Event clocks, captured on one thread. The 40 s warm-up keeps every
+    /// server awake, so the two clocks reach the same bits.
     const LARGE_FLEET_DIGESTS: [(ClockMode, u64); 2] = [
         (ClockMode::Fixed, 0xec3c_838e_0708_1adb),
         (ClockMode::Event, 0xec3c_838e_0708_1adb),
     ];
 
     #[test]
-    fn large_fleet_on_spawned_workers_matches_one_thread_bitwise() {
-        assert_eq!(
-            shard::workers(2, LARGE_FLEET),
-            2,
-            "fleet too small to spawn"
-        );
+    fn large_fleet_matches_its_pinned_digests() {
+        let _guard = crate::monitor::tests::obs_test_lock();
         let stable = stable_model();
         for (clock, pinned) in LARGE_FLEET_DIGESTS {
-            let reference = large_fleet_fingerprint(&stable, clock, 1);
-            let digest = fnv1a(&reference);
+            let digest = fnv1a(&large_fleet_fingerprint(&stable, clock));
             assert_eq!(digest, pinned, "{clock:?} clock digest {digest:#018x}");
-            for threads in [2, 4] {
-                // `assert!` rather than `assert_eq!`: a diff of two
-                // fingerprints this long would bury the message.
-                assert!(
-                    reference == large_fleet_fingerprint(&stable, clock, threads),
-                    "{clock:?} clock at threads={threads} diverged from one thread"
-                );
-            }
         }
     }
 
@@ -534,29 +303,19 @@ mod tests {
     }
 
     /// Drives [`mostly_idle_sim`] for [`CALLER_TICKS`] in the `caller`
-    /// pattern, with a `FleetMonitor` and `ShardedMonitor`s at 1 and 2
-    /// shards observing together, ends with `run_until` and one more
-    /// observe, and returns each monitor's end-state digest: per server
-    /// its stats, rolling MSE, re-anchors, last anchor, degradation
-    /// counters, holdover flag and pending forecasts, then the fleet MSE
-    /// and the fleet error roll-up.
-    fn caller_fingerprint(faulted: bool, clock: ClockMode, caller: Caller) -> [u64; 3] {
+    /// pattern with a monitor observing, ends with `run_until` and one
+    /// more observe, and returns the monitor's end-state digest: per
+    /// server its stats, rolling MSE, re-anchors, last anchor,
+    /// degradation counters, holdover flag and pending forecasts, then
+    /// the fleet MSE and the fleet error roll-up.
+    fn caller_fingerprint(faulted: bool, clock: ClockMode, caller: Caller) -> u64 {
         let stable = stable_model();
         let servers = 8;
         let gap = Seconds::new(30.0);
         let mut sim = mostly_idle_sim(faulted, clock);
-        let mut plain =
-            FleetMonitor::new(stable.clone(), DynamicConfig::new(), servers, gap).unwrap();
-        let mut one =
-            ShardedMonitor::new(&stable, DynamicConfig::new(), servers, gap, 1, 1).unwrap();
-        let mut two =
-            ShardedMonitor::new(&stable, DynamicConfig::new(), servers, gap, 2, 2).unwrap();
+        let mut monitor = FleetMonitor::new(stable, DynamicConfig::new(), servers, gap).unwrap();
         let ambient = Celsius::new(24.0);
-        let mut observe = |sim: &Simulation| {
-            plain.observe(sim, ambient);
-            one.observe(sim, ambient);
-            two.observe(sim, ambient);
-        };
+        let mut observe = |sim: &Simulation| monitor.observe(sim, ambient);
         let other = |mode: ClockMode| match mode {
             ClockMode::Fixed => ClockMode::Event,
             _ => ClockMode::Fixed,
@@ -641,7 +400,7 @@ mod tests {
             }
             fnv1a(&bits)
         };
-        [digest(&plain), digest(&one), digest(&two)]
+        digest(&monitor)
     }
 
     /// Absolute monitor digests of every caller pattern, as
@@ -695,18 +454,13 @@ mod tests {
 
     #[test]
     fn every_caller_pattern_matches_its_pinned_monitor_digest() {
+        let _guard = crate::monitor::tests::obs_test_lock();
         let (mut moved, mut table) = (Vec::new(), String::new());
         for (faulted, clock, pinned) in CALLER_DIGESTS {
             let mut got = [0; 5];
             for ((caller, want), got) in CALLERS.iter().zip(pinned).zip(&mut got) {
-                let [plain, one, two] = caller_fingerprint(faulted, clock, *caller);
-                assert!(
-                    plain == one && plain == two,
-                    "{caller:?} faulted={faulted} {clock:?}: sharded monitors diverged \
-                     ({plain:#018x}, {one:#018x}, {two:#018x})"
-                );
-                *got = plain;
-                if plain != want {
+                *got = caller_fingerprint(faulted, clock, *caller);
+                if *got != want {
                     moved.push(format!("{caller:?} faulted={faulted} {clock:?}"));
                 }
             }
@@ -716,27 +470,16 @@ mod tests {
     }
 
     #[test]
-    fn more_shards_than_servers_collapse() {
-        let stable = stable_model();
-        let sharded =
-            ShardedMonitor::new(&stable, DynamicConfig::new(), 3, Seconds::new(40.0), 64, 8)
-                .unwrap();
-        assert_eq!(sharded.shards, 3);
-        assert_eq!(sharded.servers(), 3);
-    }
-
-    #[test]
     fn accessors_are_safe_for_unknown_servers() {
         let stable = stable_model();
-        let sharded =
-            ShardedMonitor::new(&stable, DynamicConfig::new(), 2, Seconds::new(40.0), 2, 2)
-                .unwrap();
+        let monitor =
+            FleetMonitor::new(stable, DynamicConfig::new(), 2, Seconds::new(40.0)).unwrap();
         let ghost = ServerId::new(99);
-        assert_eq!(sharded.stats(ghost), ServerStats::default());
-        assert!(sharded.rolling_mse(ghost).is_nan());
-        assert_eq!(sharded.reanchor_count(ghost), 0);
-        assert_eq!(sharded.latest_forecast(ghost), None);
-        assert!(!sharded.in_holdover(ghost));
-        assert!(sharded.record(ghost).is_none());
+        assert_eq!(monitor.stats(ghost), ServerStats::default());
+        assert!(monitor.rolling_mse(ghost).is_nan());
+        assert_eq!(monitor.reanchor_count(ghost), 0);
+        assert_eq!(monitor.latest_forecast(ghost), None);
+        assert!(!monitor.in_holdover(ghost));
+        assert!(monitor.record(ghost).is_none());
     }
 }

@@ -22,8 +22,8 @@
 //! a thermal anomaly detector that turns persistent prediction residuals
 //! into fault alarms ([`anomaly`]). Further extensions: split-conformal
 //! prediction intervals ([`interval`]), predictive CRAC setpoint
-//! optimization ([`setpoint`]) and a fleet monitor with automatic re-anchoring ([`monitor`]) and its
-//! thread-parallel sharded form with deterministic merge ([`fleet`]).
+//! optimization ([`setpoint`]) and a fleet monitor with automatic
+//! re-anchoring ([`monitor`]).
 //!
 //! ## End-to-end example
 //!
@@ -103,7 +103,6 @@ pub use curve::WarmupCurve;
 pub use dynamic::{DynamicConfig, DynamicPredictor};
 pub use error::PredictError;
 pub use features::FeatureEncoding;
-pub use fleet::ShardedMonitor;
 pub use interval::{Interval, IntervalPredictor};
 pub use monitor::{DegradationStats, FleetMonitor};
 pub use predictor::OnlinePredictor;

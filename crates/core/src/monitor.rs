@@ -9,13 +9,13 @@
 //! target time arrives.
 //!
 //! The monitor keeps one record per server. Each `observe` runs the
-//! initial anchor and the event log serially, then updates the records
-//! on [`vmtherm_sim::shard::for_each_chunk`]: those of the servers the
-//! engine woke in the step since the last observe
-//! ([`Simulation::recorded_since`]), or every record when the engine
-//! cannot name them. A record is only touched through its chunk's
-//! exclusive borrow, so the result is bit-identical for any chunking and
-//! thread count ([`crate::fleet::ShardedMonitor`] supplies both).
+//! initial anchor and the event log, then updates in one loop the
+//! records of the servers the engine woke in the step since the last
+//! observe ([`Simulation::recorded_since`]), or every record when the
+//! engine cannot name them. Fleet-level values fold the records in
+//! server-index order: [`FleetMonitor::fleet_mse`] and
+//! [`FleetMonitor::fleet_pred_err`], which `observe` also publishes as
+//! the fleet roll-up gauges while the obs layer is enabled.
 
 use crate::dynamic::{DynamicConfig, DynamicPredictor};
 use crate::error::PredictError;
@@ -24,7 +24,7 @@ use crate::stable::StablePredictor;
 use std::collections::VecDeque;
 use vmtherm_obs::{self as obs, names, ObsEvent};
 use vmtherm_sim::experiment::ConfigSnapshot;
-use vmtherm_sim::{shard, ServerId, SimEvent, SimTime, Simulation};
+use vmtherm_sim::{ServerId, SimEvent, SimTime, Simulation};
 use vmtherm_units::{Celsius, Seconds};
 
 static OBS_REANCHORS: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_REANCHOR_TOTAL);
@@ -97,6 +97,24 @@ struct ServerGauges {
     headroom: obs::Gauge,
     /// Absolute forecast-error summary (p50/p95/p99 via the P² sketch).
     pred_err: obs::Summary,
+}
+
+/// The fleet roll-up gauges, registered on the first observe with the
+/// obs layer enabled.
+#[derive(Debug)]
+struct FleetGauges {
+    mse: obs::Gauge,
+    pred_err_p95: obs::Gauge,
+}
+
+impl FleetGauges {
+    fn register() -> FleetGauges {
+        let reg = obs::global();
+        FleetGauges {
+            mse: reg.gauge(names::METRIC_MONITOR_FLEET_MSE),
+            pred_err_p95: reg.gauge(names::METRIC_MONITOR_FLEET_PRED_ERR_P95),
+        }
+    }
 }
 
 impl ServerGauges {
@@ -460,6 +478,7 @@ pub struct FleetMonitor {
     anchored: bool,
     /// The simulation clock at the last `observe`, `None` before any.
     observed_at: Option<SimTime>,
+    fleet_gauges: Option<FleetGauges>,
 }
 
 impl FleetMonitor {
@@ -493,6 +512,7 @@ impl FleetMonitor {
             log_cursor: 0,
             anchored: false,
             observed_at: None,
+            fleet_gauges: None,
         })
     }
 
@@ -519,25 +539,13 @@ impl FleetMonitor {
     /// `sim.step()`), then only the servers the step woke are visited;
     /// `ambient_c` is the room temperature used when capturing
     /// configuration snapshots. One monitor follows one simulation.
+    /// While the obs layer is enabled it then publishes the fleet
+    /// roll-up gauges.
     ///
     /// # Panics
     ///
     /// Panics if the simulation has more servers than the monitor.
     pub fn observe(&mut self, sim: &Simulation, ambient_c: Celsius) {
-        self.observe_sharded(sim, ambient_c, 1, 1);
-    }
-
-    /// [`FleetMonitor::observe`] with the per-server phase split into
-    /// `shards` contiguous chunks on up to `threads` workers, as
-    /// [`shard::workers`] allows for the fleet size. The result does not
-    /// depend on either count.
-    pub(crate) fn observe_sharded(
-        &mut self,
-        sim: &Simulation,
-        ambient_c: Celsius,
-        shards: usize,
-        threads: usize,
-    ) {
         let _span = obs::span(names::SPAN_MONITOR_OBSERVE);
         let _sweep_timer = OBS_OBSERVE_NS.start_timer();
         let covered = sim.datacenter().len();
@@ -626,26 +634,24 @@ impl FleetMonitor {
         // every server is visited.
         let batch = self.observed_at.and_then(|since| sim.recorded_since(since));
         self.observed_at = Some(sim.now());
-        let workers = shard::workers(threads, batch.map_or(covered, <[usize]>::len));
-        shard::for_each_chunk(
-            &mut self.records[..covered],
-            shards,
-            workers,
-            |offset, chunk| match batch {
-                Some(batch) => {
-                    let from = batch.partition_point(|&i| i < offset);
-                    let to = batch.partition_point(|&i| i < offset + chunk.len());
-                    for &server in &batch[from..to] {
-                        chunk[server - offset].update(&tick, server);
-                    }
+        match batch {
+            Some(batch) => {
+                for &server in batch {
+                    self.records[server].update(&tick, server);
                 }
-                None => {
-                    for (i, record) in chunk.iter_mut().enumerate() {
-                        record.update(&tick, offset + i);
-                    }
+            }
+            None => {
+                for (server, record) in self.records[..covered].iter_mut().enumerate() {
+                    record.update(&tick, server);
                 }
-            },
-        );
+            }
+        }
+        if obs::enabled() {
+            let (mse, p95) = (self.fleet_mse(), self.fleet_pred_err().quantile(0.95));
+            let gauges = self.fleet_gauges.get_or_insert_with(FleetGauges::register);
+            gauges.mse.set(mse);
+            gauges.pred_err_p95.set(p95);
+        }
     }
 
     /// Degradation counters for a server.
@@ -808,7 +814,7 @@ impl FleetMonitor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::stable::{run_experiments, TrainingOptions};
     use vmtherm_sim::fault::{FaultPlan, SpikeFault};
@@ -821,8 +827,8 @@ mod tests {
 
     /// Serializes tests that drive `FleetMonitor::observe` so the one test
     /// that enables the global obs registry cannot pollute (or be polluted
-    /// by) concurrently running monitors.
-    fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    /// by) concurrently running monitors, here and in `fleet`'s tests.
+    pub(crate) fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

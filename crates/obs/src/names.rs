@@ -62,7 +62,7 @@ pub const METRIC_MONITOR_TEMP_HEADROOM: &str = "vmtherm_monitor_temp_headroom_c"
 /// Wall-clock nanoseconds per fleet-monitor observation sweep (summary).
 pub const METRIC_MONITOR_OBSERVE_NS: &str = "vmtherm_monitor_observe_ns";
 /// Fleet-wide MSE over all matured forecasts, reduced deterministically
-/// in server-index order by the sharded monitor (gauge, degC squared).
+/// in server-index order by the fleet monitor (gauge, degC squared).
 pub const METRIC_MONITOR_FLEET_MSE: &str = "vmtherm_monitor_fleet_mse";
 /// Fleet-level p95 absolute forecast error merged from the per-server
 /// P squared sketches in server-index order (gauge, degC).

@@ -278,8 +278,8 @@ impl QuantileSketch {
 /// sum, min and max merge exactly, and each tracked quantile becomes
 /// the count-weighted mean of the per-sketch estimates — a standard
 /// roll-up approximation whose error is bounded by the spread between
-/// shards, and which is reproducible bit-for-bit because callers fold
-/// in a fixed order (server-index order in the sharded monitor).
+/// the sketches, and which is reproducible bit-for-bit because callers
+/// fold in a fixed order (server-index order in the fleet monitor).
 ///
 /// Two `MergedQuantiles` built by absorbing the same sketches in the
 /// same order hold bit-identical state regardless of which threads

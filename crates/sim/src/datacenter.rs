@@ -173,10 +173,9 @@ impl Datacenter {
     /// All servers as one mutable slice, in stable id order, plus every
     /// server's ambient offset.
     ///
-    /// The engine splits the slice into disjoint contiguous shards (see
-    /// [`crate::shard`]), so each worker thread owns an exclusive range
-    /// of servers, and reads each server's offset in the same pass
-    /// instead of collecting the offsets first.
+    /// The engine steps a batch of servers through the slice and reads
+    /// each server's offset in the same pass instead of collecting the
+    /// offsets first.
     pub(crate) fn servers_and_offsets_mut(&mut self) -> (&mut [Server], AmbientOffsets<'_>) {
         let offsets = AmbientOffsets {
             racks: &self.racks,

@@ -9,12 +9,11 @@
 //! fed by one wake table: a tick's batch is the servers whose wake-up is
 //! due, each over the interval since it last advanced. The Fixed clock
 //! re-arms every server one step ahead, so its batch is the whole fleet
-//! over one step; the Event clock lets steady servers sleep. The batch
-//! is split into contiguous shards and stepped inline or on a scoped
-//! pool (see [`crate::shard`]). Every server step, including the
+//! over one step; the Event clock lets steady servers sleep. The whole
+//! batch steps on the calling thread. Every server step, including the
 //! catch-up that settles a sleeping server before an event touches it,
-//! runs through one body: a shard integrates its batch a chunk at a
-//! time, running the chunk's thermal networks side by side
+//! runs through one body: `Batch::step` integrates its batch a chunk
+//! at a time, running the chunk's thermal networks side by side
 //! (`thermal::integrate`), then records each server's five trace
 //! channels and passes the reading through the fault channel.
 
@@ -25,7 +24,6 @@ use crate::fan::FanSpeed;
 use crate::fault::{FaultInjector, FaultPlan, FaultStats, ServerFaultState};
 use crate::migration::{ActiveMigration, MigrationConfig};
 use crate::server::{Server, ServerId};
-use crate::shard;
 use crate::telemetry::{ServerTrace, StableMeans, TraceColumns};
 use crate::thermal::{self, Integration};
 use crate::time::{SimDuration, SimTime};
@@ -280,11 +278,6 @@ pub struct Simulation {
     /// Telemetry path faults, if a non-noop plan was installed; each
     /// server's channel state lives in its slot.
     fault: Option<FaultInjector>,
-    /// Worker threads for the per-server physics phase (1 = serial).
-    threads: usize,
-    /// Shard-count override: 0 means one contiguous shard per thread.
-    /// Exposed so tests can prove partition invariance directly.
-    shards: usize,
     /// How servers are re-armed (every step, or sleeping while steady).
     clock_mode: ClockMode,
     wake: WakeState,
@@ -321,8 +314,6 @@ impl Simulation {
             seed,
             room_heat_kw: 0.0,
             fault: None,
-            threads: 1,
-            shards: 0,
             clock_mode: ClockMode::Fixed,
             wake: WakeState::default(),
             server_steps: 0,
@@ -365,41 +356,18 @@ impl Simulation {
         }
     }
 
-    /// Steps the per-server physics phase on up to `threads` worker
-    /// threads, one per [`crate::shard::MIN_SERVERS_PER_WORKER`] servers
-    /// stepped that tick (smaller fleets step their shards inline).
-    ///
-    /// Events, migrations, ambient and the room-heat reduction stay
-    /// serial; only the embarrassingly parallel server loop is sharded
-    /// (see [`crate::shard`]). End states are **bit-identical for every
-    /// thread count** — per-server RNG streams derive from the seed
-    /// plus the stable server index, each shard owns a disjoint
-    /// contiguous server range, and every floating-point reduction runs
-    /// serially in index order after the workers join.
+    /// Has no effect: every tick steps on the calling thread. Kept only
+    /// so the frozen vmbench sources build until they are next changed
+    /// (ROADMAP item 1); nothing in the workspace calls it.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// See [`Simulation::with_threads`]. Values are clamped to at least 1.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Worker threads used for the per-server physics phase.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Overrides the shard count independently of the thread count
-    /// (0 = one contiguous shard per worker thread, the default).
-    /// Results do not depend on this value; tests use it to prove
-    /// partition invariance.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards;
-    }
+    /// Has no effect: every tick steps its whole batch at once. Kept
+    /// only so the frozen vmbench sources build until they are next
+    /// changed (ROADMAP item 1); nothing in the workspace calls it.
+    pub fn set_shards(&mut self, _shards: usize) {}
 
     /// Installs a telemetry fault plan. A no-op plan removes the injector
     /// entirely, so disabled faults are bit-identical to a clean run.
@@ -669,59 +637,27 @@ impl Simulation {
     /// The batch is the servers due in the wake table
     /// ([`Simulation::drain_wakes`]), each over the interval since its
     /// physics last advanced: on the Fixed clock every server over one
-    /// step. It is split where the dense
-    /// [`shard::shard_bounds`] partition of the full server range cuts
-    /// it, and each shard carves disjoint `&mut` sub-slices of the
-    /// servers and their slots — run inline below [`shard::workers`]'
-    /// floor, else on a scoped pool. Each shard steps its batch through
-    /// [`Shard::step`].
-    /// Every shard owns exclusive state addressed by stable server index,
-    /// so the result is bit-identical for any thread or shard count.
-    /// Then [`Simulation::rearm_wakes`] lets the steady ones sleep.
+    /// step. One [`Batch::step`] call steps the whole batch, on the
+    /// calling thread. Then [`Simulation::rearm_wakes`] lets the steady
+    /// ones sleep.
     fn step_servers(&mut self, now: SimTime, ambient: f64) {
-        let count = self.datacenter.len();
         self.drain_wakes(now);
         let due = &self.wake.due[..];
         self.server_steps += due.len() as u64;
-
-        let (mut servers, offsets) = self.datacenter.servers_and_offsets_mut();
-        let mut slots = &mut self.slots[..];
-        let faults = self.fault.as_ref().map(FaultInjector::plan);
-        let shards = if self.shards > 0 {
-            self.shards
-        } else {
-            self.threads
+        let (servers, offsets) = self.datacenter.servers_and_offsets_mut();
+        let batch = Batch {
+            start: 0,
+            servers,
+            slots: &mut self.slots[..],
+            due,
         };
-        let run = |job: Shard<'_>| job.step(faults, offsets, ambient, now, now + STEP);
-        // Inline shards run as soon as they are carved, so the serial
-        // path allocates nothing; only a real pool collects them.
-        let workers = shard::workers(self.threads, due.len());
-        let mut pool = Vec::new();
-        for (start, end) in shard::shard_ranges(count, shards) {
-            let len = end - start;
-            let (shard_servers, rest) = std::mem::take(&mut servers).split_at_mut(len);
-            servers = rest;
-            let (shard_slots, rest) = std::mem::take(&mut slots).split_at_mut(len);
-            slots = rest;
-            let from = due.partition_point(|&i| i < start);
-            let to = due.partition_point(|&i| i < end);
-            if from == to {
-                continue;
-            }
-            let job = Shard {
-                start,
-                servers: shard_servers,
-                slots: shard_slots,
-                due: &due[from..to],
-            };
-            if workers > 1 {
-                pool.push(job);
-            } else {
-                run(job);
-            }
-        }
-        shard::for_each_job(pool, workers, run);
-
+        batch.step(
+            self.fault.as_ref().map(FaultInjector::plan),
+            offsets,
+            ambient,
+            now,
+            now + STEP,
+        );
         self.rearm_wakes(now, ambient);
     }
 
@@ -729,7 +665,7 @@ impl Simulation {
     /// scan of the slots, so ascending server index) and re-arms each one
     /// step ahead. Each integrates from the end of its last physics
     /// interval through the end of this tick ([`Slot::advance_to`], in
-    /// its shard).
+    /// [`Batch::step`]).
     fn drain_wakes(&mut self, now: SimTime) {
         let next = now + STEP;
         let due = &mut self.wake.due;
@@ -840,7 +776,7 @@ impl Simulation {
                 .ambient
                 .temperature(now, Watts::from_kilowatts(self.room_heat_kw));
             let (servers, offsets) = self.datacenter.servers_and_offsets_mut();
-            let job = Shard {
+            let job = Batch {
                 start: idx,
                 servers: std::slice::from_mut(&mut servers[idx]),
                 slots: std::slice::from_mut(slot),
@@ -1015,10 +951,11 @@ impl Simulation {
     }
 }
 
-/// One contiguous shard of a physics batch: exclusive sub-slices of the
-/// servers and their slots, beginning at stable server index `start`,
-/// and the part of the tick's batch that falls inside it.
-struct Shard<'a> {
+/// One physics batch: exclusive slices of a contiguous server range and
+/// its slots, beginning at stable server index `start`, and the due
+/// servers inside it. A tick's batch spans the whole fleet; a catch-up
+/// settle's spans its one server.
+struct Batch<'a> {
     start: usize,
     servers: &'a mut [Server],
     slots: &'a mut [Slot],
@@ -1026,9 +963,9 @@ struct Shard<'a> {
     due: &'a [usize],
 }
 
-impl Shard<'_> {
+impl Batch<'_> {
     /// The one server step body, for every tick's batch and for
-    /// event-mode catch-up settles (a one-server shard). Each due server
+    /// event-mode catch-up settles (a one-server batch). Each due server
     /// integrates from the end of its last interval through `end`
     /// ([`Slot::advance_to`]) under the room `ambient` plus its rack
     /// offset, with demand queried at `at`, and is [`record`]ed at `at`.
@@ -1073,7 +1010,7 @@ impl Shard<'_> {
     }
 }
 
-/// Servers a shard begins, integrates together and records per pass:
+/// Servers a batch begins, integrates together and records per pass:
 /// two groups of [`thermal::LANES`], so the integration runs full lane
 /// groups while the plans stay a small stack array. Campaigns group
 /// experiments by the same count
@@ -1161,7 +1098,7 @@ fn fault_wake_ticks(plan: &FaultPlan) -> Vec<SimTime> {
 /// later integrate their entire skipped span under the *new* ambient —
 /// exactly the class of bug the event clock's catch-up protocol exists
 /// to prevent. Thread-local because `settle_for` only ever runs on the
-/// engine's calling thread (workers handle the physics phase), and
+/// engine's calling thread, and
 /// test binaries run tests on many threads at once.
 #[cfg(test)]
 pub(crate) mod planted {
@@ -1597,10 +1534,9 @@ mod tests {
 
     /// A faulted 11-server fleet advanced for `steps`, fingerprinted by
     /// every value that feeds downstream consumers.
-    fn sharded_fingerprint(threads: usize, shards: usize, steps: u64) -> Vec<u64> {
+    fn faulted_fingerprint(steps: u64) -> Vec<u64> {
         let dc = Datacenter::homogeneous(&ServerSpec::standard("n"), 11, 4, Celsius::new(24.0), 5);
-        let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 9).with_threads(threads);
-        sim.set_shards(shards);
+        let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 9);
         sim.set_fault_plan(
             crate::fault::FaultPlan::new(21)
                 .with_dropout(
@@ -1638,14 +1574,52 @@ mod tests {
         fp
     }
 
+    /// Pins the global-clock ambient semantics: a scheduled room step
+    /// lands in every server's ambient trace at the scheduled instant.
     #[test]
-    fn sharded_stepping_is_bit_identical_across_threads_and_shards() {
-        let reference = sharded_fingerprint(1, 0, 40);
-        for (threads, shards) in [(1, 3), (2, 0), (2, 5), (4, 0), (4, 2), (8, 11), (3, 64)] {
-            assert_eq!(
-                reference,
-                sharded_fingerprint(threads, shards, 40),
-                "threads={threads} shards={shards} diverged from serial"
+    fn scheduled_ambient_step_is_globally_clocked() {
+        let dc = Datacenter::homogeneous(&ServerSpec::standard("p"), 5, 4, Celsius::new(22.0), 3);
+        let mut sim = Simulation::new(
+            dc,
+            AmbientModel::Schedule(vec![(SimTime::ZERO, 22.0), (SimTime::from_secs(15), 27.0)]),
+            3,
+        );
+        for _ in 0..30 {
+            sim.step();
+        }
+        // Each server sees the schedule through its own inlet offset, so
+        // pin the shape: constant before the step, constant after, and
+        // the step itself is exactly the scheduled +5 °C at t = 15 s.
+        for s in 0..5 {
+            let trace = sim.trace(ServerId::new(s)).unwrap();
+            let before: Vec<f64> = trace
+                .ambient_c
+                .iter()
+                .filter(|(t, _)| *t < 15.0)
+                .map(|(_, v)| v)
+                .collect();
+            let after: Vec<f64> = trace
+                .ambient_c
+                .iter()
+                .filter(|(t, _)| *t >= 15.0)
+                .map(|(_, v)| v)
+                .collect();
+            assert!(
+                !before.is_empty() && !after.is_empty(),
+                "server {s} trace empty"
+            );
+            assert!(
+                before.iter().all(|v| (v - before[0]).abs() == 0.0),
+                "server {s} ambient drifts before the step"
+            );
+            assert!(
+                after.iter().all(|v| (v - after[0]).abs() == 0.0),
+                "server {s} ambient drifts after the step"
+            );
+            assert!(
+                (after[0] - before[0] - 5.0).abs() < 1e-9,
+                "server {s} step is {} not +5",
+                after[0] - before[0]
             );
         }
     }
@@ -1751,70 +1725,6 @@ mod tests {
         assert_eq!(physical_fingerprint(&fixed), physical_fingerprint(&event));
     }
 
-    /// Event-mode fingerprint of *everything* (physics, traces, faulted
-    /// delivery, fault counters) — event mode must be deterministic
-    /// across thread/shard partitions even where it legitimately differs
-    /// from fixed mode (RNG consumption density).
-    fn event_sharded_fingerprint(threads: usize, shards: usize) -> Vec<u64> {
-        let dc = Datacenter::homogeneous(&ServerSpec::standard("n"), 11, 4, Celsius::new(24.0), 5);
-        let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 9)
-            .with_clock(ClockMode::Event)
-            .with_threads(threads);
-        sim.set_shards(shards);
-        sim.set_fault_plan(
-            crate::fault::FaultPlan::new(21)
-                .with_dropout(crate::fault::DropoutFault::scheduled(vec![(60.0, 90.0)]).unwrap())
-                .with_spike(
-                    crate::fault::SpikeFault::random(0.05, Celsius::new(4.0), Celsius::new(9.0))
-                        .unwrap(),
-                ),
-        )
-        .unwrap();
-        for s in 0..11 {
-            sim.boot_vm_now(
-                ServerId::new(s),
-                VmSpec::new("idle", 1, 2.0, TaskProfile::Idle),
-            )
-            .unwrap();
-        }
-        sim.schedule(
-            SimTime::from_secs(400),
-            Event::SetFanSpeed {
-                server: ServerId::new(7),
-                speed: FanSpeed::High,
-            },
-        );
-        sim.run_until(SimTime::from_secs(600));
-        let mut fp = physical_fingerprint(&sim);
-        for s in 0..sim.datacenter().len() {
-            let id = ServerId::new(s);
-            for (t, v) in sim.trace(id).unwrap().sensor_c.iter() {
-                fp.push(t.to_bits());
-                fp.push(v.to_bits());
-            }
-            for (t, v) in sim.delivered(id).unwrap() {
-                fp.push(t.to_bits());
-                fp.push(v.to_bits());
-            }
-            let stats = sim.slots[s].fault.as_ref().unwrap().stats();
-            fp.extend([stats.dropped, stats.stuck, stats.spiked, stats.jittered]);
-        }
-        assert!(sim.step_stats().skip_factor() > 1.5);
-        fp
-    }
-
-    #[test]
-    fn event_mode_is_bit_identical_across_threads_and_shards() {
-        let reference = event_sharded_fingerprint(1, 0);
-        for (threads, shards) in [(1, 3), (2, 0), (4, 2), (8, 11), (3, 64)] {
-            assert_eq!(
-                reference,
-                event_sharded_fingerprint(threads, shards),
-                "threads={threads} shards={shards} diverged from serial"
-            );
-        }
-    }
-
     /// FNV-1a over 64-bit words.
     fn fnv1a(words: &[u64]) -> u64 {
         words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
@@ -1826,14 +1736,14 @@ mod tests {
     /// against another, so a change that moves every path together
     /// (physics, trace recording or fault delivery) passes them. These
     /// digests were captured before the per-server step bodies were
-    /// merged into one ([`Shard::step`]) and must never move without a
+    /// merged into one ([`Batch::step`]) and must never move without a
     /// reason.
     const FIXED_FAULTED_DIGEST: u64 = 0xcd08_0a4d_f90b_930e;
     const EVENT_CATCH_UP_DIGEST: u64 = 0x48d9_5bd1_c994_db75;
 
     #[test]
     fn fixed_clock_faulted_fleet_matches_its_pinned_digest() {
-        let digest = fnv1a(&sharded_fingerprint(1, 0, 40));
+        let digest = fnv1a(&faulted_fingerprint(40));
         assert_eq!(digest, FIXED_FAULTED_DIGEST, "got {digest:#018x}");
     }
 
@@ -1992,7 +1902,6 @@ mod tests {
             .with_lost_events(LostEventFault::random(0.5).unwrap());
         let dc = Datacenter::homogeneous(&ServerSpec::standard("n"), 11, 4, Celsius::new(24.0), 5);
         let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 9).with_clock(mode);
-        sim.set_shards(3);
         sim.set_fault_plan(plan_a.clone()).unwrap();
         for s in 0..11 {
             let task = if s % 5 == 0 {

@@ -196,7 +196,7 @@ pub fn run_experiments_threaded(
         .chunk_by_mut(|a, b| a.0.duration == b.0.duration)
         .flat_map(|run| run.chunks_mut(CHUNK))
         .collect();
-    crate::shard::for_each_job(groups, threads, |group| {
+    for_each_job(groups, threads, |group| {
         let configs: Vec<&ExperimentConfig> = group.iter().map(|(config, _)| *config).collect();
         for ((_, slot), outcome) in group.iter_mut().zip(run_group(&configs)) {
             *slot = Some(outcome);
@@ -204,6 +204,56 @@ pub fn run_experiments_threaded(
     });
     // Every slot is filled: the groups cover the slice exactly once.
     slots.into_iter().flat_map(|(_, outcome)| outcome).collect()
+}
+
+/// Drains a job list on a scoped pool of up to `threads` workers, the
+/// calling thread among them (inline when `threads <= 1` or there is at
+/// most one job). Job pick-up order is arbitrary, so `f` may only mutate
+/// state its job borrows exclusively; under that contract the outcome
+/// does not depend on the worker count. Worker panics are re-raised on
+/// the caller with their original payload.
+fn for_each_job<J, F>(jobs: Vec<J>, threads: usize, f: F)
+where
+    J: Send,
+    F: Fn(J) + Sync,
+{
+    if threads <= 1 || jobs.len() <= 1 {
+        for job in jobs {
+            f(job);
+        }
+        return;
+    }
+
+    let workers = threads.min(jobs.len());
+    let queue = std::sync::Mutex::new(jobs);
+    let drain = || loop {
+        let job = {
+            let mut q = queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            q.pop()
+        };
+        match job {
+            Some(job) => f(job),
+            None => break,
+        }
+    };
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "each job mutates only state it borrows exclusively, so the outcome does not depend on which worker ran it"
+    )]
+    std::thread::scope(|scope| {
+        // The caller is one of the workers: it spawns one thread fewer
+        // and its allocator arena serves jobs instead of sitting idle.
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        drain();
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// Runs experiments of one `duration` in lockstep as one [`Simulation`],

@@ -476,8 +476,8 @@ impl FaultStats {
 /// Per-server channel state: one RNG stream plus open-window bookkeeping.
 ///
 /// The RNG stream is derived from `plan.seed ⊕ f(stable server index)`
-/// — never from shard topology — so a server consumes exactly the same
-/// draws whether the fleet steps on one thread or sixteen.
+/// — never from its position in a step batch — so a server consumes
+/// exactly the same draws whichever servers step beside it.
 #[derive(Debug, Clone)]
 pub(crate) struct ServerFaultState {
     rng: StdRng,

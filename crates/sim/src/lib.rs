@@ -82,7 +82,6 @@ pub mod power;
 pub mod scenario;
 pub mod sensor;
 pub mod server;
-pub mod shard;
 pub mod telemetry;
 pub mod thermal;
 pub mod time;
@@ -98,7 +97,7 @@ pub use fault::{
     DropoutFault, FaultPlan, FaultStats, JitterFault, LostEventFault, SpikeFault, StuckFault,
 };
 pub use scenario::{
-    oracle::{OracleConfig, OracleFailure, ScenarioReport},
+    oracle::{OracleFailure, ScenarioReport},
     shrink::ShrinkResult,
     Scenario, ScenarioAction, ScenarioEvent,
 };

@@ -6,7 +6,7 @@
 //! A [`Scenario`] is the unit of the correctness-tooling layer: the
 //! seeded [`generate`] module samples them, the [`oracle`] battery runs
 //! each one under differential oracles (fixed-vs-event clock equality,
-//! threads×shards bit-identity, physical invariants), and the [`shrink`]
+//! rerun determinism, physical invariants), and the [`shrink`]
 //! module minimizes any failing case to a smallest repro that is checked
 //! into `tests/scenarios/*.json` and replayed forever as a regression
 //! test.
@@ -943,11 +943,10 @@ mod tests {
         // new ambient. The fuzzer must (a) surface it within a bounded
         // case budget and (b) shrink the repro to at most 3 events.
         crate::engine::planted::set_skip_ambient_settle(true);
-        let config = oracle::OracleConfig { grids: Vec::new() };
         let mut found = None;
         for index in 0..80 {
             let scenario = generate::scenario(0xF00D, index);
-            let report = oracle::check_scenario(&scenario, &config).expect("battery");
+            let report = oracle::check_scenario(&scenario).expect("battery");
             if let Some(first) = report.failures.first() {
                 found = Some((scenario, first.clone()));
                 break;
@@ -956,7 +955,7 @@ mod tests {
         let (scenario, failure) =
             found.expect("planted settle bug not surfaced within 80 fuzz cases");
         let result = shrink::shrink(&scenario, failure, 400, &mut |candidate| {
-            oracle::check_scenario(candidate, &config)
+            oracle::check_scenario(candidate)
                 .ok()
                 .and_then(|r| r.failures.first().cloned())
         });
@@ -972,7 +971,7 @@ mod tests {
         // …and passes again once the defect is disarmed, proving the
         // failure was the planted bug and not an oracle artifact.
         crate::engine::planted::set_skip_ambient_settle(false);
-        let clean = oracle::check_scenario(&result.scenario, &config).expect("battery");
+        let clean = oracle::check_scenario(&result.scenario).expect("battery");
         assert!(
             clean.passed(),
             "disarmed repro still fails: {:?}",

@@ -6,8 +6,6 @@
 //!   telemetry, delivered streams and fault counters (per clock mode);
 //! * **clock-equivalence** — fixed and event clocks reach the same
 //!   physical end state bit-for-bit (PR 9's sparse wake-up guarantee);
-//! * **shard-identity** — any (threads, shards) grid reproduces the
-//!   single-threaded run bit-for-bit (PR 8's merge guarantee);
 //! * **clean-path** — with every fault channel disabled, installing the
 //!   no-op injector changes nothing observable;
 //! * **invariants** — physical sanity: finite values, plausible die
@@ -30,27 +28,11 @@ const DIE_FLOOR: f64 = -10.0;
 /// operating point but below values that indicate integration blow-up.
 const DIE_CEILING: f64 = 130.0;
 
-/// Which runs the battery performs.
-#[derive(Debug, Clone)]
-pub struct OracleConfig {
-    /// `(threads, shards)` grids checked for bit-identity against the
-    /// single-threaded baseline, in both clock modes.
-    pub grids: Vec<(usize, usize)>,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            grids: vec![(2, 3), (3, 5)],
-        }
-    }
-}
-
 /// One violated property.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleFailure {
     /// Which oracle tripped (`determinism`, `clock-equivalence`,
-    /// `shard-identity`, `clean-path`, `invariants`).
+    /// `clean-path`, `invariants`).
     pub oracle: &'static str,
     /// Human-readable specifics.
     pub detail: String,
@@ -106,20 +88,13 @@ impl Fnv {
     }
 }
 
-/// Builds and runs a scenario to its horizon under one configuration.
+/// Builds and runs a scenario to its horizon on one clock.
 ///
 /// # Errors
 ///
 /// Build/validation errors; the run itself cannot fail.
-pub fn run_to_end(
-    scenario: &Scenario,
-    clock: ClockMode,
-    threads: usize,
-    shards: usize,
-) -> Result<Simulation, SimError> {
+pub fn run_to_end(scenario: &Scenario, clock: ClockMode) -> Result<Simulation, SimError> {
     let mut sim = scenario.build(clock)?;
-    sim.set_threads(threads);
-    sim.set_shards(shards);
     sim.run_until(crate::time::SimTime::ZERO + scenario.duration);
     Ok(sim)
 }
@@ -298,16 +273,13 @@ fn check_invariants(sim: &Simulation, label: &str, failures: &mut Vec<OracleFail
 /// [`SimError`] when the scenario itself is invalid or unbuildable;
 /// oracle violations are *not* errors — they land in
 /// [`ScenarioReport::failures`].
-pub fn check_scenario(
-    scenario: &Scenario,
-    config: &OracleConfig,
-) -> Result<ScenarioReport, SimError> {
+pub fn check_scenario(scenario: &Scenario) -> Result<ScenarioReport, SimError> {
     let mut failures = Vec::new();
 
-    let fixed = run_to_end(scenario, ClockMode::Fixed, 1, 1)?;
+    let fixed = run_to_end(scenario, ClockMode::Fixed)?;
     check_invariants(&fixed, "fixed", &mut failures);
     let fixed_full = full_fingerprint(&fixed);
-    let fixed_again = run_to_end(scenario, ClockMode::Fixed, 1, 1)?;
+    let fixed_again = run_to_end(scenario, ClockMode::Fixed)?;
     if full_fingerprint(&fixed_again) != fixed_full {
         failures.push(OracleFailure {
             oracle: "determinism",
@@ -315,10 +287,10 @@ pub fn check_scenario(
         });
     }
 
-    let event = run_to_end(scenario, ClockMode::Event, 1, 1)?;
+    let event = run_to_end(scenario, ClockMode::Event)?;
     check_invariants(&event, "event", &mut failures);
     let event_full = full_fingerprint(&event);
-    let event_again = run_to_end(scenario, ClockMode::Event, 1, 1)?;
+    let event_again = run_to_end(scenario, ClockMode::Event)?;
     if full_fingerprint(&event_again) != event_full {
         failures.push(OracleFailure {
             oracle: "determinism",
@@ -331,23 +303,6 @@ pub fn check_scenario(
             oracle: "clock-equivalence",
             detail: "fixed and event clocks reached different physical end states".to_string(),
         });
-    }
-
-    for &(threads, shards) in &config.grids {
-        let grid_fixed = run_to_end(scenario, ClockMode::Fixed, threads, shards)?;
-        if full_fingerprint(&grid_fixed) != fixed_full {
-            failures.push(OracleFailure {
-                oracle: "shard-identity",
-                detail: format!("fixed clock diverged at threads={threads} shards={shards}"),
-            });
-        }
-        let grid_event = run_to_end(scenario, ClockMode::Event, threads, shards)?;
-        if full_fingerprint(&grid_event) != event_full {
-            failures.push(OracleFailure {
-                oracle: "shard-identity",
-                detail: format!("event clock diverged at threads={threads} shards={shards}"),
-            });
-        }
     }
 
     if scenario.fault.is_noop() {
@@ -377,7 +332,7 @@ mod tests {
     #[test]
     fn quiet_scenario_passes_every_oracle() {
         let scenario = Scenario::quiet("oracle-quiet", 5, 3, SimDuration::from_secs(1200));
-        let report = check_scenario(&scenario, &OracleConfig::default()).expect("battery");
+        let report = check_scenario(&scenario).expect("battery");
         assert!(
             report.passed(),
             "unexpected failures: {:?}",
@@ -390,12 +345,9 @@ mod tests {
 
     #[test]
     fn generated_cases_pass_smoke_battery() {
-        let config = OracleConfig {
-            grids: vec![(2, 3)],
-        };
         for index in 0..4 {
             let scenario = generate::scenario(1234, index);
-            let report = check_scenario(&scenario, &config).expect("battery");
+            let report = check_scenario(&scenario).expect("battery");
             assert!(
                 report.passed(),
                 "{} failed: {:?}",
@@ -408,8 +360,8 @@ mod tests {
     #[test]
     fn fingerprints_are_stable_across_reruns() {
         let scenario = generate::scenario(9, 2);
-        let a = run_to_end(&scenario, ClockMode::Fixed, 1, 1).expect("run");
-        let b = run_to_end(&scenario, ClockMode::Fixed, 1, 1).expect("run");
+        let a = run_to_end(&scenario, ClockMode::Fixed).expect("run");
+        let b = run_to_end(&scenario, ClockMode::Fixed).expect("run");
         assert_eq!(full_fingerprint(&a), full_fingerprint(&b));
         assert_eq!(clean_fingerprint(&a), clean_fingerprint(&b));
         assert_eq!(physical_fingerprint(&a), physical_fingerprint(&b));

@@ -86,7 +86,7 @@ fn substep_counter_rises_by_exactly_the_substeps_run() {
     let text = std::fs::read_to_string(path).expect("corpus scenario");
     let scenario = Scenario::parse(&text).expect("valid scenario");
     let server_secs = scenario.servers as u64 * scenario.duration.as_millis() / 1000;
-    let replay = |clock| counted(|| run_to_end(&scenario, clock, 1, 1).expect("run"));
+    let replay = |clock| counted(|| run_to_end(&scenario, clock).expect("run"));
     let (fixed, fixed_state) = replay(ClockMode::Fixed);
     let (event, event_state) = replay(ClockMode::Event);
     assert_eq!(fixed, server_secs);

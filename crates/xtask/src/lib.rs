@@ -59,8 +59,8 @@
 //!   a hand-written `Ord`) and `disallowed-methods` (`Instant::now`,
 //!   `SystemTime::now`, `thread::spawn`, `thread::scope`), denied in the
 //!   roots of core, sim and svm. The two index-addressed merges that may
-//!   spawn threads (`crates/svm/src/grid.rs`, `crates/sim/src/shard.rs`)
-//!   carry `#[expect]`. Unseeded RNGs cannot be written at all: the
+//!   spawn threads (`crates/svm/src/grid.rs`,
+//!   `crates/sim/src/experiment.rs`) carry `#[expect]`. Unseeded RNGs cannot be written at all: the
 //!   vendored `rand` has no `thread_rng`, `from_entropy`, `random` or
 //!   `OsRng`.
 //!

@@ -6,13 +6,11 @@
 //! * be the scenario codec's own encoding: its JSON value equals
 //!   `Scenario::to_json` of what it decodes to, so every key is present
 //!   and none is unknown, and its `name` is its file stem;
-//! * pass determinism, fixed-vs-event clock equivalence, shard-grid
-//!   bit-identity, clean-path identity and the physical invariants;
+//! * pass determinism, fixed-vs-event clock equivalence, clean-path
+//!   identity and the physical invariants;
 //! * keep the fleet monitor internally consistent when driven over the
-//!   fixed- and event-clock runs, with a 3-shard, 2-thread
-//!   `ShardedMonitor` matching it bit for bit. The same monitor oracle
-//!   also runs over the first cases of the default `vmtherm fuzz`
-//!   campaign.
+//!   fixed- and event-clock runs. The same monitor oracle also runs over
+//!   the first cases of the default `vmtherm fuzz` campaign.
 //!
 //! A shrunk repro landing here is a permanent regression test: delete a
 //! file only when the property it pins is retired.
@@ -21,15 +19,14 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use vmtherm::core::dynamic::DynamicConfig;
-use vmtherm::core::fleet::ShardedMonitor;
 use vmtherm::core::monitor::FleetMonitor;
 use vmtherm::core::stable::{run_experiments, StablePredictor, TrainingOptions};
 use vmtherm::obs::json;
 use vmtherm::sim::scenario::generate;
 use vmtherm::sim::scenario::oracle::{
-    check_scenario, full_fingerprint, physical_fingerprint, run_to_end, OracleConfig,
+    check_scenario, full_fingerprint, physical_fingerprint, run_to_end,
 };
-use vmtherm::sim::{AmbientModel, CaseGenerator, ClockMode, Scenario, ServerId, SimDuration};
+use vmtherm::sim::{AmbientModel, CaseGenerator, ClockMode, Scenario, SimDuration};
 use vmtherm::svm::kernel::Kernel;
 use vmtherm::svm::svr::SvrParams;
 use vmtherm::units::{Celsius, Seconds};
@@ -116,8 +113,8 @@ fn corpus_is_present_and_round_trips() {
 #[test]
 fn corpus_passes_the_oracle_battery() {
     for (path, scenario) in corpus() {
-        let report = check_scenario(&scenario, &OracleConfig::default())
-            .unwrap_or_else(|e| panic!("{} battery: {e}", path.display()));
+        let report =
+            check_scenario(&scenario).unwrap_or_else(|e| panic!("{} battery: {e}", path.display()));
         assert!(
             report.passed(),
             "{} regressed: {:?}",
@@ -132,8 +129,8 @@ fn corpus_clock_modes_agree_bit_for_bit() {
     // The battery already checks this, but the direct statement is the
     // one a future clock change will trip first — keep it explicit.
     for (path, scenario) in corpus() {
-        let fixed = run_to_end(&scenario, ClockMode::Fixed, 1, 1).expect("fixed run");
-        let event = run_to_end(&scenario, ClockMode::Event, 1, 1).expect("event run");
+        let fixed = run_to_end(&scenario, ClockMode::Fixed).expect("fixed run");
+        let event = run_to_end(&scenario, ClockMode::Event).expect("event run");
         assert_eq!(
             physical_fingerprint(&fixed),
             physical_fingerprint(&event),
@@ -143,34 +140,8 @@ fn corpus_clock_modes_agree_bit_for_bit() {
     }
 }
 
-/// Per-server monitor state as exact bits: scored count, squared-error
-/// sum, re-anchors, rolling MSE, last anchor and degradation counters.
-fn monitor_bits(monitor: &FleetMonitor) -> Vec<u64> {
-    let mut bits = vec![monitor.fleet_mse().to_bits()];
-    for s in 0..monitor.servers() {
-        let sid = ServerId::new(s);
-        let stats = monitor.stats(sid);
-        let d = monitor.degradation(sid);
-        bits.extend([
-            stats.scored as u64,
-            stats.sum_sq_err.to_bits(),
-            monitor.reanchor_count(sid),
-            monitor.rolling_mse(sid).to_bits(),
-            monitor.last_anchor_secs(sid).to_bits(),
-            d.ooo_absorbed,
-            d.spikes_rejected,
-            d.stuck_suspected,
-            d.holdover_entries,
-            d.recovery_reanchors,
-            d.forecasts_expired,
-        ]);
-    }
-    bits
-}
-
-/// Drives `scenario` on both clocks with a `FleetMonitor` and a
-/// 3-shard, 2-thread `ShardedMonitor` over the same fleet, and asserts
-/// that both pass `invariant_report` and agree bit for bit.
+/// Drives `scenario` on both clocks with a `FleetMonitor` and asserts
+/// that it passes `invariant_report`.
 fn assert_monitor_consistent(name: &str, scenario: &Scenario) {
     for clock in [ClockMode::Fixed, ClockMode::Event] {
         let mut sim = scenario.build(clock).expect("build");
@@ -181,15 +152,6 @@ fn assert_monitor_consistent(name: &str, scenario: &Scenario) {
             Seconds::new(60.0),
         )
         .expect("monitor");
-        let mut sharded = ShardedMonitor::new(
-            model(),
-            DynamicConfig::new(),
-            scenario.servers,
-            Seconds::new(60.0),
-            3,
-            2,
-        )
-        .expect("sharded monitor");
         let ambient = match scenario.ambient {
             AmbientModel::Fixed(c) => c,
             _ => 24.0,
@@ -197,18 +159,11 @@ fn assert_monitor_consistent(name: &str, scenario: &Scenario) {
         for _ in 0..scenario.duration.as_millis() / 1000 {
             sim.step();
             monitor.observe(&sim, Celsius::new(ambient));
-            sharded.observe(&sim, Celsius::new(ambient));
         }
-        for (label, m) in [("monitor", &monitor), ("sharded monitor", &*sharded)] {
-            let report = m.invariant_report(&sim);
-            assert!(
-                report.is_empty(),
-                "{name} ({clock:?}): {label} consistency violations: {report:?}"
-            );
-        }
+        let report = monitor.invariant_report(&sim);
         assert!(
-            monitor_bits(&monitor) == monitor_bits(&sharded),
-            "{name} ({clock:?}): sharded monitor diverged from the unsharded one"
+            report.is_empty(),
+            "{name} ({clock:?}): monitor consistency violations: {report:?}"
         );
     }
 }
@@ -288,7 +243,7 @@ fn corpus_end_states_match_their_pinned_digests() {
             (ClockMode::Fixed, full_fixed),
             (ClockMode::Event, full_event),
         ] {
-            let sim = run_to_end(scenario, clock, 1, 1).expect("run");
+            let sim = run_to_end(scenario, clock).expect("run");
             let got = (physical_fingerprint(&sim), full_fingerprint(&sim));
             assert_eq!(
                 got,
