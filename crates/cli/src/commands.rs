@@ -622,6 +622,7 @@ fn chaos(flags: &Flags) -> Result<String, String> {
     for _ in 0..secs {
         sim.step();
         monitor.observe(&sim, Celsius::new(ambient));
+        monitor.publish();
         for event in obs::eval_alerts(sim.now().as_secs_f64()) {
             alert_lines.push(render_alert_line(&event));
         }
@@ -1053,6 +1054,7 @@ fn monitor_oracle(scenario: &Scenario, model: &StablePredictor) -> Result<Vec<St
         sim.step();
         monitor.observe(&sim, Celsius::new(ambient));
     }
+    monitor.publish();
     Ok(monitor.invariant_report(&sim))
 }
 
@@ -1062,7 +1064,23 @@ fn monitor_oracle(scenario: &Scenario, model: &StablePredictor) -> Result<Vec<St
 /// loop is paced on the wall clock (`--hz` sim steps per second) so a human
 /// or CI step can scrape `/metrics` and `/alerts` while it runs. With
 /// `--secs 0` it binds the port, proves the server answers, and exits.
+/// Every exit, an error included, clears what it set up: the obs layer
+/// and the alert rules.
 fn obs_serve(flags: &Flags) -> Result<String, String> {
+    obs::set_enabled(true);
+    // The global --alerts flag installs a custom rule set before dispatch;
+    // otherwise the built-in fleet-health rules apply.
+    if flags.get("alerts").is_none() {
+        obs::install_alerts(obs::AlertEngine::new(obs::alert::default_rules()));
+    }
+    let result = serve_demo_fleet(flags);
+    obs::clear_alerts();
+    obs::set_enabled(false);
+    result
+}
+
+/// `obs-serve`'s body, run with the obs layer enabled.
+fn serve_demo_fleet(flags: &Flags) -> Result<String, String> {
     let addr = flags
         .get("addr")
         .map_or_else(|| "127.0.0.1:9464".to_string(), str::to_string);
@@ -1075,17 +1093,9 @@ fn obs_serve(flags: &Flags) -> Result<String, String> {
     if !hz.is_finite() || hz <= 0.0 {
         return Err("--hz must be a positive rate".to_string());
     }
-
-    obs::set_enabled(true);
-    // The global --alerts flag installs a custom rule set before dispatch;
-    // otherwise the built-in fleet-health rules apply.
-    if flags.get("alerts").is_none() {
-        obs::install_alerts(obs::AlertEngine::new(obs::alert::default_rules()));
-    }
     let server = obs::ScrapeServer::start(&addr).map_err(|e| format!("binding {addr}: {e}"))?;
     let bound = server.local_addr();
     if secs == 0 {
-        obs::set_enabled(false);
         return Ok(format!(
             "bound http://{bound}/metrics and exited (--secs 0)"
         ));
@@ -1118,6 +1128,7 @@ fn obs_serve(flags: &Flags) -> Result<String, String> {
     while std::time::Instant::now() < deadline {
         sim.step();
         monitor.observe(&sim, Celsius::new(ambient));
+        monitor.publish();
         fired += obs::eval_alerts(sim.now().as_secs_f64())
             .iter()
             .filter(|e| e.fired)
@@ -1127,8 +1138,6 @@ fn obs_serve(flags: &Flags) -> Result<String, String> {
     }
 
     drop(server);
-    obs::clear_alerts();
-    obs::set_enabled(false);
     Ok(format!(
         "served http://{bound}/metrics for {secs} s: {steps} sim steps at {hz} Hz, {fired} alert(s) fired"
     ))
@@ -1654,6 +1663,28 @@ mod tests {
         .expect("obs-serve");
         assert!(msg.contains("bound http://127.0.0.1:"), "unexpected: {msg}");
         assert!(msg.contains("--secs 0"), "unexpected: {msg}");
+        assert_obs_torn_down();
+
+        // A failed bind tears down the same state.
+        let held = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = held.local_addr().expect("addr").to_string();
+        let err = run("obs-serve", &flags(&["--addr", &addr, "--secs", "0"])).unwrap_err();
+        assert!(
+            err.contains(&format!("binding {addr}")),
+            "unexpected: {err}"
+        );
+        assert_obs_torn_down();
+    }
+
+    /// The obs layer is off and no alert rule is installed.
+    fn assert_obs_torn_down() {
+        assert!(!obs::enabled(), "obs left enabled");
+        let alerts = obs::alerts_json();
+        assert!(
+            matches!(alerts.get("rules"), Some(obs::Json::Arr(rules)) if rules.is_empty()),
+            "alert rules left installed: {}",
+            alerts.render()
+        );
     }
 
     #[test]

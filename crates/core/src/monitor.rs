@@ -14,8 +14,13 @@
 //! observe ([`Simulation::recorded_since`]), or every record when the
 //! engine cannot name them. Fleet-level values fold the records in
 //! server-index order: [`FleetMonitor::fleet_mse`] and
-//! [`FleetMonitor::fleet_pred_err`], which `observe` also publishes as
-//! the fleet roll-up gauges while the obs layer is enabled.
+//! [`FleetMonitor::fleet_pred_err`].
+//!
+//! `observe` counts, times and traces, but writes no gauge or summary.
+//! [`FleetMonitor::publish`] is the one export path: a reader calls it
+//! before it reads the obs registry, and it writes every drift gauge,
+//! each server's forecast-error summary and the fleet roll-up gauges as
+//! of the last `observe`.
 
 use crate::dynamic::{DynamicConfig, DynamicPredictor};
 use crate::error::PredictError;
@@ -84,58 +89,6 @@ const STUCK_RUN: usize = 30;
 /// that fell deeper into a telemetry gap expire unscored.
 const SCORE_TOLERANCE_SECS: f64 = 2.0;
 
-/// Per-server drift gauges, registered against the global registry with a
-/// `{server="N"}` label when the observability layer is enabled.
-#[derive(Debug)]
-struct ServerGauges {
-    rolling_mse: obs::Gauge,
-    gamma_abs: obs::Gauge,
-    since_reanchor: obs::Gauge,
-    pending: obs::Gauge,
-    holdover: obs::Gauge,
-    /// °C below [`TEMP_LIMIT_C`] at the newest accepted sample.
-    headroom: obs::Gauge,
-    /// Absolute forecast-error summary (p50/p95/p99 via the P² sketch).
-    pred_err: obs::Summary,
-}
-
-/// The fleet roll-up gauges, registered on the first observe with the
-/// obs layer enabled.
-#[derive(Debug)]
-struct FleetGauges {
-    mse: obs::Gauge,
-    pred_err_p95: obs::Gauge,
-}
-
-impl FleetGauges {
-    fn register() -> FleetGauges {
-        let reg = obs::global();
-        FleetGauges {
-            mse: reg.gauge(names::METRIC_MONITOR_FLEET_MSE),
-            pred_err_p95: reg.gauge(names::METRIC_MONITOR_FLEET_PRED_ERR_P95),
-        }
-    }
-}
-
-impl ServerGauges {
-    fn register(server: usize) -> ServerGauges {
-        let reg = obs::global();
-        let gauge = |name| reg.gauge(&names::server_gauge(name, server));
-        ServerGauges {
-            rolling_mse: gauge(names::METRIC_MONITOR_ROLLING_MSE),
-            gamma_abs: gauge(names::METRIC_MONITOR_GAMMA_ABS),
-            since_reanchor: gauge(names::METRIC_MONITOR_SINCE_REANCHOR),
-            pending: gauge(names::METRIC_MONITOR_PENDING),
-            holdover: gauge(names::METRIC_MONITOR_HOLDOVER),
-            headroom: gauge(names::METRIC_MONITOR_TEMP_HEADROOM),
-            pred_err: reg.summary(&names::server_gauge(
-                names::METRIC_MONITOR_PRED_ABS_ERR,
-                server,
-            )),
-        }
-    }
-}
-
 /// What the degradation machinery did for one server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DegradationStats {
@@ -199,10 +152,9 @@ pub(crate) struct ServerRecord {
     /// Recent squared forecast errors for the rolling-MSE gauge.
     recent_sq_err: VecDeque<f64>,
     /// Absolute forecast-error P² sketch, maintained whether or not the
-    /// obs layer is enabled, so fleet roll-ups don't depend on it.
+    /// obs layer is enabled; the fleet roll-up folds it and
+    /// [`FleetMonitor::publish`] exports it.
     pred_err: obs::QuantileSketch,
-    /// Drift gauges; registered once the obs layer is enabled.
-    gauges: Option<ServerGauges>,
     /// Timestamp (s) of the newest engine sample consumed, `NaN` before
     /// any. Event-driven simulations leave the trace (and the delivery
     /// stream it feeds) untouched while a server sleeps; without this
@@ -235,7 +187,6 @@ impl ServerRecord {
             last_anchor: 0.0,
             recent_sq_err: VecDeque::new(),
             pred_err: obs::QuantileSketch::new(),
-            gauges: None,
             last_engine_t: f64::NAN,
             last_accepted: None,
             degradation: DegradationStats::default(),
@@ -299,7 +250,6 @@ impl ServerRecord {
         };
         self.settle(server, tick.now, tolerance);
         self.issue(server, origin, tick.gap_secs);
-        self.publish(tick.now);
     }
 
     /// Runs the new deliveries through the degradation filters: absorbs
@@ -411,9 +361,6 @@ impl ServerRecord {
             OBS_SCORED.inc();
             OBS_ABS_ERR.observe(err.abs());
             self.pred_err.observe(err.abs());
-            if let Some(gauges) = &self.gauges {
-                gauges.pred_err.observe(err.abs());
-            }
             obs::emit_with(|| ObsEvent::ForecastScored {
                 t_secs: now,
                 server,
@@ -440,21 +387,6 @@ impl ServerRecord {
         }
     }
 
-    /// Publishes the drift gauges, when registered.
-    fn publish(&self, now: f64) {
-        let Some(gauges) = &self.gauges else {
-            return;
-        };
-        gauges.rolling_mse.set(self.rolling_mse());
-        gauges.gamma_abs.set(self.predictor.gamma().abs());
-        gauges.since_reanchor.set(now - self.last_anchor);
-        gauges.pending.set(self.pending.len() as f64);
-        gauges.holdover.set(if self.holdover { 1.0 } else { 0.0 });
-        if let Some((_, v)) = self.last_accepted {
-            gauges.headroom.set(TEMP_LIMIT_C - v);
-        }
-    }
-
     fn rolling_mse(&self) -> f64 {
         let window = &self.recent_sq_err;
         if window.is_empty() {
@@ -478,7 +410,6 @@ pub struct FleetMonitor {
     anchored: bool,
     /// The simulation clock at the last `observe`, `None` before any.
     observed_at: Option<SimTime>,
-    fleet_gauges: Option<FleetGauges>,
 }
 
 impl FleetMonitor {
@@ -512,7 +443,6 @@ impl FleetMonitor {
             log_cursor: 0,
             anchored: false,
             observed_at: None,
-            fleet_gauges: None,
         })
     }
 
@@ -539,8 +469,7 @@ impl FleetMonitor {
     /// `sim.step()`), then only the servers the step woke are visited;
     /// `ambient_c` is the room temperature used when capturing
     /// configuration snapshots. One monitor follows one simulation.
-    /// While the obs layer is enabled it then publishes the fleet
-    /// roll-up gauges.
+    /// It writes no gauge or summary: see [`FleetMonitor::publish`].
     ///
     /// # Panics
     ///
@@ -554,13 +483,6 @@ impl FleetMonitor {
             "monitor covers {} servers, simulation has {covered}",
             self.records.len()
         );
-        if obs::enabled() {
-            for (server, record) in self.records.iter_mut().enumerate() {
-                record
-                    .gauges
-                    .get_or_insert_with(|| ServerGauges::register(server));
-            }
-        }
 
         // Initial anchor for every server, once traces exist: one batch
         // ψ_stable prediction instead of a scalar predict per server.
@@ -646,12 +568,47 @@ impl FleetMonitor {
                 }
             }
         }
-        if obs::enabled() {
-            let (mse, p95) = (self.fleet_mse(), self.fleet_pred_err().quantile(0.95));
-            let gauges = self.fleet_gauges.get_or_insert_with(FleetGauges::register);
-            gauges.mse.set(mse);
-            gauges.pred_err_p95.set(p95);
+    }
+
+    /// Writes the monitor's state to the global obs registry, as of the
+    /// last [`observe`](Self::observe): for each server updated at least
+    /// once, its six drift gauges and a copy of its forecast-error sketch
+    /// as its `{server="N"}` summary; then the fleet roll-up gauges. A
+    /// no-op while the obs layer is disabled or before any observe.
+    ///
+    /// This is the monitor's only gauge and summary write. A reader calls
+    /// it before it reads the registry: once per tick before
+    /// [`obs::eval_alerts`], or once before an export. Each summary is
+    /// replaced, not fed, so it describes this monitor alone.
+    pub fn publish(&self) {
+        let Some(at) = self.observed_at.filter(|_| obs::enabled()) else {
+            return;
+        };
+        let now = at.as_secs_f64();
+        let reg = obs::global();
+        for (server, r) in self.records.iter().enumerate() {
+            if r.last_engine_t.is_nan() {
+                continue;
+            }
+            let gauge = |name| reg.gauge(&names::server_gauge(name, server));
+            gauge(names::METRIC_MONITOR_ROLLING_MSE).set(r.rolling_mse());
+            gauge(names::METRIC_MONITOR_GAMMA_ABS).set(r.predictor.gamma().abs());
+            gauge(names::METRIC_MONITOR_SINCE_REANCHOR).set(now - r.last_anchor);
+            gauge(names::METRIC_MONITOR_PENDING).set(r.pending.len() as f64);
+            gauge(names::METRIC_MONITOR_HOLDOVER).set(if r.holdover { 1.0 } else { 0.0 });
+            if let Some((_, v)) = r.last_accepted {
+                gauge(names::METRIC_MONITOR_TEMP_HEADROOM).set(TEMP_LIMIT_C - v);
+            }
+            reg.summary(&names::server_gauge(
+                names::METRIC_MONITOR_PRED_ABS_ERR,
+                server,
+            ))
+            .replace(&r.pred_err);
         }
+        reg.gauge(names::METRIC_MONITOR_FLEET_MSE)
+            .set(self.fleet_mse());
+        reg.gauge(names::METRIC_MONITOR_FLEET_PRED_ERR_P95)
+            .set(self.fleet_pred_err().quantile(0.95));
     }
 
     /// Degradation counters for a server.
@@ -1094,6 +1051,7 @@ pub(crate) mod tests {
         );
 
         // Drift gauges agree with ServerStats and the monitor's own view.
+        monitor.publish();
         for i in 0..3 {
             let sid = ServerId::new(i);
             let stats = monitor.stats(sid);

@@ -260,15 +260,6 @@ fn sanitize_component(name: &str) -> String {
         .collect()
 }
 
-/// Opens a span on the current thread; see [`span`](fn@span). The guard binding is
-/// held until the end of the enclosing scope.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        let _obs_span_guard = $crate::span($name);
-    };
-}
-
 /// A counter handle resolved against the global registry on first use.
 /// `const`-constructible so instrumentation sites can own a `static`.
 pub struct LazyCounter {

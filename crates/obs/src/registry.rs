@@ -229,6 +229,12 @@ impl Summary {
         self.lock().observe(value);
     }
 
+    /// Replaces the summary's state with a copy of `sketch`, for a caller
+    /// that keeps its own sketch and exports it as of a point in time.
+    pub fn replace(&self, sketch: &QuantileSketch) {
+        self.lock().clone_from(sketch);
+    }
+
     /// Total number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {

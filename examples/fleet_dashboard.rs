@@ -3,8 +3,9 @@
 //! calibrated dynamic forecasts under VM churn).
 //!
 //! Six servers run a churning workload (boots, a stop, a migration). A
-//! [`FleetMonitor`] attaches one dynamic predictor per server and, because
-//! the global obs registry is enabled, exports per-server drift gauges:
+//! [`FleetMonitor`] attaches one dynamic predictor per server, and its
+//! `publish` writes per-server drift gauges to the global obs registry,
+//! which is enabled:
 //!
 //! - `vmtherm_monitor_rolling_mse{server="N"}` — MSE over the last 128
 //!   scored forecasts,
@@ -15,8 +16,9 @@
 //! - `vmtherm_monitor_pending_forecasts{server="N"}` — forecasts issued
 //!   but not yet matured.
 //!
-//! Every 180 s the example reads those gauges back from the registry —
-//! exactly what a scraping dashboard would do — and renders a drift table.
+//! Every 180 s the example publishes the monitor, reads those gauges
+//! back from the registry — exactly what a scraping dashboard would do —
+//! and renders a drift table.
 //!
 //! Run with: `cargo run --release --example fleet_dashboard`
 
@@ -127,6 +129,7 @@ fn main() {
             .as_millis()
             .is_multiple_of(TABLE_EVERY_SECS * 1000)
         {
+            monitor.publish();
             println!(
                 "\n  t={:>5}s | {:>11} | {:>7} | {:>13} | {:>7}",
                 sim.now().as_secs_f64() as u64,
