@@ -994,6 +994,7 @@ fn replay(flags: &Flags) -> Result<String, String> {
 
     let mut out = String::new();
     let mut failed = 0usize;
+    let mut last_monitor = None;
     for file in &files {
         let name = file.display();
         let text = fs::read_to_string(file).map_err(|e| format!("{name}: {e}"))?;
@@ -1001,7 +1002,10 @@ fn replay(flags: &Flags) -> Result<String, String> {
         let report = oracle::check_scenario(&scenario).map_err(|e| format!("{name}: {e}"))?;
         let mut lines: Vec<String> = report.failures.iter().map(ToString::to_string).collect();
         if let Some(model) = &model {
-            lines.extend(monitor_oracle(&scenario, model).map_err(|e| format!("{name}: {e}"))?);
+            let (violations, monitor) =
+                monitor_oracle(&scenario, model).map_err(|e| format!("{name}: {e}"))?;
+            lines.extend(violations);
+            last_monitor = Some(monitor);
         }
         if lines.is_empty() {
             let _ = writeln!(
@@ -1019,6 +1023,12 @@ fn replay(flags: &Flags) -> Result<String, String> {
             }
         }
     }
+    // Each monitor labels its series by server index, so publishing every
+    // scenario's would leave an earlier, larger fleet's servers in the
+    // export. It describes the last scenario's monitor only.
+    if let Some(monitor) = last_monitor {
+        monitor.publish();
+    }
     let summary = format!(
         "replayed {} scenario(s): {} passed, {failed} failed\n{out}",
         files.len(),
@@ -1032,8 +1042,11 @@ fn replay(flags: &Flags) -> Result<String, String> {
 }
 
 /// Drives the fleet monitor over a fixed-clock run of `scenario` and
-/// returns its consistency violations (empty = healthy).
-fn monitor_oracle(scenario: &Scenario, model: &StablePredictor) -> Result<Vec<String>, String> {
+/// returns its consistency violations (empty = healthy) and the monitor.
+fn monitor_oracle(
+    scenario: &Scenario,
+    model: &StablePredictor,
+) -> Result<(Vec<String>, FleetMonitor), String> {
     let mut sim = scenario
         .build(ClockMode::Fixed)
         .map_err(|e| e.to_string())?;
@@ -1054,8 +1067,7 @@ fn monitor_oracle(scenario: &Scenario, model: &StablePredictor) -> Result<Vec<St
         sim.step();
         monitor.observe(&sim, Celsius::new(ambient));
     }
-    monitor.publish();
-    Ok(monitor.invariant_report(&sim))
+    Ok((monitor.invariant_report(&sim), monitor))
 }
 
 /// Runs a small always-on fleet and serves its live metrics over HTTP.

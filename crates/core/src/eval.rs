@@ -74,15 +74,13 @@ fn replay<P: OnlinePredictor + ?Sized>(
     let gap_secs = gap_secs.get();
     assert!(series.len() >= 2, "need at least two samples");
     assert!(gap_secs > 0.0, "gap must be positive");
-    let times = series.times();
-    let values = series.values();
-    let Some(&end) = times.last() else {
+    let Some((end, _)) = series.last() else {
         return DynamicEvalReport::scored(predictor.name(), gap_secs, Vec::new());
     };
 
     let mut actuals = ActualCursor::default();
     let mut points = Vec::new();
-    for (i, (&t, &v)) in times.iter().zip(values).enumerate() {
+    for (i, (t, v)) in series.iter().enumerate() {
         before_observe(predictor, t, v);
         predictor.observe(Seconds::new(t), Celsius::new(v));
         let target = t + gap_secs;
@@ -94,7 +92,9 @@ fn replay<P: OnlinePredictor + ?Sized>(
             continue;
         }
         // Actual measurement at (or just after) the target time.
-        let actual = values[actuals.index(times, i, target)];
+        let Some((_, actual)) = series.get(actuals.index(series, i, target)) else {
+            continue;
+        };
         points.push(EvalPoint {
             t_secs: target,
             actual,
@@ -116,15 +116,15 @@ impl ActualCursor {
     /// The first index at or after `from` whose time is not below
     /// `target − 1e-9`, clamped to the last sample: the index
     /// `times[from..].partition_point(|t| *t < target - 1e-9) + from`
-    /// would give, provided `times` is sorted and neither `from` nor
+    /// would give over the series' times, provided neither `from` nor
     /// `target` decreases between calls.
-    fn index(&mut self, times: &[f64], from: usize, target: f64) -> usize {
+    fn index(&mut self, series: Series<'_>, from: usize, target: f64) -> usize {
         let mut c = self.next.max(from);
-        while c < times.len() && times[c] < target - 1e-9 {
+        while series.get(c).is_some_and(|(t, _)| t < target - 1e-9) {
             c += 1;
         }
         self.next = c;
-        c.min(times.len() - 1)
+        c.min(series.len().saturating_sub(1))
     }
 }
 
@@ -425,7 +425,7 @@ mod tests {
                 )
             })
             .collect();
-        let (t0, v0) = (series.series().times()[0], series.series().values()[0]);
+        let (t0, v0) = series.series().get(0).unwrap();
         let gap = Seconds::new(60.0);
         let anchors = [AnchorPoint {
             t_secs: t0,
@@ -518,6 +518,7 @@ mod tests {
                     t
                 })
                 .collect();
+            let series: TimeSeries = times.iter().map(|&t| (t, 0.0)).collect();
             for gap in [f64::from(gap_tenths) * 0.1, 0.25, 1.0, 1e3] {
                 let mut cursor = ActualCursor::default();
                 for (i, &ti) in times.iter().enumerate() {
@@ -528,7 +529,7 @@ mod tests {
                     let target = ti + gap;
                     let searched = times[i..].partition_point(|x| *x < target - 1e-9) + i;
                     proptest::prop_assert_eq!(
-                        cursor.index(&times, i, target),
+                        cursor.index(series.series(), i, target),
                         searched.min(times.len() - 1),
                         "sample {} gap {}", i, gap
                     );

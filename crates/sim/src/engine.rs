@@ -290,7 +290,7 @@ pub struct Simulation {
 /// Step latency is sampled on the last tick of every this many (ticks
 /// 63, 127, …), so the hot loop pays two clock reads only on one tick in
 /// 64. The first tick of each 64 would time tick 0's one-off costs and
-/// every doubling of the trace columns (at 64, 128, 256, … samples).
+/// every doubling of a dense trace column (at 64, 128, 256, … samples).
 const OBS_TIME_EVERY: u64 = 64;
 
 impl Simulation {
@@ -1123,6 +1123,7 @@ pub(crate) mod planted {
 mod tests {
     use super::*;
     use crate::server::ServerSpec;
+    use crate::telemetry::Series;
     use crate::workload::TaskProfile;
 
     fn two_server_sim() -> Simulation {
@@ -1295,10 +1296,7 @@ mod tests {
         assert_eq!(trace.sensor_c.len(), 30);
         assert_eq!(trace.utilization.len(), 30);
         // Temperature rose under load.
-        let (first, last) = (
-            trace.die_c.values()[0],
-            *trace.die_c.values().last().unwrap(),
-        );
+        let (first, last) = (trace.die_c.get(0).unwrap().1, trace.die_c.last().unwrap().1);
         assert!(last > first);
     }
 
@@ -1332,8 +1330,8 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(10));
         let trace = sim.trace(ServerId::new(0)).unwrap();
-        assert_eq!(*trace.ambient_c.values().last().unwrap(), 30.0);
-        assert_eq!(trace.ambient_c.values()[0], 25.0);
+        assert_eq!(trace.ambient_c.last().unwrap().1, 30.0);
+        assert_eq!(trace.ambient_c.get(0).unwrap().1, 25.0);
     }
 
     #[test]
@@ -1351,7 +1349,7 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(5));
         let trace = sim.trace(ServerId::new(0)).unwrap();
-        assert_eq!(*trace.ambient_c.values().last().unwrap(), 31.0);
+        assert_eq!(trace.ambient_c.last().unwrap().1, 31.0);
     }
 
     #[test]
@@ -1374,10 +1372,13 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(7));
         let trace = sim.trace(ServerId::new(0)).unwrap();
-        assert_eq!(trace.ambient_c.times(), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(
-            trace.ambient_c.values(),
+            trace.ambient_c.iter().collect::<Vec<_>>(),
             [25.0, 25.0, 25.0, 28.0, 33.0, 30.0, 30.0]
+                .into_iter()
+                .enumerate()
+                .map(|(t, v)| (t as f64, v))
+                .collect::<Vec<_>>()
         );
     }
 
@@ -1429,8 +1430,8 @@ mod tests {
         dc.set_rack_offset(RackId::new(1), 2.0);
         let mut sim = Simulation::new(dc, AmbientModel::Fixed(25.0), 7);
         sim.run_until(SimTime::from_secs(10));
-        let a = sim.trace(cool).unwrap().ambient_c.values()[5];
-        let b = sim.trace(warm).unwrap().ambient_c.values()[5];
+        let a = sim.trace(cool).unwrap().ambient_c.get(5).unwrap().1;
+        let b = sim.trace(warm).unwrap().ambient_c.get(5).unwrap().1;
         assert_eq!(a, 25.0);
         assert_eq!(b, 27.0);
     }
@@ -1446,10 +1447,9 @@ mod tests {
             .trace(ServerId::new(1))
             .unwrap()
             .utilization
-            .values()
             .last()
-            .copied()
-            .unwrap();
+            .unwrap()
+            .1;
         sim.schedule(
             SimTime::from_secs(5),
             Event::MigrateVm {
@@ -1462,10 +1462,9 @@ mod tests {
             .trace(ServerId::new(1))
             .unwrap()
             .utilization
-            .values()
             .last()
-            .copied()
-            .unwrap();
+            .unwrap()
+            .1;
         assert!(during > before, "dest load {during} not above {before}");
     }
 
@@ -1481,8 +1480,9 @@ mod tests {
             sim.trace(ServerId::new(0))
                 .unwrap()
                 .sensor_c
-                .values()
-                .to_vec()
+                .iter()
+                .map(|(_, v)| v)
+                .collect::<Vec<_>>()
         };
         let clean = run(false);
         let noop = run(true);
@@ -1704,8 +1704,8 @@ mod tests {
         let dense = fixed.trace(ServerId::new(4)).unwrap();
         let sparse = event.trace(ServerId::new(4)).unwrap();
         assert_eq!(
-            dense.sensor_c.times().last().copied(),
-            sparse.sensor_c.times().last().copied(),
+            dense.sensor_c.last().map(|(t, _)| t),
+            sparse.sensor_c.last().map(|(t, _)| t),
         );
         assert!(sparse.sensor_c.len() < dense.sensor_c.len());
     }
@@ -1771,8 +1771,8 @@ mod tests {
     }
 
     /// A server's five trace channels are one sample store: equal
-    /// lengths over one shared `times()` slice, on both clocks and under
-    /// a fault plan.
+    /// lengths over one time column, on both clocks and under a fault
+    /// plan.
     #[test]
     fn trace_channels_share_one_time_column() {
         for mut sim in [
@@ -1783,21 +1783,41 @@ mod tests {
             sim.run_until(SimTime::from_secs(900));
             for i in 0..sim.datacenter().len() {
                 let trace = sim.trace(ServerId::new(i)).unwrap();
-                let times = trace.sensor_c.times();
-                assert!(!times.is_empty(), "server {i} recorded nothing");
+                let times = |channel: Series<'_>| -> Vec<u64> {
+                    channel.iter().map(|(t, _)| t.to_bits()).collect()
+                };
+                let sensor = times(trace.sensor_c);
+                assert!(!sensor.is_empty(), "server {i} recorded nothing");
                 for channel in [
-                    trace.sensor_c,
                     trace.die_c,
                     trace.utilization,
                     trace.power_w,
                     trace.ambient_c,
                 ] {
-                    assert_eq!(channel.len(), times.len());
-                    assert_eq!(channel.values().len(), times.len());
-                    assert!(std::ptr::eq(channel.times(), times), "server {i}");
+                    assert_eq!(channel.len(), sensor.len());
+                    assert_eq!(times(channel), sensor, "server {i}");
                 }
             }
         }
+    }
+
+    /// On the Fixed clock under a fixed ambient an idle server's time,
+    /// utilization, power and ambient columns never leave their closed
+    /// forms; only the sensor and die columns are stored sample by sample.
+    #[test]
+    fn idle_fixed_clock_server_keeps_four_closed_form_columns() {
+        let mut sim = two_server_sim();
+        sim.run_until(SimTime::from_secs(1000));
+        let columns = &sim.slots[1].trace;
+        // Time column, then sensor, die, utilization, power, ambient.
+        assert_eq!(
+            columns.closed_forms(),
+            [true, false, false, true, true, true]
+        );
+        let trace = sim.trace(ServerId::new(1)).unwrap();
+        assert_eq!(trace.ambient_c.len(), 1000);
+        assert_eq!(trace.ambient_c.last(), Some((999.0, 25.0)));
+        assert_eq!(trace.utilization.get(500), Some((500.0, 0.0)));
     }
 
     /// An 11-server fleet on three racks behind a faulted delivery
@@ -2038,7 +2058,7 @@ mod tests {
             Simulation::new(dc, AmbientModel::Fixed(24.0), 7).with_clock(ClockMode::Event);
         sim.run_until(SimTime::from_secs(2000));
         let trace = sim.trace(ServerId::new(0)).unwrap();
-        let times = trace.sensor_c.times();
+        let times: Vec<f64> = trace.sensor_c.iter().map(|(t, _)| t).collect();
         let max_gap = times
             .windows(2)
             .map(|w| w[1] - w[0])

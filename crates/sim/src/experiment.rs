@@ -308,15 +308,15 @@ fn run_group(configs: &[&ExperimentConfig]) -> Vec<ExperimentOutcome> {
                     .expect("experiment VM placement failed");
             }
             let snapshot = ConfigSnapshot::capture(&sim, sid, ambient);
-            #[expect(
-                clippy::expect_used,
-                reason = "the server id was created by add_server a few lines above"
-            )]
-            let initial_temp = sim
-                .datacenter()
-                .server(sid)
-                .expect("server")
-                .die_temperature();
+            // A new server starts in equilibrium with the ambient it was
+            // added at (`Server::new`), and booting steps no physics.
+            let initial_temp = ambient.get();
+            debug_assert_eq!(
+                sim.datacenter()
+                    .server(sid)
+                    .map(|server| server.die_temperature().to_bits()),
+                Ok(initial_temp.to_bits())
+            );
             (snapshot, initial_temp)
         })
         .collect();

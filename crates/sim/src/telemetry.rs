@@ -37,14 +37,21 @@ impl std::error::Error for TelemetryError {}
 
 /// Rejects a sample at `secs` that precedes `last`, the newest recorded
 /// timestamp: every time column is monotone.
-fn check_monotone(last: Option<&f64>, secs: f64) -> Result<(), TelemetryError> {
+fn check_monotone(last: Option<f64>, secs: f64) -> Result<(), TelemetryError> {
     match last {
-        Some(&last_secs) if secs < last_secs => Err(TelemetryError::NonMonotonicTime {
+        Some(last_secs) if secs < last_secs => Err(TelemetryError::NonMonotonicTime {
             last_secs,
             new_secs: secs,
         }),
         _ => Ok(()),
     }
+}
+
+/// The timestamp (seconds) of sample `i` of a uniform time column: the
+/// same `f64` that [`SimTime::as_secs_f64`] gave when it was recorded.
+#[inline(always)]
+fn uniform_secs(first_ms: u64, step_ms: u64, i: usize) -> f64 {
+    SimTime::from_millis(first_ms + i as u64 * step_ms).as_secs_f64()
 }
 
 /// A time-stamped scalar series that owns its samples. Read it through
@@ -70,7 +77,7 @@ impl TimeSeries {
     /// `t` precedes the last sample — series are monotone.
     pub fn push(&mut self, t: SimTime, value: f64) -> Result<(), TelemetryError> {
         let secs = t.as_secs_f64();
-        check_monotone(self.times.last(), secs)?;
+        check_monotone(self.times.last().copied(), secs)?;
         self.times.push(secs);
         self.values.push(value);
         Ok(())
@@ -80,8 +87,9 @@ impl TimeSeries {
     #[must_use]
     pub fn series(&self) -> Series<'_> {
         Series {
-            times: &self.times,
-            values: &self.values,
+            len: self.times.len(),
+            times: Times::Dense(&self.times),
+            values: Values::Dense(&self.values),
         }
     }
 }
@@ -98,43 +106,89 @@ impl FromIterator<(f64, f64)> for TimeSeries {
     }
 }
 
-/// A borrowed time-stamped scalar series: a column of non-decreasing
-/// timestamps (seconds) and the column of values beside it, of equal
-/// length. The channels of one [`ServerTrace`] share one time column.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A borrowed time column: a uniform stride in closed form, or the
+/// recorded seconds.
+#[derive(Debug, Clone, Copy)]
+enum Times<'a> {
+    /// Sample `i` at `first_ms + i·step_ms` milliseconds.
+    Uniform { first_ms: u64, step_ms: u64 },
+    /// Sample `i` at `secs[i]` seconds.
+    Dense(&'a [f64]),
+}
+
+impl Times<'_> {
+    /// The timestamp (seconds) of sample `i`, which must exist.
+    #[inline(always)]
+    fn at(self, i: usize) -> f64 {
+        match self {
+            Times::Uniform { first_ms, step_ms } => uniform_secs(first_ms, step_ms, i),
+            Times::Dense(secs) => secs[i],
+        }
+    }
+}
+
+/// A borrowed value column: one repeated value, or the recorded values.
+#[derive(Debug, Clone, Copy)]
+enum Values<'a> {
+    /// Every sample holds this value (bit for bit).
+    Constant(f64),
+    /// Sample `i` holds `values[i]`.
+    Dense(&'a [f64]),
+}
+
+impl Values<'_> {
+    /// The value of sample `i`, which must exist.
+    #[inline(always)]
+    fn at(self, i: usize) -> f64 {
+        match self {
+            Values::Constant(value) => value,
+            Values::Dense(values) => values[i],
+        }
+    }
+}
+
+/// A borrowed time-stamped scalar series: `len` samples, each a
+/// non-decreasing timestamp (seconds) and a value. Either column may be
+/// held in closed form (a uniform stride, a repeated value); every reader
+/// returns the bits that were recorded. The channels of one
+/// [`ServerTrace`] share one time column.
+#[derive(Debug, Clone, Copy)]
 pub struct Series<'a> {
-    times: &'a [f64],
-    values: &'a [f64],
+    len: usize,
+    times: Times<'a>,
+    values: Values<'a>,
+}
+
+impl PartialEq for Series<'_> {
+    /// Equal when the samples are, whatever form the columns are in.
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
 }
 
 impl<'a> Series<'a> {
     /// Number of samples.
     #[must_use]
     pub fn len(self) -> usize {
-        self.times.len()
+        self.len
     }
 
     /// `true` when no samples have been recorded.
     #[must_use]
     pub fn is_empty(self) -> bool {
-        self.times.is_empty()
+        self.len == 0
     }
 
-    /// Sample timestamps (seconds).
+    /// Sample `i` as `(time_secs, value)`, or `None` past the end.
+    #[inline]
     #[must_use]
-    pub fn times(self) -> &'a [f64] {
-        self.times
-    }
-
-    /// Sample values.
-    #[must_use]
-    pub fn values(self) -> &'a [f64] {
-        self.values
+    pub fn get(self, i: usize) -> Option<(f64, f64)> {
+        (i < self.len).then(|| (self.times.at(i), self.values.at(i)))
     }
 
     /// Iterates `(time_secs, value)` pairs.
     pub fn iter(self) -> impl Iterator<Item = (f64, f64)> + 'a {
-        self.times.iter().copied().zip(self.values.iter().copied())
+        (0..self.len).map(move |i| (self.times.at(i), self.values.at(i)))
     }
 
     /// Mean of the values sampled at or after `from` — Eq. (1)'s
@@ -154,16 +208,24 @@ impl<'a> Series<'a> {
     #[must_use]
     pub fn value_at(self, t: SimTime) -> Option<f64> {
         let secs = t.as_secs_f64();
-        match self.times.partition_point(|x| *x <= secs) {
-            0 => None,
-            n => self.values.get(n - 1).copied(),
+        // Binary search for the count of samples at or before `secs`.
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.times.at(mid) <= secs {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
+        let (_, value) = self.get(lo.checked_sub(1)?)?;
+        Some(value)
     }
 
     /// The most recent sample.
     #[must_use]
     pub fn last(self) -> Option<(f64, f64)> {
-        Some((*self.times.last()?, *self.values.last()?))
+        self.get(self.len.checked_sub(1)?)
     }
 
     /// Serialises as two-column CSV with a header.
@@ -179,10 +241,8 @@ impl<'a> Series<'a> {
     /// An owned copy of the samples.
     #[must_use]
     pub fn to_time_series(self) -> TimeSeries {
-        TimeSeries {
-            times: self.times.to_vec(),
-            values: self.values.to_vec(),
-        }
+        let (times, values) = self.iter().unzip();
+        TimeSeries { times, values }
     }
 }
 
@@ -206,16 +266,136 @@ pub struct ServerTrace<'a> {
 /// Channels per [`ServerTrace`].
 pub(crate) const CHANNELS: usize = 5;
 
-/// One server's trace as the engine stores it: one time column and the
-/// [`CHANNELS`] value columns beside it, all of equal length — 48 bytes
-/// per sample where five [`TimeSeries`] would take 80. Read it through
-/// [`TraceColumns::view`].
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A trace's time column. It keeps its stride in closed form until the
+/// first sample off that stride, then holds the recorded seconds.
+#[derive(Debug)]
+enum TimeColumn {
+    /// Sample `i` at `first_ms + i·step_ms` milliseconds; `step_ms` is
+    /// set by the second sample.
+    Uniform { first_ms: u64, step_ms: u64 },
+    /// Sample `i` at `secs[i]` seconds.
+    Dense(Vec<f64>),
+}
+
+impl Default for TimeColumn {
+    fn default() -> Self {
+        TimeColumn::Uniform {
+            first_ms: 0,
+            step_ms: 0,
+        }
+    }
+}
+
+impl TimeColumn {
+    /// The timestamp (seconds) of the newest of `len` samples.
+    fn last_secs(&self, len: usize) -> Option<f64> {
+        let last = len.checked_sub(1)?;
+        Some(self.view().at(last))
+    }
+
+    /// Appends sample number `len` at `t` (`secs` seconds), already
+    /// checked monotone. A uniform column that `t` breaks turns dense.
+    #[inline(always)]
+    fn push(&mut self, len: usize, t: SimTime, secs: f64) {
+        if let TimeColumn::Uniform { first_ms, step_ms } = self {
+            let ms = t.as_millis();
+            match len {
+                0 => {
+                    *first_ms = ms;
+                    return;
+                }
+                // The monotone check compared seconds, so `ms` can only
+                // precede `first_ms` where both round to one `f64`.
+                1 => {
+                    if let Some(step) = ms.checked_sub(*first_ms) {
+                        *step_ms = step;
+                        return;
+                    }
+                }
+                _ => {
+                    let on_stride = step_ms
+                        .checked_mul(len as u64)
+                        .and_then(|offset| first_ms.checked_add(offset));
+                    if on_stride == Some(ms) {
+                        return;
+                    }
+                }
+            }
+            let (first_ms, step_ms) = (*first_ms, *step_ms);
+            *self = TimeColumn::Dense(
+                (0..len)
+                    .map(|i| uniform_secs(first_ms, step_ms, i))
+                    .collect(),
+            );
+        }
+        if let TimeColumn::Dense(column) = self {
+            column.push(secs);
+        }
+    }
+
+    fn view(&self) -> Times<'_> {
+        match *self {
+            TimeColumn::Uniform { first_ms, step_ms } => Times::Uniform { first_ms, step_ms },
+            TimeColumn::Dense(ref secs) => Times::Dense(secs),
+        }
+    }
+}
+
+/// A trace's value column. It keeps one value (compared by bits, so
+/// `-0.0` differs from `0.0` and each NaN payload from the others) until
+/// the first sample that differs, then holds the recorded values.
+#[derive(Debug)]
+enum ValueColumn {
+    /// Every sample holds `f64::from_bits` of this.
+    Constant(u64),
+    /// Sample `i` holds `values[i]`.
+    Dense(Vec<f64>),
+}
+
+impl Default for ValueColumn {
+    fn default() -> Self {
+        ValueColumn::Constant(0)
+    }
+}
+
+impl ValueColumn {
+    /// Appends sample number `len`. A constant column that `value`
+    /// differs from turns dense.
+    #[inline(always)]
+    fn push(&mut self, len: usize, value: f64) {
+        match self {
+            ValueColumn::Constant(bits) if len == 0 => *bits = value.to_bits(),
+            ValueColumn::Constant(bits) if *bits == value.to_bits() => {}
+            ValueColumn::Constant(bits) => {
+                let mut values = vec![f64::from_bits(*bits); len];
+                values.push(value);
+                *self = ValueColumn::Dense(values);
+            }
+            ValueColumn::Dense(values) => values.push(value),
+        }
+    }
+
+    fn view(&self) -> Values<'_> {
+        match *self {
+            ValueColumn::Constant(bits) => Values::Constant(f64::from_bits(bits)),
+            ValueColumn::Dense(ref values) => Values::Dense(values),
+        }
+    }
+}
+
+/// One server's trace as the engine stores it: `len` samples of one time
+/// column and the [`CHANNELS`] value columns beside it. Each column stays
+/// in closed form (a uniform stride, a repeated value) while its samples
+/// fit one, so a Fixed-clock server under a fixed ambient stores 8 bytes
+/// per sample and channel that varies, where dense columns took 48 per
+/// sample. Read it through [`TraceColumns::view`].
+#[derive(Debug, Default)]
 pub(crate) struct TraceColumns {
-    times: Vec<f64>,
+    len: usize,
+    times: TimeColumn,
     /// Value columns in [`ServerTrace`] field order: sensor, die,
     /// utilization, power, ambient.
-    channels: [Vec<f64>; CHANNELS],
+    channels: [ValueColumn; CHANNELS],
 }
 
 impl TraceColumns {
@@ -233,22 +413,25 @@ impl TraceColumns {
         sample: [f64; CHANNELS],
     ) -> Result<(), TelemetryError> {
         let secs = t.as_secs_f64();
-        check_monotone(self.times.last(), secs)?;
-        self.times.push(secs);
+        check_monotone(self.times.last_secs(self.len), secs)?;
+        self.times.push(self.len, t, secs);
         for (column, value) in self.channels.iter_mut().zip(sample) {
-            column.push(value);
+            column.push(self.len, value);
         }
+        self.len += 1;
         Ok(())
     }
 
     /// The five channels as [`Series`] over the one time column.
     #[inline]
     pub(crate) fn view(&self) -> ServerTrace<'_> {
-        let times = &self.times[..];
-        let [sensor_c, die_c, utilization, power_w, ambient_c] = self
-            .channels
-            .each_ref()
-            .map(|values| Series { times, values });
+        let (len, times) = (self.len, self.times.view());
+        let [sensor_c, die_c, utilization, power_w, ambient_c] =
+            self.channels.each_ref().map(|column| Series {
+                len,
+                times,
+                values: column.view(),
+            });
         ServerTrace {
             sensor_c,
             die_c,
@@ -256,6 +439,17 @@ impl TraceColumns {
             power_w,
             ambient_c,
         }
+    }
+
+    /// Which columns still hold a closed form: the time column, then the
+    /// value columns in [`ServerTrace`] field order.
+    #[cfg(test)]
+    pub(crate) fn closed_forms(&self) -> [bool; 1 + CHANNELS] {
+        let mut closed = [matches!(self.times, TimeColumn::Uniform { .. }); 1 + CHANNELS];
+        for (flag, column) in closed[1..].iter_mut().zip(&self.channels) {
+            *flag = matches!(column, ValueColumn::Constant(_));
+        }
+        closed
     }
 }
 
@@ -406,70 +600,191 @@ mod tests {
         assert_eq!(ts.series().to_time_series(), ts);
     }
 
-    /// The five channels of a [`TraceColumns`] view, paired with the
-    /// standalone series each one replaces.
-    fn channel_pairs<'a>(
-        view: ServerTrace<'a>,
-        alone: &'a [TimeSeries; CHANNELS],
-    ) -> [(Series<'a>, Series<'a>); CHANNELS] {
-        let [a, b, c, d, e] = alone;
-        [
-            (view.sensor_c, a.series()),
-            (view.die_c, b.series()),
-            (view.utilization, c.series()),
-            (view.power_w, d.series()),
-            (view.ambient_c, e.series()),
+    /// The samples a [`TraceColumns`] was offered, kept the naive way: one
+    /// `Vec` of times and one `Vec` per channel.
+    #[derive(Default)]
+    struct Naive {
+        millis: Vec<u64>,
+        times: Vec<f64>,
+        channels: [Vec<f64>; CHANNELS],
+    }
+
+    impl Naive {
+        fn push(&mut self, t: SimTime, sample: [f64; CHANNELS]) -> Result<(), TelemetryError> {
+            let secs = t.as_secs_f64();
+            if let Some(&last_secs) = self.times.last() {
+                if secs < last_secs {
+                    return Err(TelemetryError::NonMonotonicTime {
+                        last_secs,
+                        new_secs: secs,
+                    });
+                }
+            }
+            self.millis.push(t.as_millis());
+            self.times.push(secs);
+            for (column, value) in self.channels.iter_mut().zip(sample) {
+                column.push(value);
+            }
+            Ok(())
+        }
+    }
+
+    /// The `f64` that `pick` names among those a closed form must tell
+    /// apart (signed zeros, NaN payloads), else `reading`.
+    fn awkward(pick: u8, reading: f64) -> f64 {
+        match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::from_bits(0x7ff8_0000_0000_0001),
+            4 => f64::from_bits(0xfff8_0000_0000_0002),
+            5 => 24.0,
+            _ => reading,
+        }
+    }
+
+    /// Every channel's samples as bits, and which columns are in closed
+    /// form.
+    fn contents(columns: &TraceColumns) -> (Vec<Vec<(u64, u64)>>, [bool; 1 + CHANNELS]) {
+        let view = columns.view();
+        let samples = [
+            view.sensor_c,
+            view.die_c,
+            view.utilization,
+            view.power_w,
+            view.ambient_c,
         ]
+        .map(|series| {
+            series
+                .iter()
+                .map(|(t, v)| (t.to_bits(), v.to_bits()))
+                .collect()
+        });
+        (samples.to_vec(), columns.closed_forms())
+    }
+
+    /// Millisecond offsets between offered samples, run by run: kind 0
+    /// is the Fixed clock's 1 s stride, 1 an arbitrary stride (0 repeats
+    /// a time), 2 the Event clock's doubling sleep capped at 16 s, and 3
+    /// one backwards step.
+    fn offsets(kinds: &[u8], strides: &[u64], counts: &[usize]) -> Vec<i64> {
+        let mut out = Vec::new();
+        for ((&kind, &stride), &count) in kinds.iter().zip(strides).zip(counts) {
+            match kind % 4 {
+                0 => out.extend(std::iter::repeat_n(1_000, count)),
+                1 => out.extend(std::iter::repeat_n(stride as i64, count)),
+                2 => out.extend((0..count).map(|k| 1_000i64 << k.min(4))),
+                _ => out.push(-1 - (stride % 3_000) as i64),
+            }
+        }
+        out
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// The column store records exactly what five standalone series
-        /// would: every channel view reads the same bits as its
-        /// `TimeSeries`, and a backwards sample leaves all six columns
-        /// untouched.
+        /// Every `Series` reader of every channel returns, bit for bit,
+        /// what naive dense columns return, while the columns take and
+        /// leave their closed forms; a backwards sample is rejected the
+        /// same way and changes no column. Each column is in closed form
+        /// exactly when every recorded sample fits it.
         #[test]
-        fn columns_match_five_standalone_series(
-            steps_ms in proptest::collection::vec(-3_000i64..5_000, 0..60),
-            values in proptest::collection::vec(-50.0..150.0f64, CHANNELS * 60),
-            from_ms in 0u64..200_000,
-            at_ms in 0u64..200_000,
+        fn every_reader_matches_naive_dense_columns(
+            start_ms in 0u64..5_000,
+            kinds in proptest::collection::vec(0u8..4, 0..7),
+            strides in proptest::collection::vec(0u64..20_000, 7),
+            counts in proptest::collection::vec(1usize..40, 7),
+            picks in proptest::collection::vec(0u8..8, CHANNELS + 16),
+            readings in proptest::collection::vec(-50.0..150.0f64, CHANNELS + 16),
+            breaks in proptest::collection::vec(0usize..120, CHANNELS),
+            from_ms in 0u64..300_000,
+            at_ms in 0u64..300_000,
         ) {
             let mut columns = TraceColumns::default();
-            let mut alone: [TimeSeries; CHANNELS] = Default::default();
-            let mut offered_ms = 0i64;
-            for (i, step) in steps_ms.iter().enumerate() {
+            let mut naive = Naive::default();
+            let mut offered_ms = start_ms as i64;
+            let values: Vec<f64> = picks.iter().zip(&readings).map(|(&p, &r)| awkward(p, r)).collect();
+            let (firsts, tails) = values.split_at(CHANNELS);
+            for (i, step) in std::iter::once(0).chain(offsets(&kinds, &strides, &counts)).enumerate() {
                 offered_ms = (offered_ms + step).max(0);
                 let t = SimTime::from_millis(offered_ms as u64);
-                let mut sample = [0.0; CHANNELS];
-                sample.copy_from_slice(&values[i * CHANNELS..(i + 1) * CHANNELS]);
-                let before = columns.clone();
+                let sample: [f64; CHANNELS] = std::array::from_fn(|c| {
+                    match i.checked_sub(breaks[c]) {
+                        None => firsts[c],
+                        Some(k) => tails[(k + c) % tails.len()],
+                    }
+                });
+                let before = contents(&columns);
                 let stored = columns.push(t, sample);
-                for (ts, v) in alone.iter_mut().zip(sample) {
-                    proptest::prop_assert_eq!(ts.push(t, v), stored.clone());
-                }
+                proptest::prop_assert_eq!(&stored, &naive.push(t, sample));
                 if stored.is_err() {
-                    proptest::prop_assert_eq!(&columns, &before);
+                    proptest::prop_assert_eq!(contents(&columns), before);
                 }
             }
-            let view = columns.view();
-            let from = SimTime::from_millis(from_ms);
-            let at = SimTime::from_millis(at_ms);
+
+            let uniform = naive.millis.windows(3).all(|w| w[1] - w[0] == w[2] - w[1]);
+            let mut closed = vec![uniform];
+            closed.extend(naive.channels.iter().map(|column| {
+                column.windows(2).all(|w| w[0].to_bits() == w[1].to_bits())
+            }));
+            proptest::prop_assert_eq!(columns.closed_forms().to_vec(), closed);
+
             let bits = |p: Option<f64>| p.map(f64::to_bits);
             let pair_bits = |p: Option<(f64, f64)>| p.map(|(t, v)| (t.to_bits(), v.to_bits()));
-            for (column, series) in channel_pairs(view, &alone) {
-                proptest::prop_assert!(std::ptr::eq(column.times(), view.sensor_c.times()));
+            let view = columns.view();
+            let channels = [view.sensor_c, view.die_c, view.utilization, view.power_w, view.ambient_c];
+            for (series, values) in channels.into_iter().zip(&naive.channels) {
+                let times = &naive.times;
+                let n = times.len();
+                proptest::prop_assert_eq!(series.len(), n);
+                proptest::prop_assert_eq!(series.is_empty(), n == 0);
                 proptest::prop_assert_eq!(
-                    column.iter().map(|(t, v)| (t.to_bits(), v.to_bits())).collect::<Vec<_>>(),
-                    series.iter().map(|(t, v)| (t.to_bits(), v.to_bits())).collect::<Vec<_>>()
+                    series.iter().map(|(t, v)| (t.to_bits(), v.to_bits())).collect::<Vec<_>>(),
+                    times.iter().zip(values).map(|(t, v)| (t.to_bits(), v.to_bits())).collect::<Vec<_>>()
                 );
-                proptest::prop_assert_eq!(pair_bits(column.last()), pair_bits(series.last()));
+                for i in 0..=n {
+                    let want = times.get(i).zip(values.get(i)).map(|(&t, &v)| (t, v));
+                    proptest::prop_assert_eq!(pair_bits(series.get(i)), pair_bits(want));
+                }
+                let last = times.last().zip(values.last()).map(|(&t, &v)| (t, v));
+                proptest::prop_assert_eq!(pair_bits(series.last()), pair_bits(last));
+
+                let probes = naive.millis.iter().flat_map(|&ms| [ms, ms + 1, ms.saturating_sub(1)]);
+                for ms in probes.chain([0, at_ms]) {
+                    let secs = SimTime::from_millis(ms).as_secs_f64();
+                    let want = times
+                        .partition_point(|x| *x <= secs)
+                        .checked_sub(1)
+                        .map(|k| values[k]);
+                    proptest::prop_assert_eq!(bits(series.value_at(SimTime::from_millis(ms))), bits(want));
+                }
+
+                let from_secs = SimTime::from_millis(from_ms).as_secs_f64();
+                let (mut sum, mut count) = (0.0, 0usize);
+                for (t, v) in times.iter().zip(values) {
+                    if *t >= from_secs {
+                        sum += v;
+                        count += 1;
+                    }
+                }
+                let want = (count > 0).then(|| sum / count as f64);
+                proptest::prop_assert_eq!(bits(series.mean_after(SimTime::from_millis(from_ms))), bits(want));
+
+                let mut csv = String::from("time_s,x\n");
+                for (t, v) in times.iter().zip(values) {
+                    csv.push_str(&format!("{t},{v}\n"));
+                }
+                proptest::prop_assert_eq!(series.to_csv("x"), csv);
+
+                let owned = series.to_time_series();
                 proptest::prop_assert_eq!(
-                    bits(column.mean_after(from)),
-                    bits(series.mean_after(from))
+                    owned.times.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                    times.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
                 );
-                proptest::prop_assert_eq!(bits(column.value_at(at)), bits(series.value_at(at)));
+                proptest::prop_assert_eq!(
+                    owned.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    values.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                );
             }
         }
     }

@@ -116,7 +116,7 @@ fn main() {
     let mut calibrated = DynamicPredictor::new(DynamicConfig::new()).expect("config");
     let mut uncalibrated =
         DynamicPredictor::new(DynamicConfig::new().without_calibration()).expect("config");
-    let phi0 = series.values()[0];
+    let (_, phi0) = series.get(0).expect("trace");
     for p in [&mut calibrated, &mut uncalibrated] {
         p.anchor_with_model(Seconds::ZERO, Celsius::new(phi0), &stable, &snapshot_before);
     }
@@ -129,16 +129,17 @@ fn main() {
     ] {
         // Manual replay so the re-anchor lands mid-stream.
         let mut scored: Vec<(f64, f64)> = Vec::new();
-        let (times, values) = (series.times(), series.values());
-        for (i, (&t, &v)) in times.iter().zip(values).enumerate() {
+        for (i, (t, v)) in series.iter().enumerate() {
             if (t - migrate_at.as_secs_f64()).abs() < 0.5 {
                 pred.anchor_with_model(Seconds::new(t), Celsius::new(v), &stable, &snapshot_after);
             }
             pred.observe(Seconds::new(t), Celsius::new(v));
             let target = t + gap;
-            if let Some(j) = times[i..].iter().position(|x| *x >= target - 1e-9) {
+            let at_target =
+                (i..series.len()).find_map(|j| series.get(j).filter(|(x, _)| *x >= target - 1e-9));
+            if let Some((_, actual)) = at_target {
                 scored.push((
-                    values[i + j],
+                    actual,
                     pred.predict_ahead(Seconds::new(t), Seconds::new(gap)),
                 ));
             }
