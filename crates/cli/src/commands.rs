@@ -330,11 +330,7 @@ impl ObsSinks {
         }
         let mut result = Ok(());
         if let Some(path) = trace {
-            let mut text = String::new();
-            for event in obs::disable_trace() {
-                text.push_str(&event.to_json().render());
-                text.push('\n');
-            }
+            let text = obs::event::to_jsonl(&obs::disable_trace());
             // Append so a collect → train → monitor pipeline accumulates one
             // trace across invocations.
             result = fs::OpenOptions::new()

@@ -20,10 +20,6 @@ use vmtherm_units::constants::{paper_t_break, PAPER_DELTA_UPDATE_SECS, PAPER_LAM
 use vmtherm_units::{Celsius, Seconds};
 
 static OBS_GAMMA_UPDATES: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_GAMMA_UPDATES);
-static OBS_CALIBRATION_NS: obs::LazyHistogram = obs::LazyHistogram::new(
-    names::METRIC_CALIBRATION_UPDATE_NS,
-    obs::Histogram::ns_buckets,
-);
 
 /// Tunables of the dynamic predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -184,23 +180,18 @@ impl OnlinePredictor for DynamicPredictor {
         if !self.config.calibrate {
             return;
         }
-        if let Ok(curve_value) = self.curve_value(t_secs) {
-            let timer = OBS_CALIBRATION_NS.start_timer();
-            let updated = self
-                .calibrator
-                .observe(t_secs, measured_c, Celsius::new(curve_value));
-            if updated {
-                let _ = timer.stop();
-                OBS_GAMMA_UPDATES.inc();
-                obs::emit_with(|| ObsEvent::GammaUpdate {
-                    t_secs: t_secs.get(),
-                    gamma: self.calibrator.gamma(),
-                });
-            } else {
-                // Not due yet: no γ update happened, so don't record a
-                // latency sample for it.
-                timer.cancel();
-            }
+        let Ok(curve_value) = self.curve_value(t_secs) else {
+            return;
+        };
+        if self
+            .calibrator
+            .observe(t_secs, measured_c, Celsius::new(curve_value))
+        {
+            OBS_GAMMA_UPDATES.inc();
+            obs::emit_with(|| ObsEvent::GammaUpdate {
+                t_secs: t_secs.get(),
+                gamma: self.calibrator.gamma(),
+            });
         }
     }
 

@@ -11,7 +11,6 @@ use crate::predictor::OnlinePredictor;
 use crate::stable::StablePredictor;
 use vmtherm_sim::experiment::ExperimentOutcome;
 use vmtherm_sim::telemetry::Series;
-use vmtherm_sim::time::SimTime;
 use vmtherm_svm::metrics;
 use vmtherm_units::{Celsius, Seconds};
 
@@ -269,13 +268,6 @@ pub fn evaluate_stable(
     }
 }
 
-/// The ψ_stable of Eq. (1) for an arbitrary series and break time —
-/// re-exported here so downstream code computes it one way only.
-#[must_use]
-pub fn psi_stable(series: Series<'_>, t_break: SimTime) -> Option<f64> {
-    series.mean_after(t_break)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,14 +482,6 @@ mod tests {
             stable.to_csv(),
             "case,measured_c,predicted_c,error_c\n0,50,51,1\n"
         );
-    }
-
-    #[test]
-    fn psi_stable_matches_series_mean() {
-        let series = ramp_series(100);
-        let v = psi_stable(series.series(), SimTime::from_secs(90)).unwrap();
-        // samples 90..=99 → values 39.0..39.9, mean 39.45.
-        assert!((v - 39.45).abs() < 1e-9);
     }
 
     proptest::proptest! {

@@ -475,8 +475,7 @@ impl FleetMonitor {
     ///
     /// Panics if the simulation has more servers than the monitor.
     pub fn observe(&mut self, sim: &Simulation, ambient_c: Celsius) {
-        let _span = obs::span(names::SPAN_MONITOR_OBSERVE);
-        let _sweep_timer = OBS_OBSERVE_NS.start_timer();
+        let span = obs::span(names::SPAN_MONITOR_OBSERVE);
         let covered = sim.datacenter().len();
         assert!(
             covered <= self.records.len(),
@@ -567,6 +566,9 @@ impl FleetMonitor {
                     record.update(&tick, server);
                 }
             }
+        }
+        if let Some(dur_ns) = span.finish() {
+            OBS_OBSERVE_NS.observe(dur_ns as f64);
         }
     }
 

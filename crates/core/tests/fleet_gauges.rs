@@ -1,6 +1,8 @@
 //! `FleetMonitor::publish` is the monitor's one export path: it writes
 //! the drift gauges, each server's forecast-error summary and the fleet
 //! roll-up gauges from the monitor's own state, as of the last observe.
+//! The one metric `observe` feeds itself, its latency summary, reads the
+//! `monitor_observe` span's duration.
 //!
 //! Its own test binary: the registry and the obs switch are
 //! process-global, so every test here holds `obs_lock` and no other
@@ -205,4 +207,32 @@ fn summaries_describe_the_last_monitor_published() {
         assert!(first.stats(ServerId::new(s)).scored as u64 > scored);
         assert_eq!(pred_err_count(s), scored, "server {s}");
     }
+}
+
+#[test]
+fn observe_summary_reads_the_monitor_observe_span() {
+    let _guard = obs_lock();
+    let span_stat = || {
+        obs::span_stats()
+            .into_iter()
+            .find(|(path, _)| path == names::SPAN_MONITOR_OBSERVE)
+            .map(|(_, stat)| stat)
+            .unwrap_or_default()
+    };
+    let summary = obs::global().summary(names::METRIC_MONITOR_OBSERVE_NS);
+    let (count_before, sum_before, span_before) = (summary.count(), summary.sum(), span_stat());
+    let mut sim = faulted_fleet();
+    let mut monitor = monitor();
+    obs::set_enabled(true);
+    run(&mut sim, &mut monitor, 50);
+    obs::set_enabled(false);
+
+    let span_after = span_stat();
+    assert_eq!(span_after.count - span_before.count, 50);
+    assert_eq!(summary.count() - count_before, 50);
+    // Nanosecond totals stay far below 2^53, so the f64 sum is exact.
+    assert_eq!(
+        summary.sum() - sum_before,
+        (span_after.total_ns - span_before.total_ns) as f64
+    );
 }

@@ -406,16 +406,18 @@ impl EventLog {
     pub fn snapshot(&self) -> Vec<ObsEvent> {
         self.events.iter().cloned().collect()
     }
+}
 
-    /// Renders the buffered events as JSONL without draining them.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            out.push_str(&event.to_json().render());
-            out.push('\n');
-        }
-        out
+/// Renders events as JSONL: one record per line, each ending in `\n`. The
+/// one writer behind trace files, flight-recorder dumps and test fixtures.
+#[must_use]
+pub fn to_jsonl(events: &[ObsEvent]) -> String {
+    let mut out = String::new();
+    for event in events {
+        out.push_str(&event.to_json().render());
+        out.push('\n');
     }
+    out
 }
 
 #[cfg(test)]
@@ -533,11 +535,7 @@ mod tests {
 
     #[test]
     fn jsonl_has_one_line_per_event() {
-        let mut log = EventLog::new(TraceMode::Unbounded);
-        for event in samples() {
-            log.push(event);
-        }
-        let text = log.to_jsonl();
+        let text = to_jsonl(&samples());
         assert_eq!(text.lines().count(), samples().len());
         for line in text.lines() {
             let parsed = json::parse(line).expect("line parses");

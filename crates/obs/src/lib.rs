@@ -15,7 +15,10 @@
 //! [`LazyCounter`] / [`LazyHistogram`] / [`LazySummary`] handles or
 //! [`span`](fn@span) guards, all of which check one relaxed atomic load
 //! first — when disabled, instrumentation costs a branch and nothing else,
-//! and nothing allocates.
+//! and nothing allocates. A timed region is a span; a histogram or summary
+//! reporting its latency observes [`SpanGuard::finish`]'s duration, so the
+//! region reads the clock once at open and once at close. The one timer,
+//! [`LazyHistogram::start_timer`], is for sampled timing outside the tree.
 
 #![warn(missing_docs)]
 // Library code is panic-free: a vetted unwrap/expect/panic carries an
@@ -218,11 +221,7 @@ fn write_flight_dump(event: &AlertEvent) -> Option<String> {
     if preceding.is_empty() {
         return None;
     }
-    let mut text = String::new();
-    for e in &preceding {
-        text.push_str(&e.to_json().render());
-        text.push('\n');
-    }
+    let mut text = event::to_jsonl(&preceding);
     text.push_str(
         &ObsEvent::Alert {
             t_secs: event.t_secs,
@@ -329,69 +328,30 @@ impl LazyHistogram {
 
     /// Starts a wall-clock timer whose elapsed nanoseconds are recorded on
     /// drop. When the layer is disabled the timer holds no timestamp and its
-    /// drop is a branch on `None`.
+    /// drop is a branch on `None`. For sampled timing outside the span tree;
+    /// a region that is a span takes its latency from [`SpanGuard::finish`].
     #[inline]
     pub fn start_timer(&'static self) -> Timer {
-        Timer::start(self)
-    }
-}
-
-/// A lazy handle a [`Timer`] records its elapsed nanoseconds into.
-trait Observe: Sync {
-    fn observe(&self, value: f64);
-}
-
-impl Observe for LazyHistogram {
-    fn observe(&self, value: f64) {
-        LazyHistogram::observe(self, value);
-    }
-}
-
-impl Observe for LazySummary {
-    fn observe(&self, value: f64) {
-        LazySummary::observe(self, value);
-    }
-}
-
-/// RAII timer from [`LazyHistogram::start_timer`] and
-/// [`LazySummary::start_timer`]: records the elapsed nanoseconds into its
-/// handle on drop.
-pub struct Timer {
-    sink: &'static dyn Observe,
-    start: Option<std::time::Instant>,
-}
-
-impl Timer {
-    fn start(sink: &'static dyn Observe) -> Timer {
         Timer {
-            sink,
+            hist: self,
             start: enabled().then(std::time::Instant::now),
         }
     }
+}
 
-    /// Stops the timer and returns the elapsed nanoseconds it recorded,
-    /// or `None` when the layer was disabled at start.
-    pub fn stop(mut self) -> Option<u64> {
-        self.finish()
-    }
-
-    /// Discards the timer without recording anything — for sites that only
-    /// want to time an operation when it actually took effect.
-    pub fn cancel(mut self) {
-        self.start = None;
-    }
-
-    fn finish(&mut self) -> Option<u64> {
-        let start = self.start.take()?;
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.sink.observe(ns as f64);
-        Some(ns)
-    }
+/// RAII timer from [`LazyHistogram::start_timer`]: records the elapsed
+/// nanoseconds into its histogram on drop.
+pub struct Timer {
+    hist: &'static LazyHistogram,
+    start: Option<std::time::Instant>,
 }
 
 impl Drop for Timer {
     fn drop(&mut self) {
-        let _ = self.finish();
+        if let Some(start) = self.start.take() {
+            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.hist.observe(ns as f64);
+        }
     }
 }
 
@@ -422,15 +382,6 @@ impl LazySummary {
             self.handle().observe(value);
         }
     }
-
-    /// Starts a wall-clock timer whose elapsed nanoseconds are recorded on
-    /// drop; inert when the layer is disabled. Keeping the clock read here
-    /// lets deterministic crates time their sweeps without touching
-    /// `Instant` themselves.
-    #[inline]
-    pub fn start_timer(&'static self) -> Timer {
-        Timer::start(self)
-    }
 }
 
 #[cfg(test)]
@@ -460,9 +411,8 @@ mod tests {
         C.add(3);
         {
             let _t = H.start_timer();
-            let _s = S.start_timer();
         }
-        S.start_timer().cancel();
+        S.observe(7.0);
         set_enabled(false);
         assert_eq!(global().counter("lib_test_enabled_total").get(), 3);
         assert_eq!(global().summary("lib_test_summary_ns").count(), 1);

@@ -27,8 +27,6 @@ pub const METRIC_KERNEL_CACHE_HITS: &str = "vmtherm_kernel_cache_hits_total";
 pub const METRIC_KERNEL_CACHE_MISSES: &str = "vmtherm_kernel_cache_misses_total";
 /// Cross-validation folds trained (counter).
 pub const METRIC_CV_FOLDS: &str = "vmtherm_cv_folds_total";
-/// Wall-clock nanoseconds per calibration (γ) update (histogram, ns buckets).
-pub const METRIC_CALIBRATION_UPDATE_NS: &str = "vmtherm_calibration_update_ns";
 /// Calibration (γ) updates applied (counter).
 pub const METRIC_GAMMA_UPDATES: &str = "vmtherm_gamma_updates_total";
 /// Re-anchor operations across the fleet (counter).
@@ -159,9 +157,6 @@ pub fn help(base: &str) -> Option<&'static str> {
         _ if base == METRIC_KERNEL_CACHE_HITS => "Kernel row-cache hits across all solves.",
         _ if base == METRIC_KERNEL_CACHE_MISSES => "Kernel row-cache misses across all solves.",
         _ if base == METRIC_CV_FOLDS => "Cross-validation folds trained.",
-        _ if base == METRIC_CALIBRATION_UPDATE_NS => {
-            "Wall-clock nanoseconds per calibration update."
-        }
         _ if base == METRIC_GAMMA_UPDATES => "Calibration (gamma) updates applied.",
         _ if base == METRIC_REANCHOR_TOTAL => "Re-anchor operations across the fleet.",
         _ if base == METRIC_SAMPLES_INGESTED => "Sensor samples ingested by the fleet monitor.",

@@ -385,12 +385,7 @@ mod tests {
                 cache_misses: 20,
             },
         ];
-        let mut text = String::new();
-        for e in &events {
-            text.push_str(&e.to_json().render());
-            text.push('\n');
-        }
-        text
+        crate::event::to_jsonl(&events)
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! the name on their thread's stack, so each close records a slash-joined
 //! path (`experiment_run/engine_run`). Closed spans aggregate into a global
 //! path → `SpanStat` table that `obs-report` renders as a timing tree, and
-//! emit a [`crate::event::ObsEvent::Span`] record when tracing is on.
+//! emit a [`crate::event::ObsEvent::Span`] record when tracing is on. A
+//! metric that reports a span's latency takes it from
+//! [`SpanGuard::finish`], so each timed region has one clock pair.
 //!
 //! When the layer is disabled ([`crate::enabled`] is false) the guard holds
 //! no timestamp and its drop is a branch on `None` — the
@@ -49,9 +51,12 @@ impl SpanStat {
     }
 }
 
-static SPAN_STATS: Mutex<BTreeMap<&'static str, SpanStat>> = Mutex::new(BTreeMap::new());
+/// Aggregates keyed by the span stack itself, so a close looks its path up
+/// by slice and joins no string; [`span_stats`] joins the keys.
+static SPAN_STATS: Mutex<BTreeMap<Vec<&'static str>, SpanStat>> = Mutex::new(BTreeMap::new());
 
-/// RAII guard returned by [`span`]; records timing when dropped.
+/// RAII guard returned by [`span`]; records timing when dropped or
+/// [`finish`](SpanGuard::finish)ed.
 pub struct SpanGuard {
     start: Option<Instant>,
 }
@@ -72,41 +77,55 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
 }
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let Some(start) = self.start.take() else {
-            return;
-        };
+impl SpanGuard {
+    /// Closes the span now and returns the duration it recorded, so a
+    /// metric reporting the same region reads this one clock pair instead
+    /// of its own. `None` when the layer was disabled at open.
+    pub fn finish(mut self) -> Option<u64> {
+        self.close()
+    }
+
+    fn close(&mut self) -> Option<u64> {
+        let start = self.start.take()?;
         let dur_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let path = STACK.with(|stack| {
+        STACK.with(|stack| {
             let Ok(mut stack) = stack.try_borrow_mut() else {
-                return String::new();
+                return;
             };
-            let path = stack.join("/");
+            if stack.is_empty() {
+                return;
+            }
+            let mut stats = SPAN_STATS.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(stat) = stats.get_mut(stack.as_slice()) {
+                stat.record(dur_ns);
+            } else {
+                stats.entry(stack.clone()).or_default().record(dur_ns);
+            }
+            drop(stats);
+            crate::emit_with(|| ObsEvent::Span {
+                path: stack.join("/"),
+                dur_ns,
+            });
             stack.pop();
-            path
         });
-        if path.is_empty() {
-            return;
-        }
-        // Aggregate under a leaked 'static key only on first sight of a path;
-        // span names are a small fixed set so this is bounded.
-        let mut stats = SPAN_STATS.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(stat) = stats.get_mut(path.as_str()) {
-            stat.record(dur_ns);
-        } else {
-            let key: &'static str = Box::leak(path.clone().into_boxed_str());
-            stats.entry(key).or_default().record(dur_ns);
-        }
-        drop(stats);
-        crate::emit_with(|| ObsEvent::Span { path, dur_ns });
+        Some(dur_ns)
     }
 }
 
-/// Snapshot of all span paths and their aggregate timings, sorted by path.
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let _ = self.close();
+    }
+}
+
+/// Snapshot of all span paths and their aggregate timings, sorted by the
+/// slash-joined path.
 pub fn span_stats() -> Vec<(String, SpanStat)> {
     let stats = SPAN_STATS.lock().unwrap_or_else(PoisonError::into_inner);
-    stats.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    let mut out: Vec<(String, SpanStat)> = stats.iter().map(|(k, v)| (k.join("/"), *v)).collect();
+    drop(stats);
+    out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    out
 }
 
 /// Clears the aggregate span table (for tests and benchmarks).
@@ -163,5 +182,40 @@ mod tests {
         let (_, stat) = stats.iter().find(|(p, _)| p == "thrice_t").unwrap();
         assert_eq!(stat.count, 3);
         assert!(stat.mean_ns() > 0.0);
+    }
+
+    #[test]
+    fn finish_returns_the_recorded_duration_once() {
+        let _lock = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let stat = |path: &str| span_stats().into_iter().find(|(p, _)| p == path);
+        crate::set_enabled(true);
+        let dur_ns = span("finish_t").finish().expect("enabled span times");
+        crate::set_enabled(false);
+        let (_, recorded) = stat("finish_t").unwrap();
+        assert_eq!(recorded.count, 1);
+        assert_eq!(recorded.total_ns, dur_ns);
+        assert_eq!(recorded.max_ns, dur_ns);
+
+        assert_eq!(span("finish_off_t").finish(), None);
+        assert!(stat("finish_off_t").is_none());
+    }
+
+    #[test]
+    fn span_stats_sort_by_joined_path() {
+        let _lock = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        reset_spans();
+        crate::set_enabled(true);
+        {
+            let _dash = span("a-b");
+        }
+        {
+            let _a = span("a");
+            let _b = span("b");
+        }
+        crate::set_enabled(false);
+        let paths: Vec<String> = span_stats().into_iter().map(|(p, _)| p).collect();
+        // The keys sort as ["a"] < ["a", "b"] < ["a-b"]; the joined paths
+        // must not: '-' sorts before '/'.
+        assert_eq!(paths, ["a", "a-b", "a/b"]);
     }
 }

@@ -223,7 +223,6 @@ impl SvrModel {
         let mut q = KernelRows::new(params.kernel, points, params.cache_rows)
             .with_prenorm_rows(params.prenorm_rows);
         let span = obs::span(names::SPAN_SMO_SOLVE);
-        let timer = OBS_SOLVE_NS.start_timer();
         let solution = smo::solve(
             &mut q,
             &p,
@@ -235,8 +234,10 @@ impl SvrModel {
                 ..SolveOptions::default()
             },
         );
-        let dur_ns = timer.stop().unwrap_or(0);
-        drop(span);
+        let dur_ns = span.finish();
+        if let Some(ns) = dur_ns {
+            OBS_SOLVE_NS.observe(ns as f64);
+        }
         let (cache_hits, cache_misses) = q.cache_stats();
         OBS_ITERATIONS.add(solution.iterations as u64);
         OBS_CACHE_HITS.add(cache_hits);
@@ -245,7 +246,7 @@ impl SvrModel {
             n: l,
             iterations: solution.iterations,
             converged: solution.converged,
-            dur_ns,
+            dur_ns: dur_ns.unwrap_or(0),
             cache_hits,
             cache_misses,
         });
