@@ -13,8 +13,8 @@ use vmtherm_sim::experiment::{ConfigSnapshot, ExperimentOutcome};
 use vmtherm_sim::telemetry::TimeSeries;
 use vmtherm_sim::workload::TaskProfile;
 use vmtherm_sim::{
-    AmbientModel, CaseGenerator, Datacenter, Event, ServerSpec, SimDuration, SimTime, Simulation,
-    VmSpec,
+    AmbientModel, CaseGenerator, Datacenter, Event, ServerId, ServerSpec, SimDuration, SimError,
+    SimTime, Simulation, VmSpec,
 };
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::svr::SvrParams;
@@ -63,6 +63,40 @@ pub fn train_stable_model(outcomes: &[ExperimentOutcome], grid_search: bool) -> 
     StablePredictor::fit(outcomes, &options).expect("stable model training failed")
 }
 
+/// One commodity server (16 cores at 2.4 GHz, 64 GB, `fans` fans) at a
+/// fixed `ambient`, running `vms` 2-vCPU, 4 GB VMs that rotate through
+/// five task profiles: the server of every [`dynamic_scenario`] and of
+/// the CLI's `monitor`, `chaos` and `obs-serve`.
+///
+/// # Errors
+///
+/// The placement error of the first VM the server cannot hold.
+pub fn commodity_sim(
+    fans: u32,
+    ambient: f64,
+    seed: u64,
+    vms: usize,
+) -> Result<(Simulation, ServerId), SimError> {
+    let mut dc = Datacenter::new();
+    let server = ServerSpec::commodity("commodity", 16, 2.4, 64.0, fans);
+    let sid = dc.add_server(server, Celsius::new(ambient), seed);
+    let mut sim = Simulation::new(dc, AmbientModel::Fixed(ambient), seed);
+    let tasks = [
+        TaskProfile::CpuBound,
+        TaskProfile::Mixed,
+        TaskProfile::WebServer,
+        TaskProfile::MemoryBound,
+        TaskProfile::Bursty,
+    ];
+    for i in 0..vms {
+        sim.boot_vm_now(
+            sid,
+            VmSpec::new(format!("vm-{i}"), 2, 4.0, tasks[i % tasks.len()]),
+        )?;
+    }
+    Ok((sim, sid))
+}
+
 /// One dynamic scenario: a server (4 fans by default, per Fig. 1(c)) that
 /// boots a VM set at t = 0 and receives a reconfiguration burst mid-run.
 #[derive(Debug, Clone)]
@@ -95,23 +129,8 @@ pub fn dynamic_scenario(
     total_secs: u64,
     seed: u64,
 ) -> DynamicScenario {
-    let mut dc = Datacenter::new();
-    let server = ServerSpec::commodity("dyn", 16, 2.4, 64.0, fans);
-    let sid = dc.add_server(server, Celsius::new(ambient), seed);
-    let mut sim = Simulation::new(dc, AmbientModel::Fixed(ambient), seed);
-
-    let tasks = [
-        TaskProfile::CpuBound,
-        TaskProfile::Mixed,
-        TaskProfile::WebServer,
-        TaskProfile::MemoryBound,
-        TaskProfile::Bursty,
-    ];
-    for i in 0..initial_vms {
-        let task = tasks[i % tasks.len()];
-        sim.boot_vm_now(sid, VmSpec::new(format!("vm-{i}"), 2, 4.0, task))
-            .expect("scenario VM placement");
-    }
+    let (mut sim, sid) =
+        commodity_sim(fans, ambient, seed, initial_vms).expect("scenario VM placement");
     let snapshot_before = ConfigSnapshot::capture(&sim, sid, Celsius::new(ambient));
 
     for j in 0..burst_vms {

@@ -17,7 +17,7 @@ use vmtherm_sim::scenario::{generate, oracle, shrink};
 use vmtherm_sim::units::{Celsius, Seconds, Watts};
 use vmtherm_sim::{
     AmbientModel, CaseGenerator, ClockMode, Datacenter, DropoutFault, Event, FaultPlan,
-    JitterFault, LostEventFault, Scenario, ServerId, ServerSpec, SimDuration, SimTime, Simulation,
+    JitterFault, LostEventFault, Scenario, ServerSpec, SimDuration, SimTime, Simulation,
     SpikeFault, StuckFault, TaskProfile, VmSpec,
 };
 use vmtherm_svm::data::Dataset;
@@ -468,37 +468,6 @@ fn predict(flags: &Flags) -> Result<String, String> {
     Ok(out)
 }
 
-/// One commodity server (16 cores at 2.4 GHz, 64 GB, `fans` fans) at a
-/// fixed `ambient`, running `vms` 2-vCPU VMs that rotate through five
-/// task profiles: the scenario `monitor`, `chaos` and `obs-serve` run.
-fn commodity_sim(
-    name: &str,
-    fans: u32,
-    ambient: f64,
-    seed: u64,
-    vms: usize,
-) -> Result<(Simulation, ServerId), String> {
-    let mut dc = Datacenter::new();
-    let server = ServerSpec::commodity(name, 16, 2.4, 64.0, fans);
-    let sid = dc.add_server(server, Celsius::new(ambient), seed);
-    let mut sim = Simulation::new(dc, AmbientModel::Fixed(ambient), seed);
-    let tasks = [
-        TaskProfile::CpuBound,
-        TaskProfile::Mixed,
-        TaskProfile::WebServer,
-        TaskProfile::MemoryBound,
-        TaskProfile::Bursty,
-    ];
-    for i in 0..vms {
-        sim.boot_vm_now(
-            sid,
-            VmSpec::new(format!("vm-{i}"), 2, 4.0, tasks[i % tasks.len()]),
-        )
-        .map_err(|e| format!("placement: {e}"))?;
-    }
-    Ok((sim, sid))
-}
-
 fn monitor(flags: &Flags) -> Result<String, String> {
     let model_path = flags.require("model")?;
     let out = flags.require("out")?;
@@ -517,7 +486,8 @@ fn monitor(flags: &Flags) -> Result<String, String> {
     // The Fig. 1(c) harness treats a placement failure as a bug, so a VM
     // set the server cannot hold is rejected here with the placement
     // error instead.
-    commodity_sim("monitored", fans, ambient, seed, vms)?;
+    vmtherm_bench::commodity_sim(fans, ambient, seed, vms)
+        .map_err(|e| format!("placement: {e}"))?;
     let scenario =
         vmtherm_bench::dynamic_scenario(&model, vms, 1, fans, ambient, burst_at, secs, seed);
     let report = vmtherm_bench::score_dynamic(&scenario, gap, update, true);
@@ -600,7 +570,8 @@ fn chaos(flags: &Flags) -> Result<String, String> {
 
     // Same scenario as `monitor`, but scored live by the fleet monitor
     // over the faulted delivery stream.
-    let (mut sim, sid) = commodity_sim("chaos", fans, ambient, seed, vms)?;
+    let (mut sim, sid) = vmtherm_bench::commodity_sim(fans, ambient, seed, vms)
+        .map_err(|e| format!("placement: {e}"))?;
     sim.schedule(
         SimTime::from_secs(burst_at),
         Event::BootVm {
@@ -1116,7 +1087,8 @@ fn serve_demo_fleet(flags: &Flags) -> Result<String, String> {
         None => demo_model(seed)?,
     };
 
-    let (mut sim, _) = commodity_sim("live", fans, ambient, seed, vms)?;
+    let (mut sim, _) = vmtherm_bench::commodity_sim(fans, ambient, seed, vms)
+        .map_err(|e| format!("placement: {e}"))?;
     // A mild spike channel keeps the fault and quarantine metrics moving so
     // the scraped families are representative of a noisy fleet.
     let plan = FaultPlan::new(seed.wrapping_mul(31).wrapping_add(7)).with_spike(

@@ -9,7 +9,6 @@ use std::fmt::Write as _;
 
 use crate::event::ObsEvent;
 use crate::json;
-use crate::registry::Histogram;
 use crate::span::SpanStat;
 
 /// One rejected JSONL line.
@@ -61,9 +60,9 @@ pub struct TraceReport {
     pub cmds: Vec<String>,
     /// Aggregated span timings keyed by slash-joined path.
     pub spans: BTreeMap<String, SpanStat>,
-    /// Per-path duration histograms (ns buckets) backing the interpolated
-    /// p50/p95/p99 columns in [`render`].
-    pub span_hists: BTreeMap<String, Histogram>,
+    /// Every recorded duration per path, ascending, backing the
+    /// nearest-rank p50/p95/p99 columns in [`render`].
+    pub span_durations: BTreeMap<String, Vec<u64>>,
     /// Fault-injection events per channel (`stuck`, `spike`, …).
     pub faults: BTreeMap<String, u64>,
     /// Alert firings per rule name.
@@ -121,10 +120,10 @@ pub fn summarize(events: &[ObsEvent]) -> TraceReport {
                 stat.total_ns += dur_ns;
                 stat.max_ns = stat.max_ns.max(*dur_ns);
                 report
-                    .span_hists
+                    .span_durations
                     .entry(path.clone())
-                    .or_insert_with(|| Histogram::with_bounds(Histogram::ns_buckets()))
-                    .observe(*dur_ns as f64);
+                    .or_default()
+                    .push(*dur_ns);
             }
             ObsEvent::SmoSolve {
                 iterations,
@@ -164,7 +163,17 @@ pub fn summarize(events: &[ObsEvent]) -> TraceReport {
             ObsEvent::Sample { .. } | ObsEvent::Forecast { .. } => {}
         }
     }
+    for durations in report.span_durations.values_mut() {
+        durations.sort_unstable();
+    }
     report
+}
+
+/// The nearest-rank `q` quantile of ascending `sorted`: its ⌈q·n⌉-th
+/// smallest value, always one that was recorded.
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -207,14 +216,15 @@ fn render_span_tree(out: &mut String, node: &SpanNode<'_>, depth: usize, report:
         match child.path.and_then(|p| report.spans.get(p).map(|s| (p, s))) {
             Some((path, stat)) => {
                 let quantiles = report
-                    .span_hists
+                    .span_durations
                     .get(path)
-                    .map(|h| {
+                    .filter(|d| !d.is_empty())
+                    .map(|d| {
                         format!(
                             "  p50 {:>9}  p95 {:>9}  p99 {:>9}",
-                            fmt_ns(h.quantile(0.5)),
-                            fmt_ns(h.quantile(0.95)),
-                            fmt_ns(h.quantile(0.99)),
+                            fmt_ns(nearest_rank(d, 0.5) as f64),
+                            fmt_ns(nearest_rank(d, 0.95) as f64),
+                            fmt_ns(nearest_rank(d, 0.99) as f64),
                         )
                     })
                     .unwrap_or_default();
@@ -440,14 +450,33 @@ mod tests {
             })
             .collect();
         let report = summarize(&events);
-        let h = report.span_hists.get("engine_run").expect("hist built");
-        assert_eq!(h.count(), 100);
-        let p50 = h.quantile(0.5);
-        assert!((1_000.0..=2_500.0).contains(&p50), "p50 = {p50}");
+        let durations = &report.span_durations["engine_run"];
+        assert_eq!(durations.len(), 100);
+        // The 50th of 100 ascending durations 1,000, 1,010, …, 1,990 ns.
+        assert_eq!(nearest_rank(durations, 0.5), 1_490);
         let text = render(&report);
-        assert!(text.contains("p50"), "{text}");
-        assert!(text.contains("p95"), "{text}");
-        assert!(text.contains("p99"), "{text}");
+        assert!(text.contains("p50    1.49µs"), "{text}");
+        assert!(text.contains("p95    1.94µs"), "{text}");
+        assert!(text.contains("p99    1.98µs"), "{text}");
+    }
+
+    /// A one-call span's quantiles are its one duration, never a value
+    /// interpolated past its max inside a histogram bucket.
+    #[test]
+    fn one_call_span_quantiles_are_its_recorded_duration() {
+        let events = [ObsEvent::Span {
+            path: "stable_train".to_string(),
+            dur_ns: 220_710,
+        }];
+        let text = render(&summarize(&events));
+        let line = text
+            .lines()
+            .find(|l| l.contains("stable_train"))
+            .expect("span line");
+        assert!(
+            line.ends_with("p50  220.71µs  p95  220.71µs  p99  220.71µs"),
+            "{line}"
+        );
     }
 
     #[test]

@@ -275,7 +275,6 @@ mod tests {
         let vm = Vm::new(
             crate::vm::VmId::new(9),
             VmSpec::new("x", 1, 2.0, TaskProfile::Idle),
-            SimTime::ZERO,
             0,
         );
         dc.server_mut(s1).unwrap().boot_vm(vm).unwrap();
@@ -306,7 +305,6 @@ mod tests {
             let vm = Vm::new(
                 crate::vm::VmId::new(i),
                 VmSpec::new(format!("v{i}"), 4, 4.0, TaskProfile::CpuBound),
-                SimTime::ZERO,
                 i,
             );
             dc.server_mut(s1).unwrap().boot_vm(vm).unwrap();

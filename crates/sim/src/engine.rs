@@ -503,7 +503,6 @@ impl Simulation {
         let vm = Vm::new(
             id,
             spec,
-            self.clock,
             seed ^ ordinal.wrapping_mul(0x9e37) ^ ordinal ^ id.raw(),
         );
         self.datacenter.server_mut(server)?.boot_vm(vm)?;

@@ -325,19 +325,18 @@ fn run_group(configs: &[&ExperimentConfig]) -> Vec<ExperimentOutcome> {
     starts
         .into_iter()
         .zip(sim.take_stable_means())
-        .map(|((snapshot, initial_temp), means)| ExperimentOutcome {
-            snapshot,
+        .map(|((snapshot, initial_temp), means)| {
             #[expect(
                 clippy::expect_used,
                 reason = "run duration is asserted longer than t_break, so the window has samples"
             )]
-            psi_stable: means.sensor_c.mean().expect("samples after t_break"),
-            #[expect(
-                clippy::expect_used,
-                reason = "run duration is asserted longer than t_break, so the window has samples"
-            )]
-            true_stable: means.die_c.mean().expect("samples after t_break"),
-            initial_temp,
+            let (psi_stable, true_stable) = means.means().expect("samples after t_break");
+            ExperimentOutcome {
+                snapshot,
+                psi_stable,
+                true_stable,
+                initial_temp,
+            }
         })
         .collect()
 }

@@ -99,7 +99,7 @@ pub use fault::{
 pub use scenario::{
     oracle::{OracleFailure, ScenarioReport},
     shrink::ShrinkResult,
-    Scenario, ScenarioAction, ScenarioEvent,
+    Scenario,
 };
 pub use server::{Server, ServerId, ServerSpec};
 pub use telemetry::{Series, ServerTrace, TelemetryError, TimeSeries};

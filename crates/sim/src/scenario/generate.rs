@@ -8,11 +8,14 @@
 //! crowds, batch waves, migration churn, cooling trouble), with fault
 //! channels layered on independently.
 
-use super::{Scenario, ScenarioAction, ScenarioEvent};
+use super::{Scenario, SCHEDULED_VM_NAME};
+use crate::engine::Event;
 use crate::environment::AmbientModel;
 use crate::fan::FanSpeed;
 use crate::fault::{DropoutFault, FaultPlan, JitterFault, LostEventFault, SpikeFault, StuckFault};
+use crate::server::ServerId;
 use crate::time::{SimDuration, SimTime};
+use crate::vm::{VmId, VmSpec};
 use crate::workload::{TaskProfile, ALL_TASK_PROFILES};
 use rand::{Rng, SeedableRng};
 
@@ -76,7 +79,7 @@ pub fn scenario(seed: u64, index: u64) -> Scenario {
     }
     sample_faults(&mut rng, &mut scenario);
     churn(&mut rng, &mut scenario, duration_secs);
-    scenario.events.sort_by_key(|e| e.at);
+    scenario.events.sort_by_key(|(at, _)| *at);
     scenario
 }
 
@@ -88,20 +91,16 @@ fn crac_failure(rng: &mut impl Rng, scenario: &mut Scenario, duration_secs: u64)
         degrees_per_kw: rng.gen_range(0.5..2.0),
     };
     let fail_at = rng.gen_range(60..duration_secs / 2);
-    scenario.events.push(ScenarioEvent {
-        at: SimTime::from_secs(fail_at),
-        action: ScenarioAction::SetAmbient {
-            model: AmbientModel::Fixed(rng.gen_range(30.0..40.0)),
-        },
-    });
+    scenario.events.push((
+        SimTime::from_secs(fail_at),
+        Event::SetAmbient(AmbientModel::Fixed(rng.gen_range(30.0..40.0))),
+    ));
     if rng.gen_range(0u32..4) != 0 {
         let recover_at = rng.gen_range(fail_at + 30..duration_secs);
-        scenario.events.push(ScenarioEvent {
-            at: SimTime::from_secs(recover_at),
-            action: ScenarioAction::SetAmbient {
-                model: AmbientModel::Fixed(rng.gen_range(20.0..24.0)),
-            },
-        });
+        scenario.events.push((
+            SimTime::from_secs(recover_at),
+            Event::SetAmbient(AmbientModel::Fixed(rng.gen_range(20.0..24.0))),
+        ));
     }
 }
 
@@ -110,15 +109,15 @@ fn flash_crowd(rng: &mut impl Rng, scenario: &mut Scenario, duration_secs: u64) 
     let start = rng.gen_range(60..duration_secs / 2);
     let burst = rng.gen_range(3u64..=8);
     for i in 0..burst {
-        scenario.events.push(ScenarioEvent {
-            at: SimTime::from_secs(start + i * rng.gen_range(1u64..=3)),
-            action: ScenarioAction::BootVm {
-                server: rng.gen_range(0..scenario.servers),
-                vcpus: 1,
-                memory_gb: 2.0,
-                task: TaskProfile::WebServer,
-            },
-        });
+        scenario.events.push((
+            SimTime::from_secs(start + i * rng.gen_range(1u64..=3)),
+            boot(
+                rng.gen_range(0..scenario.servers),
+                1,
+                2.0,
+                TaskProfile::WebServer,
+            ),
+        ));
     }
 }
 
@@ -129,19 +128,14 @@ fn batch_wave(rng: &mut impl Rng, scenario: &mut Scenario, duration_secs: u64) {
     let workers = rng.gen_range(2u64..=5);
     let first_id = scenario.initial_vms();
     for i in 0..workers {
-        scenario.events.push(ScenarioEvent {
-            at: SimTime::from_secs(start),
-            action: ScenarioAction::BootVm {
-                server: (i as usize) % scenario.servers,
-                vcpus: 2,
-                memory_gb: 4.0,
-                task: TaskProfile::Bursty,
-            },
-        });
-        scenario.events.push(ScenarioEvent {
-            at: SimTime::from_secs(stop),
-            action: ScenarioAction::StopVm { vm: first_id + i },
-        });
+        scenario.events.push((
+            SimTime::from_secs(start),
+            boot((i as usize) % scenario.servers, 2, 4.0, TaskProfile::Bursty),
+        ));
+        scenario.events.push((
+            SimTime::from_secs(stop),
+            Event::StopVm(VmId::new(first_id + i)),
+        ));
     }
 }
 
@@ -150,13 +144,13 @@ fn migration_churn(rng: &mut impl Rng, scenario: &mut Scenario, duration_secs: u
     scenario.vms_per_server = scenario.vms_per_server.max(1);
     let moves = rng.gen_range(2u64..=6);
     for _ in 0..moves {
-        scenario.events.push(ScenarioEvent {
-            at: SimTime::from_secs(rng.gen_range(60..duration_secs)),
-            action: ScenarioAction::Migrate {
-                vm: rng.gen_range(0..scenario.initial_vms()),
-                dest: rng.gen_range(0..scenario.servers),
+        scenario.events.push((
+            SimTime::from_secs(rng.gen_range(60..duration_secs)),
+            Event::MigrateVm {
+                vm: VmId::new(rng.gen_range(0..scenario.initial_vms())),
+                dest: ServerId::new(rng.gen_range(0..scenario.servers)),
             },
-        });
+        ));
     }
 }
 
@@ -164,23 +158,23 @@ fn migration_churn(rng: &mut impl Rng, scenario: &mut Scenario, duration_secs: u
 fn cooling_trouble(rng: &mut impl Rng, scenario: &mut Scenario, duration_secs: u64) {
     let victims = rng.gen_range(1usize..=scenario.servers.min(3));
     for _ in 0..victims {
-        scenario.events.push(ScenarioEvent {
-            at: SimTime::from_secs(rng.gen_range(60..duration_secs)),
-            action: ScenarioAction::FailFans {
-                server: rng.gen_range(0..scenario.servers),
+        scenario.events.push((
+            SimTime::from_secs(rng.gen_range(60..duration_secs)),
+            Event::FailFans {
+                server: ServerId::new(rng.gen_range(0..scenario.servers)),
                 count: rng.gen_range(1u32..=2),
             },
-        });
+        ));
     }
     if rng.gen_range(0u32..2) == 0 {
         let speed = [FanSpeed::Low, FanSpeed::Medium, FanSpeed::High][rng.gen_range(0usize..3)];
-        scenario.events.push(ScenarioEvent {
-            at: SimTime::from_secs(rng.gen_range(60..duration_secs)),
-            action: ScenarioAction::SetFanSpeed {
-                server: rng.gen_range(0..scenario.servers),
+        scenario.events.push((
+            SimTime::from_secs(rng.gen_range(60..duration_secs)),
+            Event::SetFanSpeed {
+                server: ServerId::new(rng.gen_range(0..scenario.servers)),
                 speed,
             },
-        });
+        ));
     }
 }
 
@@ -240,25 +234,31 @@ fn churn(rng: &mut impl Rng, scenario: &mut Scenario, duration_secs: u64) {
     let extra = rng.gen_range(0u32..=3);
     for _ in 0..extra {
         let at = SimTime::from_secs(rng.gen_range(60..duration_secs));
-        let action = match rng.gen_range(0u32..4) {
-            0 => ScenarioAction::BootVm {
-                server: rng.gen_range(0..scenario.servers),
-                vcpus: rng.gen_range(1u32..=2),
-                memory_gb: 2.0,
-                task: ALL_TASK_PROFILES[rng.gen_range(0..ALL_TASK_PROFILES.len())],
+        let event = match rng.gen_range(0u32..4) {
+            0 => boot(
+                rng.gen_range(0..scenario.servers),
+                rng.gen_range(1u32..=2),
+                2.0,
+                ALL_TASK_PROFILES[rng.gen_range(0..ALL_TASK_PROFILES.len())],
+            ),
+            1 if scenario.initial_vms() > 0 => {
+                Event::StopVm(VmId::new(rng.gen_range(0..scenario.initial_vms())))
+            }
+            2 if scenario.initial_vms() > 0 => Event::MigrateVm {
+                vm: VmId::new(rng.gen_range(0..scenario.initial_vms())),
+                dest: ServerId::new(rng.gen_range(0..scenario.servers)),
             },
-            1 if scenario.initial_vms() > 0 => ScenarioAction::StopVm {
-                vm: rng.gen_range(0..scenario.initial_vms()),
-            },
-            2 if scenario.initial_vms() > 0 => ScenarioAction::Migrate {
-                vm: rng.gen_range(0..scenario.initial_vms()),
-                dest: rng.gen_range(0..scenario.servers),
-            },
-            _ => ScenarioAction::SetAmbient {
-                model: AmbientModel::Fixed(rng.gen_range(20.0..30.0)),
-            },
+            _ => Event::SetAmbient(AmbientModel::Fixed(rng.gen_range(20.0..30.0))),
         };
-        scenario.events.push(ScenarioEvent { at, action });
+        scenario.events.push((at, event));
+    }
+}
+
+/// A scheduled boot of a [`SCHEDULED_VM_NAME`] VM on host `server`.
+fn boot(server: usize, vcpus: u32, memory_gb: f64, task: TaskProfile) -> Event {
+    Event::BootVm {
+        server: ServerId::new(server),
+        spec: VmSpec::new(SCHEDULED_VM_NAME, vcpus, memory_gb, task),
     }
 }
 
@@ -272,6 +272,28 @@ mod tests {
             assert_eq!(scenario(42, index), scenario(42, index));
         }
         assert_ne!(scenario(42, 0), scenario(43, 0));
+    }
+
+    /// FNV-1a over the bytes of every case's corpus JSON, cases 0–63 at
+    /// each of three campaign seeds, in order.
+    fn corpus_digest() -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for seed in [1, 61474, 0xF00D] {
+            for index in 0..64 {
+                for b in scenario(seed, index).to_json_string().bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// A change to the RNG draw order, a family's event shape or the
+    /// codec moves this digest; same-build determinism cannot see that.
+    #[test]
+    fn generated_corpus_matches_its_pinned_digest() {
+        assert_eq!(corpus_digest(), 0x214b_af2f_87e3_3f22);
     }
 
     #[test]

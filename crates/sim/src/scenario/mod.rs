@@ -49,66 +49,11 @@ pub const MAX_DURATION: SimDuration = SimDuration::from_secs(4 * 3600);
 /// Most scheduled events.
 pub const MAX_EVENTS: usize = 256;
 
-/// One scheduled reconfiguration inside a scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioEvent {
-    /// When the action fires.
-    pub at: SimTime,
-    /// What happens.
-    pub action: ScenarioAction,
-}
-
-/// A scenario-level action, mapped onto an engine [`Event`] at build
-/// time. VM ids are global boot ordinals: the initial placement boots
-/// ids `0..servers×vms_per_server` in server-major order, and scheduled
-/// `BootVm` actions take the next ids in schedule order.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum ScenarioAction {
-    /// Boot a VM on a server.
-    BootVm {
-        /// Target host index.
-        server: usize,
-        /// vCPU count (≥ 1).
-        vcpus: u32,
-        /// Memory footprint in GB (> 0).
-        memory_gb: f64,
-        /// Workload profile.
-        task: TaskProfile,
-    },
-    /// Stop a VM by boot ordinal.
-    StopVm {
-        /// Global VM ordinal.
-        vm: u64,
-    },
-    /// Live-migrate a VM to a destination server.
-    Migrate {
-        /// Global VM ordinal.
-        vm: u64,
-        /// Destination host index.
-        dest: usize,
-    },
-    /// Change a server's fan speed.
-    SetFanSpeed {
-        /// Target host index.
-        server: usize,
-        /// New level.
-        speed: FanSpeed,
-    },
-    /// Fail `count` more of a server's fans.
-    FailFans {
-        /// Target host index.
-        server: usize,
-        /// Fans to stop.
-        count: u32,
-    },
-    /// Replace the room ambient model (CRAC failure and recovery are a
-    /// pair of these: swap to a hot fixed model, swap back later).
-    SetAmbient {
-        /// The replacement model.
-        model: AmbientModel,
-    },
-}
+/// The name every scheduled [`Event::BootVm`] gives its VM. The corpus
+/// format stores no VM name and nothing reads one (oracles fingerprint
+/// ids, and VM seeds derive from ids), so one fixed name keeps a decoded
+/// or shrunk schedule equal to the one it came from.
+pub const SCHEDULED_VM_NAME: &str = "scheduled";
 
 /// A complete, self-contained description of one fleet run.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,8 +73,11 @@ pub struct Scenario {
     pub ambient: AmbientModel,
     /// Telemetry fault plan ([`FaultPlan::is_noop`] for a clean run).
     pub fault: FaultPlan,
-    /// Scheduled reconfigurations.
-    pub events: Vec<ScenarioEvent>,
+    /// Scheduled reconfigurations, the pairs [`Simulation::schedule`]
+    /// takes. VM ids are global boot ordinals: the initial placement
+    /// boots ids `0..servers×vms_per_server` in server-major order, and
+    /// scheduled [`Event::BootVm`]s take the next ids in schedule order.
+    pub events: Vec<(SimTime, Event)>,
 }
 
 impl Scenario {
@@ -190,35 +138,26 @@ impl Scenario {
             ));
         }
         check_ambient("scenario.ambient", &self.ambient)?;
-        for (i, event) in self.events.iter().enumerate() {
+        for (i, (_, event)) in self.events.iter().enumerate() {
             let field = "scenario.events";
-            match &event.action {
-                ScenarioAction::BootVm {
-                    server,
-                    vcpus,
-                    memory_gb,
-                    ..
-                } => {
+            match event {
+                Event::BootVm { server, spec } => {
                     check_server_index(field, i, *server, self.servers)?;
-                    if *vcpus == 0 {
-                        return Err(SimError::invalid(field, format!("event {i}: zero vcpus")));
-                    }
-                    if !(*memory_gb > 0.0) || !memory_gb.is_finite() {
+                    // `VmSpec::new` already holds vcpus >= 1 and memory > 0.
+                    if !spec.memory_gb().is_finite() {
                         return Err(SimError::invalid(
                             field,
-                            format!("event {i}: memory_gb {memory_gb} not positive finite"),
+                            format!("event {i}: memory_gb {} not finite", spec.memory_gb()),
                         ));
                     }
                 }
-                ScenarioAction::StopVm { .. } => {}
-                ScenarioAction::Migrate { dest, .. } => {
-                    check_server_index(field, i, *dest, self.servers)?;
-                }
-                ScenarioAction::SetFanSpeed { server, .. }
-                | ScenarioAction::FailFans { server, .. } => {
+                Event::StopVm(_) => {}
+                Event::MigrateVm { dest: server, .. }
+                | Event::SetFanSpeed { server, .. }
+                | Event::FailFans { server, .. } => {
                     check_server_index(field, i, *server, self.servers)?;
                 }
-                ScenarioAction::SetAmbient { model } => check_ambient(field, model)?,
+                Event::SetAmbient(model) => check_ambient(field, model)?,
             }
         }
         self.fault.validate()
@@ -286,39 +225,10 @@ impl Scenario {
                 )?;
             }
         }
-        for (i, event) in self.events.iter().enumerate() {
-            sim.schedule(event.at, self.engine_event(i, &event.action));
+        for (at, event) in &self.events {
+            sim.schedule(*at, event.clone());
         }
         Ok(sim)
-    }
-
-    /// Maps one scenario action to the engine event it schedules.
-    fn engine_event(&self, index: usize, action: &ScenarioAction) -> Event {
-        match action {
-            ScenarioAction::BootVm {
-                server,
-                vcpus,
-                memory_gb,
-                task,
-            } => Event::BootVm {
-                server: ServerId::new(*server),
-                spec: VmSpec::new(format!("e{index}"), *vcpus, *memory_gb, *task),
-            },
-            ScenarioAction::StopVm { vm } => Event::StopVm(VmId::new(*vm)),
-            ScenarioAction::Migrate { vm, dest } => Event::MigrateVm {
-                vm: VmId::new(*vm),
-                dest: ServerId::new(*dest),
-            },
-            ScenarioAction::SetFanSpeed { server, speed } => Event::SetFanSpeed {
-                server: ServerId::new(*server),
-                speed: *speed,
-            },
-            ScenarioAction::FailFans { server, count } => Event::FailFans {
-                server: ServerId::new(*server),
-                count: *count,
-            },
-            ScenarioAction::SetAmbient { model } => Event::SetAmbient(model.clone()),
-        }
     }
 
     /// Serializes to the versioned JSON document the corpus stores.
@@ -405,9 +315,10 @@ fn is_name_byte(b: u8) -> bool {
 fn check_server_index(
     field: &'static str,
     event: usize,
-    index: usize,
+    server: ServerId,
     servers: usize,
 ) -> Result<(), SimError> {
+    let index = server.raw();
     if index >= servers {
         return Err(SimError::invalid(
             field,
@@ -734,41 +645,36 @@ fn fault_from_json(doc: &Json) -> Result<FaultPlan, SimError> {
     Ok(plan)
 }
 
-fn event_to_json(event: &ScenarioEvent) -> Json {
-    let mut pairs = vec![("at_ms", Json::Num(event.at.as_millis() as f64))];
-    match &event.action {
-        ScenarioAction::BootVm {
-            server,
-            vcpus,
-            memory_gb,
-            task,
-        } => {
+fn event_to_json((at, event): &(SimTime, Event)) -> Json {
+    let mut pairs = vec![("at_ms", Json::Num(at.as_millis() as f64))];
+    match event {
+        Event::BootVm { server, spec } => {
             pairs.push(("type", Json::str("boot_vm")));
-            pairs.push(("server", Json::Num(*server as f64)));
-            pairs.push(("vcpus", Json::Num(f64::from(*vcpus))));
-            pairs.push(("memory_gb", Json::Num(*memory_gb)));
-            pairs.push(("task", Json::str(task_name(*task))));
+            pairs.push(("server", Json::Num(server.raw() as f64)));
+            pairs.push(("vcpus", Json::Num(f64::from(spec.vcpus()))));
+            pairs.push(("memory_gb", Json::Num(spec.memory_gb())));
+            pairs.push(("task", Json::str(task_name(spec.task()))));
         }
-        ScenarioAction::StopVm { vm } => {
+        Event::StopVm(vm) => {
             pairs.push(("type", Json::str("stop_vm")));
-            pairs.push(("vm", Json::Num(*vm as f64)));
+            pairs.push(("vm", Json::Num(vm.raw() as f64)));
         }
-        ScenarioAction::Migrate { vm, dest } => {
+        Event::MigrateVm { vm, dest } => {
             pairs.push(("type", Json::str("migrate")));
-            pairs.push(("vm", Json::Num(*vm as f64)));
-            pairs.push(("dest", Json::Num(*dest as f64)));
+            pairs.push(("vm", Json::Num(vm.raw() as f64)));
+            pairs.push(("dest", Json::Num(dest.raw() as f64)));
         }
-        ScenarioAction::SetFanSpeed { server, speed } => {
+        Event::SetFanSpeed { server, speed } => {
             pairs.push(("type", Json::str("set_fan_speed")));
-            pairs.push(("server", Json::Num(*server as f64)));
+            pairs.push(("server", Json::Num(server.raw() as f64)));
             pairs.push(("speed", Json::str(speed_name(*speed))));
         }
-        ScenarioAction::FailFans { server, count } => {
+        Event::FailFans { server, count } => {
             pairs.push(("type", Json::str("fail_fans")));
-            pairs.push(("server", Json::Num(*server as f64)));
+            pairs.push(("server", Json::Num(server.raw() as f64)));
             pairs.push(("count", Json::Num(f64::from(*count))));
         }
-        ScenarioAction::SetAmbient { model } => {
+        Event::SetAmbient(model) => {
             pairs.push(("type", Json::str("set_ambient")));
             pairs.push(("model", ambient_to_json(model)));
         }
@@ -776,38 +682,48 @@ fn event_to_json(event: &ScenarioEvent) -> Json {
     Json::obj(pairs)
 }
 
-fn event_from_json(doc: &Json) -> Result<ScenarioEvent, SimError> {
+fn event_from_json(doc: &Json) -> Result<(SimTime, Event), SimError> {
     let at = SimTime::from_millis(get_u64(doc, "at_ms")?);
-    let action = match get_str(doc, "type")? {
-        "boot_vm" => ScenarioAction::BootVm {
-            server: get_u64(doc, "server")? as usize,
-            vcpus: u32::try_from(get_u64(doc, "vcpus")?)
-                .map_err(|_| bad("vcpus", "out of u32 range"))?,
-            memory_gb: get_num(doc, "memory_gb")?,
-            task: task_from_name(get_str(doc, "task")?)?,
+    let server = |field| Ok::<_, SimError>(ServerId::new(get_u64(doc, field)? as usize));
+    let event = match get_str(doc, "type")? {
+        "boot_vm" => {
+            let vcpus = u32::try_from(get_u64(doc, "vcpus")?)
+                .map_err(|_| bad("vcpus", "out of u32 range"))?;
+            let memory_gb = get_num(doc, "memory_gb")?;
+            // `VmSpec::new` asserts its domain; reject here instead.
+            if vcpus == 0 || !(memory_gb > 0.0) {
+                return Err(bad("boot_vm", "needs vcpus >= 1 and memory_gb > 0"));
+            }
+            Event::BootVm {
+                server: server("server")?,
+                spec: VmSpec::new(
+                    SCHEDULED_VM_NAME,
+                    vcpus,
+                    memory_gb,
+                    task_from_name(get_str(doc, "task")?)?,
+                ),
+            }
+        }
+        "stop_vm" => Event::StopVm(VmId::new(get_u64(doc, "vm")?)),
+        "migrate" => Event::MigrateVm {
+            vm: VmId::new(get_u64(doc, "vm")?),
+            dest: server("dest")?,
         },
-        "stop_vm" => ScenarioAction::StopVm {
-            vm: get_u64(doc, "vm")?,
-        },
-        "migrate" => ScenarioAction::Migrate {
-            vm: get_u64(doc, "vm")?,
-            dest: get_u64(doc, "dest")? as usize,
-        },
-        "set_fan_speed" => ScenarioAction::SetFanSpeed {
-            server: get_u64(doc, "server")? as usize,
+        "set_fan_speed" => Event::SetFanSpeed {
+            server: server("server")?,
             speed: speed_from_name(get_str(doc, "speed")?)?,
         },
-        "fail_fans" => ScenarioAction::FailFans {
-            server: get_u64(doc, "server")? as usize,
+        "fail_fans" => Event::FailFans {
+            server: server("server")?,
             count: u32::try_from(get_u64(doc, "count")?)
                 .map_err(|_| bad("count", "out of u32 range"))?,
         },
-        "set_ambient" => ScenarioAction::SetAmbient {
-            model: ambient_from_json(doc.get("model").unwrap_or(&Json::Null))?,
-        },
+        "set_ambient" => {
+            Event::SetAmbient(ambient_from_json(doc.get("model").unwrap_or(&Json::Null))?)
+        }
         other => return Err(bad("type", &format!("unknown event type `{other}`"))),
     };
-    Ok(ScenarioEvent { at, action })
+    Ok((at, event))
 }
 
 #[cfg(test)]
@@ -831,43 +747,39 @@ mod tests {
                 .with_spike(SpikeFault::random(0.05, Celsius::new(2.0), Celsius::new(6.0)).unwrap())
                 .with_jitter(JitterFault::random(0.1, vmtherm_units::Seconds::new(1.5)).unwrap()),
             events: vec![
-                ScenarioEvent {
-                    at: SimTime::from_secs(30),
-                    action: ScenarioAction::BootVm {
-                        server: 1,
-                        vcpus: 2,
-                        memory_gb: 4.0,
-                        task: TaskProfile::Bursty,
+                (
+                    SimTime::from_secs(30),
+                    Event::BootVm {
+                        server: ServerId::new(1),
+                        spec: VmSpec::new(SCHEDULED_VM_NAME, 2, 4.0, TaskProfile::Bursty),
                     },
-                },
-                ScenarioEvent {
-                    at: SimTime::from_secs(50),
-                    action: ScenarioAction::Migrate { vm: 0, dest: 2 },
-                },
-                ScenarioEvent {
-                    at: SimTime::from_secs(70),
-                    action: ScenarioAction::SetAmbient {
-                        model: AmbientModel::Fixed(31.0),
+                ),
+                (
+                    SimTime::from_secs(50),
+                    Event::MigrateVm {
+                        vm: VmId::new(0),
+                        dest: ServerId::new(2),
                     },
-                },
-                ScenarioEvent {
-                    at: SimTime::from_secs(80),
-                    action: ScenarioAction::SetFanSpeed {
-                        server: 0,
+                ),
+                (
+                    SimTime::from_secs(70),
+                    Event::SetAmbient(AmbientModel::Fixed(31.0)),
+                ),
+                (
+                    SimTime::from_secs(80),
+                    Event::SetFanSpeed {
+                        server: ServerId::new(0),
                         speed: FanSpeed::High,
                     },
-                },
-                ScenarioEvent {
-                    at: SimTime::from_secs(90),
-                    action: ScenarioAction::FailFans {
-                        server: 2,
+                ),
+                (
+                    SimTime::from_secs(90),
+                    Event::FailFans {
+                        server: ServerId::new(2),
                         count: 1,
                     },
-                },
-                ScenarioEvent {
-                    at: SimTime::from_secs(100),
-                    action: ScenarioAction::StopVm { vm: 3 },
-                },
+                ),
+                (SimTime::from_secs(100), Event::StopVm(VmId::new(3))),
             ],
         }
     }
@@ -890,14 +802,25 @@ mod tests {
         scenario.name = "bad name with spaces".to_string();
         assert!(Scenario::parse(&scenario.to_json_string()).is_err());
         let mut scenario = sample();
-        scenario.events[0] = ScenarioEvent {
-            at: SimTime::ZERO,
-            action: ScenarioAction::FailFans {
-                server: 99,
+        scenario.events[0] = (
+            SimTime::ZERO,
+            Event::FailFans {
+                server: ServerId::new(99),
                 count: 1,
             },
-        };
+        );
         assert!(Scenario::parse(&scenario.to_json_string()).is_err());
+        // A boot outside `VmSpec`'s domain is a parse error, not a panic.
+        let text = sample().to_json_string();
+        for (field, value) in [("vcpus", "0"), ("memory_gb", "0"), ("memory_gb", "-1")] {
+            let from = format!("\"{field}\": {}", if field == "vcpus" { "2" } else { "4" });
+            let edited = text.replacen(&from, &format!("\"{field}\": {value}"), 1);
+            assert_ne!(edited, text, "{from} not found");
+            assert!(
+                Scenario::parse(&edited).is_err(),
+                "{field} = {value} parsed"
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! fixed order), so the same failing case always minimizes to the same
 //! file.
 
-use super::{oracle::OracleFailure, Scenario, ScenarioAction};
+use super::{oracle::OracleFailure, Scenario};
+use crate::engine::Event;
 use crate::environment::AmbientModel;
 use crate::time::SimDuration;
 
@@ -99,18 +100,20 @@ fn candidates(scenario: &Scenario) -> Vec<Scenario> {
         // Events past the new horizon can never fire; drop them so the
         // repro reads minimal.
         c.events
-            .retain(|e| e.at.as_millis() <= c.duration.as_millis());
+            .retain(|(at, _)| at.as_millis() <= c.duration.as_millis());
         out.push(c);
     }
     if scenario.servers > 1 {
         let mut c = scenario.clone();
         c.servers = scenario.servers / 2;
-        c.events.retain(|e| match &e.action {
-            ScenarioAction::BootVm { server, .. }
-            | ScenarioAction::SetFanSpeed { server, .. }
-            | ScenarioAction::FailFans { server, .. } => *server < c.servers,
-            ScenarioAction::Migrate { dest, .. } => *dest < c.servers,
-            ScenarioAction::StopVm { .. } | ScenarioAction::SetAmbient { .. } => true,
+        // Exhaustive on purpose: a new `Event` variant must decide
+        // whether it survives a fleet cut.
+        c.events.retain(|(_, event)| match event {
+            Event::BootVm { server, .. }
+            | Event::MigrateVm { dest: server, .. }
+            | Event::SetFanSpeed { server, .. }
+            | Event::FailFans { server, .. } => server.raw() < c.servers,
+            Event::StopVm(_) | Event::SetAmbient(_) => true,
         });
         out.push(c);
     }
@@ -159,8 +162,10 @@ fn candidates(scenario: &Scenario) -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioEvent;
+    use crate::scenario::SCHEDULED_VM_NAME;
+    use crate::server::ServerId;
     use crate::time::SimTime;
+    use crate::vm::{VmId, VmSpec};
     use crate::workload::TaskProfile;
 
     fn failure() -> OracleFailure {
@@ -177,35 +182,28 @@ mod tests {
         let mut scenario = Scenario::quiet("shrink-me", 1, 8, SimDuration::from_secs(600));
         scenario.vms_per_server = 4;
         for i in 0..10u64 {
-            scenario.events.push(ScenarioEvent {
-                at: SimTime::from_secs(10 + i),
-                action: if i == 0 {
-                    ScenarioAction::SetAmbient {
-                        model: AmbientModel::Fixed(35.0),
-                    }
+            scenario.events.push((
+                SimTime::from_secs(10 + i),
+                if i == 0 {
+                    Event::SetAmbient(AmbientModel::Fixed(35.0))
                 } else {
-                    ScenarioAction::BootVm {
-                        server: (i as usize) % 8,
-                        vcpus: 1,
-                        memory_gb: 2.0,
-                        task: TaskProfile::Idle,
+                    Event::BootVm {
+                        server: ServerId::new((i as usize) % 8),
+                        spec: VmSpec::new(SCHEDULED_VM_NAME, 1, 2.0, TaskProfile::Idle),
                     }
                 },
-            });
+            ));
         }
         let mut checks = 0u64;
         let result = shrink(&scenario, failure(), 10_000, &mut |c| {
             checks += 1;
             c.events
                 .iter()
-                .any(|e| matches!(e.action, ScenarioAction::SetAmbient { .. }))
+                .any(|(_, e)| matches!(e, Event::SetAmbient(_)))
                 .then(failure)
         });
         assert_eq!(result.scenario.events.len(), 1);
-        assert!(matches!(
-            result.scenario.events[0].action,
-            ScenarioAction::SetAmbient { .. }
-        ));
+        assert!(matches!(result.scenario.events[0].1, Event::SetAmbient(_)));
         assert_eq!(result.scenario.servers, 1);
         assert_eq!(result.scenario.vms_per_server, 0);
         assert_eq!(result.scenario.duration, MIN_DURATION);
@@ -217,10 +215,8 @@ mod tests {
         let scenario = {
             let mut s = Scenario::quiet("budgeted", 1, 4, SimDuration::from_secs(120));
             for i in 0..6u64 {
-                s.events.push(ScenarioEvent {
-                    at: SimTime::from_secs(10 + i),
-                    action: ScenarioAction::StopVm { vm: i },
-                });
+                s.events
+                    .push((SimTime::from_secs(10 + i), Event::StopVm(VmId::new(i))));
             }
             s
         };
@@ -237,10 +233,9 @@ mod tests {
     fn shrink_is_deterministic() {
         let mut scenario = Scenario::quiet("det", 2, 4, SimDuration::from_secs(300));
         for i in 0..8u64 {
-            scenario.events.push(ScenarioEvent {
-                at: SimTime::from_secs(20 + i * 5),
-                action: ScenarioAction::StopVm { vm: i },
-            });
+            scenario
+                .events
+                .push((SimTime::from_secs(20 + i * 5), Event::StopVm(VmId::new(i))));
         }
         scenario.vms_per_server = 2;
         let predicate = |c: &Scenario| (c.events.len() >= 2).then(failure);

@@ -408,7 +408,6 @@ mod tests {
         Vm::new(
             VmId::new(id),
             VmSpec::new(format!("vm{id}"), vcpus, mem, task),
-            SimTime::ZERO,
             id,
         )
     }

@@ -508,6 +508,13 @@ impl StableMeans {
             die_c: MeanAfter::new(from),
         }
     }
+
+    /// `(ψ_stable, true stable)`, or `None` before the first qualifying
+    /// sample. Both folds take every sample together, so they are empty
+    /// together.
+    pub(crate) fn means(&self) -> Option<(f64, f64)> {
+        Some((self.sensor_c.mean()?, self.die_c.mean()?))
+    }
 }
 
 #[cfg(test)]

@@ -98,17 +98,6 @@ impl SimDuration {
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Integer division: how many whole `step`s fit in `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is zero.
-    #[must_use]
-    pub fn div_steps(self, step: SimDuration) -> u64 {
-        assert!(step.0 > 0, "div_steps: zero step");
-        self.0 / step.0
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -204,13 +193,6 @@ mod tests {
     #[should_panic(expected = "after")]
     fn duration_since_backwards_panics() {
         let _ = SimTime::ZERO.duration_since(SimTime::from_secs(1));
-    }
-
-    #[test]
-    fn div_steps_counts_whole_steps() {
-        let d = SimDuration::from_secs(10);
-        assert_eq!(d.div_steps(SimDuration::from_secs(3)), 3);
-        assert_eq!(d.div_steps(SimDuration::from_millis(2500)), 4);
     }
 
     #[test]

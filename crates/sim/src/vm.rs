@@ -105,14 +105,13 @@ pub struct Vm {
     spec: VmSpec,
     state: VmState,
     workload: UtilizationGenerator,
-    started_at: SimTime,
 }
 
 impl Vm {
     /// Instantiates a VM; `seed` decorrelates its workload trace from other
     /// VMs with the same profile.
     #[must_use]
-    pub fn new(id: VmId, spec: VmSpec, started_at: SimTime, seed: u64) -> Self {
+    pub fn new(id: VmId, spec: VmSpec, seed: u64) -> Self {
         let workload = spec
             .task()
             .utilization_model(seed ^ id.raw())
@@ -122,7 +121,6 @@ impl Vm {
             spec,
             state: VmState::Running,
             workload,
-            started_at,
         }
     }
 
@@ -147,12 +145,6 @@ impl Vm {
     /// Sets the lifecycle state (engine/migration use).
     pub fn set_state(&mut self, state: VmState) {
         self.state = state;
-    }
-
-    /// When the VM booted.
-    #[must_use]
-    pub fn started_at(&self) -> SimTime {
-        self.started_at
     }
 
     /// Replaces the workload generator — used to drive a VM from a
@@ -232,7 +224,7 @@ mod tests {
 
     #[test]
     fn cpu_demand_bounded_by_vcpus() {
-        let mut vm = Vm::new(VmId::new(1), spec(), SimTime::ZERO, 7);
+        let mut vm = Vm::new(VmId::new(1), spec(), 7);
         for s in (0..3600).step_by(60) {
             let d = vm.cpu_demand(SimTime::from_secs(s));
             assert!((0.0..=2.0).contains(&d), "demand {d}");
@@ -241,7 +233,7 @@ mod tests {
 
     #[test]
     fn stopped_vm_demands_nothing() {
-        let mut vm = Vm::new(VmId::new(1), spec(), SimTime::ZERO, 7);
+        let mut vm = Vm::new(VmId::new(1), spec(), 7);
         vm.set_state(VmState::Stopped);
         assert_eq!(vm.cpu_demand(SimTime::from_secs(10)), 0.0);
         assert_eq!(vm.active_memory_gb(), 0.0);
@@ -252,7 +244,6 @@ mod tests {
         let vm = Vm::new(
             VmId::new(2),
             VmSpec::new("db", 2, 10.0, TaskProfile::MemoryBound),
-            SimTime::ZERO,
             0,
         );
         assert!((vm.active_memory_gb() - 9.0).abs() < 1e-12);
@@ -261,8 +252,8 @@ mod tests {
     #[test]
     fn same_profile_different_ids_decorrelated() {
         let spec = VmSpec::new("a", 1, 1.0, TaskProfile::CpuBound);
-        let mut a = Vm::new(VmId::new(1), spec.clone(), SimTime::ZERO, 7);
-        let mut b = Vm::new(VmId::new(2), spec, SimTime::ZERO, 7);
+        let mut a = Vm::new(VmId::new(1), spec.clone(), 7);
+        let mut b = Vm::new(VmId::new(2), spec, 7);
         let ta: Vec<f64> = (0..20)
             .map(|s| a.cpu_demand(SimTime::from_secs(s)))
             .collect();
@@ -279,14 +270,9 @@ mod tests {
 
     #[test]
     fn demand_constancy_tracks_profile_and_state() {
-        let idle = Vm::new(
-            VmId::new(1),
-            VmSpec::new("i", 1, 1.0, TaskProfile::Idle),
-            SimTime::ZERO,
-            0,
-        );
+        let idle = Vm::new(VmId::new(1), VmSpec::new("i", 1, 1.0, TaskProfile::Idle), 0);
         assert!(idle.demand_is_constant(), "Idle maps to a constant model");
-        let mut web = Vm::new(VmId::new(2), spec(), SimTime::ZERO, 0);
+        let mut web = Vm::new(VmId::new(2), spec(), 0);
         assert!(!web.demand_is_constant(), "WebServer is time-varying");
         web.set_state(VmState::Stopped);
         assert!(web.demand_is_constant(), "stopped VMs demand nothing");
