@@ -1072,6 +1072,19 @@ fn serve_demo_fleet(flags: &Flags) -> Result<String, String> {
     if !hz.is_finite() || hz <= 0.0 {
         return Err("--hz must be a positive rate".to_string());
     }
+    // The fleet is built before the `--secs 0` exit, so that form still
+    // rejects a VM set the server cannot hold.
+    let (mut sim, _) = vmtherm_bench::commodity_sim(fans, ambient, seed, vms)
+        .map_err(|e| format!("placement: {e}"))?;
+    // A mild spike channel keeps the fault and quarantine metrics moving so
+    // the scraped families are representative of a noisy fleet.
+    let plan = FaultPlan::new(seed.wrapping_mul(31).wrapping_add(7)).with_spike(
+        SpikeFault::random(0.01, Celsius::new(15.0), Celsius::new(25.0))
+            .map_err(|e| format!("spike: {e}"))?,
+    );
+    sim.set_fault_plan(plan)
+        .map_err(|e| format!("fault plan: {e}"))?;
+    sim.set_clock_mode(parse_clock(flags)?);
     let server = obs::ScrapeServer::start(&addr).map_err(|e| format!("binding {addr}: {e}"))?;
     let bound = server.local_addr();
     if secs == 0 {
@@ -1086,18 +1099,6 @@ fn serve_demo_fleet(flags: &Flags) -> Result<String, String> {
         Some(path) => load_model(path)?,
         None => demo_model(seed)?,
     };
-
-    let (mut sim, _) = vmtherm_bench::commodity_sim(fans, ambient, seed, vms)
-        .map_err(|e| format!("placement: {e}"))?;
-    // A mild spike channel keeps the fault and quarantine metrics moving so
-    // the scraped families are representative of a noisy fleet.
-    let plan = FaultPlan::new(seed.wrapping_mul(31).wrapping_add(7)).with_spike(
-        SpikeFault::random(0.01, Celsius::new(15.0), Celsius::new(25.0))
-            .map_err(|e| format!("spike: {e}"))?,
-    );
-    sim.set_fault_plan(plan)
-        .map_err(|e| format!("fault plan: {e}"))?;
-    sim.set_clock_mode(parse_clock(flags)?);
     let mut monitor = FleetMonitor::new(model, DynamicConfig::new(), 1, Seconds::new(60.0))
         .map_err(|e| e.to_string())?;
 

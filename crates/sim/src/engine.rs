@@ -1802,21 +1802,58 @@ mod tests {
 
     /// On the Fixed clock under a fixed ambient an idle server's time,
     /// utilization, power and ambient columns never leave their closed
-    /// forms; only the sensor and die columns are stored sample by sample.
+    /// forms; only the sensor (as whole-degree codes) and die columns are
+    /// stored sample by sample.
     #[test]
     fn idle_fixed_clock_server_keeps_four_closed_form_columns() {
+        use crate::telemetry::Form::{Constant, Dense, Uniform, Whole};
         let mut sim = two_server_sim();
         sim.run_until(SimTime::from_secs(1000));
         let columns = &sim.slots[1].trace;
         // Time column, then sensor, die, utilization, power, ambient.
         assert_eq!(
-            columns.closed_forms(),
-            [true, false, false, true, true, true]
+            columns.forms(),
+            [Uniform, Whole, Dense, Constant, Constant, Constant]
         );
         let trace = sim.trace(ServerId::new(1)).unwrap();
         assert_eq!(trace.ambient_c.len(), 1000);
         assert_eq!(trace.ambient_c.last(), Some((999.0, 25.0)));
         assert_eq!(trace.utilization.get(500), Some((500.0, 0.0)));
+    }
+
+    /// The default whole-degree sensor's column keeps `i16` codes for a
+    /// whole run; a half-degree sensor's turns dense. Either way the
+    /// readings are the sensor's own: a standalone sensor of the same
+    /// seed, replaying the recorded die temperatures, reads the same bits.
+    #[test]
+    fn sensor_column_is_whole_only_for_a_whole_degree_sensor() {
+        use crate::sensor::{SensorConfig, TemperatureSensor};
+        use crate::telemetry::Form;
+        let half_degree = SensorConfig::new(0.4, 0.5).unwrap();
+        let mut dc = Datacenter::new();
+        dc.add_server(ServerSpec::standard("a"), Celsius::new(25.0), 1);
+        dc.add_server(
+            ServerSpec::standard("b").with_sensor(half_degree),
+            Celsius::new(25.0),
+            2,
+        );
+        let mut sim = Simulation::new(dc, AmbientModel::Fixed(25.0), 7);
+        sim.boot_vm_now(ServerId::new(1), spec(2, 4.0)).unwrap();
+        sim.run_until(SimTime::from_secs(1000));
+        assert_eq!(sim.slots[0].trace.forms()[1], Form::Whole);
+        assert_eq!(sim.slots[1].trace.forms()[1], Form::Dense);
+
+        // `Server::new` seeds server `id`'s sensor with `seed ^ id << 17`.
+        for (id, seed, config) in [(0, 1, SensorConfig::default()), (1, 2, half_degree)] {
+            let trace = sim.trace(ServerId::new(id)).unwrap();
+            assert_eq!(trace.sensor_c.len(), 1000);
+            let mut replay = TemperatureSensor::new(config, seed ^ (id as u64) << 17);
+            for ((t, reading), (die_t, die)) in trace.sensor_c.iter().zip(trace.die_c.iter()) {
+                assert_eq!(t.to_bits(), die_t.to_bits());
+                let want = replay.read(Celsius::new(die));
+                assert_eq!(reading.to_bits(), want.to_bits(), "server {id} at {t} s");
+            }
+        }
     }
 
     /// An 11-server fleet on three racks behind a faulted delivery

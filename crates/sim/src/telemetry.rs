@@ -127,11 +127,14 @@ impl Times<'_> {
     }
 }
 
-/// A borrowed value column: one repeated value, or the recorded values.
+/// A borrowed value column: one repeated value, whole-number codes, or
+/// the recorded values.
 #[derive(Debug, Clone, Copy)]
 enum Values<'a> {
     /// Every sample holds this value (bit for bit).
     Constant(f64),
+    /// Sample `i` holds `f64::from(codes[i])`.
+    Whole(&'a [i16]),
     /// Sample `i` holds `values[i]`.
     Dense(&'a [f64]),
 }
@@ -142,6 +145,7 @@ impl Values<'_> {
     fn at(self, i: usize) -> f64 {
         match self {
             Values::Constant(value) => value,
+            Values::Whole(codes) => f64::from(codes[i]),
             Values::Dense(values) => values[i],
         }
     }
@@ -341,13 +345,26 @@ impl TimeColumn {
     }
 }
 
+/// `value` as an `i16` code that converts back to the same bits, if it
+/// has one. `-0.0`, NaN, fractions and values outside the `i16` range
+/// have none: `as` maps them to a code that converts back to other bits.
+#[inline(always)]
+fn whole_code(value: f64) -> Option<i16> {
+    let code = value as i16;
+    (f64::from(code).to_bits() == value.to_bits()).then_some(code)
+}
+
 /// A trace's value column. It keeps one value (compared by bits, so
 /// `-0.0` differs from `0.0` and each NaN payload from the others) until
-/// the first sample that differs, then holds the recorded values.
+/// the first sample that differs, then `i16` codes while every sample
+/// has one ([`whole_code`]), then the recorded values. It changes form
+/// at most twice and never goes back.
 #[derive(Debug)]
 enum ValueColumn {
     /// Every sample holds `f64::from_bits` of this.
     Constant(u64),
+    /// Sample `i` holds `f64::from(codes[i])`.
+    Whole(Vec<i16>),
     /// Sample `i` holds `values[i]`.
     Dense(Vec<f64>),
 }
@@ -360,17 +377,36 @@ impl Default for ValueColumn {
 
 impl ValueColumn {
     /// Appends sample number `len`. A constant column that `value`
-    /// differs from turns dense.
+    /// differs from turns whole if both values have a code, else dense;
+    /// a whole column turns dense at the first value without one.
     #[inline(always)]
     fn push(&mut self, len: usize, value: f64) {
         match self {
             ValueColumn::Constant(bits) if len == 0 => *bits = value.to_bits(),
             ValueColumn::Constant(bits) if *bits == value.to_bits() => {}
             ValueColumn::Constant(bits) => {
-                let mut values = vec![f64::from_bits(*bits); len];
-                values.push(value);
-                *self = ValueColumn::Dense(values);
+                let first = f64::from_bits(*bits);
+                *self = match (whole_code(first), whole_code(value)) {
+                    (Some(first), Some(code)) => {
+                        let mut codes = vec![first; len];
+                        codes.push(code);
+                        ValueColumn::Whole(codes)
+                    }
+                    _ => {
+                        let mut values = vec![first; len];
+                        values.push(value);
+                        ValueColumn::Dense(values)
+                    }
+                };
             }
+            ValueColumn::Whole(codes) => match whole_code(value) {
+                Some(code) => codes.push(code),
+                None => {
+                    let mut values: Vec<f64> = codes.iter().copied().map(f64::from).collect();
+                    values.push(value);
+                    *self = ValueColumn::Dense(values);
+                }
+            },
             ValueColumn::Dense(values) => values.push(value),
         }
     }
@@ -378,6 +414,7 @@ impl ValueColumn {
     fn view(&self) -> Values<'_> {
         match *self {
             ValueColumn::Constant(bits) => Values::Constant(f64::from_bits(bits)),
+            ValueColumn::Whole(ref codes) => Values::Whole(codes),
             ValueColumn::Dense(ref values) => Values::Dense(values),
         }
     }
@@ -386,9 +423,11 @@ impl ValueColumn {
 /// One server's trace as the engine stores it: `len` samples of one time
 /// column and the [`CHANNELS`] value columns beside it. Each column stays
 /// in closed form (a uniform stride, a repeated value) while its samples
-/// fit one, so a Fixed-clock server under a fixed ambient stores 8 bytes
-/// per sample and channel that varies, where dense columns took 48 per
-/// sample. Read it through [`TraceColumns::view`].
+/// fit one, and a value column that varies over whole numbers keeps
+/// 2-byte codes, so a Fixed-clock server under a fixed ambient stores 2
+/// bytes per sample for its whole-degree sensor and 8 for each other
+/// channel that varies, where dense columns took 48 per sample. Read it
+/// through [`TraceColumns::view`].
 #[derive(Debug, Default)]
 pub(crate) struct TraceColumns {
     len: usize,
@@ -422,35 +461,60 @@ impl TraceColumns {
         Ok(())
     }
 
-    /// The five channels as [`Series`] over the one time column.
+    /// The five channels as [`Series`] over the one time column. Built
+    /// field by field rather than through `array::map`, which the
+    /// compiler may leave out of line: a caller that reads one channel
+    /// (the fleet monitor reads the sensor's newest sample per visit) then
+    /// builds and copies all five.
     #[inline]
-    pub(crate) fn view(&self) -> ServerTrace<'_> {
+    pub(crate) fn view<'a>(&'a self) -> ServerTrace<'a> {
         let (len, times) = (self.len, self.times.view());
-        let [sensor_c, die_c, utilization, power_w, ambient_c] =
-            self.channels.each_ref().map(|column| Series {
-                len,
-                times,
-                values: column.view(),
-            });
+        let series = |column: &'a ValueColumn| Series {
+            len,
+            times,
+            values: column.view(),
+        };
+        let [sensor_c, die_c, utilization, power_w, ambient_c] = &self.channels;
         ServerTrace {
-            sensor_c,
-            die_c,
-            utilization,
-            power_w,
-            ambient_c,
+            sensor_c: series(sensor_c),
+            die_c: series(die_c),
+            utilization: series(utilization),
+            power_w: series(power_w),
+            ambient_c: series(ambient_c),
         }
     }
 
-    /// Which columns still hold a closed form: the time column, then the
-    /// value columns in [`ServerTrace`] field order.
+    /// The form each column is in: the time column, then the value
+    /// columns in [`ServerTrace`] field order.
     #[cfg(test)]
-    pub(crate) fn closed_forms(&self) -> [bool; 1 + CHANNELS] {
-        let mut closed = [matches!(self.times, TimeColumn::Uniform { .. }); 1 + CHANNELS];
-        for (flag, column) in closed[1..].iter_mut().zip(&self.channels) {
-            *flag = matches!(column, ValueColumn::Constant(_));
+    pub(crate) fn forms(&self) -> [Form; 1 + CHANNELS] {
+        let mut forms = [match self.times {
+            TimeColumn::Uniform { .. } => Form::Uniform,
+            TimeColumn::Dense(_) => Form::Dense,
+        }; 1 + CHANNELS];
+        for (form, column) in forms[1..].iter_mut().zip(&self.channels) {
+            *form = match column {
+                ValueColumn::Constant(_) => Form::Constant,
+                ValueColumn::Whole(_) => Form::Whole,
+                ValueColumn::Dense(_) => Form::Dense,
+            };
         }
-        closed
+        forms
     }
+}
+
+/// The form a trace column is stored in (see [`TraceColumns::forms`]).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Form {
+    /// A time column on a uniform stride.
+    Uniform,
+    /// A value column holding one repeated value.
+    Constant,
+    /// A value column of `i16` codes.
+    Whole,
+    /// Either column holding the recorded `f64`s.
+    Dense,
 }
 
 /// The Eq. (1) fold behind [`Series::mean_after`]: a left-to-right
@@ -636,8 +700,9 @@ mod tests {
         }
     }
 
-    /// The `f64` that `pick` names among those a closed form must tell
-    /// apart (signed zeros, NaN payloads), else `reading`.
+    /// The `f64` that `pick` names among those a column form must tell
+    /// apart (signed zeros, NaN payloads, the edges of the `i16` codes),
+    /// else `reading` rounded to a whole number or as drawn.
     fn awkward(pick: u8, reading: f64) -> f64 {
         match pick {
             0 => 0.0,
@@ -646,13 +711,40 @@ mod tests {
             3 => f64::from_bits(0x7ff8_0000_0000_0001),
             4 => f64::from_bits(0xfff8_0000_0000_0002),
             5 => 24.0,
+            6 => 0.5,
+            7 => 32767.0,
+            8 => -32768.0,
+            9 => 32768.0,
+            10 => 1e300,
+            11 => -32769.0,
+            12 => f64::INFINITY,
+            13 | 14 => reading.round(),
             _ => reading,
         }
     }
 
-    /// Every channel's samples as bits, and which columns are in closed
-    /// form.
-    fn contents(columns: &TraceColumns) -> (Vec<Vec<(u64, u64)>>, [bool; 1 + CHANNELS]) {
+    /// Whether a whole column may hold `value`: a whole number in the
+    /// `i16` range other than `-0.0`. Worked out from the value itself,
+    /// not by the store's `as` round trip.
+    fn is_whole(value: f64) -> bool {
+        value.fract() == 0.0
+            && (-32768.0..=32767.0).contains(&value)
+            && !(value == 0.0 && value.is_sign_negative())
+    }
+
+    /// The form naive columns of these samples must be stored in.
+    fn naive_form(values: &[f64]) -> Form {
+        if values.windows(2).all(|w| w[0].to_bits() == w[1].to_bits()) {
+            Form::Constant
+        } else if values.iter().all(|&v| is_whole(v)) {
+            Form::Whole
+        } else {
+            Form::Dense
+        }
+    }
+
+    /// Every channel's samples as bits, and each column's form.
+    fn contents(columns: &TraceColumns) -> (Vec<Vec<(u64, u64)>>, [Form; 1 + CHANNELS]) {
         let view = columns.view();
         let samples = [
             view.sensor_c,
@@ -667,7 +759,7 @@ mod tests {
                 .map(|(t, v)| (t.to_bits(), v.to_bits()))
                 .collect()
         });
-        (samples.to_vec(), columns.closed_forms())
+        (samples.to_vec(), columns.forms())
     }
 
     /// Millisecond offsets between offered samples, run by run: kind 0
@@ -692,18 +784,24 @@ mod tests {
 
         /// Every `Series` reader of every channel returns, bit for bit,
         /// what naive dense columns return, while the columns take and
-        /// leave their closed forms; a backwards sample is rejected the
-        /// same way and changes no column. Each column is in closed form
-        /// exactly when every recorded sample fits it.
+        /// leave their closed forms and `i16` codes; a backwards sample is
+        /// rejected the same way and changes no column. Channel `c` holds
+        /// its first value until sample `breaks[c]`, then a run of
+        /// `whole_runs[c]` whole numbers, then awkward values, so columns
+        /// stay constant, go `Constant → Whole`, `Constant → Whole →
+        /// Dense` (broken late by a value without a code) or straight to
+        /// dense. Each column ends in exactly the form its samples fit.
         #[test]
         fn every_reader_matches_naive_dense_columns(
             start_ms in 0u64..5_000,
             kinds in proptest::collection::vec(0u8..4, 0..7),
             strides in proptest::collection::vec(0u64..20_000, 7),
             counts in proptest::collection::vec(1usize..40, 7),
-            picks in proptest::collection::vec(0u8..8, CHANNELS + 16),
+            picks in proptest::collection::vec(0u8..18, CHANNELS + 16),
             readings in proptest::collection::vec(-50.0..150.0f64, CHANNELS + 16),
             breaks in proptest::collection::vec(0usize..120, CHANNELS),
+            whole_runs in proptest::collection::vec(0usize..150, CHANNELS),
+            wholes in proptest::collection::vec(-60i16..130, 1..12),
             from_ms in 0u64..300_000,
             at_ms in 0u64..300_000,
         ) {
@@ -718,7 +816,8 @@ mod tests {
                 let sample: [f64; CHANNELS] = std::array::from_fn(|c| {
                     match i.checked_sub(breaks[c]) {
                         None => firsts[c],
-                        Some(k) => tails[(k + c) % tails.len()],
+                        Some(k) if k < whole_runs[c] => f64::from(wholes[(k + c) % wholes.len()]),
+                        Some(k) => tails[(k - whole_runs[c] + c) % tails.len()],
                     }
                 });
                 let before = contents(&columns);
@@ -730,11 +829,9 @@ mod tests {
             }
 
             let uniform = naive.millis.windows(3).all(|w| w[1] - w[0] == w[2] - w[1]);
-            let mut closed = vec![uniform];
-            closed.extend(naive.channels.iter().map(|column| {
-                column.windows(2).all(|w| w[0].to_bits() == w[1].to_bits())
-            }));
-            proptest::prop_assert_eq!(columns.closed_forms().to_vec(), closed);
+            let mut forms = vec![if uniform { Form::Uniform } else { Form::Dense }];
+            forms.extend(naive.channels.iter().map(|column| naive_form(column)));
+            proptest::prop_assert_eq!(columns.forms().to_vec(), forms);
 
             let bits = |p: Option<f64>| p.map(f64::to_bits);
             let pair_bits = |p: Option<(f64, f64)>| p.map(|(t, v)| (t.to_bits(), v.to_bits()));
