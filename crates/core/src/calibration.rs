@@ -108,19 +108,25 @@ impl Calibrator {
     /// update (the first offer always updates). Returns `true` when γ
     /// changed.
     pub fn observe(&mut self, t_secs: Seconds, measured: Celsius, curve_value: Celsius) -> bool {
-        let t = t_secs.get();
-        let due = match self.last_update_secs {
-            None => true,
-            Some(last) => t - last >= self.update_interval_secs - 1e-9,
-        };
-        if !due {
+        if !self.is_due(t_secs) {
             return false;
         }
         let dif = measured.get() - (curve_value.get() + self.gamma);
         self.gamma += self.lambda * dif;
-        self.last_update_secs = Some(t);
+        self.last_update_secs = Some(t_secs.get());
         self.updates += 1;
         true
+    }
+
+    /// Whether an offer at `t_secs` would update γ: Δ_update has elapsed
+    /// since the last update, or none has happened yet. A caller can skip
+    /// computing ψ*(t) for an offer that is not due.
+    #[must_use]
+    pub(crate) fn is_due(&self, t_secs: Seconds) -> bool {
+        match self.last_update_secs {
+            None => true,
+            Some(last) => t_secs.get() - last >= self.update_interval_secs - 1e-9,
+        }
     }
 
     /// Applies γ to an uncalibrated curve value (Eq. 8's right-hand side).
@@ -173,9 +179,11 @@ mod tests {
         assert!(cal.observe(s(0.0), c(51.0), c(50.0)));
         let g = cal.gamma();
         // 10 s later: not due.
+        assert!(!cal.is_due(s(10.0)));
         assert!(!cal.observe(s(10.0), c(60.0), c(50.0)));
         assert_eq!(cal.gamma(), g);
         // 15 s after last update: due.
+        assert!(cal.is_due(s(15.0)));
         assert!(cal.observe(s(15.0), c(60.0), c(50.0)));
         assert_ne!(cal.gamma(), g);
         assert_eq!(cal.updates(), 2);

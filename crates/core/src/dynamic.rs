@@ -177,7 +177,9 @@ impl DynamicPredictor {
 
 impl OnlinePredictor for DynamicPredictor {
     fn observe(&mut self, t_secs: Seconds, measured_c: Celsius) {
-        if !self.config.calibrate {
+        // The curve costs an `ln` inside t_break, and γ takes only one
+        // offer per Δ_update, so an offer that is not due skips it.
+        if !self.config.calibrate || !self.calibrator.is_due(t_secs) {
             return;
         }
         let Ok(curve_value) = self.curve_value(t_secs) else {

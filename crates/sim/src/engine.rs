@@ -547,6 +547,14 @@ impl Simulation {
             .ok_or(SimError::UnknownServer(server))
     }
 
+    /// The heap bytes every server's trace store holds: each stored
+    /// column's capacity times its element size, summed. Counted from the
+    /// stores, so exact where a process's RSS is not.
+    #[must_use]
+    pub fn trace_heap_bytes(&self) -> usize {
+        self.slots.iter().map(|slot| slot.trace.heap_bytes()).sum()
+    }
+
     /// The event log: everything that happened, in order.
     #[must_use]
     pub fn log(&self) -> &[(SimTime, SimEvent)] {
@@ -1853,6 +1861,37 @@ mod tests {
                 let want = replay.read(Celsius::new(die));
                 assert_eq!(reading.to_bits(), want.to_bits(), "server {id} at {t} s");
             }
+        }
+    }
+
+    /// An idle server's RK4 state reaches a bitwise fixed point (after
+    /// about 3,900 s for this server on the Fixed clock). From then on its
+    /// die column stores nothing more while the trace grows, and the
+    /// samples it does not store read back the fixed point's bits.
+    #[test]
+    fn settled_die_column_stops_growing() {
+        const K: usize = 1_000;
+        let mut dc = Datacenter::new();
+        dc.add_server(ServerSpec::standard("a"), Celsius::new(25.0), 1);
+        let mut sim = Simulation::new(dc, AmbientModel::Fixed(25.0), 7);
+        let die = |sim: &Simulation| {
+            let server = sim.datacenter().server(ServerId::new(0)).unwrap();
+            server.die_temperature().to_bits()
+        };
+        sim.run_until(SimTime::from_secs(6_000));
+        let fixed = die(&sim);
+        sim.step();
+        assert_eq!(die(&sim), fixed, "not yet at the fixed point");
+        let len = sim.trace(ServerId::new(0)).unwrap().die_c.len();
+        let stored = sim.slots[0].trace.stored_lens()[1];
+        assert!(stored < len - 1, "the die column stored its final run");
+
+        sim.run_for(SimDuration::from_secs(K as u64));
+        let die_c = sim.trace(ServerId::new(0)).unwrap().die_c;
+        assert_eq!(die_c.len(), len + K);
+        assert_eq!(sim.slots[0].trace.stored_lens()[1], stored);
+        for i in len..len + K {
+            assert_eq!(die_c.get(i).map(|(_, v)| v.to_bits()), Some(fixed));
         }
     }
 

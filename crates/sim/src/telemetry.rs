@@ -89,7 +89,7 @@ impl TimeSeries {
         Series {
             len: self.times.len(),
             times: Times::Dense(&self.times),
-            values: Values::Dense(&self.values),
+            values: Values::Dense(&self.values, f64::NAN),
         }
     }
 }
@@ -127,16 +127,14 @@ impl Times<'_> {
     }
 }
 
-/// A borrowed value column: one repeated value, whole-number codes, or
-/// the recorded values.
+/// A borrowed value column: the stored samples (whole-number codes or
+/// the recorded values), then the newest run's value past them.
 #[derive(Debug, Clone, Copy)]
 enum Values<'a> {
-    /// Every sample holds this value (bit for bit).
-    Constant(f64),
-    /// Sample `i` holds `f64::from(codes[i])`.
-    Whole(&'a [i16]),
-    /// Sample `i` holds `values[i]`.
-    Dense(&'a [f64]),
+    /// Sample `i` holds `f64::from(codes[i])`, or the run's value.
+    Whole(&'a [i16], f64),
+    /// Sample `i` holds `values[i]`, or the run's value.
+    Dense(&'a [f64], f64),
 }
 
 impl Values<'_> {
@@ -144,17 +142,16 @@ impl Values<'_> {
     #[inline(always)]
     fn at(self, i: usize) -> f64 {
         match self {
-            Values::Constant(value) => value,
-            Values::Whole(codes) => f64::from(codes[i]),
-            Values::Dense(values) => values[i],
+            Values::Whole(codes, run) => codes.get(i).map_or(run, |&code| f64::from(code)),
+            Values::Dense(values, run) => values.get(i).copied().unwrap_or(run),
         }
     }
 }
 
 /// A borrowed time-stamped scalar series: `len` samples, each a
 /// non-decreasing timestamp (seconds) and a value. Either column may be
-/// held in closed form (a uniform stride, a repeated value); every reader
-/// returns the bits that were recorded. The channels of one
+/// held in closed form (a uniform stride, a final run of one value); every
+/// reader returns the bits that were recorded. The channels of one
 /// [`ServerTrace`] share one time column.
 #[derive(Debug, Clone, Copy)]
 pub struct Series<'a> {
@@ -354,80 +351,90 @@ fn whole_code(value: f64) -> Option<i16> {
     (f64::from(code).to_bits() == value.to_bits()).then_some(code)
 }
 
-/// A trace's value column. It keeps one value (compared by bits, so
-/// `-0.0` differs from `0.0` and each NaN payload from the others) until
-/// the first sample that differs, then `i16` codes while every sample
-/// has one ([`whole_code`]), then the recorded values. It changes form
-/// at most twice and never goes back.
+/// A trace's value column: the samples before its newest run of one value
+/// (bits, so `-0.0` differs from `0.0` and NaN payloads differ), then that
+/// run as its bits. It stores `i16` codes ([`whole_code`]) until the first
+/// value without one, even the run's, then the recorded values for good.
+/// A column of one repeated value stores nothing.
+#[derive(Debug, Default)]
+struct ValueColumn {
+    stored: Stored,
+    /// Samples `stored.len()..len` hold `f64::from_bits(last)` (`+0.0` at first).
+    last: u64,
+}
+
+/// The samples a [`ValueColumn`] stores before its newest run.
 #[derive(Debug)]
-enum ValueColumn {
-    /// Every sample holds `f64::from_bits` of this.
-    Constant(u64),
+enum Stored {
     /// Sample `i` holds `f64::from(codes[i])`.
     Whole(Vec<i16>),
     /// Sample `i` holds `values[i]`.
     Dense(Vec<f64>),
 }
 
-impl Default for ValueColumn {
+impl Default for Stored {
     fn default() -> Self {
-        ValueColumn::Constant(0)
+        Stored::Whole(Vec::new())
     }
 }
 
 impl ValueColumn {
-    /// Appends sample number `len`. A constant column that `value`
-    /// differs from turns whole if both values have a code, else dense;
-    /// a whole column turns dense at the first value without one.
+    /// Appends sample number `len`: nothing if it repeats the run, else it
+    /// writes the run out (in line for a dense one-sample run) and starts one.
     #[inline(always)]
     fn push(&mut self, len: usize, value: f64) {
-        match self {
-            ValueColumn::Constant(bits) if len == 0 => *bits = value.to_bits(),
-            ValueColumn::Constant(bits) if *bits == value.to_bits() => {}
-            ValueColumn::Constant(bits) => {
-                let first = f64::from_bits(*bits);
-                *self = match (whole_code(first), whole_code(value)) {
-                    (Some(first), Some(code)) => {
-                        let mut codes = vec![first; len];
-                        codes.push(code);
-                        ValueColumn::Whole(codes)
-                    }
-                    _ => {
-                        let mut values = vec![first; len];
-                        values.push(value);
-                        ValueColumn::Dense(values)
-                    }
-                };
-            }
-            ValueColumn::Whole(codes) => match whole_code(value) {
-                Some(code) => codes.push(code),
-                None => {
+        if value.to_bits() == self.last {
+            return;
+        }
+        let run = f64::from_bits(self.last);
+        match &mut self.stored {
+            Stored::Dense(values) if values.len() + 1 == len => values.push(run),
+            _ => self.write_run(len, run, value),
+        }
+        self.last = value.to_bits();
+    }
+
+    /// Stores `run` through sample `len - 1` before `value` starts a run.
+    /// A whole store turns dense first at a value without a code.
+    #[inline(never)]
+    fn write_run(&mut self, len: usize, run: f64, value: f64) {
+        match &mut self.stored {
+            Stored::Dense(values) => values.resize(len, run),
+            Stored::Whole(codes) => match (whole_code(run), whole_code(value)) {
+                (Some(run), Some(_)) => codes.resize(len, run),
+                _ => {
                     let mut values: Vec<f64> = codes.iter().copied().map(f64::from).collect();
-                    values.push(value);
-                    *self = ValueColumn::Dense(values);
+                    values.resize(len, run);
+                    self.stored = Stored::Dense(values);
                 }
             },
-            ValueColumn::Dense(values) => values.push(value),
         }
     }
 
     fn view(&self) -> Values<'_> {
-        match *self {
-            ValueColumn::Constant(bits) => Values::Constant(f64::from_bits(bits)),
-            ValueColumn::Whole(ref codes) => Values::Whole(codes),
-            ValueColumn::Dense(ref values) => Values::Dense(values),
+        match self.stored {
+            Stored::Whole(ref codes) => Values::Whole(codes, f64::from_bits(self.last)),
+            Stored::Dense(ref values) => Values::Dense(values, f64::from_bits(self.last)),
+        }
+    }
+
+    /// The heap bytes of the stored samples: capacity times element size.
+    fn heap_bytes(&self) -> usize {
+        match &self.stored {
+            Stored::Whole(codes) => codes.capacity() * size_of::<i16>(),
+            Stored::Dense(values) => values.capacity() * size_of::<f64>(),
         }
     }
 }
 
 /// One server's trace as the engine stores it: `len` samples of one time
-/// column and the [`CHANNELS`] value columns beside it. Each column stays
-/// in closed form (a uniform stride, a repeated value) while its samples
-/// fit one, and a value column that varies over whole numbers keeps
-/// 2-byte codes, so a Fixed-clock server under a fixed ambient stores 2
-/// bytes per sample for its whole-degree sensor and 8 for each other
-/// channel that varies, where dense columns took 48 per sample. Read it
-/// through [`TraceColumns::view`].
+/// column and the [`CHANNELS`] value columns beside it. The time column
+/// stays a uniform stride while its samples fit one; a value column
+/// stores only the samples before its newest run, as 2-byte codes while
+/// they are whole numbers. So a Fixed-clock server under a fixed ambient
+/// stores 2 bytes per sample for its whole-degree sensor, 8 for each
+/// other channel that varies (dense columns took 48) and none for a
+/// channel once it settles. Read it through [`TraceColumns::view`].
 #[derive(Debug, Default)]
 pub(crate) struct TraceColumns {
     len: usize,
@@ -484,8 +491,20 @@ impl TraceColumns {
         }
     }
 
+    /// The heap bytes this trace holds: each stored column's capacity
+    /// times its element size. Closed forms and newest runs hold none.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let times = match &self.times {
+            TimeColumn::Uniform { .. } => 0,
+            TimeColumn::Dense(secs) => secs.capacity() * size_of::<f64>(),
+        };
+        let channels: usize = self.channels.iter().map(ValueColumn::heap_bytes).sum();
+        times + channels
+    }
+
     /// The form each column is in: the time column, then the value
-    /// columns in [`ServerTrace`] field order.
+    /// columns in [`ServerTrace`] field order. A value column that stores
+    /// nothing is [`Form::Constant`].
     #[cfg(test)]
     pub(crate) fn forms(&self) -> [Form; 1 + CHANNELS] {
         let mut forms = [match self.times {
@@ -493,13 +512,23 @@ impl TraceColumns {
             TimeColumn::Dense(_) => Form::Dense,
         }; 1 + CHANNELS];
         for (form, column) in forms[1..].iter_mut().zip(&self.channels) {
-            *form = match column {
-                ValueColumn::Constant(_) => Form::Constant,
-                ValueColumn::Whole(_) => Form::Whole,
-                ValueColumn::Dense(_) => Form::Dense,
+            *form = match &column.stored {
+                Stored::Whole(codes) if !codes.is_empty() => Form::Whole,
+                Stored::Dense(values) if !values.is_empty() => Form::Dense,
+                _ => Form::Constant,
             };
         }
         forms
+    }
+
+    /// How many samples each value column stores, in [`ServerTrace`]
+    /// field order; the rest are its newest run.
+    #[cfg(test)]
+    pub(crate) fn stored_lens(&self) -> [usize; CHANNELS] {
+        self.channels.each_ref().map(|column| match &column.stored {
+            Stored::Whole(codes) => codes.len(),
+            Stored::Dense(values) => values.len(),
+        })
     }
 }
 
@@ -509,9 +538,9 @@ impl TraceColumns {
 pub(crate) enum Form {
     /// A time column on a uniform stride.
     Uniform,
-    /// A value column holding one repeated value.
+    /// A value column that stores nothing: one repeated value.
     Constant,
-    /// A value column of `i16` codes.
+    /// A value column that stores `i16` codes.
     Whole,
     /// Either column holding the recorded `f64`s.
     Dense,
@@ -779,6 +808,124 @@ mod tests {
         out
     }
 
+    /// One channel's samples: run `k` repeats [`awkward`]`(picks[k],
+    /// readings[k])` for a length drawn from `lengths[k]`, short (1 to 3
+    /// samples) or long (100 to 399). A whole channel maps every pick to
+    /// one of the values with a code.
+    fn run_samples(picks: &[u8], readings: &[f64], lengths: &[usize], whole: bool) -> Vec<f64> {
+        const WHOLE: [u8; 5] = [0, 5, 7, 8, 13];
+        let mut out = Vec::new();
+        for ((&pick, &reading), &length) in picks.iter().zip(readings).zip(lengths) {
+            let pick = if whole {
+                WHOLE[usize::from(pick) % WHOLE.len()]
+            } else {
+                pick
+            };
+            let n = if length < 300 {
+                1 + length % 3
+            } else {
+                length - 200
+            };
+            out.extend(std::iter::repeat_n(awkward(pick, reading), n));
+        }
+        out
+    }
+
+    /// Offers `samples` (sample `i` of every channel) to fresh columns and
+    /// to [`Naive`] columns, `steps[i]` ms after the previous offer, and
+    /// checks that both accept or reject each.
+    fn record(samples: &[[f64; CHANNELS]], steps: &[i64]) -> (TraceColumns, Naive) {
+        let (mut columns, mut naive) = (TraceColumns::default(), Naive::default());
+        let mut offered_ms = 0;
+        for (&sample, &step) in samples.iter().zip(steps) {
+            offered_ms = (offered_ms + step).max(0);
+            let t = SimTime::from_millis(offered_ms as u64);
+            assert_eq!(columns.push(t, sample), naive.push(t, sample));
+        }
+        (columns, naive)
+    }
+
+    /// Every `Series` reader of every channel returns, bit for bit, what
+    /// the naive columns return.
+    fn assert_readers_match(columns: &TraceColumns, naive: &Naive, from_ms: u64) {
+        let pair = |p: Option<(f64, f64)>| p.map(|(t, v)| (t.to_bits(), v.to_bits()));
+        let view = columns.view();
+        let channels = [
+            view.sensor_c,
+            view.die_c,
+            view.utilization,
+            view.power_w,
+            view.ambient_c,
+        ];
+        for (series, values) in channels.into_iter().zip(&naive.channels) {
+            let want: Vec<(f64, f64)> = naive
+                .times
+                .iter()
+                .copied()
+                .zip(values.iter().copied())
+                .collect();
+            let want_bits: Vec<(u64, u64)> = want
+                .iter()
+                .map(|&(t, v)| (t.to_bits(), v.to_bits()))
+                .collect();
+            let bits = |samples: &mut dyn Iterator<Item = (f64, f64)>| -> Vec<(u64, u64)> {
+                samples.map(|(t, v)| (t.to_bits(), v.to_bits())).collect()
+            };
+            assert_eq!(series.len(), want.len());
+            assert_eq!(bits(&mut series.iter()), want_bits);
+            for i in 0..=want.len() {
+                assert_eq!(pair(series.get(i)), pair(want.get(i).copied()));
+            }
+            assert_eq!(pair(series.last()), pair(want.last().copied()));
+            for ms in naive
+                .millis
+                .iter()
+                .flat_map(|&ms| [ms, ms + 1, ms.saturating_sub(1)])
+            {
+                let secs = SimTime::from_millis(ms).as_secs_f64();
+                let k = naive.times.partition_point(|x| *x <= secs);
+                let got = series.value_at(SimTime::from_millis(ms)).map(f64::to_bits);
+                assert_eq!(got, k.checked_sub(1).map(|k| values[k].to_bits()));
+            }
+            let from_secs = SimTime::from_millis(from_ms).as_secs_f64();
+            let after: Vec<f64> = want
+                .iter()
+                .filter(|(t, _)| *t >= from_secs)
+                .map(|&(_, v)| v)
+                .collect();
+            let mean = (!after.is_empty())
+                .then(|| after.iter().fold(0.0, |sum, v| sum + v) / after.len() as f64);
+            let got = series
+                .mean_after(SimTime::from_millis(from_ms))
+                .map(f64::to_bits);
+            assert_eq!(got, mean.map(f64::to_bits));
+            let csv: String = want.iter().map(|(t, v)| format!("{t},{v}\n")).collect();
+            assert_eq!(series.to_csv("x"), format!("time_s,x\n{csv}"));
+            let owned = series.to_time_series();
+            assert_eq!(
+                bits(
+                    &mut owned
+                        .times
+                        .iter()
+                        .copied()
+                        .zip(owned.values.iter().copied())
+                ),
+                want_bits
+            );
+        }
+    }
+
+    /// How many samples at the end of `values` repeat its last one, bit
+    /// for bit.
+    fn final_run(values: &[f64]) -> usize {
+        let last = values.last().map(|v| v.to_bits());
+        values
+            .iter()
+            .rev()
+            .take_while(|v| Some(v.to_bits()) == last)
+            .count()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
@@ -890,6 +1037,77 @@ mod tests {
                     values.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
                 );
             }
+        }
+
+        /// Long runs of one value, at the start, in the middle and at the
+        /// end of whole and dense columns, read back bit for bit, and each
+        /// column stores exactly its samples before its final run. Runs
+        /// repeat signed zeros, NaN payloads, values without a code and
+        /// whole numbers; an odd `whole[c]` keeps channel `c` on whole
+        /// numbers, and every channel ends with `tail` repeats of its last
+        /// value.
+        #[test]
+        fn runs_read_back_and_only_the_final_run_goes_unstored(
+            picks in proptest::collection::vec(proptest::collection::vec(0u8..18, 6), CHANNELS),
+            readings in proptest::collection::vec(proptest::collection::vec(-50.0..150.0f64, 6), CHANNELS),
+            lengths in proptest::collection::vec(proptest::collection::vec(0usize..600, 1..7), CHANNELS),
+            whole in proptest::collection::vec(0u8..2, CHANNELS),
+            tail in 0usize..500,
+            from_ms in 0u64..2_000_000,
+        ) {
+            let mut channels: Vec<Vec<f64>> = (0..CHANNELS)
+                .map(|c| run_samples(&picks[c], &readings[c], &lengths[c], whole[c] == 1))
+                .collect();
+            let n = channels.iter().map(Vec::len).min().unwrap_or(0);
+            for column in &mut channels {
+                column.truncate(n);
+                column.extend(std::iter::repeat_n(column[n - 1], tail));
+            }
+            let samples: Vec<[f64; CHANNELS]> = (0..n + tail).map(|i| std::array::from_fn(|c| channels[c][i])).collect();
+            let (columns, naive) = record(&samples, &vec![1_000; samples.len()]);
+            assert_readers_match(&columns, &naive, from_ms);
+            let forms: Vec<Form> = naive.channels.iter().map(|values| naive_form(values)).collect();
+            proptest::prop_assert_eq!(&columns.forms()[1..], &forms[..]);
+            let stored: Vec<usize> = naive.channels.iter().map(|values| values.len() - final_run(values)).collect();
+            proptest::prop_assert_eq!(&columns.stored_lens()[..], &stored[..]);
+        }
+
+        /// `heap_bytes` is each stored column's capacity times its element
+        /// size, summed by hand, over random time breaks, column forms and
+        /// runs, and covers at least the samples stored.
+        #[test]
+        fn heap_bytes_counts_every_stored_column(
+            kinds in proptest::collection::vec(0u8..4, 1..7),
+            strides in proptest::collection::vec(0u64..20_000, 7),
+            counts in proptest::collection::vec(1usize..60, 7),
+            picks in proptest::collection::vec(proptest::collection::vec(0u8..18, 6), CHANNELS),
+            readings in proptest::collection::vec(proptest::collection::vec(-50.0..150.0f64, 6), CHANNELS),
+            lengths in proptest::collection::vec(proptest::collection::vec(0usize..600, 1..7), CHANNELS),
+            whole in proptest::collection::vec(0u8..2, CHANNELS),
+        ) {
+            let steps: Vec<i64> = std::iter::once(0).chain(offsets(&kinds, &strides, &counts)).collect();
+            let channels: Vec<Vec<f64>> = (0..CHANNELS)
+                .map(|c| run_samples(&picks[c], &readings[c], &lengths[c], whole[c] == 1))
+                .collect();
+            let samples: Vec<[f64; CHANNELS]> = (0..steps.len())
+                .map(|i| std::array::from_fn(|c| channels[c][i % channels[c].len()]))
+                .collect();
+            let (columns, _) = record(&samples, &steps);
+            let mut bytes = match &columns.times {
+                TimeColumn::Uniform { .. } => 0,
+                TimeColumn::Dense(secs) => 8 * secs.capacity(),
+            };
+            let mut floor = bytes;
+            for column in &columns.channels {
+                let (element, capacity, len) = match &column.stored {
+                    Stored::Whole(codes) => (2, codes.capacity(), codes.len()),
+                    Stored::Dense(values) => (8, values.capacity(), values.len()),
+                };
+                bytes += element * capacity;
+                floor += element * len;
+            }
+            proptest::prop_assert_eq!(columns.heap_bytes(), bytes);
+            proptest::prop_assert!(bytes >= floor);
         }
     }
 }
